@@ -36,25 +36,23 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"p4p/internal/apptracker"
+	"p4p/internal/daemon"
 	"p4p/internal/federation"
 	"p4p/internal/health"
 	"p4p/internal/portal"
+	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
-	"p4p/internal/trace"
 )
 
 type selectRequest struct {
@@ -101,35 +99,20 @@ func main() {
 		listen   = flag.String("listen", ":8081", "HTTP listen address")
 		itrURL   = flag.String("itracker", "http://localhost:8080", "iTracker portal base URL(s), comma-separated")
 		token    = flag.String("token", "", "trust token for the portal")
-		ttl      = flag.Duration("view-ttl", 30*time.Second, "p-distance view cache TTL")
+		ttl      = flag.Duration("view-ttl", refresh.DefaultTTL, "p-distance view cache TTL")
 		seed     = flag.Int64("seed", time.Now().UnixNano(), "selection RNG seed")
 		mDefault = flag.Int("m", 20, "default peer count per request")
 		retries  = flag.Int("portal-retries", 3, "portal attempts per refresh")
-		pprofOn  = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		logJSON  = flag.Bool("log-json", false, "emit JSON logs instead of text")
-
-		tracesOn    = flag.Bool("traces", false, "enable request tracing and serve GET /debug/traces")
-		traceSlow   = flag.Duration("trace-slow", 250*time.Millisecond, "tail sampling: always keep traces slower than this")
-		traceSample = flag.Float64("trace-sample", 1, "head sampling rate for new traces in [0,1]")
-		traceKeep   = flag.Float64("trace-keep", 0.1, "tail keep rate for fast clean traces in [0,1]")
-		traceCap    = flag.Int("trace-cap", 256, "kept-trace ring capacity")
+		shared   = daemon.RegisterFlags()
 	)
 	flag.Var(&circuitFlags, "circuit",
 		"interdomain circuit as urlA:pidA,urlB:pidB,cost (repeatable; multi-portal mode only)")
 	flag.Parse()
 
-	logger := newLogger(*logJSON)
-
 	// Telemetry: one registry feeds the portal client, the view cache,
 	// the request middleware, and GET /metrics.
-	reg := telemetry.NewRegistry()
-
-	var collector *trace.Collector
-	var tracer *trace.Tracer
-	if *tracesOn {
-		collector = trace.NewCollector(*traceCap, *traceSlow, *traceKeep)
-		tracer = &trace.Tracer{Collector: collector, SampleRate: *traceSample}
-	}
+	d := shared.Start()
+	logger, reg, tracer := d.Logger, d.Registry, d.Tracer
 
 	urls := strings.Split(*itrURL, ",")
 	client := portal.NewClient(urls[0], *token)
@@ -223,8 +206,6 @@ func main() {
 	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(logger, w, r, http.StatusOK, statsFn())
 	}))
-	rm := telemetry.NewRuntimeMetrics(reg)
-	mux.Handle("GET /metrics", rm.Handler(reg.Handler()))
 	mux.Handle("GET /healthz", health.Handler())
 	// Ready while a portal view exists and was fetched within 3x the TTL
 	// — the same window in which stale-fallback serves are acceptable.
@@ -235,12 +216,6 @@ func main() {
 		Name:  "portal_view",
 		Probe: func() (bool, string) { return readyFn(readyAge) },
 	}))
-	if collector != nil {
-		mux.Handle("GET /debug/traces", collector.Handler())
-	}
-	if *pprofOn {
-		telemetry.RegisterPprof(mux)
-	}
 	mw.Preregister()
 
 	// Warm the view in the background so /readyz flips as soon as the
@@ -248,44 +223,5 @@ func main() {
 	//p4pvet:ignore goroleak one-shot warmup; ViewFor returns once the portal client's per-attempt timeouts and bounded retries run out
 	go provider.ViewFor(0)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("appTracker listening",
-		slog.String("addr", *listen),
-		slog.String("portal", *itrURL),
-		slog.Bool("pprof", *pprofOn),
-		slog.Bool("traces", *tracesOn))
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", slog.String("error", err.Error()))
-		os.Exit(1)
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Error("shutdown", slog.String("error", err.Error()))
-		}
-	}
-}
-
-// newLogger builds the process logger: text for humans, JSON for log
-// pipelines.
-func newLogger(jsonOut bool) *slog.Logger {
-	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+	d.Serve(context.Background(), *listen, mux, "appTracker listening", slog.String("portal", *itrURL))
 }

@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -38,12 +37,12 @@ import (
 	"time"
 
 	"p4p/internal/core"
+	"p4p/internal/daemon"
 	"p4p/internal/health"
 	"p4p/internal/itracker"
 	"p4p/internal/portal"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
-	"p4p/internal/trace"
 )
 
 func main() {
@@ -55,18 +54,11 @@ func main() {
 		perturb   = flag.Float64("perturb", 0, "privacy perturbation fraction (e.g. 0.05)")
 		tokens    = flag.String("tokens", "", "comma-separated trusted appTracker tokens (empty = open)")
 		update    = flag.Duration("update", 0, "if set, run an idle price update every interval")
-		pprofOn   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		logJSON   = flag.Bool("log-json", false, "emit JSON logs instead of text")
-
-		tracesOn    = flag.Bool("traces", false, "enable request tracing and serve GET /debug/traces")
-		traceSlow   = flag.Duration("trace-slow", 250*time.Millisecond, "tail sampling: always keep traces slower than this")
-		traceSample = flag.Float64("trace-sample", 1, "head sampling rate for new traces in [0,1]")
-		traceKeep   = flag.Float64("trace-keep", 0.1, "tail keep rate for fast clean traces in [0,1]")
-		traceCap    = flag.Int("trace-cap", 256, "kept-trace ring capacity")
+		shared    = daemon.RegisterFlags()
 	)
 	flag.Parse()
-
-	logger := newLogger(*logJSON)
+	d := shared.Start()
+	logger := d.Logger
 
 	g, err := topologyByName(*topoName)
 	if err != nil {
@@ -102,19 +94,13 @@ func main() {
 
 	// Telemetry: one registry feeds the portal middleware, the iTracker
 	// engine gauges, and GET /metrics.
-	reg := telemetry.NewRegistry()
-	tr.Metrics = itracker.NewMetrics(reg)
+	tr.Metrics = itracker.NewMetrics(d.Registry)
 
 	h := portal.NewHandler(tr)
-	h.Telemetry.Metrics = telemetry.NewHTTPMetrics(reg, "p4p_http")
+	h.Telemetry.Metrics = telemetry.NewHTTPMetrics(d.Registry, "p4p_http")
 	h.Telemetry.Logger = logger
+	h.Telemetry.Tracer = d.Tracer
 	h.Telemetry.Preregister()
-
-	var collector *trace.Collector
-	if *tracesOn {
-		collector = trace.NewCollector(*traceCap, *traceSlow, *traceKeep)
-		h.Telemetry.Tracer = &trace.Tracer{Collector: collector, SampleRate: *traceSample}
-	}
 
 	// Prime the distance view so /readyz flips to ready as soon as the
 	// engine has materialized once, not on the first client request.
@@ -127,10 +113,8 @@ func main() {
 			slog.String("error", err.Error()))
 	}
 
-	rm := telemetry.NewRuntimeMetrics(reg)
 	mux := http.NewServeMux()
 	mux.Handle("/p4p/", h)
-	mux.Handle("GET /metrics", rm.Handler(reg.Handler()))
 	mux.Handle("GET /healthz", health.Handler())
 	mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
 		Name: "view",
@@ -141,12 +125,6 @@ func main() {
 			return false, "no materialized distance view yet"
 		},
 	}))
-	if collector != nil {
-		mux.Handle("GET /debug/traces", collector.Handler())
-	}
-	if *pprofOn {
-		telemetry.RegisterPprof(mux)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -167,46 +145,10 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("iTracker listening",
+	d.Serve(ctx, *listen, mux, "iTracker listening",
 		slog.String("network", g.Name),
 		slog.Int("pids", g.NumNodes()),
-		slog.Int("links", g.NumLinks()),
-		slog.String("addr", *listen),
-		slog.Bool("pprof", *pprofOn),
-		slog.Bool("traces", *tracesOn))
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", slog.String("error", err.Error()))
-		os.Exit(1)
-	case <-ctx.Done():
-		// Drain in-flight portal queries before exiting.
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Error("shutdown", slog.String("error", err.Error()))
-		}
-	}
-}
-
-// newLogger builds the process logger: text for humans, JSON for log
-// pipelines.
-func newLogger(jsonOut bool) *slog.Logger {
-	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+		slog.Int("links", g.NumLinks()))
 }
 
 func topologyByName(name string) (*topology.Graph, error) {

@@ -29,20 +29,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"p4p/internal/daemon"
 	"p4p/internal/federation"
+	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
-	"p4p/internal/trace"
 )
 
 // listFlag collects a repeatable string flag.
@@ -55,24 +52,16 @@ func main() {
 	var shardFlags, circuitFlags listFlag
 	var (
 		listen  = flag.String("listen", ":8090", "HTTP listen address")
-		ttl     = flag.Duration("ttl", 30*time.Second, "merged-view TTL between shard revalidations")
-		backoff = flag.Duration("failure-backoff", 5*time.Second, "serve last-known-good this long before retrying a failed shard")
+		ttl     = flag.Duration("ttl", refresh.DefaultTTL, "merged-view TTL between shard revalidations")
+		backoff = flag.Duration("failure-backoff", refresh.DefaultFailureBackoff, "serve last-known-good this long before retrying a failed shard")
 		tokens  = flag.String("tokens", "", "comma-separated trusted appTracker tokens (empty = open)")
 		token   = flag.String("shard-token", "", "trust token presented to every backend portal")
-		pprofOn = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-		logJSON = flag.Bool("log-json", false, "emit JSON logs instead of text")
-
-		tracesOn    = flag.Bool("traces", false, "enable request tracing and serve GET /debug/traces")
-		traceSlow   = flag.Duration("trace-slow", 250*time.Millisecond, "tail sampling: always keep traces slower than this")
-		traceSample = flag.Float64("trace-sample", 1, "head sampling rate for new traces in [0,1]")
-		traceKeep   = flag.Float64("trace-keep", 0.1, "tail keep rate for fast clean traces in [0,1]")
-		traceCap    = flag.Int("trace-cap", 256, "kept-trace ring capacity")
+		shared  = daemon.RegisterFlags()
 	)
 	flag.Var(&shardFlags, "shard", "backend shard as name=url (repeatable, at least one)")
 	flag.Var(&circuitFlags, "circuit", "interdomain circuit as shardA:pidA,shardB:pidB,cost (repeatable)")
 	flag.Parse()
-
-	logger := newLogger(*logJSON)
+	d := shared.Start()
 
 	cfg := federation.Config{
 		TTL:            *ttl,
@@ -103,71 +92,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := telemetry.NewRegistry()
-	rt.Metrics = federation.NewRouterMetrics(reg)
-	rt.Telemetry.Metrics = telemetry.NewHTTPMetrics(reg, "p4p_http")
-	rt.Telemetry.Logger = logger
+	rt.Metrics = federation.NewRouterMetrics(d.Registry)
+	rt.Telemetry.Metrics = telemetry.NewHTTPMetrics(d.Registry, "p4p_http")
+	rt.Telemetry.Logger = d.Logger
+	rt.Telemetry.Tracer = d.Tracer
 	rt.Telemetry.Preregister()
 
-	var collector *trace.Collector
-	if *tracesOn {
-		collector = trace.NewCollector(*traceCap, *traceSlow, *traceKeep)
-		rt.Telemetry.Tracer = &trace.Tracer{Collector: collector, SampleRate: *traceSample}
-	}
-
-	rm := telemetry.NewRuntimeMetrics(reg)
 	mux := http.NewServeMux()
 	mux.Handle("/p4p/", rt)
 	mux.Handle("GET /stats", rt)
 	mux.Handle("GET /healthz", rt)
 	mux.Handle("GET /readyz", rt)
-	mux.Handle("GET /metrics", rm.Handler(reg.Handler()))
-	if collector != nil {
-		mux.Handle("GET /debug/traces", collector.Handler())
-	}
-	if *pprofOn {
-		telemetry.RegisterPprof(mux)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	srv := &http.Server{
-		Addr:              *listen,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       120 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("federation router listening",
-		slog.String("addr", *listen),
+	d.Serve(context.Background(), *listen, mux, "federation router listening",
 		slog.Int("shards", len(cfg.Shards)),
-		slog.Int("circuits", len(cfg.Circuits)),
-		slog.Bool("pprof", *pprofOn),
-		slog.Bool("traces", *tracesOn))
-
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", slog.String("error", err.Error()))
-		os.Exit(1)
-	case <-ctx.Done():
-		logger.Info("shutting down")
-		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-			logger.Error("shutdown", slog.String("error", err.Error()))
-		}
-	}
-}
-
-// newLogger builds the process logger: text for humans, JSON for log
-// pipelines.
-func newLogger(jsonOut bool) *slog.Logger {
-	if jsonOut {
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, nil))
+		slog.Int("circuits", len(cfg.Circuits)))
 }

@@ -8,22 +8,25 @@ import (
 // calleeFunc resolves the *types.Func a call expression statically
 // invokes: a package-level function, a method (through the selection),
 // or nil for builtins, conversions, and calls of stored function
-// values.
+// values. A call into an instantiated generic resolves to the generic
+// declaration, which is what the call graph is keyed by.
 func calleeFunc(p *Pkg, call *ast.CallExpr) *types.Func {
+	var f *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		f, _ := p.Info.Uses[fun].(*types.Func)
-		return f
+		f, _ = p.Info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel, ok := p.Info.Selections[fun]; ok {
-			f, _ := sel.Obj().(*types.Func)
-			return f
+			f, _ = sel.Obj().(*types.Func)
+		} else {
+			// Package-qualified call (pkg.Func).
+			f, _ = p.Info.Uses[fun.Sel].(*types.Func)
 		}
-		// Package-qualified call (pkg.Func).
-		f, _ := p.Info.Uses[fun.Sel].(*types.Func)
-		return f
 	}
-	return nil
+	if f == nil {
+		return nil
+	}
+	return f.Origin()
 }
 
 // funcPkgPath returns the import path of the package declaring f, or

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"log/slog"
-	"sync"
 	"time"
 
 	"p4p/internal/core"
 	"p4p/internal/portal"
+	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
 	"p4p/internal/trace"
 )
@@ -30,23 +30,7 @@ type BatchFetcher interface {
 // ViewStats counts how the view cache is behaving; appTrackers export
 // it so operators can see when peers are being selected off a stale
 // view (the paper's graceful-degradation mode).
-type ViewStats struct {
-	// Refreshes counts successful portal fetches (including cheap
-	// 304 revalidations inside the client).
-	Refreshes int64 `json:"refreshes"`
-	// Failures counts refresh attempts that exhausted the client's
-	// retries without producing a view.
-	Failures int64 `json:"failures"`
-	// StaleServes counts selections answered from the last-known-good
-	// view after its TTL expired (portal slow or down).
-	StaleServes int64 `json:"stale_serves"`
-	// NilServes counts selections with no view at all (portal down and
-	// never reached); the selector degrades to native random peering.
-	NilServes int64 `json:"nil_serves"`
-	// Coalesces counts selections answered from the previous view while
-	// another caller's refresh was in flight (singleflight).
-	Coalesces int64 `json:"coalesces"`
-}
+type ViewStats = refresh.Stats
 
 // ViewMetrics mirrors ViewStats into the telemetry registry so the view
 // cache's behavior is scrapeable at /metrics. Every family carries a
@@ -116,34 +100,17 @@ func (m *ViewMetrics) ForPortal(portalURL string) *ViewMetrics {
 	return m.vecs.bind(portalURL)
 }
 
-func (m *ViewMetrics) refresh() {
-	if m != nil {
-		m.Refreshes.Inc()
+// mirror adds one read's counter increments to the registry families,
+// so /metrics tracks Stats exactly.
+func (m *ViewMetrics) mirror(d ViewStats) {
+	if m == nil {
+		return
 	}
-}
-
-func (m *ViewMetrics) failure() {
-	if m != nil {
-		m.Failures.Inc()
-	}
-}
-
-func (m *ViewMetrics) staleServe() {
-	if m != nil {
-		m.StaleServes.Inc()
-	}
-}
-
-func (m *ViewMetrics) nilServe() {
-	if m != nil {
-		m.NilServes.Inc()
-	}
-}
-
-func (m *ViewMetrics) coalesce() {
-	if m != nil {
-		m.Coalesces.Inc()
-	}
+	m.Refreshes.Add(float64(d.Refreshes))
+	m.Failures.Add(float64(d.Failures))
+	m.StaleServes.Add(float64(d.StaleServes))
+	m.NilServes.Add(float64(d.NilServes))
+	m.Coalesces.Add(float64(d.Coalesces))
 }
 
 // PortalViews adapts a portal client to the selector's ViewProvider
@@ -187,122 +154,65 @@ type PortalViews struct {
 	// TTL and backoff windows with a fake clock instead of sleeping.
 	nowFn func() time.Time
 
-	mu         sync.Mutex
-	view       *core.View
-	fetched    time.Time
-	nextRetry  time.Time
-	refreshing bool
-	stats      ViewStats
-}
-
-// now reads the injected clock, defaulting to the wall clock.
-func (p *PortalViews) now() time.Time {
-	if p.nowFn != nil {
-		return p.nowFn()
-	}
-	return time.Now()
+	cell refresh.Cell[*core.View]
 }
 
 // NewPortalViews builds a PortalViews with default timings.
 func NewPortalViews(client ViewFetcher, ttl time.Duration) *PortalViews {
-	return &PortalViews{Client: client, TTL: ttl}
+	p := &PortalViews{Client: client, TTL: ttl}
+	p.cell.Fetch = p.fetch
+	return p
 }
 
-func (p *PortalViews) ttl() time.Duration {
-	if p.TTL > 0 {
-		return p.TTL
-	}
-	return 30 * time.Second
-}
-
-func (p *PortalViews) refreshTimeout() time.Duration {
-	if p.RefreshTimeout > 0 {
-		return p.RefreshTimeout
-	}
-	return 10 * time.Second
-}
-
-func (p *PortalViews) failureBackoff() time.Duration {
-	if p.FailureBackoff > 0 {
-		return p.FailureBackoff
-	}
-	return 5 * time.Second
+// timing hands the cell the current values of the exported knobs, which
+// callers may set any time before serving.
+func (p *PortalViews) timing() refresh.Timing {
+	return refresh.Timing{TTL: p.TTL, RefreshTimeout: p.RefreshTimeout, FailureBackoff: p.FailureBackoff, Now: p.nowFn}
 }
 
 // ViewFor implements ViewProvider. The ASN argument is unused: one
-// PortalViews speaks for the one iTracker its client points at.
+// PortalViews speaks for the one iTracker its client points at. It has
+// no context to wait with, so a cold start with another caller's first
+// fetch in flight answers nil (the selector degrades to native peering)
+// instead of blocking.
 //
-//p4p:coldpath the refresh slow path (network fetch, tracing, logging) dominates this function; the held-view fast path is a mutex check and a pointer return
+//p4p:hotpath the held-view path is the cell's atomic load and clock read
 func (p *PortalViews) ViewFor(asn int) DistanceView {
-	now := p.now()
-	p.mu.Lock()
-	fresh := p.view != nil && now.Sub(p.fetched) < p.ttl()
-	if fresh || p.refreshing || now.Before(p.nextRetry) {
-		v := p.view
-		if !fresh && p.refreshing {
-			p.stats.Coalesces++
-			p.Metrics.coalesce()
-		}
-		if !fresh && v != nil {
-			p.stats.StaleServes++
-			p.Metrics.staleServe()
-		}
-		if v == nil {
-			p.stats.NilServes++
-			p.Metrics.nilServe()
-		}
-		p.mu.Unlock()
-		if v == nil {
-			return nil // not a typed-nil interface
-		}
-		return v
-	}
-	p.refreshing = true
-	p.mu.Unlock()
-
 	//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; RefreshTimeout is the refresh's only ancestor deadline
-	ctx, cancel := context.WithTimeout(context.Background(), p.refreshTimeout())
-	defer cancel()
+	r := p.cell.Get(context.Background(), p.timing())
+	if r.Counted != (ViewStats{}) {
+		p.Metrics.mirror(r.Counted)
+	}
+	if !r.Held {
+		return nil // not a typed-nil interface
+	}
+	return r.Value
+}
+
+// fetch is the cell's refresh: one portal round-trip, traced as its own
+// root span and logged when it fails.
+//
+//p4p:coldpath network fetch, tracing and logging
+func (p *PortalViews) fetch(ctx context.Context) (*core.View, error) {
 	ctx, span := p.Tracer.StartRoot(ctx, "view_refresh")
 	defer span.End()
 	v, err := p.Client.DistancesContext(ctx)
-
-	p.mu.Lock()
-	p.refreshing = false
 	if err != nil {
-		p.stats.Failures++
-		p.Metrics.failure()
-		p.nextRetry = p.now().Add(p.failureBackoff())
 		if p.Logger != nil {
 			p.Logger.Warn("portal refresh failed, serving last-known-good",
 				slog.String("error", err.Error()))
 		}
-		stale := p.view
-		if stale != nil {
-			p.stats.StaleServes++
-			p.Metrics.staleServe()
-		} else {
-			p.stats.NilServes++
-			p.Metrics.nilServe()
-		}
-		p.mu.Unlock()
 		span.RecordError(err)
-		if stale == nil {
+		if _, _, held := p.LastKnownGood(); held {
+			span.SetAttr("outcome", "stale_fallback")
+		} else {
 			span.SetAttr("outcome", "nil_fallback")
-			return nil
 		}
-		span.SetAttr("outcome", "stale_fallback")
-		return stale
+		return nil, err
 	}
-	p.stats.Refreshes++
-	p.Metrics.refresh()
-	p.view = v
-	p.fetched = p.now()
-	p.nextRetry = time.Time{}
-	p.mu.Unlock()
 	span.SetAttr("outcome", "refreshed")
 	span.SetAttrInt("view_version", v.Version)
-	return v
+	return v, nil
 }
 
 // errNoBatchSource reports a batch query with neither a cached view
@@ -370,22 +280,13 @@ func viewCovers(v *core.View, pairs []portal.PIDPair) bool {
 // appTracker that would answer every selection from nothing (native
 // random peering) because its portal was unreachable since boot.
 func (p *PortalViews) Ready(maxAge time.Duration) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.view == nil {
-		return false
-	}
-	if maxAge <= 0 {
-		return true
-	}
-	return p.now().Sub(p.fetched) <= maxAge
+	st := p.cell.Snapshot(p.timing())
+	return st.Held && (maxAge <= 0 || st.Age <= maxAge)
 }
 
 // Stats returns a snapshot of the cache counters.
 func (p *PortalViews) Stats() ViewStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	return p.cell.Snapshot(p.timing()).Stats
 }
 
 // Invalidate expires the held view and any failure backoff, so the next
@@ -394,16 +295,12 @@ func (p *PortalViews) Stats() ViewStats {
 // harnesses call it after a portal-side price update to observe the new
 // view deterministically instead of waiting out the TTL.
 func (p *PortalViews) Invalidate() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fetched = time.Time{}
-	p.nextRetry = time.Time{}
+	p.cell.Invalidate()
 }
 
 // LastKnownGood reports the currently held view (possibly stale) and
 // when it was fetched; ok is false before any successful fetch.
 func (p *PortalViews) LastKnownGood() (v *core.View, fetched time.Time, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.view, p.fetched, p.view != nil
+	st := p.cell.Snapshot(p.timing())
+	return st.Value, st.At, st.Held
 }

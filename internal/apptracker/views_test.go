@@ -279,6 +279,45 @@ func TestPortalViewsConcurrentRefreshSingleflight(t *testing.T) {
 	close(block)
 }
 
+// TestPortalViewsPanickingFetchDoesNotWedge is the regression test for
+// the wedged singleflight: a fetch that panicked used to leave the
+// in-flight marker set, so every later ViewFor coalesced onto stale data
+// forever. The marker is released under defer and the panic is booked
+// as a failed refresh, so after the failure backoff a healthy fetch
+// refreshes normally.
+func TestPortalViewsPanickingFetchDoesNotWedge(t *testing.T) {
+	f := &scriptedFetcher{fn: func(n int64) (*core.View, error) {
+		if n == 2 {
+			panic("injected: client panicked mid-fetch")
+		}
+		return testView(int(n)), nil
+	}}
+	clk := newFakeClock()
+	p := NewPortalViews(f, time.Millisecond)
+	p.FailureBackoff = time.Millisecond
+	p.nowFn = clk.Now
+	if p.ViewFor(1) == nil {
+		t.Fatal("priming fetch failed")
+	}
+	clk.Advance(2 * time.Millisecond)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the fetch panic did not reach the refreshing caller")
+			}
+		}()
+		p.ViewFor(1)
+	}()
+	clk.Advance(2 * time.Millisecond) // past TTL and backoff
+	v, _ := p.ViewFor(1).(*core.View)
+	if v == nil || v.Version != 3 {
+		t.Fatalf("view after the panic = %+v, want version 3 from a new fetch", v)
+	}
+	if s := p.Stats(); s.Refreshes != 2 || s.Failures != 1 {
+		t.Errorf("stats = %+v, want 2 refreshes and the panic counted as 1 failure", s)
+	}
+}
+
 // TestSelectionSurvivesPortalOutage is the end-to-end acceptance test:
 // a real portal server feeds a real client once; then the portal goes
 // fully down and peer selection keeps running off the last-known-good

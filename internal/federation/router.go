@@ -2,7 +2,7 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
@@ -10,24 +10,18 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"p4p/internal/core"
 	"p4p/internal/health"
 	"p4p/internal/portal"
+	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
 	"p4p/internal/trace"
 )
-
-// tokenHeaderCanon is portal's X-P4P-Token trust-token header in
-// canonical MIME form (incoming headers are stored canonically, so
-// reading with this key never re-canonicalizes or allocates).
-const tokenHeaderCanon = "X-P4p-Token"
 
 // ShardConfig names one backend portal and the PID shard it speaks for.
 type ShardConfig struct {
@@ -77,19 +71,19 @@ type Config struct {
 	Client *portal.Client
 }
 
-// shardState is one backend portal's live state: its client, its
-// last-known-good view, and its health counters.
+// shardState is one backend portal: its client and the cell holding its
+// last-known-good view.
 type shardState struct {
 	cfg    ShardConfig
 	client *portal.Client
+	cell   refresh.Cell[shardView]
+}
 
-	mu        sync.Mutex
-	view      *core.View
-	etag      string // client's validator for view, "" when none
-	fetched   time.Time
-	nextRetry time.Time
-	lastErr   string
-	stats     ShardStats
+// shardView is what one backend fetch yields: the view and the client's
+// validator for it ("" when the backend sent none).
+type shardView struct {
+	view *core.View
+	etag string
 }
 
 // ShardStats counts one shard's refresh behavior (see ShardStatus for
@@ -106,30 +100,17 @@ type ShardStats struct {
 	StaleServes int64 `json:"stale_serves"`
 }
 
-// encodedForm is one fully-rendered response for a view form: encoded
-// body plus precomputed header value slices, so serving writes no new
-// strings (the portal handler's respEntry pattern).
-type encodedForm struct {
-	body     []byte
-	etag     string
-	etagVals []string
-	clenVals []string
-}
-
-// mergedEntry is one published federation state: the merged view, its
-// batch index, and both encoded forms. Immutable once stored.
+// mergedEntry is one published federation state: the merged view and
+// both rendered forms. Immutable once stored.
 type mergedEntry struct {
 	// key fingerprints the inputs: per-shard ETag + version, or
 	// "absent". Same key ⇒ same merged bytes, so a revalidation pass
 	// where every backend said 304 republishes the previous encoding.
 	key           string
 	view          *core.View
-	idx           map[topology.PID]int
-	builtAt       time.Time
 	shardsServing int
 	shardsFresh   int
-	raw           encodedForm
-	ranks         encodedForm
+	raw, ranks    *portal.Entry
 }
 
 // RouterMetrics instruments the federation router. Per-shard families
@@ -170,22 +151,15 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 	}
 }
 
-func (m *RouterMetrics) shardRefresh(name string) {
-	if m != nil {
-		m.ShardRefreshes.With(name).Inc()
+// mirrorShard adds one shard read's counter increments to the labeled
+// families, so /metrics tracks the per-shard stats exactly.
+func (m *RouterMetrics) mirrorShard(name string, d refresh.Stats) {
+	if m == nil {
+		return
 	}
-}
-
-func (m *RouterMetrics) shardFailure(name string) {
-	if m != nil {
-		m.ShardFailures.With(name).Inc()
-	}
-}
-
-func (m *RouterMetrics) shardStale(name string) {
-	if m != nil {
-		m.ShardStaleServes.With(name).Inc()
-	}
+	m.ShardRefreshes.With(name).Add(float64(d.Refreshes))
+	m.ShardFailures.With(name).Add(float64(d.Failures))
+	m.ShardStaleServes.With(name).Add(float64(d.StaleServes))
 }
 
 func (m *RouterMetrics) merge(pids, serving int) {
@@ -202,17 +176,9 @@ func (m *RouterMetrics) serving(n int) {
 	}
 }
 
-// errWire mirrors the portal's error envelope.
-type errWire struct {
-	Error string `json:"error"`
-}
-
-// jsonCTVals is the Content-Type value shared by every cached response.
-var jsonCTVals = []string{"application/json"}
-
 // Router is the federation front end: it owns the shard map, keeps one
-// last-known-good view per backend portal, and serves the merged
-// federation view over the standard portal wire protocol —
+// last-known-good view per backend portal, and is the portal handler
+// over their merge —
 //
 //	GET  /p4p/v1/distances[?form=ranks]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
@@ -230,22 +196,19 @@ var jsonCTVals = []string{"application/json"}
 // capability interfaces stay per-provider and are deliberately not
 // proxied — they are meaningless merged.
 type Router struct {
-	// Telemetry instruments and logs every route; its zero value is
-	// inert. Set its fields, do not replace the struct.
-	Telemetry telemetry.Middleware
+	// Telemetry instruments and logs every route (it is the portal
+	// handler's middleware); inert until its fields are set.
+	Telemetry *telemetry.Middleware
 	// Metrics, when non-nil, instruments shard refreshes and merges
 	// (see NewRouterMetrics).
 	Metrics *RouterMetrics
 
 	cfg       Config
-	mux       *http.ServeMux
+	portal    *portal.Handler
 	bootNonce string
 	shards    []*shardState
 	trusted   map[string]bool
-
-	merged     atomic.Pointer[mergedEntry]
-	mu         sync.Mutex
-	refreshing chan struct{} // non-nil while one refresh is in flight
+	merged    refresh.Cell[*mergedEntry]
 
 	// nowFn, when non-nil, replaces time.Now so tests drive TTL and
 	// backoff windows with a fake clock instead of sleeping.
@@ -286,7 +249,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	rt := &Router{
 		cfg:       cfg,
-		mux:       http.NewServeMux(),
 		bootNonce: fmt.Sprintf("%08x", rand.Uint32()),
 		trusted:   map[string]bool{},
 	}
@@ -298,306 +260,205 @@ func NewRouter(cfg Config) (*Router, error) {
 		if sc.Token != "" {
 			c.Token = sc.Token
 		}
-		rt.shards = append(rt.shards, &shardState{cfg: sc, client: c})
+		s := &shardState{cfg: sc, client: c}
+		s.cell.Fetch = func(ctx context.Context) (shardView, error) { return rt.fetchShard(ctx, s) }
+		rt.shards = append(rt.shards, s)
 	}
-	rt.route("GET /p4p/v1/distances", "distances", rt.handleDistances)
-	rt.route("GET /p4p/v1/distances/batch", "distances_batch", rt.handleBatch)
-	rt.route("POST /p4p/v1/distances/batch", "distances_batch", rt.handleBatch)
-	rt.route("GET /p4p/v1/pid", "pid", rt.handlePID)
-	rt.route("GET /stats", "stats", rt.handleStats)
-	rt.mux.Handle("GET /healthz", health.Handler())
-	rt.mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
-		Name: "federation_view",
-		Probe: func() (bool, string) {
-			ok, detail := rt.Ready()
-			return ok, detail
-		},
-	}))
+	rt.merged.Fetch = rt.refreshMerged
+	rt.portal = portal.NewSourceHandler(source{rt})
+	rt.Telemetry = &rt.portal.Telemetry
+	rt.portal.Handle("GET /stats", rt.Telemetry.RouteFunc("stats", rt.handleStats))
+	rt.portal.Handle("GET /healthz", health.Handler())
+	rt.portal.Handle("GET /readyz", health.ReadyHandler(health.Check{Name: "federation_view", Probe: rt.Ready}))
 	return rt, nil
-}
-
-func (rt *Router) route(pattern, name string, fn http.HandlerFunc) {
-	rt.mux.Handle(pattern, rt.Telemetry.RouteFunc(name, fn))
 }
 
 // ServeHTTP implements http.Handler.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.mux.ServeHTTP(w, r)
+	rt.portal.ServeHTTP(w, r)
 }
 
-func (rt *Router) now() time.Time {
-	if rt.nowFn != nil {
-		// Injectable clock so tests drive TTL/backoff windows without
-		// sleeping; nil in production, where the branch below runs.
-		//p4pvet:ignore allochot indirect clock call allocates nothing; needed for sleep-free fake-clock tests
-		return rt.nowFn()
-	}
-	return time.Now()
+// timing is the one set of windows every cell in the router runs on.
+func (rt *Router) timing() refresh.Timing {
+	return refresh.Timing{TTL: rt.cfg.TTL, RefreshTimeout: rt.cfg.RefreshTimeout, FailureBackoff: rt.cfg.FailureBackoff, Now: rt.nowFn}
 }
 
-func (rt *Router) ttl() time.Duration {
-	if rt.cfg.TTL > 0 {
-		return rt.cfg.TTL
-	}
-	return 30 * time.Second
+// admits reports whether a trust token may use the distance interfaces,
+// mirroring the backend portals' own access model.
+func (rt *Router) admits(token string) bool {
+	return len(rt.trusted) == 0 || rt.trusted[token] // no tokens configured = open deployment
 }
 
-func (rt *Router) refreshTimeout() time.Duration {
-	if rt.cfg.RefreshTimeout > 0 {
-		return rt.cfg.RefreshTimeout
-	}
-	return 10 * time.Second
-}
+// source is the Router as the portal handler's ViewSource: auth against
+// the router's own trusted tokens, the merged entry as the view, and PID
+// lookup proxied to the backends.
+type source struct{ rt *Router }
 
-func (rt *Router) failureBackoff() time.Duration {
-	if rt.cfg.FailureBackoff > 0 {
-		return rt.cfg.FailureBackoff
-	}
-	return 5 * time.Second
-}
+// errNoShardViews is the 503 before the first successful merge: every
+// shard down since boot, or shards that cannot be merged.
+var errNoShardViews = fmt.Errorf("%w: no merged federation view yet", portal.ErrUnavailable)
 
-func (rt *Router) authorized(token string) bool {
-	if len(rt.trusted) == 0 {
-		return true // open deployment
-	}
-	return rt.trusted[token]
-}
-
-//p4p:coldpath fresh JSON encode; the zero-alloc contract covers the cached byte-copy path
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusInternalServerError
-		body = []byte(`{"error":"response encoding failed"}`)
-	}
-	body = append(body, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// handleDistances serves the merged federation view. Steady state is
-// the portal handler's shape: one atomic load, an ETag compare, and a
-// byte copy of the pre-rendered body.
+// current returns the merged entry to serve: the published one inside
+// its TTL (one atomic load and a clock read), else whatever the merged
+// cell's refresh produces, or last-known-good while one runs.
 //
 //p4p:hotpath
-func (rt *Router) handleDistances(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
+func (s source) current(ctx context.Context, token string) (*mergedEntry, error) {
+	rt := s.rt
+	if !rt.admits(token) {
+		return nil, portal.ErrAccessDenied
 	}
-	form := "raw"
-	if r.URL.RawQuery != "" { // parsing the query allocates; skip it when absent
-		if f := r.URL.Query().Get("form"); f != "" {
-			form = f
-		}
-		if form != "raw" && form != "ranks" {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "unknown form; use raw or ranks"})
-			return
-		}
-	}
-	ent := rt.current(r.Context())
-	if ent == nil {
-		rt.writeJSON(w, http.StatusServiceUnavailable, errWire{Error: "no shard views available"})
-		return
-	}
-	ef := &ent.raw
-	if form == "ranks" {
-		ef = &ent.ranks
-	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && portal.ETagMatches(inm, ef.etag) {
-		w.Header()["Etag"] = ef.etagVals
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	hdr := w.Header()
-	hdr["Content-Type"] = jsonCTVals
-	hdr["Etag"] = ef.etagVals
-	hdr["Content-Length"] = ef.clenVals
-	w.WriteHeader(http.StatusOK)
-	w.Write(ef.body)
-}
-
-// current returns the entry to serve: the published merge when inside
-// its TTL, else whatever a refresh pass produces. Returns nil only
-// when no shard has ever produced a view.
-//
-//p4p:hotpath the fresh branch is one atomic load and a clock read
-func (rt *Router) current(ctx context.Context) *mergedEntry {
-	ent := rt.merged.Load()
-	if ent != nil && rt.now().Sub(ent.builtAt) < rt.ttl() {
-		return ent
-	}
-	return rt.refresh(ctx, ent)
-}
-
-// refresh runs (or waits out) one singleflight refresh pass. A caller
-// holding a previous entry is answered from it immediately while the
-// winner refreshes — stale-while-revalidate, so a slow backend never
-// stalls the serving path once the router has any state.
-//
-//p4p:coldpath runs at most once per TTL window
-func (rt *Router) refresh(ctx context.Context, prev *mergedEntry) *mergedEntry {
-	rt.mu.Lock()
-	if ch := rt.refreshing; ch != nil {
-		rt.mu.Unlock()
-		if prev != nil {
-			return prev
-		}
-		// Cold start: block on the in-flight refresh instead of bouncing
-		// the caller with a 503 the winner is about to obsolete.
+	tm := rt.timing()
+	r := rt.merged.Get(ctx, tm)
+	if r.Wait != nil {
+		// Cold start behind another request's first refresh: wait for it
+		// instead of answering a 503 the winner is about to obsolete.
 		select {
-		case <-ch:
-			return rt.merged.Load()
+		case <-r.Wait:
+			r.Value = rt.merged.Snapshot(tm).Value
 		case <-ctx.Done():
-			return nil
 		}
 	}
-	ch := make(chan struct{})
-	rt.refreshing = ch
-	rt.mu.Unlock()
-	ent := rt.refreshMerged(ctx, prev)
-	rt.mu.Lock()
-	rt.refreshing = nil
-	rt.mu.Unlock()
-	close(ch)
-	return ent
+	if r.Value == nil {
+		return nil, errNoShardViews
+	}
+	return r.Value, nil
 }
 
-// refreshMerged revalidates every due shard concurrently, then
-// publishes the merge of whatever views exist. Shards in failure
-// backoff, and shards that fail now, contribute their last-known-good
-// view; only a shard with no view at all drops out of the merge.
+// Entry implements portal.ViewSource.
+//
+//p4p:hotpath
+func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, error) {
+	ent, err := s.current(ctx, token)
+	if err != nil {
+		return nil, err
+	}
+	if form == "ranks" {
+		return ent.ranks, nil
+	}
+	return ent.raw, nil
+}
+
+// View implements portal.ViewSource.
+//
+//p4p:hotpath
+func (s source) View(ctx context.Context, token string) (*core.View, error) {
+	ent, err := s.current(ctx, token)
+	if err != nil {
+		return nil, err
+	}
+	return ent.view, nil
+}
+
+// LookupPID implements portal.ViewSource by proxying shard by shard: PID
+// assignment is per-provider state the router does not replicate, so it
+// asks each backend in configuration order and returns the first answer.
+func (s source) LookupPID(ctx context.Context, token string, ip net.IP) (portal.PIDLookupWire, error) {
+	if !s.rt.admits(token) {
+		return portal.PIDLookupWire{}, portal.ErrAccessDenied
+	}
+	for _, sh := range s.rt.shards {
+		if out, err := sh.client.LookupPIDContext(ctx, ip); err == nil {
+			return out, nil
+		}
+	}
+	return portal.PIDLookupWire{}, errors.New("no shard maps this IP")
+}
+
+// refreshMerged is the merged cell's fetch: it revalidates every shard
+// concurrently through the shard's own cell, then publishes the merge
+// of whatever views exist. Shards in failure backoff, and shards that
+// fail now, contribute their last-known-good view; only a shard with
+// no view at all drops out of the merge. Any error — nothing to merge,
+// overlapping PIDs, an unencodable matrix — is a failed refresh: the
+// cell keeps the previous entry and retries after the failure backoff.
 //
 //p4p:coldpath
-func (rt *Router) refreshMerged(ctx context.Context, prev *mergedEntry) *mergedEntry {
+func (rt *Router) refreshMerged(ctx context.Context) (_ *mergedEntry, err error) {
 	ctx, span := trace.StartSpan(ctx, "federation_refresh")
 	defer span.End()
-	now := rt.now()
-	var wg sync.WaitGroup
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		due := (s.view == nil || now.Sub(s.fetched) >= rt.ttl()) && !now.Before(s.nextRetry)
-		s.mu.Unlock()
-		if !due {
-			continue
+	defer func() {
+		if err != nil {
+			span.RecordError(err)
 		}
+	}()
+	tm := rt.timing()
+	reads := make([]refresh.Read[shardView], len(rt.shards))
+	var wg sync.WaitGroup
+	for i, s := range rt.shards {
 		wg.Add(1)
-		go func(s *shardState) {
+		go func(i int, s *shardState) {
 			defer wg.Done()
-			rt.fetchShard(ctx, s)
-		}(s)
+			reads[i] = s.cell.Get(ctx, tm)
+		}(i, s)
 	}
 	wg.Wait()
 
 	views := make([]ShardView, 0, len(rt.shards))
 	var keyb strings.Builder
-	serving, fresh := 0, 0
-	for _, s := range rt.shards {
-		s.mu.Lock()
-		v, etag, fetched := s.view, s.etag, s.fetched
-		stale := v != nil && now.Sub(fetched) >= rt.ttl()
-		if stale {
-			s.stats.StaleServes++
+	fresh := 0
+	for i, s := range rt.shards {
+		r := reads[i]
+		rt.Metrics.mirrorShard(s.cfg.Name, r.Counted)
+		if !r.Held {
+			fmt.Fprintf(&keyb, "%s=absent;", s.cfg.Name)
+			continue
 		}
-		s.mu.Unlock()
-		if stale {
-			rt.Metrics.shardStale(s.cfg.Name)
+		fmt.Fprintf(&keyb, "%s=%s#%d;", s.cfg.Name, r.Value.etag, r.Value.view.Version)
+		views = append(views, ShardView{Name: s.cfg.Name, View: r.Value.view})
+		if r.Fresh {
+			fresh++
 		}
-		keyb.WriteString(s.cfg.Name)
-		keyb.WriteByte('=')
-		if v == nil {
-			keyb.WriteString("absent")
-		} else {
-			keyb.WriteString(etag)
-			keyb.WriteByte('#')
-			keyb.WriteString(strconv.Itoa(v.Version))
-			views = append(views, ShardView{Name: s.cfg.Name, View: v})
-			serving++
-			if !stale {
-				fresh++
-			}
-		}
-		keyb.WriteByte(';')
 	}
+	serving := len(views)
 	span.SetAttrInt("shards_serving", serving)
 	if serving == 0 {
 		rt.Metrics.serving(0)
-		return nil
+		return nil, errNoShardViews
 	}
 	key := keyb.String()
-	if prev != nil && prev.key == key {
+	if prev := rt.merged.Snapshot(tm).Value; prev != nil && prev.key == key {
 		// Nothing changed: republish the previous encoding under a new
 		// TTL window. Bodies and header slices are shared, immutable.
 		ent := *prev
-		ent.builtAt = now
-		ent.shardsServing = serving
-		ent.shardsFresh = fresh
-		rt.merged.Store(&ent)
-		return &ent
+		ent.shardsServing, ent.shardsFresh = serving, fresh
+		return &ent, nil
 	}
-	merged, err := Merge(views, rt.cfg.Circuits)
+	ent, err := rt.render(views, key)
 	if err != nil {
-		// Two shards serving the same PID: a deployment error, not a
-		// transient. Keep the previous merge (if any) rather than serve
-		// a view we know is wrong.
-		span.RecordError(err)
+		// Two shards serving the same PID (or a matrix that will not
+		// encode): a deployment error, not a transient. Keep the previous
+		// merge (if any) rather than serve a view we know is wrong.
 		if l := rt.Telemetry.Logger; l != nil {
 			l.Error("federation merge failed, keeping previous view",
 				slog.String("error", err.Error()))
 		}
-		return prev
+		return nil, err
 	}
-	ent, err := rt.render(merged, key, now, serving, fresh)
-	if err != nil {
-		span.RecordError(err)
-		if l := rt.Telemetry.Logger; l != nil {
-			l.Error("federation view encode failed, keeping previous view",
-				slog.String("error", err.Error()))
-		}
-		return prev
-	}
-	rt.merged.Store(ent)
-	rt.Metrics.merge(len(merged.PIDs), serving)
-	span.SetAttrInt("merged_pids", len(merged.PIDs))
-	return ent
+	ent.shardsServing, ent.shardsFresh = serving, fresh
+	rt.Metrics.merge(len(ent.view.PIDs), serving)
+	span.SetAttrInt("merged_pids", len(ent.view.PIDs))
+	return ent, nil
 }
 
-// fetchShard refreshes one backend's view. The shard mutex is taken
-// only after the network round-trip resolves.
+// fetchShard is a shard cell's fetch: one backend round-trip plus the
+// PID range gate.
 //
 //p4p:coldpath
-func (rt *Router) fetchShard(ctx context.Context, s *shardState) {
-	ctx, cancel := context.WithTimeout(ctx, rt.refreshTimeout())
-	defer cancel()
+func (rt *Router) fetchShard(ctx context.Context, s *shardState) (shardView, error) {
 	v, err := s.client.DistancesContext(ctx)
 	if err == nil {
 		err = s.cfg.checkRange(v)
 	}
-	now := rt.now()
-	s.mu.Lock()
 	if err != nil {
-		s.stats.Failures++
-		s.lastErr = err.Error()
-		s.nextRetry = now.Add(rt.failureBackoff())
-		s.mu.Unlock()
-		rt.Metrics.shardFailure(s.cfg.Name)
 		if l := rt.Telemetry.Logger; l != nil {
 			l.Warn("shard refresh failed, serving last-known-good",
 				slog.String("shard", s.cfg.Name),
 				slog.String("error", err.Error()))
 		}
-		return
+		return shardView{}, err
 	}
-	s.view = v
-	s.etag = s.client.ViewETag("raw")
-	s.fetched = now
-	s.nextRetry = time.Time{}
-	s.lastErr = ""
-	s.stats.Refreshes++
-	s.mu.Unlock()
-	rt.Metrics.shardRefresh(s.cfg.Name)
+	return shardView{view: v, etag: s.client.ViewETag("raw")}, nil
 }
 
 // checkRange rejects a view whose PIDs fall outside the shard's
@@ -615,152 +476,32 @@ func (sc ShardConfig) checkRange(v *core.View) error {
 	return nil
 }
 
-// render encodes both wire forms of a merged view and composes the
-// federation ETags from the input fingerprint.
+// render merges the shard views, encodes both wire forms, and composes
+// the federation ETags from the input fingerprint.
 //
 //p4p:coldpath runs once per input change; the fmt work is the point of pre-rendering
-func (rt *Router) render(v *core.View, key string, now time.Time, serving, fresh int) (*mergedEntry, error) {
-	raw, err := json.Marshal(portal.ToWire(v))
-	if err != nil {
-		return nil, err
-	}
-	ranks, err := json.Marshal(portal.ToWire(core.RankView(v)))
+func (rt *Router) render(views []ShardView, key string) (*mergedEntry, error) {
+	v, err := Merge(views, rt.cfg.Circuits)
 	if err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	sum := h.Sum64()
-	idx := make(map[topology.PID]int, len(v.PIDs))
-	for i, p := range v.PIDs {
-		idx[p] = i
-	}
-	return &mergedEntry{
-		key:           key,
-		view:          v,
-		idx:           idx,
-		builtAt:       now,
-		shardsServing: serving,
-		shardsFresh:   fresh,
-		raw:           rt.newForm(sum, "raw", append(raw, '\n')),
-		ranks:         rt.newForm(sum, "ranks", append(ranks, '\n')),
-	}, nil
-}
-
-func (rt *Router) newForm(sum uint64, form string, body []byte) encodedForm {
-	etag := fmt.Sprintf("%q", fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, sum, form))
-	return encodedForm{
-		body:     body,
-		etag:     etag,
-		etagVals: []string{etag},
-		clenVals: []string{strconv.Itoa(len(body))},
-	}
-}
-
-// handleBatch answers src/dst pair queries from the merged view — the
-// cross-shard pairs are exactly what a single backend cannot answer.
-//
-//p4p:hotpath
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
-	}
-	pairs, ok := rt.readBatchPairs(w, r)
-	if !ok {
-		return
-	}
-	ent := rt.current(r.Context())
-	if ent == nil {
-		rt.writeJSON(w, http.StatusServiceUnavailable, errWire{Error: "no shard views available"})
-		return
-	}
-	out := portal.BatchResponseWire{Version: ent.view.Version, Distances: make([]float64, len(pairs))}
-	for k, pr := range pairs {
-		a, okA := ent.idx[pr.Src]
-		b, okB := ent.idx[pr.Dst]
-		if !okA || !okB {
-			pid := pr.Src
-			if okA {
-				pid = pr.Dst
-			}
-			//p4pvet:ignore allochot error formatting runs only for unknown PIDs, off the measured path
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: fmt.Sprintf("PID %d not in the federation view", pid)})
-			return
-		}
-		if d := ent.view.D[a][b]; math.IsInf(d, 0) {
-			out.Distances[k] = portal.Unreachable
-		} else {
-			out.Distances[k] = d
-		}
-	}
-	rt.writeJSON(w, http.StatusOK, out)
-}
-
-// maxBatchBody bounds the POST body of a batch request, mirroring the
-// backend portals' limit.
-const maxBatchBody = 8 << 20
-
-// maxBatchPairs mirrors the portal's per-request pair bound.
-const maxBatchPairs = 65536
-
-// readBatchPairs parses either wire form of a batch request; on error
-// it writes the 400 and reports !ok.
-//
-//p4p:coldpath request parsing allocates by nature; the batch hot loop is the lookup above
-func (rt *Router) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]portal.PIDPair, bool) {
-	var pairs []portal.PIDPair
-	if r.Method == http.MethodPost {
-		var req portal.BatchRequestWire
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody))
-		if err := dec.Decode(&req); err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "decode request body: " + err.Error()})
-			return nil, false
-		}
-		pairs = req.Pairs
-	} else {
-		var err error
-		pairs, err = portal.ParsePairs(r.URL.Query().Get("pairs"))
+	entry := func(form string) (*portal.Entry, error) {
+		body, err := portal.EncodeView(v, form)
 		if err != nil {
-			rt.writeJSON(w, http.StatusBadRequest, errWire{Error: err.Error()})
-			return nil, false
+			return nil, fmt.Errorf("federation: encode %s view: %w", form, err)
 		}
+		return portal.NewEntry(v.Version, fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form), body), nil
 	}
-	if len(pairs) == 0 {
-		rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "empty pairs list"})
-		return nil, false
+	ent := &mergedEntry{key: key, view: v}
+	if ent.raw, err = entry("raw"); err != nil {
+		return nil, err
 	}
-	if len(pairs) > maxBatchPairs {
-		rt.writeJSON(w, http.StatusBadRequest,
-			errWire{Error: fmt.Sprintf("%d pairs exceeds the %d-pair batch limit", len(pairs), maxBatchPairs)})
-		return nil, false
+	if ent.ranks, err = entry("ranks"); err != nil {
+		return nil, err
 	}
-	return pairs, true
-}
-
-// handlePID proxies IP→PID lookup shard by shard: PID assignment is
-// per-provider state the router does not replicate, so it asks each
-// backend in configuration order and returns the first answer.
-//
-//p4p:coldpath network round-trips dominate; nothing here is steady-state
-func (rt *Router) handlePID(w http.ResponseWriter, r *http.Request) {
-	if !rt.authorized(r.Header.Get(tokenHeaderCanon)) {
-		rt.writeJSON(w, http.StatusForbidden, errWire{Error: "access denied"})
-		return
-	}
-	ip := net.ParseIP(r.URL.Query().Get("ip"))
-	if ip == nil {
-		rt.writeJSON(w, http.StatusBadRequest, errWire{Error: "missing or malformed ip parameter"})
-		return
-	}
-	for _, s := range rt.shards {
-		out, err := s.client.LookupPIDContext(r.Context(), ip)
-		if err == nil {
-			rt.writeJSON(w, http.StatusOK, out)
-			return
-		}
-	}
-	rt.writeJSON(w, http.StatusNotFound, errWire{Error: "no shard maps this IP"})
+	return ent, nil
 }
 
 // ShardStatus is one shard's row in the /stats body.
@@ -794,57 +535,60 @@ type RouterStats struct {
 
 // Stats snapshots per-shard and merged state for /stats.
 func (rt *Router) Stats() RouterStats {
-	now := rt.now()
+	tm := rt.timing()
 	out := RouterStats{Shards: make([]ShardStatus, 0, len(rt.shards))}
 	for _, s := range rt.shards {
-		s.mu.Lock()
+		cs := s.cell.Snapshot(tm)
 		st := ShardStatus{
-			Name:       s.cfg.Name,
-			URL:        s.cfg.BaseURL,
-			HasView:    s.view != nil,
-			ETag:       s.etag,
-			LastError:  s.lastErr,
-			ShardStats: s.stats,
+			Name:    s.cfg.Name,
+			URL:     s.cfg.BaseURL,
+			HasView: cs.Held,
+			Fresh:   cs.Fresh,
+			ETag:    cs.Value.etag,
+			ShardStats: ShardStats{
+				Refreshes:   cs.Stats.Refreshes,
+				Failures:    cs.Stats.Failures,
+				StaleServes: cs.Stats.StaleServes,
+			},
 		}
-		if s.view != nil {
-			st.Fresh = now.Sub(s.fetched) < rt.ttl()
-			st.Version = s.view.Version
-			st.PIDs = len(s.view.PIDs)
+		if cs.LastErr != nil {
+			st.LastError = cs.LastErr.Error()
 		}
-		s.mu.Unlock()
+		if cs.Held {
+			st.Version = cs.Value.view.Version
+			st.PIDs = len(cs.Value.view.PIDs)
+		}
 		out.Shards = append(out.Shards, st)
 	}
-	if ent := rt.merged.Load(); ent != nil {
+	if ent := rt.merged.Snapshot(tm).Value; ent != nil {
 		out.Merged = &MergedStatus{
 			Version:       ent.view.Version,
 			PIDs:          len(ent.view.PIDs),
 			ShardsServing: ent.shardsServing,
 			ShardsFresh:   ent.shardsFresh,
-			ETag:          ent.raw.etag,
+			ETag:          ent.raw.ETag,
 		}
 	}
 	return out
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.writeJSON(w, http.StatusOK, rt.Stats())
+	rt.portal.WriteJSON(w, r, http.StatusOK, rt.Stats())
 }
 
 // Ready reports whether the router can serve: at least one shard holds
 // a view (fresh or last-known-good). The detail string distinguishes a
 // full federation from a degraded one for /readyz readers.
 func (rt *Router) Ready() (bool, string) {
-	now := rt.now()
+	tm := rt.timing()
 	serving, fresh := 0, 0
 	for _, s := range rt.shards {
-		s.mu.Lock()
-		if s.view != nil {
+		if cs := s.cell.Snapshot(tm); cs.Held {
 			serving++
-			if now.Sub(s.fetched) < rt.ttl() {
+			if cs.Fresh {
 				fresh++
 			}
 		}
-		s.mu.Unlock()
 	}
 	detail := fmt.Sprintf("%d/%d shards serving (%d fresh)", serving, len(rt.shards), fresh)
 	return serving > 0, detail

@@ -2,13 +2,16 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -502,6 +505,163 @@ func TestRouterStatsEndpointAndMetrics(t *testing.T) {
 		if !strings.Contains(string(expo), want) {
 			t.Errorf("exposition missing %s", want)
 		}
+	}
+}
+
+// discardWriter is a reusable ResponseWriter: header map allocated once,
+// body discarded, so AllocsPerRun measures the handler.
+type discardWriter struct {
+	hdr    http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestRouterCachedDistancesAllocs is the federation-backed row of
+// portal's TestCachedDistancesAllocs (which cannot import this package):
+// inside the merged TTL the router's distances path is the same byte
+// copy, at or under the same 5 allocations per request.
+func TestRouterCachedDistancesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	rt, _, _, _ := testFederation(t)
+	req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
+	rt.ServeHTTP(httptest.NewRecorder(), req) // prime the merge
+	w := &discardWriter{hdr: make(http.Header, 8)}
+	allocs := testing.AllocsPerRun(500, func() {
+		w.status = 0
+		rt.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("cached federation distances path: %.1f allocs/op, want <= 5", allocs)
+	}
+}
+
+// TestRouterRevalidatesEveryTTL is the regression test for the 2×TTL
+// bug: the merged window used to be stamped when its refresh started
+// and the shard windows when their fetches ended, so at merged expiry
+// the shards still looked fresh, the merge was republished without
+// contacting a backend, and real revalidation happened every second
+// window. With both stamped after their fetch, once everything the
+// router holds is older than the TTL the next request reaches every
+// backend.
+func TestRouterRevalidatesEveryTTL(t *testing.T) {
+	const ttl = 30 * time.Second
+	clk := newFakeClock()
+	fa := &fakeBackend{view: viewA()}
+	fb := &fakeBackend{view: viewB()}
+	// Each backend answers in 5 ms of fake clock.
+	slow := func(f *fakeBackend) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			clk.advance(5 * time.Millisecond)
+			f.ServeHTTP(w, r)
+		})
+	}
+	sa := httptest.NewServer(slow(fa))
+	sb := httptest.NewServer(slow(fb))
+	t.Cleanup(sa.Close)
+	t.Cleanup(sb.Close)
+	rt, err := NewRouter(Config{
+		Shards: []ShardConfig{{Name: "a", BaseURL: sa.URL}, {Name: "b", BaseURL: sb.URL}},
+		TTL:    ttl,
+		Client: fastClient(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.nowFn = clk.now
+	backendRequests := func() int {
+		ga, na := fa.counts()
+		gb, nb := fb.counts()
+		return ga + na + gb + nb
+	}
+	start := clk.now()
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	if n := backendRequests(); n != 2 {
+		t.Fatalf("priming request made %d backend requests, want 2", n)
+	}
+	primed := clk.now() // start + 10 ms: when the last backend answered
+
+	// TTL+1 ms after the first request began, less than a TTL after its
+	// backends answered: whatever the router serves, a republish here
+	// must not restart the window.
+	clk.advance(start.Add(ttl + time.Millisecond).Sub(clk.now()))
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+
+	// TTL+1 ms after the backends last answered: nothing the router holds
+	// is inside its TTL, so this request must revalidate both backends.
+	clk.advance(primed.Add(ttl + time.Millisecond).Sub(clk.now()))
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	if n := backendRequests(); n != 4 {
+		t.Errorf("%d backend requests a TTL after the last revalidation, want 4 (both shards revalidated again)", n)
+	}
+	if _, na := fa.counts(); na != 1 {
+		t.Errorf("backend a answered %d 304s, want 1", na)
+	}
+}
+
+// errorCounter is a slog handler counting Error records.
+type errorCounter struct{ n atomic.Int64 }
+
+func (h *errorCounter) Enabled(context.Context, slog.Level) bool { return true }
+func (h *errorCounter) Handle(_ context.Context, r slog.Record) error {
+	if r.Level >= slog.LevelError {
+		h.n.Add(1)
+	}
+	return nil
+}
+func (h *errorCounter) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *errorCounter) WithGroup(string) slog.Handler      { return h }
+
+// TestRouterMergeFailureBacksOff is the regression test for the
+// unthrottled merge failure: a shard that starts serving another
+// shard's PIDs makes Merge fail, and that used to re-run Merge (and log
+// an Error line) on every request. A failed merge is a failed refresh
+// like any other: last-known-good keeps serving and the merge is
+// retried once per failure backoff.
+func TestRouterMergeFailureBacksOff(t *testing.T) {
+	rt, clk, _, fb := testFederation(t)
+	errs := &errorCounter{}
+	rt.Telemetry.Logger = slog.New(errs)
+	rec := get(t, rt, "/p4p/v1/distances", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	etag := rec.Header().Get("Etag")
+
+	// Shard b is repointed at shard a's PID space.
+	overlap := viewA()
+	overlap.Version = 9
+	fb.setView(overlap)
+	clk.advance(31 * time.Second)
+	for i := 0; i < 5; i++ {
+		rec := get(t, rt, "/p4p/v1/distances", nil)
+		if rec.Code != http.StatusOK || rec.Header().Get("Etag") != etag {
+			t.Fatalf("request %d: status %d etag %s, want the previous merge (200, %s)",
+				i, rec.Code, rec.Header().Get("Etag"), etag)
+		}
+	}
+	if n := errs.n.Load(); n != 1 {
+		t.Errorf("%d merge failures logged across 5 requests inside one backoff window, want 1", n)
+	}
+	clk.advance(6 * time.Second) // past the 5 s default failure backoff
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	if n := errs.n.Load(); n != 2 {
+		t.Errorf("%d merge failures logged after the backoff expired, want 2", n)
 	}
 }
 

@@ -329,6 +329,9 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	}
 }
 
+// maxResponseBody caps how much of a response the client reads.
+const maxResponseBody = 64 << 20
+
 // attempt issues one request under a per-attempt deadline. A non-nil
 // payload is re-read from scratch on every attempt. Each attempt gets
 // its own child span, and the traceparent injected on the wire names
@@ -367,7 +370,15 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path s
 		return 0, nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	// A declared length sizes the buffer once (plus the spare ReadFrom
+	// wants before it sees EOF); io.ReadAll would regrow it eight times
+	// on the way to a 52 KB view.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResponseBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody))
+	body := buf.Bytes()
 	if err != nil {
 		err = fmt.Errorf("read body: %w", err)
 		span.RecordError(err)
@@ -430,7 +441,7 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 		return cached.view, nil
 	case http.StatusOK:
 		var w ViewWire
-		if err := json.Unmarshal(body, &w); err != nil {
+		if err := decodeViewWire(body, &w); err != nil {
 			return nil, fmt.Errorf("portal: decode %s: %w", path, err)
 		}
 		v, err := FromWire(&w)

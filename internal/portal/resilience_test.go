@@ -62,7 +62,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
 	// NaN is not encodable as JSON; before the fix this produced a
 	// truncated 200.
-	h.writeJSON(rec, httptest.NewRequest(http.MethodGet, "/", nil), http.StatusOK, map[string]float64{"d": math.NaN()})
+	h.WriteJSON(rec, httptest.NewRequest(http.MethodGet, "/", nil), http.StatusOK, map[string]float64{"d": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

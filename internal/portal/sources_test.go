@@ -1,0 +1,169 @@
+package portal_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+
+	"p4p/internal/core"
+	"p4p/internal/federation"
+	"p4p/internal/itracker"
+	"p4p/internal/portal"
+	"p4p/internal/topology"
+)
+
+// This file runs the serving kernel over both of its sources. It lives
+// in the external test package because the federation-backed source is
+// declared in a package that imports this one.
+
+const trustToken = "tok"
+
+// newTrackerHandler is the portal handler over an Abilene iTracker.
+func newTrackerHandler(t testing.TB, tokens ...string) *portal.Handler {
+	t.Helper()
+	g := topology.Abilene()
+	e := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
+	tr := itracker.New(itracker.Config{Name: "t", ASN: 1, TrustedTokens: tokens}, e, itracker.SyntheticPIDMap(g))
+	return portal.NewHandler(tr)
+}
+
+// newFederationHandler is the same handler over a merged source: a
+// router whose one shard is an open Abilene portal behind a real socket.
+func newFederationHandler(t testing.TB, tokens ...string) http.Handler {
+	t.Helper()
+	backend := httptest.NewServer(newTrackerHandler(t))
+	t.Cleanup(backend.Close)
+	rt, err := federation.NewRouter(federation.Config{
+		Shards:        []federation.ShardConfig{{Name: "abilene", BaseURL: backend.URL}},
+		TrustedTokens: tokens,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+func serve(h http.Handler, method, target, body string, hdr map[string]string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, target, strings.NewReader(body))
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestHandlerOverBothSources drives every behaviour the handler owns —
+// forms, conditional GET, the 403 the source reports, both batch wire
+// forms, the batch limits, Content-Length — through the iTracker-backed
+// and the federation-backed source, and requires the same answers.
+func TestHandlerOverBothSources(t *testing.T) {
+	overLimit, err := json.Marshal(portal.BatchRequestWire{Pairs: make([]portal.PIDPair, 65536+1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth := map[string]string{"X-P4P-Token": trustToken}
+	cases := []struct {
+		name, method, target, body string
+		hdr                        map[string]string
+		want                       int
+		wantErr                    string // substring of the error envelope
+	}{
+		{name: "raw", method: "GET", target: "/p4p/v1/distances", hdr: auth, want: 200},
+		{name: "ranks", method: "GET", target: "/p4p/v1/distances?form=ranks", hdr: auth, want: 200},
+		{name: "bad form", method: "GET", target: "/p4p/v1/distances?form=xml", hdr: auth, want: 400, wantErr: "unknown form"},
+		{name: "no token", method: "GET", target: "/p4p/v1/distances", want: 403, wantErr: "access denied"},
+		{name: "wrong token batch", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-1",
+			hdr: map[string]string{"X-P4P-Token": "nope"}, want: 403, wantErr: "access denied"},
+		{name: "batch GET", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-1,1-2,2-0", hdr: auth, want: 200},
+		{name: "batch POST", method: "POST", target: "/p4p/v1/distances/batch",
+			body: `{"pairs":[{"src":0,"dst":1},{"src":3,"dst":7}]}`, hdr: auth, want: 200},
+		{name: "missing pairs", method: "GET", target: "/p4p/v1/distances/batch", hdr: auth, want: 400, wantErr: "missing pairs"},
+		{name: "malformed pair", method: "GET", target: "/p4p/v1/distances/batch?pairs=0_1", hdr: auth, want: 400, wantErr: "malformed pair"},
+		{name: "empty POST pairs", method: "POST", target: "/p4p/v1/distances/batch", body: `{"pairs":[]}`, hdr: auth, want: 400, wantErr: "empty pairs"},
+		{name: "bad JSON body", method: "POST", target: "/p4p/v1/distances/batch", body: `{"pairs":`, hdr: auth, want: 400, wantErr: "decode request body"},
+		{name: "over-limit pairs", method: "POST", target: "/p4p/v1/distances/batch", body: string(overLimit), hdr: auth, want: 400, wantErr: "batch limit"},
+		{name: "unknown PID", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-9999", hdr: auth, want: 400, wantErr: "PID 9999 not in the external view"},
+		{name: "malformed ip", method: "GET", target: "/p4p/v1/pid?ip=banana", hdr: auth, want: 400, wantErr: "malformed ip"},
+		{name: "pid lookup", method: "GET", target: "/p4p/v1/pid?ip=10.3.0.7", hdr: auth, want: 200},
+	}
+	sources := []struct {
+		name string
+		h    http.Handler
+	}{
+		{"itracker", newTrackerHandler(t, trustToken)},
+		{"federation", newFederationHandler(t, trustToken)},
+	}
+	bodies := map[string][]byte{} // case name → the iTracker-backed 200 body
+	for _, src := range sources {
+		for _, tc := range cases {
+			t.Run(src.name+"/"+tc.name, func(t *testing.T) {
+				rec := serve(src.h, tc.method, tc.target, tc.body, tc.hdr)
+				if rec.Code != tc.want {
+					t.Fatalf("status %d, want %d; body %s", rec.Code, tc.want, rec.Body.Bytes())
+				}
+				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+					t.Errorf("Content-Type %q", ct)
+				}
+				if n, err := strconv.Atoi(rec.Header().Get("Content-Length")); err != nil || n != rec.Body.Len() {
+					t.Errorf("Content-Length %q, body %d bytes", rec.Header().Get("Content-Length"), rec.Body.Len())
+				}
+				if tc.want != http.StatusOK {
+					var env struct{ Error string }
+					if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !strings.Contains(env.Error, tc.wantErr) {
+						t.Errorf("error envelope %s, want one containing %q", rec.Body.Bytes(), tc.wantErr)
+					}
+					return
+				}
+				// A one-shard federation without circuits is the shard:
+				// distances and batch answers match the iTracker-backed
+				// ones byte for byte.
+				if prev, ok := bodies[tc.name]; !ok {
+					bodies[tc.name] = append([]byte(nil), rec.Body.Bytes()...)
+				} else if !bytes.Equal(prev, rec.Body.Bytes()) {
+					t.Errorf("federation-backed body differs from the iTracker-backed one:\n%s\n%s", rec.Body.Bytes(), prev)
+				}
+			})
+		}
+		t.Run(src.name+"/conditional GET", func(t *testing.T) {
+			first := serve(src.h, "GET", "/p4p/v1/distances", "", auth)
+			etag := first.Header().Get("Etag")
+			if first.Code != http.StatusOK || etag == "" {
+				t.Fatalf("status %d, ETag %q", first.Code, etag)
+			}
+			for _, inm := range []string{etag, "*", `"bogus", ` + etag, "W/" + etag} {
+				hdr := map[string]string{"X-P4P-Token": trustToken, "If-None-Match": inm}
+				rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr)
+				if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("Etag") != etag {
+					t.Errorf("If-None-Match %s: status %d, %d body bytes, ETag %q; want a bare 304 carrying %s",
+						inm, rec.Code, rec.Body.Len(), rec.Header().Get("Etag"), etag)
+				}
+			}
+			// Validators are per form and per process.
+			for _, stale := range []string{`"v999-raw"`, strings.Replace(etag, "raw", "ranks", 1)} {
+				hdr := map[string]string{"X-P4P-Token": trustToken, "If-None-Match": stale}
+				if rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr); rec.Code != http.StatusOK {
+					t.Errorf("If-None-Match %s: status %d, want 200", stale, rec.Code)
+				}
+			}
+			ranks := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", auth)
+			if got := ranks.Header().Get("Etag"); got != strings.Replace(etag, "raw", "ranks", 1) {
+				t.Errorf("ranks ETag %s, raw ETag %s: want the same validator with the form swapped", got, etag)
+			}
+		})
+	}
+	// Policy and capabilities are per-provider: only the iTracker-backed
+	// handler registers them.
+	for _, path := range []string{"/p4p/v1/policy", "/p4p/v1/capabilities"} {
+		if rec := serve(sources[0].h, "GET", path, "", auth); rec.Code != http.StatusOK {
+			t.Errorf("itracker %s: status %d, want 200", path, rec.Code)
+		}
+		if rec := serve(sources[1].h, "GET", path, "", auth); rec.Code != http.StatusNotFound {
+			t.Errorf("federation %s: status %d, want 404", path, rec.Code)
+		}
+	}
+}
