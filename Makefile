@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet p4pvet verify fuzz-smoke bench bench-json bench-sim-json bench-load-json
+.PHONY: build test race vet p4pvet verify fuzz-smoke bench bench-json bench-sim-json
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,7 @@ verify:
 # corpus. Not part of verify; intended for CI and pre-release runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime 10s ./internal/portal
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeViewWire$$' -fuzztime 10s ./internal/portal
 	$(GO) test -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
@@ -46,10 +47,3 @@ bench-json:
 # scripts/bench_diff.sh.
 bench-sim-json:
 	sh scripts/bench_json.sh sim
-
-# Closed-loop HTTP load run (cmd/p4pload) against an in-process portal,
-# emitted as JSON at BENCH_load.json: sustained QPS and latency
-# quantiles per scenario. LOAD_DURATION/LOAD_WARMUP/LOAD_C tune the
-# run shape.
-bench-load-json:
-	sh scripts/bench_json.sh load

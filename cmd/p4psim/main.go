@@ -38,7 +38,6 @@ func run() int {
 		seedMbps = flag.Float64("seed-up", 1000, "initial seed upload, Mbps")
 		seed     = flag.Int64("seed", 42, "random seed")
 		joinSec  = flag.Float64("join-window", 300, "join window, seconds")
-		rateEps  = flag.Float64("rate-epsilon", 0, "bounded-staleness rate tolerance (0 = exact)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
@@ -87,7 +86,6 @@ func run() int {
 		TCPWindowBytes:   32 << 10,
 		ReselectInterval: 20,
 		SampleInterval:   2,
-		RateEpsilon:      *rateEps,
 	}
 	switch *policy {
 	case "native":

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -60,16 +61,17 @@ func main() {
 
 	// Application side.
 	client := portal.NewClient(url, "")
+	ctx := context.Background()
 
 	// 1. Where am I? (IP -> PID mapping)
-	me, err := client.LookupPID(itracker.SyntheticIP(9, 42)) // a WashingtonDC address
+	me, err := client.LookupPIDContext(ctx, itracker.SyntheticIP(9, 42)) // a WashingtonDC address
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("client PID %d in AS %d\n", me.PID, me.ASN)
 
 	// 2. Network policy.
-	pol, err := client.Policy()
+	pol, err := client.PolicyContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func main() {
 		pol.NearCongestionUtil*100, pol.HeavyUsageUtil*100)
 
 	// 3. Capabilities.
-	caps, err := client.Capabilities("cache")
+	caps, err := client.CapabilitiesContext(ctx, "cache")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 	}
 
 	// 4. Distances, then a peer-selection decision.
-	view, err := client.Distances()
+	view, err := client.DistancesContext(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

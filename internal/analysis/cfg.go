@@ -90,6 +90,25 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return b.c
 }
 
+// Escapes reports whether some path from seeds reaches one of goals
+// without first passing through a block stop accepts — the negation of
+// "every path from here hits a stop block before it gets there". A goal
+// that stop accepts counts as a stop, not as an escape.
+func Escapes(seeds []*Block, stop func(*Block) bool, goals ...*Block) bool {
+	reach := Reachable(seeds, func(b *Block) []*Block {
+		if stop(b) {
+			return nil
+		}
+		return b.Succs
+	}, func(a, b *Block) bool { return a.Index < b.Index })
+	for _, g := range goals {
+		if _, ok := reach[g]; ok && !stop(g) {
+			return true
+		}
+	}
+	return false
+}
+
 type cfgBuilder struct {
 	c   *CFG
 	cur *Block

@@ -242,19 +242,7 @@ func closeCoversAllPaths(p *Pkg, cfg *CFG, obj types.Object) bool {
 			return true
 		}
 	}
-	// Otherwise: Exit must be unreachable once close-blocks are
-	// removed from the graph.
-	if closes(cfg.Entry) {
-		return true
-	}
-	reach := Reachable([]*Block{cfg.Entry}, func(b *Block) []*Block {
-		if closes(b) {
-			return nil
-		}
-		return b.Succs
-	}, func(a, b *Block) bool { return a.Index < b.Index })
-	_, exitReached := reach[cfg.Exit]
-	return !exitReached
+	return !Escapes([]*Block{cfg.Entry}, closes, cfg.Exit)
 }
 
 // sendsOnBoundedChannel reports whether the literal sends on a channel

@@ -24,21 +24,6 @@ var SpanEnd = &Analyzer{
 	Run:  runSpanEnd,
 }
 
-// endState is the verdict for one statement list during the path scan.
-type endState int
-
-const (
-	// stFallthru: control reaches the end of the list with the span
-	// still open.
-	stFallthru endState = iota
-	// stEnded: the span was ended (or its ownership returned) before
-	// control left the list.
-	stEnded
-	// stBadExit: some path leaves the function (return, branch out)
-	// with the span still open.
-	stBadExit
-)
-
 func runSpanEnd(p *Pkg) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
@@ -69,6 +54,7 @@ func runSpanEnd(p *Pkg) []Finding {
 // their own span discipline.
 func checkSpanUnit(p *Pkg, body *ast.BlockStmt) []Finding {
 	var out []Finding
+	var cfg *CFG // built on the first Start without a deferred End; most units have none
 	inspectSkippingFuncLits(body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Rhs) != 1 {
@@ -97,8 +83,10 @@ func checkSpanUnit(p *Pkg, body *ast.BlockStmt) []Finding {
 			if hasDeferredEnd(p, body, obj) {
 				continue
 			}
-			found, st := checkAfterTarget(p, body.List, assign, obj)
-			if !found || st != stEnded {
+			if cfg == nil {
+				cfg = BuildCFG(body)
+			}
+			if !endedOnEveryPath(p, cfg, assign, obj) {
 				out = append(out, Finding{
 					Pos:  p.Fset.Position(assign.Pos()),
 					Rule: "spanend",
@@ -156,229 +144,47 @@ func hasDeferredEnd(p *Pkg, body *ast.BlockStmt, obj types.Object) bool {
 	return found
 }
 
-// containsStmt reports whether target sits anywhere inside n (funclits
-// excluded; a target was collected outside them).
-func containsStmt(n ast.Node, target ast.Stmt) bool {
-	found := false
-	inspectSkippingFuncLits(n, func(m ast.Node) bool {
-		if m == ast.Node(target) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkAfterTarget locates target within stmts (descending into the
-// block structure) and scans the statements that execute after it.
-func checkAfterTarget(p *Pkg, stmts []ast.Stmt, target ast.Stmt, obj types.Object) (bool, endState) {
-	for i, s := range stmts {
-		if ast.Node(s) == ast.Node(target) {
-			return true, scanStmts(p, stmts[i+1:], obj)
-		}
-		if !containsStmt(s, target) {
-			continue
-		}
-		found, st := targetInStmt(p, s, target, obj)
-		if !found {
-			// The target hides in a construct the scanner does not model
-			// (e.g. an if-statement Init clause); be conservative.
-			return true, stBadExit
-		}
-		if st == stEnded || st == stBadExit {
-			return true, st
-		}
-		switch s.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			// Fell off a loop body with the span open: the next
-			// iteration starts a fresh span and this one leaks.
-			return true, stBadExit
-		}
-		return true, scanStmts(p, stmts[i+1:], obj)
-	}
-	return false, stFallthru
-}
-
-// targetInStmt descends into the sub-blocks of s looking for target.
-func targetInStmt(p *Pkg, s ast.Stmt, target ast.Stmt, obj types.Object) (bool, endState) {
-	switch st := s.(type) {
-	case *ast.BlockStmt:
-		return checkAfterTarget(p, st.List, target, obj)
-	case *ast.LabeledStmt:
-		return targetInStmt(p, st.Stmt, target, obj)
-	case *ast.IfStmt:
-		if containsStmt(st.Body, target) {
-			return checkAfterTarget(p, st.Body.List, target, obj)
-		}
-		if st.Else != nil && containsStmt(st.Else, target) {
-			switch el := st.Else.(type) {
-			case *ast.BlockStmt:
-				return checkAfterTarget(p, el.List, target, obj)
-			case *ast.IfStmt:
-				return targetInStmt(p, el, target, obj)
+// endsSpan reports whether CFG node n settles obj on its path: an
+// obj.End() statement, a return that hands obj to the caller, or a
+// panic (the block feeds Exit, but an open span on a crashing path is
+// not the leak this rule is about).
+func endsSpan(p *Pkg, n ast.Node, obj types.Object) bool {
+	switch st := n.(type) {
+	case *ast.ExprStmt:
+		return isEndCall(p, st.X, obj) || isPanicCall(st.X)
+	case *ast.ReturnStmt:
+		for _, r := range st.Results {
+			if identRefers(p, r, obj) {
+				return true
 			}
-		}
-	case *ast.ForStmt:
-		if containsStmt(st.Body, target) {
-			return checkAfterTarget(p, st.Body.List, target, obj)
-		}
-	case *ast.RangeStmt:
-		if containsStmt(st.Body, target) {
-			return checkAfterTarget(p, st.Body.List, target, obj)
-		}
-	case *ast.SwitchStmt:
-		return targetInClauses(p, st.Body.List, target, obj)
-	case *ast.TypeSwitchStmt:
-		return targetInClauses(p, st.Body.List, target, obj)
-	case *ast.SelectStmt:
-		return targetInClauses(p, st.Body.List, target, obj)
-	}
-	return false, stFallthru
-}
-
-// targetInClauses descends into switch/select clause bodies.
-func targetInClauses(p *Pkg, clauses []ast.Stmt, target ast.Stmt, obj types.Object) (bool, endState) {
-	for _, c := range clauses {
-		switch cl := c.(type) {
-		case *ast.CaseClause:
-			if found, st := checkAfterTarget(p, cl.Body, target, obj); found {
-				return true, st
-			}
-		case *ast.CommClause:
-			if found, st := checkAfterTarget(p, cl.Body, target, obj); found {
-				return true, st
-			}
-		}
-	}
-	return false, stFallthru
-}
-
-// scanStmts walks a statement list executed after the Start call and
-// reports whether the span is ended before control leaves it.
-func scanStmts(p *Pkg, stmts []ast.Stmt, obj types.Object) endState {
-	for _, s := range stmts {
-		switch st := s.(type) {
-		case *ast.ExprStmt:
-			if isEndCall(p, st.X, obj) {
-				return stEnded
-			}
-		case *ast.DeferStmt:
-			if isEndCall(p, st.Call, obj) {
-				return stEnded
-			}
-		case *ast.ReturnStmt:
-			for _, r := range st.Results {
-				if identRefers(p, r, obj) {
-					return stEnded // ownership handed to the caller
-				}
-			}
-			return stBadExit
-		case *ast.BranchStmt:
-			return stBadExit // break/continue/goto with the span open
-		case *ast.BlockStmt:
-			switch scanStmts(p, st.List, obj) {
-			case stEnded:
-				return stEnded
-			case stBadExit:
-				return stBadExit
-			}
-		case *ast.LabeledStmt:
-			switch scanStmts(p, []ast.Stmt{st.Stmt}, obj) {
-			case stEnded:
-				return stEnded
-			case stBadExit:
-				return stBadExit
-			}
-		case *ast.IfStmt:
-			thenSt := scanStmts(p, st.Body.List, obj)
-			elseSt := stFallthru
-			if st.Else != nil {
-				switch el := st.Else.(type) {
-				case *ast.BlockStmt:
-					elseSt = scanStmts(p, el.List, obj)
-				case *ast.IfStmt:
-					elseSt = scanStmts(p, []ast.Stmt{el}, obj)
-				}
-			}
-			if thenSt == stBadExit || elseSt == stBadExit {
-				return stBadExit
-			}
-			if thenSt == stEnded && elseSt == stEnded {
-				return stEnded
-			}
-			// Mixed: some path continues with the span open; keep scanning.
-		case *ast.ForStmt:
-			// The body may run zero times, so an End inside cannot prove
-			// the span ends — but a bad exit inside is still bad.
-			if scanStmts(p, st.Body.List, obj) == stBadExit {
-				return stBadExit
-			}
-		case *ast.RangeStmt:
-			if scanStmts(p, st.Body.List, obj) == stBadExit {
-				return stBadExit
-			}
-		case *ast.SwitchStmt:
-			switch scanClauses(p, st.Body.List, obj, hasDefaultClause(st.Body.List)) {
-			case stEnded:
-				return stEnded
-			case stBadExit:
-				return stBadExit
-			}
-		case *ast.TypeSwitchStmt:
-			switch scanClauses(p, st.Body.List, obj, hasDefaultClause(st.Body.List)) {
-			case stEnded:
-				return stEnded
-			case stBadExit:
-				return stBadExit
-			}
-		case *ast.SelectStmt:
-			// A select always executes exactly one clause.
-			switch scanClauses(p, st.Body.List, obj, true) {
-			case stEnded:
-				return stEnded
-			case stBadExit:
-				return stBadExit
-			}
-		}
-	}
-	return stFallthru
-}
-
-// hasDefaultClause reports whether a switch body has a default case.
-func hasDefaultClause(clauses []ast.Stmt) bool {
-	for _, c := range clauses {
-		if cl, ok := c.(*ast.CaseClause); ok && cl.List == nil {
-			return true
 		}
 	}
 	return false
 }
 
-// scanClauses merges the clause bodies of a switch/select: any bad exit
-// is bad; all clauses ending (and the construct being exhaustive) ends
-// the span; anything else falls through.
-func scanClauses(p *Pkg, clauses []ast.Stmt, obj types.Object, exhaustive bool) endState {
-	allEnded := len(clauses) > 0
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cl := c.(type) {
-		case *ast.CaseClause:
-			body = cl.Body
-		case *ast.CommClause:
-			body = cl.Body
-		default:
-			continue
+// endedOnEveryPath reports whether every path on from the Start
+// assignment passes an end of obj before it reaches Exit or comes back
+// round a loop to the Start itself (the next iteration's span replaces
+// this one, still open).
+func endedOnEveryPath(p *Pkg, cfg *CFG, start ast.Stmt, obj types.Object) bool {
+	ends := func(nodes []ast.Node) bool {
+		for _, n := range nodes {
+			if endsSpan(p, n, obj) {
+				return true
+			}
 		}
-		switch scanStmts(p, body, obj) {
-		case stBadExit:
-			return stBadExit
-		case stEnded:
-		default:
-			allEnded = false
+		return false
+	}
+	for _, b := range cfg.Blocks {
+		for i, n := range b.Nodes {
+			if n != ast.Node(start) {
+				continue
+			}
+			if ends(b.Nodes[i+1:]) {
+				return true
+			}
+			return !Escapes(b.Succs, func(s *Block) bool { return ends(s.Nodes) }, cfg.Exit, b)
 		}
 	}
-	if allEnded && exhaustive {
-		return stEnded
-	}
-	return stFallthru
+	return false // the Start sits where the CFG holds no node for it; be conservative
 }

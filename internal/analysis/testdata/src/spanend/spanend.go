@@ -144,3 +144,25 @@ func funcLitLeaks(t *Tracer) func() {
 		s.SetAttr("k", "v")
 	}
 }
+
+func panicBranchThenEnd(t *Tracer, bad bool) {
+	s := t.StartRoot("guard")
+	if bad {
+		panic("x") // a crashing path is not the leak this rule reports
+	}
+	s.End()
+}
+
+func ifInitEndedOnBothBranches(t *Tracer, cond bool) {
+	if s := t.StartRoot("init"); cond {
+		s.End()
+	} else {
+		s.End()
+	}
+}
+
+func ifInitEndedOnOneBranch(t *Tracer, cond bool) {
+	if s := t.StartRoot("init"); cond { // want spanend
+		s.End()
+	}
+}

@@ -315,12 +315,12 @@ func (t *Server) materialize(ctx context.Context, done chan struct{}) (view *cor
 }
 
 // EncodeFunc serializes a materialized view into wire-ready response
-// bytes. It must be deterministic for a given view: EncodedView caches
+// bytes. It must be deterministic for a given view: EncodedViewCtx caches
 // its output per (engine version, form) and replays the same bytes to
 // every caller until the version bumps.
 type EncodeFunc func(*core.View) ([]byte, error)
 
-// EncodedView serves the p4p-distance interface as pre-encoded bytes:
+// EncodedViewCtx serves the p4p-distance interface as pre-encoded bytes:
 // the fully-rendered response body for the current engine version and
 // the given form, cached so steady-state portal traffic never touches
 // the encoder ("network information should be aggregated and allow
@@ -332,13 +332,9 @@ type EncodeFunc func(*core.View) ([]byte, error)
 // materializes the view (through Distances' own singleflight) and runs
 // encode, while concurrent callers wait without holding the server
 // lock. Encode failures are returned, not cached.
-func (t *Server) EncodedView(token, form string, encode EncodeFunc) ([]byte, int, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return t.EncodedViewCtx(context.Background(), token, form, encode)
-}
-
-// EncodedViewCtx is EncodedView with a caller context for trace
-// propagation; the cache-hit fast path touches no trace code.
+//
+// The caller context is used only for trace propagation; the cache-hit
+// fast path touches no trace code.
 //
 //p4p:hotpath steady-state byte replay; the encode slow path is cut at encodeView
 func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode EncodeFunc) ([]byte, int, error) {

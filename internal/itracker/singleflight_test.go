@@ -1,6 +1,7 @@
 package itracker
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -120,11 +121,11 @@ func TestEncodedViewCachesBytes(t *testing.T) {
 		return encodeJSONView(v)
 	}
 
-	b1, ver1, err := tr.EncodedView("", "raw", enc)
+	b1, ver1, err := tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, ver2, err := tr.EncodedView("", "raw", enc)
+	b2, ver2, err := tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestEncodedViewCachesBytes(t *testing.T) {
 	}
 
 	// Forms are cached independently.
-	if _, _, err := tr.EncodedView("", "ranks", enc); err != nil {
+	if _, _, err := tr.EncodedViewCtx(context.Background(), "", "ranks", enc); err != nil {
 		t.Fatal(err)
 	}
 	if n := encodes.Load(); n != 2 {
@@ -144,7 +145,7 @@ func TestEncodedViewCachesBytes(t *testing.T) {
 	}
 
 	tr.ObserveAndUpdate(make([]float64, g.NumLinks()))
-	b3, ver3, err := tr.EncodedView("", "raw", enc)
+	b3, ver3, err := tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestEncodedViewSingleflight(t *testing.T) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				bodies[w], _, errs[w] = tr.EncodedView("", "raw", enc)
+				bodies[w], _, errs[w] = tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 			}(w)
 		}
 		wg.Wait()
@@ -201,7 +202,7 @@ func TestEncodedViewSingleflight(t *testing.T) {
 // cached — the next caller retries the encoder.
 func TestEncodedViewErrors(t *testing.T) {
 	tr, _ := testTracker(Config{Name: "enc-err", ASN: 1, TrustedTokens: []string{"tok"}})
-	if _, _, err := tr.EncodedView("wrong", "raw", encodeJSONView); !errors.Is(err, ErrAccessDenied) {
+	if _, _, err := tr.EncodedViewCtx(context.Background(), "wrong", "raw", encodeJSONView); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("err = %v, want ErrAccessDenied", err)
 	}
 
@@ -214,10 +215,10 @@ func TestEncodedViewErrors(t *testing.T) {
 		}
 		return encodeJSONView(v)
 	}
-	if _, _, err := tr.EncodedView("tok", "raw", enc); !errors.Is(err, boom) {
+	if _, _, err := tr.EncodedViewCtx(context.Background(), "tok", "raw", enc); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected encode failure", err)
 	}
-	if _, _, err := tr.EncodedView("tok", "raw", enc); err != nil {
+	if _, _, err := tr.EncodedViewCtx(context.Background(), "tok", "raw", enc); err != nil {
 		t.Fatalf("retry after encode failure: %v (error was cached?)", err)
 	}
 	if calls != 2 {
@@ -245,7 +246,7 @@ func TestEncodedViewPanicReleasesSingleflight(t *testing.T) {
 				t.Fatal("encoding caller did not observe the panic")
 			}
 		}()
-		tr.EncodedView("", "raw", enc)
+		tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 	}()
 
 	tr.mu.Lock()
@@ -257,7 +258,7 @@ func TestEncodedViewPanicReleasesSingleflight(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := tr.EncodedView("", "raw", enc)
+		_, _, err := tr.EncodedViewCtx(context.Background(), "", "raw", enc)
 		done <- err
 	}()
 	select {
@@ -275,7 +276,7 @@ func TestEncodedViewPanicReleasesSingleflight(t *testing.T) {
 func TestEncodedViewCountsQueries(t *testing.T) {
 	tr, _ := testTracker(Config{Name: "enc-count", ASN: 1})
 	for i := 0; i < 3; i++ {
-		if _, _, err := tr.EncodedView("", "raw", encodeJSONView); err != nil {
+		if _, _, err := tr.EncodedViewCtx(context.Background(), "", "raw", encodeJSONView); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +307,7 @@ func TestEncodedViewBodyMatchesVersion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				body, ver, err := tr.EncodedView("", "raw", encodeJSONView)
+				body, ver, err := tr.EncodedViewCtx(context.Background(), "", "raw", encodeJSONView)
 				if err != nil {
 					t.Errorf("EncodedView: %v", err)
 					return

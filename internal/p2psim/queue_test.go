@@ -143,8 +143,8 @@ func TestCalendarQueueMatchesHeap(t *testing.T) {
 }
 
 // queueEquivSim builds a small but feature-dense swarm for the
-// queue-equivalence and epsilon tests.
-func queueEquivSim(forceHeap bool, eps float64) *Result {
+// queue-equivalence and reproducibility tests.
+func queueEquivSim(forceHeap bool) *Result {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	s := New(Config{
@@ -156,7 +156,6 @@ func queueEquivSim(forceHeap bool, eps float64) *Result {
 		ReselectInterval: 15,
 		SampleInterval:   5,
 		MeasureInterval:  10,
-		RateEpsilon:      eps,
 		forceHeapQueue:   forceHeap,
 	})
 	pids := g.AggregationPIDs()
@@ -178,8 +177,8 @@ func queueEquivSim(forceHeap bool, eps float64) *Result {
 // and under the reference heap must produce deep-equal results, because
 // (t, kind, qseq) is a total order both implementations respect.
 func TestQueueEquivalenceReports(t *testing.T) {
-	heap := queueEquivSim(true, 0)
-	cal := queueEquivSim(false, 0)
+	heap := queueEquivSim(true)
+	cal := queueEquivSim(false)
 	if !reflect.DeepEqual(heap.Clients, cal.Clients) {
 		t.Fatal("per-client stats differ between heap and calendar queue")
 	}
@@ -198,56 +197,12 @@ func TestQueueEquivalenceReports(t *testing.T) {
 	}
 }
 
-// TestEpsilonZeroMatchesDefault pins the RateEpsilon = 0 contract: an
-// explicit zero takes the exact path and is byte-identical to the
-// zero-value default.
-func TestEpsilonZeroMatchesDefault(t *testing.T) {
-	a := queueEquivSim(false, 0)
-	b := queueEquivSim(false, 0)
+// TestIdenticalRunsAreDeepEqual pins reproducibility: two runs of the
+// same configuration and seed produce deep-equal results.
+func TestIdenticalRunsAreDeepEqual(t *testing.T) {
+	a := queueEquivSim(false)
+	b := queueEquivSim(false)
 	if !reflect.DeepEqual(a.Clients, b.Clients) || a.TotalBytes != b.TotalBytes {
-		t.Fatal("epsilon-0 runs are not reproducible")
+		t.Fatal("identical runs are not reproducible")
 	}
-}
-
-// TestBoundedStalenessApproximation checks the RateEpsilon > 0 mode:
-// bytes stay exactly conserved (progressFlow integrates the rates that
-// were actually applied), every client still completes, and completion
-// times stay within a modest bound of the exact run.
-func TestBoundedStalenessApproximation(t *testing.T) {
-	exact := queueEquivSim(false, 0)
-	approx := queueEquivSim(false, 0.05)
-
-	if got, want := len(approx.CompletionTimes()), len(exact.CompletionTimes()); got != want {
-		t.Fatalf("approx run completed %d clients, exact completed %d", got, want)
-	}
-	// Total transferred bytes are conserved no matter how stale the
-	// scheduled rates were: 41 clients x 4 MiB, less the final partial
-	// flows settled at MaxTime (none here: all clients finish).
-	if approx.TotalBytes <= 0 {
-		t.Fatal("approx run moved no bytes")
-	}
-	rel := (approx.TotalBytes - exact.TotalBytes) / exact.TotalBytes
-	if rel < -0.02 || rel > 0.02 {
-		t.Fatalf("total bytes drifted %.1f%% under epsilon", rel*100)
-	}
-	et, at := exact.SwarmCompletionTime(), approx.SwarmCompletionTime()
-	if at < et*0.8 || at > et*1.2 {
-		t.Fatalf("swarm completion drifted too far: exact %.2fs, approx %.2fs", et, at)
-	}
-}
-
-// TestRateEpsilonValidation pins the Config contract.
-func TestRateEpsilonValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative RateEpsilon did not panic")
-		}
-	}()
-	New(Config{
-		Graph:       topology.Abilene(),
-		Routing:     topology.ComputeRouting(topology.Abilene()),
-		Selector:    apptracker.Random{},
-		FileBytes:   1 << 20,
-		RateEpsilon: -0.1,
-	})
 }

@@ -108,18 +108,6 @@ type Config struct {
 	// uploader class (used by the FTTP analysis).
 	TrackClassBytes bool
 
-	// RateEpsilon enables bounded-staleness rate resolving: when the
-	// relative change of a flow's fair-share rate is small, the flow
-	// keeps transferring at its stale rate and the finish-event
-	// reschedule is deferred until the accumulated relative drift
-	// crosses RateEpsilon. Byte totals stay exactly conserved (flows
-	// integrate whatever rate they actually ran at); completion times
-	// become approximate within the bound. The default 0 is the exact
-	// mode: every rate change reschedules, and simulation traces are
-	// byte-identical to the pre-epsilon engine (the setting every
-	// EXPERIMENTS.md reproduction uses). Negative values panic.
-	RateEpsilon float64
-
 	// forceHeapQueue pins the reference binary-heap event queue instead
 	// of the calendar queue. Both produce identical simulation traces
 	// (same total event order); the heap is kept as the oracle for the
@@ -249,7 +237,6 @@ type flowS struct {
 	rateCap   float64 // TCP window cap, bytes/sec (+Inf when disabled)
 	lastT     float64
 	moved     float64 // bytes transferred so far (flushed at teardown)
-	drift     float64 // accumulated relative rate drift (RateEpsilon)
 	eventT    float64 // time of the live scheduled finish event (+Inf when none)
 	epoch     int64   // dedup stamp against Sim.flowEpoch (ratesChanged)
 
@@ -346,9 +333,6 @@ func New(cfg Config) *Sim {
 	if cfg.BackgroundBps != nil && len(cfg.BackgroundBps) != cfg.Graph.NumLinks() {
 		panic(fmt.Sprintf("p2psim: BackgroundBps has %d entries, graph %q has %d links",
 			len(cfg.BackgroundBps), cfg.Graph.Name, cfg.Graph.NumLinks()))
-	}
-	if cfg.RateEpsilon < 0 {
-		panic(fmt.Sprintf("p2psim: negative RateEpsilon %v", cfg.RateEpsilon))
 	}
 	s := &Sim{
 		cfg:      cfg,
@@ -906,7 +890,6 @@ func (s *Sim) tryStartCn(ci, u, d int32) {
 	f.rateCap = math.Inf(1)
 	f.lastT = s.now
 	f.moved = 0
-	f.drift = 0
 	f.eventT = math.Inf(1)
 	f.links = nil
 	f.ledgered = f.ledgered[:0]
@@ -1028,13 +1011,6 @@ func cmpFlowRef(x, y flowRef) int {
 // Flows are deduplicated by stamping them with a fresh epoch and
 // collected into a scratch slice reused across calls; the sort keeps
 // the deterministic (uploader, downloader) iteration order.
-//
-// With Config.RateEpsilon > 0, small relative deltas are absorbed into
-// a per-flow drift accumulator instead of rescheduling: the flow keeps
-// running at its stale rate until the accumulated drift crosses the
-// bound. Bytes remain exactly conserved (progressFlow integrates the
-// rate the flow actually ran at); finish times are approximate within
-// the bound. Epsilon 0 takes the exact branch-free path.
 func (s *Sim) ratesChanged(a, b int32) {
 	s.flowEpoch++
 	flows := s.flowScratch[:0]
@@ -1056,7 +1032,6 @@ func (s *Sim) ratesChanged(a, b int32) {
 	}
 	slices.SortFunc(flows, cmpFlowRef)
 	s.flowScratch = flows
-	eps := s.cfg.RateEpsilon
 	for _, ref := range flows {
 		f := &s.flows[ref.idx]
 		newRate := s.flowRate(f)
@@ -1065,14 +1040,6 @@ func (s *Sim) ratesChanged(a, b int32) {
 			// still exact; skip the reschedule and the progress flush.
 			continue
 		}
-		if eps > 0 && f.rate > 0 {
-			rel := math.Abs(newRate-f.rate) / f.rate
-			if f.drift+rel <= eps {
-				f.drift += rel
-				continue
-			}
-		}
-		f.drift = 0
 		s.progressFlow(f)
 		s.applyRate(f, newRate)
 		s.scheduleFinish(f)

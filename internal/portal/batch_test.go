@@ -47,7 +47,7 @@ func TestBatchEndpointClientRoundTrip(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"tok"}})
 	c := NewClient(srv.URL, "tok")
 	pairs := []PIDPair{{Src: 0, Dst: 1}, {Src: 3, Dst: 7}, {Src: 5, Dst: 5}}
-	res, err := c.BatchDistances(pairs)
+	res, err := c.BatchDistancesContext(context.Background(), pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBatchEndpointClientRoundTrip(t *testing.T) {
 	}
 
 	denied := NewClient(srv.URL, "nope")
-	if _, err := denied.BatchDistances(pairs); err == nil {
+	if _, err := denied.BatchDistancesContext(context.Background(), pairs); err == nil {
 		t.Fatal("expected denial for untrusted token")
 	}
 }
@@ -125,7 +125,7 @@ func TestBatchPairLimit(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	pairs := make([]PIDPair, maxBatchPairs+1)
 	c := NewClient(srv.URL, "")
-	_, err := c.BatchDistances(pairs)
+	_, err := c.BatchDistancesContext(context.Background(), pairs)
 	if err == nil || !strings.Contains(err.Error(), "batch limit") {
 		t.Fatalf("err = %v, want batch-limit rejection", err)
 	}
@@ -161,13 +161,13 @@ func TestBatchFromWireSentinel(t *testing.T) {
 func TestBatchMatchesCachedMatrix(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
-	if _, err := c.BatchDistances([]PIDPair{{Src: 0, Dst: 1}}); err != nil {
+	if _, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	loads := make([]float64, tr.Engine().Graph().NumLinks())
 	loads[0] = 5e9
 	tr.ObserveAndUpdate(loads)
-	res, err := c.BatchDistances([]PIDPair{{Src: 0, Dst: 1}})
+	res, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

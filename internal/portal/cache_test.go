@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -120,7 +121,7 @@ func TestClientDropsCacheWhenETagWithdrawn(t *testing.T) {
 
 	c := NewClient(srv.URL, "")
 	for i, wantVer := range []int{1, 2, 3} {
-		v, err := c.Distances()
+		v, err := c.DistancesContext(context.Background())
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i+1, err)
 		}

@@ -168,10 +168,10 @@ func (m *ClientMetrics) failure() {
 // Client talks to one iTracker portal. It is what an appTracker (or a
 // peer in a trackerless system) embeds to consume the P4P interfaces.
 //
-// All methods have context-taking variants; the plain forms use
-// context.Background(). Calls retry transient failures (network errors,
-// HTTP 5xx/429) per Retry, and the distance methods revalidate a cached
-// view with If-None-Match so an unchanged matrix is never re-downloaded.
+// Every call takes the caller's context. Calls retry transient failures
+// (network errors, HTTP 5xx/429) per Retry, and the distance methods
+// revalidate a cached view with If-None-Match so an unchanged matrix is
+// never re-downloaded.
 type Client struct {
 	// BaseURL is the portal root, e.g. "http://isp-b.example:8080".
 	BaseURL string
@@ -329,8 +329,14 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	}
 }
 
-// maxResponseBody caps how much of a response the client reads.
-const maxResponseBody = 64 << 20
+// maxResponseBody caps how much of a response the client reads;
+// maxPresize caps how much of it is allocated on the strength of a
+// declared Content-Length alone. Backends are untrusted: past the
+// presize the buffer grows only as bytes actually arrive.
+const (
+	maxResponseBody = 64 << 20
+	maxPresize      = 1 << 20
+)
 
 // attempt issues one request under a per-attempt deadline. A non-nil
 // payload is re-read from scratch on every attempt. Each attempt gets
@@ -374,8 +380,8 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path s
 	// wants before it sees EOF); io.ReadAll would regrow it eight times
 	// on the way to a 52 KB view.
 	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= maxResponseBody {
-		buf.Grow(int(n) + bytes.MinRead)
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
 	}
 	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody))
 	body := buf.Bytes()
@@ -470,21 +476,9 @@ func (c *Client) PolicyContext(ctx context.Context) (itracker.Policy, error) {
 	return pol, err
 }
 
-// Policy fetches the network usage policy.
-func (c *Client) Policy() (itracker.Policy, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.PolicyContext(context.Background())
-}
-
 // DistancesContext fetches the raw p-distance view.
 func (c *Client) DistancesContext(ctx context.Context) (*core.View, error) {
 	return c.fetchView(ctx, "raw")
-}
-
-// Distances fetches the raw p-distance view.
-func (c *Client) Distances() (*core.View, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.DistancesContext(context.Background())
 }
 
 // BatchDistancesContext queries /p4p/v1/distances/batch for the given
@@ -516,21 +510,9 @@ func (c *Client) BatchDistancesContext(ctx context.Context, pairs []PIDPair) (*B
 	return batchFromWire(&w, len(pairs))
 }
 
-// BatchDistances queries the batch endpoint for src/dst pairs.
-func (c *Client) BatchDistances(pairs []PIDPair) (*BatchResult, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.BatchDistancesContext(context.Background(), pairs)
-}
-
 // RankedDistancesContext fetches the coarsened rank view.
 func (c *Client) RankedDistancesContext(ctx context.Context) (*core.View, error) {
 	return c.fetchView(ctx, "ranks")
-}
-
-// RankedDistances fetches the coarsened rank view.
-func (c *Client) RankedDistances() (*core.View, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.RankedDistancesContext(context.Background())
 }
 
 // CapabilitiesContext fetches provider capabilities, optionally filtered.
@@ -544,13 +526,7 @@ func (c *Client) CapabilitiesContext(ctx context.Context, kind string) ([]itrack
 	return caps, err
 }
 
-// Capabilities fetches provider capabilities, optionally filtered.
-func (c *Client) Capabilities(kind string) ([]itracker.Capability, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.CapabilitiesContext(context.Background(), kind)
-}
-
-// errNilIP rejects LookupPID calls before any request is issued.
+// errNilIP rejects LookupPIDContext calls before any request is issued.
 var errNilIP = errors.New("portal: lookup of nil or invalid IP")
 
 // LookupPIDContext resolves an IP to PID and ASN.
@@ -561,10 +537,4 @@ func (c *Client) LookupPIDContext(ctx context.Context, ip net.IP) (PIDLookupWire
 	}
 	err := c.getJSON(ctx, "/p4p/v1/pid", url.Values{"ip": {ip.String()}}, &out)
 	return out, err
-}
-
-// LookupPID resolves an IP to PID and ASN.
-func (c *Client) LookupPID(ip net.IP) (PIDLookupWire, error) {
-	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
-	return c.LookupPIDContext(context.Background(), ip)
 }

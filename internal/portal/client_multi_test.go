@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -80,7 +81,7 @@ func TestClientSharedCacheAcrossBases(t *testing.T) {
 	hammer := func(c *Client, marker int) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			v, err := c.Distances()
+			v, err := c.DistancesContext(context.Background())
 			if err != nil {
 				errs <- err
 				return
@@ -124,14 +125,14 @@ func TestClientSharedCacheAcrossBases(t *testing.T) {
 	p2.mu.Lock()
 	p2.marker = 203
 	p2.mu.Unlock()
-	v, err := c2.Distances()
+	v, err := c2.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Version != 203 {
 		t.Fatalf("portal 2 after bump served version %d", v.Version)
 	}
-	v, err = c1.Distances()
+	v, err = c1.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestPolicyEndpoint(t *testing.T) {
 	pol := itracker.Policy{NearCongestionUtil: 0.7}
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, Policy: pol})
 	c := NewClient(srv.URL, "")
-	got, err := c.Policy()
+	got, err := c.PolicyContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestPolicyEndpoint(t *testing.T) {
 func TestDistancesEndpoint(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
-	v, err := c.Distances()
+	v, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(v.PIDs) != 11 {
 		t.Fatalf("view has %d PIDs, want 11", len(v.PIDs))
 	}
-	rv, err := c.RankedDistances()
+	rv, err := c.RankedDistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestDistancesEndpoint(t *testing.T) {
 func TestDistancesAuth(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"s3cr3t"}})
 	denied := NewClient(srv.URL, "nope")
-	if _, err := denied.Distances(); err == nil || !strings.Contains(err.Error(), "403") && !strings.Contains(err.Error(), "denied") {
+	if _, err := denied.DistancesContext(context.Background()); err == nil || !strings.Contains(err.Error(), "403") && !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("expected denial, got %v", err)
 	}
 	allowed := NewClient(srv.URL, "s3cr3t")
-	if _, err := allowed.Distances(); err != nil {
+	if _, err := allowed.DistancesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +134,7 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	}
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"tok"}, Capabilities: caps})
 	pub := NewClient(srv.URL, "")
-	got, err := pub.Capabilities("")
+	got, err := pub.CapabilitiesContext(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 		t.Fatalf("public caps = %+v", got)
 	}
 	trusted := NewClient(srv.URL, "tok")
-	got, err = trusted.Capabilities("on-demand-server")
+	got, err = trusted.CapabilitiesContext(context.Background(), "on-demand-server")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 func TestPIDEndpoint(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 9})
 	c := NewClient(srv.URL, "")
-	got, err := c.LookupPID(itracker.SyntheticIP(5, 1))
+	got, err := c.LookupPIDContext(context.Background(), itracker.SyntheticIP(5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.PID != 5 || got.ASN != 9 {
 		t.Fatalf("lookup = %+v", got)
 	}
-	if _, err := c.LookupPID(net.ParseIP("8.8.8.8")); err == nil {
+	if _, err := c.LookupPIDContext(context.Background(), net.ParseIP("8.8.8.8")); err == nil {
 		t.Fatal("foreign IP should 404")
 	}
 }
@@ -193,14 +193,14 @@ func TestRegistryDiscovery(t *testing.T) {
 func TestViewRefreshAfterUpdate(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
-	v1, err := c.Distances()
+	v1, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := make([]float64, tr.Engine().Graph().NumLinks())
 	loads[0] = 5e9
 	tr.ObserveAndUpdate(loads)
-	v2, err := c.Distances()
+	v2, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

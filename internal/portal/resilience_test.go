@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -163,11 +164,11 @@ func TestClientConditionalGETReuse(t *testing.T) {
 	c := NewClient(srv.URL, "")
 	c.HTTPClient = &http.Client{Transport: rt}
 
-	v1, err := c.Distances()
+	v1, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.Distances()
+	v2, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestClientConditionalGETReuse(t *testing.T) {
 
 	// Version bump: full re-download with a fresh view.
 	tr.ObserveAndUpdate(make([]float64, tr.Engine().Graph().NumLinks()))
-	v3, err := c.Distances()
+	v3, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestClientRetriesFlakyTransport(t *testing.T) {
 		}
 		return http.DefaultTransport.RoundTrip(r)
 	})}
-	v, err := c.Distances()
+	v, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatalf("flaky transport should succeed on 3rd attempt: %v", err)
 	}
@@ -226,7 +227,7 @@ func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("injected: no route to host")
 	})}
-	_, err := c.Distances()
+	_, err := c.DistancesContext(context.Background())
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -251,7 +252,7 @@ func TestClientRetriesServerErrors(t *testing.T) {
 	defer inner.Close()
 	c := NewClient(inner.URL, "")
 	c.Retry = fastRetry(5)
-	pol, err := c.Policy()
+	pol, err := c.PolicyContext(context.Background())
 	if err != nil {
 		t.Fatalf("5xx should be retried: %v", err)
 	}
@@ -272,7 +273,7 @@ func TestClientDoesNotRetryAccessDenied(t *testing.T) {
 		calls.Add(1)
 		return http.DefaultTransport.RoundTrip(r)
 	})}
-	_, err := c.Distances()
+	_, err := c.DistancesContext(context.Background())
 	if err == nil {
 		t.Fatal("expected denial")
 	}
@@ -300,7 +301,7 @@ func TestClientPerAttemptTimeout(t *testing.T) {
 	c.HTTPClient = &http.Client{}
 	c.Retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, PerAttempt: 30 * time.Millisecond}
 	start := time.Now()
-	_, err := c.Distances()
+	_, err := c.DistancesContext(context.Background())
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -344,10 +345,10 @@ func TestLookupPIDRejectsInvalidIP(t *testing.T) {
 		calls.Add(1)
 		return nil, errors.New("should not be reached")
 	})}
-	if _, err := c.LookupPID(nil); err == nil {
+	if _, err := c.LookupPIDContext(context.Background(), nil); err == nil {
 		t.Fatal("nil IP should fail before any request")
 	}
-	if _, err := c.LookupPID(net.IP{1, 2}); err == nil {
+	if _, err := c.LookupPIDContext(context.Background(), net.IP{1, 2}); err == nil {
 		t.Fatal("malformed IP should fail before any request")
 	}
 	if calls.Load() != 0 {
@@ -420,5 +421,31 @@ func TestFromWireRejectsRaggedAndNonFinite(t *testing.T) {
 	neg, err := FromWire(&ViewWire{PIDs: []topology.PID{0, 1}, Matrix: [][]float64{{0, -0.5}, {1, 0}}})
 	if err != nil || !math.IsInf(neg.D[0][1], 1) {
 		t.Fatalf("negative distance not tolerated as unreachable: %v %v", neg, err)
+	}
+}
+
+// TestClientDoesNotPresizeFromDeclaredLength: a backend that declares a
+// 64 MB body and sends ten bytes must cost the caller an error, not a
+// 64 MB buffer per attempt held until the per-attempt timeout.
+func TestClientDoesNotPresizeFromDeclaredLength(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(maxResponseBody))
+		io.WriteString(w, "0123456789")
+		// Returning short of the declared length makes net/http drop
+		// the connection: the client sees an unexpected EOF.
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL, "")
+	c.Retry = fastRetry(1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.DistancesContext(context.Background())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated body decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("one attempt against a lying Content-Length allocated %d bytes, want < 4 MiB", got)
 	}
 }

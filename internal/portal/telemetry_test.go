@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -54,7 +55,7 @@ func TestEndToEndRequestMetrics(t *testing.T) {
 	_, tr, c, reg := newInstrumentedPortal(t)
 
 	// First fetch: full download, one recompute.
-	if _, err := c.Distances(); err != nil {
+	if _, err := c.DistancesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	exp := exposition(t, reg)
@@ -77,7 +78,7 @@ func TestEndToEndRequestMetrics(t *testing.T) {
 	}
 
 	// Second fetch: client revalidates, server answers 304.
-	if _, err := c.Distances(); err != nil {
+	if _, err := c.DistancesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	exp = exposition(t, reg)
@@ -99,7 +100,7 @@ func TestEndToEndRequestMetrics(t *testing.T) {
 	loads := make([]float64, tr.Engine().Graph().NumLinks())
 	loads[0] = 5e9
 	tr.ObserveAndUpdate(loads)
-	if _, err := c.Distances(); err != nil {
+	if _, err := c.DistancesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	exp = exposition(t, reg)
@@ -132,7 +133,7 @@ func TestClientRetryMetrics(t *testing.T) {
 		}
 		return http.DefaultTransport.RoundTrip(r)
 	})}
-	if _, err := c.Distances(); err != nil {
+	if _, err := c.DistancesContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Metrics.Retries.Value(); got != 2 {
@@ -152,7 +153,7 @@ func TestClientRetryMetrics(t *testing.T) {
 	c2.HTTPClient = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
 		return nil, errors.New("injected: no route to host")
 	})}
-	if _, err := c2.Distances(); err == nil {
+	if _, err := c2.DistancesContext(context.Background()); err == nil {
 		t.Fatal("expected failure")
 	}
 	if got := c.Metrics.Failures.Value(); got != 1 {

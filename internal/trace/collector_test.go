@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 )
@@ -99,6 +100,46 @@ func TestHandlerServesJSON(t *testing.T) {
 	}
 	if snap.Traces[0].TraceID == "" || snap.Traces[0].Spans[0].SpanID == "" {
 		t.Error("IDs missing from wire form")
+	}
+
+	// The same endpoint while the ring is being overwritten: writers
+	// push root+child traces through the capacity-4 collector and this
+	// goroutine polls the handler until they finish, then once more.
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				ctx, root := tr.StartRoot(context.Background(), "GET /p4p/v1/distances")
+				_, child := StartSpan(ctx, "recompute")
+				child.End()
+				root.End()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { writers.Wait(); close(done) }()
+	for polling := true; polling; {
+		select {
+		case <-done:
+			polling = false
+		default:
+		}
+		rr := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/traces", nil))
+		if rr.Code != 200 {
+			t.Fatalf("status %d under load", rr.Code)
+		}
+		var snap WireSnapshot
+		if err := json.Unmarshal(rr.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("response under load is not valid JSON: %v", err)
+		}
+		for _, kept := range snap.Traces {
+			if kept.TraceID == "" || len(kept.Spans) < 1 {
+				t.Fatalf("kept trace under load lacks an ID or spans: %+v", kept)
+			}
+		}
 	}
 }
 

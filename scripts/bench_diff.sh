@@ -3,11 +3,9 @@
 # matching benchmarks by name and printing the old/new values with
 # percentage deltas. Stdlib tooling only (awk).
 #
-# Handles both formats: the micro-benchmark files (BENCH_portal.json,
-# BENCH_sim.json; one object per line, ns/op + B/op + allocs/op —
-# negative deltas are improvements) and the load-generator file
-# (BENCH_load.json; indented objects, qps + p99_us — positive QPS
-# deltas are improvements).
+# Reads the micro-benchmark files (BENCH_portal.json, BENCH_sim.json;
+# one object per line, ns/op + B/op + allocs/op — negative deltas are
+# improvements).
 #
 # Simulator regression gate: any BenchmarkSim* whose new ns/op exceeds
 # the old by more than 10% is flagged and the script exits non-zero, so
@@ -45,8 +43,7 @@ FNR == 1 { fileno++ }
     name = field($0, "name")
     if (name == "") next
     remember(name)
-    cur = name
-    # Micro-benchmark rows carry every field on the name line.
+    # Rows carry every field on the name line.
     if (field($0, "ns_per_op") != "") {
         if (fileno == 1) {
             ons[name] = field($0, "ns_per_op")
@@ -59,8 +56,6 @@ FNR == 1 { fileno++ }
         }
     }
 }
-/"qps":/    { if (cur != "") { if (fileno == 1) oq[cur] = field($0, "qps");    else nq[cur] = field($0, "qps") } }
-/"p99_us":/ { if (cur != "") { if (fileno == 1) op[cur] = field($0, "p99_us"); else np[cur] = field($0, "p99_us") } }
 END {
     header = 0
     for (i = 0; i < n; i++) {
@@ -87,26 +82,6 @@ END {
                 name, ons[name], nns[name], pct(ons[name], nns[name]) > "/dev/stderr"
             bad = 1
         }
-    }
-    header = 0
-    for (i = 0; i < n; i++) {
-        name = order[i]
-        if (!(name in oq) && !(name in nq)) continue
-        if (!header) {
-            printf "%-40s %12s %12s %9s %12s %12s %9s\n", \
-                "scenario", "old qps", "new qps", "qps", "old p99us", "new p99us", "p99"
-            header = 1
-        }
-        if (!(name in oq)) {
-            printf "%-40s %12s %12s   (only in new)\n", name, "-", nq[name]
-            continue
-        }
-        if (!(name in nq)) {
-            printf "%-40s %12s %12s   (only in old)\n", name, oq[name], "-"
-            continue
-        }
-        printf "%-40s %12s %12s %9s %12s %12s %9s\n", name, oq[name], nq[name], \
-            pct(oq[name], nq[name]), op[name], np[name], pct(op[name], np[name])
     }
     exit bad
 }' "$1" "$2"

@@ -3,36 +3,21 @@
 # so runs can be diffed across commits (scripts/bench_diff.sh). Stdlib
 # tooling only: go test -bench output parsed with awk.
 #
-# Usage: bench_json.sh [portal|sim|load]
+# Usage: bench_json.sh [portal|sim]
 #
 #   portal (default)  portal request path, 304 revalidation, view
 #                     recompute -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks plus the Figure 7
 #                     swarm-size sweep, parallel and serial
 #                     -> BENCH_sim.json
-#   load              cmd/p4pload closed-loop HTTP load run against an
-#                     in-process portal -> BENCH_load.json (the tool
-#                     writes its own JSON; no awk pass)
 #
 # BENCHTIME overrides the micro-benchmark -benchtime (default 1s);
-# P4P_SCALE the sweep workload scale (default 0.25). For load mode,
-# LOAD_DURATION/LOAD_WARMUP/LOAD_C override the run shape (defaults
-# 5s/1s/8).
+# P4P_SCALE the sweep workload scale (default 0.25).
 set -eu
 cd "$(dirname "$0")/.."
 
 MODE=${1:-portal}
 case "$MODE" in
-load)
-	go run ./cmd/p4pload \
-		-duration "${LOAD_DURATION:-5s}" \
-		-warmup "${LOAD_WARMUP:-1s}" \
-		-c "${LOAD_C:-8}" \
-		-scenario all \
-		-out BENCH_load.json
-	echo ">> wrote BENCH_load.json"
-	exit 0
-	;;
 portal)
 	OUT=BENCH_portal.json
 	RAW=$(go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute' \
@@ -51,7 +36,7 @@ sim)
 	)
 	;;
 *)
-	echo "usage: $0 [portal|sim|load]" >&2
+	echo "usage: $0 [portal|sim]" >&2
 	exit 2
 	;;
 esac
