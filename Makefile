@@ -33,6 +33,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
+	$(GO) test -run '^$$' -fuzz '^FuzzSelectMatchesReference$$' -fuzztime 10s ./internal/apptracker
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -42,8 +43,9 @@ bench:
 bench-json:
 	sh scripts/bench_json.sh portal
 
-# p2psim hot-path benchmarks plus the Figure 7 sweep (parallel and
-# serial), emitted as JSON at BENCH_sim.json. Diff across commits with
+# p2psim hot-path benchmarks, P4P.Select at three candidate counts and
+# the Figure 7 sweep (parallel and serial), emitted as JSON at
+# BENCH_sim.json. Diff across commits with
 # scripts/bench_diff.sh.
 bench-sim-json:
 	sh scripts/bench_json.sh sim

@@ -87,6 +87,30 @@ func writeJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, stat
 	w.Write(append(body, '\n'))
 }
 
+// selectRoute answers POST /select. Requests share one selector and one
+// RNG, neither of which is for concurrent use, so the selection itself
+// runs under a mutex; decoding and encoding do not.
+func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, mDefault int) http.HandlerFunc {
+	var mu sync.Mutex
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req selectRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeJSON(logger, w, r, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+			return
+		}
+		if req.M <= 0 {
+			req.M = mDefault
+		}
+		mu.Lock()
+		idx := sel.Select(req.Self, req.Candidates, req.M, rng)
+		mu.Unlock()
+		if idx == nil {
+			idx = []int{}
+		}
+		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
+	}
+}
+
 // listFlag collects a repeatable string flag.
 type listFlag []string
 
@@ -177,7 +201,6 @@ func main() {
 	}
 	sel := &apptracker.P4P{Views: provider}
 	rng := rand.New(rand.NewSource(*seed))
-	var rngMu sync.Mutex
 
 	mw := &telemetry.Middleware{
 		Metrics: telemetry.NewHTTPMetrics(reg, "p4p_http"),
@@ -186,23 +209,7 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("POST /select", mw.RouteFunc("select", func(w http.ResponseWriter, r *http.Request) {
-		var req selectRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(logger, w, r, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
-			return
-		}
-		if req.M <= 0 {
-			req.M = *mDefault
-		}
-		rngMu.Lock()
-		idx := sel.Select(req.Self, req.Candidates, req.M, rng)
-		rngMu.Unlock()
-		if idx == nil {
-			idx = []int{}
-		}
-		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
-	}))
+	mux.Handle("POST /select", mw.RouteFunc("select", selectRoute(logger, sel, rng, *mDefault)))
 	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(logger, w, r, http.StatusOK, statsFn())
 	}))

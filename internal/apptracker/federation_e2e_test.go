@@ -128,8 +128,8 @@ func TestFederatedSelectionMatchesMergedITracker(t *testing.T) {
 	t.Cleanup(refSrv.Close)
 	ref := NewPortalViews(portal.NewClient(refSrv.URL, ""), time.Hour)
 
-	fedView, _ := mpv.ViewFor(1).(*core.View)
-	refView, _ := ref.ViewFor(1).(*core.View)
+	fedView := mpv.ViewFor(1)
+	refView := ref.ViewFor(1)
 	if fedView == nil || refView == nil {
 		t.Fatal("missing view from federation or reference")
 	}
@@ -169,7 +169,7 @@ func TestFederatedSelectionMatchesMergedITracker(t *testing.T) {
 	// shards (fresh client, fresh caches) renders the identical wire
 	// body.
 	mpv2 := newFederatedProvider(t, servers, costs)
-	fedView2, _ := mpv2.ViewFor(1).(*core.View)
+	fedView2 := mpv2.ViewFor(1)
 	b1, err := json.Marshal(portal.ToWire(fedView))
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestFederatedSelectionSurvivesPortalDeath(t *testing.T) {
 	servers := fedShards(t, eng)
 	mpv := newFederatedProvider(t, servers, costs)
 
-	before, _ := mpv.ViewFor(1).(*core.View)
+	before := mpv.ViewFor(1)
 	if before == nil || len(before.PIDs) != 9 {
 		t.Fatalf("healthy federation view = %v", before)
 	}
@@ -203,7 +203,7 @@ func TestFederatedSelectionSurvivesPortalDeath(t *testing.T) {
 	// still makes the same decisions.
 	servers[2].Close()
 	mpv.Invalidate()
-	after, _ := mpv.ViewFor(1).(*core.View)
+	after := mpv.ViewFor(1)
 	if after == nil {
 		t.Fatal("federation stopped serving after one portal died")
 	}

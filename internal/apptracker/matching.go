@@ -43,9 +43,8 @@ func (o *OptimizationService) Optimize(asn int, s core.Session) (*Matching, erro
 	if gamma == 0 {
 		gamma = 0.5
 	}
-	dv := o.Views.ViewFor(asn)
-	view, ok := dv.(*core.View)
-	if dv == nil || !ok {
+	view := o.Views.ViewFor(asn)
+	if view == nil {
 		// Without a view the matching degenerates to uniform weights.
 		return uniformMatching(s), nil
 	}
@@ -174,6 +173,47 @@ func (p *PandoMatching) Select(self Node, candidates []Node, m int, rng *rand.Ra
 		byPID[pid] = bucket[:len(bucket)-1]
 	}
 	return out
+}
+
+// samplePID draws one key from keys with the given normalized weights,
+// skipping keys with empty buckets. Returns false when nothing remains.
+func samplePID(rng *rand.Rand, keys []topology.PID, buckets map[topology.PID][]int, weights map[topology.PID]float64) (topology.PID, bool) {
+	total := 0.0
+	for _, k := range keys {
+		if len(buckets[k]) > 0 {
+			w := weights[k]
+			if w <= 0 {
+				// PIDs absent from the weight map (e.g. unreachable)
+				// still get a small floor so robustness is preserved.
+				w = 1e-9
+			}
+			total += w
+		}
+	}
+	if total == 0 {
+		return 0, false
+	}
+	x := rng.Float64() * total
+	for _, k := range keys {
+		if len(buckets[k]) == 0 {
+			continue
+		}
+		w := weights[k]
+		if w <= 0 {
+			w = 1e-9
+		}
+		x -= w
+		if x <= 0 {
+			return k, true
+		}
+	}
+	// Floating point slack: return the last non-empty key.
+	for i := len(keys) - 1; i >= 0; i-- {
+		if len(buckets[keys[i]]) > 0 {
+			return keys[i], true
+		}
+	}
+	return 0, false
 }
 
 // BlackBox wraps any selector with the paper's "Black-box Peer

@@ -110,10 +110,7 @@ func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 		wg.Add(1)
 		go func(i int, p *PortalViews) {
 			defer wg.Done()
-			if dv := p.ViewFor(asn); dv != nil {
-				// PortalViews always hands back the *core.View it caches.
-				views[i], _ = dv.(*core.View)
-			}
+			views[i] = p.ViewFor(asn)
 		}(i, p)
 	}
 	wg.Wait()
@@ -121,9 +118,6 @@ func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.lastViews != nil && sameViews(m.lastViews, views) {
-		if m.merged == nil {
-			return nil
-		}
 		return m.merged
 	}
 	shards := make([]federation.ShardView, 0, len(views))
@@ -175,8 +169,7 @@ func (m *MultiPortalViews) BatchDistances(ctx context.Context, pairs []portal.PI
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	dv := m.ViewFor(0)
-	v, _ := dv.(*core.View)
+	v := m.ViewFor(0)
 	if v == nil || !viewCovers(v, pairs) {
 		return nil, errNoBatchSource
 	}

@@ -54,7 +54,7 @@ func TestMultiPortalViewsMergesAcrossPortals(t *testing.T) {
 	if dv == nil {
 		t.Fatal("ViewFor = nil with both portals healthy")
 	}
-	v := dv.(*core.View)
+	v := dv
 	if got := v.Distance(0, 11); got != 2+7+4 {
 		t.Errorf("cross-provider d(0,11) = %v, want 13", got)
 	}
@@ -65,7 +65,7 @@ func TestMultiPortalViewsMergesAcrossPortals(t *testing.T) {
 	// Steady state: the merge is cached by view identity — repeated
 	// calls return the same *core.View without refetching or remerging.
 	dv2 := mpv.ViewFor(0)
-	if dv2.(*core.View) != v {
+	if dv2 != v {
 		t.Error("merged view not cached across calls with unchanged inputs")
 	}
 	if east.calls.Load() != 1 || west.calls.Load() != 1 {
@@ -86,7 +86,7 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 	mpv, clk := newTestMulti(t, east, west)
 
 	// Healthy first: both shards in the union.
-	v := mpv.ViewFor(0).(*core.View)
+	v := mpv.ViewFor(0)
 	if _, ok := v.Index(10); !ok {
 		t.Fatal("west PIDs missing from healthy merge")
 	}
@@ -95,7 +95,7 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 	// union whole while stats attribute the staleness to west alone.
 	westUp = false
 	mpv.Invalidate()
-	v2 := mpv.ViewFor(0).(*core.View)
+	v2 := mpv.ViewFor(0)
 	if v2 == nil {
 		t.Fatal("ViewFor = nil with east healthy and west on last-known-good")
 	}
@@ -126,10 +126,10 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 func TestMultiPortalViewsAllPortalsDownReturnsNil(t *testing.T) {
 	down := func(int64) (*core.View, error) { return nil, errors.New("down") }
 	mpv, _ := newTestMulti(t, &scriptedFetcher{fn: down}, &scriptedFetcher{fn: down})
-	// Must be interface nil (not a typed-nil *core.View) so the
-	// selector's `view == nil` degradation branch fires.
+	// Must be nil so the selector's `view == nil` degradation branch
+	// fires.
 	if dv := mpv.ViewFor(0); dv != nil {
-		t.Fatalf("ViewFor = %#v, want untyped nil", dv)
+		t.Fatalf("ViewFor = %#v, want nil", dv)
 	}
 	if _, err := mpv.BatchDistances(context.Background(), []portal.PIDPair{{Src: 0, Dst: 1}}); err == nil {
 		t.Error("BatchDistances succeeded with no views")
@@ -161,12 +161,12 @@ func TestMultiPortalViewsRecomposesOnRefresh(t *testing.T) {
 		return v, nil
 	}}
 	mpv, _ := newTestMulti(t, east, west)
-	v1 := mpv.ViewFor(0).(*core.View)
+	v1 := mpv.ViewFor(0)
 	if got := v1.Distance(10, 11); got != 10 {
 		t.Fatalf("d(10,11) = %v, want 10", got)
 	}
 	mpv.Invalidate()
-	v2 := mpv.ViewFor(0).(*core.View)
+	v2 := mpv.ViewFor(0)
 	if v2 == v1 {
 		t.Fatal("merge not recomposed after west delivered a new view")
 	}
@@ -182,12 +182,12 @@ func TestMultiPortalViewsCircuitChangeInvalidatesMerge(t *testing.T) {
 	east := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewEast(1), nil }}
 	west := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewWest(1), nil }}
 	mpv, _ := newTestMulti(t, east, west)
-	v1 := mpv.ViewFor(0).(*core.View)
+	v1 := mpv.ViewFor(0)
 	if got := v1.Distance(1, 10); got != 7 {
 		t.Fatalf("d(1,10) = %v, want 7", got)
 	}
 	mpv.SetCircuits(nil)
-	v2 := mpv.ViewFor(0).(*core.View)
+	v2 := mpv.ViewFor(0)
 	if got := v2.Distance(1, 10); !math.IsInf(got, 1) {
 		t.Errorf("d(1,10) = %v after dropping circuits, want +Inf", got)
 	}

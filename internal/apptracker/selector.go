@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"p4p/internal/core"
 	"p4p/internal/topology"
 )
 
@@ -28,6 +29,10 @@ type Node struct {
 // Selector chooses up to m peers for a client from a candidate set.
 // Implementations must not return self or duplicates, must be
 // deterministic given the rng, and must return candidate indices.
+//
+// A Selector need not be safe for concurrent Select calls on one value
+// (P4P reuses working memory between calls), just as the *rand.Rand it
+// is handed is not: callers serialise the two together.
 type Selector interface {
 	// Select returns indices into candidates. Fewer than m may be
 	// returned when candidates run out.
@@ -43,9 +48,12 @@ type Random struct{}
 func (Random) Name() string { return "native" }
 
 // Select implements Selector. It draws distinct candidates with Floyd's
-// sampling algorithm — O(m) work and memory regardless of the candidate
-// count, where the previous full-permutation draw was O(n) per call and
-// dominated join handling in large-swarm simulations.
+// sampling algorithm — O(m) draws regardless of the candidate count,
+// where the previous full-permutation draw was O(n) per call and
+// dominated join handling in large-swarm simulations. The picks so far
+// are the only record of what is drawn (a scan of at most m entries per
+// draw, m being a neighbour count), so the result slice is the call's
+// one allocation.
 //
 // The simulator call sites pre-exclude self from candidates, so the
 // m-round draw below is plain Floyd there. Self can still appear at the
@@ -63,22 +71,20 @@ func (Random) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	if m <= 0 {
 		return nil
 	}
-	chosen := make(map[int]struct{}, m+1)
 	out := make([]int, 0, m)
-	selfDrawn := false
+	selfAt := -1 // index self was drawn at, if it was
 	for j := n - m; j < n; j++ {
 		t := rng.Intn(j + 1)
-		if _, dup := chosen[t]; dup {
+		if drawn(out, selfAt, t) {
 			t = j
 		}
-		chosen[t] = struct{}{}
 		if candidates[t].ID == self.ID {
-			selfDrawn = true
+			selfAt = t
 			continue
 		}
 		out = append(out, t)
 	}
-	if !selfDrawn || m == n {
+	if selfAt < 0 || m == n {
 		// m == n with self drawn: every candidate is already in the
 		// draw, so the documented fewer-than-m case applies.
 		return out
@@ -90,18 +96,32 @@ func (Random) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// and exact whenever a single free index remains).
 	for attempts := 0; attempts < 64; attempts++ {
 		t := rng.Intn(n)
-		if _, dup := chosen[t]; !dup {
+		if !drawn(out, selfAt, t) {
 			return append(out, t)
 		}
 	}
 	start := rng.Intn(n)
 	for k := 0; k < n; k++ {
 		t := (start + k) % n
-		if _, dup := chosen[t]; !dup {
+		if !drawn(out, selfAt, t) {
 			return append(out, t)
 		}
 	}
 	return out
+}
+
+// drawn reports whether Random.Select has already drawn index t: as one
+// of its picks, or as the index self sits at (-1 while undrawn).
+func drawn(picks []int, selfAt, t int) bool {
+	if t == selfAt {
+		return true
+	}
+	for _, c := range picks {
+		if c == t {
+			return true
+		}
+	}
+	return false
 }
 
 // Localized is delay-localized BitTorrent: it ranks candidates by
@@ -154,15 +174,12 @@ type ViewProvider interface {
 	ViewFor(asn int) DistanceView
 }
 
-// DistanceView is the subset of core.View the selector needs; core.View
-// satisfies it.
-type DistanceView interface {
-	// Weights returns normalized selection weights from PID i with the
-	// concave robustness transform applied (gamma in (0,1]).
-	Weights(i topology.PID, gamma float64) map[topology.PID]float64
-	// Distance returns p_ij.
-	Distance(i, j topology.PID) float64
-}
+// DistanceView is what a ViewProvider hands out: a published, immutable
+// core.View. It is the view itself rather than an interface over it
+// because the selector addresses it by column — the view's memoised PID
+// index, PID ranks and weight rows — and nothing else ever implemented
+// it.
+type DistanceView = *core.View
 
 // P4PConfig tunes the three-stage P4P selection. Zero values take the
 // paper's defaults.
@@ -205,81 +222,131 @@ func (c P4PConfig) withDefaults() P4PConfig {
 //     inversely proportional to the p-distance from the client's PID to
 //     that AS, using the client's own AS's view ("the appTracker uses
 //     the p-distances from AS-n's view").
+//
+// A P4P owns the working memory its Select reuses from call to call, so
+// one value must not run two Selects at once. Every caller already
+// serialises on the *rand.Rand it passes in; selectors are not shared
+// between simulation cells. The zero scratch is ready to use:
+// &P4P{Views: v} is all the construction there is.
 type P4P struct {
 	Views  ViewProvider
 	Config P4PConfig
+
+	scratch selectScratch
 }
 
 // Name implements Selector.
 func (*P4P) Name() string { return "p4p" }
 
-// Select implements Selector.
+// selectScratch is Select's working memory, grown on demand and kept.
+// Candidates are classified once — class 0 shares the client's AS and
+// PID, class 1 its AS only, class 2+g sits in the g-th external AS by
+// ascending ASN — and counting-sorted by (class, PID ascending) into
+// order, so each of the reference's per-PID lists is a range of it.
+type selectScratch struct {
+	cls     []int    // cls[i] = class of candidates[i]; -1 once taken, and for self
+	rk      []int    // rk[i] = 2*(PID rank in the view) + (1 if external); the unknown-PID rank is len(view.PIDs)
+	hist    []int    // counts, then offsets, by rk
+	classN  []int    // counts, then end offsets in order, by class
+	tmp     []int    // sorted by rk only; later the backfill classes
+	order   []int    // candidate indices by (class, rk, index)
+	asns    []int    // distinct external ASNs, ascending
+	ases    []asInfo // parallel to asns
+	buckets []bucket
+}
+
+// bucket is one (class, PID) list: the n candidates order[lo:lo+n],
+// taken from the end.
+type bucket struct {
+	lo, n int
+	w     float64 // the PID's selection weight, floored
+}
+
+type asInfo struct {
+	b0, b1 int     // its buckets; b0 == b1 once it is exhausted
+	dist   float64 // least p-distance from the client to any of its candidates
+	w      float64
+}
+
+// resized returns buf with length n. Growth leaves headroom because a
+// swarm's candidate list grows by one join at a time.
+func resized(buf []int, n int) []int {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return make([]int, n, n+n/2)
+}
+
+// view asks the provider for the view of the client's AS.
+//
+//p4p:coldpath the provider's cost (a cache hit, a portal refresh, an engine recompute), not the selector's
+func (p *P4P) view(asn int) DistanceView { return p.Views.ViewFor(asn) }
+
+// Select implements Selector. A candidate whose PID the view does not
+// list is treated as unreachable (p-distance +Inf, the floor weight);
+// when the view is missing, or does not list the client's own PID,
+// applications make default decisions (the paper's robustness answer)
+// and the selection is Random's.
+//
+//p4p:hotpath runs once per peer per re-query interval; the returned slice is its one allocation
 func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int {
 	cfg := p.Config.withDefaults()
-	view := p.Views.ViewFor(self.ASN)
+	view := p.view(self.ASN)
 	if view == nil {
-		// No iTracker covers this AS: applications make default
-		// decisions (the paper's robustness answer) — fall back to
-		// random selection.
 		return Random{}.Select(self, candidates, m, rng)
 	}
-	taken := make([]bool, len(candidates))
+	selfCol, ok := view.Index(self.PID)
+	if !ok {
+		return Random{}.Select(self, candidates, m, rng)
+	}
+	s := &p.scratch
+	adj := s.classify(view, selfCol, self, candidates)
+	eligible := s.sortIntoBuckets(view, view.Weights(self.PID, cfg.Gamma), candidates)
+
+	// The cumulative in-AS bound adapts to relative distances, per
+	// Section 6.2: the default is an upper bound, raised toward 1 when
+	// external ASes are far more expensive than in-AS peers (and
+	// conversely the default applies when interdomain distances are
+	// comparable).
+	intraCap := int(cfg.UpperBoundIntraPID * float64(m))
+	interFrac := cfg.UpperBoundInterPID
+	if adj > 0 {
+		interFrac += (1 - cfg.UpperBoundInterPID) * adj
+	}
+	interCap := int(interFrac * float64(m))
+	// Untaken candidates by backfill class: other ASes, other PIDs in
+	// this AS, the client's own PID.
+	left := [3]int{eligible - s.classN[1], s.classN[1] - s.classN[0], s.classN[0]}
 	var out []int
-	take := func(i int) {
-		taken[i] = true
-		out = append(out, i)
+	if limit := min(max(m, intraCap, interCap), eligible); limit > 0 {
+		out = make([]int, 0, limit)
 	}
 
 	// Stage 1: intra-PID.
-	intraCap := int(cfg.UpperBoundIntraPID * float64(m))
-	var intra []int
-	for i, c := range candidates {
-		if c.ID != self.ID && c.ASN == self.ASN && c.PID == self.PID {
-			intra = append(intra, i)
-		}
-	}
+	intra := s.order[:s.classN[0]]
 	shuffle(rng, intra)
 	for _, i := range intra {
 		if len(out) >= intraCap {
 			break
 		}
-		take(i)
+		out = append(out, i)
+		s.cls[i] = -1
+		left[2]--
 	}
 
-	// Stage 2: inter-PID within the AS, weighted sampling by PID. The
-	// cumulative in-AS bound adapts to relative distances, per Section
-	// 6.2: the default is an upper bound, raised toward 1 when external
-	// ASes are far more expensive than in-AS peers (and conversely the
-	// default applies when interdomain distances are comparable).
-	interFrac := cfg.UpperBoundInterPID
-	if adj := interASAdjustment(view, self, candidates); adj > 0 {
-		interFrac += (1 - cfg.UpperBoundInterPID) * adj
+	// Stage 2: inter-PID within the AS, weighted sampling by PID.
+	inB0, inB1 := 0, len(s.buckets)
+	if len(s.ases) > 0 {
+		inB1 = s.ases[0].b0
 	}
-	interCap := int(interFrac * float64(m))
-	weights := view.Weights(self.PID, cfg.Gamma)
-	byPID := map[topology.PID][]int{}
-	var pidsInAS []topology.PID
-	for i, c := range candidates {
-		if taken[i] || c.ID == self.ID || c.ASN != self.ASN || c.PID == self.PID {
-			continue
-		}
-		if _, seen := byPID[c.PID]; !seen {
-			pidsInAS = append(pidsInAS, c.PID)
-		}
-		byPID[c.PID] = append(byPID[c.PID], i)
-	}
-	sort.Slice(pidsInAS, func(a, b int) bool { return pidsInAS[a] < pidsInAS[b] })
-	for _, pid := range pidsInAS {
-		shuffle(rng, byPID[pid])
-	}
+	s.shuffleBuckets(rng, inB0, inB1)
 	for len(out) < interCap {
-		pid, ok := samplePID(rng, pidsInAS, byPID, weights)
-		if !ok {
+		b := s.sample(rng, inB0, inB1)
+		if b < 0 {
 			break
 		}
-		bucket := byPID[pid]
-		take(bucket[len(bucket)-1])
-		byPID[pid] = bucket[:len(bucket)-1]
+		out = append(out, s.pop(b))
+		left[1]--
 	}
 
 	// Stage 3: inter-AS. The per-AS quota is inversely proportional to
@@ -288,142 +355,262 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// within the chosen AS candidates are drawn by the same
 	// inverse-distance PID weights as stage 2, so crossing traffic
 	// prefers the cheaper interdomain circuits.
-	var externASNs []int
-	byASPID := map[int]map[topology.PID][]int{}
-	asPIDs := map[int][]topology.PID{}
-	asDist := map[int]float64{}
-	for i, c := range candidates {
-		if taken[i] || c.ID == self.ID || c.ASN == self.ASN {
-			continue
-		}
-		if _, seen := byASPID[c.ASN]; !seen {
-			externASNs = append(externASNs, c.ASN)
-			byASPID[c.ASN] = map[topology.PID][]int{}
-			asDist[c.ASN] = view.Distance(self.PID, c.PID)
-		} else if d := view.Distance(self.PID, c.PID); d < asDist[c.ASN] {
-			asDist[c.ASN] = d
-		}
-		if _, seen := byASPID[c.ASN][c.PID]; !seen {
-			asPIDs[c.ASN] = append(asPIDs[c.ASN], c.PID)
-		}
-		byASPID[c.ASN][c.PID] = append(byASPID[c.ASN][c.PID], i)
-	}
-	sort.Ints(externASNs)
-	for _, asn := range externASNs {
-		sort.Slice(asPIDs[asn], func(a, b int) bool { return asPIDs[asn][a] < asPIDs[asn][b] })
-		for _, pid := range asPIDs[asn] {
-			shuffle(rng, byASPID[asn][pid])
-		}
-	}
-	asWeight := map[int]float64{}
 	asTotal := 0.0
-	for _, asn := range externASNs {
-		d := asDist[asn]
-		w := 1.0
-		if d > 0 {
-			w = 1 / d
-		} else if d == 0 {
-			w = 1e6
+	for g := range s.ases {
+		a := &s.ases[g]
+		s.shuffleBuckets(rng, a.b0, a.b1)
+		a.w = 1.0
+		if a.dist > 0 {
+			a.w = 1 / a.dist
+		} else if a.dist == 0 {
+			a.w = 1e6
 		}
-		asWeight[asn] = w
-		asTotal += w
+		asTotal += a.w
 	}
-	pidWeights := view.Weights(self.PID, cfg.Gamma)
 	for len(out) < m && asTotal > 0 {
-		// Draw the AS.
+		// Draw the AS. chosenASN < 0 also reads "none yet", so a
+		// negative ASN ends the stage, as it always has.
 		x := rng.Float64() * asTotal
-		chosen := -1
-		for _, asn := range externASNs {
-			if len(asPIDs[asn]) == 0 {
+		chosen, chosenASN := -1, -1
+		for g := range s.ases {
+			if s.ases[g].b0 == s.ases[g].b1 {
 				continue
 			}
-			x -= asWeight[asn]
-			if x <= 0 || chosen < 0 {
-				chosen = asn
+			x -= s.ases[g].w
+			if x <= 0 || chosenASN < 0 {
+				chosen, chosenASN = g, s.asns[g]
 				if x <= 0 {
 					break
 				}
 			}
 		}
-		if chosen < 0 {
+		if chosenASN < 0 {
 			break
 		}
 		// Draw the PID within the AS by inverse p-distance.
-		pid, ok := samplePID(rng, asPIDs[chosen], byASPID[chosen], pidWeights)
-		if !ok {
+		a := &s.ases[chosen]
+		b := s.sample(rng, a.b0, a.b1)
+		if b < 0 {
 			// AS exhausted: retire it.
-			asTotal -= asWeight[chosen]
-			asWeight[chosen] = 0
-			asPIDs[chosen] = nil
+			asTotal -= a.w
+			a.w = 0
+			a.b1 = a.b0
 			continue
 		}
-		bucket := byASPID[chosen][pid]
-		take(bucket[len(bucket)-1])
-		byASPID[chosen][pid] = bucket[:len(bucket)-1]
+		out = append(out, s.pop(b))
+		left[0]--
 	}
 
 	// Backfill if the staged quotas could not reach m but untaken
 	// candidates remain (robustness: connectivity first). Preference
 	// order keeps the locality caps meaningful: other ASes, then other
-	// PIDs in this AS, then the client's own PID as a last resort.
+	// PIDs in this AS, then the client's own PID as a last resort. Each
+	// class is its untaken candidates in index order, shuffled.
 	if len(out) < m {
-		var otherAS, otherPID, samePID []int
-		for i, c := range candidates {
-			if taken[i] || c.ID == self.ID {
-				continue
-			}
-			switch {
-			case c.ASN != self.ASN:
-				otherAS = append(otherAS, i)
-			case c.PID != self.PID:
-				otherPID = append(otherPID, i)
-			default:
-				samePID = append(samePID, i)
+		ends := [3]int{left[0], left[0] + left[1], left[0] + left[1] + left[2]}
+		pos := [3]int{0, ends[0], ends[1]}
+		for i, class := range s.cls {
+			if class >= 0 {
+				k := 2 - min(class, 2)
+				s.tmp[pos[k]] = i
+				pos[k]++
 			}
 		}
-		for _, class := range [][]int{otherAS, otherPID, samePID} {
-			shuffle(rng, class)
-			for _, i := range class {
+		lo := 0
+		for _, hi := range ends {
+			shuffle(rng, s.tmp[lo:hi])
+			for _, i := range s.tmp[lo:hi] {
 				if len(out) >= m {
 					break
 				}
-				take(i)
+				out = append(out, i)
 			}
+			lo = hi
 		}
 	}
 	return out
 }
 
-// interASAdjustment compares the mean p-distance to external-AS
-// candidate PIDs against the mean to in-AS candidate PIDs and returns a
-// value in [0, 1]: 0 when external peering is no more expensive than
-// in-AS (keep the default bound), approaching 1 as external distances
-// dwarf in-AS ones (pull nearly all peers in-AS).
-func interASAdjustment(view DistanceView, self Node, candidates []Node) float64 {
+// classify fills cls, rk, their histograms, asns and each external AS's
+// dist for one call, and returns the inter-AS adjustment. The first
+// candidate to land in a histogram cell is the first of its (side of
+// the AS boundary, PID), which is when the adjustment's two means take
+// that PID's distance.
+func (s *selectScratch) classify(view *core.View, selfCol int, self Node, candidates []Node) float64 {
+	s.asns = s.asns[:0]
+	last := self.ASN
+	for i := range candidates {
+		if c := &candidates[i]; c.ASN != last && c.ASN != self.ASN && c.ID != self.ID {
+			last = c.ASN
+			k := sort.SearchInts(s.asns, c.ASN)
+			if k == len(s.asns) || s.asns[k] != c.ASN {
+				s.asns = append(s.asns, 0)
+				copy(s.asns[k+1:], s.asns[k:])
+				s.asns[k] = c.ASN
+			}
+		}
+	}
+	s.ases = s.ases[:0]
+	for range s.asns {
+		s.ases = append(s.ases, asInfo{})
+	}
+
+	nPID := len(view.PIDs)
+	cols, dist := view.Columns(), view.D[selfCol]
+	s.cls, s.rk = resized(s.cls, len(candidates)), resized(s.rk, len(candidates))
+	s.hist, s.classN = resized(s.hist, 2*nPID+2), resized(s.classN, 2+len(s.asns))
+	clear(s.hist)
+	clear(s.classN)
 	var inSum, extSum float64
 	var inN, extN int
-	seenIn := map[topology.PID]bool{}
-	seenExt := map[topology.PID]bool{}
-	for _, c := range candidates {
+	lastClass := 0
+	last = self.ASN
+	for i := range candidates {
+		c := &candidates[i]
 		if c.ID == self.ID {
+			s.cls[i] = -1
 			continue
 		}
-		d := view.Distance(self.PID, c.PID)
-		if math.IsInf(d, 1) {
-			continue
+		r, d := nPID, math.Inf(1)
+		if col := cols.Col(c.PID); col >= 0 {
+			r, d = cols.Rank(col), dist[col]
 		}
-		if c.ASN == self.ASN {
-			if c.PID != self.PID && !seenIn[c.PID] {
-				seenIn[c.PID] = true
+		class, k := 0, 2*r
+		switch {
+		case c.ASN != self.ASN:
+			if c.ASN != last {
+				last, lastClass = c.ASN, 2+sort.SearchInts(s.asns, c.ASN)
+			}
+			class, k = lastClass, 2*r+1
+			if a := &s.ases[class-2]; s.classN[class] == 0 || d < a.dist {
+				a.dist = d
+			}
+			if s.hist[k] == 0 && !math.IsInf(d, 1) {
+				extSum += d
+				extN++
+			}
+		case c.PID != self.PID:
+			class = 1
+			if s.hist[k] == 0 && !math.IsInf(d, 1) {
 				inSum += d
 				inN++
 			}
-		} else if !seenExt[c.PID] {
-			seenExt[c.PID] = true
-			extSum += d
-			extN++
+		}
+		s.cls[i], s.rk[i] = class, k
+		s.hist[k]++
+		s.classN[class]++
+	}
+	return interASAdjustment(inSum, inN, extSum, extN)
+}
+
+// sortIntoBuckets counting-sorts the classified candidates into order —
+// by rk, then stably by class — and cuts classes 1 and up into buckets.
+// It returns the number of candidates sorted (all but self).
+func (s *selectScratch) sortIntoBuckets(view *core.View, weights []float64, candidates []Node) int {
+	n := 0
+	for k, c := range s.hist {
+		s.hist[k] = n
+		n += c
+	}
+	s.tmp, s.order = resized(s.tmp, n), resized(s.order, n)
+	for i, class := range s.cls {
+		if class >= 0 {
+			s.tmp[s.hist[s.rk[i]]] = i
+			s.hist[s.rk[i]]++
 		}
 	}
+	end := 0
+	for class, c := range s.classN {
+		s.classN[class] = end
+		end += c
+	}
+	for _, i := range s.tmp {
+		s.order[s.classN[s.cls[i]]] = i
+		s.classN[s.cls[i]]++
+	}
+
+	s.buckets = s.buckets[:0]
+	for class := 1; class < len(s.classN); class++ {
+		b0 := len(s.buckets)
+		for lo, hi := s.classN[class-1], s.classN[class]; lo < hi; {
+			first := s.order[lo]
+			cnt := 1
+			for lo+cnt < hi && s.rk[s.order[lo+cnt]] == s.rk[first] {
+				cnt++
+			}
+			w := 0.0
+			if col, ok := view.Index(candidates[first].PID); ok {
+				w = weights[col]
+			}
+			if w <= 0 {
+				// Unreachable PIDs, and PIDs the view does not list,
+				// still get a small floor so robustness is preserved.
+				w = 1e-9
+			}
+			s.buckets = append(s.buckets, bucket{lo: lo, n: cnt, w: w})
+			lo += cnt
+		}
+		if class >= 2 {
+			s.ases[class-2].b0, s.ases[class-2].b1 = b0, len(s.buckets)
+		}
+	}
+	return n
+}
+
+func (s *selectScratch) shuffleBuckets(rng *rand.Rand, b0, b1 int) {
+	for _, b := range s.buckets[b0:b1] {
+		shuffle(rng, s.order[b.lo:b.lo+b.n])
+	}
+}
+
+// sample draws one of the buckets [b0, b1) that still hold candidates,
+// with probability proportional to its weight. It returns -1, without
+// drawing, when none does.
+func (s *selectScratch) sample(rng *rand.Rand, b0, b1 int) int {
+	total := 0.0
+	for _, b := range s.buckets[b0:b1] {
+		if b.n > 0 {
+			total += b.w
+		}
+	}
+	if total == 0 {
+		return -1
+	}
+	x := rng.Float64() * total
+	for i, b := range s.buckets[b0:b1] {
+		if b.n == 0 {
+			continue
+		}
+		x -= b.w
+		if x <= 0 {
+			return b0 + i
+		}
+	}
+	// Floating point slack: return the last non-empty bucket.
+	for b := b1 - 1; b >= b0; b-- {
+		if s.buckets[b].n > 0 {
+			return b
+		}
+	}
+	return -1
+}
+
+// pop takes the last candidate of bucket b.
+func (s *selectScratch) pop(b int) int {
+	bk := &s.buckets[b]
+	bk.n--
+	i := s.order[bk.lo+bk.n]
+	s.cls[i] = -1
+	return i
+}
+
+// interASAdjustment compares the mean p-distance to external-AS
+// candidate PIDs against the mean to in-AS candidate PIDs (each distinct
+// reachable PID counted once, the client's own excluded) and returns a
+// value in [0, 1]: 0 when external peering is no more expensive than
+// in-AS (keep the default bound), approaching 1 as external distances
+// dwarf in-AS ones (pull nearly all peers in-AS).
+func interASAdjustment(inSum float64, inN int, extSum float64, extN int) float64 {
 	if inN == 0 || extN == 0 {
 		return 0
 	}
@@ -439,47 +626,11 @@ func interASAdjustment(view DistanceView, self Node, candidates []Node) float64 
 	return 1 - 1/ratio
 }
 
-// samplePID draws one key from keys with the given normalized weights,
-// skipping keys with empty buckets. Returns false when nothing remains.
-func samplePID(rng *rand.Rand, keys []topology.PID, buckets map[topology.PID][]int, weights map[topology.PID]float64) (topology.PID, bool) {
-	total := 0.0
-	for _, k := range keys {
-		if len(buckets[k]) > 0 {
-			w := weights[k]
-			if w <= 0 {
-				// PIDs absent from the weight map (e.g. unreachable)
-				// still get a small floor so robustness is preserved.
-				w = 1e-9
-			}
-			total += w
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	x := rng.Float64() * total
-	for _, k := range keys {
-		if len(buckets[k]) == 0 {
-			continue
-		}
-		w := weights[k]
-		if w <= 0 {
-			w = 1e-9
-		}
-		x -= w
-		if x <= 0 {
-			return k, true
-		}
-	}
-	// Floating point slack: return the last non-empty key.
-	for i := len(keys) - 1; i >= 0; i-- {
-		if len(buckets[keys[i]]) > 0 {
-			return keys[i], true
-		}
-	}
-	return 0, false
-}
+// intSwapper gives rand.Shuffle its swap as a method value rather than a
+// capturing closure, which allochot flags under a hot path on sight
+// (neither form escapes, so neither allocates).
+type intSwapper []int
 
-func shuffle(rng *rand.Rand, s []int) {
-	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-}
+func (s intSwapper) swap(i, j int) { s[i], s[j] = s[j], s[i] }
+
+func shuffle(rng *rand.Rand, s []int) { rng.Shuffle(len(s), intSwapper(s).swap) }

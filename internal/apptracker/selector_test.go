@@ -12,22 +12,7 @@ import (
 // testViews wraps a single view served for every AS.
 type testViews struct{ v *core.View }
 
-func (t testViews) ViewFor(asn int) DistanceView {
-	if t.v == nil {
-		return nil
-	}
-	return t.v
-}
-
-// coreViews serves the concrete *core.View (needed by OptimizationService).
-type coreViews struct{ v *core.View }
-
-func (c coreViews) ViewFor(asn int) DistanceView {
-	if c.v == nil {
-		return nil
-	}
-	return c.v
-}
+func (t testViews) ViewFor(asn int) DistanceView { return t.v }
 
 // threePIDView: PIDs 0,1,2 with 1 close to 0, 2 far from 0.
 func threePIDView() *core.View {
@@ -353,7 +338,7 @@ func TestP4PConfigValidation(t *testing.T) {
 
 func TestOptimizationServiceWeights(t *testing.T) {
 	view := threePIDView()
-	svc := &OptimizationService{Views: coreViews{view}}
+	svc := &OptimizationService{Views: testViews{view}}
 	s := core.Session{
 		PIDs: []topology.PID{0, 1, 2},
 		Up:   []float64{10, 10, 10},
@@ -380,7 +365,7 @@ func TestOptimizationServiceWeights(t *testing.T) {
 }
 
 func TestOptimizationServiceUniformFallback(t *testing.T) {
-	svc := &OptimizationService{Views: coreViews{nil}}
+	svc := &OptimizationService{Views: testViews{nil}}
 	s := core.Session{
 		PIDs: []topology.PID{0, 1},
 		Up:   []float64{1, 1},

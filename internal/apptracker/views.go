@@ -184,7 +184,7 @@ func (p *PortalViews) ViewFor(asn int) DistanceView {
 		p.Metrics.mirror(r.Counted)
 	}
 	if !r.Held {
-		return nil // not a typed-nil interface
+		return nil
 	}
 	return r.Value
 }
@@ -235,15 +235,13 @@ func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair
 	ctx, span := trace.StartSpan(ctx, "batch_distances")
 	defer span.End()
 	span.SetAttrInt("pairs", len(pairs))
-	if dv := p.ViewFor(0); dv != nil {
-		if v, ok := dv.(*core.View); ok && viewCovers(v, pairs) {
-			span.SetAttr("source", "held_view")
-			out := make([]float64, len(pairs))
-			for i, pr := range pairs {
-				out[i] = v.Distance(pr.Src, pr.Dst)
-			}
-			return out, nil
+	if v := p.ViewFor(0); v != nil && viewCovers(v, pairs) {
+		span.SetAttr("source", "held_view")
+		out := make([]float64, len(pairs))
+		for i, pr := range pairs {
+			out[i] = v.Distance(pr.Src, pr.Dst)
 		}
+		return out, nil
 	}
 	bf, ok := p.Client.(BatchFetcher)
 	if !ok {

@@ -122,7 +122,7 @@ func TestPortalViewsNilBeforeFirstFetch(t *testing.T) {
 	}}
 	p := NewPortalViews(f, time.Minute)
 	if v := p.ViewFor(1); v != nil {
-		t.Fatalf("expected untyped nil view, got %#v", v)
+		t.Fatalf("expected nil view, got %#v", v)
 	}
 	if s := p.Stats(); s.NilServes != 1 || s.Failures != 1 {
 		t.Fatalf("stats = %+v", s)
@@ -309,7 +309,7 @@ func TestPortalViewsPanickingFetchDoesNotWedge(t *testing.T) {
 		p.ViewFor(1)
 	}()
 	clk.Advance(2 * time.Millisecond) // past TTL and backoff
-	v, _ := p.ViewFor(1).(*core.View)
+	v := p.ViewFor(1)
 	if v == nil || v.Version != 3 {
 		t.Fatalf("view after the panic = %+v, want version 3 from a new fetch", v)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"p4p/internal/topology"
@@ -11,31 +10,34 @@ import (
 // View is the external view of the p4p-distance interface: a full-mesh
 // distance matrix over externally visible PIDs. Applications see only
 // this — never the topology, prices, or link state.
+//
+// A View is immutable once published and is handled by pointer only: it
+// carries a lazily built memo (see viewMemo) of what every reader would
+// otherwise re-derive per call.
 type View struct {
 	PIDs    []topology.PID
 	D       [][]float64 // D[a][b] = distance from PIDs[a] to PIDs[b]
 	Version int         // engine version at materialization time
+
+	memo viewMemo
 }
 
 // Index returns the row/column of a PID in the view.
 func (v *View) Index(pid topology.PID) (int, bool) {
-	for i, p := range v.PIDs {
-		if p == pid {
-			return i, true
-		}
-	}
-	return -1, false
+	c := v.Columns().Col(pid)
+	return c, c >= 0
 }
 
 // Distance returns the distance between two PIDs in the view. It panics
 // if either PID is absent; views are full-mesh by construction.
 func (v *View) Distance(i, j topology.PID) float64 {
-	a, ok := v.Index(i)
-	if !ok {
+	x := v.Columns()
+	a := x.Col(i)
+	if a < 0 {
 		panic(fmt.Sprintf("core: PID %d not in view", i))
 	}
-	b, ok := v.Index(j)
-	if !ok {
+	b := x.Col(j)
+	if b < 0 {
 		panic(fmt.Sprintf("core: PID %d not in view", j))
 	}
 	return v.D[a][b]
@@ -80,8 +82,10 @@ func (v *View) Ranks(i topology.PID) []topology.PID {
 // transform applied first to raise the relative weight of small w_ij —
 // the paper's simple implementation of the robustness constraint (7).
 // gamma in (0,1] is the concavity exponent; gamma = 1 disables the
-// transform. Unreachable PIDs get weight 0.
-func (v *View) Weights(i topology.PID, gamma float64) map[topology.PID]float64 {
+// transform. The result is indexed like PIDs; i itself and unreachable
+// PIDs get weight 0. It is computed once per (i, gamma) and shared, so
+// callers must not modify it.
+func (v *View) Weights(i topology.PID, gamma float64) []float64 {
 	if gamma <= 0 || gamma > 1 {
 		panic(fmt.Sprintf("core: concavity exponent %v out of (0, 1]", gamma))
 	}
@@ -89,36 +93,7 @@ func (v *View) Weights(i topology.PID, gamma float64) map[topology.PID]float64 {
 	if !ok {
 		panic(fmt.Sprintf("core: PID %d not in view", i))
 	}
-	// The "large value" substituted for 1/0. Anything much larger than
-	// the other weights works; it is normalized away below.
-	const largeWeight = 1e6
-	raw := map[topology.PID]float64{}
-	sum := 0.0
-	for b, j := range v.PIDs {
-		if b == a {
-			continue
-		}
-		d := v.D[a][b]
-		if math.IsInf(d, 1) {
-			continue
-		}
-		var w float64
-		if d <= 0 {
-			w = largeWeight
-		} else {
-			w = 1 / d
-		}
-		w = math.Pow(w, gamma)
-		raw[j] = w
-		sum += w
-	}
-	if sum == 0 {
-		return raw
-	}
-	for j := range raw {
-		raw[j] /= sum
-	}
-	return raw
+	return v.memo.weights(v, a, gamma)
 }
 
 // Total returns Σ d_ij t_ij for a traffic matrix indexed like the view,

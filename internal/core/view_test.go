@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"p4p/internal/topology"
@@ -109,8 +110,8 @@ func TestViewWeightsSkipsUnreachable(t *testing.T) {
 		},
 	}
 	w := v.Weights(0, 1.0)
-	if _, ok := w[1]; ok {
-		t.Fatal("unreachable PID must be absent from weights")
+	if w[1] != 0 {
+		t.Fatalf("unreachable PID has weight %v, want 0", w[1])
 	}
 	if math.Abs(w[2]-1) > 1e-9 {
 		t.Fatalf("weights = %v", w)
@@ -134,6 +135,85 @@ func TestViewWeightsPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestViewIndexUnsortedAndSparse pins the memoised PID index on the two
+// layouts it takes: a dense table over a compact PID range (here listed
+// out of order) and the map it falls back to when the range is too wide.
+func TestViewIndexUnsortedAndSparse(t *testing.T) {
+	for _, pids := range [][]topology.PID{
+		{7, 3, 5, 4},
+		{1 << 40, -9, 12, 0},
+	} {
+		v := &View{PIDs: pids, D: make([][]float64, len(pids))}
+		for c, pid := range pids {
+			if got, ok := v.Index(pid); !ok || got != c {
+				t.Errorf("%v: Index(%d) = %d, %v, want %d", pids, pid, got, ok, c)
+			}
+		}
+		for _, absent := range []topology.PID{6, -1, 1 << 41, math.MinInt64, math.MaxInt64} {
+			if c, ok := v.Index(absent); ok || c != -1 {
+				t.Errorf("%v: Index(%d) = %d, %v, want -1, false", pids, absent, c, ok)
+			}
+		}
+		for a := range pids {
+			below := 0
+			for _, q := range pids {
+				if q < pids[a] {
+					below++
+				}
+			}
+			if got := v.Columns().Rank(a); got != below {
+				t.Errorf("%v: Rank(%d) = %d, want %d", pids, a, got, below)
+			}
+		}
+	}
+	if _, ok := (&View{}).Index(0); ok {
+		t.Error("empty view claims to hold PID 0")
+	}
+}
+
+// TestViewWeightsMemoised pins the memo's lifetime: one row per (source
+// PID, gamma) for the life of the view, shared by every caller.
+func TestViewWeightsMemoised(t *testing.T) {
+	v := sampleView()
+	a, b := v.Weights(0, 0.5), v.Weights(0, 0.5)
+	if &a[0] != &b[0] {
+		t.Error("second Weights(0, 0.5) recomputed its row")
+	}
+	if c := v.Weights(0, 1); &c[0] == &a[0] {
+		t.Error("gamma 1 shares gamma 0.5's row")
+	}
+	if c := v.Weights(1, 0.5); &c[0] == &a[0] {
+		t.Error("source PID 1 shares source PID 0's row")
+	}
+	if a[0] != 0 {
+		t.Errorf("self weight = %v, want 0", a[0])
+	}
+}
+
+// TestViewMemoConcurrent: readers on many goroutines may be the first to
+// ask a fresh view for its index and its rows (run under -race).
+func TestViewMemoConcurrent(t *testing.T) {
+	v := sampleView()
+	want := v.D[0][2]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				src := topology.PID((g + i) % 3)
+				if d := v.Distance(0, 2); d != want {
+					t.Errorf("Distance(0,2) = %v, want %v", d, want)
+				}
+				if w := v.Weights(src, 0.5); len(w) != 3 || w[src] != 0 {
+					t.Errorf("Weights(%d, 0.5) = %v", src, w)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestViewTotal(t *testing.T) {

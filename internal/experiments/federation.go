@@ -92,7 +92,7 @@ func FederationPair(opt Options) *Report {
 	base.Retry.MaxAttempts = 1
 	mpv := apptracker.NewMultiPortalViews(base, refs, time.Hour)
 	mpv.SetCircuits(circuits)
-	fedView, _ := mpv.ViewFor(asns[0]).(*core.View)
+	fedView := mpv.ViewFor(asns[0])
 	if fedView == nil {
 		rep.note("federation produced no view; aborting")
 		return rep
@@ -156,7 +156,7 @@ func FederationPair(opt Options) *Report {
 	// view must keep the decisions identical.
 	servers[len(servers)-1].Close()
 	mpv.Invalidate()
-	degradedView, _ := mpv.ViewFor(asns[0]).(*core.View)
+	degradedView := mpv.ViewFor(asns[0])
 	serving := 0.0
 	if degradedView != nil && len(degradedView.PIDs) == len(pids) {
 		serving = 1

@@ -110,10 +110,13 @@ func Table3FieldTestInternal(opt Options) *Report {
 	rep := newReport("T3", "Internal traffic statistics of field tests (Table 3)")
 	pair := runFieldPair(opt)
 	tbl := &metrics.Table{Header: []string{"swarm", "Total", "Cross-metro", "Same-metro", "% Localization"}}
-	for name, res := range map[string]*fieldtest.Result{"Native": pair.native, "P4P": pair.p4p} {
-		total := res.SameMetroBytes + res.CrossMetroBytes
-		tbl.AddRow(name, total, res.CrossMetroBytes, res.SameMetroBytes, res.LocalizationPercent())
-		rep.Values["localization-pct/"+name] = res.LocalizationPercent()
+	for _, row := range []struct {
+		name string
+		res  *fieldtest.Result
+	}{{"Native", pair.native}, {"P4P", pair.p4p}} { // a slice, not a map: the row order is part of the report
+		total := row.res.SameMetroBytes + row.res.CrossMetroBytes
+		tbl.AddRow(row.name, total, row.res.CrossMetroBytes, row.res.SameMetroBytes, row.res.LocalizationPercent())
+		rep.Values["localization-pct/"+row.name] = row.res.LocalizationPercent()
 	}
 	rep.addTable(tbl)
 	rep.note("paper: 6.27%% (Native) -> 57.98%% (P4P)")

@@ -140,9 +140,6 @@ type Handler struct {
 	CacheMetrics *CacheMetrics
 	mux          *http.ServeMux
 	src          ViewSource
-	// batchIdx holds the PID→row index of the view the batch endpoint
-	// last served.
-	batchIdx atomic.Pointer[pidIndex]
 }
 
 // trackerSource is the iTracker-backed ViewSource. The iTracker's own
@@ -164,14 +161,6 @@ type trackerSource struct {
 	// cacheRaw/cacheRanks hold the current fully-rendered response per
 	// form.
 	cacheRaw, cacheRanks atomic.Pointer[Entry]
-}
-
-// pidIndex maps view PIDs to matrix rows for one materialized view
-// (keyed by pointer identity, not version: the PID set is re-derived
-// per recompute).
-type pidIndex struct {
-	view *core.View
-	idx  map[topology.PID]int
 }
 
 // CacheMetrics counts how the encoded-response cache behaves. All
@@ -436,22 +425,6 @@ func ParsePairs(s string) ([]PIDPair, error) {
 	return out, nil
 }
 
-// pidIndexFor returns the PID→row map for a view, cached by view
-// identity so batch requests do one map lookup per PID instead of a
-// linear scan of View.Index.
-func (h *Handler) pidIndexFor(v *core.View) map[topology.PID]int {
-	if cached := h.batchIdx.Load(); cached != nil && cached.view == v {
-		return cached.idx
-	}
-	idx := make(map[topology.PID]int, len(v.PIDs))
-	for i, p := range v.PIDs {
-		idx[p] = i
-	}
-	//p4pvet:ignore allochot index entry is rebuilt once per view identity change, then hit by every batch request
-	h.batchIdx.Store(&pidIndex{view: v, idx: idx})
-	return idx
-}
-
 // readBatchPairs parses either wire form of a batch request and applies
 // the limits; on error it writes the 400 and reports !ok.
 //
@@ -509,14 +482,13 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, r, err)
 		return
 	}
-	idx := h.pidIndexFor(v)
+	cols := v.Columns() // memoised on the view: one table lookup per PID
 	out := BatchResponseWire{Version: v.Version, Distances: make([]float64, len(pairs))}
 	for k, pr := range pairs {
-		a, okA := idx[pr.Src]
-		b, okB := idx[pr.Dst]
-		if !okA || !okB {
+		a, b := cols.Col(pr.Src), cols.Col(pr.Dst)
+		if a < 0 || b < 0 {
 			pid := pr.Src
-			if okA {
+			if a >= 0 {
 				pid = pr.Dst
 			}
 			h.WriteJSON(w, r, http.StatusBadRequest,

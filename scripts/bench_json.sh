@@ -7,7 +7,8 @@
 #
 #   portal (default)  portal request path, 304 revalidation, view
 #                     recompute -> BENCH_portal.json
-#   sim               p2psim hot-path benchmarks plus the Figure 7
+#   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
+#                     1k / 10k candidates, plus the Figure 7
 #                     swarm-size sweep, parallel and serial
 #                     -> BENCH_sim.json
 #
@@ -31,6 +32,8 @@ sim)
 	RAW=$(
 		go test -run '^$' -bench 'BenchmarkSim' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/p2psim/
+		go test -run '^$' -bench 'BenchmarkP4PSelect' \
+			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
 		go test -run '^$' -bench 'BenchmarkFigure7SwarmSize(Serial)?$' \
 			-benchmem -benchtime 1x -p4p.scale "${P4P_SCALE:-0.25}" .
 	)
