@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet p4pvet verify fuzz-smoke bench bench-json bench-sim-json
+.PHONY: build test race vet p4pvet verify loc fuzz-smoke bench bench-json bench-sim-json
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ p4pvet:
 # Tier-1 verification gate (see ROADMAP.md).
 verify:
 	sh scripts/verify.sh
+
+# Non-test Go lines per package and p4pvet suppressions by rule: the
+# table ROADMAP.md and DESIGN.md §15 quote.
+loc:
+	sh scripts/loc.sh
 
 # Run each native fuzz target for ~10s against its checked-in seed
 # corpus. Not part of verify; intended for CI and pre-release runs.

@@ -15,8 +15,9 @@
 // the merged federation view (apptracker.MultiPortalViews): each
 // portal keeps its own freshness and last-known-good state, /stats
 // reports the counters per portal, and repeatable -circuit flags
-// declare the interdomain adjacencies that price cross-provider pairs,
-// e.g.
+// declare the interdomain adjacencies that price cross-provider pairs.
+// Circuits are start-up configuration, fixed for the life of the
+// process, e.g.
 //
 //	apptracker -itracker http://east:8080,http://west:8080 \
 //	    -circuit "http://east:8080:4,http://west:8080:7,2.5"
@@ -36,6 +37,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -87,6 +89,11 @@ func writeJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, stat
 	w.Write(append(body, '\n'))
 }
 
+// maxSelectBody caps a POST /select body, as the portal's batch endpoint
+// caps its own: one request cannot make the tracker buffer an arbitrarily
+// large candidate list.
+const maxSelectBody = 8 << 20
+
 // selectRoute answers POST /select. Requests share one selector and one
 // RNG, neither of which is for concurrent use, so the selection itself
 // runs under a mutex; decoding and encoding do not.
@@ -94,8 +101,13 @@ func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, m
 	var mu sync.Mutex
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req selectRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(logger, w, r, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSelectBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(logger, w, r, status, errorResponse{Error: "bad request: " + err.Error()})
 			return
 		}
 		if req.M <= 0 {
@@ -109,6 +121,42 @@ func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, m
 		}
 		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
 	}
+}
+
+// viewCache is what the daemon mounts besides /select, whichever shape
+// the deployment runs: MultiPortalViews is one, and onePortal gives a
+// single PortalViews the same Ready. S is the /stats body: one portal's
+// counters, or a map of them by portal.
+type viewCache[S any] interface {
+	apptracker.ViewProvider
+	Stats() S
+	Ready(maxAge time.Duration) (ok bool, detail string)
+}
+
+// onePortal words a single portal's readiness for /readyz.
+type onePortal struct{ *apptracker.PortalViews }
+
+func (p onePortal) Ready(maxAge time.Duration) (bool, string) {
+	if p.PortalViews.Ready(maxAge) {
+		return true, "portal view fresh"
+	}
+	return false, "no fresh portal view (portal unreachable or not yet fetched)"
+}
+
+// mountViews serves /stats and /readyz from the view cache. Ready means
+// a portal view exists and was fetched within 3x the TTL — the same
+// window in which stale-fallback serves are acceptable; in multi-portal
+// mode one fresh portal suffices (degraded-but-serving, with the split
+// in the detail string).
+func mountViews[S any](mux *http.ServeMux, mw *telemetry.Middleware, logger *slog.Logger, cache viewCache[S], ttl time.Duration) apptracker.ViewProvider {
+	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(logger, w, r, http.StatusOK, cache.Stats())
+	}))
+	mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
+		Name:  "portal_view",
+		Probe: func() (bool, string) { return cache.Ready(3 * ttl) },
+	}))
+	return cache
 }
 
 // listFlag collects a repeatable string flag.
@@ -144,25 +192,17 @@ func main() {
 	client.Metrics = portal.NewClientMetrics(reg)
 	vm := apptracker.NewViewMetrics(reg)
 
-	// provider answers selections; statsFn and readyFn back /stats and
-	// /readyz in whichever shape the deployment runs.
+	mux := http.NewServeMux()
+	mw := &telemetry.Middleware{
+		Metrics: telemetry.NewHTTPMetrics(reg, "p4p_http"),
+		Logger:  logger,
+		Tracer:  tracer,
+	}
 	var provider apptracker.ViewProvider
-	var statsFn func() interface{}
-	var readyFn func(maxAge time.Duration) (bool, string)
-
 	if len(urls) > 1 {
 		refs := make([]apptracker.PortalRef, len(urls))
 		for i, u := range urls {
 			refs[i] = apptracker.PortalRef{URL: u}
-		}
-		mpv := apptracker.NewMultiPortalViews(client, refs, *ttl)
-		mpv.Logger = logger
-		mpv.SetMetrics(vm)
-		for i := range refs {
-			mpv.Portal(i).Logger = logger
-			// Background refreshes are off any request path, so they
-			// start their own root spans via the views tracer.
-			mpv.Portal(i).Tracer = tracer
 		}
 		var circuits []federation.Circuit
 		for _, s := range circuitFlags {
@@ -173,56 +213,25 @@ func main() {
 			}
 			circuits = append(circuits, c)
 		}
-		mpv.SetCircuits(circuits)
-		provider = mpv
-		statsFn = func() interface{} { return mpv.Stats() }
-		readyFn = func(maxAge time.Duration) (bool, string) {
-			serving, total := mpv.Ready(maxAge)
-			detail := fmt.Sprintf("%d/%d portal views fresh", serving, total)
-			return serving > 0, detail
-		}
+		mpv := apptracker.NewMultiPortalViews(client, refs, circuits, *ttl)
+		// Portal refreshes are off any request path, so they start their
+		// own root spans via the views tracer.
+		mpv.Logger, mpv.Tracer = logger, tracer
+		mpv.SetMetrics(vm)
+		provider = mountViews(mux, mw, logger, mpv, *ttl)
 	} else {
 		if len(circuitFlags) > 0 {
 			fmt.Fprintln(os.Stderr, "-circuit requires more than one -itracker URL")
 			os.Exit(2)
 		}
 		views := apptracker.NewPortalViews(client, *ttl)
-		views.Logger = logger
-		views.Metrics = vm
-		views.Tracer = tracer
-		provider = views
-		statsFn = func() interface{} { return views.Stats() }
-		readyFn = func(maxAge time.Duration) (bool, string) {
-			if views.Ready(maxAge) {
-				return true, "portal view fresh"
-			}
-			return false, "no fresh portal view (portal unreachable or not yet fetched)"
-		}
+		views.Logger, views.Metrics, views.Tracer = logger, vm, tracer
+		provider = mountViews(mux, mw, logger, onePortal{views}, *ttl)
 	}
 	sel := &apptracker.P4P{Views: provider}
 	rng := rand.New(rand.NewSource(*seed))
-
-	mw := &telemetry.Middleware{
-		Metrics: telemetry.NewHTTPMetrics(reg, "p4p_http"),
-		Logger:  logger,
-		Tracer:  tracer,
-	}
-
-	mux := http.NewServeMux()
 	mux.Handle("POST /select", mw.RouteFunc("select", selectRoute(logger, sel, rng, *mDefault)))
-	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(logger, w, r, http.StatusOK, statsFn())
-	}))
 	mux.Handle("GET /healthz", health.Handler())
-	// Ready while a portal view exists and was fetched within 3x the TTL
-	// — the same window in which stale-fallback serves are acceptable.
-	// In multi-portal mode one fresh portal suffices (degraded-but-
-	// serving, with the split in the detail string).
-	readyAge := 3 * *ttl
-	mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
-		Name:  "portal_view",
-		Probe: func() (bool, string) { return readyFn(readyAge) },
-	}))
 	mw.Preregister()
 
 	// Warm the view in the background so /readyz flips as soon as the

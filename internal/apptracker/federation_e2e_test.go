@@ -101,9 +101,7 @@ func newFederatedProvider(t *testing.T, servers []*httptest.Server, costs [2]flo
 	for i, s := range servers {
 		refs[i] = PortalRef{Name: s.URL, URL: s.URL}
 	}
-	mpv := NewMultiPortalViews(portal.NewClient(servers[0].URL, ""), refs, time.Hour)
-	mpv.SetCircuits(fedCircuits(refs, costs))
-	return mpv
+	return NewMultiPortalViews(portal.NewClient(servers[0].URL, ""), refs, fedCircuits(refs, costs), time.Hour)
 }
 
 // fedSwarm builds a deterministic 90-node swarm, 10 per PID.

@@ -2,13 +2,14 @@ package apptracker
 
 import (
 	"context"
+	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
-	"p4p/internal/core"
 	"p4p/internal/federation"
 	"p4p/internal/portal"
+	"p4p/internal/refresh"
+	"p4p/internal/trace"
 )
 
 // PortalRef names one backend portal a MultiPortalViews consumes.
@@ -22,144 +23,98 @@ type PortalRef struct {
 
 // MultiPortalViews is the paper's real deployment shape on the
 // application side: an appTracker consuming N per-provider portals at
-// once and peer-matching from their union. Each portal gets its own
-// PortalViews underneath — its own TTL, singleflight, failure backoff,
-// and last-known-good view — so shards degrade independently: one
-// stale or dead ISP keeps serving its last-known-good matrix (or drops
-// out entirely) while every other shard stays fresh. The per-shard
-// views compose through federation.Merge with the configured
-// interdomain circuits, so src-PID-in-ISP-A → dst-PID-in-ISP-B
-// resolves via intradomain + interdomain composition and the
-// selector's inter-AS stage sees real cross-provider distances.
-//
-// The merge is cached by the identity of the input views: in steady
-// state every ViewFor is N pointer-equal cache hits and one map
-// lookup, and a recompose happens only when some portal actually
-// delivered a new view (or dropped out).
+// once and peer-matching from their union. It is a ViewProvider over a
+// federation.Union — the value the p4pfed router serves from — so the
+// portals are revalidated together when the merged window expires,
+// degrade independently (a stale or dead ISP keeps contributing its
+// last-known-good matrix, or is left out if it never had one), and
+// compose through federation.Merge with the interdomain circuits:
+// src-PID-in-ISP-A → dst-PID-in-ISP-B resolves via intradomain +
+// interdomain composition and the selector's inter-AS stage sees real
+// cross-provider distances. A merge that fails (two portals claiming
+// one PID) keeps the previous union view, or none: the selector then
+// falls back to native peering.
 type MultiPortalViews struct {
-	// Logger, if non-nil, receives one line per merge failure.
+	// Logger, if non-nil, receives one line per portal refresh failure
+	// and per merge failure.
 	Logger *slog.Logger
+	// Tracer, when non-nil, records each portal refresh as a root span
+	// (see PortalViews.Tracer).
+	Tracer *trace.Tracer
 
-	portals []*PortalViews
-	refs    []PortalRef
-
-	mu        sync.Mutex
-	circuits  []federation.Circuit
-	lastViews []*core.View // merge-cache key: input view identities
-	merged    *core.View
+	tm       refresh.Timing // the union's windows; fake-clock tests set Now
+	names    []string
+	fetchers []ViewFetcher  // per portal; tests swap in scripted ones
+	metrics  []*ViewMetrics // per portal; nil entries until SetMetrics
+	union    *federation.Union[struct{}]
 }
 
-// NewMultiPortalViews builds one PortalViews per ref, each backed by a
+// NewMultiPortalViews consumes one portal per ref, each through a
 // WithBase-derived client sharing base's transport, retry policy, and
-// URL-keyed ETag cache. TTL applies to every portal (zero = default).
-func NewMultiPortalViews(base *portal.Client, refs []PortalRef, ttl time.Duration) *MultiPortalViews {
-	m := &MultiPortalViews{}
-	for _, ref := range refs {
-		if ref.Name == "" {
-			ref.Name = ref.URL
+// URL-keyed ETag cache, joined by circuits (whose shard names are ref
+// names). TTL applies to the union and every portal (zero = default).
+func NewMultiPortalViews(base *portal.Client, refs []PortalRef, circuits []federation.Circuit, ttl time.Duration) *MultiPortalViews {
+	m := &MultiPortalViews{tm: refresh.Timing{TTL: ttl}, names: make([]string, len(refs)),
+		fetchers: make([]ViewFetcher, len(refs)), metrics: make([]*ViewMetrics, len(refs))}
+	for i, ref := range refs {
+		if m.names[i] = ref.Name; ref.Name == "" {
+			m.names[i] = ref.URL
 		}
-		m.refs = append(m.refs, ref)
-		m.portals = append(m.portals, NewPortalViews(base.WithBase(ref.URL), ttl))
+		m.fetchers[i] = base.WithBase(ref.URL)
 	}
+	m.union = federation.NewUnion[struct{}](m.names, circuits, m.timing, m.fetch, nil, m.observe)
 	return m
 }
 
-// Portal returns the underlying PortalViews for the i'th ref, so
-// callers can tune per-portal knobs (timeouts, tracer) directly.
-func (m *MultiPortalViews) Portal(i int) *PortalViews { return m.portals[i] }
+// fetch is the union's member fetch: portal i's view and, from a real
+// portal client, the ETag it arrived under.
+func (m *MultiPortalViews) fetch(ctx context.Context, i int) (mv federation.MemberView, err error) {
+	c := m.fetchers[i]
+	mv.View, err = fetchView(ctx, m.Tracer, m.Logger, c, m.union.Members(m.tm)[i].Held)
+	if pc, ok := c.(*portal.Client); ok {
+		mv.Validator = pc.ViewETag("raw")
+	}
+	return mv, err
+}
 
-// SetMetrics binds per-portal labeled metrics (satellite of DESIGN.md
-// §14): each backend records under its ref name via ViewMetrics.ForPortal.
+func (m *MultiPortalViews) timing() refresh.Timing { return m.tm }
+
+// SetMetrics binds per-portal labeled metrics: each backend records
+// under its ref name via ViewMetrics.ForPortal. Call it before serving.
 func (m *MultiPortalViews) SetMetrics(vm *ViewMetrics) {
-	for i, p := range m.portals {
-		p.Metrics = vm.ForPortal(m.refs[i].Name)
+	for i, name := range m.names {
+		m.metrics[i] = vm.ForPortal(name)
 	}
 }
 
-// SetCircuits replaces the interdomain circuits and invalidates the
-// cached merge, so the next ViewFor composes with the new costs.
-// Circuit shard names are PortalRef names.
-func (m *MultiPortalViews) SetCircuits(cs []federation.Circuit) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.circuits = append([]federation.Circuit(nil), cs...)
-	m.lastViews = nil
-	m.merged = nil
-}
-
-// Invalidate expires every portal's view and backoff, so the next
-// ViewFor refreshes all of them synchronously. Experiment harnesses
-// use it to observe portal-side price updates deterministically.
-func (m *MultiPortalViews) Invalidate() {
-	for _, p := range m.portals {
-		p.Invalidate()
+// observe books one refresh pass of the union: each portal's counter
+// increments go to its labeled metrics, and a failed merge is logged.
+func (m *MultiPortalViews) observe(counted []refresh.Stats, _ *federation.Merged[struct{}], mergeErr error) {
+	for i, d := range counted {
+		m.metrics[i].mirror(d)
+	}
+	if mergeErr != nil && m.Logger != nil {
+		m.Logger.Error("federation merge failed, keeping previous view",
+			slog.String("error", mergeErr.Error()))
 	}
 }
 
-// ViewFor implements ViewProvider over the union view. All portals
-// refresh concurrently (each through its own TTL/singleflight/
-// last-known-good machinery), portals with nothing to offer are left
-// out of the merge, and with no views at all it returns nil so the
-// selector degrades to native peering.
+// Invalidate expires the union view, every portal's view and any
+// failure backoff, so the next ViewFor refreshes all of them
+// synchronously. Experiment harnesses use it to observe portal-side
+// price updates deterministically.
+func (m *MultiPortalViews) Invalidate() { m.union.Invalidate() }
+
+// ViewFor implements ViewProvider over the union view; with no view at
+// all (cold start, every portal down, or portals that will not merge)
+// it returns nil so the selector degrades to native peering.
 //
-//p4p:coldpath fan-out refresh and merge; the steady-state cost is the pointer-identity cache check
+//p4p:hotpath the held-view path is the merged cell's atomic load and clock read
 func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
-	views := make([]*core.View, len(m.portals))
-	var wg sync.WaitGroup
-	for i, p := range m.portals {
-		wg.Add(1)
-		go func(i int, p *PortalViews) {
-			defer wg.Done()
-			views[i] = p.ViewFor(asn)
-		}(i, p)
+	if u := m.union.Get(viewCtx, m.tm).Value; u != nil {
+		return u.View
 	}
-	wg.Wait()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.lastViews != nil && sameViews(m.lastViews, views) {
-		return m.merged
-	}
-	shards := make([]federation.ShardView, 0, len(views))
-	for i, v := range views {
-		if v != nil {
-			shards = append(shards, federation.ShardView{Name: m.refs[i].Name, View: v})
-		}
-	}
-	m.lastViews = views
-	if len(shards) == 0 {
-		m.merged = nil
-		return nil
-	}
-	merged, err := federation.Merge(shards, m.circuits)
-	if err != nil {
-		// Overlapping shards: a configuration error. Serve nothing
-		// rather than a view known to be wrong; the selector falls back
-		// to native peering.
-		if m.Logger != nil {
-			m.Logger.Error("federation merge failed, degrading to native peering",
-				slog.String("error", err.Error()))
-		}
-		m.merged = nil
-		return nil
-	}
-	m.merged = merged
-	return merged
-}
-
-// sameViews reports whether two input snapshots hold identical view
-// pointers (PortalViews returns the same *core.View until a refresh
-// replaces it, so pointer identity is exactly "nothing changed").
-func sameViews(a, b []*core.View) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return nil
 }
 
 // BatchDistances answers src→dst queries from the merged view; pairs
@@ -169,35 +124,32 @@ func (m *MultiPortalViews) BatchDistances(ctx context.Context, pairs []portal.PI
 	if len(pairs) == 0 {
 		return nil, nil
 	}
-	v := m.ViewFor(0)
-	if v == nil || !viewCovers(v, pairs) {
-		return nil, errNoBatchSource
+	if out := heldDistances(m.ViewFor(0), pairs); out != nil {
+		return out, nil
 	}
-	out := make([]float64, len(pairs))
-	for i, pr := range pairs {
-		out[i] = v.Distance(pr.Src, pr.Dst)
-	}
-	return out, nil
+	return nil, errNoBatchSource
 }
 
-// Ready reports how many portals hold a view no older than maxAge
-// (maxAge <= 0 accepts any held view). An appTracker is ready when at
-// least one portal serves — degraded-but-useful is the paper's
-// explicit operating mode — and /readyz details the split.
-func (m *MultiPortalViews) Ready(maxAge time.Duration) (serving, total int) {
-	for _, p := range m.portals {
-		if p.Ready(maxAge) {
-			serving++
+// Ready reports whether any portal holds a view no older than maxAge
+// (maxAge <= 0 accepts any held view) — degraded-but-useful is the
+// paper's explicit operating mode — and details the split for /readyz.
+func (m *MultiPortalViews) Ready(maxAge time.Duration) (bool, string) {
+	fresh := 0
+	for _, s := range m.union.Members(m.tm) {
+		if s.Held && (maxAge <= 0 || s.Age <= maxAge) {
+			fresh++
 		}
 	}
-	return serving, len(m.portals)
+	return fresh > 0, fmt.Sprintf("%d/%d portal views fresh", fresh, len(m.names))
 }
 
 // Stats snapshots every portal's cache counters, keyed by ref name.
+// StaleServes and NilServes count refresh passes of the union that
+// found the portal stale or empty, not selections.
 func (m *MultiPortalViews) Stats() map[string]ViewStats {
-	out := make(map[string]ViewStats, len(m.portals))
-	for i, p := range m.portals {
-		out[m.refs[i].Name] = p.Stats()
+	out := make(map[string]ViewStats, len(m.names))
+	for i, s := range m.union.Members(m.tm) {
+		out[m.names[i]] = s.Stats
 	}
 	return out
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,22 +28,19 @@ func mviewWest(version int) *core.View {
 	return &core.View{Version: version, PIDs: []topology.PID{10, 11}, D: [][]float64{{0, 4}, {4, 0}}}
 }
 
-// newTestMulti wires a MultiPortalViews over scripted fetchers and one
-// shared fake clock, bypassing real HTTP.
+// newTestMulti wires a MultiPortalViews over scripted fetchers and a
+// fake clock, bypassing real HTTP. Scripted fetchers carry no validator,
+// so the union tells their views apart by version alone.
 func newTestMulti(t *testing.T, fetchers ...*scriptedFetcher) (*MultiPortalViews, *fakeClock) {
 	t.Helper()
 	refs := []PortalRef{{Name: "east", URL: "http://east.test"}, {Name: "west", URL: "http://west.test"}}
-	if len(fetchers) == 3 {
-		refs = append(refs, PortalRef{Name: "south", URL: "http://south.test"})
-	}
-	mpv := NewMultiPortalViews(portal.NewClient("http://unused.test", ""), refs[:len(fetchers)], 30*time.Second)
+	mpv := NewMultiPortalViews(portal.NewClient("http://unused.test", ""), refs[:len(fetchers)],
+		[]federation.Circuit{{A: "east", APID: 1, B: "west", BPID: 10, Cost: 7}}, 30*time.Second)
 	clk := newFakeClock()
+	mpv.tm.Now = clk.Now
 	for i, f := range fetchers {
-		p := mpv.Portal(i)
-		p.Client = f
-		p.nowFn = clk.Now
+		mpv.fetchers[i] = f
 	}
-	mpv.SetCircuits([]federation.Circuit{{A: "east", APID: 1, B: "west", BPID: 10, Cost: 7}})
 	return mpv, clk
 }
 
@@ -62,8 +61,8 @@ func TestMultiPortalViewsMergesAcrossPortals(t *testing.T) {
 		t.Errorf("intradomain d(0,1) = %v, want 2", got)
 	}
 
-	// Steady state: the merge is cached by view identity — repeated
-	// calls return the same *core.View without refetching or remerging.
+	// Steady state: inside the merged TTL repeated calls return the same
+	// *core.View without refetching or remerging.
 	dv2 := mpv.ViewFor(0)
 	if dv2 != v {
 		t.Error("merged view not cached across calls with unchanged inputs")
@@ -91,10 +90,12 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 		t.Fatal("west PIDs missing from healthy merge")
 	}
 
-	// West dies past TTL+backoff: its last-known-good view keeps the
-	// union whole while stats attribute the staleness to west alone.
+	// West dies and the merged window expires: its last-known-good view
+	// keeps the union whole while stats attribute the staleness to west
+	// alone. A dead portal is retried when the merged window next
+	// expires, not after FailureBackoff (staleness <= TTL + backoff).
 	westUp = false
-	mpv.Invalidate()
+	clk.Advance(31 * time.Second)
 	v2 := mpv.ViewFor(0)
 	if v2 == nil {
 		t.Fatal("ViewFor = nil with east healthy and west on last-known-good")
@@ -103,8 +104,24 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 		t.Error("west's last-known-good view dropped from the merge")
 	}
 	st := mpv.Stats()
-	if st["west"].Failures == 0 {
-		t.Errorf("west stats show no failures: %+v", st["west"])
+	if st["west"].Failures != 1 || st["west"].StaleServes != 1 {
+		t.Errorf("west stats = %+v, want one failure and one stale serve (StaleServes counts merge passes)", st["west"])
+	}
+	for i := 0; i < 3; i++ {
+		mpv.ViewFor(0) // selections inside the merged window touch no portal
+	}
+	if got := mpv.Stats()["west"]; got != st["west"] {
+		t.Errorf("west stats moved without a merge pass: %+v -> %+v", st["west"], got)
+	}
+	clk.Advance(6 * time.Second) // past west's failure backoff, inside the merged TTL
+	mpv.ViewFor(0)
+	if n := west.calls.Load(); n != 2 {
+		t.Errorf("west fetched %d times, want 2: a dead portal waits for the merged window", n)
+	}
+	clk.Advance(25 * time.Second) // merged window over
+	mpv.ViewFor(0)
+	if n := west.calls.Load(); n != 3 {
+		t.Errorf("west fetched %d times, want 3 once the merged window expired", n)
 	}
 	if st["east"].Failures != 0 {
 		t.Errorf("east wrongly charged with failures: %+v", st["east"])
@@ -114,12 +131,12 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 	// west only holds a last-known-good view, so any freshness bound
 	// excludes it — exactly the "1/2 portal views fresh" split /readyz
 	// reports.
-	if serving, total := mpv.Ready(time.Minute); serving != 1 || total != 2 {
-		t.Errorf("Ready = %d/%d, want 1/2", serving, total)
+	if ok, detail := mpv.Ready(time.Minute); !ok || !strings.HasPrefix(detail, "1/2 ") {
+		t.Errorf("Ready = %v %q, want ready at 1/2", ok, detail)
 	}
 	clk.Advance(2 * time.Minute)
-	if serving, total := mpv.Ready(time.Minute); total != 2 || serving != 0 {
-		t.Errorf("Ready after aging = %d/%d, want 0/2", serving, total)
+	if ok, detail := mpv.Ready(time.Minute); ok || !strings.HasPrefix(detail, "0/2 ") {
+		t.Errorf("Ready after aging = %v %q, want not ready at 0/2", ok, detail)
 	}
 }
 
@@ -136,19 +153,43 @@ func TestMultiPortalViewsAllPortalsDownReturnsNil(t *testing.T) {
 	}
 }
 
+// errorLines is a slog handler counting Error records.
+type errorLines struct{ n atomic.Int64 }
+
+func (h *errorLines) Enabled(context.Context, slog.Level) bool { return true }
+func (h *errorLines) Handle(_ context.Context, r slog.Record) error {
+	if r.Level >= slog.LevelError {
+		h.n.Add(1)
+	}
+	return nil
+}
+func (h *errorLines) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h *errorLines) WithGroup(string) slog.Handler      { return h }
+
 func TestMultiPortalViewsMergeConflictDegrades(t *testing.T) {
 	// Two portals claiming PID 0 is a deployment misconfiguration: the
 	// merge fails and selection degrades to native peering rather than
 	// serving a known-wrong matrix.
 	east := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewEast(1), nil }}
 	eastToo := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewEast(9), nil }}
-	mpv, _ := newTestMulti(t, east, eastToo)
+	mpv, clk := newTestMulti(t, east, eastToo)
+	errs := &errorLines{}
+	mpv.Logger = slog.New(errs)
 	if dv := mpv.ViewFor(0); dv != nil {
 		t.Fatalf("ViewFor = %#v, want nil on merge conflict", dv)
 	}
-	// The failure is cached like a success: no re-merge storm.
+	// The failure is a failed refresh like any other: it backs off, so
+	// the next selection neither re-runs Merge nor logs again.
 	if dv := mpv.ViewFor(0); dv != nil {
-		t.Fatal("conflict result not cached")
+		t.Fatal("conflict produced a view on the second call")
+	}
+	if n := errs.n.Load(); n != 1 {
+		t.Errorf("%d merge failures logged across two calls inside one backoff window, want 1", n)
+	}
+	clk.Advance(6 * time.Second) // past the 5 s default failure backoff
+	mpv.ViewFor(0)
+	if n := errs.n.Load(); n != 2 {
+		t.Errorf("%d merge failures logged after the backoff expired, want 2", n)
 	}
 }
 
@@ -178,18 +219,27 @@ func TestMultiPortalViewsRecomposesOnRefresh(t *testing.T) {
 	}
 }
 
-func TestMultiPortalViewsCircuitChangeInvalidatesMerge(t *testing.T) {
+// TestMultiPortalViewForSteadyStateAllocs pins what a selection pays for
+// the multi-portal view inside the merged window: the merged cell's
+// atomic load and a clock read — no allocation, no goroutine. It used to
+// be a slice, a WaitGroup and one goroutine per portal on every call.
+func TestMultiPortalViewForSteadyStateAllocs(t *testing.T) {
 	east := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewEast(1), nil }}
 	west := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewWest(1), nil }}
 	mpv, _ := newTestMulti(t, east, west)
-	v1 := mpv.ViewFor(0)
-	if got := v1.Distance(1, 10); got != 7 {
-		t.Fatalf("d(1,10) = %v, want 7", got)
+	want := mpv.ViewFor(0) // prime the merge
+	before := runtime.NumGoroutine()
+	allocs := testing.AllocsPerRun(500, func() {
+		if mpv.ViewFor(0) != want {
+			t.Fatal("held view changed inside the merged window")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("held-view ViewFor: %.1f allocs/op, want 0", allocs)
 	}
-	mpv.SetCircuits(nil)
-	v2 := mpv.ViewFor(0)
-	if got := v2.Distance(1, 10); !math.IsInf(got, 1) {
-		t.Errorf("d(1,10) = %v after dropping circuits, want +Inf", got)
+	// Only growth counts: stragglers of earlier tests may still be exiting.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines %d -> %d across held-view ViewFor calls", before, after)
 	}
 }
 

@@ -170,6 +170,11 @@ func (p *PortalViews) timing() refresh.Timing {
 	return refresh.Timing{TTL: p.TTL, RefreshTimeout: p.RefreshTimeout, FailureBackoff: p.FailureBackoff, Now: p.nowFn}
 }
 
+// viewCtx is the context every ViewFor refreshes under.
+//
+//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; RefreshTimeout is the refresh's only ancestor deadline
+var viewCtx = context.Background()
+
 // ViewFor implements ViewProvider. The ASN argument is unused: one
 // PortalViews speaks for the one iTracker its client points at. It has
 // no context to wait with, so a cold start with another caller's first
@@ -178,8 +183,7 @@ func (p *PortalViews) timing() refresh.Timing {
 //
 //p4p:hotpath the held-view path is the cell's atomic load and clock read
 func (p *PortalViews) ViewFor(asn int) DistanceView {
-	//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; RefreshTimeout is the refresh's only ancestor deadline
-	r := p.cell.Get(context.Background(), p.timing())
+	r := p.cell.Get(viewCtx, p.timing())
 	if r.Counted != (ViewStats{}) {
 		p.Metrics.mirror(r.Counted)
 	}
@@ -189,21 +193,28 @@ func (p *PortalViews) ViewFor(asn int) DistanceView {
 	return r.Value
 }
 
-// fetch is the cell's refresh: one portal round-trip, traced as its own
-// root span and logged when it fails.
+// fetch is the cell's refresh.
+func (p *PortalViews) fetch(ctx context.Context) (*core.View, error) {
+	_, _, held := p.LastKnownGood()
+	return fetchView(ctx, p.Tracer, p.Logger, p.Client, held)
+}
+
+// fetchView is one portal round-trip for a view cell, traced as its own
+// root span and logged when it fails; held says whether a
+// last-known-good view would back a failure.
 //
 //p4p:coldpath network fetch, tracing and logging
-func (p *PortalViews) fetch(ctx context.Context) (*core.View, error) {
-	ctx, span := p.Tracer.StartRoot(ctx, "view_refresh")
+func fetchView(ctx context.Context, tr *trace.Tracer, l *slog.Logger, c ViewFetcher, held bool) (*core.View, error) {
+	ctx, span := tr.StartRoot(ctx, "view_refresh")
 	defer span.End()
-	v, err := p.Client.DistancesContext(ctx)
+	v, err := c.DistancesContext(ctx)
 	if err != nil {
-		if p.Logger != nil {
-			p.Logger.Warn("portal refresh failed, serving last-known-good",
+		if l != nil {
+			l.Warn("portal refresh failed, serving last-known-good",
 				slog.String("error", err.Error()))
 		}
 		span.RecordError(err)
-		if _, _, held := p.LastKnownGood(); held {
+		if held {
 			span.SetAttr("outcome", "stale_fallback")
 		} else {
 			span.SetAttr("outcome", "nil_fallback")
@@ -235,12 +246,8 @@ func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair
 	ctx, span := trace.StartSpan(ctx, "batch_distances")
 	defer span.End()
 	span.SetAttrInt("pairs", len(pairs))
-	if v := p.ViewFor(0); v != nil && viewCovers(v, pairs) {
+	if out := heldDistances(p.ViewFor(0), pairs); out != nil {
 		span.SetAttr("source", "held_view")
-		out := make([]float64, len(pairs))
-		for i, pr := range pairs {
-			out[i] = v.Distance(pr.Src, pr.Dst)
-		}
 		return out, nil
 	}
 	bf, ok := p.Client.(BatchFetcher)
@@ -258,18 +265,24 @@ func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair
 	return res.Distances, nil
 }
 
-// viewCovers reports whether every PID in pairs is present in the view
-// (View.Distance panics on absent PIDs).
-func viewCovers(v *core.View, pairs []portal.PIDPair) bool {
-	for _, pr := range pairs {
+// heldDistances answers pairs (at least one) from a held view, or nil
+// when there is none or it lacks one of their PIDs (View.Distance panics
+// on absent PIDs).
+func heldDistances(v *core.View, pairs []portal.PIDPair) []float64 {
+	if v == nil {
+		return nil
+	}
+	out := make([]float64, len(pairs))
+	for i, pr := range pairs {
 		if _, ok := v.Index(pr.Src); !ok {
-			return false
+			return nil
 		}
 		if _, ok := v.Index(pr.Dst); !ok {
-			return false
+			return nil
 		}
+		out[i] = v.Distance(pr.Src, pr.Dst)
 	}
-	return true
+	return out
 }
 
 // Ready reports whether the appTracker holds portal data fresh enough

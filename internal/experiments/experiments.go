@@ -336,7 +336,7 @@ func delaySelector(r *topology.Routing, seed int64) apptracker.Selector {
 
 // spreadClients adds n leecher clients across the PIDs with joins
 // spread over joinWindow seconds, plus one seed at pids[0]. Placement
-// follows populationWeights: client density is highly non-uniform in
+// follows populationCDF: client density is highly non-uniform in
 // practice ("consider the high concentration of clients in certain
 // areas such as the northeastern part of US", Section 2), and that skew
 // is exactly what makes pure locality-based peering concentrate traffic
@@ -345,21 +345,10 @@ func spreadClients(s *p2psim.Sim, pids []topology.PID, asn, n int, upBps, downBp
 	s.AddClient(p2psim.ClientSpec{
 		PID: pids[0], ASN: asn, UpBps: seedUpBps, DownBps: seedUpBps, IsSeed: true, Class: "seed",
 	})
-	weights := populationWeights(s, pids)
-	cum := make([]float64, len(weights))
-	total := 0.0
-	for i, w := range weights {
-		total += w
-		cum[i] = total
-	}
+	cum := populationCDF(s, pids)
 	for i := 0; i < n; i++ {
-		x := rng.Float64() * total
-		k := sort.SearchFloat64s(cum, x)
-		if k >= len(pids) {
-			k = len(pids) - 1
-		}
 		s.AddClient(p2psim.ClientSpec{
-			PID:     pids[k],
+			PID:     pids[samplePID(cum, rng.Float64())],
 			ASN:     asn,
 			UpBps:   upBps,
 			DownBps: downBps,
@@ -368,10 +357,21 @@ func spreadClients(s *p2psim.Sim, pids []topology.PID, asn, n int, upBps, downBp
 	}
 }
 
-// populationWeights assigns placement probability per PID. Abilene gets
-// a metro-population profile with the northeastern concentration the
-// paper calls out; other topologies get a Zipf profile over PIDs.
-func populationWeights(s *p2psim.Sim, pids []topology.PID) []float64 {
+// samplePID maps u in [0, 1) to the index whose cumulative weight first
+// reaches u of the total.
+func samplePID(cum []float64, u float64) int {
+	k := sort.SearchFloat64s(cum, u*cum[len(cum)-1])
+	if k >= len(cum) {
+		k = len(cum) - 1
+	}
+	return k
+}
+
+// populationCDF assigns placement weight per PID and returns the running
+// sums (the last is the total). Abilene gets a metro-population profile
+// with the northeastern concentration the paper calls out; other
+// topologies get a Zipf profile over PIDs.
+func populationCDF(s *p2psim.Sim, pids []topology.PID) []float64 {
 	g := s.Graph()
 	abilene := map[string]float64{
 		"NewYork": 0.22, "WashingtonDC": 0.18, "Chicago": 0.12,
@@ -379,18 +379,17 @@ func populationWeights(s *p2psim.Sim, pids []topology.PID) []float64 {
 		"Houston": 0.06, "Denver": 0.05, "KansasCity": 0.04,
 		"Seattle": 0.04, "Sunnyvale": 0.03,
 	}
-	out := make([]float64, len(pids))
-	isAbilene := g.Name == "Abilene"
+	cum := make([]float64, len(pids))
+	total := 0.0
 	for i, pid := range pids {
-		if isAbilene {
-			if w, ok := abilene[g.Node(pid).Name]; ok {
-				out[i] = w
-				continue
-			}
+		w, ok := abilene[g.Node(pid).Name]
+		if !ok || g.Name != "Abilene" {
+			w = 1 / float64(i+1) // Zipf(1)
 		}
-		out[i] = 1 / float64(i+1) // Zipf(1)
+		total += w
+		cum[i] = total
 	}
-	return out
+	return cum
 }
 
 // meanOrNaN guards empty slices.

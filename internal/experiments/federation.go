@@ -90,8 +90,7 @@ func FederationPair(opt Options) *Report {
 	// immediately, and retrying it would only add backoff sleeps to the
 	// degradation phase below.
 	base.Retry.MaxAttempts = 1
-	mpv := apptracker.NewMultiPortalViews(base, refs, time.Hour)
-	mpv.SetCircuits(circuits)
+	mpv := apptracker.NewMultiPortalViews(base, refs, circuits, time.Hour)
 	fedView := mpv.ViewFor(asns[0])
 	if fedView == nil {
 		rep.note("federation produced no view; aborting")

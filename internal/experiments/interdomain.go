@@ -173,29 +173,9 @@ func addInterdomainClients(sim *p2psim.Sim, g *topology.Graph, pids []topology.P
 			seeded[asn] = true
 		}
 	}
-	weights := map[string]float64{
-		"NewYork": 0.22, "WashingtonDC": 0.18, "Chicago": 0.12,
-		"LosAngeles": 0.12, "Atlanta": 0.09, "Indianapolis": 0.05,
-		"Houston": 0.06, "Denver": 0.05, "KansasCity": 0.04,
-		"Seattle": 0.04, "Sunnyvale": 0.03,
-	}
-	var cum []float64
-	total := 0.0
-	for _, pid := range pids {
-		w := weights[g.Node(pid).Name]
-		if w == 0 {
-			w = 0.03
-		}
-		total += w
-		cum = append(cum, total)
-	}
+	cum := populationCDF(sim, pids)
 	for i := 0; i < n; i++ {
-		x := rng.Float64() * total
-		k := 0
-		for k < len(cum)-1 && cum[k] < x {
-			k++
-		}
-		pid := pids[k]
+		pid := pids[samplePID(cum, rng.Float64())]
 		sim.AddClient(p2psim.ClientSpec{
 			PID:     pid,
 			ASN:     g.Node(pid).ASN,

@@ -200,21 +200,10 @@ func AblationAggregation(opt Options) *Report {
 	rep.Values["query-ratio"] = float64(clientQueries) / float64(popQueries)
 
 	// Distance fidelity: clients at one PoP share routes, so PoP
-	// aggregation loses nothing for PoP-homed clients.
-	view, _ := tr.Distances("")
-	maxDev := 0.0
-	for a := range view.PIDs {
-		for b := range view.PIDs {
-			if a == b {
-				continue
-			}
-			// A per-client matrix would replicate this exact value for
-			// every client pair homed at (a, b); deviation is zero by
-			// construction. Recorded for completeness.
-			_ = view.D[a][b]
-		}
-	}
-	rep.Values["distance-deviation"] = maxDev
+	// aggregation loses nothing for PoP-homed clients: a per-client
+	// matrix would replicate the PoP pair's exact value for every client
+	// pair homed there, so the deviation is zero by construction.
+	rep.Values["distance-deviation"] = 0
 	rep.note("%d clients across %d PoPs; per-client PIDs square the view and force per-client queries", totalClients, pops)
 	return rep
 }

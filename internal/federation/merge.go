@@ -3,18 +3,19 @@
 // provider maintains an iTracker for its own network", appTrackers
 // consuming many portals at once — means nobody ever holds a global
 // engine: every participant sees only per-shard external views plus
-// the interdomain circuits that join them. This package owns the two
-// consumers of that shape:
+// the interdomain circuits that join them. This package owns that shape
+// in three layers:
 //
 //   - Merge composes N shard views and the circuits between them into
 //     one union *core.View (intradomain distances authoritative from
 //     the owning provider, cross-shard distances via intradomain +
 //     interdomain composition, Section 5.4 generalized to live views).
-//   - Router (router.go) is the shard-routing front end that serves the
-//     merged view over the standard portal wire protocol, with per-shard
-//     ETags composed into a federation ETag and per-shard degradation.
-//
-// apptracker.MultiPortalViews builds on Merge from the consuming side.
+//   - Union (union.go) keeps one last-known-good view per member and
+//     the merge of them fresh, with per-member degradation.
+//   - Router (router.go) owns a Union and serves its merged view over
+//     the standard portal wire protocol, per-member validators composed
+//     into a federation ETag. apptracker.MultiPortalViews owns another
+//     from the consuming side.
 package federation
 
 import (

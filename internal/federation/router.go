@@ -10,8 +10,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"p4p/internal/core"
@@ -20,7 +18,6 @@ import (
 	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
-	"p4p/internal/trace"
 )
 
 // ShardConfig names one backend portal and the PID shard it speaks for.
@@ -71,21 +68,6 @@ type Config struct {
 	Client *portal.Client
 }
 
-// shardState is one backend portal: its client and the cell holding its
-// last-known-good view.
-type shardState struct {
-	cfg    ShardConfig
-	client *portal.Client
-	cell   refresh.Cell[shardView]
-}
-
-// shardView is what one backend fetch yields: the view and the client's
-// validator for it ("" when the backend sent none).
-type shardView struct {
-	view *core.View
-	etag string
-}
-
 // ShardStats counts one shard's refresh behavior (see ShardStatus for
 // the /stats wire form).
 type ShardStats struct {
@@ -100,21 +82,12 @@ type ShardStats struct {
 	StaleServes int64 `json:"stale_serves"`
 }
 
-// mergedEntry is one published federation state: the merged view and
-// both rendered forms. Immutable once stored.
-type mergedEntry struct {
-	// key fingerprints the inputs: per-shard ETag + version, or
-	// "absent". Same key ⇒ same merged bytes, so a revalidation pass
-	// where every backend said 304 republishes the previous encoding.
-	key           string
-	view          *core.View
-	shardsServing int
-	shardsFresh   int
-	raw, ranks    *portal.Entry
-}
+// forms is what the router publishes beside each merged view: both
+// wire forms, rendered once per input change.
+type forms struct{ raw, ranks *portal.Entry }
 
 // RouterMetrics instruments the federation router. Per-shard families
-// carry a "shard" label. All recording methods are nil-safe.
+// carry a "shard" label.
 type RouterMetrics struct {
 	// ShardRefreshes counts successful per-shard view fetches.
 	ShardRefreshes *telemetry.CounterVec
@@ -151,31 +124,6 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 	}
 }
 
-// mirrorShard adds one shard read's counter increments to the labeled
-// families, so /metrics tracks the per-shard stats exactly.
-func (m *RouterMetrics) mirrorShard(name string, d refresh.Stats) {
-	if m == nil {
-		return
-	}
-	m.ShardRefreshes.With(name).Add(float64(d.Refreshes))
-	m.ShardFailures.With(name).Add(float64(d.Failures))
-	m.ShardStaleServes.With(name).Add(float64(d.StaleServes))
-}
-
-func (m *RouterMetrics) merge(pids, serving int) {
-	if m != nil {
-		m.Merges.Inc()
-		m.MergedPIDs.Set(float64(pids))
-		m.ShardsServing.Set(float64(serving))
-	}
-}
-
-func (m *RouterMetrics) serving(n int) {
-	if m != nil {
-		m.ShardsServing.Set(float64(n))
-	}
-}
-
 // Router is the federation front end: it owns the shard map, keeps one
 // last-known-good view per backend portal, and is the portal handler
 // over their merge —
@@ -206,9 +154,9 @@ type Router struct {
 	cfg       Config
 	portal    *portal.Handler
 	bootNonce string
-	shards    []*shardState
+	clients   []*portal.Client // per shard, in cfg.Shards order
 	trusted   map[string]bool
-	merged    refresh.Cell[*mergedEntry]
+	union     *Union[forms]
 
 	// nowFn, when non-nil, replaces time.Now so tests drive TTL and
 	// backoff windows with a fake clock instead of sleeping.
@@ -255,16 +203,16 @@ func NewRouter(cfg Config) (*Router, error) {
 	for _, tok := range cfg.TrustedTokens {
 		rt.trusted[tok] = true
 	}
-	for _, sc := range cfg.Shards {
+	shardNames := make([]string, len(cfg.Shards))
+	for i, sc := range cfg.Shards {
 		c := base.WithBase(sc.BaseURL)
 		if sc.Token != "" {
 			c.Token = sc.Token
 		}
-		s := &shardState{cfg: sc, client: c}
-		s.cell.Fetch = func(ctx context.Context) (shardView, error) { return rt.fetchShard(ctx, s) }
-		rt.shards = append(rt.shards, s)
+		rt.clients = append(rt.clients, c)
+		shardNames[i] = sc.Name
 	}
-	rt.merged.Fetch = rt.refreshMerged
+	rt.union = NewUnion(shardNames, cfg.Circuits, rt.timing, rt.fetchShard, rt.render, rt.observe)
 	rt.portal = portal.NewSourceHandler(source{rt})
 	rt.Telemetry = &rt.portal.Telemetry
 	rt.portal.Handle("GET /stats", rt.Telemetry.RouteFunc("stats", rt.handleStats))
@@ -278,7 +226,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rt.portal.ServeHTTP(w, r)
 }
 
-// timing is the one set of windows every cell in the router runs on.
+// timing is the one set of windows every cell in the union runs on.
 func (rt *Router) timing() refresh.Timing {
 	return refresh.Timing{TTL: rt.cfg.TTL, RefreshTimeout: rt.cfg.RefreshTimeout, FailureBackoff: rt.cfg.FailureBackoff, Now: rt.nowFn}
 }
@@ -298,24 +246,23 @@ type source struct{ rt *Router }
 // shard down since boot, or shards that cannot be merged.
 var errNoShardViews = fmt.Errorf("%w: no merged federation view yet", portal.ErrUnavailable)
 
-// current returns the merged entry to serve: the published one inside
-// its TTL (one atomic load and a clock read), else whatever the merged
-// cell's refresh produces, or last-known-good while one runs.
+// current returns the merged state to serve: the union's, behind the
+// router's own auth.
 //
 //p4p:hotpath
-func (s source) current(ctx context.Context, token string) (*mergedEntry, error) {
+func (s source) current(ctx context.Context, token string) (*Merged[forms], error) {
 	rt := s.rt
 	if !rt.admits(token) {
 		return nil, portal.ErrAccessDenied
 	}
 	tm := rt.timing()
-	r := rt.merged.Get(ctx, tm)
+	r := rt.union.Get(ctx, tm)
 	if r.Wait != nil {
 		// Cold start behind another request's first refresh: wait for it
 		// instead of answering a 503 the winner is about to obsolete.
 		select {
 		case <-r.Wait:
-			r.Value = rt.merged.Snapshot(tm).Value
+			r.Value = rt.union.Current(tm)
 		case <-ctx.Done():
 		}
 	}
@@ -334,9 +281,9 @@ func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, e
 		return nil, err
 	}
 	if form == "ranks" {
-		return ent.ranks, nil
+		return ent.Rendered.ranks, nil
 	}
-	return ent.raw, nil
+	return ent.Rendered.raw, nil
 }
 
 // View implements portal.ViewSource.
@@ -347,7 +294,7 @@ func (s source) View(ctx context.Context, token string) (*core.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ent.view, nil
+	return ent.View, nil
 }
 
 // LookupPID implements portal.ViewSource by proxying shard by shard: PID
@@ -357,108 +304,57 @@ func (s source) LookupPID(ctx context.Context, token string, ip net.IP) (portal.
 	if !s.rt.admits(token) {
 		return portal.PIDLookupWire{}, portal.ErrAccessDenied
 	}
-	for _, sh := range s.rt.shards {
-		if out, err := sh.client.LookupPIDContext(ctx, ip); err == nil {
+	for _, c := range s.rt.clients {
+		if out, err := c.LookupPIDContext(ctx, ip); err == nil {
 			return out, nil
 		}
 	}
 	return portal.PIDLookupWire{}, errors.New("no shard maps this IP")
 }
 
-// refreshMerged is the merged cell's fetch: it revalidates every shard
-// concurrently through the shard's own cell, then publishes the merge
-// of whatever views exist. Shards in failure backoff, and shards that
-// fail now, contribute their last-known-good view; only a shard with
-// no view at all drops out of the merge. Any error — nothing to merge,
-// overlapping PIDs, an unencodable matrix — is a failed refresh: the
-// cell keeps the previous entry and retries after the failure backoff.
-//
-//p4p:coldpath
-func (rt *Router) refreshMerged(ctx context.Context) (_ *mergedEntry, err error) {
-	ctx, span := trace.StartSpan(ctx, "federation_refresh")
-	defer span.End()
-	defer func() {
-		if err != nil {
-			span.RecordError(err)
+// observe is the union's per-pass callback: each shard read's counter
+// increments go to the labeled families, so /metrics tracks the
+// per-shard stats exactly; a new merge moves the merge families; a
+// failed one is an Error line (the merged cell's backoff paces them).
+func (rt *Router) observe(counted []refresh.Stats, merged *Merged[forms], mergeErr error) {
+	if m := rt.Metrics; m != nil {
+		for i, d := range counted {
+			name := rt.cfg.Shards[i].Name
+			m.ShardRefreshes.With(name).Add(float64(d.Refreshes))
+			m.ShardFailures.With(name).Add(float64(d.Failures))
+			m.ShardStaleServes.With(name).Add(float64(d.StaleServes))
 		}
-	}()
-	tm := rt.timing()
-	reads := make([]refresh.Read[shardView], len(rt.shards))
-	var wg sync.WaitGroup
-	for i, s := range rt.shards {
-		wg.Add(1)
-		go func(i int, s *shardState) {
-			defer wg.Done()
-			reads[i] = s.cell.Get(ctx, tm)
-		}(i, s)
-	}
-	wg.Wait()
-
-	views := make([]ShardView, 0, len(rt.shards))
-	var keyb strings.Builder
-	fresh := 0
-	for i, s := range rt.shards {
-		r := reads[i]
-		rt.Metrics.mirrorShard(s.cfg.Name, r.Counted)
-		if !r.Held {
-			fmt.Fprintf(&keyb, "%s=absent;", s.cfg.Name)
-			continue
-		}
-		fmt.Fprintf(&keyb, "%s=%s#%d;", s.cfg.Name, r.Value.etag, r.Value.view.Version)
-		views = append(views, ShardView{Name: s.cfg.Name, View: r.Value.view})
-		if r.Fresh {
-			fresh++
+		if merged != nil {
+			m.Merges.Inc()
+			m.MergedPIDs.Set(float64(len(merged.View.PIDs)))
+			m.ShardsServing.Set(float64(merged.Serving))
 		}
 	}
-	serving := len(views)
-	span.SetAttrInt("shards_serving", serving)
-	if serving == 0 {
-		rt.Metrics.serving(0)
-		return nil, errNoShardViews
+	if l := rt.Telemetry.Logger; l != nil && mergeErr != nil {
+		l.Error("federation merge failed, keeping previous view",
+			slog.String("error", mergeErr.Error()))
 	}
-	key := keyb.String()
-	if prev := rt.merged.Snapshot(tm).Value; prev != nil && prev.key == key {
-		// Nothing changed: republish the previous encoding under a new
-		// TTL window. Bodies and header slices are shared, immutable.
-		ent := *prev
-		ent.shardsServing, ent.shardsFresh = serving, fresh
-		return &ent, nil
-	}
-	ent, err := rt.render(views, key)
-	if err != nil {
-		// Two shards serving the same PID (or a matrix that will not
-		// encode): a deployment error, not a transient. Keep the previous
-		// merge (if any) rather than serve a view we know is wrong.
-		if l := rt.Telemetry.Logger; l != nil {
-			l.Error("federation merge failed, keeping previous view",
-				slog.String("error", err.Error()))
-		}
-		return nil, err
-	}
-	ent.shardsServing, ent.shardsFresh = serving, fresh
-	rt.Metrics.merge(len(ent.view.PIDs), serving)
-	span.SetAttrInt("merged_pids", len(ent.view.PIDs))
-	return ent, nil
 }
 
-// fetchShard is a shard cell's fetch: one backend round-trip plus the
-// PID range gate.
+// fetchShard is the union's member fetch: one backend round-trip plus
+// the PID range gate.
 //
 //p4p:coldpath
-func (rt *Router) fetchShard(ctx context.Context, s *shardState) (shardView, error) {
-	v, err := s.client.DistancesContext(ctx)
+func (rt *Router) fetchShard(ctx context.Context, i int) (MemberView, error) {
+	sc, c := rt.cfg.Shards[i], rt.clients[i]
+	v, err := c.DistancesContext(ctx)
 	if err == nil {
-		err = s.cfg.checkRange(v)
+		err = sc.checkRange(v)
 	}
 	if err != nil {
 		if l := rt.Telemetry.Logger; l != nil {
 			l.Warn("shard refresh failed, serving last-known-good",
-				slog.String("shard", s.cfg.Name),
+				slog.String("shard", sc.Name),
 				slog.String("error", err.Error()))
 		}
-		return shardView{}, err
+		return MemberView{}, err
 	}
-	return shardView{view: v, etag: s.client.ViewETag("raw")}, nil
+	return MemberView{View: v, Validator: c.ViewETag("raw")}, nil
 }
 
 // checkRange rejects a view whose PIDs fall outside the shard's
@@ -476,15 +372,12 @@ func (sc ShardConfig) checkRange(v *core.View) error {
 	return nil
 }
 
-// render merges the shard views, encodes both wire forms, and composes
-// the federation ETags from the input fingerprint.
+// render is the union's render: it encodes both wire forms of a newly
+// merged view and composes the federation ETags from the input
+// fingerprint.
 //
 //p4p:coldpath runs once per input change; the fmt work is the point of pre-rendering
-func (rt *Router) render(views []ShardView, key string) (*mergedEntry, error) {
-	v, err := Merge(views, rt.cfg.Circuits)
-	if err != nil {
-		return nil, err
-	}
+func (rt *Router) render(v *core.View, key string) (f forms, err error) {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	entry := func(form string) (*portal.Entry, error) {
@@ -494,14 +387,13 @@ func (rt *Router) render(views []ShardView, key string) (*mergedEntry, error) {
 		}
 		return portal.NewEntry(v.Version, fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form), body), nil
 	}
-	ent := &mergedEntry{key: key, view: v}
-	if ent.raw, err = entry("raw"); err != nil {
-		return nil, err
+	if f.raw, err = entry("raw"); err != nil {
+		return forms{}, err
 	}
-	if ent.ranks, err = entry("ranks"); err != nil {
-		return nil, err
+	if f.ranks, err = entry("ranks"); err != nil {
+		return forms{}, err
 	}
-	return ent, nil
+	return f, nil
 }
 
 // ShardStatus is one shard's row in the /stats body.
@@ -536,37 +428,36 @@ type RouterStats struct {
 // Stats snapshots per-shard and merged state for /stats.
 func (rt *Router) Stats() RouterStats {
 	tm := rt.timing()
-	out := RouterStats{Shards: make([]ShardStatus, 0, len(rt.shards))}
-	for _, s := range rt.shards {
-		cs := s.cell.Snapshot(tm)
+	out := RouterStats{Shards: make([]ShardStatus, 0, len(rt.cfg.Shards))}
+	for i, m := range rt.union.Members(tm) {
 		st := ShardStatus{
-			Name:    s.cfg.Name,
-			URL:     s.cfg.BaseURL,
-			HasView: cs.Held,
-			Fresh:   cs.Fresh,
-			ETag:    cs.Value.etag,
+			Name:    rt.cfg.Shards[i].Name,
+			URL:     rt.cfg.Shards[i].BaseURL,
+			HasView: m.Held,
+			Fresh:   m.Fresh,
+			ETag:    m.Value.Validator,
 			ShardStats: ShardStats{
-				Refreshes:   cs.Stats.Refreshes,
-				Failures:    cs.Stats.Failures,
-				StaleServes: cs.Stats.StaleServes,
+				Refreshes:   m.Stats.Refreshes,
+				Failures:    m.Stats.Failures,
+				StaleServes: m.Stats.StaleServes,
 			},
 		}
-		if cs.LastErr != nil {
-			st.LastError = cs.LastErr.Error()
+		if m.LastErr != nil {
+			st.LastError = m.LastErr.Error()
 		}
-		if cs.Held {
-			st.Version = cs.Value.view.Version
-			st.PIDs = len(cs.Value.view.PIDs)
+		if m.Held {
+			st.Version = m.Value.View.Version
+			st.PIDs = len(m.Value.View.PIDs)
 		}
 		out.Shards = append(out.Shards, st)
 	}
-	if ent := rt.merged.Snapshot(tm).Value; ent != nil {
+	if ent := rt.union.Current(tm); ent != nil {
 		out.Merged = &MergedStatus{
-			Version:       ent.view.Version,
-			PIDs:          len(ent.view.PIDs),
-			ShardsServing: ent.shardsServing,
-			ShardsFresh:   ent.shardsFresh,
-			ETag:          ent.raw.ETag,
+			Version:       ent.View.Version,
+			PIDs:          len(ent.View.PIDs),
+			ShardsServing: ent.Serving,
+			ShardsFresh:   ent.Fresh,
+			ETag:          ent.Rendered.raw.ETag,
 		}
 	}
 	return out
@@ -580,16 +471,15 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 // a view (fresh or last-known-good). The detail string distinguishes a
 // full federation from a degraded one for /readyz readers.
 func (rt *Router) Ready() (bool, string) {
-	tm := rt.timing()
 	serving, fresh := 0, 0
-	for _, s := range rt.shards {
-		if cs := s.cell.Snapshot(tm); cs.Held {
+	for _, m := range rt.union.Members(rt.timing()) {
+		if m.Held {
 			serving++
-			if cs.Fresh {
+			if m.Fresh {
 				fresh++
 			}
 		}
 	}
-	detail := fmt.Sprintf("%d/%d shards serving (%d fresh)", serving, len(rt.shards), fresh)
+	detail := fmt.Sprintf("%d/%d shards serving (%d fresh)", serving, len(rt.cfg.Shards), fresh)
 	return serving > 0, detail
 }

@@ -1,0 +1,91 @@
+package federation
+
+import (
+	"context"
+	"errors"
+	"net/http"
+	"reflect"
+	"testing"
+	"time"
+
+	"p4p/internal/refresh"
+)
+
+// TestUnionOwnersAgree drives one scripted member schedule — healthy, one
+// member fails, it recovers with a new version, it starts serving the
+// other member's PIDs — through a Router (members fetched over HTTP,
+// both wire forms rendered) and through a bare Union reading the same
+// backends directly, and requires the same merged view contents, key and
+// serving/fresh counts after every step: what an owner adds (auth, the
+// range gate, rendering, metrics) must not change what the union holds.
+func TestUnionOwnersAgree(t *testing.T) {
+	rt, clk, fa, fb := testFederation(t)
+	backends := []*fakeBackend{fa, fb}
+	tm := refresh.Timing{TTL: 30 * time.Second, Now: clk.now}
+	bare := NewUnion[struct{}]([]string{"a", "b"}, rt.cfg.Circuits,
+		func() refresh.Timing { return tm },
+		func(_ context.Context, i int) (MemberView, error) {
+			f := backends[i]
+			f.mu.Lock()
+			defer f.mu.Unlock()
+			if f.fail {
+				return MemberView{}, errors.New("injected failure")
+			}
+			return MemberView{View: f.view, Validator: f.etagLocked()}, nil
+		}, nil, nil)
+
+	overlap := viewA()
+	overlap.Version = 9
+	steps := []struct {
+		name           string
+		apply          func()
+		serving, fresh int
+		bVersion       int  // shard b's version inside the merge
+		mergeFails     bool // the step's pass keeps the previous merged state
+	}{
+		{"healthy", func() {}, 2, 2, 5, false},
+		{"b fails", func() { fb.setFail(true) }, 2, 1, 5, false},
+		{"b recovers with a new version", func() {
+			fb.setFail(false)
+			vb := viewB()
+			vb.Version = 6
+			vb.D[0][1], vb.D[1][0] = 4.5, 4.5
+			fb.setView(vb)
+		}, 2, 2, 6, false},
+		{"b serves a's PIDs", func() { fb.setView(overlap) }, 2, 2, 6, true},
+	}
+	for _, st := range steps {
+		st.apply()
+		clk.advance(31 * time.Second)
+		if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s: router status %d", st.name, rec.Code)
+		}
+		bare.Get(context.Background(), tm)
+		viaRouter, direct := rt.union.Current(tm), bare.Current(tm)
+		if viaRouter == nil || direct == nil {
+			t.Fatalf("%s: merged state router %v, bare union %v", st.name, viaRouter, direct)
+		}
+		if viaRouter.Key != direct.Key {
+			t.Errorf("%s: key %q via the router, %q bare", st.name, viaRouter.Key, direct.Key)
+		}
+		if !reflect.DeepEqual(viaRouter.View.PIDs, direct.View.PIDs) ||
+			!reflect.DeepEqual(viaRouter.View.D, direct.View.D) ||
+			viaRouter.View.Version != direct.View.Version {
+			t.Errorf("%s: merged views differ:\nrouter %+v\nbare   %+v", st.name, viaRouter.View, direct.View)
+		}
+		if viaRouter.Serving != direct.Serving || viaRouter.Fresh != direct.Fresh {
+			t.Errorf("%s: serving/fresh %d/%d via the router, %d/%d bare",
+				st.name, viaRouter.Serving, viaRouter.Fresh, direct.Serving, direct.Fresh)
+		}
+		if direct.Serving != st.serving || direct.Fresh != st.fresh || direct.View.Version != 3+st.bVersion {
+			t.Errorf("%s: serving/fresh/version = %d/%d/%d, want %d/%d/%d", st.name,
+				direct.Serving, direct.Fresh, direct.View.Version, st.serving, st.fresh, 3+st.bVersion)
+		}
+		for who, err := range map[string]error{
+			"router": rt.union.merged.Snapshot(tm).LastErr, "bare union": bare.merged.Snapshot(tm).LastErr} {
+			if (err != nil) != st.mergeFails {
+				t.Errorf("%s: %s merged cell's last error = %v, want a failure: %v", st.name, who, err, st.mergeFails)
+			}
+		}
+	}
+}

@@ -2,21 +2,15 @@ package p2psim
 
 import "math/bits"
 
-// The simulator's event queue. Two interchangeable implementations share
-// one total event order, so the simulation trace is independent of which
-// queue is active:
-//
-//   - eventHeap: the reference binary min-heap (also reused as the
-//     calendar queue's overflow bucket);
-//   - calendarQueue: a bucketed time wheel with O(1) amortized push/pop,
-//     the default since mid-swarm runs are dominated by heap churn (the
-//     sift paths were ~40-55%% of BenchmarkSimMidSwarm CPU).
+// The simulator's event queue is a calendarQueue: a bucketed time wheel
+// with O(1) amortized push/pop (a binary heap's sift paths were ~40-55%
+// of BenchmarkSimMidSwarm CPU). eventHeap, the binary min-heap it
+// replaced, stays as its overflow bucket and as the reference
+// TestCalendarQueueMatchesHeap replays traces against.
 //
 // The total order is (t, kind, qseq): qseq is a global push counter, so
-// ties in time and kind resolve FIFO. The old heap broke such ties by
-// heap structure — deterministic but unreproducible outside a binary
-// heap; making the order total is what lets TestQueueEquivalence pin the
-// two implementations byte-identical against each other.
+// ties in time and kind resolve FIFO. A total order is what lets the two
+// be pinned pop-for-pop identical.
 
 type event struct {
 	t    float64 // absolute simulation time
@@ -105,10 +99,9 @@ func heapify(ev []event) {
 	}
 }
 
-// eventHeap is a typed binary min-heap over events: the reference
-// implementation the calendar queue is verified against, the overflow
-// bucket for events beyond the wheel horizon, and (via the forceHeapQueue
-// test knob) a drop-in replacement for the whole queue.
+// eventHeap is a typed binary min-heap over events: the overflow bucket
+// for events beyond the wheel horizon, and the reference implementation
+// the calendar queue is verified against.
 type eventHeap struct {
 	ev []event
 }

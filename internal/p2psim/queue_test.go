@@ -75,9 +75,11 @@ func TestCalendarQueueTieBreak(t *testing.T) {
 }
 
 // TestCalendarQueueMatchesHeap cross-checks the calendar queue against
-// the reference heap on randomized interleaved push/pop traces,
-// including bursts big enough to force resizes and clusters of
-// identical timestamps.
+// the reference heap, pop for pop: on randomized interleaved push/pop
+// traces, including bursts big enough to force resizes and clusters of
+// identical timestamps, and on the trace of a real swarm run — pop order
+// being all a run takes from its queue, equal pops there are what make a
+// simulation's results independent of the queue under it.
 func TestCalendarQueueMatchesHeap(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,11 +142,63 @@ func TestCalendarQueueMatchesHeap(t *testing.T) {
 			}
 		}
 	}
+
+	// One swarm run, driven as Run drives it, recording every pop and
+	// the sim's push counter before it. Every pushed event is later
+	// popped or left in the queue, so the events themselves are recovered
+	// by push number and the exact interleaving can be replayed.
+	s := queueEquivSim()
+	s.start()
+	var pops []event
+	var pushedBefore []uint64
+	for {
+		pushedBefore = append(pushedBefore, s.qseq)
+		ev, ok := s.calQ.pop()
+		if !ok {
+			break
+		}
+		pops = append(pops, ev)
+		if !s.handle(ev) {
+			break
+		}
+	}
+	if len(pops) < 1000 {
+		t.Fatalf("swarm trace has only %d pops", len(pops))
+	}
+	events := make([]event, s.qseq+1) // by push number, from 1
+	for _, e := range append(pops, drainCalendar(t, s.calQ)...) {
+		events[e.qseq] = e
+	}
+	cal, ref := newCalendarQueue(s.cfg.RechokeInterval/256), &eventHeap{}
+	next := uint64(1)
+	pushThrough := func(last uint64) {
+		for ; next <= last; next++ {
+			cal.push(events[next])
+			ref.push(events[next])
+		}
+	}
+	for k, want := range pops {
+		pushThrough(pushedBefore[k])
+		ce, _ := cal.pop()
+		re, _ := ref.pop()
+		if ce != want || re != want {
+			t.Fatalf("swarm trace pop %d: run popped %+v, replayed calendar %+v, heap %+v", k, want, ce, re)
+		}
+	}
+	pushThrough(s.qseq)
+	for _, ce := range drainCalendar(t, cal) {
+		if re, _ := ref.pop(); ce != re {
+			t.Fatalf("swarm trace drain: calendar popped %+v, heap popped %+v", ce, re)
+		}
+	}
+	if ref.len() != 0 {
+		t.Fatalf("swarm trace drain: heap holds %d more events than the calendar", ref.len())
+	}
 }
 
 // queueEquivSim builds a small but feature-dense swarm for the
-// queue-equivalence and reproducibility tests.
-func queueEquivSim(forceHeap bool) *Result {
+// queue-trace and reproducibility tests.
+func queueEquivSim() *Sim {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	s := New(Config{
@@ -156,7 +210,6 @@ func queueEquivSim(forceHeap bool) *Result {
 		ReselectInterval: 15,
 		SampleInterval:   5,
 		MeasureInterval:  10,
-		forceHeapQueue:   forceHeap,
 	})
 	pids := g.AggregationPIDs()
 	s.AddClient(ClientSpec{PID: pids[0], ASN: 1, UpBps: 100e6, DownBps: 100e6, IsSeed: true})
@@ -169,39 +222,14 @@ func queueEquivSim(forceHeap bool) *Result {
 			JoinAt:  float64(i) * 0.8,
 		})
 	}
-	return s.Run()
-}
-
-// TestQueueEquivalenceReports proves the two queue implementations are
-// interchangeable: the same configuration run under the calendar queue
-// and under the reference heap must produce deep-equal results, because
-// (t, kind, qseq) is a total order both implementations respect.
-func TestQueueEquivalenceReports(t *testing.T) {
-	heap := queueEquivSim(true)
-	cal := queueEquivSim(false)
-	if !reflect.DeepEqual(heap.Clients, cal.Clients) {
-		t.Fatal("per-client stats differ between heap and calendar queue")
-	}
-	if !reflect.DeepEqual(heap.LinkBytes, cal.LinkBytes) {
-		t.Fatal("link byte totals differ between heap and calendar queue")
-	}
-	if !reflect.DeepEqual(heap.Samples, cal.Samples) {
-		t.Fatal("utilization samples differ between heap and calendar queue")
-	}
-	if heap.TotalBytes != cal.TotalBytes || heap.UnitBDP != cal.UnitBDP {
-		t.Fatalf("aggregates differ: heap (%g, %g) vs calendar (%g, %g)",
-			heap.TotalBytes, heap.UnitBDP, cal.TotalBytes, cal.UnitBDP)
-	}
-	if !reflect.DeepEqual(heap.PIDBytes, cal.PIDBytes) {
-		t.Fatal("PID traffic matrices differ between heap and calendar queue")
-	}
+	return s
 }
 
 // TestIdenticalRunsAreDeepEqual pins reproducibility: two runs of the
 // same configuration and seed produce deep-equal results.
 func TestIdenticalRunsAreDeepEqual(t *testing.T) {
-	a := queueEquivSim(false)
-	b := queueEquivSim(false)
+	a := queueEquivSim().Run()
+	b := queueEquivSim().Run()
 	if !reflect.DeepEqual(a.Clients, b.Clients) || a.TotalBytes != b.TotalBytes {
 		t.Fatal("identical runs are not reproducible")
 	}

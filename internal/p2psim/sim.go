@@ -107,12 +107,6 @@ type Config struct {
 	// TrackClassBytes enables the per-client map of bytes downloaded by
 	// uploader class (used by the FTTP analysis).
 	TrackClassBytes bool
-
-	// forceHeapQueue pins the reference binary-heap event queue instead
-	// of the calendar queue. Both produce identical simulation traces
-	// (same total event order); the heap is kept as the oracle for the
-	// queue-equivalence tests.
-	forceHeapQueue bool
 }
 
 func (c *Config) withDefaults() {
@@ -261,12 +255,9 @@ type Sim struct {
 	pieces  int
 	hasW    int // bitset words per client
 
-	// Event queue: exactly one of heapQ/calQ is non-nil. Kept as two
-	// concrete fields (not an interface) so hot-path pushes stay
-	// statically dispatched.
-	qseq  uint64
-	heapQ *eventHeap
-	calQ  *calendarQueue
+	// Event queue, and the push counter that is its FIFO tie-break.
+	qseq uint64
+	calQ *calendarQueue
 
 	incomplete int // clients still downloading
 
@@ -338,13 +329,9 @@ func New(cfg Config) *Sim {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		linkRate: make([]float64, cfg.Graph.NumLinks()),
-	}
-	if cfg.forceHeapQueue {
-		s.heapQ = &eventHeap{}
-	} else {
 		// Initial bucket width ~ the spacing of control events; the
 		// queue re-derives it from the observed span as it grows.
-		s.calQ = newCalendarQueue(cfg.RechokeInterval / 256)
+		calQ: newCalendarQueue(cfg.RechokeInterval / 256),
 	}
 	s.pieces = int((cfg.FileBytes + cfg.PieceBytes - 1) / cfg.PieceBytes)
 	if cfg.Streaming != nil {
@@ -456,28 +443,36 @@ func (s *Sim) clearPending(c int32, p int) {
 // --- event queue ---
 
 // push stamps the event with the global push counter (the FIFO
-// tie-break of the total event order) and enqueues it. The queue choice
-// branches on concrete types so the hot path has no dynamic dispatch.
+// tie-break of the total event order) and enqueues it.
 func (s *Sim) push(ev event) {
 	s.qseq++
 	ev.qseq = s.qseq
-	if s.heapQ != nil {
-		s.heapQ.push(ev)
-	} else {
-		s.calQ.push(ev)
-	}
-}
-
-func (s *Sim) popEvent() (event, bool) {
-	if s.heapQ != nil {
-		return s.heapQ.pop()
-	}
-	return s.calQ.pop()
+	s.calQ.push(ev)
 }
 
 // Run executes the simulation to completion (all non-seed clients done)
 // or MaxTime, and returns the collected metrics.
 func (s *Sim) Run() *Result {
+	s.start()
+	for {
+		ev, ok := s.calQ.pop()
+		if !ok || !s.handle(ev) {
+			break
+		}
+	}
+	// Final flow settlement for accurate byte accounting.
+	for fi := range s.flows {
+		f := &s.flows[fi]
+		if f.active {
+			s.progressFlow(f)
+			s.flushFlow(f)
+		}
+	}
+	return s.metrics.result(s)
+}
+
+// start schedules every client's join and the periodic control events.
+func (s *Sim) start() {
 	for _, c := range s.clients {
 		if !c.Spec.IsSeed {
 			s.incomplete++
@@ -497,49 +492,36 @@ func (s *Sim) Run() *Result {
 	if s.cfg.Streaming != nil {
 		s.cfg.Streaming.schedule(s)
 	}
+}
 
-	for {
-		ev, ok := s.popEvent()
-		if !ok {
-			break
-		}
-		if ev.t > s.cfg.MaxTime {
-			s.now = s.cfg.MaxTime
-			break
-		}
-		s.now = ev.t
-		switch ev.kind {
-		case evJoin:
-			s.handleJoin(ev.id)
-		case evRechoke:
-			s.handleRechoke()
-		case evFlowFinish:
-			f := &s.flows[ev.id]
-			if f.active && f.seq == ev.seq {
-				s.handleFlowFinish(ev.id)
-			}
-		case evMeasure:
-			s.handleMeasure()
-		case evSample:
-			s.handleSample()
-		case evStreamPiece:
-			s.handleStreamPiece(ev.id)
-		case evReselect:
-			s.handleReselect()
-		}
-		if s.incomplete == 0 && s.cfg.Streaming == nil {
-			break
-		}
+// handle advances the clock to a popped event and dispatches it; false
+// ends the run (MaxTime reached, or every download complete).
+func (s *Sim) handle(ev event) bool {
+	if ev.t > s.cfg.MaxTime {
+		s.now = s.cfg.MaxTime
+		return false
 	}
-	// Final flow settlement for accurate byte accounting.
-	for fi := range s.flows {
-		f := &s.flows[fi]
-		if f.active {
-			s.progressFlow(f)
-			s.flushFlow(f)
+	s.now = ev.t
+	switch ev.kind {
+	case evJoin:
+		s.handleJoin(ev.id)
+	case evRechoke:
+		s.handleRechoke()
+	case evFlowFinish:
+		f := &s.flows[ev.id]
+		if f.active && f.seq == ev.seq {
+			s.handleFlowFinish(ev.id)
 		}
+	case evMeasure:
+		s.handleMeasure()
+	case evSample:
+		s.handleSample()
+	case evStreamPiece:
+		s.handleStreamPiece(ev.id)
+	case evReselect:
+		s.handleReselect()
 	}
-	return s.metrics.result(s)
+	return s.incomplete > 0 || s.cfg.Streaming != nil
 }
 
 // --- join and neighbor management ---
