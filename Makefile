@@ -34,7 +34,7 @@ loc:
 # corpus. Not part of verify; intended for CI and pre-release runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFromWire$$' -fuzztime 10s ./internal/portal
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeViewWire$$' -fuzztime 10s ./internal/portal
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryView$$' -fuzztime 10s ./internal/portal
 	$(GO) test -run '^$$' -fuzz '^FuzzExpositionParse$$' -fuzztime 10s ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
@@ -43,8 +43,9 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Portal request + view-recompute benchmarks, emitted as JSON at
-# BENCH_portal.json for cross-commit comparison.
+# Portal request, view-recompute and view-codec (JSON vs binary)
+# benchmarks, emitted as JSON at BENCH_portal.json for cross-commit
+# comparison.
 bench-json:
 	sh scripts/bench_json.sh portal
 

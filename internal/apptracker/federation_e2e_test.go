@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -81,7 +82,14 @@ func fedShards(t *testing.T, eng *core.Engine) []*httptest.Server {
 			ASN:       asn,
 			ServePIDs: []topology.PID{b, b + 1, b + 2},
 		}, eng, nil)
-		srv := httptest.NewServer(portal.NewHandler(tr))
+		h := portal.NewHandler(tr)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			// Every member fetch of the union moves its view in binary.
+			if ct := w.Header().Get("Content-Type"); w.Header().Get("Etag") != "" && ct != "" && ct != portal.BinaryViewType {
+				t.Errorf("shard answered %s with Content-Type %q", r.URL, ct)
+			}
+		}))
 		t.Cleanup(srv.Close)
 		servers = append(servers, srv)
 	}

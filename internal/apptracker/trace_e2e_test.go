@@ -104,4 +104,20 @@ func TestStitchedTraceAcrossProcesses(t *testing.T) {
 	if att, srvSpan := names["attempt"], names["distances"]; srvSpan.ParentSpanID != att.SpanID {
 		t.Errorf("server span parent = %q, want attempt span %q", srvSpan.ParentSpanID, att.SpanID)
 	}
+	// Both sides say what moved: the view travelled in binary, and the
+	// attempt's byte count is the size the portal's encode span rendered.
+	attr := func(span, key string) string {
+		for _, a := range names[span].Attrs {
+			if a.Key == key {
+				return a.Value
+			}
+		}
+		return ""
+	}
+	if enc, form := attr("attempt", "encoding"), attr("encode", "form"); enc != "binary" || form != portal.FormBinary {
+		t.Errorf("attempt encoding %q, encode form %q; want binary, %s", enc, form, portal.FormBinary)
+	}
+	if got, want := attr("attempt", "http.response_bytes"), attr("encode", "bytes"); got == "" || got != want {
+		t.Errorf("attempt http.response_bytes %q, encode bytes %q", got, want)
+	}
 }

@@ -82,9 +82,9 @@ type ShardStats struct {
 	StaleServes int64 `json:"stale_serves"`
 }
 
-// forms is what the router publishes beside each merged view: both
-// wire forms, rendered once per input change.
-type forms struct{ raw, ranks *portal.Entry }
+// forms is what the router publishes beside each merged view: every
+// wire form (portal.Forms), rendered once per input change.
+type forms map[string]*portal.Entry
 
 // RouterMetrics instruments the federation router. Per-shard families
 // carry a "shard" label.
@@ -280,10 +280,7 @@ func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, e
 	if err != nil {
 		return nil, err
 	}
-	if form == "ranks" {
-		return ent.Rendered.ranks, nil
-	}
-	return ent.Rendered.raw, nil
+	return ent.Rendered[form], nil
 }
 
 // View implements portal.ViewSource.
@@ -372,26 +369,21 @@ func (sc ShardConfig) checkRange(v *core.View) error {
 	return nil
 }
 
-// render is the union's render: it encodes both wire forms of a newly
+// render is the union's render: it encodes every wire form of a newly
 // merged view and composes the federation ETags from the input
 // fingerprint.
 //
 //p4p:coldpath runs once per input change; the fmt work is the point of pre-rendering
-func (rt *Router) render(v *core.View, key string) (f forms, err error) {
+func (rt *Router) render(v *core.View, key string) (forms, error) {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	entry := func(form string) (*portal.Entry, error) {
+	f := forms{}
+	for _, form := range portal.Forms {
 		body, err := portal.EncodeView(v, form)
 		if err != nil {
 			return nil, fmt.Errorf("federation: encode %s view: %w", form, err)
 		}
-		return portal.NewEntry(v.Version, fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form), body), nil
-	}
-	if f.raw, err = entry("raw"); err != nil {
-		return forms{}, err
-	}
-	if f.ranks, err = entry("ranks"); err != nil {
-		return forms{}, err
+		f[form] = portal.NewEntry(v.Version, fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form), body)
 	}
 	return f, nil
 }
@@ -457,7 +449,7 @@ func (rt *Router) Stats() RouterStats {
 			PIDs:          len(ent.View.PIDs),
 			ShardsServing: ent.Serving,
 			ShardsFresh:   ent.Fresh,
-			ETag:          ent.Rendered.raw.ETag,
+			ETag:          ent.Rendered["raw"].ETag,
 		}
 	}
 	return out

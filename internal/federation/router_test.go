@@ -45,15 +45,18 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 // fakeBackend is a scriptable stand-in for one shard portal: it serves
-// /p4p/v1/distances with ETag revalidation and /p4p/v1/pid, and can be
-// flipped into a failure mode.
+// /p4p/v1/distances with ETag revalidation (in binary to a request that
+// asks for it, unless jsonOnly) and /p4p/v1/pid, and can be flipped into
+// a failure mode.
 type fakeBackend struct {
-	mu    sync.Mutex
-	view  *core.View
-	pid   *portal.PIDLookupWire // nil = 404 on /p4p/v1/pid
-	fail  bool
-	gets  int // 200 responses served on distances
-	nmods int // 304 responses served
+	mu       sync.Mutex
+	view     *core.View
+	pid      *portal.PIDLookupWire // nil = 404 on /p4p/v1/pid
+	fail     bool
+	jsonOnly bool // a portal from before the binary form
+	gets     int  // 200 responses served on distances
+	binary   int  // of those, in binary
+	nmods    int  // 304 responses served
 }
 
 func (f *fakeBackend) etagLocked() string {
@@ -81,8 +84,10 @@ func (f *fakeBackend) counts() (gets, nmods int) {
 func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Snapshot under the lock, write without it (lockheld: never hold a
 	// mutex across ResponseWriter calls).
+	asked := strings.Contains(r.Header.Get("Accept"), portal.BinaryViewType)
 	f.mu.Lock()
 	fail, view, pid, etag := f.fail, f.view, f.pid, f.etagLocked()
+	asked = asked && !f.jsonOnly
 	f.mu.Unlock()
 	if fail {
 		http.Error(w, `{"error":"injected failure"}`, http.StatusInternalServerError)
@@ -100,8 +105,21 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		f.mu.Lock()
 		f.gets++
+		if asked {
+			f.binary++
+		}
 		f.mu.Unlock()
 		w.Header().Set("ETag", etag)
+		if asked {
+			body, err := portal.EncodeView(view, portal.FormBinary)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set("Content-Type", portal.BinaryViewType)
+			w.Write(body)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(portal.ToWire(view))
 	case "/p4p/v1/pid":

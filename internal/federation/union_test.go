@@ -13,13 +13,17 @@ import (
 
 // TestUnionOwnersAgree drives one scripted member schedule — healthy, one
 // member fails, it recovers with a new version, it starts serving the
-// other member's PIDs — through a Router (members fetched over HTTP,
-// both wire forms rendered) and through a bare Union reading the same
+// other member's PIDs — through a Router (members fetched over HTTP, a in
+// binary and b, a portal that ignores Accept, in JSON; every wire form
+// rendered) and through a bare Union reading the same
 // backends directly, and requires the same merged view contents, key and
 // serving/fresh counts after every step: what an owner adds (auth, the
 // range gate, rendering, metrics) must not change what the union holds.
 func TestUnionOwnersAgree(t *testing.T) {
 	rt, clk, fa, fb := testFederation(t)
+	fb.mu.Lock()
+	fb.jsonOnly = true
+	fb.mu.Unlock()
 	backends := []*fakeBackend{fa, fb}
 	tm := refresh.Timing{TTL: 30 * time.Second, Now: clk.now}
 	bare := NewUnion[struct{}]([]string{"a", "b"}, rt.cfg.Circuits,
@@ -86,6 +90,18 @@ func TestUnionOwnersAgree(t *testing.T) {
 			if (err != nil) != st.mergeFails {
 				t.Errorf("%s: %s merged cell's last error = %v, want a failure: %v", st.name, who, err, st.mergeFails)
 			}
+		}
+	}
+	for i, f := range backends {
+		f.mu.Lock()
+		gets, binary := f.gets, f.binary
+		f.mu.Unlock()
+		want := 0 // b answers JSON whatever it is asked
+		if f == fa {
+			want = gets
+		}
+		if gets == 0 || binary != want {
+			t.Errorf("shard %d served %d views, %d in binary, want %d", i, gets, binary, want)
 		}
 	}
 }

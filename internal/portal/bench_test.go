@@ -65,22 +65,29 @@ func (w *benchWriter) reset() { w.status = 0; w.bytes = 0 }
 
 // BenchmarkPortalDistances measures a full p4p-distance request in
 // steady state: routing, middleware, and the encoded-response cache
-// serving the current view as a byte copy (≤5 allocs/op is the
-// acceptance bar; TestCachedDistancesAllocs pins it).
+// serving the current view as a byte copy, in either encoding (≤5
+// allocs/op is the acceptance bar; TestCachedDistancesAllocs pins it).
 func BenchmarkPortalDistances(b *testing.B) {
 	h, _ := newBenchPortal(b)
-	req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
-	// Prime the caches so iterations measure the steady state.
-	h.ServeHTTP(httptest.NewRecorder(), req)
-	w := newBenchWriter()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.reset()
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
-		}
+	for _, enc := range []struct{ name, accept string }{{"json", ""}, {"binary", BinaryViewType}} {
+		b.Run(enc.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
+			if enc.accept != "" {
+				req.Header.Set("Accept", enc.accept)
+			}
+			// Prime the caches so iterations measure the steady state.
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			w := newBenchWriter()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.reset()
+				h.ServeHTTP(w, req)
+				if w.status != http.StatusOK {
+					b.Fatalf("status %d", w.status)
+				}
+			}
+		})
 	}
 }
 
@@ -153,5 +160,36 @@ func BenchmarkViewRecompute(b *testing.B) {
 		if w.status != http.StatusOK {
 			b.Fatalf("status %d", w.status)
 		}
+	}
+}
+
+// BenchmarkViewCodec prices moving one view of ISP-B's size (52 PIDs)
+// in each encoding: what the portal pays once per version to render it
+// and what every client pays to hold it.
+func BenchmarkViewCodec(b *testing.B) {
+	v := ispBView()
+	for _, enc := range []struct{ name, form string }{{"json", "raw"}, {"binary", FormBinary}} {
+		body, err := EncodeView(v, enc.form)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(enc.name+"-encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeView(v, enc.form); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(enc.name+"-decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeView(body, enc.name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -261,24 +261,38 @@ func TestCachedDistancesConsistency(t *testing.T) {
 
 // TestCachedDistancesAllocs pins the acceptance bar for the tentpole:
 // the steady-state distances path must stay at or under 5 allocations
-// per request (the seed path spent 41 on json.Marshal alone).
+// per request (the seed path spent 41 on json.Marshal alone), and the
+// Accept negotiation adds none: a binary response costs what a JSON one
+// does.
 func TestCachedDistancesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
 	h, _ := newBenchPortal(t)
-	req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
-	h.ServeHTTP(httptest.NewRecorder(), req) // prime the caches
-	w := newBenchWriter()
-	allocs := testing.AllocsPerRun(500, func() {
-		w.reset()
-		h.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d", w.status)
+	var perEncoding []float64
+	for _, accept := range []string{"", BinaryViewType} {
+		req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
+		wantCT := jsonCTVals
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+			wantCT = binaryCTVals
 		}
-	})
-	if allocs > 5 {
-		t.Fatalf("cached distances path: %.1f allocs/op, want <= 5", allocs)
+		h.ServeHTTP(httptest.NewRecorder(), req) // prime the caches
+		w := newBenchWriter()
+		allocs := testing.AllocsPerRun(500, func() {
+			w.reset()
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK || w.hdr.Get("Content-Type") != wantCT[0] {
+				t.Fatalf("Accept %q: status %d, Content-Type %q", accept, w.status, w.hdr.Get("Content-Type"))
+			}
+		})
+		if allocs > 5 {
+			t.Fatalf("cached distances path, Accept %q: %.1f allocs/op, want <= 5", accept, allocs)
+		}
+		perEncoding = append(perEncoding, allocs)
+	}
+	if perEncoding[1] > perEncoding[0] {
+		t.Fatalf("binary responses cost %.1f allocs/op, JSON %.1f", perEncoding[1], perEncoding[0])
 	}
 }
 

@@ -268,11 +268,11 @@ func retryable(status int, err error) bool {
 	return status >= 500 || status == http.StatusTooManyRequests
 }
 
-// do performs one request with retries. It returns the final status,
-// body, and response ETag; err is non-nil only when no attempt produced
-// an HTTP response. Every portal endpoint is read-only (the batch POST
-// carries a query, not a mutation), so re-issuing any method is safe.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, etag string) (status int, body []byte, respETag string, err error) {
+// do performs one request with retries, hdr added to the client's own
+// headers. It returns the final status, body and response header; err is
+// non-nil only when no attempt produced an HTTP response. Every endpoint
+// is read-only (the batch POST carries a query), so re-issuing is safe.
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, hdr http.Header) (status int, body []byte, resp http.Header, err error) {
 	u := c.BaseURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -295,10 +295,10 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	pol := c.Retry.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		status, body, respETag, lastErr = c.attempt(ctx, hc, method, u, path, payload, etag, pol.PerAttempt, reqID, attempt)
+		status, body, resp, lastErr = c.attempt(ctx, hc, method, u, payload, hdr, pol.PerAttempt, reqID, attempt)
 		if lastErr == nil && !retryable(status, nil) {
 			span.SetAttrInt("attempts", attempt)
-			return status, body, respETag, nil
+			return status, body, resp, nil
 		}
 		if lastErr == nil {
 			// Retryable HTTP status: keep the envelope in case this is
@@ -310,7 +310,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			err = fmt.Errorf("portal: %s: giving up after %d attempt(s): %w", path, attempt, lastErr)
 			span.SetAttrInt("attempts", attempt)
 			span.RecordError(err)
-			return 0, nil, "", err
+			return 0, nil, nil, err
 		}
 		sleep := pol.backoff(attempt)
 		c.Metrics.retry()
@@ -324,7 +324,7 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			err = fmt.Errorf("portal: %s: %w (after %d attempt(s): %v)", path, ctx.Err(), attempt, lastErr)
 			span.SetAttrInt("attempts", attempt)
 			span.RecordError(err)
-			return 0, nil, "", err
+			return 0, nil, nil, err
 		}
 	}
 }
@@ -343,7 +343,7 @@ const (
 // its own child span, and the traceparent injected on the wire names
 // that attempt — so the portal's server span parents to the specific
 // try that reached it, and a retried request is visibly two hops.
-func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path string, payload []byte, etag string, perAttempt time.Duration, reqID string, attempt int) (int, []byte, string, error) {
+func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string, payload []byte, hdr http.Header, perAttempt time.Duration, reqID string, attempt int) (int, []byte, http.Header, error) {
 	actx, cancel := context.WithTimeout(ctx, perAttempt)
 	defer cancel()
 	actx, span := trace.StartSpan(actx, "attempt")
@@ -357,7 +357,10 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path s
 	if err != nil {
 		err = fmt.Errorf("build request: %w", err)
 		span.RecordError(err)
-		return 0, nil, "", err
+		return 0, nil, nil, err
+	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
 	}
 	if payload != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -365,15 +368,12 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path s
 	if c.Token != "" {
 		req.Header.Set(tokenHeader, c.Token)
 	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
 	req.Header.Set("X-Request-Id", reqID)
 	trace.Inject(actx, req.Header)
 	resp, err := hc.Do(req)
 	if err != nil {
 		span.RecordError(err)
-		return 0, nil, "", err
+		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
 	// A declared length sizes the buffer once (plus the spare ReadFrom
@@ -388,10 +388,23 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u, path s
 	if err != nil {
 		err = fmt.Errorf("read body: %w", err)
 		span.RecordError(err)
-		return 0, nil, "", err
+		return 0, nil, nil, err
 	}
 	span.SetAttrInt("http.status", resp.StatusCode)
-	return resp.StatusCode, body, resp.Header.Get("ETag"), nil
+	span.SetAttrInt("http.response_bytes", len(body))
+	if len(body) > 0 {
+		span.SetAttr("encoding", encodingOf(resp.Header))
+	}
+	return resp.StatusCode, body, resp.Header, nil
+}
+
+// encodingOf names a response body's encoding: "binary" for
+// BinaryViewType, "json" for everything else a portal sends.
+func encodingOf(h http.Header) string {
+	if h.Get("Content-Type") == BinaryViewType {
+		return "binary"
+	}
+	return "json"
 }
 
 // httpErrFromBody builds the error for a non-2xx response, preferring
@@ -404,9 +417,9 @@ func httpErrFromBody(path string, status int, body []byte) error {
 	return &errHTTP{status: status, path: path}
 }
 
-// getJSON fetches path and decodes a 200 response into out.
-func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out interface{}) error {
-	status, body, _, err := c.do(ctx, http.MethodGet, path, query, nil, "")
+// doJSON issues one request and decodes a 200 response into out.
+func (c *Client) doJSON(ctx context.Context, method, path string, query url.Values, payload []byte, out interface{}) error {
+	status, body, _, err := c.do(ctx, method, path, query, payload, nil)
 	if err != nil {
 		return err
 	}
@@ -421,20 +434,22 @@ func (c *Client) getJSON(ctx context.Context, path string, query url.Values, out
 
 // fetchView fetches /p4p/v1/distances in the given form, revalidating
 // the cached copy with If-None-Match; a 304 returns the cached view
-// without moving matrix bytes over the wire.
+// without moving matrix bytes over the wire. The raw form is asked for
+// in binary; whatever arrives is decoded by its Content-Type.
 func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error) {
 	const path = "/p4p/v1/distances"
-	q := url.Values{}
-	if form != "raw" {
+	q, hdr := url.Values{}, http.Header{}
+	if form == "raw" {
+		hdr.Set("Accept", BinaryViewType+", application/json") // JSON from a portal that ignores Accept
+	} else {
 		q.Set("form", form)
 	}
 	vc := c.viewCacheRef()
 	cached := vc.get(c.BaseURL, form)
-	etag := ""
 	if cached != nil {
-		etag = cached.etag
+		hdr.Set("If-None-Match", cached.etag)
 	}
-	status, body, respETag, err := c.do(ctx, http.MethodGet, path, q, nil, etag)
+	status, body, resp, err := c.do(ctx, http.MethodGet, path, q, nil, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -446,20 +461,16 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 		c.Metrics.etagHit()
 		return cached.view, nil
 	case http.StatusOK:
-		var w ViewWire
-		if err := decodeViewWire(body, &w); err != nil {
-			return nil, fmt.Errorf("portal: decode %s: %w", path, err)
-		}
-		v, err := FromWire(&w)
+		v, err := decodeView(body, encodingOf(resp))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("portal: decode %s: %w", path, err)
 		}
 		// Any 200 replaces the cache entry. A 200 without an ETag has
 		// withdrawn the server's validator: keeping the old entry would
 		// revalidate future requests against a dead ETag, and a spurious
 		// match would pair the old matrix with a new version. Drop it.
-		if respETag != "" {
-			vc.put(c.BaseURL, form, &cachedView{view: v, etag: respETag})
+		if etag := resp.Get("ETag"); etag != "" {
+			vc.put(c.BaseURL, form, &cachedView{view: v, etag: etag})
 		} else {
 			vc.put(c.BaseURL, form, nil)
 		}
@@ -469,10 +480,22 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 	}
 }
 
+// decodeView decodes a distances body in the named encoding.
+func decodeView(body []byte, encoding string) (*core.View, error) {
+	if encoding == "binary" {
+		return decodeBinaryView(body)
+	}
+	var w ViewWire
+	if err := json.Unmarshal(body, &w); err != nil {
+		return nil, err
+	}
+	return FromWire(&w)
+}
+
 // PolicyContext fetches the network usage policy.
 func (c *Client) PolicyContext(ctx context.Context) (itracker.Policy, error) {
 	var pol itracker.Policy
-	err := c.getJSON(ctx, "/p4p/v1/policy", nil, &pol)
+	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/policy", nil, nil, &pol)
 	return pol, err
 }
 
@@ -496,16 +519,9 @@ func (c *Client) BatchDistancesContext(ctx context.Context, pairs []PIDPair) (*B
 	if err != nil {
 		return nil, fmt.Errorf("portal: encode batch request: %w", err)
 	}
-	status, body, _, err := c.do(ctx, http.MethodPost, path, nil, payload, "")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, httpErrFromBody(path, status, body)
-	}
 	var w BatchResponseWire
-	if err := json.Unmarshal(body, &w); err != nil {
-		return nil, fmt.Errorf("portal: decode %s: %w", path, err)
+	if err := c.doJSON(ctx, http.MethodPost, path, nil, payload, &w); err != nil {
+		return nil, err
 	}
 	return batchFromWire(&w, len(pairs))
 }
@@ -522,7 +538,7 @@ func (c *Client) CapabilitiesContext(ctx context.Context, kind string) ([]itrack
 	if kind != "" {
 		q.Set("kind", kind)
 	}
-	err := c.getJSON(ctx, "/p4p/v1/capabilities", q, &caps)
+	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/capabilities", q, nil, &caps)
 	return caps, err
 }
 
@@ -535,6 +551,6 @@ func (c *Client) LookupPIDContext(ctx context.Context, ip net.IP) (PIDLookupWire
 	if ip == nil || ip.To16() == nil {
 		return out, errNilIP
 	}
-	err := c.getJSON(ctx, "/p4p/v1/pid", url.Values{"ip": {ip.String()}}, &out)
+	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/pid", url.Values{"ip": {ip.String()}}, nil, &out)
 	return out, err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -170,7 +171,7 @@ func TestBadForm(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
 	var w ViewWire
-	err := c.getJSON(context.Background(), "/p4p/v1/distances", map[string][]string{"form": {"bogus"}}, &w)
+	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", map[string][]string{"form": {"bogus"}}, nil, &w)
 	if err == nil {
 		t.Fatal("expected error for unknown form")
 	}

@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,10 +38,14 @@ const maxBatchPairs = 65536
 // maxBatchBody bounds the POST body of a batch request.
 const maxBatchBody = 8 << 20
 
-// jsonCTVals is the Content-Type header value shared by every cached
-// response entry (header maps hold []string; sharing one immutable
-// slice keeps the steady-state path allocation-free).
-var jsonCTVals = []string{"application/json"}
+// Header values shared by every distances response (header maps hold
+// []string; sharing immutable slices keeps the steady-state path
+// allocation-free).
+var (
+	jsonCTVals     = []string{"application/json"}
+	binaryCTVals   = []string{BinaryViewType}
+	varyAcceptVals = []string{"Accept"}
+)
 
 // ErrAccessDenied is the ViewSource outcome the handler answers 403: the
 // caller's trust token does not admit it to the interface.
@@ -57,8 +62,8 @@ var ErrUnavailable = errors.New("no view available")
 // the wire. Entry and View run on every request and must not allocate
 // while the source's current view is unchanged.
 type ViewSource interface {
-	// Entry returns the current rendered response for form "raw" or
-	// "ranks" (the handler has validated it).
+	// Entry returns the current rendered response for form "raw",
+	// "ranks" or FormBinary (the handler has validated it).
 	Entry(ctx context.Context, token, form string) (*Entry, error)
 	// View returns the current view, for the batch endpoint.
 	View(ctx context.Context, token string) (*core.View, error)
@@ -76,6 +81,7 @@ type Entry struct {
 	ETag string
 
 	body     []byte
+	ctVals   []string // the body's media type: binary by its magic, else JSON
 	etagVals []string // {ETag}
 	clenVals []string // {strconv.Itoa(len(body))}
 }
@@ -86,10 +92,15 @@ type Entry struct {
 //p4p:coldpath runs once per published view and form; its fmt work is the point of pre-rendering
 func NewEntry(version int, tag string, body []byte) *Entry {
 	etag := fmt.Sprintf("%q", tag)
+	ct := jsonCTVals
+	if bytes.HasPrefix(body, []byte(binaryMagic)) {
+		ct = binaryCTVals
+	}
 	return &Entry{
 		Version:  version,
 		ETag:     etag,
 		body:     body,
+		ctVals:   ct,
 		etagVals: []string{etag},
 		clenVals: []string{strconv.Itoa(len(body))},
 	}
@@ -109,11 +120,13 @@ func NewEntry(version int, tag string, body []byte) *Entry {
 // and pid routes only: policy and capabilities are per-provider and
 // meaningless merged.
 //
-// All responses are JSON; errors use {"error": "..."} envelopes. The
-// distances endpoint is version-cacheable: responses carry the
-// source's ETag, and requests presenting the current one via
-// If-None-Match get 304 Not Modified with no body, so refreshing
-// appTrackers pay nothing when the view has not changed.
+// All responses are JSON, except that a raw distances request whose
+// Accept lists BinaryViewType gets that rendering; errors use
+// {"error": "..."} envelopes. The distances endpoint is
+// version-cacheable: responses carry the source's ETag (one per
+// rendering), and requests presenting the current one via If-None-Match
+// get 304 Not Modified with no body, so refreshing appTrackers pay
+// nothing when the view has not changed.
 //
 // The 200 path is cached too: the fully-encoded JSON body and its
 // ETag/Content-Length header values are rendered once per published
@@ -158,9 +171,14 @@ type trackerSource struct {
 	// data.
 	bootNonce string
 
-	// cacheRaw/cacheRanks hold the current fully-rendered response per
-	// form.
-	cacheRaw, cacheRanks atomic.Pointer[Entry]
+	// forms holds, per form, the current rendered response and the encoder
+	// installed into the iTracker's cache; the map is fixed at construction.
+	forms map[string]*formCache
+}
+
+type formCache struct {
+	entry  atomic.Pointer[Entry]
+	encode itracker.EncodeFunc
 }
 
 // CacheMetrics counts how the encoded-response cache behaves. All
@@ -197,7 +215,10 @@ func (m *CacheMetrics) miss() {
 
 // NewHandler builds the HTTP handler for an iTracker.
 func NewHandler(tr *itracker.Server) *Handler {
-	src := &trackerSource{tr: tr, bootNonce: fmt.Sprintf("%08x", rand.Uint32())}
+	src := &trackerSource{tr: tr, bootNonce: fmt.Sprintf("%08x", rand.Uint32()), forms: map[string]*formCache{}}
+	for _, form := range Forms {
+		src.forms[form] = &formCache{encode: func(v *core.View) ([]byte, error) { return EncodeView(v, form) }}
+	}
 	h := NewSourceHandler(src)
 	src.h = h
 	h.Tracker = tr
@@ -282,15 +303,10 @@ func (h *Handler) handlePolicy(w http.ResponseWriter, r *http.Request) {
 // "*" wildcard. It scans in place — no splitting — because it runs on
 // the revalidation fast path.
 func ETagMatches(header, etag string) bool {
-	for len(header) > 0 {
-		part := header
-		if i := strings.IndexByte(header, ','); i >= 0 {
-			part, header = header[:i], header[i+1:]
-		} else {
-			header = ""
-		}
-		part = strings.TrimSpace(part)
-		part = strings.TrimPrefix(part, "W/")
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		part = strings.TrimPrefix(strings.TrimSpace(part), "W/")
 		if part == "*" || part == etag {
 			return true
 		}
@@ -299,10 +315,13 @@ func ETagMatches(header, etag string) bool {
 }
 
 // EncodeView renders a view as the distances response body for a form.
-// Bodies include the trailing newline WriteJSON appends, so cached and
-// freshly-encoded responses are byte-identical.
+// JSON bodies include the trailing newline WriteJSON appends, so cached
+// and freshly-encoded responses are byte-identical.
 func EncodeView(v *core.View, form string) ([]byte, error) {
-	if form == "ranks" {
+	switch form {
+	case FormBinary:
+		return encodeBinaryView(v)
+	case "ranks":
 		v = core.RankView(v)
 	}
 	b, err := json.Marshal(ToWire(v))
@@ -311,11 +330,6 @@ func EncodeView(v *core.View, form string) ([]byte, error) {
 	}
 	return append(b, '\n'), nil
 }
-
-// encodeRawView and encodeRankedView are the EncodeFuncs the portal
-// installs into the iTracker's encoded-view cache.
-func encodeRawView(v *core.View) ([]byte, error)    { return EncodeView(v, "raw") }
-func encodeRankedView(v *core.View) ([]byte, error) { return EncodeView(v, "ranks") }
 
 // Entry serves the rendered response for the engine's current version,
 // re-encoding under the iTracker's singleflight when the version moved.
@@ -327,11 +341,8 @@ func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, 
 	if err != nil {
 		return nil, err
 	}
-	cache, encode := &s.cacheRaw, itracker.EncodeFunc(encodeRawView)
-	if form == "ranks" {
-		cache, encode = &s.cacheRanks, encodeRankedView
-	}
-	if ent := cache.Load(); ent != nil && ent.Version == ver {
+	cache := s.forms[form]
+	if ent := cache.entry.Load(); ent != nil && ent.Version == ver {
 		s.h.CacheMetrics.hit()
 		return ent, nil
 	}
@@ -339,12 +350,12 @@ func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, 
 	// entry. A price update racing the encode can leave the entry one
 	// version behind; the next request simply misses again.
 	s.h.CacheMetrics.miss()
-	body, version, err := s.tr.EncodedViewCtx(ctx, token, form, encode)
+	body, version, err := s.tr.EncodedViewCtx(ctx, token, form, cache.encode)
 	if err != nil {
 		return nil, err
 	}
 	ent := NewEntry(version, fmt.Sprintf("%s-v%d-%s", s.bootNonce, version, form), body)
-	cache.Store(ent)
+	cache.entry.Store(ent)
 	return ent, nil
 }
 
@@ -378,6 +389,10 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Only raw has a binary rendering. Header.Get would canonicalize the key.
+	if form == "raw" && acceptsBinary(r.Header["Accept"]) {
+		form = FormBinary
+	}
 	//p4pvet:ignore allochot the source is the handler's one seam; both implementations mark Entry //p4p:hotpath and are checked from there
 	ent, err := h.src.Entry(r.Context(), r.Header.Get(tokenHeaderCanon), form)
 	if err != nil {
@@ -386,14 +401,14 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 	}
 	// Direct map assignment with pre-canonicalized keys ("Etag" is the
 	// canonical MIME form) and shared value slices: zero allocations.
+	hdr := w.Header()
+	hdr["Vary"] = varyAcceptVals
+	hdr["Etag"] = ent.etagVals
 	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatches(inm, ent.ETag) {
-		w.Header()["Etag"] = ent.etagVals
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	hdr := w.Header()
-	hdr["Content-Type"] = jsonCTVals
-	hdr["Etag"] = ent.etagVals
+	hdr["Content-Type"] = ent.ctVals
 	hdr["Content-Length"] = ent.clenVals
 	w.WriteHeader(http.StatusOK)
 	w.Write(ent.body)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,5 +166,118 @@ func TestHandlerOverBothSources(t *testing.T) {
 		if rec := serve(sources[1].h, "GET", path, "", auth); rec.Code != http.StatusNotFound {
 			t.Errorf("federation %s: status %d, want 404", path, rec.Code)
 		}
+	}
+}
+
+// TestNegotiationOverBothSources pins the Accept rule on the distances
+// route for both sources: only a request that lists BinaryViewType
+// (and does not refuse it with q=0) gets the binary rendering; a request
+// without Accept — every client written before the binary form existed —
+// gets the JSON bytes json.Marshal(ToWire(view)) always produced, under
+// an ETag of the old format. Per encoding, ETag, body, Content-Length
+// and Content-Type agree, and a validator only revalidates its own.
+func TestNegotiationOverBothSources(t *testing.T) {
+	const bin, jsonCT = portal.BinaryViewType, "application/json"
+	cases := []struct{ name, accept, wantCT string }{
+		{"absent", "", jsonCT},
+		{"any", "*/*", jsonCT},
+		{"json", jsonCT, jsonCT},
+		{"binary", bin, bin},
+		{"both", jsonCT + ", " + bin, bin},
+		{"what portal.Client sends", bin + ", " + jsonCT, bin},
+		{"binary with parameters", "text/html;q=0.2, " + strings.ToUpper(bin) + " ;v=1; q=0.5", bin},
+		{"binary refused", bin + ";q=0, " + jsonCT, jsonCT},
+		{"binary refused, long form", jsonCT + ", " + bin + "; q=0.000", jsonCT},
+		{"a longer type name", bin + "-next", jsonCT},
+	}
+	sources := []struct {
+		name string
+		h    http.Handler
+		etag string // unquoted validator without its form suffix
+	}{
+		{"itracker", newTrackerHandler(t), `[0-9a-f]{8}-v\d+`},
+		{"federation", newFederationHandler(t), `fed-[0-9a-f]{8}-[0-9a-f]{16}`},
+	}
+	for _, src := range sources {
+		ref := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+		var w portal.ViewWire
+		if err := json.Unmarshal(ref.Body.Bytes(), &w); err != nil {
+			t.Fatal(err)
+		}
+		view, err := portal.FromWire(&w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := json.Marshal(portal.ToWire(view))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBin, err := portal.EncodeView(view, portal.FormBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]struct {
+			body []byte
+			etag *regexp.Regexp
+		}{
+			jsonCT: {append(old, '\n'), regexp.MustCompile(`^"` + src.etag + `-raw"$`)},
+			bin:    {wantBin, regexp.MustCompile(`^"` + src.etag + `-bin"$`)},
+		}
+		etags := map[string]string{}
+		for _, tc := range cases {
+			t.Run(src.name+"/"+tc.name, func(t *testing.T) {
+				hdr := map[string]string{}
+				if tc.accept != "" {
+					hdr["Accept"] = tc.accept
+				}
+				rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr)
+				etag := rec.Header().Get("Etag")
+				if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != tc.wantCT || rec.Header().Get("Vary") != "Accept" {
+					t.Fatalf("status %d, Content-Type %q, Vary %q; want 200, %s, Accept",
+						rec.Code, rec.Header().Get("Content-Type"), rec.Header().Get("Vary"), tc.wantCT)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want[tc.wantCT].body) {
+					t.Errorf("%d body bytes differ from the expected %d-byte rendering", rec.Body.Len(), len(want[tc.wantCT].body))
+				}
+				if rec.Header().Get("Content-Length") != strconv.Itoa(rec.Body.Len()) || !want[tc.wantCT].etag.MatchString(etag) {
+					t.Errorf("Content-Length %q for %d bytes, ETag %s", rec.Header().Get("Content-Length"), rec.Body.Len(), etag)
+				}
+				if prev, ok := etags[tc.wantCT]; ok && prev != etag {
+					t.Errorf("ETag %s, earlier %s response carried %s", etag, tc.wantCT, prev)
+				}
+				etags[tc.wantCT] = etag
+				// Its own validator revalidates; the 304 still says the
+				// answer depends on Accept.
+				hdr["If-None-Match"] = etag
+				if rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr); rec.Code != http.StatusNotModified ||
+					rec.Body.Len() != 0 || rec.Header().Get("Etag") != etag || rec.Header().Get("Vary") != "Accept" {
+					t.Errorf("own ETag: status %d, %d body bytes, ETag %q, Vary %q; want a bare 304",
+						rec.Code, rec.Body.Len(), rec.Header().Get("Etag"), rec.Header().Get("Vary"))
+				}
+			})
+		}
+		t.Run(src.name+"/validators are per encoding", func(t *testing.T) {
+			for _, x := range []struct{ accept, inm string }{{bin, etags[jsonCT]}, {jsonCT, etags[bin]}, {"", etags[bin]}} {
+				hdr := map[string]string{"Accept": x.accept, "If-None-Match": x.inm}
+				if rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr); rec.Code != http.StatusOK {
+					t.Errorf("Accept %q with If-None-Match %s: status %d, want 200", x.accept, x.inm, rec.Code)
+				}
+			}
+		})
+		t.Run(src.name+"/ranks and errors stay JSON", func(t *testing.T) {
+			plain := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", nil)
+			asked := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", map[string]string{"Accept": bin})
+			if asked.Code != http.StatusOK || asked.Header().Get("Content-Type") != jsonCT ||
+				asked.Header().Get("Etag") != plain.Header().Get("Etag") || !bytes.Equal(asked.Body.Bytes(), plain.Body.Bytes()) {
+				t.Errorf("ranks with Accept: status %d, Content-Type %q, ETag %s (plain %s)",
+					asked.Code, asked.Header().Get("Content-Type"), asked.Header().Get("Etag"), plain.Header().Get("Etag"))
+			}
+			for _, target := range []string{"/p4p/v1/distances?form=xml", "/p4p/v1/distances?form=" + portal.FormBinary} {
+				rec := serve(src.h, "GET", target, "", map[string]string{"Accept": bin})
+				if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != jsonCT {
+					t.Errorf("%s: status %d, Content-Type %q; want a 400 JSON envelope", target, rec.Code, rec.Header().Get("Content-Type"))
+				}
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ package portal
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"p4p/internal/core"
 	"p4p/internal/topology"
@@ -60,36 +61,65 @@ func ToWire(v *core.View) *ViewWire {
 
 // FromWire converts a received view back to a core.View, restoring
 // infinities and validating shape and range against hostile payloads:
-// the matrix must be square over the PID list, every entry must be a
-// finite number no larger than MaxDistance, and any negative entry —
-// not just exactly -1 — decodes as unreachable (see Unreachable).
+// the matrix must be square over the PID list (see receivedView for the
+// rest).
 func FromWire(w *ViewWire) (*core.View, error) {
-	if len(w.Matrix) != len(w.PIDs) {
-		return nil, fmt.Errorf("portal: matrix has %d rows for %d PIDs", len(w.Matrix), len(w.PIDs))
+	n := len(w.PIDs)
+	if len(w.Matrix) != n {
+		return nil, fmt.Errorf("portal: matrix has %d rows for %d PIDs", len(w.Matrix), n)
 	}
-	v := &core.View{PIDs: append([]topology.PID(nil), w.PIDs...), Version: w.Version}
-	v.D = make([][]float64, len(w.Matrix))
 	for i, row := range w.Matrix {
-		if len(row) != len(w.PIDs) {
-			return nil, fmt.Errorf("portal: matrix row %d has %d columns for %d PIDs", i, len(row), len(w.PIDs))
+		if len(row) != n {
+			return nil, fmt.Errorf("portal: matrix row %d has %d columns for %d PIDs", i, len(row), n)
 		}
-		v.D[i] = make([]float64, len(row))
-		for j, d := range row {
-			switch {
-			case math.IsNaN(d) || math.IsInf(d, 0):
-				// Unreachable JSON decode of a numeric literal, but
-				// reachable when a ViewWire is built in-process.
-				return nil, fmt.Errorf("portal: non-finite distance at (%d,%d)", i, j)
-			case d < 0:
-				v.D[i][j] = math.Inf(1)
-			case d > MaxDistance:
-				return nil, fmt.Errorf("portal: distance %g at (%d,%d) exceeds MaxDistance", d, i, j)
-			default:
-				v.D[i][j] = d
-			}
+	}
+	flat := make([]float64, 0, n*n)
+	for _, row := range w.Matrix {
+		flat = append(flat, row...)
+	}
+	return receivedView(append([]topology.PID(nil), w.PIDs...), w.Version, flat)
+}
+
+// receivedView is the validation every decoder of a received view ends
+// in, over the len(pids)² distances it read into flat, row-major: no PID
+// may be listed twice (View.Columns would silently let the first column
+// win), every distance must be a finite number no larger than
+// MaxDistance, and any negative one — not just exactly -1 — decodes as
+// unreachable (see Unreachable). The view's rows are slices of flat.
+func receivedView(pids []topology.PID, version int, flat []float64) (*core.View, error) {
+	n := len(pids)
+	sorted := slices.Clone(pids)
+	slices.Sort(sorted)
+	for i := 1; i < n; i++ {
+		if sorted[i] == sorted[i-1] {
+			return nil, fmt.Errorf("portal: PID %d listed twice", sorted[i])
 		}
+	}
+	if k := fromWireDistances(flat, flat); k >= 0 {
+		return nil, fmt.Errorf("portal: distance %g at (%d,%d) is not finite or exceeds MaxDistance", flat[k], k/n, k%n)
+	}
+	v := &core.View{PIDs: pids, Version: version, D: make([][]float64, n)}
+	for i := range v.D {
+		v.D[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return v, nil
+}
+
+// fromWireDistances decodes src into dst (which may be src) under the
+// one range rule for a received distance and returns the index of the
+// first value it refuses — NaN, ±Inf, beyond MaxDistance — or -1.
+func fromWireDistances(dst, src []float64) int {
+	for k, d := range src {
+		switch {
+		case d >= 0 && d <= MaxDistance:
+			dst[k] = d
+		case d < 0 && d >= -math.MaxFloat64:
+			dst[k] = math.Inf(1)
+		default:
+			return k
+		}
+	}
+	return -1
 }
 
 // PIDPair is one src→dst distance query in a batch request.
@@ -127,17 +157,8 @@ func batchFromWire(w *BatchResponseWire, pairs int) (*BatchResult, error) {
 		return nil, fmt.Errorf("portal: batch returned %d distances for %d pairs", len(w.Distances), pairs)
 	}
 	out := &BatchResult{Version: w.Version, Distances: make([]float64, len(w.Distances))}
-	for i, d := range w.Distances {
-		switch {
-		case math.IsNaN(d) || math.IsInf(d, 0):
-			return nil, fmt.Errorf("portal: non-finite batch distance at %d", i)
-		case d < 0:
-			out.Distances[i] = math.Inf(1)
-		case d > MaxDistance:
-			return nil, fmt.Errorf("portal: batch distance %g at %d exceeds MaxDistance", d, i)
-		default:
-			out.Distances[i] = d
-		}
+	if i := fromWireDistances(out.Distances, w.Distances); i >= 0 {
+		return nil, fmt.Errorf("portal: batch distance %g at %d is not finite or exceeds MaxDistance", w.Distances[i], i)
 	}
 	return out, nil
 }

@@ -5,15 +5,20 @@
 #
 # Usage: bench_json.sh [portal|sim]
 #
-#   portal (default)  portal request path, 304 revalidation, view
-#                     recompute -> BENCH_portal.json
+#   portal (default)  portal request path (JSON and binary), 304
+#                     revalidation, view recompute, and the view codec
+#                     at ISP-B size in both encodings
+#                     -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
 #                     1k / 10k candidates, plus the Figure 7
 #                     swarm-size sweep, parallel and serial
 #                     -> BENCH_sim.json
 #
 # BENCHTIME overrides the micro-benchmark -benchtime (default 1s);
-# P4P_SCALE the sweep workload scale (default 0.25).
+# P4P_SCALE the sweep workload scale (default 0.25). The header stamps
+# the machine: goos/goarch/cpu from go test, go_version, gomaxprocs (the
+# -N suffix go test prints) and the commit (with -dirty when the tree
+# has uncommitted changes).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,7 +26,7 @@ MODE=${1:-portal}
 case "$MODE" in
 portal)
 	OUT=BENCH_portal.json
-	RAW=$(go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute' \
+	RAW=$(go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec' \
 		-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/)
 	;;
 sim)
@@ -45,8 +50,10 @@ sim)
 esac
 
 printf '%s\n' "$RAW"
-printf '%s\n' "$RAW" | awk '
-BEGIN { n = 0 }
+COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+[ -z "$(git status --porcelain 2>/dev/null)" ] || COMMIT="$COMMIT-dirty"
+printf '%s\n' "$RAW" | awk -v go_version="$(go env GOVERSION)" -v commit="$COMMIT" '
+BEGIN { n = 0; procs = 1 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
 /^cpu:/    { sub(/^cpu: */, ""); cpu = $0 }
@@ -54,7 +61,8 @@ BEGIN { n = 0 }
     # BenchmarkName-8  123456  987 ns/op  64 B/op  2 allocs/op [extras]
     # Token-scan for the unit suffixes: experiment benchmarks append
     # ReportMetric extras, so fixed field positions would misparse.
-    name = $1; sub(/-[0-9]+$/, "", name)
+    name = $1
+    if (match(name, /-[0-9]+$/)) { procs = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
     ns = ""; b = 0; a = 0; ex = ""
     for (i = 3; i < NF; i++) {
         u = $(i+1)
@@ -77,6 +85,9 @@ END {
     printf "  \"goos\": \"%s\",\n", goos
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
+    printf "  \"go_version\": \"%s\",\n", go_version
+    printf "  \"gomaxprocs\": %s,\n", procs
+    printf "  \"commit\": \"%s\",\n", commit
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
         printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}%s\n", \
