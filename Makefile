@@ -39,19 +39,22 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectMatchesReference$$' -fuzztime 10s ./internal/apptracker
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Portal request, view-recompute and view-codec (JSON vs binary)
-# benchmarks, emitted as JSON at BENCH_portal.json for cross-commit
-# comparison.
+# benchmarks plus the engine's Update and Matrix kernels, emitted as
+# JSON at BENCH_portal.json for cross-commit comparison;
+# scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op.
 bench-json:
 	sh scripts/bench_json.sh portal
 
 # p2psim hot-path benchmarks, P4P.Select at three candidate counts and
 # the Figure 7 sweep (parallel and serial), emitted as JSON at
 # BENCH_sim.json. Diff across commits with
-# scripts/bench_diff.sh.
+# scripts/bench_diff.sh, which gates the BenchmarkSim* rows at +10%
+# ns/op.
 bench-sim-json:
 	sh scripts/bench_json.sh sim

@@ -106,12 +106,27 @@ type Engine struct {
 	virtual []float64 // v_e per link (bits/sec); NaN when not set
 	lastT   []float64 // last observed P4P traffic per link, bits/sec
 
+	// Per-link attributes copied from g at NewEngine, so the price loop
+	// reads flat vectors instead of copying the link table.
+	capacity, distKm []float64
+	interdomain      []bool
+	// Scratch owned by Update (simplex member indices, their stepped
+	// prices and capacities, the pre-step prices) and by Matrix (the
+	// per-link exposed price, route sums from one source). Both run under
+	// the write lock, so steady-state calls allocate nothing here.
+	intra               []int
+	y, yCap, prev       []float64
+	linkPrices, routeTo []float64
+
 	rng     *rand.Rand
 	version int // incremented on every price update
 }
 
 // NewEngine builds an engine over a routed topology. Initial prices are
 // uniform on the projection set for MLU (p_e = 1/Σc_e) and zero for BDP.
+// Link capacities, distances and interdomain flags are read from g here,
+// once: topologies are finished before an engine is built over them, and
+// a later g.SetLink is not seen.
 func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 	if cfg.StepSize == 0 {
 		cfg.StepSize = 0.1
@@ -130,15 +145,24 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		virtual: make([]float64, n),
 		lastT:   make([]float64, n),
 		rng:     rand.New(rand.NewSource(cfg.PerturbSeed)),
+
+		capacity:    make([]float64, n),
+		distKm:      make([]float64, n),
+		interdomain: make([]bool, n),
+		intra:       make([]int, n),
+		y:           make([]float64, n),
+		yCap:        make([]float64, n),
+		prev:        make([]float64, n),
+		linkPrices:  make([]float64, n),
+		routeTo:     make([]float64, g.NumNodes()),
 	}
-	for i := range e.virtual {
+	var capSum float64
+	for i, l := range g.Links() {
 		e.virtual[i] = math.NaN()
+		e.capacity[i], e.distKm[i], e.interdomain[i] = l.CapacityBps, l.DistanceKm, l.Interdomain
+		capSum += l.CapacityBps
 	}
 	if cfg.Objective == MinimizeMLU {
-		var capSum float64
-		for _, l := range g.Links() {
-			capSum += l.CapacityBps
-		}
 		for i := range e.prices {
 			e.prices[i] = 1 / capSum
 		}
@@ -202,10 +226,18 @@ func (e *Engine) backgroundFor() []float64 {
 }
 
 // ObserveTraffic records measured P4P traffic t̄_e (bits/sec per link),
-// as estimated from traffic measurements at each edge (Section 5).
+// as estimated from traffic measurements at each edge (Section 5). A
+// NaN or infinite rate is refused before anything is stored: p + μξ
+// never leaves NaN, so one would poison that link's price, every route
+// over it, and every view served from then on.
 func (e *Engine) ObserveTraffic(bps []float64) {
 	if len(bps) != len(e.lastT) {
 		panic(fmt.Sprintf("core: observation for %d links, graph has %d", len(bps), len(e.lastT)))
+	}
+	for i, v := range bps {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("core: non-finite observation %v on link %d", v, i))
+		}
 	}
 	e.mu.Lock()
 	copy(e.lastT, bps)
@@ -223,8 +255,8 @@ func (e *Engine) MLU() float64 {
 func (e *Engine) mluLocked() float64 {
 	bg := e.backgroundFor()
 	alpha := 0.0
-	for i, l := range e.g.Links() {
-		u := (bg[i] + e.lastT[i]) / l.CapacityBps
+	for i, c := range e.capacity {
+		u := (bg[i] + e.lastT[i]) / c
 		if u > alpha {
 			alpha = u
 		}
@@ -233,64 +265,57 @@ func (e *Engine) mluLocked() float64 {
 }
 
 // Update performs one projected super-gradient step from the last
-// observation, following Proposition 1 and its extensions.
-func (e *Engine) Update() {
+// observation, following Proposition 1 and its extensions, and returns
+// the step's norm ‖p(τ+1) − p(τ)‖₂ and the maximum link utilization of
+// that observation.
+//
+//p4p:hotpath the provider-side cost of every price update; steady state allocates nothing
+func (e *Engine) Update() (stepNorm, mlu float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	links := e.g.Links()
 	bg := e.backgroundFor()
 	mu := e.cfg.StepSize
-
-	switch e.cfg.Objective {
-	case MinimizeMLU:
-		alpha := e.mluLocked()
-		// Gradient step on intradomain links, capacity-weighted simplex
-		// projection afterwards. Interdomain links with a virtual
-		// capacity use the eq. 16 price instead and stay out of the
-		// simplex.
-		var intraIdx []int
-		var intraY []float64
-		var intraCap []float64
-		for i, l := range links {
-			if l.Interdomain && !math.IsNaN(e.virtual[i]) {
-				// Normalize the constraint t_e <= v_e by v_e so the step
-				// size is comparable across links of different scale.
-				scale := e.virtual[i]
-				if scale <= 0 {
-					scale = l.CapacityBps
-				}
-				g := (e.lastT[i] - e.virtual[i]) / scale
-				e.prices[i] = math.Max(0, e.prices[i]+mu*g)
-				continue
+	mlu = e.mluLocked()
+	copy(e.prev, e.prices)
+	// Intradomain links under MLU take a gradient step and then a
+	// capacity-weighted simplex projection together; every other link
+	// is projected onto p_e >= 0 on its own.
+	intra, y, yCap := e.intra[:0], e.y[:0], e.yCap[:0]
+	for i, c := range e.capacity {
+		switch {
+		case e.interdomain[i] && !math.IsNaN(e.virtual[i]):
+			// An interdomain link with a virtual capacity prices the
+			// eq. 16 constraint t_e <= v_e instead, normalized by v_e so
+			// the step size is comparable across links of different scale.
+			scale := e.virtual[i]
+			if scale <= 0 {
+				scale = c
 			}
+			g := (e.lastT[i] - e.virtual[i]) / scale
+			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
+		case e.cfg.Objective == MinimizeBDP:
+			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e.
+			g := (bg[i] + e.lastT[i] - c) / c
+			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
+		case e.cfg.Objective == MinimizeMLU:
 			// ξ_e = b_e + t̄_e − α c_e, normalized by Σc to keep the
 			// simplex step well-scaled.
-			g := (bg[i] + e.lastT[i] - alpha*l.CapacityBps) / l.CapacityBps
-			intraIdx = append(intraIdx, i)
-			intraY = append(intraY, e.prices[i]+mu*g/l.CapacityBps)
-			intraCap = append(intraCap, l.CapacityBps)
-		}
-		proj := projectWeightedSimplex(intraY, intraCap)
-		for k, i := range intraIdx {
-			e.prices[i] = proj[k]
-		}
-	case MinimizeBDP:
-		for i, l := range links {
-			if l.Interdomain && !math.IsNaN(e.virtual[i]) {
-				scale := e.virtual[i]
-				if scale <= 0 {
-					scale = l.CapacityBps
-				}
-				g := (e.lastT[i] - e.virtual[i]) / scale
-				e.prices[i] = math.Max(0, e.prices[i]+mu*g)
-				continue
-			}
-			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e.
-			g := (bg[i] + e.lastT[i] - l.CapacityBps) / l.CapacityBps
-			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
+			g := (bg[i] + e.lastT[i] - mlu*c) / c
+			intra = append(intra, i)
+			y = append(y, e.prices[i]+mu*g/c)
+			yCap = append(yCap, c)
 		}
 	}
+	projectWeightedSimplex(y, yCap)
+	for k, i := range intra {
+		e.prices[i] = y[k]
+	}
+	for i, p := range e.prices {
+		d := p - e.prev[i]
+		stepNorm += d * d
+	}
 	e.version++
+	return math.Sqrt(stepNorm), mlu
 }
 
 // SetPrice overrides one link's dual price — a provider-side warm
@@ -324,24 +349,22 @@ func (e *Engine) Prices() []float64 {
 }
 
 // linkPrice is the per-link contribution to exposed distances.
-func (e *Engine) linkPrice(i int, l topology.Link) float64 {
+func (e *Engine) linkPrice(i int) float64 {
 	if e.cfg.Objective == MinimizeBDP {
 		// Exposed distances for BDP are {p_ij + d_ij} (eq. 15 and the
 		// derivation following it).
-		return e.prices[i] + l.DistanceKm
+		return e.prices[i] + e.distKm[i]
 	}
 	return e.prices[i]
 }
 
 // PDistance returns the external-view distance p_ij between two PIDs
-// under the current prices (perturbation not applied; see Matrix).
+// under the current prices (perturbation not applied; see Matrix): the
+// link prices along the route, added in route order from zero — the sum
+// Matrix accumulates down the routing tree, bit for bit.
 func (e *Engine) PDistance(i, j topology.PID) float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.pDistanceLocked(i, j)
-}
-
-func (e *Engine) pDistanceLocked(i, j topology.PID) float64 {
 	if i == j {
 		return e.cfg.IntraPID
 	}
@@ -351,7 +374,7 @@ func (e *Engine) pDistanceLocked(i, j topology.PID) float64 {
 	}
 	sum := 0.0
 	for _, id := range path {
-		sum += e.linkPrice(int(id), e.g.Link(id))
+		sum += e.linkPrice(int(id))
 	}
 	return sum
 }
@@ -359,20 +382,39 @@ func (e *Engine) pDistanceLocked(i, j topology.PID) float64 {
 // Matrix materializes the external view over the given PIDs, applying
 // the configured privacy perturbation. This is what the p4p-distance
 // interface serves to applications.
+//
+// Each link is priced once, and each row's route sums are accumulated
+// down the source's routing tree (topology.Routing.Tree): one addition
+// per node, in the order a walk of each route would make them.
 func (e *Engine) Matrix(pids []topology.PID) *View {
-	e.mu.Lock() // full lock: the perturbation RNG mutates
+	e.mu.Lock() // full lock: the perturbation RNG and the scratch mutate
 	defer e.mu.Unlock()
-	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, len(pids))}
+	n := len(pids)
+	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, n), Version: e.version}
+	for l := range e.linkPrices {
+		e.linkPrices[l] = e.linkPrice(l)
+	}
+	flat := make([]float64, n*n)
 	for a, i := range pids {
-		v.D[a] = make([]float64, len(pids))
+		for k := range e.routeTo {
+			e.routeTo[k] = math.Inf(1)
+		}
+		e.routeTo[i] = 0
+		for _, h := range e.r.Tree(i) {
+			e.routeTo[h.Node] = e.routeTo[h.Parent] + e.linkPrices[h.Link]
+		}
+		row := flat[a*n : (a+1)*n : (a+1)*n]
 		for b, j := range pids {
-			d := e.pDistanceLocked(i, j)
+			d := e.routeTo[j]
+			if i == j {
+				d = e.cfg.IntraPID
+			}
 			if e.cfg.PerturbFrac > 0 && a != b && !math.IsInf(d, 1) {
 				d *= 1 + e.cfg.PerturbFrac*(2*e.rng.Float64()-1)
 			}
-			v.D[a][b] = d
+			row[b] = d
 		}
+		v.D[a] = row
 	}
-	v.Version = e.version
 	return v
 }

@@ -262,3 +262,47 @@ func TestEngineSetPriceWarmStart(t *testing.T) {
 	}()
 	e.SetPrice(0, -1)
 }
+
+func TestObserveTrafficRejectsNonFinite(t *testing.T) {
+	g, r := fourLine()
+	e := NewEngine(g, r, Config{StepSize: 0.2})
+	obs := make([]float64, g.NumLinks())
+	obs[0] = 0.9e9
+	e.ObserveTraffic(obs)
+	e.Update()
+	want, version := e.Prices(), e.Version()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		poisoned := append([]float64(nil), obs...)
+		poisoned[1], poisoned[3] = 0.5e9, bad // a finite change ahead of the bad entry must not land either
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ObserveTraffic accepted %v", bad)
+				}
+			}()
+			e.ObserveTraffic(poisoned)
+		}()
+	}
+	// Nothing was stored: the next step is the step the clean observation
+	// alone would give, and every price and distance stays finite.
+	clean := NewEngine(g, r, Config{StepSize: 0.2})
+	clean.ObserveTraffic(obs)
+	clean.Update()
+	clean.Update()
+	e.Update()
+	if e.Version() != version+1 {
+		t.Fatalf("version %d, want %d", e.Version(), version+1)
+	}
+	for i, p := range e.Prices() {
+		if math.IsNaN(p) || math.IsInf(p, 0) || p != clean.Price(topology.LinkID(i)) {
+			t.Fatalf("price of link %d = %v after refused observations (was %v), want %v", i, p, want[i], clean.Price(topology.LinkID(i)))
+		}
+	}
+	for _, row := range e.Matrix(g.AggregationPIDs()).D {
+		for _, d := range row {
+			if math.IsNaN(d) {
+				t.Fatal("NaN distance after a refused observation")
+			}
+		}
+	}
+}

@@ -2,28 +2,18 @@ package core
 
 import "math"
 
-// projectWeightedSimplex computes the Euclidean projection of y onto the
-// weighted simplex S = { p >= 0 : Σ_e c_e p_e = 1 } used by the MLU
+// projectWeightedSimplex replaces y with its Euclidean projection onto
+// the weighted simplex S = { p >= 0 : Σ_e c_e p_e = 1 } used by the MLU
 // decomposition (eq. 14). The KKT conditions give p_e = max(0, y_e − λ c_e)
 // for the λ solving f(λ) = Σ_e c_e max(0, y_e − λ c_e) = 1; f is
 // continuous, piecewise-linear and strictly decreasing wherever positive,
 // so bisection converges.
-func projectWeightedSimplex(y, c []float64) []float64 {
+func projectWeightedSimplex(y, c []float64) {
 	if len(y) != len(c) {
 		panic("core: projection dimensions differ")
 	}
 	if len(y) == 0 {
-		return nil
-	}
-	f := func(lambda float64) float64 {
-		sum := 0.0
-		for i := range y {
-			v := y[i] - lambda*c[i]
-			if v > 0 {
-				sum += c[i] * v
-			}
-		}
-		return sum
+		return
 	}
 	// Bracket the root. λ_hi such that f(λ_hi) <= 1: at
 	// λ = max_i y_i/c_i every term is zero, so f = 0 <= 1.
@@ -43,37 +33,52 @@ func projectWeightedSimplex(y, c []float64) []float64 {
 	if span <= 0 {
 		span = math.Abs(hi) + 1
 	}
-	for f(lo) < 1 {
+	for simplexMass(y, c, lo) < 1 {
 		lo -= span
 		span *= 2
 	}
+	// Bisect to the fixed point, at most 200 rounds. Once the midpoint
+	// rounds onto an endpoint no later round can move λ: a round either
+	// leaves (lo, hi) alone or sets both to mid, and in both cases
+	// (lo+hi)/2 is mid again — so the λ computed below is the one 200
+	// rounds would reach, in under 60.
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
-		if f(mid) > 1 {
+		if mid == lo || mid == hi {
+			break
+		}
+		if simplexMass(y, c, mid) > 1 {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	lambda := (lo + hi) / 2
-	out := make([]float64, len(y))
+	sum := 0.0
 	for i := range y {
-		v := y[i] - lambda*c[i]
-		if v < 0 {
-			v = 0
+		y[i] -= lambda * c[i]
+		if y[i] < 0 {
+			y[i] = 0
 		}
-		out[i] = v
+		sum += c[i] * y[i]
 	}
 	// Exact renormalization to absorb bisection residue.
-	sum := 0.0
-	for i := range out {
-		sum += c[i] * out[i]
-	}
 	if sum > 0 {
 		inv := 1 / sum
-		for i := range out {
-			out[i] *= inv
+		for i := range y {
+			y[i] *= inv
 		}
 	}
-	return out
+}
+
+// simplexMass is f(λ) = Σ_e c_e max(0, y_e − λ c_e).
+func simplexMass(y, c []float64, lambda float64) float64 {
+	sum := 0.0
+	for i := range y {
+		v := y[i] - lambda*c[i]
+		if v > 0 {
+			sum += c[i] * v
+		}
+	}
+	return sum
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -484,20 +483,7 @@ func (t *Server) LookupPID(ip net.IP) (topology.PID, int, error) {
 // signals of the paper's dual decomposition.
 func (t *Server) ObserveAndUpdate(linkRateBps []float64) {
 	t.engine.ObserveTraffic(linkRateBps)
-	var before []float64
-	if t.Metrics != nil {
-		before = t.engine.Prices()
-	}
-	t.engine.Update()
-	if t.Metrics != nil {
-		after := t.engine.Prices()
-		norm := 0.0
-		for i := range after {
-			d := after[i] - before[i]
-			norm += d * d
-		}
-		t.Metrics.update(math.Sqrt(norm), t.engine.MLU())
-	}
+	t.Metrics.update(t.engine.Update())
 	t.mu.Lock()
 	t.updateCount++
 	t.mu.Unlock()

@@ -18,6 +18,15 @@ type Routing struct {
 	// dist[i][j] is the total routing weight of the path, +Inf if
 	// unreachable, 0 when i == j.
 	dist [][]float64
+	// tree[i] is i's shortest-path tree, parents before children.
+	tree [][]Hop
+}
+
+// Hop is one edge of a source's shortest-path tree: the route to Node is
+// the route to Parent followed by Link.
+type Hop struct {
+	Node, Parent PID
+	Link         LinkID
 }
 
 // ComputeRouting runs Dijkstra from every node and materializes all-pairs
@@ -29,6 +38,7 @@ func ComputeRouting(g *Graph) *Routing {
 		g:         g,
 		pathLinks: make([][][]LinkID, n),
 		dist:      make([][]float64, n),
+		tree:      make([][]Hop, n),
 	}
 	for src := 0; src < n; src++ {
 		dist, prev := dijkstra(g, PID(src))
@@ -52,6 +62,21 @@ func ComputeRouting(g *Graph) *Routing {
 			}
 			r.pathLinks[src][dst] = path
 		}
+		// Every path above walks the same predecessor array, so the path
+		// to a node at depth d is the path to its parent at depth d-1
+		// plus one link: emitting by depth puts parents first, and the
+		// first empty depth ends the tree.
+		r.tree[src] = make([]Hop, 0, n-1)
+		for depth, found := 1, true; found; depth++ {
+			found = false
+			for dst, path := range r.pathLinks[src] {
+				if len(path) == depth {
+					last := path[depth-1]
+					r.tree[src] = append(r.tree[src], Hop{Node: PID(dst), Parent: g.Link(last).Src, Link: last})
+					found = true
+				}
+			}
+		}
 	}
 	return r
 }
@@ -63,6 +88,14 @@ func (r *Routing) Graph() *Graph { return r.g }
 // nil when i == j or j is unreachable. The returned slice must not be
 // modified.
 func (r *Routing) Path(i, j PID) []LinkID { return r.pathLinks[i][j] }
+
+// Tree returns src's shortest-path tree: one Hop per node reachable from
+// src (src itself excluded), every node after its parent, with
+// Path(src, h.Node) == Path(src, h.Parent) followed by h.Link. A quantity
+// summed link by link along routes can therefore be accumulated down the
+// tree, one addition per node, in the same order as a walk of each Path.
+// The returned slice must not be modified.
+func (r *Routing) Tree(src PID) []Hop { return r.tree[src] }
 
 // Reachable reports whether j is reachable from i.
 func (r *Routing) Reachable(i, j PID) bool {

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +131,36 @@ func TestPathsAreContiguous(t *testing.T) {
 				}
 				if len(path) != r.HopCount(PID(i), PID(j)) {
 					t.Fatalf("%s: HopCount mismatch for %d->%d", g.Name, i, j)
+				}
+			}
+		}
+	}
+}
+
+// TestTreeRebuildsEveryPath: walking Tree(src) and extending the parent's
+// path by the hop's link reproduces Path(src, node) exactly, for every
+// reachable node and no other — the prefix property core.Engine.Matrix
+// accumulates path sums on. The one-way graph has an unreachable node.
+func TestTreeRebuildsEveryPath(t *testing.T) {
+	oneway := NewGraph("oneway")
+	a, b := oneway.AddNode(Node{Name: "a"}), oneway.AddNode(Node{Name: "b"})
+	oneway.AddLink(Link{Src: a, Dst: b, CapacityBps: 1, Weight: 1})
+	for _, g := range []*Graph{Abilene(), AbileneVirtualISPs(), ISPA(), ISPB(), ISPC(), oneway} {
+		r := ComputeRouting(g)
+		n := g.NumNodes()
+		for src := 0; src < n; src++ {
+			built := make([][]LinkID, n)
+			seen := map[PID]bool{PID(src): true}
+			for _, h := range r.Tree(PID(src)) {
+				if !seen[h.Parent] || seen[h.Node] {
+					t.Fatalf("%s: tree of %d visits %d before its parent %d, or twice", g.Name, src, h.Node, h.Parent)
+				}
+				seen[h.Node] = true
+				built[h.Node] = append(append([]LinkID(nil), built[h.Parent]...), h.Link)
+			}
+			for dst := 0; dst < n; dst++ {
+				if !reflect.DeepEqual(built[dst], r.Path(PID(src), PID(dst))) {
+					t.Fatalf("%s: tree path %d->%d = %v, Path = %v", g.Name, src, dst, built[dst], r.Path(PID(src), PID(dst)))
 				}
 			}
 		}

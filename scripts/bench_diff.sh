@@ -7,11 +7,14 @@
 # one object per line, ns/op + B/op + allocs/op — negative deltas are
 # improvements).
 #
-# Simulator regression gate: any BenchmarkSim* whose new ns/op exceeds
-# the old by more than 10% is flagged and the script exits non-zero, so
-# CI (or a pre-commit diff against the checked-in baseline) fails loud
-# on hot-path regressions. Other benchmarks are reported but not gated:
-# the experiment macro-benchmarks are one-shot runs with real variance.
+# Kernel regression gate: any BenchmarkSim* (p2psim hot paths) or
+# BenchmarkEngine* (core.Engine Update and Matrix) whose new ns/op
+# exceeds the old by more than 10% is flagged and the script exits
+# non-zero, so CI (or a pre-commit diff against the checked-in baseline)
+# fails loud on hot-path regressions. Both families are deterministic,
+# CPU-bound and socket-free. Other benchmarks are reported but not gated:
+# the portal rows cross net/http test plumbing and the experiment
+# macro-benchmarks are one-shot runs with real variance.
 #
 # Usage: bench_diff.sh OLD.json NEW.json
 #   e.g. git show HEAD~1:BENCH_sim.json >/tmp/old.json &&
@@ -76,7 +79,7 @@ END {
         }
         printf "%-40s %15s %15s %9s %9s %9s\n", name, ons[name], nns[name], \
             pct(ons[name], nns[name]), pct(ob[name], nb[name]), pct(oa[name], na[name])
-        if (name ~ /^BenchmarkSim/ && ons[name] + 0 > 0 && \
+        if (name ~ /^Benchmark(Sim|Engine)/ && ons[name] + 0 > 0 && \
             nns[name] + 0 > ons[name] * 1.10) {
             printf "REGRESSION: %s ns/op %s -> %s (%s > +10%% gate)\n", \
                 name, ons[name], nns[name], pct(ons[name], nns[name]) > "/dev/stderr"

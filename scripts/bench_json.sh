@@ -6,9 +6,10 @@
 # Usage: bench_json.sh [portal|sim]
 #
 #   portal (default)  portal request path (JSON and binary), 304
-#                     revalidation, view recompute, and the view codec
-#                     at ISP-B size in both encodings
-#                     -> BENCH_portal.json
+#                     revalidation, view recompute, the view codec at
+#                     ISP-B size in both encodings, and the engine's
+#                     two kernels (core.Engine Update and Matrix, ISP-B
+#                     and Abilene) -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
 #                     1k / 10k candidates, plus the Figure 7
 #                     swarm-size sweep, parallel and serial
@@ -26,8 +27,12 @@ MODE=${1:-portal}
 case "$MODE" in
 portal)
 	OUT=BENCH_portal.json
-	RAW=$(go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec' \
-		-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/)
+	RAW=$(
+		go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec' \
+			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/
+		go test -run '^$' -bench 'BenchmarkEngine' \
+			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/
+	)
 	;;
 sim)
 	OUT=BENCH_sim.json
