@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectMatchesReference$$' -fuzztime 10s ./internal/apptracker
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -55,6 +56,6 @@ bench-json:
 # the Figure 7 sweep (parallel and serial), emitted as JSON at
 # BENCH_sim.json. Diff across commits with
 # scripts/bench_diff.sh, which gates the BenchmarkSim* rows at +10%
-# ns/op.
+# ns/op and +2% allocs/op.
 bench-sim-json:
 	sh scripts/bench_json.sh sim

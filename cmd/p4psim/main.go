@@ -137,6 +137,8 @@ func run() int {
 	fmt.Printf("peak utilization  %.2f%%\n", res.PeakUtilization()*100)
 	fmt.Printf("unit BDP          %.2f backbone links/byte\n", res.UnitBDP)
 	fmt.Printf("intra-PID share   %.1f%%\n", 100*res.IntraPIDBytes()/res.TotalBytes)
+	fmt.Printf("rate resolves     %d (%.2f flows visited, %.2f re-rated per resolve)\n", res.RateResolves,
+		float64(res.FlowsVisited)/float64(res.RateResolves), float64(res.FlowsRerated)/float64(res.RateResolves))
 	return 0
 }
 

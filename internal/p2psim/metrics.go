@@ -129,9 +129,14 @@ type Result struct {
 	// Ledgers holds per-link interval volume ledgers for links listed
 	// in Config.WatchLedgers.
 	Ledgers map[topology.LinkID]*charging.Ledger
+	RateStats
 
 	graph *topology.Graph
 }
+
+// RateStats counts rate resolves (one per flow start, one per finish),
+// the flows whose fair rate they recomputed and those whose rate changed.
+type RateStats struct{ RateResolves, FlowsVisited, FlowsRerated int64 }
 
 func (m *Metrics) result(s *Sim) *Result {
 	r := &Result{
@@ -142,6 +147,7 @@ func (m *Metrics) result(s *Sim) *Result {
 		PIDBytes:   m.pidBytes,
 		ClassBytes: m.classBytes,
 		Ledgers:    m.ledgers,
+		RateStats:  s.rates,
 		graph:      s.cfg.Graph,
 	}
 	if m.totalBytes > 0 {

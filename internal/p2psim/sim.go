@@ -232,18 +232,12 @@ type flowS struct {
 	lastT     float64
 	moved     float64 // bytes transferred so far (flushed at teardown)
 	eventT    float64 // time of the live scheduled finish event (+Inf when none)
-	epoch     int64   // dedup stamp against Sim.flowEpoch (ratesChanged)
+	// The next of u's uploads by downloader ID and of d's downloads by
+	// uploader ID: the lists ratesChanged walks (-1 ends, and unlinked).
+	nextUp, nextDown int32
 
 	links    []topology.LinkID
 	ledgered []topology.LinkID // links on the path with volume ledgers
-}
-
-// flowRef snapshots the sort key of one flow for ratesChanged, so the
-// deterministic (uploader, downloader) ordering can be established with
-// a capture-free comparator over values.
-type flowRef struct {
-	idx  int32
-	u, d int32
 }
 
 // Sim is a single swarm simulation. Build with New, add clients, Run.
@@ -270,7 +264,9 @@ type Sim struct {
 	done           []bool
 	doneAt         []float64
 	numHas         []int32
-	nUp, nDown     []int32 // active transfer counts
+	nUp, nDown     []int32 // active transfer counts (the list lengths)
+	upHead         []int32 // first active upload, by downloader ID; -1 none
+	downHead       []int32 // first active download, by uploader ID; -1 none
 	rechokeNum     []int32
 	optimistic     []int32 // optimistic-unchoke peer ID, -1 none
 	unchokeMark    []int64 // epoch stamps replacing per-call sets
@@ -297,10 +293,8 @@ type Sim struct {
 	bgBytesPS []float64 // background, bytes/sec
 
 	// Reusable scratch state keeping the event hot paths allocation-free
-	// (see DESIGN.md §9). Epoch counters pair with the stamps on flows
-	// and clients so membership checks need no per-call maps.
-	flowEpoch    int64
-	flowScratch  []flowRef
+	// (see DESIGN.md §9). Epoch counters pair with the stamps on clients
+	// so membership checks need no per-call maps.
 	unchokeEpoch int64
 	wantEpoch    int64
 	candScratch  []rechokeCand
@@ -308,6 +302,12 @@ type Sim struct {
 	selScratch   []int32
 	connScratch  []int32
 	measureBuf   []float64
+
+	streamHead int // streaming mode: highest published piece index + 1
+	rates      RateStats
+
+	// Test seam: rates_reference_test.go's resolver, used instead of the lists.
+	refRates func(s *Sim, u, d int32)
 
 	metrics Metrics
 }
@@ -371,6 +371,8 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 	s.numHas = append(s.numHas, 0)
 	s.nUp = append(s.nUp, 0)
 	s.nDown = append(s.nDown, 0)
+	s.upHead = append(s.upHead, -1)
+	s.downHead = append(s.downHead, -1)
 	s.rechokeNum = append(s.rechokeNum, 0)
 	s.optimistic = append(s.optimistic, -1)
 	s.unchokeMark = append(s.unchokeMark, 0)
@@ -460,7 +462,11 @@ func (s *Sim) Run() *Result {
 			break
 		}
 	}
-	// Final flow settlement for accurate byte accounting.
+	return s.finish()
+}
+
+// finish settles the flows still in flight and collects the result.
+func (s *Sim) finish() *Result {
 	for fi := range s.flows {
 		f := &s.flows[fi]
 		if f.active {
@@ -836,16 +842,9 @@ func (s *Sim) rechokeClient(u int32) {
 
 // --- transfers ---
 
-// tryStart begins a transfer u->d if they are connected, u unchokes d,
-// the connection is idle in that direction, and d wants a piece u has.
-func (s *Sim) tryStart(u, d int32) {
-	if ci, ok := s.connOf[u][d]; ok {
-		s.tryStartCn(ci, u, d)
-	}
-}
-
-// tryStartCn is tryStart for a known conn handle (rarest-first piece
-// choice, flow arena slot alloc, initial rate resolve).
+// tryStartCn begins a transfer u->d over conn ci if u unchokes d, the
+// connection is idle in that direction, and d wants a piece u has
+// (rarest-first piece choice, flow arena slot alloc, rate resolve).
 //
 //p4p:coldpath allocates or recycles one flow arena slot per started transfer by design; flows are the simulation's unit of work
 func (s *Sim) tryStartCn(ci, u, d int32) {
@@ -894,6 +893,8 @@ func (s *Sim) tryStartCn(ci, u, d int32) {
 	s.setPending(d, piece)
 	s.nUp[u]++
 	s.nDown[d]++
+	up, down := s.upSlot(u, d), s.downSlot(d, u)
+	f.nextUp, f.nextDown, *up, *down = *up, *down, fi, fi // splice fi in at both
 	s.ratesChanged(u, d)
 }
 
@@ -979,53 +980,71 @@ func (s *Sim) flushFlow(f *flowS) {
 	f.moved = 0
 }
 
-// cmpFlowRef orders flows by (uploader, downloader); package-level so
-// the ratesChanged sort stays closure-free.
-func cmpFlowRef(x, y flowRef) int {
-	if x.u != y.u {
-		return cmp.Compare(x.u, y.u)
+// upSlot returns the link (list head or nextUp field) at which u's
+// upload to d sits or belongs: the first to a downloader not below d,
+// u's uploads being kept in downloader-ID order (at most UploadSlots).
+func (s *Sim) upSlot(u, d int32) *int32 {
+	p := &s.upHead[u]
+	for *p >= 0 && s.flows[*p].d < d {
+		p = &s.flows[*p].nextUp
 	}
-	return cmp.Compare(x.d, y.d)
+	return p
 }
 
-// ratesChanged recomputes the rates of all flows incident to the two
-// endpoints (their fair shares changed) and reschedules finish events.
-// Flows are deduplicated by stamping them with a fresh epoch and
-// collected into a scratch slice reused across calls; the sort keeps
-// the deterministic (uploader, downloader) iteration order.
-func (s *Sim) ratesChanged(a, b int32) {
-	s.flowEpoch++
-	flows := s.flowScratch[:0]
-	for _, c := range [2]int32{a, b} {
-		for _, ci := range s.connsOf[c] {
-			cn := &s.conns[ci]
-			for dir := 0; dir < 2; dir++ {
-				fi := cn.flow[dir]
-				if fi < 0 {
-					continue
-				}
-				f := &s.flows[fi]
-				if f.active && f.epoch != s.flowEpoch {
-					f.epoch = s.flowEpoch
-					flows = append(flows, flowRef{idx: fi, u: f.u, d: f.d})
-				}
-			}
-		}
+// downSlot is upSlot for d's downloads, kept in uploader-ID order; the
+// walk is as long as the neighbors serving d at once.
+func (s *Sim) downSlot(d, u int32) *int32 {
+	p := &s.downHead[d]
+	for *p >= 0 && s.flows[*p].u < u {
+		p = &s.flows[*p].nextDown
 	}
-	slices.SortFunc(flows, cmpFlowRef)
-	s.flowScratch = flows
-	for _, ref := range flows {
-		f := &s.flows[ref.idx]
-		newRate := s.flowRate(f)
-		if newRate == f.rate {
-			// Unchanged rate: the previously scheduled finish event is
-			// still exact; skip the reschedule and the progress flush.
-			continue
-		}
-		s.progressFlow(f)
-		s.applyRate(f, newRate)
-		s.scheduleFinish(f)
+	return p
+}
+
+// ratesChanged re-resolves rates after a flow u->d started or finished.
+// Of what flowRate reads only nUp[u] and nDown[d] changed, so only u's
+// uploads and d's downloads can have a new rate. They are visited in
+// (uploader, downloader) order — d's downloads from below u, u's
+// uploads, d's downloads from above u — which fixes the float order of
+// the linkRate sums and the qseq order of finish events (DESIGN.md §18).
+//
+//p4p:hotpath runs twice per transferred piece; walks two intrusive lists, no scan, no sort, no allocation
+func (s *Sim) ratesChanged(u, d int32) {
+	s.rates.RateResolves++
+	if s.refRates != nil {
+		s.resolveByReference(u, d)
+		return
 	}
+	fi := s.downHead[d]
+	for ; fi >= 0 && s.flows[fi].u < u; fi = s.flows[fi].nextDown {
+		s.rerate(&s.flows[fi])
+	}
+	for up := s.upHead[u]; up >= 0; up = s.flows[up].nextUp {
+		s.rerate(&s.flows[up])
+	}
+	if fi >= 0 && s.flows[fi].u == u {
+		fi = s.flows[fi].nextDown // u->d itself, visited among u's uploads
+	}
+	for ; fi >= 0; fi = s.flows[fi].nextDown {
+		s.rerate(&s.flows[fi])
+	}
+}
+
+//p4p:coldpath the test-installed scan-and-sort reference resolver is the deliberate slow path
+func (s *Sim) resolveByReference(u, d int32) { s.refRates(s, u, d) }
+
+// rerate gives a visited flow its current fair rate and, if that is a
+// new rate, settles its progress and re-arms its finish event.
+func (s *Sim) rerate(f *flowS) {
+	s.rates.FlowsVisited++
+	newRate := s.flowRate(f)
+	if newRate == f.rate {
+		return // the scheduled finish event is still exact
+	}
+	s.rates.FlowsRerated++
+	s.progressFlow(f)
+	s.applyRate(f, newRate)
+	s.scheduleFinish(f)
 }
 
 // flowRate is the session-level TCP model of [3]/[4]: the transfer gets
@@ -1034,7 +1053,7 @@ func (s *Sim) ratesChanged(a, b int32) {
 func (s *Sim) flowRate(f *flowS) float64 {
 	up := s.upBps[f.u] / float64(s.nUp[f.u])
 	down := s.downBps[f.d] / float64(s.nDown[f.d])
-	return math.Min(f.rateCap, math.Min(up, down))
+	return min(f.rateCap, up, down)
 }
 
 // applyRate updates the flow's rate and the per-link rate accounting.
@@ -1087,6 +1106,8 @@ func (s *Sim) handleFlowFinish(fi int32) {
 	s.flushFlow(f)
 	s.applyRate(f, 0)
 	f.seq++ // stale events addressed to this slot can never match again
+	*s.upSlot(u, d), *s.downSlot(d, u) = f.nextUp, f.nextDown
+	f.nextUp, f.nextDown = -1, -1
 	s.freeFlow(fi)
 	// f is dead past this point: the tryStart calls below may recycle
 	// the slot or grow the arena (moving its backing array).

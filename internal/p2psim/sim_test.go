@@ -3,6 +3,7 @@ package p2psim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -332,6 +333,35 @@ func TestStreamingThroughputNearStreamRate(t *testing.T) {
 	goodput := perClient * 8 / res.Duration
 	if goodput < 0.5*400e3 {
 		t.Fatalf("mean goodput %v bps, want >= half the stream rate", goodput)
+	}
+}
+
+// TestStreamingConfigReusable pins that a Config holds no run state: a
+// second simulation built from the same Config (and so the same
+// *StreamingConfig) repeats the first.
+func TestStreamingConfigReusable(t *testing.T) {
+	g := topology.Abilene()
+	cfg := Config{
+		Graph: g, Routing: topology.ComputeRouting(g), Selector: apptracker.Random{}, Seed: 7,
+		PieceBytes: 64 << 10,
+		MaxTime:    120, // past the end of the content: the first run publishes all of it
+		Streaming:  &StreamingConfig{RateBps: 400e3, ContentSec: 60, WindowSec: 30},
+	}
+	run := func() *Result {
+		s := New(cfg)
+		pids := g.AggregationPIDs()
+		s.AddClient(ClientSpec{PID: pids[0], ASN: 1, UpBps: 20e6, DownBps: 20e6, IsSeed: true})
+		for j := 0; j < 12; j++ {
+			s.AddClient(ClientSpec{PID: pids[(j+1)%len(pids)], ASN: 1, UpBps: 4e6, DownBps: 4e6})
+		}
+		return s.Run()
+	}
+	first, second := run(), run()
+	if first.TotalBytes <= 0 {
+		t.Fatal("first run delivered nothing")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("second run from the same Config differs: %v bytes, then %v", first.TotalBytes, second.TotalBytes)
 	}
 }
 

@@ -19,8 +19,6 @@ type StreamingConfig struct {
 	// WindowSec is the sliding playback window within which clients
 	// request pieces (default 60 s).
 	WindowSec float64
-
-	head int // highest published piece index + 1
 }
 
 func (sc *StreamingConfig) withDefaults() {
@@ -71,11 +69,11 @@ func (sc *StreamingConfig) schedule(s *Sim) {
 // unchoked connections so the fresh data starts flowing.
 func (s *Sim) handleStreamPiece(src int32) {
 	sc := s.cfg.Streaming
-	if sc.head >= s.pieces {
+	if s.streamHead >= s.pieces {
 		return // content fully published
 	}
-	p := sc.head
-	sc.head++
+	p := s.streamHead
+	s.streamHead++
 	if !s.hasPiece(src, p) {
 		s.gainPiece(src, p)
 	}
@@ -93,11 +91,11 @@ func (s *Sim) handleStreamPiece(src int32) {
 // rarest-first.
 func (s *Sim) pickStreamPiece(u, d int32) int {
 	sc := s.cfg.Streaming
-	lo := sc.head - sc.windowPieces(&s.cfg)
+	lo := s.streamHead - sc.windowPieces(&s.cfg)
 	if lo < 0 {
 		lo = 0
 	}
-	for p := lo; p < sc.head; p++ {
+	for p := lo; p < s.streamHead; p++ {
 		if s.hasPiece(u, p) && !s.hasPiece(d, p) &&
 			s.pendBits[int(d)*s.hasW+(p>>6)]&(1<<uint(p&63)) == 0 {
 			return p

@@ -12,7 +12,10 @@
 # exceeds the old by more than 10% is flagged and the script exits
 # non-zero, so CI (or a pre-commit diff against the checked-in baseline)
 # fails loud on hot-path regressions. Both families are deterministic,
-# CPU-bound and socket-free. Other benchmarks are reported but not gated:
+# CPU-bound and socket-free. The BenchmarkSim* rows are gated on
+# allocs/op as well: more than +2% fails, because the simulator's
+# allocation count per run is exact and its hot paths are pinned
+# allocation-free. Other benchmarks are reported but not gated:
 # the portal rows cross net/http test plumbing and the experiment
 # macro-benchmarks are one-shot runs with real variance.
 #
@@ -83,6 +86,12 @@ END {
             nns[name] + 0 > ons[name] * 1.10) {
             printf "REGRESSION: %s ns/op %s -> %s (%s > +10%% gate)\n", \
                 name, ons[name], nns[name], pct(ons[name], nns[name]) > "/dev/stderr"
+            bad = 1
+        }
+        if (name ~ /^BenchmarkSim/ && oa[name] + 0 > 0 && \
+            na[name] + 0 > oa[name] * 1.02) {
+            printf "REGRESSION: %s allocs/op %s -> %s (%s > +2%% gate)\n", \
+                name, oa[name], na[name], pct(oa[name], na[name]) > "/dev/stderr"
             bad = 1
         }
     }
