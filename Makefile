@@ -14,8 +14,8 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis (lockheld, respwrite, ctxflow,
-# floatsentinel, sleeptest, spanend, allochot, goroleak, atomicmix).
+# Repo-specific static analysis (lockheld, ctxflow, floatsentinel,
+# sleeptest, spanend, allochot, goroleak).
 # Part of the verify gate; also runnable standalone. -timing reports
 # the load/analyze split so CI regressions in wall time are visible.
 p4pvet:

@@ -72,23 +72,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON encodes v to a buffer before touching the ResponseWriter,
-// so an encoding failure yields a clean 500 error envelope instead of
-// a truncated HTTP 200 (the pattern the portal server established).
-func writeJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, status int, v interface{}) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		logger.Error("encode response",
-			slog.String("request_id", telemetry.RequestID(r.Context())),
-			slog.String("error", err.Error()))
-		status = http.StatusInternalServerError
-		body, _ = json.Marshal(errorResponse{Error: "response encoding failed"})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(body, '\n'))
-}
-
 // maxSelectBody caps a POST /select body, as the portal's batch endpoint
 // caps its own: one request cannot make the tracker buffer an arbitrarily
 // large candidate list.
@@ -107,7 +90,7 @@ func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, m
 			if errors.As(err, &tooBig) {
 				status = http.StatusRequestEntityTooLarge
 			}
-			writeJSON(logger, w, r, status, errorResponse{Error: "bad request: " + err.Error()})
+			portal.WriteJSON(logger, w, r, status, errorResponse{Error: "bad request: " + err.Error()})
 			return
 		}
 		if req.M <= 0 {
@@ -119,7 +102,7 @@ func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, m
 		if idx == nil {
 			idx = []int{}
 		}
-		writeJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
+		portal.WriteJSON(logger, w, r, http.StatusOK, selectResponse{Indices: idx, Policy: sel.Name()})
 	}
 }
 
@@ -150,7 +133,7 @@ func (p onePortal) Ready(maxAge time.Duration) (bool, string) {
 // in the detail string).
 func mountViews[S any](mux *http.ServeMux, mw *telemetry.Middleware, logger *slog.Logger, cache viewCache[S], ttl time.Duration) apptracker.ViewProvider {
 	mux.Handle("GET /stats", mw.RouteFunc("stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(logger, w, r, http.StatusOK, cache.Stats())
+		portal.WriteJSON(logger, w, r, http.StatusOK, cache.Stats())
 	}))
 	mux.Handle("GET /readyz", health.ReadyHandler(health.Check{
 		Name:  "portal_view",

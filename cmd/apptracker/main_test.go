@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -63,5 +64,44 @@ func TestSelectRouteUnknownPIDs(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || err != nil || len(out.Indices) != 3 {
 			t.Errorf("%s: status %d, decode error %v, indices %v; want 200 with 3 indices", name, resp.StatusCode, err, out.Indices)
 		}
+	}
+}
+
+// TestSelectRouteContentLength: a /select answer larger than net/http's
+// 2 KiB response buffer used to go out chunked, with no Content-Length,
+// because the route wrote its JSON without one. It is sized now.
+func TestSelectRouteContentLength(t *testing.T) {
+	view := &core.View{PIDs: []topology.PID{0, 1}, D: [][]float64{{0, 1}, {1, 0}}}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	mux := http.NewServeMux()
+	mux.Handle("POST /select", selectRoute(logger, &apptracker.P4P{Views: fixedViews{view}}, rand.New(rand.NewSource(1)), 20))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	const n = 700
+	cands := make([]apptracker.Node, n)
+	for i := range cands {
+		cands[i] = apptracker.Node{ID: i + 1, PID: topology.PID(i % 2), ASN: 1}
+	}
+	req, err := json.Marshal(selectRequest{Self: apptracker.Node{PID: 0, ASN: 1}, Candidates: cands, M: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/select", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out selectResponse
+	if err := json.Unmarshal(body, &out); err != nil || len(out.Indices) < 600 {
+		t.Fatalf("status %d, decode error %v, %d indices; want >= 600", resp.StatusCode, err, len(out.Indices))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want a sized, unchunked response",
+			resp.ContentLength, resp.TransferEncoding, len(body))
 	}
 }

@@ -145,7 +145,6 @@ func (s *allocScanner) collectPresized() {
 		}
 		switch r := ast.Unparen(rhs).(type) {
 		case *ast.SliceExpr:
-			_ = r
 		case *ast.CallExpr:
 			fn, ok := ast.Unparen(r.Fun).(*ast.Ident)
 			if !ok || fn.Name != "make" || len(r.Args) != 3 {

@@ -4,8 +4,6 @@
 //
 //   - lockheld: no sync mutex held across I/O, network, or JSON
 //     encode/decode calls (the serialized-distance-query bug).
-//   - respwrite: no json.Encoder writing straight into an
-//     http.ResponseWriter (the truncated-200 bug).
 //   - ctxflow: library code threads the caller's context.Context
 //     instead of minting context.Background()/TODO().
 //   - floatsentinel: no ==/!= between float expressions and non-zero
@@ -19,20 +17,21 @@
 //     //p4p:coldpath cuts — must be allocation-free.
 //   - goroleak: every go statement carries a termination witness
 //     (context plumbed in, WaitGroup.Done, or a channel signal).
-//   - atomicmix: a field or variable accessed through sync/atomic is
-//     never read or written plainly anywhere in the module.
 //
-// lockheld additionally runs an interprocedural pass over the module
-// call graph: a mutex held across a call whose callee transitively
-// blocks is reported with the full call chain.
+// ctxflow and sleeptest are one callRule each: a static call of a named
+// function in one class of file. lockheld additionally runs an
+// interprocedural pass over the module call graph: a mutex held across
+// a call whose callee transitively blocks is reported with the full
+// call chain.
 //
 // Findings can be suppressed, one rule at a time, with a mandatory
 // reason:
 //
 //	//p4pvet:ignore <rule> <reason...>
 //
-// placed either at the end of the offending line or on its own line
-// immediately above it. A suppression without a reason (or naming an
+// placed either at the end of the offending line, where it covers that
+// line only, or on its own line immediately above it, where it covers
+// the next line only. A suppression without a reason (or naming an
 // unknown rule) is itself reported under the rule name "suppress".
 package analysis
 
@@ -40,6 +39,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -69,8 +69,7 @@ type Analyzer struct {
 
 // Analyzers returns every registered analyzer, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockHeld, RespWrite, CtxFlow, FloatSentinel, SleepTest, SpanEnd,
-		AllocHot, GoroLeak, AtomicMix}
+	return []*Analyzer{LockHeld, CtxFlow, FloatSentinel, SleepTest, SpanEnd, AllocHot, GoroLeak}
 }
 
 // suppressRule names the pseudo-rule under which malformed
@@ -79,25 +78,17 @@ const suppressRule = "suppress"
 
 const ignoreMarker = "p4pvet:ignore"
 
-// Suppressions indexes //p4pvet:ignore comments by file and line.
+// Suppressions indexes //p4pvet:ignore comments by file and the one
+// line each covers.
 type Suppressions struct {
-	// byLine maps filename -> line -> set of suppressed rules.
+	// byLine maps filename -> covered line -> set of suppressed rules.
 	byLine map[string]map[int]map[string]bool
 }
 
-// Suppressed reports whether a finding is covered by an ignore comment
-// on its own line or the line above.
+// Suppressed reports whether a finding's line is covered by an ignore
+// comment.
 func (s *Suppressions) Suppressed(f Finding) bool {
-	lines := s.byLine[f.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, line := range []int{f.Pos.Line, f.Pos.Line - 1} {
-		if lines[line][f.Rule] {
-			return true
-		}
-	}
-	return false
+	return s.byLine[f.Pos.Filename][f.Pos.Line][f.Rule]
 }
 
 // ParseSuppressions scans a package's comments for //p4pvet:ignore
@@ -123,19 +114,44 @@ func ParseSuppressions(p *Pkg) (*Suppressions, []Finding) {
 					bad = append(bad, Finding{Pos: pos, Rule: suppressRule, Msg: errMsg})
 					continue
 				}
+				line := pos.Line
+				if !codeBefore(p.Fset, file, c) {
+					line++ // a directive on its own line covers the next one
+				}
 				lines := s.byLine[pos.Filename]
 				if lines == nil {
 					lines = map[int]map[string]bool{}
 					s.byLine[pos.Filename] = lines
 				}
-				if lines[pos.Line] == nil {
-					lines[pos.Line] = map[string]bool{}
+				if lines[line] == nil {
+					lines[line] = map[string]bool{}
 				}
-				lines[pos.Line][rule] = true
+				lines[line][rule] = true
 			}
 		}
 	}
 	return s, bad
+}
+
+// codeBefore reports whether any syntax of file sits left of c on c's
+// line, i.e. whether c trails code rather than standing on its own.
+// Every token on a line starts or ends some node, so node bounds are
+// enough; nodes that do not span the line are not descended into.
+func codeBefore(fset *token.FileSet, file *ast.File, c *ast.Comment) bool {
+	tf := fset.File(c.Pos())
+	line := tf.Line(c.Pos())
+	found := false
+	ast.Inspect(file, func(n ast.Node) bool {
+		if n == nil || found || tf.Line(n.Pos()) > line || tf.Line(n.End()) < line {
+			return false
+		}
+		if _, ok := n.(*ast.CommentGroup); ok {
+			return false
+		}
+		found = (tf.Line(n.Pos()) == line && n.Pos() < c.Pos()) || (tf.Line(n.End()) == line && n.End() <= c.Pos())
+		return !found
+	})
+	return found
 }
 
 // parseIgnoreDirective parses one comment's text as a p4pvet:ignore
@@ -173,18 +189,11 @@ func RunAll(p *Pkg, analyzers []*Analyzer) (kept []Finding, suppressed int) {
 	sup, bad := ParseSuppressions(p)
 	var all []Finding
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
+		if a.Run != nil {
+			all = append(all, a.Run(p)...)
 		}
-		all = append(all, a.Run(p)...)
 	}
-	for _, f := range all {
-		if sup.Suppressed(f) {
-			suppressed++
-			continue
-		}
-		kept = append(kept, f)
-	}
+	kept, suppressed = sup.filter(all)
 	kept = append(kept, bad...)
 	SortFindings(kept)
 	return kept, suppressed
@@ -196,33 +205,31 @@ func RunAll(p *Pkg, analyzers []*Analyzer) (kept []Finding, suppressed int) {
 // lives there too). Malformed suppressions are NOT re-reported here —
 // RunAll already owns that per unit.
 func RunModuleAll(m *Module, analyzers []*Analyzer) (kept []Finding, suppressed int) {
-	sups := make([]*Suppressions, 0, len(m.Pkgs))
+	sup := &Suppressions{byLine: map[string]map[int]map[string]bool{}}
 	for _, p := range m.Pkgs {
 		s, _ := ParseSuppressions(p)
-		sups = append(sups, s)
+		maps.Copy(sup.byLine, s.byLine) // a file belongs to one unit
 	}
 	var all []Finding
 	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
+		if a.RunModule != nil {
+			all = append(all, a.RunModule(m)...)
 		}
-		all = append(all, a.RunModule(m)...)
 	}
-	for _, f := range all {
-		sup := false
-		for _, s := range sups {
-			if s.Suppressed(f) {
-				sup = true
-				break
-			}
-		}
-		if sup {
-			suppressed++
-			continue
-		}
-		kept = append(kept, f)
-	}
+	kept, suppressed = sup.filter(all)
 	SortFindings(kept)
+	return kept, suppressed
+}
+
+// filter drops the suppressed findings, counting them.
+func (s *Suppressions) filter(all []Finding) (kept []Finding, suppressed int) {
+	for _, f := range all {
+		if s.Suppressed(f) {
+			suppressed++
+		} else {
+			kept = append(kept, f)
+		}
+	}
 	return kept, suppressed
 }
 
@@ -239,6 +246,25 @@ func SortFindings(fs []Finding) {
 		}
 		return a.Rule < b.Rule
 	})
+}
+
+// forEachFuncBody calls fn with the body of every function declaration
+// and function literal in p, nested literals included, each as its own
+// unit, together with the file it sits in.
+func forEachFuncBody(p *Pkg, fn func(f *ast.File, body *ast.BlockStmt)) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					fn(f, n.Body)
+				}
+			case *ast.FuncLit:
+				fn(f, n.Body)
+			}
+			return true
+		})
+	}
 }
 
 // inspectSkippingFuncLits walks n, calling fn for every node, but does

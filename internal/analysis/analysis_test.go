@@ -64,7 +64,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 	}{
 		{name: "lockheld"},
 		{name: "lockheldip"},
-		{name: "respwrite"},
 		{name: "ctxflow"},
 		{name: "ctxmain"},
 		{name: "floatsentinel"},
@@ -72,7 +71,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "spanend"},
 		{name: "allochot"},
 		{name: "goroleak"},
-		{name: "atomicmix"},
 		{name: "suppress", extra: []string{
 			"suppress.go:21 suppress",
 			"suppress.go:27 suppress",

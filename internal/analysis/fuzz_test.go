@@ -21,8 +21,8 @@ func FuzzIgnoreDirective(f *testing.F) {
 		"//p4pvet:ignore nosuchrule some reason",
 		"//p4pvet:ignoreallochot reason glued to the marker",
 		"// just a comment",
-		"//p4pvet:ignore atomicmix\ttab separated reason",
-		"/* p4pvet:ignore respwrite block comment */",
+		"//p4pvet:ignore spanend\ttab separated reason",
+		"/* p4pvet:ignore sleeptest block comment */",
 		"//P4PVET:IGNORE lockheld wrong case",
 	}
 	for _, s := range seeds {

@@ -21,7 +21,7 @@ import (
 // compiled files plus its in-package test files, or the external
 // _test package of a directory. Test files ride in the same unit so
 // rules that care about them (sleeptest) and rules that exempt them
-// (ctxflow, respwrite, floatsentinel) see one consistent view.
+// (ctxflow, floatsentinel) see one consistent view.
 type Pkg struct {
 	Fset       *token.FileSet
 	ImportPath string
@@ -230,24 +230,13 @@ func (l *Loader) check(importPath, dir string, files []parsedFile) (*Pkg, error)
 	}, nil
 }
 
-// LoadModule walks the module rooted at root (its go.mod names the
-// module path) and loads every package directory, skipping testdata,
-// VCS, and hidden directories.
-func (l *Loader) LoadModule(root string) ([]*Pkg, error) {
-	return l.LoadTree(root, root)
-}
-
-// LoadTree loads every package directory under start, resolving import
-// paths against the module rooted at root.
-func (l *Loader) LoadTree(root, start string) ([]*Pkg, error) {
-	return l.LoadTreeParallel(root, start, 1)
-}
-
-// LoadTreeParallel is LoadTree across a bounded worker pool (the
-// experiments.forEachCell shape): each package directory is parsed and
-// typechecked on one of `workers` goroutines, with 0 meaning
-// GOMAXPROCS. Results come back in sorted directory order regardless
-// of completion order, so diagnostic output stays deterministic.
+// LoadTreeParallel loads every package directory under start (testdata,
+// hidden and underscore directories skipped), resolving import paths
+// against the module rooted at root. Directories are parsed and
+// typechecked on a bounded pool of `workers` goroutines (the
+// experiments.forEachCell shape), 0 meaning GOMAXPROCS. Results come
+// back in sorted directory order regardless of completion order, so
+// diagnostic output stays deterministic.
 func (l *Loader) LoadTreeParallel(root, start string, workers int) ([]*Pkg, error) {
 	modPath, dirs, err := moduleDirs(root, start)
 	if err != nil {

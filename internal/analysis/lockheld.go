@@ -103,25 +103,11 @@ type heldLock struct {
 
 func runLockHeld(p *Pkg) []Finding {
 	var out []Finding
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				s := &lockScanner{p: p}
-				s.stmts(body.List, map[string]heldLock{})
-				out = append(out, s.out...)
-			}
-			return true
-		})
-	}
+	forEachFuncBody(p, func(_ *ast.File, body *ast.BlockStmt) {
+		s := &lockScanner{p: p}
+		s.stmts(body.List, map[string]heldLock{})
+		out = append(out, s.out...)
+	})
 	return out
 }
 
@@ -442,25 +428,11 @@ func runLockHeldModule(m *Module) []Finding {
 	}
 	var out []Finding
 	for _, p := range m.Pkgs {
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var body *ast.BlockStmt
-				switch fn := n.(type) {
-				case *ast.FuncDecl:
-					body = fn.Body
-				case *ast.FuncLit:
-					body = fn.Body
-				default:
-					return true
-				}
-				if body != nil {
-					s := &lockScanner{p: p, mod: m, summaries: summaries}
-					s.stmts(body.List, map[string]heldLock{})
-					out = append(out, s.out...)
-				}
-				return true
-			})
-		}
+		forEachFuncBody(p, func(_ *ast.File, body *ast.BlockStmt) {
+			s := &lockScanner{p: p, mod: m, summaries: summaries}
+			s.stmts(body.List, map[string]heldLock{})
+			out = append(out, s.out...)
+		})
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -58,10 +57,6 @@ type FuncInfo struct {
 	// source order.
 	Calls []*CallSite
 }
-
-// Name returns a short human form of the key: pkg.Func or
-// pkg.(*Recv).Method with the module path prefix dropped.
-func (f *FuncInfo) Name() string { return shortFuncKey(f.Key) }
 
 // Module is the whole-module view consumed by interprocedural
 // analyzers: every loaded unit plus a static call graph over all
@@ -245,12 +240,4 @@ func shortFuncKey(key string) string {
 		return key
 	}
 	return shorten(key)
-}
-
-// position is the stable cross-universe identity for an object: the
-// shared FileSet means a field or function seen through two
-// type-checking universes still lands on the same file:line:column.
-func position(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return p.String()
 }

@@ -26,26 +26,11 @@ var SpanEnd = &Analyzer{
 
 func runSpanEnd(p *Pkg) []Finding {
 	var out []Finding
-	for _, f := range p.Files {
-		if p.IsTestFile[f] {
-			continue
+	forEachFuncBody(p, func(f *ast.File, body *ast.BlockStmt) {
+		if !p.IsTestFile[f] {
+			out = append(out, checkSpanUnit(p, body)...)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				out = append(out, checkSpanUnit(p, body)...)
-			}
-			return true // keep descending: nested funclits are their own units
-		})
-	}
+	})
 	return out
 }
 

@@ -43,28 +43,3 @@ func isMethod(f *types.Func) bool {
 	sig, ok := f.Type().(*types.Signature)
 	return ok && sig.Recv() != nil
 }
-
-// findImport locates an import path in the transitive imports of a
-// typechecked package, so analyzers can reference types (e.g.
-// net/http.ResponseWriter) from whichever load of that package this
-// unit saw.
-func findImport(start *types.Package, path string) *types.Package {
-	seen := map[*types.Package]bool{}
-	var walk func(p *types.Package) *types.Package
-	walk = func(p *types.Package) *types.Package {
-		if p == nil || seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == path {
-			return p
-		}
-		for _, imp := range p.Imports() {
-			if got := walk(imp); got != nil {
-				return got
-			}
-		}
-		return nil
-	}
-	return walk(start)
-}

@@ -456,7 +456,7 @@ func (rt *Router) Stats() RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rt.portal.WriteJSON(w, r, http.StatusOK, rt.Stats())
+	portal.WriteJSON(rt.portal.Telemetry.Logger, w, r, http.StatusOK, rt.Stats())
 }
 
 // Ready reports whether the router can serve: at least one shard holds

@@ -59,11 +59,10 @@ func fastRetry(attempts int) RetryPolicy {
 }
 
 func TestWriteJSONEncodeFailure(t *testing.T) {
-	h := &Handler{}
 	rec := httptest.NewRecorder()
 	// NaN is not encodable as JSON; before the fix this produced a
 	// truncated 200.
-	h.WriteJSON(rec, httptest.NewRequest(http.MethodGet, "/", nil), http.StatusOK, map[string]float64{"d": math.NaN()})
+	WriteJSON(nil, rec, httptest.NewRequest(http.MethodGet, "/", nil), http.StatusOK, map[string]float64{"d": math.NaN()})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

@@ -256,14 +256,16 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // so an encoding failure (e.g. a NaN sneaking into a matrix) yields a
 // clean 500 error envelope instead of a truncated HTTP 200. Buffering
 // also supplies Content-Length, keeping responses out of chunked
-// transfer encoding.
+// transfer encoding. It is the one JSON response writer: the handler's
+// routes, the federation router and the appTracker all answer through
+// it. logger, when non-nil, records encoding failures.
 //
 //p4p:coldpath fresh JSON encode; the zero-alloc contract covers the cached byte-copy path, not per-request marshaling
-func (h *Handler) WriteJSON(w http.ResponseWriter, r *http.Request, status int, v interface{}) {
+func WriteJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, status int, v interface{}) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		if l := h.Telemetry.Logger; l != nil {
-			l.Error("encode response",
+		if logger != nil {
+			logger.Error("encode response",
 				slog.String("request_id", telemetry.RequestID(r.Context())),
 				slog.String("error", err.Error()))
 		}
@@ -286,7 +288,7 @@ func (h *Handler) writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	case errors.Is(err, ErrUnavailable):
 		status = http.StatusServiceUnavailable
 	}
-	h.WriteJSON(w, r, status, errorWire{Error: err.Error()})
+	WriteJSON(h.Telemetry.Logger, w, r, status, errorWire{Error: err.Error()})
 }
 
 func (h *Handler) handlePolicy(w http.ResponseWriter, r *http.Request) {
@@ -295,7 +297,7 @@ func (h *Handler) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, r, err)
 		return
 	}
-	h.WriteJSON(w, r, http.StatusOK, pol)
+	WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, pol)
 }
 
 // ETagMatches reports whether an If-None-Match header value matches the
@@ -385,7 +387,7 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 			form = f
 		}
 		if form != "raw" && form != "ranks" {
-			h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw or ranks"})
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw or ranks"})
 			return
 		}
 	}
@@ -449,12 +451,12 @@ func (h *Handler) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]PIDP
 	if r.Method == http.MethodPost {
 		body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
 		if err != nil {
-			h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "read request body: " + err.Error()})
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "read request body: " + err.Error()})
 			return nil, false
 		}
 		var req BatchRequestWire
 		if err := json.Unmarshal(body, &req); err != nil {
-			h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "decode request body: " + err.Error()})
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "decode request body: " + err.Error()})
 			return nil, false
 		}
 		pairs = req.Pairs
@@ -462,16 +464,16 @@ func (h *Handler) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]PIDP
 		var err error
 		pairs, err = ParsePairs(r.URL.Query().Get("pairs"))
 		if err != nil {
-			h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: err.Error()})
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: err.Error()})
 			return nil, false
 		}
 	}
 	if len(pairs) == 0 {
-		h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "empty pairs list"})
+		WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "empty pairs list"})
 		return nil, false
 	}
 	if len(pairs) > maxBatchPairs {
-		h.WriteJSON(w, r, http.StatusBadRequest,
+		WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest,
 			errorWire{Error: fmt.Sprintf("%d pairs exceeds the %d-pair batch limit", len(pairs), maxBatchPairs)})
 		return nil, false
 	}
@@ -506,7 +508,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if a >= 0 {
 				pid = pr.Dst
 			}
-			h.WriteJSON(w, r, http.StatusBadRequest,
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest,
 				errorWire{Error: fmt.Sprintf("PID %d not in the external view", pid)})
 			return
 		}
@@ -516,7 +518,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Distances[k] = d
 		}
 	}
-	h.WriteJSON(w, r, http.StatusOK, out)
+	WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, out)
 }
 
 func (h *Handler) handleCapabilities(w http.ResponseWriter, r *http.Request) {
@@ -528,13 +530,13 @@ func (h *Handler) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	if caps == nil {
 		caps = []itracker.Capability{}
 	}
-	h.WriteJSON(w, r, http.StatusOK, caps)
+	WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, caps)
 }
 
 func (h *Handler) handlePID(w http.ResponseWriter, r *http.Request) {
 	ip := net.ParseIP(r.URL.Query().Get("ip"))
 	if ip == nil {
-		h.WriteJSON(w, r, http.StatusBadRequest, errorWire{Error: "missing or malformed ip parameter"})
+		WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "missing or malformed ip parameter"})
 		return
 	}
 	out, err := h.src.LookupPID(r.Context(), r.Header.Get(tokenHeaderCanon), ip)
@@ -542,8 +544,8 @@ func (h *Handler) handlePID(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrAccessDenied):
 		h.writeErr(w, r, err)
 	case err != nil:
-		h.WriteJSON(w, r, http.StatusNotFound, errorWire{Error: err.Error()})
+		WriteJSON(h.Telemetry.Logger, w, r, http.StatusNotFound, errorWire{Error: err.Error()})
 	default:
-		h.WriteJSON(w, r, http.StatusOK, out)
+		WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, out)
 	}
 }
