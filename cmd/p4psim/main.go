@@ -136,9 +136,18 @@ func run() int {
 	}
 	fmt.Printf("peak utilization  %.2f%%\n", res.PeakUtilization()*100)
 	fmt.Printf("unit BDP          %.2f backbone links/byte\n", res.UnitBDP)
-	fmt.Printf("intra-PID share   %.1f%%\n", 100*res.IntraPIDBytes()/res.TotalBytes)
+	fmt.Printf("intra-PID share   %.1f%%\n", 100*res.IntraPIDBytes/res.TotalBytes)
 	fmt.Printf("rate resolves     %d (%.2f flows visited, %.2f re-rated per resolve)\n", res.RateResolves,
 		float64(res.FlowsVisited)/float64(res.RateResolves), float64(res.FlowsRerated)/float64(res.RateResolves))
+	var events strings.Builder
+	for k, n := range res.Events {
+		fmt.Fprintf(&events, " %s=%d", p2psim.EventKinds[k], n)
+	}
+	fmt.Printf("events           %s\n", events.String())
+	fmt.Printf("finish events     %d stale, %d early\n", res.StalePops, res.EarlyFires)
+	fmt.Printf("conns             %d made, %d dropped, peak %d live; peak %d live flows\n",
+		res.Connects, res.Disconnects, res.PeakConns, res.PeakFlows)
+	fmt.Printf("fingerprint       %s\n", res.Fingerprint())
 	return 0
 }
 

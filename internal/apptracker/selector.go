@@ -626,11 +626,25 @@ func interASAdjustment(inSum float64, inN int, extSum float64, extN int) float64
 	return 1 - 1/ratio
 }
 
-// intSwapper gives rand.Shuffle its swap as a method value rather than a
-// capturing closure, which allochot flags under a hot path on sight
-// (neither form escapes, so neither allocates).
-type intSwapper []int
-
-func (s intSwapper) swap(i, j int) { s[i], s[j] = s[j], s[i] }
-
-func shuffle(rng *rand.Rand, s []int) { rng.Shuffle(len(s), intSwapper(s).swap) }
+// shuffle is rng.Shuffle(len(s), swap) with the swap written inline
+// instead of called through a func value: the same Fisher–Yates making
+// the same draws. Below 2³¹−1 those are Rand.int31n's, Lemire's
+// multiply-and-reject on Uint32; above it, Int63n, as in the stdlib.
+func shuffle(rng *rand.Rand, s []int) {
+	i := len(s) - 1
+	for ; i > 1<<31-1-1; i-- {
+		j := int(rng.Int63n(int64(i + 1)))
+		s[i], s[j] = s[j], s[i]
+	}
+	for ; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if uint32(prod) < n {
+			for thresh := -n % n; uint32(prod) < thresh; {
+				prod = uint64(rng.Uint32()) * uint64(n)
+			}
+		}
+		j := int(prod >> 32)
+		s[i], s[j] = s[j], s[i]
+	}
+}

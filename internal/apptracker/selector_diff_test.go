@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"p4p/internal/core"
@@ -207,6 +208,51 @@ func TestRandomSelectMatchesReference(t *testing.T) {
 		if fmt.Sprint(idx) != fmt.Sprint(ref) || (idx == nil) != (ref == nil) || got.Int63() != want.Int63() {
 			t.Fatalf("n=%d m=%d self=%d: Select = %v, reference %v", n, m, self.ID, idx, ref)
 		}
+	}
+}
+
+// scriptedSource replays its draws in a loop and counts them.
+type scriptedSource struct {
+	draws []int64
+	n     int
+}
+
+func (s *scriptedSource) Int63() int64 { s.n++; return s.draws[(s.n-1)%len(s.draws)] }
+func (s *scriptedSource) Seed(int64)   {}
+
+// TestShuffleMatchesRandShuffle: the inlined shuffle permutes exactly as
+// rand.Shuffle does and leaves the generator where it does, over many
+// lengths and seeds, and through the int31n rejection loop, which a
+// seeded generator reaches with probability ~n/2³² per draw.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	check := func(got, want *rand.Rand, n int) {
+		t.Helper()
+		s, ref := make([]int, n), make([]int, n)
+		for i := range s {
+			s[i], ref[i] = i, i
+		}
+		shuffle(got, s)
+		refShuffle(want, ref)
+		if !slices.Equal(s, ref) || got.Int63() != want.Int63() {
+			t.Fatalf("n=%d: shuffle and rand.Shuffle differ (first 10: %v vs %v) or left the generator apart", n, s[:min(n, 10)], ref[:min(n, 10)])
+		}
+	}
+	lengths := []int{1000, 10000}
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		for _, n := range lengths {
+			check(rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed)), n)
+		}
+	}
+	// A 0 draw at n = 3 has low word 0 < (2³²−3) mod 3 = 1: rejected, and
+	// the next draw is taken.
+	script := []int64{0, 1 << 62, 3 << 60, 5 << 59}
+	got, want := &scriptedSource{draws: script}, &scriptedSource{draws: script}
+	check(rand.New(got), rand.New(want), 3)
+	if got.n != want.n || got.n != 4 {
+		t.Fatalf("shuffle drew %d times, rand.Shuffle %d; want 4 (2 swaps, 1 rejection, 1 trailing check)", got.n, want.n)
 	}
 }
 

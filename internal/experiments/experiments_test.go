@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"p4p/internal/topology"
 )
 
 // Experiment tests run at small scale: they assert the paper's shape
@@ -191,5 +194,30 @@ func TestAblationConcaveShape(t *testing.T) {
 	if rep.Values["max-pid-share/gamma=0.5"] > rep.Values["max-pid-share/gamma=1.0"] {
 		t.Fatalf("gamma=0.5 share %v not flatter than gamma=1.0 %v",
 			rep.Values["max-pid-share/gamma=0.5"], rep.Values["max-pid-share/gamma=1.0"])
+	}
+}
+
+// TestPIDSumsIgnoreMapOrder: sums over Result.PIDBytes must not take
+// Go's randomised map order, or their last bits move from call to call.
+// A2's max-pid-share sums in key order and IntraPIDBytes is summed as
+// flows tear down; on this swarm a map-order sum of either takes
+// several bit patterns in 200 calls.
+func TestPIDSumsIgnoreMapOrder(t *testing.T) {
+	g := topology.Abilene()
+	res := runIntradomainSwarm(policyP4P, g, topology.ComputeRouting(g), 300, 16<<20, 1e9, 1, nil, 1.0).result
+	share := maxSourcePIDShare(res.PIDBytes)
+	for i := 0; i < 200; i++ {
+		if got := maxSourcePIDShare(res.PIDBytes); math.Float64bits(got) != math.Float64bits(share) {
+			t.Fatalf("call %d: max-pid-share %v, first call %v", i, got, share)
+		}
+	}
+	diag := 0.0
+	for key, b := range res.PIDBytes {
+		if key[0] == key[1] {
+			diag += b
+		}
+	}
+	if math.Abs(res.IntraPIDBytes-diag) > 1e-9*diag || diag == 0 {
+		t.Fatalf("IntraPIDBytes %v, diagonal of PIDBytes %v", res.IntraPIDBytes, diag)
 	}
 }

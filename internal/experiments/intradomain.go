@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"p4p/internal/apptracker"
 	"p4p/internal/core"
@@ -341,26 +343,39 @@ func AblationConcave(opt Options) *Report {
 	for i, gamma := range gammas {
 		run := runs[i]
 		ct := run.result.CompletionTimes()
-		// Spread measure: the largest share of traffic received from a
-		// single source PID (lower = more diverse = more robust).
-		perPID := map[topology.PID]float64{}
-		var total float64
-		for key, b := range run.result.PIDBytes {
-			perPID[key[0]] += b
-			total += b
-		}
-		maxShare := 0.0
-		for _, b := range perPID {
-			if s := b / total; s > maxShare {
-				maxShare = s
-			}
-		}
+		maxShare := maxSourcePIDShare(run.result.PIDBytes)
 		tbl.AddRow(gamma, meanOrNaN(ct), run.watchBytes/(1<<20), maxShare)
 		rep.Values[fmt.Sprintf("mean-completion/gamma=%.1f", gamma)] = meanOrNaN(ct)
 		rep.Values[fmt.Sprintf("max-pid-share/gamma=%.1f", gamma)] = maxShare
 	}
 	rep.addTable(tbl)
 	return rep
+}
+
+// maxSourcePIDShare is A2's spread measure: the largest share of
+// traffic received from a single source PID (lower = more diverse = more
+// robust). It sums in key order, so its bits do not follow map order.
+func maxSourcePIDShare(pidBytes map[[2]topology.PID]float64) float64 {
+	keys := make([][2]topology.PID, 0, len(pidBytes))
+	for key := range pidBytes {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b [2]topology.PID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	perPID := map[topology.PID]float64{}
+	total := 0.0
+	for _, key := range keys {
+		perPID[key[0]] += pidBytes[key]
+		total += pidBytes[key]
+	}
+	maxShare := 0.0
+	for _, b := range perPID {
+		if s := b / total; s > maxShare {
+			maxShare = s
+		}
+	}
+	return maxShare
 }
 
 // protectedCircuit returns the duplex Washington DC <-> New York circuit

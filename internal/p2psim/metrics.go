@@ -1,6 +1,9 @@
 package p2psim
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 
@@ -21,6 +24,7 @@ type Metrics struct {
 	classBytes map[[2]string]float64
 	bdpSum     float64 // Σ bytes x backbone hops
 	totalBytes float64
+	intraPID   float64
 	ledgers    map[topology.LinkID]*charging.Ledger
 }
 
@@ -74,6 +78,9 @@ func (m *Metrics) flush(s *Sim, f *flowS) {
 	}
 	uc, dc := s.clients[f.u], s.clients[f.d]
 	m.pidBytes[[2]topology.PID{uc.Spec.PID, dc.Spec.PID}] += bytes
+	if uc.Spec.PID == dc.Spec.PID {
+		m.intraPID += bytes
+	}
 	if m.cfg.TrackClassBytes {
 		m.classBytes[[2]string{uc.Spec.Class, dc.Spec.Class}] += bytes
 		if dc.DownBytesByClass != nil {
@@ -121,34 +128,46 @@ type Result struct {
 	// UnitBDP is Σ(bytes x backbone hops) / Σ bytes: the average number
 	// of backbone links a unit of P2P traffic traverses (Figure 12a).
 	UnitBDP float64
-	// PIDBytes is the PID-pair traffic matrix.
+	// PIDBytes is the PID-pair traffic matrix. Sum it in a fixed key
+	// order: map order moves the float sum's last bits.
 	PIDBytes map[[2]topology.PID]float64
+	// IntraPIDBytes is the traffic that never left its PID, summed in
+	// flow-teardown order.
+	IntraPIDBytes float64
 	// ClassBytes is the access-class-pair traffic matrix (uploader,
 	// downloader), populated when TrackClassBytes is set.
 	ClassBytes map[[2]string]float64
 	// Ledgers holds per-link interval volume ledgers for links listed
 	// in Config.WatchLedgers.
 	Ledgers map[topology.LinkID]*charging.Ledger
-	RateStats
-
-	graph *topology.Graph
+	RunStats
 }
 
-// RateStats counts rate resolves (one per flow start, one per finish),
-// the flows whose fair rate they recomputed and those whose rate changed.
-type RateStats struct{ RateResolves, FlowsVisited, FlowsRerated int64 }
+// RunStats counts what the engine did. RateResolves is one per flow
+// start and one per finish, FlowsVisited the flows they recomputed a
+// fair rate for, FlowsRerated those whose rate changed. Events counts
+// pops by kind (EventKinds names them); StalePops are finish events
+// whose flow had finished or been re-armed since, EarlyFires those that
+// found bytes left. The peaks are of live conn and flow arena slots.
+type RunStats struct {
+	RateResolves, FlowsVisited, FlowsRerated int64
+	Events                                   [numEventKinds]int64
+	StalePops, EarlyFires                    int64
+	Connects, Disconnects                    int64
+	PeakConns, PeakFlows                     int64
+}
 
 func (m *Metrics) result(s *Sim) *Result {
 	r := &Result{
-		Duration:   s.now,
-		LinkBytes:  m.linkBytes,
-		Samples:    m.samples,
-		TotalBytes: m.totalBytes,
-		PIDBytes:   m.pidBytes,
-		ClassBytes: m.classBytes,
-		Ledgers:    m.ledgers,
-		RateStats:  s.rates,
-		graph:      s.cfg.Graph,
+		Duration:      s.now,
+		LinkBytes:     m.linkBytes,
+		Samples:       m.samples,
+		TotalBytes:    m.totalBytes,
+		PIDBytes:      m.pidBytes,
+		IntraPIDBytes: m.intraPID,
+		ClassBytes:    m.classBytes,
+		Ledgers:       m.ledgers,
+		RunStats:      s.stats,
 	}
 	if m.totalBytes > 0 {
 		r.UnitBDP = m.bdpSum / m.totalBytes
@@ -224,41 +243,22 @@ func (r *Result) PeakUtilization() float64 {
 	return peak
 }
 
-// MetroBreakdown splits the PID-pair traffic of PIDs within `asn` into
-// same-metro and cross-metro volumes (Table 3). Intra-PID traffic is
-// same-metro by definition.
-func (r *Result) MetroBreakdown(asn int) (sameMetro, crossMetro float64) {
-	for key, bytes := range r.PIDBytes {
-		src, dst := r.graph.Node(key[0]), r.graph.Node(key[1])
-		if src.ASN != asn || dst.ASN != asn {
-			continue
-		}
-		if src.Metro == dst.Metro {
-			sameMetro += bytes
-		} else {
-			crossMetro += bytes
+// Fingerprint is what must repeat exactly for a seed: completions out
+// of leechers, the bits of the mean completion time and of the total
+// bytes, and an FNV-1a hash of the per-link byte counts' bits.
+func (r *Result) Fingerprint() string {
+	leechers := 0
+	for _, c := range r.Clients {
+		if !c.IsSeed {
+			leechers++
 		}
 	}
-	return sameMetro, crossMetro
-}
-
-// ASBreakdown aggregates the PID-pair traffic by (source ASN, dest
-// ASN) — the basis of the field test's Table 2.
-func (r *Result) ASBreakdown() map[[2]int]float64 {
-	out := map[[2]int]float64{}
-	for key, bytes := range r.PIDBytes {
-		out[[2]int{r.graph.Node(key[0]).ASN, r.graph.Node(key[1]).ASN}] += bytes
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range r.LinkBytes {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
 	}
-	return out
-}
-
-// IntraPIDBytes returns the traffic that never left its PID.
-func (r *Result) IntraPIDBytes() float64 {
-	sum := 0.0
-	for key, bytes := range r.PIDBytes {
-		if key[0] == key[1] {
-			sum += bytes
-		}
-	}
-	return sum
+	return fmt.Sprintf("%d/%d mean=%x bytes=%x links=%x", len(r.CompletionTimes()), leechers,
+		math.Float64bits(r.MeanCompletionTime()), math.Float64bits(r.TotalBytes), h.Sum64())
 }

@@ -28,7 +28,11 @@ const (
 	evSample
 	evStreamPiece
 	evReselect
+	numEventKinds
 )
+
+// EventKinds names the event kinds, in the order of RunStats.Events.
+var EventKinds = [numEventKinds]string{"join", "rechoke", "flow-finish", "measure", "sample", "stream-piece", "reselect"}
 
 // eventBefore is the total order shared by both queue implementations.
 func eventBefore(a, b event) bool {

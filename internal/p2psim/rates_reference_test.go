@@ -73,7 +73,7 @@ func (r *refResolver) ratesChanged(s *Sim, a, b int32) {
 	}
 	slices.SortFunc(flows, cmpFlowRef)
 	r.flowScratch = flows
-	s.rates.FlowsVisited += int64(len(flows))
+	s.stats.FlowsVisited += int64(len(flows))
 	for _, ref := range flows {
 		f := &s.flows[ref.idx]
 		newRate := s.flowRate(f)
@@ -82,7 +82,7 @@ func (r *refResolver) ratesChanged(s *Sim, a, b int32) {
 			// still exact; skip the reschedule and the progress flush.
 			continue
 		}
-		s.rates.FlowsRerated++
+		s.stats.FlowsRerated++
 		s.progressFlow(f)
 		s.applyRate(f, newRate)
 		s.scheduleFinish(f)
@@ -415,8 +415,46 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 	return active
 }
 
+// checkAdjacency verifies the conn arena against the per-client conn
+// lists, which are the only record of who is connected to whom: every
+// live conn is listed once at each of its ends and nowhere else, no
+// client lists a peer twice, and an optimistic unchoke is -1 or one of
+// the client's own conns.
+func checkAdjacency(t *testing.T, s *Sim) {
+	t.Helper()
+	free := make([]bool, len(s.conns))
+	for _, ci := range s.connFree {
+		free[ci] = true
+	}
+	listed := make([]int, len(s.conns))
+	seenBy := make([]int32, len(s.clients)) // c+1 once c has listed the peer
+	for c := int32(0); int(c) < len(s.clients); c++ {
+		for _, ci := range s.connsOf[c] {
+			cn := &s.conns[ci]
+			if free[ci] || (cn.a != c && cn.b != c) {
+				t.Fatalf("client %d lists conn %d (%d<->%d, free=%v)", c, ci, cn.a, cn.b, free[ci])
+			}
+			p := peerOf(cn, c)
+			if seenBy[p] == c+1 {
+				t.Fatalf("client %d lists peer %d twice: %v", c, p, s.connsOf[c])
+			}
+			seenBy[p] = c + 1
+			listed[ci]++
+		}
+		if opt := s.optimistic[c]; opt >= 0 && !slices.Contains(s.connsOf[c], opt) {
+			t.Fatalf("client %d: optimistic conn %d is not one of its conns %v", c, opt, s.connsOf[c])
+		}
+	}
+	for ci := range s.conns {
+		if !free[ci] && listed[ci] != 2 {
+			t.Fatalf("live conn %d (%d<->%d) is listed %d times", ci, s.conns[ci].a, s.conns[ci].b, listed[ci])
+		}
+	}
+}
+
 // TestFlowListsInvariant drives the event loop by hand and checks the
-// flow lists after every event, in file and in streaming mode.
+// flow lists and the adjacency after every event, in file and in
+// streaming mode.
 func TestFlowListsInvariant(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
@@ -436,9 +474,13 @@ func TestFlowListsInvariant(t *testing.T) {
 			if n := checkFlowLists(t, s); n > peak {
 				peak = n
 			}
+			checkAdjacency(t, s)
 		}
 		if peak < 4 {
 			t.Fatalf("case %+v: at most %d flows were ever active over %d events; the check has no teeth", rc, peak, events)
+		}
+		if rc.flags&2 != 0 && s.stats.Disconnects == 0 {
+			t.Fatalf("case %+v: reselection dropped no conn; the adjacency check has no teeth", rc)
 		}
 	}
 }

@@ -268,15 +268,14 @@ type Sim struct {
 	upHead         []int32 // first active upload, by downloader ID; -1 none
 	downHead       []int32 // first active download, by uploader ID; -1 none
 	rechokeNum     []int32
-	optimistic     []int32 // optimistic-unchoke peer ID, -1 none
+	optimistic     []int32 // optimistic-unchoke conn handle, -1 none
 	unchokeMark    []int64 // epoch stamps replacing per-call sets
 	wantMark       []int64
-	hasBits        []uint64 // piece bitfields, hasW words per client
-	pendBits       []uint64 // in-flight pieces, same layout
-	avail          []int32  // neighbor availability, pieces per client
-	connsOf        [][]int32
-	connOf         []map[int32]int32 // peer ID -> conn handle
-	joinedPos      []int32           // position in joinedIDs
+	hasBits        []uint64  // piece bitfields, hasW words per client
+	pendBits       []uint64  // in-flight pieces, same layout
+	avail          []int32   // neighbor availability, pieces per client
+	connsOf        [][]int32 // conn handles, one per neighbor
+	joinedPos      []int32   // position in joinedIDs
 
 	// Conn and flow arenas with free lists.
 	conns    []connS
@@ -299,12 +298,10 @@ type Sim struct {
 	wantEpoch    int64
 	candScratch  []rechokeCand
 	poolScratch  []int32
-	selScratch   []int32
-	connScratch  []int32
 	measureBuf   []float64
 
 	streamHead int // streaming mode: highest published piece index + 1
-	rates      RateStats
+	stats      RunStats
 
 	// Test seam: rates_reference_test.go's resolver, used instead of the lists.
 	refRates func(s *Sim, u, d int32)
@@ -382,7 +379,6 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 	s.pendBits = append(s.pendBits, make([]uint64, s.hasW)...)
 	s.avail = append(s.avail, make([]int32, s.pieces)...)
 	s.connsOf = append(s.connsOf, nil)
-	s.connOf = append(s.connOf, map[int32]int32{})
 
 	if spec.IsSeed {
 		s.done[id] = true
@@ -503,6 +499,7 @@ func (s *Sim) start() {
 // handle advances the clock to a popped event and dispatches it; false
 // ends the run (MaxTime reached, or every download complete).
 func (s *Sim) handle(ev event) bool {
+	s.stats.Events[ev.kind]++
 	if ev.t > s.cfg.MaxTime {
 		s.now = s.cfg.MaxTime
 		return false
@@ -517,6 +514,8 @@ func (s *Sim) handle(ev event) bool {
 		f := &s.flows[ev.id]
 		if f.active && f.seq == ev.seq {
 			s.handleFlowFinish(ev.id)
+		} else {
+			s.stats.StalePops++
 		}
 	case evMeasure:
 		s.handleMeasure()
@@ -536,20 +535,20 @@ func (s *Sim) handleJoin(c int32) {
 	s.joined[c] = true
 	// Tracker query: candidates are all previously joined clients (c is
 	// appended to the list only after the query, so it never sees
-	// itself).
+	// itself). A joining client has no conns yet, so stamping each pick
+	// is all the deduplication connect needs.
 	self := apptracker.Node{ID: int(c), PID: s.pid[c], ASN: s.asn[c]}
 	sel := s.cfg.Selector.Select(self, s.joinedNodes, s.cfg.NeighborTarget, s.rng)
-	picks := s.selScratch[:0]
+	s.wantEpoch++
 	for _, idx := range sel {
-		picks = append(picks, s.joinedIDs[idx])
+		if p := s.joinedIDs[idx]; s.wantMark[p] != s.wantEpoch {
+			s.wantMark[p] = s.wantEpoch
+			s.connect(c, p)
+		}
 	}
-	s.selScratch = picks
 	s.joinedPos[c] = int32(len(s.joinedIDs))
 	s.joinedIDs = append(s.joinedIDs, c)
 	s.joinedNodes = append(s.joinedNodes, self)
-	for _, p := range picks {
-		s.connect(c, p)
-	}
 	// Newly joined clients try to attract an unchoke at the very next
 	// rechoke; nothing to start yet (no pieces, not unchoked).
 	// A seed joining late can immediately serve: rechoke handles it.
@@ -572,14 +571,9 @@ func (s *Sim) candidatesExcluding(c int32) []apptracker.Node {
 	return s.joinedNodes[:last]
 }
 
-// connect establishes a symmetric neighbor relationship.
+// connect establishes a symmetric neighbor relationship between two
+// clients not yet connected: the callers deduplicate with wantMark.
 func (s *Sim) connect(a, b int32) {
-	if a == b {
-		return
-	}
-	if _, dup := s.connOf[a][b]; dup {
-		return
-	}
 	var ci int32
 	if n := len(s.connFree); n > 0 {
 		ci = s.connFree[n-1]
@@ -591,8 +585,8 @@ func (s *Sim) connect(a, b int32) {
 	s.conns[ci] = connS{a: a, b: b, flow: [2]int32{-1, -1}}
 	s.connsOf[a] = append(s.connsOf[a], ci)
 	s.connsOf[b] = append(s.connsOf[b], ci)
-	s.connOf[a][b] = ci
-	s.connOf[b][a] = ci
+	s.stats.Connects++
+	s.stats.PeakConns = max(s.stats.PeakConns, int64(len(s.conns)-len(s.connFree)))
 	// Availability and interest bookkeeping, word at a time.
 	ah, bh := s.hasWords(a), s.hasWords(b)
 	availA, availB := s.availOf(a), s.availOf(b)
@@ -611,18 +605,11 @@ func (s *Sim) connect(a, b int32) {
 	s.conns[ci].novel = novel
 }
 
-// interested reports whether d wants data from its neighbor u: O(1)
-// via the incrementally maintained per-conn novel-piece counters.
-func (s *Sim) interested(d, u int32) bool {
-	if s.done[d] {
-		return false
-	}
-	ci, ok := s.connOf[u][d]
-	if !ok {
-		return false
-	}
+// interested reports whether u's neighbor over conn ci wants data from
+// u: O(1) via the incrementally maintained per-conn novel-piece counters.
+func (s *Sim) interested(ci, u int32) bool {
 	cn := &s.conns[ci]
-	return cn.novel[dirOf(cn, u)] > 0
+	return !s.done[peerOf(cn, u)] && cn.novel[dirOf(cn, u)] > 0
 }
 
 // gainPiece records that d now has the given piece, updating neighbor
@@ -660,31 +647,30 @@ func (s *Sim) reselectClient(c int32) {
 	cands := s.candidatesExcluding(c)
 	self := apptracker.Node{ID: int(c), PID: s.pid[c], ASN: s.asn[c]}
 	sel := s.cfg.Selector.Select(self, cands, s.cfg.NeighborTarget, s.rng)
-	picks := s.selScratch[:0]
-	for _, idx := range sel {
-		picks = append(picks, s.joinedIDs[idx])
-	}
-	s.selScratch = picks
 	s.wantEpoch++
-	for _, p := range picks {
-		s.wantMark[p] = s.wantEpoch
+	for _, idx := range sel {
+		s.wantMark[s.joinedIDs[idx]] = s.wantEpoch
 	}
-	// Drop idle connections the fresh selection no longer includes,
-	// iterating over a scratch snapshot because disconnect mutates
-	// connsOf[c].
-	snapshot := append(s.connScratch[:0], s.connsOf[c]...)
-	for _, ci := range snapshot {
+	// Keep the conns to picked peers, clearing their stamps, and the busy
+	// ones; drop the rest. disconnect removes connsOf[c][i] in place, so
+	// i only advances past a kept conn.
+	for i := 0; i < len(s.connsOf[c]); {
+		ci := s.connsOf[c][i]
 		cn := &s.conns[ci]
-		p := peerOf(cn, c)
-		if s.wantMark[p] == s.wantEpoch || cn.flow[0] >= 0 || cn.flow[1] >= 0 {
+		if p := peerOf(cn, c); s.wantMark[p] == s.wantEpoch {
+			s.wantMark[p] = 0
+		} else if cn.flow[0] < 0 && cn.flow[1] < 0 {
+			s.disconnect(ci)
 			continue
 		}
-		s.disconnect(ci)
+		i++
 	}
-	s.connScratch = snapshot
-	// Connect the newly selected peers (connect dedupes).
-	for _, p := range picks {
-		s.connect(c, p)
+	// Connect the picks still stamped, each once.
+	for _, idx := range sel {
+		if p := s.joinedIDs[idx]; s.wantMark[p] == s.wantEpoch {
+			s.wantMark[p] = 0
+			s.connect(c, p)
+		}
 	}
 }
 
@@ -698,8 +684,7 @@ func (s *Sim) disconnect(ci int32) {
 	a, b := cn.a, cn.b
 	s.removeConnRef(a, ci)
 	s.removeConnRef(b, ci)
-	delete(s.connOf[a], b)
-	delete(s.connOf[b], a)
+	s.stats.Disconnects++
 	ah, bh := s.hasWords(a), s.hasWords(b)
 	availA, availB := s.availOf(a), s.availOf(b)
 	for w := range ah {
@@ -710,10 +695,10 @@ func (s *Sim) disconnect(ci int32) {
 			availB[w<<6+bits.TrailingZeros64(m)]--
 		}
 	}
-	if s.optimistic[a] == b {
+	if s.optimistic[a] == ci {
 		s.optimistic[a] = -1
 	}
-	if s.optimistic[b] == a {
+	if s.optimistic[b] == ci {
 		s.optimistic[b] = -1
 	}
 	s.connFree = append(s.connFree, ci)
@@ -805,7 +790,7 @@ func (s *Sim) rechokeClient(u int32) {
 	for i := 0; i < len(interested) && i < regular; i++ {
 		s.unchokeMark[interested[i].peer] = mark
 	}
-	// Optimistic slot.
+	// Optimistic slot: a conn handle, which disconnect resets.
 	opt := s.optimistic[u]
 	rotate := opt < 0 || !s.interested(opt, u) ||
 		int(s.rechokeNum[u])%s.cfg.OptimisticEvery == 0
@@ -813,7 +798,7 @@ func (s *Sim) rechokeClient(u int32) {
 		pool := s.poolScratch[:0]
 		for _, c := range interested {
 			if s.unchokeMark[c.peer] != mark {
-				pool = append(pool, c.peer)
+				pool = append(pool, c.ci)
 			}
 		}
 		if len(pool) > 0 {
@@ -824,8 +809,10 @@ func (s *Sim) rechokeClient(u int32) {
 		s.poolScratch = pool
 		opt = s.optimistic[u]
 	}
-	if opt >= 0 && s.unchokeMark[opt] != mark && s.interested(opt, u) {
-		s.unchokeMark[opt] = mark
+	if opt >= 0 {
+		if p := peerOf(&s.conns[opt], u); s.unchokeMark[p] != mark && s.interested(opt, u) {
+			s.unchokeMark[p] = mark
+		}
 	}
 	// Apply: choke removed peers (in-flight pieces finish), unchoke new.
 	for _, ci := range s.connsOf[u] {
@@ -863,6 +850,7 @@ func (s *Sim) tryStartCn(ci, u, d int32) {
 		return
 	}
 	fi := s.allocFlow()
+	s.stats.PeakFlows = max(s.stats.PeakFlows, int64(len(s.flows)-len(s.flowFree)))
 	f := &s.flows[fi]
 	f.u, f.d, f.cn, f.piece, f.self = u, d, ci, int32(piece), fi
 	f.active = true
@@ -1010,7 +998,7 @@ func (s *Sim) downSlot(d, u int32) *int32 {
 //
 //p4p:hotpath runs twice per transferred piece; walks two intrusive lists, no scan, no sort, no allocation
 func (s *Sim) ratesChanged(u, d int32) {
-	s.rates.RateResolves++
+	s.stats.RateResolves++
 	if s.refRates != nil {
 		s.resolveByReference(u, d)
 		return
@@ -1036,12 +1024,12 @@ func (s *Sim) resolveByReference(u, d int32) { s.refRates(s, u, d) }
 // rerate gives a visited flow its current fair rate and, if that is a
 // new rate, settles its progress and re-arms its finish event.
 func (s *Sim) rerate(f *flowS) {
-	s.rates.FlowsVisited++
+	s.stats.FlowsVisited++
 	newRate := s.flowRate(f)
 	if newRate == f.rate {
 		return // the scheduled finish event is still exact
 	}
-	s.rates.FlowsRerated++
+	s.stats.FlowsRerated++
 	s.progressFlow(f)
 	s.applyRate(f, newRate)
 	s.scheduleFinish(f)
@@ -1097,6 +1085,7 @@ func (s *Sim) handleFlowFinish(fi int32) {
 	s.progressFlow(f)
 	if f.remaining > 1e-6 {
 		// Rate dropped since scheduling; progress and re-arm.
+		s.stats.EarlyFires++
 		s.scheduleFinish(f)
 		return
 	}

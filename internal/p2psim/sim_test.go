@@ -143,7 +143,7 @@ func TestIntraPIDTrafficSkipsBackbone(t *testing.T) {
 			t.Fatalf("backbone link %d carried %v bytes", i, v)
 		}
 	}
-	if res.IntraPIDBytes() != res.TotalBytes {
+	if res.IntraPIDBytes != res.TotalBytes {
 		t.Fatal("intra-PID bytes should equal total")
 	}
 }
@@ -444,6 +444,40 @@ func TestReselectionReplacesConnections(t *testing.T) {
 	}
 }
 
+// dupSelector returns each of Random's picks twice.
+type dupSelector struct{}
+
+func (dupSelector) Name() string { return "dup" }
+
+func (dupSelector) Select(self apptracker.Node, cands []apptracker.Node, m int, rng *rand.Rand) []int {
+	var out []int
+	for _, i := range (apptracker.Random{}).Select(self, cands, m, rng) {
+		out = append(out, i, i)
+	}
+	return out
+}
+
+// TestDuplicatePicksConnectOnce: connect does not deduplicate, so a
+// selector naming a peer twice must still yield one conn, at join and at
+// reselect.
+func TestDuplicatePicksConnectOnce(t *testing.T) {
+	s, _ := buildSwarm(t, dupSelector{}, 12, 3, func(c *Config) {
+		c.ReselectInterval = 5
+		c.MaxTime = 60
+	})
+	s.start()
+	for {
+		ev, ok := s.calQ.pop()
+		if !ok || !s.handle(ev) {
+			break
+		}
+		checkAdjacency(t, s)
+	}
+	if s.stats.Events[evJoin] != 13 || s.stats.Events[evReselect] < 2 || s.stats.Connects == 0 {
+		t.Fatalf("stats %+v: the run did not exercise join and reselect", s.stats)
+	}
+}
+
 func TestDisconnectPanicsWithActiveFlow(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
@@ -451,7 +485,7 @@ func TestDisconnectPanicsWithActiveFlow(t *testing.T) {
 	a := s.AddClient(ClientSpec{PID: 0, ASN: 1, UpBps: 1e6, DownBps: 1e6})
 	b := s.AddClient(ClientSpec{PID: 1, ASN: 1, UpBps: 1e6, DownBps: 1e6})
 	s.connect(int32(a.ID), int32(b.ID))
-	ci := s.connOf[a.ID][int32(b.ID)]
+	ci := s.connsOf[a.ID][0]
 	s.conns[ci].flow[0] = 0 // simulate an in-flight transfer
 	defer func() {
 		if recover() == nil {
