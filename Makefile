@@ -39,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparentParse$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzIgnoreDirective$$' -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectMatchesReference$$' -fuzztime 10s ./internal/apptracker
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeJSONMatchesStdlib$$' -fuzztime 10s ./internal/apptracker
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 
@@ -46,7 +47,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Portal request, view-recompute and view-codec (JSON vs binary)
-# benchmarks plus the engine's Update and Matrix kernels, emitted as
+# benchmarks, the engine's Update and Matrix kernels and the /select
+# request decode, emitted as
 # JSON at BENCH_portal.json for cross-commit comparison;
 # scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op.
 bench-json:

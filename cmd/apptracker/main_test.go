@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,6 +64,113 @@ func TestSelectRouteUnknownPIDs(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK || err != nil || len(out.Indices) != 3 {
 			t.Errorf("%s: status %d, decode error %v, indices %v; want 200 with 3 indices", name, resp.StatusCode, err, out.Indices)
+		}
+	}
+}
+
+// plainNode and plainRequest are the /select request as encoding/json
+// decodes it reflectively, without apptracker.Node's UnmarshalJSON.
+type plainNode struct {
+	ID  int
+	PID topology.PID
+	ASN int
+}
+
+type plainRequest struct {
+	Self       plainNode   `json:"self"`
+	Candidates []plainNode `json:"candidates"`
+	M          int         `json:"m"`
+}
+
+// TestSelectRouteMatchesStdlibDecode: every body gets the status and the
+// indices through selectRoute that a stdlib-decoded request gets from an
+// identically seeded P4P — for canonical and non-canonical spellings of
+// the candidates, for m outside 1..n, and for hostile bodies.
+func TestSelectRouteMatchesStdlibDecode(t *testing.T) {
+	view := &core.View{
+		PIDs: []topology.PID{0, 1, 2},
+		D:    [][]float64{{0, 1, 10}, {1, 0, 10}, {10, 10, 0}},
+	}
+	const seed, mDefault = 5, 4
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	cands := `{"ID":1,"PID":0,"ASN":1},{"ID":2,"PID":1,"ASN":1},{"ID":3,"PID":2,"ASN":1},{"ID":4,"PID":0,"ASN":2},{"ID":5,"PID":1,"ASN":2},{"ID":6,"PID":0,"ASN":1}`
+	self := `"self":{"ID":0,"PID":0,"ASN":1}`
+	// A body of exactly size bytes: padding whitespace before its last
+	// candidate, so the JSON value ends on the last byte.
+	capBody := func(size int) string {
+		head := `{` + self + `,"m":3,"candidates":[` + strings.Repeat(`{"ID":1,"PID":0,"ASN":1},`, (maxSelectBody-100)/25)
+		tail := `{"ID":2,"PID":1,"ASN":1}]}`
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"canonical", `{` + self + `,"m":3,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"keys reordered and repeated, whitespace", "{ \"m\" : 3 ,\n\t\"candidates\" : [ {\"ASN\":1, \"PID\":0,\"ID\":9,\"ID\":1} ,{ \"PID\" : 1 ,\r\"ASN\" : 1 , \"ID\" : 2 } ,\n" +
+			`{"ASN":1,"ID":3,"PID":2},{"PID":0,"ASN":2,"ID":4},{"ID":5,"ASN":2,"PID":1},{"ASN":1,"PID":0,"ID":6} ] , ` + self + " }\n", http.StatusOK},
+		{"case-folded, escaped and unknown keys",
+			`{"self":{"id":0,"pid":0,"asn":1},"m":3,"candidates":[{"ID":1,"PID":0,"ASN":1,"port":6881},{"\u0049D":2,"Pid":1,"AſN":1},{"ID":3,"PID":2,"ASN":1,"ip":null},` +
+				`{"ID":4,"PID":0,"ASN":2},{"ID":5,"PID":1,"ASN":2},{"ID":6,"PID":0,"ASN":1}]}`, http.StatusOK},
+		{"null and -0 values", `{` + self + `,"m":3,"candidates":[{"ID":1,"PID":null,"ASN":1},null,{"ID":-0,"PID":2,"ASN":1},` + cands + `]}`, http.StatusOK},
+		{"19-digit ID", `{` + self + `,"m":2,"candidates":[{"ID":1234567890123456789,"PID":1,"ASN":1},` + cands + `]}`, http.StatusOK},
+		{"m = 0 takes the default", `{` + self + `,"m":0,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"m < 0 takes the default", `{` + self + `,"m":-3,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"m absent takes the default", `{` + self + `,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"m > n", `{` + self + `,"m":50,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"self absent", `{"self":{"ID":99,"PID":1,"ASN":1},"m":3,"candidates":[` + cands + `]}`, http.StatusOK},
+		{"self listed", `{` + self + `,"m":3,"candidates":[{"ID":0,"PID":0,"ASN":1},` + cands + `]}`, http.StatusOK},
+		{"empty candidates", `{` + self + `,"m":3,"candidates":[]}`, http.StatusOK},
+		{"no candidates", `{` + self + `,"m":3}`, http.StatusOK},
+		{"float ID", `{` + self + `,"m":3,"candidates":[{"ID":1.5,"PID":0,"ASN":1}]}`, http.StatusBadRequest},
+		{"exponent ID", `{` + self + `,"m":3,"candidates":[{"ID":1e3,"PID":0,"ASN":1}]}`, http.StatusBadRequest},
+		{"string ID", `{` + self + `,"m":3,"candidates":[{"ID":"1","PID":0,"ASN":1}]}`, http.StatusBadRequest},
+		{"overflowing ID", `{` + self + `,"m":3,"candidates":[{"ID":92233720368547758070,"PID":0,"ASN":1}]}`, http.StatusBadRequest},
+		{"overflowing self PID", `{"self":{"ID":0,"PID":-99999999999999999999,"ASN":1},"m":3,"candidates":[` + cands + `]}`, http.StatusBadRequest},
+		{"candidate not an object", `{` + self + `,"m":3,"candidates":[7]}`, http.StatusBadRequest},
+		{"malformed", `{` + self + `,"m":3,"candidates":[{"ID":01}]}`, http.StatusBadRequest},
+		{"body at the cap", capBody(maxSelectBody), http.StatusOK},
+		{"body over the cap", capBody(maxSelectBody + 1), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		route := selectRoute(logger, &apptracker.P4P{Views: fixedViews{view}}, rand.New(rand.NewSource(seed)), mDefault)
+		route(rec, httptest.NewRequest(http.MethodPost, "/select", strings.NewReader(tc.body)))
+		var got struct {
+			selectResponse
+			errorResponse
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s: decode reply: %v", tc.name, err)
+		}
+
+		status, want := http.StatusOK, []int{}
+		var req plainRequest
+		if err := json.NewDecoder(strings.NewReader(tc.body)).Decode(&req); len(tc.body) > maxSelectBody {
+			status = http.StatusRequestEntityTooLarge
+		} else if err != nil {
+			status = http.StatusBadRequest
+		} else {
+			if req.M <= 0 {
+				req.M = mDefault
+			}
+			nodes := make([]apptracker.Node, len(req.Candidates))
+			for i, c := range req.Candidates {
+				nodes[i] = apptracker.Node(c)
+			}
+			oracle := &apptracker.P4P{Views: fixedViews{view}}
+			if idx := oracle.Select(apptracker.Node(req.Self), nodes, req.M, rand.New(rand.NewSource(seed))); idx != nil {
+				want = idx
+			}
+		}
+		if rec.Code != status || rec.Code != tc.status {
+			t.Errorf("%s: status %d, stdlib decode gives %d, want %d (%s)", tc.name, rec.Code, status, tc.status, got.Error)
+			continue
+		}
+		if status == http.StatusOK && !slices.Equal(got.Indices, want) {
+			t.Errorf("%s: indices %v, stdlib-decoded request gives %v", tc.name, got.Indices, want)
+		}
+		if status != http.StatusOK && got.Error == "" {
+			t.Errorf("%s: status %d without an error envelope", tc.name, rec.Code)
 		}
 	}
 }

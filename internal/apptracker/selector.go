@@ -156,7 +156,7 @@ func (l *Localized) Select(self Node, candidates []Node, m int, rng *rand.Rand) 
 		return candidates[cands[a].idx].ID < candidates[cands[b].idx].ID
 	})
 	if len(cands) > m {
-		cands = cands[:m]
+		cands = cands[:max(m, 0)]
 	}
 	out := make([]int, len(cands))
 	for i, c := range cands {

@@ -177,6 +177,39 @@ func TestLocalizedSelectorPicksClosest(t *testing.T) {
 	}
 }
 
+// TestSelectorContract holds every policy to the Selector contract at the
+// edges of m and of the candidate list, self listed among them: no
+// panic (Localized sliced its sorted list by a negative m), at most
+// max(m, 0) indices, none repeated, none self.
+func TestSelectorContract(t *testing.T) {
+	view := threePIDView()
+	match := &Matching{Weights: map[topology.PID]map[topology.PID]float64{0: {1: 0.9, 2: 0.1}}}
+	selectors := []Selector{
+		Random{},
+		&Localized{Delay: func(a, b Node) float64 { return math.Abs(float64(a.PID - b.PID)) }},
+		&P4P{Views: testViews{view}},
+		&PandoMatching{MatchingFor: func(int) *Matching { return match }},
+	}
+	self := Node{ID: 0, PID: 0, ASN: 1}
+	cands := append(makeCandidates([]struct {
+		pid topology.PID
+		asn int
+		n   int
+	}{{0, 1, 4}, {1, 1, 3}, {2, 1, 3}, {1, 2, 3}}), self)
+	n := len(cands)
+	for _, sel := range selectors {
+		for _, cs := range [][]Node{cands, nil} {
+			for _, m := range []int{-1, 0, n, n + 5} {
+				idx := sel.Select(self, cs, m, rand.New(rand.NewSource(int64(m))))
+				if len(idx) > max(m, 0) {
+					t.Errorf("%s: m=%d, %d candidates: %d indices", sel.Name(), m, len(cs), len(idx))
+				}
+				checkNoSelfNoDup(t, self, cs, idx)
+			}
+		}
+	}
+}
+
 func TestP4PIntraPIDCap(t *testing.T) {
 	self := Node{ID: 0, PID: 0, ASN: 1}
 	// Plenty of candidates at self's PID plus others in the same AS.

@@ -213,39 +213,13 @@ const (
 	policyP4P       = "p4p"
 )
 
-// liveViews adapts an iTracker set to the selector's ViewProvider:
-// views refresh automatically because the iTracker caches by engine
-// version.
-type liveViews struct {
-	mu       sync.Mutex
-	trackers map[int]*itracker.Server
-}
-
-func newLiveViews(trackers ...*itracker.Server) *liveViews {
-	m := map[int]*itracker.Server{}
-	for _, t := range trackers {
-		m[t.ASN()] = t
-	}
-	return &liveViews{trackers: m}
-}
+// liveViews serves one iTracker's view for every AS: views refresh
+// automatically because the iTracker caches by engine version.
+type liveViews struct{ tr *itracker.Server }
 
 // ViewFor implements apptracker.ViewProvider.
-func (v *liveViews) ViewFor(asn int) apptracker.DistanceView {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	tr, ok := v.trackers[asn]
-	if !ok {
-		// Fall back to any tracker: an integrator can aggregate multiple
-		// iTrackers (Section 3).
-		for _, t := range v.trackers {
-			tr = t
-			break
-		}
-	}
-	if tr == nil {
-		return nil
-	}
-	view, err := tr.Distances("")
+func (v liveViews) ViewFor(int) apptracker.DistanceView {
+	view, err := v.tr.Distances("")
 	if err != nil {
 		return nil
 	}

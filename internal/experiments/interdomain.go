@@ -141,7 +141,7 @@ func runInterdomainPolicy(policy string, g *topology.Graph, r *topology.Routing,
 		// shared physical graph plays both, serving each AS the same
 		// external view.
 		tr1 := itracker.New(itracker.Config{Name: "virtual-isp-west", ASN: 1}, engine, nil)
-		cfg.Selector = &apptracker.P4P{Views: newLiveViews(tr1)}
+		cfg.Selector = &apptracker.P4P{Views: liveViews{tr1}}
 		cfg.MeasureInterval = 5
 		cfg.OnMeasure = func(now float64, rates []float64) { tr1.ObserveAndUpdate(rates) }
 	default:

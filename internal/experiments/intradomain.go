@@ -78,7 +78,7 @@ func runIntradomainSwarm(policy string, g *topology.Graph, r *topology.Routing, 
 			// MLU objective via the dual engine.
 			engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.3})
 			tr := itracker.New(itracker.Config{Name: g.Name, ASN: asn}, engine, nil)
-			cfg.Selector = &apptracker.P4P{Views: newLiveViews(tr), Config: apptracker.P4PConfig{Gamma: gamma}}
+			cfg.Selector = &apptracker.P4P{Views: liveViews{tr}, Config: apptracker.P4PConfig{Gamma: gamma}}
 			cfg.MeasureInterval = 2
 			cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
 		}
@@ -310,7 +310,7 @@ func runLiveswarmsPolicy(policy string, g *topology.Graph, r *topology.Routing, 
 		// short-lived streaming session.
 		engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeBDP, StepSize: 0.2})
 		tr := itracker.New(itracker.Config{Name: g.Name, ASN: g.Node(0).ASN}, engine, nil)
-		cfg.Selector = &apptracker.P4P{Views: newLiveViews(tr), Config: apptracker.P4PConfig{Gamma: 1.0}}
+		cfg.Selector = &apptracker.P4P{Views: liveViews{tr}, Config: apptracker.P4PConfig{Gamma: 1.0}}
 		cfg.MeasureInterval = 10
 		cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
 	default:

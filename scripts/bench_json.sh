@@ -9,7 +9,9 @@
 #                     revalidation, view recompute, the view codec at
 #                     ISP-B size in both encodings, and the engine's
 #                     two kernels (core.Engine Update and Matrix, ISP-B
-#                     and Abilene) -> BENCH_portal.json
+#                     and Abilene), and the decode of one select-fed
+#                     /select body, by Node's UnmarshalJSON and by the
+#                     reflective struct decode -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
 #                     1k / 10k candidates, plus the Figure 7
 #                     swarm-size sweep, parallel and serial
@@ -32,6 +34,8 @@ portal)
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/
 		go test -run '^$' -bench 'BenchmarkEngine' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/
+		go test -run '^$' -bench 'BenchmarkSelectRequestDecode' \
+			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
 	)
 	;;
 sim)
