@@ -73,53 +73,24 @@ func BenchmarkFigure6BitTorrentInternet(b *testing.B) {
 // utilization for P4P; localized comparable completion, higher
 // utilization than P4P.
 //
-// The cells fan across the experiment worker pool; the run reports
-// pool-utilization (busy worker-seconds / (wall x workers)) and
-// pool-speedup (busy worker-seconds / wall, i.e. the effective number
-// of concurrently busy workers) so scripts/bench_json.sh can track how
-// much the sharding actually buys on the benchmark host.
+// The sweep's 21 cells fan across the experiment worker pool;
+// BenchmarkFigure7SwarmSizeSerial runs the same cells one at a time.
 func BenchmarkFigure7SwarmSize(b *testing.B) {
-	var rep *experiments.Report
-	var ps *experiments.PoolStats
-	for i := 0; i < b.N; i++ {
-		opt := benchOptions()
-		ps = &experiments.PoolStats{}
-		opt.PoolStats = ps
-		rep = experiments.Figure7SwarmSize(opt)
-	}
-	reportValues(b, rep)
-	reportPoolStats(b, ps)
+	runExperiment(b, experiments.Figure7SwarmSize)
 }
 
 // BenchmarkFigure7SwarmSizeSerial runs the same sweep with the worker
-// pool disabled (Parallelism: 1), regardless of -p4p.parallel. The
-// wall-clock delta between this and BenchmarkFigure7SwarmSize is the
-// parallel harness's speedup; the reported values are identical.
+// pool disabled (Parallelism: 1), regardless of -p4p.parallel. Its
+// ns/op divided by BenchmarkFigure7SwarmSize's is the parallel
+// harness's speedup on the host; the reported values are identical.
 func BenchmarkFigure7SwarmSizeSerial(b *testing.B) {
 	var rep *experiments.Report
-	var ps *experiments.PoolStats
 	for i := 0; i < b.N; i++ {
 		opt := benchOptions()
 		opt.Parallelism = 1
-		ps = &experiments.PoolStats{}
-		opt.PoolStats = ps
 		rep = experiments.Figure7SwarmSize(opt)
 	}
 	reportValues(b, rep)
-	reportPoolStats(b, ps)
-}
-
-// reportPoolStats attaches the worker-pool utilization of the last
-// iteration's run as custom metrics.
-func reportPoolStats(b *testing.B, ps *experiments.PoolStats) {
-	b.Helper()
-	if ps == nil || ps.Runs() == 0 {
-		return
-	}
-	b.ReportMetric(ps.Utilization(), "pool-utilization")
-	if wall := ps.WallSeconds(); wall > 0 {
-		b.ReportMetric(ps.BusySeconds()/wall, "pool-speedup")
-	}
 }
 
 // BenchmarkFigure8ISPA regenerates Figure 8: the sweep on ISP-A,

@@ -97,7 +97,7 @@ func run() int {
 	case "p4p":
 		engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.3})
 		tr := itracker.New(itracker.Config{Name: g.Name, ASN: g.Node(0).ASN}, engine, nil)
-		cfg.Selector = &apptracker.P4P{Views: trackerViews{tr}}
+		cfg.Selector = &apptracker.P4P{Views: tr}
 		cfg.MeasureInterval = 10
 		cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
 	default:
@@ -166,14 +166,4 @@ func topologyByName(name string) (*topology.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown topology %q", name)
 	}
-}
-
-type trackerViews struct{ tr *itracker.Server }
-
-func (v trackerViews) ViewFor(asn int) apptracker.DistanceView {
-	view, err := v.tr.Distances("")
-	if err != nil {
-		return nil
-	}
-	return view
 }

@@ -10,18 +10,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
-	"p4p/internal/apptracker"
-	"p4p/internal/core"
-	"p4p/internal/itracker"
 	"p4p/internal/metrics"
-	"p4p/internal/p2psim"
-	"p4p/internal/topology"
 )
 
 // Options tunes an experiment run.
@@ -41,10 +35,6 @@ type Options struct {
 	// the output is byte-identical at any parallelism (see
 	// TestParallelReportsMatchSerial).
 	Parallelism int
-	// PoolStats, when non-nil, records per-cell wall times and pool
-	// utilization for every forEachCell run. Purely observational: it
-	// never changes scheduling or report bytes.
-	PoolStats *PoolStats
 }
 
 func (o Options) withDefaults() Options {
@@ -76,22 +66,7 @@ func (o Options) forEachCell(n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if ps := o.PoolStats; ps != nil {
-		run, start := ps.beginRun()
-		defer ps.endRun(start, workers)
-		inner := fn
-		fn = func(i int) {
-			cellStart := ps.now()
-			inner(i)
-			ps.recordCell(run, i, ps.now().Sub(cellStart))
-		}
-	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -202,168 +177,6 @@ func (r *Report) WriteTo(w io.Writer) (int64, error) {
 	}
 	n, err := io.WriteString(w, b.String())
 	return int64(n), err
-}
-
-// --- shared simulation scaffolding ---
-
-// policyName labels the three compared systems as the paper does.
-const (
-	policyNative    = "native"
-	policyLocalized = "localized"
-	policyP4P       = "p4p"
-)
-
-// liveViews serves one iTracker's view for every AS: views refresh
-// automatically because the iTracker caches by engine version.
-type liveViews struct{ tr *itracker.Server }
-
-// ViewFor implements apptracker.ViewProvider.
-func (v liveViews) ViewFor(int) apptracker.DistanceView {
-	view, err := v.tr.Distances("")
-	if err != nil {
-		return nil
-	}
-	return view
-}
-
-// protectedLinkViews is the Figure 6 iTracker: "the iTracker initially
-// assigns 0 to p-distances, and increases the p-distance of the
-// protected link if clients use this link." Distances are zero
-// everywhere except across the protected link.
-type protectedLinkViews struct {
-	mu        sync.Mutex
-	r         *topology.Routing
-	pids      []topology.PID
-	protected []topology.LinkID // typically the duplex pair of the circuit
-	price     float64
-	step      float64
-	cached    *core.View
-	version   int
-}
-
-func newProtectedLinkViews(r *topology.Routing, protected []topology.LinkID) *protectedLinkViews {
-	return &protectedLinkViews{
-		r:         r,
-		pids:      r.Graph().AggregationPIDs(),
-		protected: protected,
-		step:      1.0,
-	}
-}
-
-// Observe raises the protected circuit's price when it carries traffic.
-func (p *protectedLinkViews) Observe(linkRateBps []float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.protected {
-		if linkRateBps[e] > 0 {
-			p.price += p.step
-			p.version++
-			p.cached = nil
-			return
-		}
-	}
-}
-
-// ViewFor implements apptracker.ViewProvider.
-func (p *protectedLinkViews) ViewFor(asn int) apptracker.DistanceView {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cached != nil {
-		return p.cached
-	}
-	v := &core.View{PIDs: append([]topology.PID(nil), p.pids...), Version: p.version}
-	v.D = make([][]float64, len(p.pids))
-	for a, i := range p.pids {
-		v.D[a] = make([]float64, len(p.pids))
-		for b, j := range p.pids {
-			if a == b {
-				continue
-			}
-			for _, e := range p.protected {
-				if p.r.OnPath(e, i, j) {
-					v.D[a][b] = p.price
-					break
-				}
-			}
-		}
-	}
-	p.cached = v
-	return v
-}
-
-// delaySelector builds the delay-localized baseline: ranking peers by
-// measured round-trip delay. Real RTT measurements carry last-mile and
-// queueing noise far larger than metro-scale propagation differences,
-// so the model adds a deterministic per-measurement jitter; without it,
-// delay ranking would resolve same-PoP peers perfectly, which no
-// Internet measurement can.
-func delaySelector(r *topology.Routing, seed int64) apptracker.Selector {
-	jrng := rand.New(rand.NewSource(seed))
-	var mu sync.Mutex
-	return &apptracker.Localized{Delay: func(a, b apptracker.Node) float64 {
-		mu.Lock()
-		j := jrng.Float64() * 0.015
-		mu.Unlock()
-		return r.PropagationDelaySeconds(a.PID, b.PID) + j
-	}}
-}
-
-// spreadClients adds n leecher clients across the PIDs with joins
-// spread over joinWindow seconds, plus one seed at pids[0]. Placement
-// follows populationCDF: client density is highly non-uniform in
-// practice ("consider the high concentration of clients in certain
-// areas such as the northeastern part of US", Section 2), and that skew
-// is exactly what makes pure locality-based peering concentrate traffic
-// on a few backbone links.
-func spreadClients(s *p2psim.Sim, pids []topology.PID, asn, n int, upBps, downBps, seedUpBps, joinWindow float64, rng *rand.Rand) {
-	s.AddClient(p2psim.ClientSpec{
-		PID: pids[0], ASN: asn, UpBps: seedUpBps, DownBps: seedUpBps, IsSeed: true, Class: "seed",
-	})
-	cum := populationCDF(s, pids)
-	for i := 0; i < n; i++ {
-		s.AddClient(p2psim.ClientSpec{
-			PID:     pids[samplePID(cum, rng.Float64())],
-			ASN:     asn,
-			UpBps:   upBps,
-			DownBps: downBps,
-			JoinAt:  joinWindow * float64(i) / float64(n),
-		})
-	}
-}
-
-// samplePID maps u in [0, 1) to the index whose cumulative weight first
-// reaches u of the total.
-func samplePID(cum []float64, u float64) int {
-	k := sort.SearchFloat64s(cum, u*cum[len(cum)-1])
-	if k >= len(cum) {
-		k = len(cum) - 1
-	}
-	return k
-}
-
-// populationCDF assigns placement weight per PID and returns the running
-// sums (the last is the total). Abilene gets a metro-population profile
-// with the northeastern concentration the paper calls out; other
-// topologies get a Zipf profile over PIDs.
-func populationCDF(s *p2psim.Sim, pids []topology.PID) []float64 {
-	g := s.Graph()
-	abilene := map[string]float64{
-		"NewYork": 0.22, "WashingtonDC": 0.18, "Chicago": 0.12,
-		"LosAngeles": 0.12, "Atlanta": 0.09, "Indianapolis": 0.05,
-		"Houston": 0.06, "Denver": 0.05, "KansasCity": 0.04,
-		"Seattle": 0.04, "Sunnyvale": 0.03,
-	}
-	cum := make([]float64, len(pids))
-	total := 0.0
-	for i, pid := range pids {
-		w, ok := abilene[g.Node(pid).Name]
-		if !ok || g.Name != "Abilene" {
-			w = 1 / float64(i+1) // Zipf(1)
-		}
-		total += w
-		cum[i] = total
-	}
-	return cum
 }
 
 // meanOrNaN guards empty slices.

@@ -9,15 +9,10 @@ import (
 	"p4p/internal/topology"
 )
 
-// fieldPair runs the two parallel field-test swarms once per (scale,
-// seed) and caches the results: Figure 11, Tables 2-3 and Figure 12 all
-// read the same deployment.
-var fieldCache sync.Map // key -> *fieldPairResult
-
-type fieldPairKey struct {
-	scale float64
-	seed  int64
-}
+// fieldCache holds the two parallel field-test swarms, run once per
+// seed: Figure 11, Tables 2-3 and Figure 12 all read the same
+// deployment.
+var fieldCache sync.Map // seed -> *fieldPairResult
 
 type fieldPairResult struct {
 	native, p4p *fieldtest.Result
@@ -30,8 +25,7 @@ func runFieldPair(opt Options) *fieldPairResult {
 	// rather than policy reasons, and shifting the ISP-B fraction would
 	// distort the supply pools. The bucket-level fluid model makes the
 	// full eleven-day window cheap anyway (a few seconds).
-	key := fieldPairKey{1, opt.Seed}
-	if v, ok := fieldCache.Load(key); ok {
+	if v, ok := fieldCache.Load(opt.Seed); ok {
 		return v.(*fieldPairResult)
 	}
 	g := topology.ISPB()
@@ -44,7 +38,7 @@ func runFieldPair(opt Options) *fieldPairResult {
 	}
 	results := fieldtest.RunMany(cfgs, opt.forEachCell)
 	res := &fieldPairResult{native: results[0], p4p: results[1]}
-	fieldCache.Store(key, res)
+	fieldCache.Store(opt.Seed, res)
 	return res
 }
 

@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"math/rand"
+	"fmt"
 
-	"p4p/internal/apptracker"
 	"p4p/internal/charging"
 	"p4p/internal/core"
 	"p4p/internal/itracker"
@@ -40,6 +39,7 @@ func Figure10Interdomain(opt Options) *Report {
 	}
 	meanBps := []float64{100e6, 30e6}
 	veBps := map[topology.LinkID]float64{}
+	var watch []topology.LinkID // every circuit's links, in cut order
 	for ci, cut := range cuts {
 		cfg := traffic.DefaultConfig(meanBps[ci%len(meanBps)])
 		cfg.Seed = opt.Seed + int64(ci)
@@ -48,31 +48,31 @@ func Figure10Interdomain(opt Options) *Report {
 		for _, e := range cut {
 			if e >= 0 {
 				veBps[e] = ve
-			}
-		}
-		rep.Values[metricName("virtual-capacity-mbps/circuit", ci)] = ve / 1e6
-	}
-
-	var watch []topology.LinkID
-	for _, cut := range cuts {
-		for _, e := range cut {
-			if e >= 0 {
 				watch = append(watch, e)
 			}
 		}
+		rep.Values[fmt.Sprintf("virtual-capacity-mbps/circuit%d", ci+1)] = ve / 1e6
 	}
 
 	tbl := &metrics.Table{Header: []string{"policy", "mean completion s", "p99 completion s", "charge circuit1 MB", "charge circuit2 MB"}}
-	// The three policies are independent cells (the p4p cell builds its
-	// own engine and iTracker; veBps is only read); they fan across the
-	// worker pool and the report is assembled in policy order.
+	base := swarmCell{
+		sim: p2psim.Config{
+			Graph: g, Routing: r, Seed: opt.Seed, FileBytes: 12 << 20,
+			WatchLedgers:   &p2psim.LedgerConfig{Links: watch, IntervalSec: 10},
+			TCPWindowBytes: 32 << 10, ReselectInterval: 20,
+		},
+		place:   placement{clients: n, seedBps: 800e3, leecherBps: 100e6, joinWindow: 300, rngSeed: opt.Seed + 7},
+		measure: 5,
+		engine:  core.Config{Objective: core.MinimizeMLU, StepSize: 0.3},
+		// Both virtual ISPs run iTrackers; a single engine over the
+		// shared physical graph plays both, serving each AS the same
+		// external view.
+		virtualBps: veBps,
+		tracker:    itracker.Config{Name: "virtual-isp-west", ASN: 1},
+	}
 	policies := []string{policyNative, policyLocalized, policyP4P}
-	results := make([]*p2psim.Result, len(policies))
-	opt.forEachCell(len(policies), func(i int) {
-		results[i] = runInterdomainPolicy(policies[i], g, r, n, watch, veBps, opt)
-	})
-	for i, policy := range policies {
-		res := results[i]
+	for i, res := range opt.runCells(arms(base, policies...)) {
+		policy := policies[i]
 		ct := metrics.NewCDF(res.CompletionTimes())
 		rep.Series["completion-cdf/"+policy] = ct.Points(20)
 		var charges []float64
@@ -93,7 +93,7 @@ func Figure10Interdomain(opt Options) *Report {
 				}
 			}
 			charges = append(charges, worst/(1<<20))
-			rep.Values[metricName("charging-mb/"+policy+"/circuit", ci)] = worst / (1 << 20)
+			rep.Values[fmt.Sprintf("charging-mb/%s/circuit%d", policy, ci+1)] = worst / (1 << 20)
 		}
 		tbl.AddRow(policy, ct.Mean(), ct.Quantile(0.99), charges[0], charges[1])
 		rep.Values["mean-completion/"+policy] = ct.Mean()
@@ -107,81 +107,4 @@ func Figure10Interdomain(opt Options) *Report {
 	rep.Values["charge-ratio-circuit2/localized-vs-p4p"] = metrics.Ratio(
 		rep.Values["charging-mb/localized/circuit2"], rep.Values["charging-mb/p4p/circuit2"])
 	return rep
-}
-
-// runInterdomainPolicy runs one Figure 10 swarm under one policy: a
-// self-contained cell owning its selector, engine, and iTracker. veBps
-// is shared read-only across cells.
-func runInterdomainPolicy(policy string, g *topology.Graph, r *topology.Routing, n int, watch []topology.LinkID, veBps map[topology.LinkID]float64, opt Options) *p2psim.Result {
-	cfg := p2psim.Config{
-		Graph:            g,
-		Routing:          r,
-		Seed:             opt.Seed,
-		FileBytes:        12 << 20,
-		WatchLedgers:     &p2psim.LedgerConfig{Links: watch, IntervalSec: 10},
-		TCPWindowBytes:   32 << 10,
-		ReselectInterval: 20,
-	}
-	switch policy {
-	case policyNative:
-		cfg.Selector = apptracker.Random{}
-	case policyLocalized:
-		cfg.Selector = delaySelector(r, opt.Seed+3)
-	case policyP4P:
-		engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.3})
-		for e, ve := range veBps {
-			engine.SetVirtualCapacity(e, ve)
-			// Warm start: the provider prices its billing-sensitive
-			// circuits from historical data before any swarm traffic
-			// arrives; the super-gradient relaxes the price while
-			// observed traffic stays under v_e.
-			engine.SetPrice(e, 1.0)
-		}
-		// Both virtual ISPs run iTrackers; a single engine over the
-		// shared physical graph plays both, serving each AS the same
-		// external view.
-		tr1 := itracker.New(itracker.Config{Name: "virtual-isp-west", ASN: 1}, engine, nil)
-		cfg.Selector = &apptracker.P4P{Views: liveViews{tr1}}
-		cfg.MeasureInterval = 5
-		cfg.OnMeasure = func(now float64, rates []float64) { tr1.ObserveAndUpdate(rates) }
-	default:
-		panic("experiments: unknown policy " + policy)
-	}
-	sim := p2psim.New(cfg)
-	pids := g.AggregationPIDs()
-	// Clients carry their node's ASN so the staged selection's
-	// inter-AS stage engages.
-	addInterdomainClients(sim, g, pids, n, opt.Seed+7)
-	return sim.Run()
-}
-
-func metricName(prefix string, idx int) string {
-	return prefix + string(rune('1'+idx))
-}
-
-// addInterdomainClients spreads clients over both virtual ISPs with the
-// Abilene population weights, tagging each with its PID's ASN, plus a
-// seed in each ISP (the paper co-locates seeds; we keep one per side so
-// both components can bootstrap).
-func addInterdomainClients(sim *p2psim.Sim, g *topology.Graph, pids []topology.PID, n int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	seeded := map[int]bool{}
-	for _, pid := range pids {
-		asn := g.Node(pid).ASN
-		if !seeded[asn] {
-			sim.AddClient(p2psim.ClientSpec{PID: pid, ASN: asn, UpBps: 800e3, DownBps: 800e3, IsSeed: true, Class: "seed"})
-			seeded[asn] = true
-		}
-	}
-	cum := populationCDF(sim, pids)
-	for i := 0; i < n; i++ {
-		pid := pids[samplePID(cum, rng.Float64())]
-		sim.AddClient(p2psim.ClientSpec{
-			PID:     pid,
-			ASN:     g.Node(pid).ASN,
-			UpBps:   100e6,
-			DownBps: 100e6,
-			JoinAt:  300 * float64(i) / float64(n),
-		})
-	}
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
+	"math"
 	"slices"
 
 	"p4p/internal/apptracker"
@@ -38,70 +38,23 @@ func Table1Networks(opt Options) *Report {
 	return r
 }
 
-// intradomainRun is one swarm under one policy with full measurement.
-type intradomainRun struct {
-	policy     string
-	result     *p2psim.Result
-	watchBytes float64 // cumulative bytes on the protected/bottleneck link
-}
-
-// runIntradomainSwarm runs one policy on a topology with the MLU
-// iTracker in the loop for P4P.
-func runIntradomainSwarm(policy string, g *topology.Graph, r *topology.Routing, n int, fileBytes int64, seedUpBps float64, seed int64, protect []topology.LinkID, gamma float64) *intradomainRun {
-	asn := g.Node(0).ASN
-	cfg := p2psim.Config{
-		Graph:          g,
-		Routing:        r,
-		Seed:           seed,
-		FileBytes:      fileBytes,
-		SampleInterval: 2,
-		WatchLinks:     protect,
-		TCPWindowBytes: 32 << 10,
-		// All policies re-query the tracker periodically, so evolving
-		// p-distances steer running swarms (the appTracker "periodically
-		// obtains p-distances from iTrackers").
-		ReselectInterval: 20,
+// intradomainCell is the Section 7.2 swarm on one AS: 100 Mbps
+// leechers joining over 300 s, every client re-querying the tracker
+// every 20 s (the appTracker "periodically obtains p-distances from
+// iTrackers"), and for P4P the MLU iTracker fed link rates every 2 s.
+func intradomainCell(policy string, g *topology.Graph, r *topology.Routing, n int, fileBytes int64, seedBps float64, seed int64, gamma float64) swarmCell {
+	return swarmCell{
+		policy: policy,
+		sim: p2psim.Config{
+			Graph: g, Routing: r, Seed: seed, FileBytes: fileBytes,
+			SampleInterval: 2, TCPWindowBytes: 32 << 10, ReselectInterval: 20,
+		},
+		place:   placement{clients: n, seedBps: seedBps, leecherBps: 100e6, joinWindow: 300, rngSeed: seed + 1},
+		p4p:     apptracker.P4PConfig{Gamma: gamma},
+		measure: 2,
+		engine:  core.Config{Objective: core.MinimizeMLU, StepSize: 0.3},
+		tracker: itracker.Config{Name: g.Name, ASN: g.Node(0).ASN},
 	}
-	switch policy {
-	case policyNative:
-		cfg.Selector = apptracker.Random{}
-	case policyLocalized:
-		cfg.Selector = delaySelector(r, seed+3)
-	case policyP4P:
-		if len(protect) > 0 {
-			// Figure 6 mode: protect one link.
-			pv := newProtectedLinkViews(r, protect)
-			cfg.Selector = &apptracker.P4P{Views: pv, Config: apptracker.P4PConfig{Gamma: gamma}}
-			cfg.MeasureInterval = 10
-			cfg.OnMeasure = func(now float64, rates []float64) { pv.Observe(rates) }
-		} else {
-			// MLU objective via the dual engine.
-			engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.3})
-			tr := itracker.New(itracker.Config{Name: g.Name, ASN: asn}, engine, nil)
-			cfg.Selector = &apptracker.P4P{Views: liveViews{tr}, Config: apptracker.P4PConfig{Gamma: gamma}}
-			cfg.MeasureInterval = 2
-			cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
-		}
-	default:
-		panic("experiments: unknown policy " + policy)
-	}
-	sim := p2psim.New(cfg)
-	pids := g.AggregationPIDs()
-	spreadClients(sim, pids, asn, n, 100e6, 100e6, seedUpBps, 300, rand.New(rand.NewSource(seed+1)))
-	res := sim.Run()
-	run := &intradomainRun{policy: policy, result: res}
-	if len(protect) > 0 {
-		// The protected circuit's volume: the max over its directions,
-		// matching the paper's per-link bottleneck-traffic bars.
-		for _, e := range protect {
-			if v := res.LinkBytes[e]; v > run.watchBytes {
-				run.watchBytes = v
-			}
-		}
-	} else {
-		_, run.watchBytes = res.BottleneckTraffic()
-	}
-	return run
 }
 
 // Figure6BitTorrentInternet reproduces the PlanetLab BitTorrent
@@ -114,26 +67,26 @@ func Figure6BitTorrentInternet(opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := newReport("F6", "BitTorrent Internet experiments (Figure 6)")
 	g := topology.Abilene()
-	r := topology.ComputeRouting(g)
 	protect := protectedCircuit(g)
 	n := opt.scaled(160)
 	rep.note("swarm %d clients, 12 MB file, 100 KBps seed, protected circuit WashingtonDC<->NewYork", n)
 
 	tbl := &metrics.Table{Header: []string{"policy", "mean completion s", "p95 completion s", "bottleneck MB"}}
-	// The three policies are independent cells: each owns its selector,
-	// iTracker, and RNGs, so they fan across the worker pool and the
-	// report is assembled in the fixed policy order below.
+	base := intradomainCell("", g, topology.ComputeRouting(g), n, 12<<20, 100e3*8, opt.Seed, 0.5)
+	base.sim.WatchLinks = protect
+	base.protect, base.measure = protect, 10
 	policies := []string{policyP4P, policyLocalized, policyNative}
-	runs := make([]*intradomainRun, len(policies))
-	opt.forEachCell(len(policies), func(i int) {
-		runs[i] = runIntradomainSwarm(policies[i], g, r, n, 12<<20, 100e3*8, opt.Seed, protect, 0.5)
-	})
-	for i, policy := range policies {
-		run := runs[i]
-		ct := run.result.CompletionTimes()
-		cdf := metrics.NewCDF(ct)
+	for i, res := range opt.runCells(arms(base, policies...)) {
+		policy := policies[i]
+		cdf := metrics.NewCDF(res.CompletionTimes())
 		rep.Series["completion-cdf/"+policy] = cdf.Points(20)
-		mb := run.watchBytes / (1 << 20)
+		// The protected circuit's volume: the max over its directions,
+		// matching the paper's per-link bottleneck-traffic bars.
+		watchBytes := 0.0
+		for _, e := range protect {
+			watchBytes = math.Max(watchBytes, res.LinkBytes[e])
+		}
+		mb := watchBytes / (1 << 20)
 		tbl.AddRow(policy, cdf.Mean(), cdf.Quantile(0.95), mb)
 		rep.Values["mean-completion/"+policy] = cdf.Mean()
 		rep.Values["bottleneck-mb/"+policy] = mb
@@ -173,48 +126,40 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 	rep.note("topology %s, 256 MB file, swarm sizes %v scaled by %.2f", g.Name, sizes, opt.Scale)
 
 	tbl := &metrics.Table{Header: []string{"swarm", "native s", "localized s", "p4p s"}}
-	type key struct {
-		policy string
-		size   int
-	}
-	// Every (size, policy) pair is an independent simulation cell with
-	// its own seed (opt.Seed+size), so the whole sweep fans across the
-	// worker pool; results land in a slice indexed by cell and the
-	// table and series are assembled afterward in the original
-	// deterministic (size, policy) order.
+	// Every (size, policy) pair is a cell with its own seed
+	// (opt.Seed+size); the table and series are assembled in
+	// (size, policy) order.
 	policies := []string{policyNative, policyLocalized, policyP4P}
-	runs := make([]*intradomainRun, len(sizes)*len(policies))
-	opt.forEachCell(len(runs), func(i int) {
-		size, policy := sizes[i/len(policies)], policies[i%len(policies)]
-		runs[i] = runIntradomainSwarm(policy, g, r, opt.scaled(size), 256<<20, 1e9, opt.Seed+int64(size), nil, 1.0)
-	})
-	means := map[key]float64{}
-	var peakUtil = map[string]float64{}
+	var cells []swarmCell
+	for _, size := range sizes {
+		base := intradomainCell("", g, r, opt.scaled(size), 256<<20, 1e9, opt.Seed+int64(size), 1.0)
+		cells = append(cells, arms(base, policies...)...)
+	}
+	results := opt.runCells(cells)
+	var impSum float64
+	peakUtil := map[string]float64{}
 	for si, size := range sizes {
 		n := opt.scaled(size)
 		row := []interface{}{n}
+		means := map[string]float64{}
 		for pi, policy := range policies {
-			run := runs[si*len(policies)+pi]
-			mean := meanOrNaN(run.result.CompletionTimes())
-			means[key{policy, size}] = mean
-			row = append(row, mean)
-			rep.Series["completion/"+policy] = append(rep.Series["completion/"+policy], [2]float64{float64(n), mean})
+			res := results[si*len(policies)+pi]
+			means[policy] = meanOrNaN(res.CompletionTimes())
+			row = append(row, means[policy])
+			rep.Series["completion/"+policy] = append(rep.Series["completion/"+policy], [2]float64{float64(n), means[policy]})
 			if size == utilSize {
-				for _, s := range run.result.Samples {
+				for _, s := range res.Samples {
 					rep.Series["utilization/"+policy] = append(rep.Series["utilization/"+policy], [2]float64{s.T, s.MaxUtil * 100})
 				}
-				peakUtil[policy] = run.result.PeakUtilization()
+				peakUtil[policy] = res.PeakUtilization()
 			}
 		}
+		impSum += metrics.ImprovementPercent(means[policyNative], means[policyP4P])
 		tbl.AddRow(row...)
 	}
 	rep.addTable(tbl)
 	// Headline numbers: average improvement across sizes, peak
 	// utilization ratio at the 700-peer point.
-	var impSum float64
-	for _, size := range sizes {
-		impSum += metrics.ImprovementPercent(means[key{policyNative, size}], means[key{policyP4P, size}])
-	}
 	rep.Values["avg-completion-improvement-pct/p4p-vs-native"] = impSum / float64(len(sizes))
 	rep.Values["peak-utilization/native"] = peakUtil[policyNative]
 	rep.Values["peak-utilization/localized"] = peakUtil[policyLocalized]
@@ -230,12 +175,10 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 			}
 		}
 		if maxNative > 0 {
-			for name, series := range rep.Series {
-				if len(name) >= 10 && name[:10] == "completion" {
-					for i := range series {
-						series[i][1] /= maxNative
-					}
-					rep.Series[name] = series
+			for _, policy := range policies {
+				series := rep.Series["completion/"+policy]
+				for i := range series {
+					series[i][1] /= maxNative
 				}
 			}
 		}
@@ -250,7 +193,6 @@ func Figure9Liveswarms(opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := newReport("F9", "Liveswarms streaming integration (Figure 9)")
 	g := topology.Abilene()
-	r := topology.ComputeRouting(g)
 	n := opt.scaled(53)
 	duration := 1200 * opt.Scale
 	if duration < 120 {
@@ -258,15 +200,29 @@ func Figure9Liveswarms(opt Options) *Report {
 	}
 	rep.note("%d clients, 90-min 400 kbps stream, %.0f s runs", n, duration)
 	tbl := &metrics.Table{Header: []string{"policy", "avg backbone MB", "mean goodput kbps"}}
-	// Each policy is one independent streaming cell; both fan across
-	// the worker pool and the table is assembled in policy order.
+	base := swarmCell{
+		sim: p2psim.Config{
+			Graph: g, Routing: topology.ComputeRouting(g), Seed: opt.Seed,
+			PieceBytes: 64 << 10, MaxTime: duration, ReselectInterval: 20,
+			// A small neighbor set keeps selection meaningful at the
+			// paper's 53-client swarm size.
+			NeighborTarget: 6,
+			Streaming:      &p2psim.StreamingConfig{RateBps: 400e3, ContentSec: 90 * 60, WindowSec: 60},
+		},
+		place: placement{clients: n, seedBps: 20e6, leecherBps: 10e6, joinWindow: 60, rngSeed: opt.Seed + 2},
+		// The streaming integration runs against a
+		// bandwidth-distance-product iTracker: its exposed distances
+		// p_ij + d_ij carry locality even before congestion prices
+		// build up, which is what cuts backbone volume for a
+		// short-lived streaming session.
+		p4p:     apptracker.P4PConfig{Gamma: 1.0},
+		measure: 10,
+		engine:  core.Config{Objective: core.MinimizeBDP, StepSize: 0.2},
+		tracker: itracker.Config{Name: g.Name, ASN: g.Node(0).ASN},
+	}
 	policies := []string{policyNative, policyP4P}
-	results := make([]*p2psim.Result, len(policies))
-	opt.forEachCell(len(policies), func(i int) {
-		results[i] = runLiveswarmsPolicy(policies[i], g, r, n, duration, opt)
-	})
-	for i, policy := range policies {
-		res := results[i]
+	for i, res := range opt.runCells(arms(base, policies...)) {
+		policy := policies[i]
 		// Average per-backbone-link traffic volume, the paper's metric.
 		var totalLinkBytes float64
 		for _, v := range res.LinkBytes {
@@ -284,44 +240,6 @@ func Figure9Liveswarms(opt Options) *Report {
 	return rep
 }
 
-// runLiveswarmsPolicy runs one Figure 9 streaming swarm under one
-// policy: one self-contained cell (own engine, iTracker, and RNGs).
-func runLiveswarmsPolicy(policy string, g *topology.Graph, r *topology.Routing, n int, duration float64, opt Options) *p2psim.Result {
-	cfg := p2psim.Config{
-		Graph:            g,
-		Routing:          r,
-		Seed:             opt.Seed,
-		PieceBytes:       64 << 10,
-		MaxTime:          duration,
-		ReselectInterval: 20,
-		// A small neighbor set keeps selection meaningful at the
-		// paper's 53-client swarm size.
-		NeighborTarget: 6,
-		Streaming:      &p2psim.StreamingConfig{RateBps: 400e3, ContentSec: 90 * 60, WindowSec: 60},
-	}
-	switch policy {
-	case policyNative:
-		cfg.Selector = apptracker.Random{}
-	case policyP4P:
-		// The streaming integration runs against a
-		// bandwidth-distance-product iTracker: its exposed distances
-		// p_ij + d_ij carry locality even before congestion prices
-		// build up, which is what cuts backbone volume for a
-		// short-lived streaming session.
-		engine := core.NewEngine(g, r, core.Config{Objective: core.MinimizeBDP, StepSize: 0.2})
-		tr := itracker.New(itracker.Config{Name: g.Name, ASN: g.Node(0).ASN}, engine, nil)
-		cfg.Selector = &apptracker.P4P{Views: liveViews{tr}, Config: apptracker.P4PConfig{Gamma: 1.0}}
-		cfg.MeasureInterval = 10
-		cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
-	default:
-		panic("experiments: unknown policy " + policy)
-	}
-	sim := p2psim.New(cfg)
-	pids := g.AggregationPIDs()
-	spreadClients(sim, pids, g.Node(0).ASN, n, 10e6, 10e6, 20e6, 60, rand.New(rand.NewSource(opt.Seed+2)))
-	return sim.Run()
-}
-
 // AblationConcave is design-choice ablation A2: the concave transform
 // on selection weights (the paper's lightweight robustness constraint,
 // eq. 7) versus raw inverse-distance weights, in the Figure 6 setting.
@@ -333,18 +251,19 @@ func AblationConcave(opt Options) *Report {
 	n := opt.scaled(160)
 	tbl := &metrics.Table{Header: []string{"gamma", "mean completion s", "bottleneck MB", "max-PID-share"}}
 	// MLU-engine mode: prices spread across links, so the distance
-	// matrix has the contrast the transform acts on. The two gamma
-	// settings are independent cells.
+	// matrix has the contrast the transform acts on. Each gamma is a
+	// cell.
 	gammas := []float64{1.0, 0.5}
-	runs := make([]*intradomainRun, len(gammas))
-	opt.forEachCell(len(gammas), func(i int) {
-		runs[i] = runIntradomainSwarm(policyP4P, g, r, n, 12<<20, 1e9, opt.Seed, nil, gammas[i])
-	})
+	cells := make([]swarmCell, len(gammas))
 	for i, gamma := range gammas {
-		run := runs[i]
-		ct := run.result.CompletionTimes()
-		maxShare := maxSourcePIDShare(run.result.PIDBytes)
-		tbl.AddRow(gamma, meanOrNaN(ct), run.watchBytes/(1<<20), maxShare)
+		cells[i] = intradomainCell(policyP4P, g, r, n, 12<<20, 1e9, opt.Seed, gamma)
+	}
+	for i, res := range opt.runCells(cells) {
+		gamma := gammas[i]
+		ct := res.CompletionTimes()
+		_, bottleneckBytes := res.BottleneckTraffic()
+		maxShare := maxSourcePIDShare(res.PIDBytes)
+		tbl.AddRow(gamma, meanOrNaN(ct), bottleneckBytes/(1<<20), maxShare)
 		rep.Values[fmt.Sprintf("mean-completion/gamma=%.1f", gamma)] = meanOrNaN(ct)
 		rep.Values[fmt.Sprintf("max-pid-share/gamma=%.1f", gamma)] = maxShare
 	}
@@ -382,21 +301,15 @@ func maxSourcePIDShare(pidBytes map[[2]topology.PID]float64) float64 {
 // of Abilene — "one of the most congested links on Abilene most of the
 // time" — which the Figure 6 iTracker protects.
 func protectedCircuit(g *topology.Graph) []topology.LinkID {
-	dc, ok := g.FindNode("WashingtonDC")
-	if !ok {
-		panic("experiments: Abilene has no WashingtonDC node")
+	link := func(from, to string) topology.LinkID {
+		src, okSrc := g.FindNode(from)
+		dst, okDst := g.FindNode(to)
+		if okSrc && okDst {
+			if e, ok := g.FindLink(src, dst); ok {
+				return e
+			}
+		}
+		panic("experiments: Abilene has no " + from + "->" + to + " link")
 	}
-	ny, ok := g.FindNode("NewYork")
-	if !ok {
-		panic("experiments: Abilene has no NewYork node")
-	}
-	fwd, ok := g.FindLink(dc, ny)
-	if !ok {
-		panic("experiments: no WashingtonDC->NewYork link")
-	}
-	rev, ok := g.FindLink(ny, dc)
-	if !ok {
-		panic("experiments: no NewYork->WashingtonDC link")
-	}
-	return []topology.LinkID{fwd, rev}
+	return []topology.LinkID{link("WashingtonDC", "NewYork"), link("NewYork", "WashingtonDC")}
 }

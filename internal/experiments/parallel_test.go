@@ -33,8 +33,10 @@ func TestParallelReportsMatchSerial(t *testing.T) {
 	}{
 		{"F6", 0.2, Figure6BitTorrentInternet},
 		{"F7", 0.02, Figure7SwarmSize},
+		{"F8", 0.02, Figure8ISPA},
 		{"F9", 0.3, Figure9Liveswarms},
 		{"F10", 0.2, Figure10Interdomain},
+		{"A2", 0.2, AblationConcave},
 	}
 	for _, tc := range cases {
 		tc := tc

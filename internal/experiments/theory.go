@@ -24,12 +24,7 @@ func SuperGradientConvergence(opt Options) *Report {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	s := core.Session{PIDs: pids}
-	for range pids {
-		s.Up = append(s.Up, (0.5+rng.Float64())*2e9)
-		s.Down = append(s.Down, (0.5+rng.Float64())*2e9)
-	}
+	s := randomSession(pids, opt.Seed)
 	bg := make([]float64, g.NumLinks())
 	optAlpha, _, err := core.OptimalMLU(r, bg, []core.Session{s}, 1.0)
 	if err != nil {
@@ -65,6 +60,18 @@ func SuperGradientConvergence(opt Options) *Report {
 	rep.Values["gap-ratio"] = metrics.Ratio(final, optAlpha)
 	rep.note("time-averaged MLU after %d iterations vs the centralized LP optimum", iters)
 	return rep
+}
+
+// randomSession is X2's and A1's application session: every PID uploads
+// and downloads a seeded random 1-3 Gbps.
+func randomSession(pids []topology.PID, seed int64) core.Session {
+	rng := rand.New(rand.NewSource(seed))
+	s := core.Session{PIDs: pids}
+	for range pids {
+		s.Up = append(s.Up, (0.5+rng.Float64())*2e9)
+		s.Down = append(s.Down, (0.5+rng.Float64())*2e9)
+	}
+	return s
 }
 
 func mluOf(g *topology.Graph, loads []float64) float64 {
@@ -122,12 +129,7 @@ func AblationBeta(opt Options) *Report {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
-	rng := rand.New(rand.NewSource(opt.Seed))
-	s := core.Session{PIDs: pids}
-	for range pids {
-		s.Up = append(s.Up, (0.5+rng.Float64())*2e9)
-		s.Down = append(s.Down, (0.5+rng.Float64())*2e9)
-	}
+	s := randomSession(pids, opt.Seed)
 	view := core.HopCountView(r, pids)
 	opt0, err := core.MaxMatching(s)
 	if err != nil {

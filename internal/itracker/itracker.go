@@ -238,6 +238,17 @@ func (t *Server) Distances(token string) (*core.View, error) {
 	return t.DistancesCtx(context.Background(), token)
 }
 
+// ViewFor makes the Server an apptracker.ViewProvider for every AS: the
+// version-cached Distances view, or nil when access is denied. It is the
+// in-process path the simulator and experiments select through.
+func (t *Server) ViewFor(int) *core.View {
+	v, err := t.Distances("")
+	if err != nil {
+		return nil
+	}
+	return v
+}
+
 // DistancesCtx is Distances with a caller context, used only for trace
 // propagation: a sampled request records whether it paid for the
 // recompute itself, waited on another goroutine's singleflight, or hit

@@ -270,22 +270,10 @@ var ratesCorpus = []ratesCase{
 	{seed: 10, clients: 50, slots: 3, neighbors: 19, flags: 2 | 4 | 16},
 }
 
-// trackerViews serves P4P.Select the iTracker's version-cached view,
-// as experiments' liveViews and bench/'s swarmHooks do.
-type trackerViews struct{ tr *itracker.Server }
-
-func (v trackerViews) ViewFor(int) apptracker.DistanceView {
-	view, err := v.tr.Distances("")
-	if err != nil {
-		return nil
-	}
-	return view
-}
-
-// p4pSwarm has the control loop of experiments.runIntradomainSwarm's
-// MLU case (the golden swarm, and swarm-p4p): P4P selection with the
-// dual engine's iTracker in the loop, reselection every 20 s, link
-// rates fed back every 2 s; leechers are placed uniformly.
+// p4pSwarm has the control loop of experiments' intradomainCell (the
+// golden swarm, and swarm-p4p): P4P selection with the dual engine's
+// iTracker in the loop, reselection every 20 s, link rates fed back
+// every 2 s; leechers are placed uniformly.
 func p4pSwarm(leechers int, seed int64) func() *Sim {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
@@ -294,7 +282,7 @@ func p4pSwarm(leechers int, seed int64) func() *Sim {
 		tr := itracker.New(itracker.Config{Name: g.Name, ASN: g.Node(0).ASN}, engine, nil)
 		s := New(Config{
 			Graph: g, Routing: r, Seed: seed,
-			Selector:         &apptracker.P4P{Views: trackerViews{tr}, Config: apptracker.P4PConfig{Gamma: 1.0}},
+			Selector:         &apptracker.P4P{Views: tr, Config: apptracker.P4PConfig{Gamma: 1.0}},
 			FileBytes:        16 << 20,
 			SampleInterval:   2,
 			TCPWindowBytes:   32 << 10,

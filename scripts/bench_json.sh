@@ -41,8 +41,8 @@ portal)
 sim)
 	OUT=BENCH_sim.json
 	# The sweep is a macro-benchmark: one iteration, fixed scale. Its
-	# Serial variant pins Parallelism to 1; the delta between the two
-	# wall-clock times is the parallel harness's speedup on this host.
+	# Serial variant pins Parallelism to 1; Serial ns/op divided by the
+	# parallel ns/op is the harness's speedup on this host.
 	RAW=$(
 		go test -run '^$' -bench 'BenchmarkSim' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/p2psim/
@@ -72,13 +72,12 @@ BEGIN { n = 0; procs = 1 }
     # ReportMetric extras, so fixed field positions would misparse.
     name = $1
     if (match(name, /-[0-9]+$/)) { procs = substr(name, RSTART + 1); name = substr(name, 1, RSTART - 1) }
-    ns = ""; b = 0; a = 0; ex = ""
+    ns = ""; b = 0; a = 0
     for (i = 3; i < NF; i++) {
         u = $(i+1)
         if (u == "ns/op")          ns = $i
         else if (u == "B/op")      b  = $i
         else if (u == "allocs/op") a  = $i
-        else if (u ~ /^pool-/)     ex = ex sprintf(", \"%s\": %s", u, $i)
     }
     if (ns == "") next
     bench[n]  = name
@@ -86,7 +85,6 @@ BEGIN { n = 0; procs = 1 }
     nsop[n]   = ns
     bop[n]    = b
     allocs[n] = a
-    extras[n] = ex
     n++
 }
 END {
@@ -99,8 +97,8 @@ END {
     printf "  \"commit\": \"%s\",\n", commit
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
-        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}%s\n", \
-            bench[i], iters[i], nsop[i], bop[i], allocs[i], extras[i], (i < n-1 ? "," : "")
+        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+            bench[i], iters[i], nsop[i], bop[i], allocs[i], (i < n-1 ? "," : "")
     }
     printf "  ]\n"
     printf "}\n"
