@@ -46,7 +46,7 @@ func main() {
 	}
 
 	// 5. A P4P appTracker turns the view into peer choices.
-	sel := &apptracker.P4P{Views: views{tr}}
+	sel := &apptracker.P4P{Views: tr}
 	var candidates []apptracker.Node
 	for i, pid := range g.AggregationPIDs() {
 		for k := 0; k < 5; k++ {
@@ -64,14 +64,4 @@ func main() {
 		fmt.Printf("  %-14s x%d\n", name, c)
 	}
 	fmt.Println("\nnote: the priced DC<->NY direction pushes selection away from NewYork.")
-}
-
-type views struct{ tr *itracker.Server }
-
-func (v views) ViewFor(asn int) apptracker.DistanceView {
-	view, err := v.tr.Distances("")
-	if err != nil {
-		return nil
-	}
-	return view
 }
