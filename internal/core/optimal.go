@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"p4p/internal/lp"
-	"p4p/internal/mcmf"
 	"p4p/internal/topology"
 )
 
@@ -23,8 +22,12 @@ func (s *Session) validate() error {
 	if len(s.Up) != len(s.PIDs) || len(s.Down) != len(s.PIDs) {
 		return fmt.Errorf("core: session has %d PIDs, %d ups, %d downs", len(s.PIDs), len(s.Up), len(s.Down))
 	}
-	for i := range s.Up {
-		if s.Up[i] < 0 || s.Down[i] < 0 {
+	for i, u := range s.Up {
+		d := s.Down[i]
+		if math.IsNaN(u) || math.IsNaN(d) || math.IsInf(u, 0) || math.IsInf(d, 0) {
+			return fmt.Errorf("core: non-finite capacity at PID index %d", i)
+		}
+		if u < 0 || d < 0 {
 			return fmt.Errorf("core: negative capacity at PID index %d", i)
 		}
 	}
@@ -33,22 +36,30 @@ func (s *Session) validate() error {
 
 // MaxMatching computes OPT of eqs. (1)–(4): the maximum total inter-PID
 // traffic the session can sustain, ignoring network efficiency. It is a
-// transportation max-flow with the diagonal forbidden.
+// transportation max-flow with every lane i→j, i ≠ j, open, so by
+// max-flow min-cut the only finite cuts sever every upload, every
+// download, or, for one PID k, every other PID's upload and download.
+// OPT is the least of them: min(ΣU, ΣD, min_k Σ_{i≠k} (U_i + D_i)).
 func MaxMatching(s Session) (float64, error) {
 	if err := s.validate(); err != nil {
 		return 0, err
 	}
-	n := len(s.PIDs)
-	if n == 0 {
-		return 0, nil
+	var up, down float64
+	for i := range s.Up {
+		up += s.Up[i]
+		down += s.Down[i]
 	}
-	cost := make([][]float64, n)
-	for i := range cost {
-		cost[i] = make([]float64, n)
-		cost[i][i] = math.Inf(1) // t_ii excluded (j != i in eqs. 1-4)
+	opt := math.Min(up, down)
+	for k := range s.Up {
+		cut := 0.0
+		for i := range s.Up {
+			if i != k {
+				cut += s.Up[i] + s.Down[i]
+			}
+		}
+		opt = math.Min(opt, cut)
 	}
-	_, total, _ := mcmf.Transportation(s.Up, s.Down, cost)
-	return total, nil
+	return opt, nil
 }
 
 // MatchTraffic solves the application program of eqs. (5)–(7): minimize
@@ -68,6 +79,14 @@ func MatchTraffic(view *View, s Session, beta float64, rho [][]float64) ([][]flo
 	if n == 0 {
 		return nil, nil
 	}
+	cols := make([]int, n)
+	for a, pid := range s.PIDs {
+		c, ok := view.Index(pid)
+		if !ok {
+			return nil, fmt.Errorf("core: session PID %d not in view", pid)
+		}
+		cols[a] = c
+	}
 	// Work in normalized bandwidth units so LP coefficients are O(1):
 	// capacities are O(1e9) bits/sec, far outside the solver's comfort.
 	scale := 1.0
@@ -83,58 +102,18 @@ func MatchTraffic(view *View, s Session, beta float64, rho [][]float64) ([][]flo
 	p := &lp.Problem{NumVars: n * n, Maximize: false}
 	p.Objective = make([]float64, n*n)
 	for a := 0; a < n; a++ {
-		ra, ok := view.Index(s.PIDs[a])
-		if !ok {
-			return nil, fmt.Errorf("core: session PID %d not in view", s.PIDs[a])
-		}
 		for b := 0; b < n; b++ {
 			if a == b {
 				continue
 			}
-			rb, _ := view.Index(s.PIDs[b])
-			d := view.D[ra][rb]
+			d := view.D[cols[a]][cols[b]]
 			if math.IsInf(d, 1) {
 				d = 1e12 // unreachable lanes are effectively forbidden
 			}
 			p.Objective[idx(a, b)] = d
 		}
 	}
-	// Diagonal pinned to zero.
-	for a := 0; a < n; a++ {
-		row := make([]float64, n*n)
-		row[idx(a, a)] = 1
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.EQ, RHS: 0})
-	}
-	// (2) upload capacity per PID.
-	for a := 0; a < n; a++ {
-		row := make([]float64, n*n)
-		for b := 0; b < n; b++ {
-			if b != a {
-				row[idx(a, b)] = 1
-			}
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Up[a]})
-	}
-	// (3) download capacity per PID.
-	for a := 0; a < n; a++ {
-		row := make([]float64, n*n)
-		for b := 0; b < n; b++ {
-			if b != a {
-				row[idx(b, a)] = 1
-			}
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Down[a]})
-	}
-	// (6) efficiency floor.
-	all := make([]float64, n*n)
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				all[idx(a, b)] = 1
-			}
-		}
-	}
-	p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: all, Rel: lp.GE, RHS: beta * opt})
+	p.Constraints = sessionRows(s, n*n, 0, beta*opt)
 	// (7) robustness floors: t_ij >= rho_ij * Σ_j' t_ij'.
 	if rho != nil {
 		for a := 0; a < n; a++ {
@@ -169,6 +148,48 @@ func MatchTraffic(view *View, s Session, beta float64, rho [][]float64) ([][]flo
 		}
 	}
 	return t, nil
+}
+
+// sessionRows returns the session feasibility set T^k as LP rows over
+// nvar variables, with the session's lane t_ij at off + i*n + j: the
+// diagonal pinned to 0, upload (2) and download (3) capacity per PID, and
+// the efficiency floor (6) Σ t_ij >= floor.
+func sessionRows(s Session, nvar, off int, floor float64) []lp.Constraint {
+	n := len(s.PIDs)
+	idx := func(i, j int) int { return off + i*n + j }
+	rows := make([]lp.Constraint, 0, 3*n+1)
+	for a := 0; a < n; a++ {
+		row := make([]float64, nvar)
+		row[idx(a, a)] = 1
+		rows = append(rows, lp.Constraint{Coeffs: row, Rel: lp.EQ, RHS: 0})
+	}
+	for a := 0; a < n; a++ {
+		row := make([]float64, nvar)
+		for b := 0; b < n; b++ {
+			if b != a {
+				row[idx(a, b)] = 1
+			}
+		}
+		rows = append(rows, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Up[a]})
+	}
+	for a := 0; a < n; a++ {
+		row := make([]float64, nvar)
+		for b := 0; b < n; b++ {
+			if b != a {
+				row[idx(b, a)] = 1
+			}
+		}
+		rows = append(rows, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Down[a]})
+	}
+	all := make([]float64, nvar)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b {
+				all[idx(a, b)] = 1
+			}
+		}
+	}
+	return append(rows, lp.Constraint{Coeffs: all, Rel: lp.GE, RHS: floor})
 }
 
 // scaled returns v multiplied elementwise by f.
@@ -237,44 +258,11 @@ func OptimalMLU(r *topology.Routing, background []float64, sessions []Session, b
 	p.Objective[alphaVar] = 1
 
 	for k, s := range sessions {
-		n := len(s.PIDs)
-		idx := func(i, j int) int { return offsets[k] + i*n + j }
 		opt, err := MaxMatching(s)
 		if err != nil {
 			return 0, nil, err
 		}
-		for a := 0; a < n; a++ {
-			row := make([]float64, nvar)
-			row[idx(a, a)] = 1
-			p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.EQ, RHS: 0})
-		}
-		for a := 0; a < n; a++ {
-			row := make([]float64, nvar)
-			for b := 0; b < n; b++ {
-				if b != a {
-					row[idx(a, b)] = 1
-				}
-			}
-			p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Up[a]})
-		}
-		for a := 0; a < n; a++ {
-			row := make([]float64, nvar)
-			for b := 0; b < n; b++ {
-				if b != a {
-					row[idx(b, a)] = 1
-				}
-			}
-			p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: s.Down[a]})
-		}
-		row := make([]float64, nvar)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if a != b {
-					row[idx(a, b)] = 1
-				}
-			}
-		}
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.GE, RHS: beta * opt})
+		p.Constraints = append(p.Constraints, sessionRows(s, nvar, offsets[k], beta*opt)...)
 	}
 	// Link utilization rows: b_e + Σ t^k_ij I_e(i,j) − α c_e <= 0.
 	for e := 0; e < g.NumLinks(); e++ {

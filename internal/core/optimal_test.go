@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"p4p/internal/lp"
 	"p4p/internal/topology"
 )
 
@@ -46,6 +47,76 @@ func TestMaxMatchingEmptyAndInvalid(t *testing.T) {
 	if _, err := MaxMatching(Session{PIDs: []topology.PID{0}, Up: []float64{-1}, Down: []float64{1}}); err == nil {
 		t.Fatal("expected negativity error")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := MaxMatching(Session{PIDs: []topology.PID{0, 1}, Up: []float64{1, bad}, Down: []float64{1, 1}}); err == nil {
+			t.Fatalf("expected non-finite error for upload %v", bad)
+		}
+		if _, err := MaxMatching(Session{PIDs: []topology.PID{0, 1}, Up: []float64{1, 1}, Down: []float64{bad, 1}}); err == nil {
+			t.Fatalf("expected non-finite error for download %v", bad)
+		}
+	}
+}
+
+// matchingLP poses eqs. (1)–(4) to the simplex solver as written:
+// maximize Σ t_ij subject to row sums <= U, column sums <= D and
+// t_ii = 0.
+func matchingLP(t *testing.T, s Session) float64 {
+	n := len(s.PIDs)
+	if n == 0 {
+		return 0
+	}
+	p := &lp.Problem{NumVars: n * n, Maximize: true, Objective: make([]float64, n*n)}
+	for i := range p.Objective {
+		p.Objective[i] = 1
+	}
+	for i := 0; i < n; i++ {
+		diag, up, down := make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
+		diag[i*n+i] = 1
+		for j := 0; j < n; j++ {
+			up[i*n+j] = 1
+			down[j*n+i] = 1
+		}
+		p.Constraints = append(p.Constraints,
+			lp.Constraint{Coeffs: diag, Rel: lp.EQ, RHS: 0},
+			lp.Constraint{Coeffs: up, Rel: lp.LE, RHS: s.Up[i]},
+			lp.Constraint{Coeffs: down, Rel: lp.LE, RHS: s.Down[i]})
+	}
+	sol, err := lp.Solve(p)
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("matching LP: %v, %v", sol, err)
+	}
+	return sol.Objective
+}
+
+// FuzzMaxMatchingMatchesLP checks MaxMatching's closed form against the
+// matching LP on sessions of up to six PIDs: caps holds (upload,
+// download) byte pairs, scaled by 10^(decade%13) bits/sec. The seeds
+// make each kind of cut bind: ΣU, ΣD and one PID's (U_0 = D_0 = 10
+// cannot trade with itself, so OPT is 2).
+func FuzzMaxMatchingMatchesLP(f *testing.F) {
+	f.Add([]byte{1, 5, 1, 5}, uint8(0))
+	f.Add([]byte{5, 1, 5, 1}, uint8(9))
+	f.Add([]byte{10, 10, 0, 1, 0, 1}, uint8(0))
+	f.Add([]byte{200, 7}, uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, uint8(6))
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, caps []byte, decade uint8) {
+		n := min(len(caps)/2, 6)
+		unit := math.Pow(10, float64(decade%13))
+		s := Session{PIDs: make([]topology.PID, n), Up: make([]float64, n), Down: make([]float64, n)}
+		for i := range s.PIDs {
+			s.PIDs[i] = topology.PID(i)
+			s.Up[i] = float64(caps[2*i]) * unit
+			s.Down[i] = float64(caps[2*i+1]) * unit
+		}
+		got, err := MaxMatching(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := matchingLP(t, s); math.Abs(got-want) > 1e-9*math.Abs(want) {
+			t.Fatalf("MaxMatching(U=%v, D=%v) = %v, LP optimum %v", s.Up, s.Down, got, want)
+		}
+	})
 }
 
 func TestMatchTrafficShipsBetaOPT(t *testing.T) {
@@ -173,6 +244,11 @@ func TestMatchTrafficErrors(t *testing.T) {
 	alien := Session{PIDs: []topology.PID{99}, Up: []float64{1}, Down: []float64{1}}
 	if _, err := MatchTraffic(view, alien, 1, nil); err == nil {
 		t.Fatal("expected unknown-PID error")
+	}
+	// An unknown PID after a known one must be refused too, not indexed.
+	late := Session{PIDs: []topology.PID{pids[0], 99}, Up: []float64{1, 1}, Down: []float64{1, 1}}
+	if _, err := MatchTraffic(view, late, 1, nil); err == nil {
+		t.Fatal("expected unknown-PID error for a later PID")
 	}
 	if tm, err := MatchTraffic(view, Session{}, 1, nil); err != nil || tm != nil {
 		t.Fatalf("empty session: %v, %v", tm, err)

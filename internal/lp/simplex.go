@@ -2,11 +2,11 @@
 // solver: a dense-tableau two-phase primal simplex with Bland's
 // anti-cycling rule.
 //
-// The P4P reproduction uses it for the application-side optimizations of
-// the paper's Section 4 — the upload/download matching program (eqs. 1–4),
-// the β-constrained network-efficiency program (eqs. 5–7) — and for the
-// MLU-optimal traffic-engineering baseline against which the dual
-// decomposition of Section 5 is validated. Problems at PID granularity
+// The P4P reproduction uses it for the β-constrained network-efficiency
+// program of the paper's Section 4 (eqs. 5–7) and for the MLU-optimal
+// traffic-engineering baseline against which the dual decomposition of
+// Section 5 is validated. Tests also pose the matching program (eqs. 1–4)
+// to it as the oracle of core.MaxMatching's closed form. Problems at PID granularity
 // are tiny (tens of variables), so a dense tableau is both simple and
 // fast enough.
 package lp
