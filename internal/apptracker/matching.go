@@ -215,43 +215,3 @@ func samplePID(rng *rand.Rand, keys []topology.PID, buckets map[topology.PID][]i
 	}
 	return 0, false
 }
-
-// BlackBox wraps any selector with the paper's "Black-box Peer
-// Selection": run the (randomized) selection Runs times, score each
-// candidate set by total p-distance from the client, and keep the
-// cheapest. It lets an application with opaque internal structure
-// benefit from p-distances without restructuring.
-type BlackBox struct {
-	Inner Selector
-	Views ViewProvider
-	Runs  int // default 3
-}
-
-// Name implements Selector.
-func (b *BlackBox) Name() string { return b.Inner.Name() + "+blackbox" }
-
-// Select implements Selector.
-func (b *BlackBox) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int {
-	runs := b.Runs
-	if runs <= 0 {
-		runs = 3
-	}
-	view := b.Views.ViewFor(self.ASN)
-	if view == nil || runs == 1 {
-		return b.Inner.Select(self, candidates, m, rng)
-	}
-	best := []int(nil)
-	bestScore := 0.0
-	for r := 0; r < runs; r++ {
-		sel := b.Inner.Select(self, candidates, m, rng)
-		score := 0.0
-		for _, i := range sel {
-			score += view.Distance(self.PID, candidates[i].PID)
-		}
-		if best == nil || score < bestScore {
-			best = sel
-			bestScore = score
-		}
-	}
-	return best
-}

@@ -454,45 +454,3 @@ func TestPandoMatchingFallback(t *testing.T) {
 		t.Fatalf("fallback selected %d", len(got))
 	}
 }
-
-func TestBlackBoxImprovesCost(t *testing.T) {
-	view := threePIDView()
-	self := Node{ID: 0, PID: 0, ASN: 1}
-	cands := makeCandidates([]struct {
-		pid topology.PID
-		asn int
-		n   int
-	}{{1, 1, 20}, {2, 1, 20}})
-	bb := &BlackBox{Inner: Random{}, Views: testViews{view}, Runs: 8}
-	rng := rand.New(rand.NewSource(9))
-	cost := func(sel []int) float64 {
-		c := 0.0
-		for _, i := range sel {
-			c += view.Distance(self.PID, cands[i].PID)
-		}
-		return c
-	}
-	// Expected cost of one random draw vs the best of 8: the black box
-	// should be lower on average.
-	var randSum, bbSum float64
-	for trial := 0; trial < 30; trial++ {
-		randSum += cost(Random{}.Select(self, cands, 6, rng))
-		bbSum += cost(bb.Select(self, cands, 6, rng))
-	}
-	if bbSum >= randSum {
-		t.Fatalf("black-box cost %v not below random %v", bbSum, randSum)
-	}
-	if bb.Name() != "native+blackbox" {
-		t.Fatal("name wrong")
-	}
-}
-
-func TestBlackBoxFallsBackWithoutView(t *testing.T) {
-	bb := &BlackBox{Inner: Random{}, Views: testViews{nil}}
-	self := Node{ID: 0}
-	cands := []Node{{ID: 1}, {ID: 2}, {ID: 3}}
-	sel := bb.Select(self, cands, 2, rand.New(rand.NewSource(10)))
-	if len(sel) != 2 {
-		t.Fatalf("selected %d", len(sel))
-	}
-}

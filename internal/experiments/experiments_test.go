@@ -204,7 +204,7 @@ func TestAblationConcaveShape(t *testing.T) {
 // several bit patterns in 200 calls.
 func TestPIDSumsIgnoreMapOrder(t *testing.T) {
 	g := topology.Abilene()
-	res := runCell(intradomainCell(policyP4P, g, topology.ComputeRouting(g), 300, 16<<20, 1e9, 1, 1.0))
+	res := intradomainCell(policyP4P, g, topology.ComputeRouting(g), 300, 16<<20, 1e9, 1, 1.0).Run()
 	share := maxSourcePIDShare(res.PIDBytes)
 	for i := 0; i < 200; i++ {
 		if got := maxSourcePIDShare(res.PIDBytes); math.Float64bits(got) != math.Float64bits(share) {

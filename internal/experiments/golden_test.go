@@ -18,7 +18,7 @@ import (
 func TestSwarmFingerprintGolden(t *testing.T) {
 	const want = "300/300 mean=401d9f4df5310979 bytes=41f2c00000000000 links=a6b5446198269e01"
 	g := topology.Abilene()
-	res := runCell(intradomainCell(policyP4P, g, topology.ComputeRouting(g), 300, 16<<20, 1e9, 1, 1.0))
+	res := intradomainCell(policyP4P, g, topology.ComputeRouting(g), 300, 16<<20, 1e9, 1, 1.0).Run()
 	if got := res.Fingerprint(); got != want {
 		t.Fatalf("swarm fingerprint moved:\n got %s\nwant %s", got, want)
 	}

@@ -22,54 +22,15 @@ import (
 func Figure10Interdomain(opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := newReport("F10", "Interdomain multihoming cost control (Figure 10)")
-	g := topology.AbileneVirtualISPs()
-	r := topology.ComputeRouting(g)
-	cuts := topology.InterdomainCuts(g)
 	n := opt.scaled(160)
 	rep.note("two virtual ISPs over Abilene; %d clients; 12 MB file; 95th-percentile charging", n)
-
-	// Virtual capacities v_e from a month of synthetic diurnal history
-	// on each circuit: the first circuit is the primary (more headroom),
-	// the second the expensive backup (tight headroom). Sizes are scaled
-	// to the experiment's traffic so that exceeding v_e is possible, as
-	// in the paper's field configuration.
-	est := &charging.VirtualCapacityEstimator{
-		Predictor: charging.Predictor{Model: charging.StandardMonthly(), WarmupIntervals: 288},
-		Average:   charging.MovingAverage{Window: 12},
-	}
-	meanBps := []float64{100e6, 30e6}
-	veBps := map[topology.LinkID]float64{}
-	var watch []topology.LinkID // every circuit's links, in cut order
+	base := figure10Cell(n, opt.Seed)
+	cuts := topology.InterdomainCuts(base.Graph())
 	for ci, cut := range cuts {
-		cfg := traffic.DefaultConfig(meanBps[ci%len(meanBps)])
-		cfg.Seed = opt.Seed + int64(ci)
-		hist := traffic.Generate(cfg, charging.StandardMonthly().PeriodIntervals)
-		ve := est.Estimate(hist) * 8 / cfg.IntervalSec // bytes/interval -> bits/sec
-		for _, e := range cut {
-			if e >= 0 {
-				veBps[e] = ve
-				watch = append(watch, e)
-			}
-		}
-		rep.Values[fmt.Sprintf("virtual-capacity-mbps/circuit%d", ci+1)] = ve / 1e6
+		rep.Values[fmt.Sprintf("virtual-capacity-mbps/circuit%d", ci+1)] = base.virtualBps[cut[0]] / 1e6
 	}
 
 	tbl := &metrics.Table{Header: []string{"policy", "mean completion s", "p99 completion s", "charge circuit1 MB", "charge circuit2 MB"}}
-	base := swarmCell{
-		sim: p2psim.Config{
-			Graph: g, Routing: r, Seed: opt.Seed, FileBytes: 12 << 20,
-			WatchLedgers:   &p2psim.LedgerConfig{Links: watch, IntervalSec: 10},
-			TCPWindowBytes: 32 << 10, ReselectInterval: 20,
-		},
-		place:   placement{clients: n, seedBps: 800e3, leecherBps: 100e6, joinWindow: 300, rngSeed: opt.Seed + 7},
-		measure: 5,
-		engine:  core.Config{Objective: core.MinimizeMLU, StepSize: 0.3},
-		// Both virtual ISPs run iTrackers; a single engine over the
-		// shared physical graph plays both, serving each AS the same
-		// external view.
-		virtualBps: veBps,
-		tracker:    itracker.Config{Name: "virtual-isp-west", ASN: 1},
-	}
 	policies := []string{policyNative, policyLocalized, policyP4P}
 	for i, res := range opt.runCells(arms(base, policies...)) {
 		policy := policies[i]
@@ -107,4 +68,51 @@ func Figure10Interdomain(opt Options) *Report {
 	rep.Values["charge-ratio-circuit2/localized-vs-p4p"] = metrics.Ratio(
 		rep.Values["charging-mb/localized/circuit2"], rep.Values["charging-mb/p4p/circuit2"])
 	return rep
+}
+
+// figure10Cell is one Figure 10 swarm on Abilene split into two virtual
+// ISPs: n clients sharing a 12 MB file, a ledger on every interdomain
+// link, and for P4P an MLU iTracker that keeps each circuit under its
+// virtual capacity v_e.
+func figure10Cell(n int, seed int64) Cell {
+	g := topology.AbileneVirtualISPs()
+	// Virtual capacities v_e from a month of synthetic diurnal history
+	// on each circuit: the first circuit is the primary (more headroom),
+	// the second the expensive backup (tight headroom). Sizes are scaled
+	// to the experiment's traffic so that exceeding v_e is possible, as
+	// in the paper's field configuration.
+	est := &charging.VirtualCapacityEstimator{
+		Predictor: charging.Predictor{Model: charging.StandardMonthly(), WarmupIntervals: 288},
+		Average:   charging.MovingAverage{Window: 12},
+	}
+	meanBps := []float64{100e6, 30e6}
+	veBps := map[topology.LinkID]float64{}
+	var watch []topology.LinkID // every circuit's links, in cut order
+	for ci, cut := range topology.InterdomainCuts(g) {
+		cfg := traffic.DefaultConfig(meanBps[ci%len(meanBps)])
+		cfg.Seed = seed + int64(ci)
+		hist := traffic.Generate(cfg, charging.StandardMonthly().PeriodIntervals)
+		ve := est.Estimate(hist) * 8 / cfg.IntervalSec // bytes/interval -> bits/sec
+		for _, e := range cut {
+			if e >= 0 {
+				veBps[e] = ve
+				watch = append(watch, e)
+			}
+		}
+	}
+	return Cell{
+		sim: p2psim.Config{
+			Graph: g, Routing: topology.ComputeRouting(g), Seed: seed, FileBytes: 12 << 20,
+			WatchLedgers:   &p2psim.LedgerConfig{Links: watch, IntervalSec: 10},
+			TCPWindowBytes: 32 << 10, ReselectInterval: 20,
+		},
+		place:   placement{clients: n, seedBps: 800e3, leecherBps: 100e6, joinWindow: 300, rngSeed: seed + 7},
+		measure: 5,
+		engine:  core.Config{Objective: core.MinimizeMLU, StepSize: 0.3},
+		// Both virtual ISPs run iTrackers; a single engine over the
+		// shared physical graph plays both, serving each AS the same
+		// external view.
+		virtualBps: veBps,
+		tracker:    itracker.Config{Name: "virtual-isp-west", ASN: 1},
+	}
 }

@@ -42,8 +42,8 @@ func Table1Networks(opt Options) *Report {
 // leechers joining over 300 s, every client re-querying the tracker
 // every 20 s (the appTracker "periodically obtains p-distances from
 // iTrackers"), and for P4P the MLU iTracker fed link rates every 2 s.
-func intradomainCell(policy string, g *topology.Graph, r *topology.Routing, n int, fileBytes int64, seedBps float64, seed int64, gamma float64) swarmCell {
-	return swarmCell{
+func intradomainCell(policy string, g *topology.Graph, r *topology.Routing, n int, fileBytes int64, seedBps float64, seed int64, gamma float64) Cell {
+	return Cell{
 		policy: policy,
 		sim: p2psim.Config{
 			Graph: g, Routing: r, Seed: seed, FileBytes: fileBytes,
@@ -57,6 +57,25 @@ func intradomainCell(policy string, g *topology.Graph, r *topology.Routing, n in
 	}
 }
 
+// figure6Cell is one Figure 6 swarm on Abilene: n clients sharing a
+// 12 MB file from a 100 KBps seed, and for P4P an iTracker that
+// protects the WashingtonDC<->NewYork circuit, fed every 10 s.
+func figure6Cell(n int, seed int64) Cell {
+	g := topology.Abilene()
+	protect := protectedCircuit(g)
+	c := intradomainCell("", g, topology.ComputeRouting(g), n, 12<<20, 100e3*8, seed, 0.5)
+	c.sim.WatchLinks = protect
+	c.protect, c.measure = protect, 10
+	return c
+}
+
+// sweepCell is one Figure 7/8 swarm: the paper's simulations share a
+// 256 MB file in 256 KB pieces over 100 Mbps access links with a 1 Gbps
+// seed.
+func sweepCell(g *topology.Graph, r *topology.Routing, n int, seed int64) Cell {
+	return intradomainCell("", g, r, n, 256<<20, 1e9, seed, 1.0)
+}
+
 // Figure6BitTorrentInternet reproduces the PlanetLab BitTorrent
 // experiments of Section 7.2 (Figure 6): three parallel swarms of 160
 // university clients sharing a 12 MB file with a 100 KBps seed, and an
@@ -66,15 +85,11 @@ func intradomainCell(policy string, g *topology.Graph, r *topology.Routing, n in
 func Figure6BitTorrentInternet(opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := newReport("F6", "BitTorrent Internet experiments (Figure 6)")
-	g := topology.Abilene()
-	protect := protectedCircuit(g)
 	n := opt.scaled(160)
 	rep.note("swarm %d clients, 12 MB file, 100 KBps seed, protected circuit WashingtonDC<->NewYork", n)
 
 	tbl := &metrics.Table{Header: []string{"policy", "mean completion s", "p95 completion s", "bottleneck MB"}}
-	base := intradomainCell("", g, topology.ComputeRouting(g), n, 12<<20, 100e3*8, opt.Seed, 0.5)
-	base.sim.WatchLinks = protect
-	base.protect, base.measure = protect, 10
+	base := figure6Cell(n, opt.Seed)
 	policies := []string{policyP4P, policyLocalized, policyNative}
 	for i, res := range opt.runCells(arms(base, policies...)) {
 		policy := policies[i]
@@ -83,7 +98,7 @@ func Figure6BitTorrentInternet(opt Options) *Report {
 		// The protected circuit's volume: the max over its directions,
 		// matching the paper's per-link bottleneck-traffic bars.
 		watchBytes := 0.0
-		for _, e := range protect {
+		for _, e := range base.protect {
 			watchBytes = math.Max(watchBytes, res.LinkBytes[e])
 		}
 		mb := watchBytes / (1 << 20)
@@ -121,8 +136,6 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 	r := topology.ComputeRouting(g)
 	sizes := []int{200, 300, 400, 500, 600, 700, 800}
 	utilSize := 700
-	// The paper's simulations share a 256 MB file in 256 KB pieces over
-	// 100 Mbps access links with a 1 Gbps seed.
 	rep.note("topology %s, 256 MB file, swarm sizes %v scaled by %.2f", g.Name, sizes, opt.Scale)
 
 	tbl := &metrics.Table{Header: []string{"swarm", "native s", "localized s", "p4p s"}}
@@ -130,10 +143,9 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 	// (opt.Seed+size); the table and series are assembled in
 	// (size, policy) order.
 	policies := []string{policyNative, policyLocalized, policyP4P}
-	var cells []swarmCell
+	var cells []Cell
 	for _, size := range sizes {
-		base := intradomainCell("", g, r, opt.scaled(size), 256<<20, 1e9, opt.Seed+int64(size), 1.0)
-		cells = append(cells, arms(base, policies...)...)
+		cells = append(cells, arms(sweepCell(g, r, opt.scaled(size), opt.Seed+int64(size)), policies...)...)
 	}
 	results := opt.runCells(cells)
 	var impSum float64
@@ -200,7 +212,7 @@ func Figure9Liveswarms(opt Options) *Report {
 	}
 	rep.note("%d clients, 90-min 400 kbps stream, %.0f s runs", n, duration)
 	tbl := &metrics.Table{Header: []string{"policy", "avg backbone MB", "mean goodput kbps"}}
-	base := swarmCell{
+	base := Cell{
 		sim: p2psim.Config{
 			Graph: g, Routing: topology.ComputeRouting(g), Seed: opt.Seed,
 			PieceBytes: 64 << 10, MaxTime: duration, ReselectInterval: 20,
@@ -254,7 +266,7 @@ func AblationConcave(opt Options) *Report {
 	// matrix has the contrast the transform acts on. Each gamma is a
 	// cell.
 	gammas := []float64{1.0, 0.5}
-	cells := make([]swarmCell, len(gammas))
+	cells := make([]Cell, len(gammas))
 	for i, gamma := range gammas {
 		cells[i] = intradomainCell(policyP4P, g, r, n, 12<<20, 1e9, opt.Seed, gamma)
 	}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,16 +21,17 @@ const (
 	policyP4P       = "p4p"
 )
 
-// swarmCell is one BitTorrent swarm of the Section 7.2-7.3 comparison:
-// a topology, one policy, a client population and, for the P4P arm, the
+// Cell is one BitTorrent swarm of the Section 7.2-7.3 comparison: a
+// topology, one policy, a client population and, for the P4P arm, the
 // provider in the loop. Figures 6-10 and ablation A2 are lists of cells
-// plus an extractor. A cell owns nothing shared but read-only inputs
-// (graph, routing, link lists, virtual capacities), so cells run
-// concurrently on the worker pool.
-type swarmCell struct {
+// plus an extractor, and FigureCell hands one of them to cmd/p4psim. A
+// cell owns nothing shared but read-only inputs (graph, routing, link
+// lists, virtual capacities), so cells run concurrently on the worker
+// pool.
+type Cell struct {
 	policy string
 	// sim carries topology, routing, seed, file, piece and streaming
-	// settings; runCell adds the selector and, for P4P, the measure hook.
+	// settings; Run adds the selector and, for P4P, the measure hook.
 	// The localized arm's delay jitter draws from sim.Seed+3.
 	sim   p2psim.Config
 	place placement
@@ -54,8 +57,42 @@ type placement struct {
 	rngSeed    int64   // drives the leechers' PIDs
 }
 
-// runCell runs one swarm. It is the package's only switch on policy.
-func runCell(c swarmCell) *p2psim.Result {
+// FigureCell returns the cell that figure F6, F7, F8 or F10 runs for
+// policy ("native", "localized" or "p4p") with the given number of
+// leechers and seed. F7 and F8 run one cell per swarm size n, at seed
+// Options.Seed+n. An unknown figure or policy, or fewer than one client,
+// is an error.
+func FigureCell(figure, policy string, clients int, seed int64) (Cell, error) {
+	if !slices.Contains([]string{policyNative, policyLocalized, policyP4P}, policy) {
+		return Cell{}, fmt.Errorf("unknown policy %q: want native, localized or p4p", policy)
+	}
+	if clients < 1 {
+		return Cell{}, fmt.Errorf("%d clients: want at least 1", clients)
+	}
+	var c Cell
+	switch figure {
+	case "F6":
+		c = figure6Cell(clients, seed)
+	case "F7":
+		g := topology.Abilene()
+		c = sweepCell(g, topology.ComputeRouting(g), clients, seed)
+	case "F8":
+		g := topology.ISPA()
+		c = sweepCell(g, topology.ComputeRouting(g), clients, seed)
+	case "F10":
+		c = figure10Cell(clients, seed)
+	default:
+		return Cell{}, fmt.Errorf("figure %q has no swarm cell: want F6, F7, F8 or F10", figure)
+	}
+	c.policy = policy
+	return c, nil
+}
+
+// Graph is the cell's topology.
+func (c Cell) Graph() *topology.Graph { return c.sim.Graph }
+
+// Run runs the swarm. It is the tree's only switch on policy.
+func (c Cell) Run() *p2psim.Result {
 	cfg := c.sim
 	switch c.policy {
 	case policyNative:
@@ -91,8 +128,8 @@ func runCell(c swarmCell) *p2psim.Result {
 }
 
 // arms returns one copy of c per policy, in the given order.
-func arms(c swarmCell, policies ...string) []swarmCell {
-	cells := make([]swarmCell, len(policies))
+func arms(c Cell, policies ...string) []Cell {
+	cells := make([]Cell, len(policies))
 	for i, policy := range policies {
 		c.policy = policy
 		cells[i] = c
@@ -102,9 +139,9 @@ func arms(c swarmCell, policies ...string) []swarmCell {
 
 // runCells fans cells across the worker pool and returns their results
 // in cell order.
-func (o Options) runCells(cells []swarmCell) []*p2psim.Result {
+func (o Options) runCells(cells []Cell) []*p2psim.Result {
 	results := make([]*p2psim.Result, len(cells))
-	o.forEachCell(len(cells), func(i int) { results[i] = runCell(cells[i]) })
+	o.forEachCell(len(cells), func(i int) { results[i] = cells[i].Run() })
 	return results
 }
 

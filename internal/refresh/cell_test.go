@@ -74,14 +74,15 @@ func get(c *Cell[int], tm Timing) (r Read[int], panicked bool) {
 }
 
 // waitGoroutines fails the test unless the goroutine count returns to
-// base: every goroutine a step started must be gone.
+// base within 5 s: every goroutine a step started must be gone. It
+// yields rather than sleeps, and the wall-clock bound (not a count of
+// yields) keeps it from failing on a loaded machine.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
-	for i := 0; i < 10000; i++ {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
 		if runtime.NumGoroutine() <= base {
 			return
 		}
-		runtime.Gosched()
 	}
 	t.Errorf("%d goroutines at the end, %d at the start", runtime.NumGoroutine(), base)
 }
