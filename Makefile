@@ -43,6 +43,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMatchingMatchesLP$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
+	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s ./internal/p2psim
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -56,9 +57,10 @@ bench-json:
 	sh scripts/bench_json.sh portal
 
 # p2psim hot-path benchmarks, P4P.Select at three candidate counts and
-# the Figure 7 sweep (parallel and serial), emitted as JSON at
-# BENCH_sim.json. Diff across commits with
+# the swarm's shape, and the Figure 7 sweep (parallel and serial),
+# emitted as JSON at BENCH_sim.json. Diff across commits with
 # scripts/bench_diff.sh, which gates the BenchmarkSim* rows at +10%
-# ns/op and +2% allocs/op.
+# ns/op and +2% allocs/op, and the BenchmarkP4PSelect* rows at +10%
+# ns/op and more than 1 alloc/op.
 bench-sim-json:
 	sh scripts/bench_json.sh sim

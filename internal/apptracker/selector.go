@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"p4p/internal/core"
@@ -188,8 +189,9 @@ type P4PConfig struct {
 	// client's own PID (default 0.70).
 	UpperBoundIntraPID float64
 	// UpperBoundInterPID caps the cumulative fraction chosen inside the
-	// client's AS, including the intra-PID stage (default 0.80); it must
-	// exceed UpperBoundIntraPID to be meaningful.
+	// client's AS, including the intra-PID stage (default 0.80, or
+	// UpperBoundIntraPID if that is higher); it must be at least
+	// UpperBoundIntraPID.
 	UpperBoundInterPID float64
 	// Gamma is the concave transform exponent applied to the inter-PID
 	// weights for robustness (default 0.5; 1 disables).
@@ -201,7 +203,7 @@ func (c P4PConfig) withDefaults() P4PConfig {
 		c.UpperBoundIntraPID = 0.70
 	}
 	if c.UpperBoundInterPID == 0 {
-		c.UpperBoundInterPID = 0.80
+		c.UpperBoundInterPID = max(0.80, c.UpperBoundIntraPID)
 	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.5
@@ -239,17 +241,23 @@ type P4P struct {
 func (*P4P) Name() string { return "p4p" }
 
 // selectScratch is Select's working memory, grown on demand and kept.
-// Candidates are classified once — class 0 shares the client's AS and
-// PID, class 1 its AS only, class 2+g sits in the g-th external AS by
-// ascending ASN — and counting-sorted by (class, PID ascending) into
-// order, so each of the reference's per-PID lists is a range of it.
+// Each candidate has one key: its PID's rank in the view (len(view.PIDs)
+// if unlisted), plus ext if it is in another AS. A counting sort by key
+// lays order out as the client's PID (class 0), its AS's other PIDs
+// ascending (class 1), then the other ASes' candidates, regrouped stably
+// by AS (class 2+g, g-th by ASN): each of the reference's per-PID lists
+// is a range of order.
 type selectScratch struct {
-	cls     []int    // cls[i] = class of candidates[i]; -1 once taken, and for self
-	rk      []int    // rk[i] = 2*(PID rank in the view) + (1 if external); the unknown-PID rank is len(view.PIDs)
-	hist    []int    // counts, then offsets, by rk
-	classN  []int    // counts, then end offsets in order, by class
-	tmp     []int    // sorted by rk only; later the backfill classes
-	order   []int    // candidate indices by (class, rk, index)
+	rk      []int    // rk[i] = key of candidates[i]; -1 for self, and once taken
+	cls     []int    // cls[i] = g if candidates[i] is in the g-th external AS; unset otherwise
+	hist    []int    // counts, then offsets, by key
+	classN  []int    // counts, then end offsets in order, by external AS
+	firsts  []int    // the first candidate of each PID on one side of the AS boundary
+	tmp     []int    // the external candidates by AS; later the backfill classes
+	order   []int    // candidate indices by (class, key, index)
+	ext     int      // len(view.PIDs)+1, the external keys' offset
+	selfKey int      // the key of the client's own PID
+	n0, nIn int      // order[:n0] is class 0, order[n0:nIn] class 1
 	asns    []int    // distinct external ASNs, ascending
 	ases    []asInfo // parallel to asns
 	buckets []bucket
@@ -270,11 +278,11 @@ type asInfo struct {
 
 // resized returns buf with length n. Growth leaves headroom because a
 // swarm's candidate list grows by one join at a time.
-func resized(buf []int, n int) []int {
+func resized[T any](buf []T, n int) []T {
 	if n <= cap(buf) {
 		return buf[:n]
 	}
-	return make([]int, n, n+n/2)
+	return make([]T, n, n+n/2)
 }
 
 // view asks the provider for the view of the client's AS.
@@ -300,8 +308,8 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 		return Random{}.Select(self, candidates, m, rng)
 	}
 	s := &p.scratch
-	adj := s.classify(view, selfCol, self, candidates)
-	eligible := s.sortIntoBuckets(view, view.Weights(self.PID, cfg.Gamma), candidates)
+	s.classify(view, self, candidates)
+	eligible, adj := s.sortIntoBuckets(view, view.D[selfCol], view.Weights(self.PID, cfg.Gamma), candidates)
 
 	// The cumulative in-AS bound adapts to relative distances, per
 	// Section 6.2: the default is an upper bound, raised toward 1 when
@@ -316,21 +324,21 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	interCap := int(interFrac * float64(m))
 	// Untaken candidates by backfill class: other ASes, other PIDs in
 	// this AS, the client's own PID.
-	left := [3]int{eligible - s.classN[1], s.classN[1] - s.classN[0], s.classN[0]}
+	left := [3]int{eligible - s.nIn, s.nIn - s.n0, s.n0}
 	var out []int
 	if limit := min(max(m, intraCap, interCap), eligible); limit > 0 {
 		out = make([]int, 0, limit)
 	}
 
 	// Stage 1: intra-PID.
-	intra := s.order[:s.classN[0]]
+	intra := s.order[:s.n0]
 	shuffle(rng, intra)
 	for _, i := range intra {
 		if len(out) >= intraCap {
 			break
 		}
 		out = append(out, i)
-		s.cls[i] = -1
+		s.rk[i] = -1
 		left[2]--
 	}
 
@@ -409,9 +417,14 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	if len(out) < m {
 		ends := [3]int{left[0], left[0] + left[1], left[0] + left[1] + left[2]}
 		pos := [3]int{0, ends[0], ends[1]}
-		for i, class := range s.cls {
-			if class >= 0 {
-				k := 2 - min(class, 2)
+		for i, key := range s.rk {
+			if key >= 0 {
+				k := 1
+				if key >= s.ext {
+					k = 0
+				} else if key == s.selfKey {
+					k = 2
+				}
 				s.tmp[pos[k]] = i
 				pos[k]++
 			}
@@ -431,130 +444,149 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	return out
 }
 
-// classify fills cls, rk, their histograms, asns and each external AS's
-// dist for one call, and returns the inter-AS adjustment. The first
-// candidate to land in a histogram cell is the first of its (side of
-// the AS boundary, PID), which is when the adjustment's two means take
-// that PID's distance.
-func (s *selectScratch) classify(view *core.View, selfCol int, self Node, candidates []Node) float64 {
+// classify fills rk, the key histogram and asns for one call.
+func (s *selectScratch) classify(view *core.View, self Node, candidates []Node) {
+	cols := view.Columns()
+	s.ext, s.selfKey = len(view.PIDs)+1, cols.RankOf(self.PID)
+	s.rk, s.cls = resized(s.rk, len(candidates)), resized(s.cls, len(candidates))
+	s.hist = resized(s.hist, 2*s.ext)
+	clear(s.hist)
 	s.asns = s.asns[:0]
 	last := self.ASN
 	for i := range candidates {
-		if c := &candidates[i]; c.ASN != last && c.ASN != self.ASN && c.ID != self.ID {
-			last = c.ASN
-			k := sort.SearchInts(s.asns, c.ASN)
-			if k == len(s.asns) || s.asns[k] != c.ASN {
-				s.asns = append(s.asns, 0)
-				copy(s.asns[k+1:], s.asns[k:])
-				s.asns[k] = c.ASN
-			}
-		}
-	}
-	s.ases = s.ases[:0]
-	for range s.asns {
-		s.ases = append(s.ases, asInfo{})
-	}
-
-	nPID := len(view.PIDs)
-	cols, dist := view.Columns(), view.D[selfCol]
-	s.cls, s.rk = resized(s.cls, len(candidates)), resized(s.rk, len(candidates))
-	s.hist, s.classN = resized(s.hist, 2*nPID+2), resized(s.classN, 2+len(s.asns))
-	clear(s.hist)
-	clear(s.classN)
-	var inSum, extSum float64
-	var inN, extN int
-	lastClass := 0
-	last = self.ASN
-	for i := range candidates {
 		c := &candidates[i]
 		if c.ID == self.ID {
-			s.cls[i] = -1
+			s.rk[i] = -1
 			continue
 		}
-		r, d := nPID, math.Inf(1)
-		if col := cols.Col(c.PID); col >= 0 {
-			r, d = cols.Rank(col), dist[col]
-		}
-		class, k := 0, 2*r
-		switch {
-		case c.ASN != self.ASN:
+		k := cols.RankOf(c.PID)
+		if c.ASN != self.ASN {
 			if c.ASN != last {
-				last, lastClass = c.ASN, 2+sort.SearchInts(s.asns, c.ASN)
+				last = c.ASN
+				if g, found := slices.BinarySearch(s.asns, last); !found {
+					s.asns = slices.Insert(s.asns, g, last)
+				}
 			}
-			class, k = lastClass, 2*r+1
-			if a := &s.ases[class-2]; s.classN[class] == 0 || d < a.dist {
-				a.dist = d
-			}
-			if s.hist[k] == 0 && !math.IsInf(d, 1) {
-				extSum += d
-				extN++
-			}
-		case c.PID != self.PID:
-			class = 1
-			if s.hist[k] == 0 && !math.IsInf(d, 1) {
-				inSum += d
-				inN++
-			}
+			k += s.ext
 		}
-		s.cls[i], s.rk[i] = class, k
+		s.rk[i] = k
 		s.hist[k]++
-		s.classN[class]++
 	}
-	return interASAdjustment(inSum, inN, extSum, extN)
+	s.ases = resized(s.ases, len(s.asns))
 }
 
-// sortIntoBuckets counting-sorts the classified candidates into order —
-// by rk, then stably by class — and cuts classes 1 and up into buckets.
-// It returns the number of candidates sorted (all but self).
-func (s *selectScratch) sortIntoBuckets(view *core.View, weights []float64, candidates []Node) int {
-	n := 0
+// sortIntoBuckets counting-sorts the classified candidates into order
+// and cuts classes 1 and up into buckets. It returns the number of
+// candidates sorted (all but self) and the inter-AS adjustment.
+func (s *selectScratch) sortIntoBuckets(view *core.View, dist, weights []float64, candidates []Node) (int, float64) {
+	// The own-PID key first, then every other key in ascending order, a
+	// bucket each. Zeroing the own key's count as its offset keeps it out
+	// of the bucket loop.
+	s.n0 = s.hist[s.selfKey]
+	s.hist[s.selfKey] = 0
+	s.buckets = s.buckets[:0]
+	n, inB := s.n0, 0
 	for k, c := range s.hist {
-		s.hist[k] = n
-		n += c
-	}
-	s.tmp, s.order = resized(s.tmp, n), resized(s.order, n)
-	for i, class := range s.cls {
-		if class >= 0 {
-			s.tmp[s.hist[s.rk[i]]] = i
-			s.hist[s.rk[i]]++
+		if k == s.ext {
+			s.nIn, inB = n, len(s.buckets)
+		}
+		if c > 0 {
+			s.hist[k] = n
+			s.buckets = append(s.buckets, bucket{lo: n, n: c})
+			n += c
 		}
 	}
-	end := 0
-	for class, c := range s.classN {
-		s.classN[class] = end
+	s.tmp, s.order = resized(s.tmp, n), resized(s.order, n)
+	for i, k := range s.rk {
+		if k >= 0 {
+			s.order[s.hist[k]] = i
+			s.hist[k]++
+		}
+	}
+	for b := range s.buckets[:inB] {
+		s.buckets[b].w, _ = pidTerms(view, dist, weights, candidates[s.order[s.buckets[b].lo]].PID)
+	}
+	if s.nIn == n {
+		return n, 0 // no external candidates: no inter-AS adjustment
+	}
+	extSum, extN := s.sumFirsts(view, dist, candidates, inB, len(s.buckets))
+	inSum, inN := s.sumFirsts(view, dist, candidates, 0, inB)
+
+	// Regroup the external candidates by AS, stably, and cut each AS's
+	// run into per-PID buckets.
+	s.classN = resized(s.classN, len(s.asns))
+	clear(s.classN)
+	g, last := 0, s.asns[0]
+	for _, i := range s.order[s.nIn:] {
+		if asn := candidates[i].ASN; asn != last {
+			last, g = asn, sort.SearchInts(s.asns, asn)
+		}
+		s.cls[i] = g
+		s.classN[g]++
+	}
+	s.buckets = s.buckets[:inB]
+	end := s.nIn
+	for g, c := range s.classN {
+		s.classN[g] = end
 		end += c
 	}
-	for _, i := range s.tmp {
-		s.order[s.classN[s.cls[i]]] = i
+	for _, i := range s.order[s.nIn:] {
+		s.tmp[s.classN[s.cls[i]]] = i
 		s.classN[s.cls[i]]++
 	}
-
-	s.buckets = s.buckets[:0]
-	for class := 1; class < len(s.classN); class++ {
-		b0 := len(s.buckets)
-		for lo, hi := s.classN[class-1], s.classN[class]; lo < hi; {
+	copy(s.order[s.nIn:], s.tmp[s.nIn:])
+	lo := s.nIn
+	for g, hi := range s.classN {
+		a := &s.ases[g]
+		a.b0, a.dist = len(s.buckets), math.Inf(1)
+		for lo < hi {
 			first := s.order[lo]
 			cnt := 1
 			for lo+cnt < hi && s.rk[s.order[lo+cnt]] == s.rk[first] {
 				cnt++
 			}
-			w := 0.0
-			if col, ok := view.Index(candidates[first].PID); ok {
-				w = weights[col]
-			}
-			if w <= 0 {
-				// Unreachable PIDs, and PIDs the view does not list,
-				// still get a small floor so robustness is preserved.
-				w = 1e-9
-			}
+			w, d := pidTerms(view, dist, weights, candidates[first].PID)
 			s.buckets = append(s.buckets, bucket{lo: lo, n: cnt, w: w})
+			a.dist = min(a.dist, d)
 			lo += cnt
 		}
-		if class >= 2 {
-			s.ases[class-2].b0, s.ases[class-2].b1 = b0, len(s.buckets)
+		a.b1 = len(s.buckets)
+	}
+	return n, interASAdjustment(inSum, inN, extSum, extN)
+}
+
+// sumFirsts adds up one side of the adjustment: the client's finite
+// p-distances to the PIDs of buckets [b0, b1) in the order of their first
+// candidates, which head the buckets cut by key, and the count of terms.
+func (s *selectScratch) sumFirsts(view *core.View, dist []float64, candidates []Node, b0, b1 int) (float64, int) {
+	s.firsts = s.firsts[:0]
+	for _, b := range s.buckets[b0:b1] {
+		s.firsts = append(s.firsts, s.order[b.lo])
+	}
+	slices.Sort(s.firsts)
+	sum, n := 0.0, 0
+	for _, i := range s.firsts {
+		if col, ok := view.Index(candidates[i].PID); ok && !math.IsInf(dist[col], 1) {
+			sum += dist[col]
+			n++
 		}
 	}
-	return n
+	return sum, n
+}
+
+// pidTerms returns a PID's selection weight, floored, and its p-distance
+// from the client (+Inf if the view does not list it).
+func pidTerms(view *core.View, dist, weights []float64, pid topology.PID) (w, d float64) {
+	w, d = 0, math.Inf(1)
+	if col, ok := view.Index(pid); ok {
+		w, d = weights[col], dist[col]
+	}
+	if w <= 0 {
+		// Unreachable PIDs, and PIDs the view does not list, still get a
+		// small floor so robustness is preserved.
+		w = 1e-9
+	}
+	return w, d
 }
 
 func (s *selectScratch) shuffleBuckets(rng *rand.Rand, b0, b1 int) {
@@ -600,7 +632,7 @@ func (s *selectScratch) pop(b int) int {
 	bk := &s.buckets[b]
 	bk.n--
 	i := s.order[bk.lo+bk.n]
-	s.cls[i] = -1
+	s.rk[i] = -1
 	return i
 }
 

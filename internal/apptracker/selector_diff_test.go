@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"p4p/internal/core"
@@ -141,7 +142,9 @@ func checkAgainstReference(t *testing.T, sel *P4P, c selectCase, seed int64) {
 
 // TestSelectMatchesReference holds P4P.Select to the implementation it
 // replaced over generated requests, reusing one selector throughout so
-// its scratch sees views and candidate lists of every size in turn.
+// its scratch sees views and candidate lists of every size in turn. The
+// generated requests stay small, so the large single-AS shape a swarm
+// asks for is run too, with self outside and inside the list.
 func TestSelectMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	sel := &P4P{}
@@ -149,6 +152,44 @@ func TestSelectMatchesReference(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		r.Read(data)
 		checkAgainstReference(t, sel, selectCaseFromBytes(data[:r.Intn(len(data))]), int64(i))
+	}
+	for i := 0; i < 20; i++ {
+		c := selectCase{cfg: P4PConfig{Gamma: 1}, m: 20}
+		c.view, c.self, c.cands = swarmSelectInput(1000, int64(i))
+		if i%2 == 1 {
+			c.cands[r.Intn(len(c.cands))] = c.self
+		}
+		checkAgainstReference(t, sel, c, int64(i))
+	}
+}
+
+// TestInterASAdjustmentMatchesReference: the adjustment's two means add
+// their distances in the reference's order, bit for bit. Select's
+// indices see it only through int(interFrac*m), and the generated
+// distances are sixteenths, which add exactly in any order; so this
+// compares the value itself, on the generated requests with every
+// distance scaled by π.
+func TestInterASAdjustmentMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var s selectScratch
+	data := make([]byte, 700)
+	for i := 0; i < 3000; i++ {
+		r.Read(data)
+		c := selectCaseFromBytes(data[:r.Intn(len(data))])
+		for _, row := range c.view.D {
+			for b := range row {
+				row[b] *= math.Pi
+			}
+		}
+		selfCol, ok := c.view.Index(c.self.PID)
+		if !ok {
+			continue
+		}
+		s.classify(c.view, c.self, c.cands)
+		_, adj := s.sortIntoBuckets(c.view, c.view.D[selfCol], c.view.Weights(c.self.PID, 1), c.cands)
+		if want := refInterASAdjustment(c.view, c.self, c.cands); math.Float64bits(adj) != math.Float64bits(want) {
+			t.Fatalf("adjustment %v, reference %v\n%v", adj, want, c)
+		}
 	}
 }
 
@@ -304,12 +345,17 @@ func TestSelectUnknownPIDs(t *testing.T) {
 	}
 }
 
-// abileneSelectInput is the benchmark's request: n candidates spread
-// over the Abilene PoPs, a fifth of them in a second AS.
-func abileneSelectInput(n int) (*core.View, Node, []Node) {
+// abileneView is the Abilene view at the engine's starting prices.
+func abileneView() (*topology.Graph, *core.View) {
 	g := topology.Abilene()
 	eng := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
-	view := eng.Matrix(g.AggregationPIDs())
+	return g, eng.Matrix(g.AggregationPIDs())
+}
+
+// abileneSelectInput is the benchmark's request: n candidates spread
+// uniformly over the Abilene PoPs, a fifth of them in a second AS.
+func abileneSelectInput(n int) (*core.View, Node, []Node) {
+	_, view := abileneView()
 	r := rand.New(rand.NewSource(1))
 	cands := make([]Node, n)
 	for i := range cands {
@@ -319,6 +365,38 @@ func abileneSelectInput(n int) (*core.View, Node, []Node) {
 		}
 	}
 	return view, Node{ID: 0, PID: view.PIDs[0], ASN: 11537}, cands
+}
+
+// swarmSelectInput is the request a 1,000-leecher Abilene swarm makes:
+// n candidates in one AS, each PoP drawn with the metro-population weight
+// the experiments place clients by, and the client drawn the same way. So
+// its own PID holds a share of the candidates (stage 1), and with m = 20
+// stages 1–2 stop at 80 % of m, so the backfill runs too.
+func swarmSelectInput(n int, seed int64) (*core.View, Node, []Node) {
+	population := map[string]float64{
+		"NewYork": 0.22, "WashingtonDC": 0.18, "Chicago": 0.12,
+		"LosAngeles": 0.12, "Atlanta": 0.09, "Indianapolis": 0.05,
+		"Houston": 0.06, "Denver": 0.05, "KansasCity": 0.04,
+		"Seattle": 0.04, "Sunnyvale": 0.03,
+	}
+	g, view := abileneView()
+	pids := g.AggregationPIDs()
+	cum := make([]float64, len(pids))
+	total := 0.0
+	for i, pid := range pids {
+		total += population[g.Node(pid).Name]
+		cum[i] = total
+	}
+	r := rand.New(rand.NewSource(seed))
+	place := func(id int) Node {
+		k := min(sort.SearchFloat64s(cum, r.Float64()*total), len(pids)-1)
+		return Node{ID: id, PID: pids[k], ASN: 11537}
+	}
+	cands := make([]Node, n)
+	for i := range cands {
+		cands[i] = place(i + 1)
+	}
+	return view, place(0), cands
 }
 
 // TestSelectOneAllocation pins the contract allochot checks statically:
@@ -338,14 +416,23 @@ func TestSelectOneAllocation(t *testing.T) {
 
 var selectSink []int
 
+// BenchmarkP4PSelect times one request at m = 20: 200, 1k and 10k
+// uniformly placed candidates with a fifth in a second AS, and swarm1k,
+// the single-AS, population-placed, γ = 1 request of swarm-p4p.
 func BenchmarkP4PSelect(b *testing.B) {
 	for _, size := range []struct {
-		name string
-		n    int
-	}{{"200", 200}, {"1k", 1000}, {"10k", 10000}} {
+		name  string
+		n     int
+		swarm bool
+	}{{"200", 200, false}, {"1k", 1000, false}, {"10k", 10000, false}, {"swarm1k", 1000, true}} {
 		b.Run(size.name, func(b *testing.B) {
 			view, self, cands := abileneSelectInput(size.n)
-			sel := &P4P{Views: testViews{view}}
+			var cfg P4PConfig
+			if size.swarm {
+				view, self, cands = swarmSelectInput(size.n, 1)
+				cfg.Gamma = 1
+			}
+			sel := &P4P{Views: testViews{view}, Config: cfg}
 			rng := rand.New(rand.NewSource(1))
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -155,6 +155,9 @@ func TestViewIndexUnsortedAndSparse(t *testing.T) {
 			if c, ok := v.Index(absent); ok || c != -1 {
 				t.Errorf("%v: Index(%d) = %d, %v, want -1, false", pids, absent, c, ok)
 			}
+			if r := v.Columns().RankOf(absent); r != len(pids) {
+				t.Errorf("%v: RankOf(%d) = %d, want %d", pids, absent, r, len(pids))
+			}
 		}
 		for a := range pids {
 			below := 0
@@ -163,9 +166,16 @@ func TestViewIndexUnsortedAndSparse(t *testing.T) {
 					below++
 				}
 			}
-			if got := v.Columns().Rank(a); got != below {
-				t.Errorf("%v: Rank(%d) = %d, want %d", pids, a, got, below)
+			if got := v.Columns().RankOf(pids[a]); got != below {
+				t.Errorf("%v: RankOf(%d) = %d, want %d", pids, pids[a], got, below)
 			}
+		}
+	}
+	// A PID listed twice keeps its first column, and that column's rank.
+	for _, p := range []topology.PID{7, 1 << 40} {
+		v := &View{PIDs: []topology.PID{p, -9, p}, D: make([][]float64, 3)}
+		if c, _ := v.Index(p); c != 0 || v.Columns().RankOf(p) != 1 {
+			t.Errorf("%v: Index(%d) = %d, RankOf = %d; want 0, 1", v.PIDs, p, c, v.Columns().RankOf(p))
 		}
 	}
 	if _, ok := (&View{}).Index(0); ok {

@@ -28,16 +28,17 @@ type weightKey struct {
 	gamma float64
 }
 
-// PIDIndex is a view's PID → column lookup, O(1). PIDs are dense small
-// integers in every topology this repo builds, so it is a table over
-// [base, base+len(dense)); a view whose PIDs span too wide a range for
-// that falls back to a map. Loops over many PIDs of one view (the
+// PIDIndex is a view's PID → column and PID → rank lookup, O(1). PIDs
+// are small dense integers in every topology here, so it is two tables
+// over [base, base+len(dense)); a view whose PIDs span too wide a range
+// for that falls back to a map. Loops over many PIDs of one view (the
 // selector's, once per candidate) hold it rather than call View.Index,
 // so that the lookup inlines.
 type PIDIndex struct {
 	base   topology.PID
 	dense  []int32                // dense[pid-base] = column, -1 where the view has no such PID
-	sparse map[topology.PID]int32 // used instead of dense when non-nil
+	ranks  []int32                // ranks[pid-base] = rank[dense[pid-base]], len(rank) where the view has no such PID
+	sparse map[topology.PID]int32 // used instead of dense and ranks when non-nil
 	rank   []int32                // rank[column] = position of that column's PID in ascending PID order
 }
 
@@ -84,12 +85,12 @@ func (v *View) buildIndex() {
 	lo, hi := v.PIDs[byPID[0]], v.PIDs[byPID[n-1]]
 	if span := uint(hi - lo); span < uint(8*n+64) {
 		x.base = lo
-		x.dense = make([]int32, span+1)
+		x.dense, x.ranks = make([]int32, span+1), make([]int32, span+1)
 		for i := range x.dense {
-			x.dense[i] = -1
+			x.dense[i], x.ranks[i] = -1, int32(n)
 		}
 		for c := n - 1; c >= 0; c-- {
-			x.dense[v.PIDs[c]-lo] = int32(c)
+			x.dense[v.PIDs[c]-lo], x.ranks[v.PIDs[c]-lo] = int32(c), x.rank[c]
 		}
 		return
 	}
@@ -99,11 +100,18 @@ func (v *View) buildIndex() {
 	}
 }
 
-// Rank returns the position of column col's PID when the view's PIDs
-// are sorted ascending, so that callers who must visit PIDs in that
-// order (the selector's weighted draws) can bucket by rank instead of
-// sorting per call.
-func (x *PIDIndex) Rank(col int) int { return int(x.rank[col]) }
+// RankOf returns pid's position in the view's PIDs sorted ascending (the
+// PID count if it is not listed), so the selector buckets its draws in
+// that order without a per-call sort. Like Col it is one table lookup.
+func (x *PIDIndex) RankOf(pid topology.PID) int {
+	if off := uint(pid - x.base); x.sparse == nil && off < uint(len(x.ranks)) {
+		return int(x.ranks[off])
+	}
+	if c, ok := x.sparse[pid]; ok {
+		return int(x.rank[c])
+	}
+	return len(x.rank)
+}
 
 func (m *viewMemo) weights(v *View, a int, gamma float64) []float64 {
 	k := weightKey{a, gamma}

@@ -74,73 +74,106 @@ func TestCalendarQueueTieBreak(t *testing.T) {
 	}
 }
 
-// TestCalendarQueueMatchesHeap cross-checks the calendar queue against
-// the reference heap, pop for pop: on randomized interleaved push/pop
-// traces, including bursts big enough to force resizes and clusters of
-// identical timestamps, and on the trace of a real swarm run — pop order
-// being all a run takes from its queue, equal pops there are what make a
-// simulation's results independent of the queue under it.
-func TestCalendarQueueMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cal := newCalendarQueue(0.05)
-		ref := &eventHeap{}
-		now := 0.0
-		var qseq uint64
-		push := func() {
-			var tm float64
-			switch rng.Intn(4) {
-			case 0: // clustered: exact duplicate of a recent time
-				tm = now + float64(rng.Intn(3))
-			case 1: // near future, dense
-				tm = now + rng.Float64()*0.2
-			case 2: // far future (overflow territory)
-				tm = now + 10 + rng.Float64()*1000
-			default:
-				tm = now + rng.Float64()*5
-			}
-			e := event{t: tm, kind: uint8(rng.Intn(7)), qseq: qseq, id: int32(qseq)}
-			qseq++
-			cal.push(e)
-			ref.push(e)
+// checkQueueOrder runs one push/pop schedule, read from data, through
+// the calendar queue and the reference heap, and requires the same pops
+// in the same order, then the same drain. The first byte picks the
+// starting bucket width. Each later byte is one act: a push of one
+// event, a run of up to 64 pushes (enough to force wheel resizes), or a
+// run of up to 64 pops. A pushed event takes two more bytes: one picks
+// its kind and whether its time is a whole number of seconds from now
+// (clusters of identical timestamps), near, mid-range or far beyond the
+// wheel's horizon (overflow), the other its offset. Past the end of
+// data every byte reads as zero.
+func checkQueueOrder(t *testing.T, data []byte) {
+	t.Helper()
+	at := 0
+	next := func() int {
+		if at >= len(data) {
+			return 0
 		}
-		for i := 0; i < 200; i++ {
-			push()
+		at++
+		return int(data[at-1])
+	}
+	cal := newCalendarQueue(0.001 * float64(1+next()%100))
+	ref := &eventHeap{}
+	now := 0.0
+	var qseq uint64
+	push := func() {
+		x, y := next(), float64(next())
+		tm := now
+		switch x % 4 {
+		case 0:
+			tm += float64(int(y) % 3)
+		case 1:
+			tm += y / 256 * 0.2
+		case 2:
+			tm += 10 + y*4
+		default:
+			tm += y / 256 * 5
 		}
-		for step := 0; step < 5000; step++ {
-			if rng.Intn(3) == 0 && cal.len() < 3000 {
-				push()
-				continue
-			}
-			ce, cok := cal.pop()
-			re, rok := ref.pop()
-			if cok != rok {
-				t.Fatalf("seed %d step %d: calendar ok=%v heap ok=%v", seed, step, cok, rok)
-			}
-			if !cok {
-				continue
-			}
-			if ce != re {
-				t.Fatalf("seed %d step %d: calendar popped %+v, heap popped %+v", seed, step, ce, re)
-			}
-			if ce.t < now {
-				t.Fatalf("seed %d step %d: time went backwards (%g < %g)", seed, step, ce.t, now)
-			}
+		e := event{t: tm, kind: uint8(x / 4 % 7), qseq: qseq, id: int32(qseq)}
+		qseq++
+		cal.push(e)
+		ref.push(e)
+	}
+	pop := func() bool {
+		ce, cok := cal.pop()
+		re, rok := ref.pop()
+		switch {
+		case cok != rok:
+			t.Fatalf("byte %d: calendar ok=%v heap ok=%v", at, cok, rok)
+		case ce != re:
+			t.Fatalf("byte %d: calendar popped %+v, heap popped %+v", at, ce, re)
+		case cok && ce.t < now:
+			t.Fatalf("byte %d: time went backwards (%g < %g)", at, ce.t, now)
+		}
+		if cok {
 			now = ce.t
 		}
-		for {
-			ce, cok := cal.pop()
-			re, rok := ref.pop()
-			if cok != rok {
-				t.Fatalf("seed %d drain: calendar ok=%v heap ok=%v", seed, cok, rok)
+		return cok
+	}
+	for at < len(data) {
+		act := next()
+		switch act % 4 {
+		case 0:
+			push()
+		case 1:
+			for k := 0; k <= act/4; k++ {
+				push()
 			}
-			if !cok {
-				break
-			}
-			if ce != re {
-				t.Fatalf("seed %d drain: calendar popped %+v, heap popped %+v", seed, ce, re)
+		default:
+			for k := 0; k <= act/4; k++ {
+				pop()
 			}
 		}
+	}
+	for pop() {
+	}
+}
+
+func FuzzQueueOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{49, 0xfd, 0, 0, 0, 0x01, 0x02, 0x03, 0x05, 0x06, 0x07, 0x0a, 0xff})
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4; i++ {
+		data := make([]byte, 1024)
+		r.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(checkQueueOrder)
+}
+
+// TestCalendarQueueMatchesHeap cross-checks the calendar queue against
+// the reference heap, pop for pop: on random schedules through
+// checkQueueOrder (FuzzQueueOrder's check), and on the trace of a real
+// swarm run — pop order being all a run takes from its queue, equal pops
+// there are what make a simulation's results independent of the queue
+// under it.
+func TestCalendarQueueMatchesHeap(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		data := make([]byte, 20000)
+		rand.New(rand.NewSource(seed)).Read(data)
+		checkQueueOrder(t, data)
 	}
 
 	// One swarm run, driven as Run drives it, recording every pop and

@@ -7,15 +7,17 @@
 # one object per line, ns/op + B/op + allocs/op — negative deltas are
 # improvements).
 #
-# Kernel regression gate: any BenchmarkSim* (p2psim hot paths) or
-# BenchmarkEngine* (core.Engine Update and Matrix) whose new ns/op
-# exceeds the old by more than 10% is flagged and the script exits
-# non-zero, so CI (or a pre-commit diff against the checked-in baseline)
-# fails loud on hot-path regressions. Both families are deterministic,
-# CPU-bound and socket-free. The BenchmarkSim* rows are gated on
-# allocs/op as well: more than +2% fails, because the simulator's
-# allocation count per run is exact and its hot paths are pinned
-# allocation-free. Other benchmarks are reported but not gated:
+# Kernel regression gate: any BenchmarkSim* (p2psim hot paths),
+# BenchmarkEngine* (core.Engine Update and Matrix) or BenchmarkP4PSelect*
+# (apptracker.P4P.Select) whose new ns/op exceeds the old by more than
+# 10% is flagged and the script exits non-zero, so CI (or a pre-commit
+# diff against the checked-in baseline) fails loud on hot-path
+# regressions. All three families are deterministic, CPU-bound and
+# socket-free. The BenchmarkSim* rows are gated on allocs/op as well:
+# more than +2% fails, because the simulator's allocation count per run
+# is exact and its hot paths are pinned allocation-free. A
+# BenchmarkP4PSelect* row fails above 1 allocs/op, its result slice.
+# Other benchmarks are reported but not gated:
 # the portal rows cross net/http test plumbing and the experiment
 # macro-benchmarks are one-shot runs with real variance.
 #
@@ -82,7 +84,7 @@ END {
         }
         printf "%-40s %15s %15s %9s %9s %9s\n", name, ons[name], nns[name], \
             pct(ons[name], nns[name]), pct(ob[name], nb[name]), pct(oa[name], na[name])
-        if (name ~ /^Benchmark(Sim|Engine)/ && ons[name] + 0 > 0 && \
+        if (name ~ /^Benchmark(Sim|Engine|P4PSelect)/ && ons[name] + 0 > 0 && \
             nns[name] + 0 > ons[name] * 1.10) {
             printf "REGRESSION: %s ns/op %s -> %s (%s > +10%% gate)\n", \
                 name, ons[name], nns[name], pct(ons[name], nns[name]) > "/dev/stderr"
@@ -92,6 +94,10 @@ END {
             na[name] + 0 > oa[name] * 1.02) {
             printf "REGRESSION: %s allocs/op %s -> %s (%s > +2%% gate)\n", \
                 name, oa[name], na[name], pct(oa[name], na[name]) > "/dev/stderr"
+            bad = 1
+        }
+        if (name ~ /^BenchmarkP4PSelect/ && na[name] + 0 > 1) {
+            printf "REGRESSION: %s allocs/op %s (> 1 gate)\n", name, na[name] > "/dev/stderr"
             bad = 1
         }
     }

@@ -13,8 +13,9 @@
 #                     /select body, by Node's UnmarshalJSON and by the
 #                     reflective struct decode -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
-#                     1k / 10k candidates, plus the Figure 7
-#                     swarm-size sweep, parallel and serial
+#                     1k / 10k candidates and at a swarm's shape
+#                     (swarm1k), plus the Figure 7 swarm-size sweep,
+#                     parallel and serial
 #                     -> BENCH_sim.json
 #
 # BENCHTIME overrides the micro-benchmark -benchtime (default 1s);
