@@ -1,4 +1,5 @@
-// Command p4pexp regenerates the paper's tables and figures. Each
+// Command p4pexp regenerates the paper's tables and figures, the ones
+// experiments.Experiments lists (-list prints each ID and title). Each
 // experiment prints the rows or series the paper reports; see DESIGN.md
 // for the experiment index and EXPERIMENTS.md for paper-vs-measured.
 //
@@ -10,7 +11,7 @@
 // independent simulation cells (0 = GOMAXPROCS, 1 = serial); output is
 // byte-identical at any setting. Stdout carries the reports alone, each
 // followed by a blank line; the "(ID in 12ms)" timing lines go to
-// stderr. A -scale outside (0, 1] is an error (exit 2).
+// stderr. A -scale outside (0, 1] or an unknown ID is an error (exit 2).
 package main
 
 import (
@@ -25,35 +26,6 @@ import (
 
 	"p4p/internal/experiments"
 )
-
-type experiment struct {
-	id   string
-	desc string
-	fn   func(experiments.Options) *experiments.Report
-}
-
-var all = []experiment{
-	{"T1", "Table 1: networks evaluated", experiments.Table1Networks},
-	{"F6", "Figure 6: BitTorrent Internet experiments", experiments.Figure6BitTorrentInternet},
-	{"F7", "Figure 7: swarm-size sweep on Abilene", experiments.Figure7SwarmSize},
-	{"F8", "Figure 8: swarm-size sweep on ISP-A", experiments.Figure8ISPA},
-	{"F9", "Figure 9: Liveswarms streaming", experiments.Figure9Liveswarms},
-	{"F10", "Figure 10: interdomain multihoming", experiments.Figure10Interdomain},
-	{"F11", "Figure 11: field-test swarm sizes", experiments.Figure11SwarmStats},
-	{"T2", "Table 2: field-test overall traffic", experiments.Table2FieldTestTraffic},
-	{"T3", "Table 3: field-test internal traffic", experiments.Table3FieldTestInternal},
-	{"F12a", "Figure 12a: unit BDP", experiments.Figure12aUnitBDP},
-	{"F12b", "Figure 12b: completion times, all ISP-B", experiments.Figure12bCompletion},
-	{"F12c", "Figure 12c: completion times, FTTP", experiments.Figure12cFTTP},
-	{"X1", "Metro-hop reduction claim", experiments.MetroHopsClaim},
-	{"X2", "Dual decomposition convergence", experiments.SuperGradientConvergence},
-	{"X3", "Charging-volume prediction", experiments.ChargingPrediction},
-	{"X4", "Swarm-size tail", experiments.SwarmTailClaim},
-	{"A1", "Ablation: efficiency factor beta", experiments.AblationBeta},
-	{"A2", "Ablation: concave robustness transform", experiments.AblationConcave},
-	{"A3", "Ablation: PID aggregation granularity", experiments.AblationAggregation},
-	{"FED", "Multi-iTracker federation: two providers, live portals", experiments.FederationPair},
-}
 
 func main() {
 	// All work happens in run so deferred profile flushes execute before
@@ -81,6 +53,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintf(stderr, "p4pexp: -scale %v is outside (0, 1]\n", *scale)
 		return 2
+	}
+	if *list {
+		for _, e := range experiments.Experiments {
+			fmt.Fprintf(stdout, "%-5s %s\n", e.ID, e.Title)
+		}
+		return 0
+	}
+	// Every requested ID is checked before anything runs; the reports
+	// come out in the table's order, each once. An empty want is "all".
+	want := map[string]bool{}
+	if *runIDs != "all" {
+		for _, id := range strings.Split(*runIDs, ",") {
+			e, ok := experiments.Lookup(strings.TrimSpace(id))
+			if !ok {
+				fmt.Fprintf(stderr, "p4pexp: unknown experiment %q; use -list\n", id)
+				return 2
+			}
+			want[e.ID] = true
+		}
 	}
 
 	if *cpuProf != "" {
@@ -111,36 +102,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *list {
-		for _, e := range all {
-			fmt.Fprintf(stdout, "%-5s %s\n", e.id, e.desc)
-		}
-		return 0
-	}
-
-	want := map[string]bool{}
-	runAll := *runIDs == "all"
-	for _, id := range strings.Split(*runIDs, ",") {
-		want[strings.TrimSpace(strings.ToUpper(id))] = true
-	}
-	ran := 0
-	for _, e := range all {
-		if !runAll && !want[strings.ToUpper(e.id)] {
+	for _, e := range experiments.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		rep := e.fn(experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel})
+		rep := e.Run(experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel})
 		if _, err := rep.WriteTo(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		fmt.Fprintln(stdout)
-		fmt.Fprintf(stderr, "(%s in %s)\n", e.id, time.Since(start).Round(time.Millisecond))
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(stderr, "no experiments matched %q; use -list\n", *runIDs)
-		return 2
+		fmt.Fprintf(stderr, "(%s in %s)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,29 @@ func TestScaleOutOfRange(t *testing.T) {
 	}
 }
 
-// TestStdoutIsReportsOnly: stdout holds each report followed by a blank
+// TestUnknownExperiment: an ID the table lacks is refused with exit 2,
+// nothing on stdout and one stderr line naming it, before any listed
+// experiment runs. T1,NOPE used to run T1 and exit 0.
+func TestUnknownExperiment(t *testing.T) {
+	for ids, unknown := range map[string]string{"T1,NOPE": "NOPE", "NOPE,T1": "NOPE", "": ""} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-run", ids, "-scale", "0.02"}, &stdout, &stderr); code != 2 {
+			t.Errorf("-run %q: exit %d, want 2", ids, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-run %q: stdout %q, want empty", ids, stdout.String())
+		}
+		if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, fmt.Sprintf("unknown experiment %q", unknown)) {
+			t.Errorf("-run %q: stderr %q, want one line naming %q", ids, msg, unknown)
+		}
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-run", "t1, x4", "-scale", "0.02"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("IDs are matched ignoring case and spaces: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestStdoutIsReportsOnly:stdout holds each report followed by a blank
 // line and nothing else; the timing line goes to stderr.
 func TestStdoutIsReportsOnly(t *testing.T) {
 	var stdout, stderr strings.Builder

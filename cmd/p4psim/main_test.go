@@ -14,7 +14,8 @@ import (
 // n=200 point of the F7 report at scale 0.02, seed 42, so its mean
 // completion time has the same bits as that point, for every policy.
 func TestCellMatchesReport(t *testing.T) {
-	rep := experiments.Figure7SwarmSize(experiments.Options{Scale: 0.02, Seed: 42, Parallelism: 1})
+	f7, _ := experiments.Lookup("F7")
+	rep := f7.Run(experiments.Options{Scale: 0.02, Seed: 42, Parallelism: 1})
 	mean := regexp.MustCompile(`(?m)^fingerprint .* mean=([0-9a-f]+) `)
 	for _, p := range []string{"native", "localized", "p4p"} {
 		var stdout, stderr strings.Builder

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 7) plus the quantitative side claims, one function
-// per artifact. Each experiment returns a Report with the same rows or
-// series the paper presents; cmd/p4pexp prints them and bench_test.go
-// wraps each in a benchmark. DESIGN.md carries the experiment index and
-// EXPERIMENTS.md the paper-vs-measured record.
+// evaluation (Section 7) plus the quantitative side claims. Experiments
+// is the one list of them: each entry's Run returns a Report with the
+// same rows or series the paper presents. cmd/p4pexp prints them,
+// bench_test.go benchmarks each entry and TestReportsGolden pins their
+// bytes. DESIGN.md §3 carries the experiment index and EXPERIMENTS.md
+// the paper-vs-measured record.
 package experiments
 
 import (
@@ -16,7 +17,57 @@ import (
 	"sync"
 
 	"p4p/internal/metrics"
+	"p4p/internal/topology"
 )
+
+// Experiment is one artifact of the paper's evaluation: its ID, the
+// title its report carries, and the function that fills the report.
+type Experiment struct {
+	ID, Title string
+	fill      func(Options, *Report)
+}
+
+// Run regenerates the artifact. It panics if opt.Scale is outside (0, 1].
+func (e Experiment) Run(opt Options) *Report {
+	opt = opt.withDefaults()
+	rep := newReport(e.ID, e.Title)
+	e.fill(opt, rep)
+	return rep
+}
+
+// Experiments lists every artifact in the order cmd/p4pexp prints them.
+var Experiments = []Experiment{
+	{"T1", "Summary of networks evaluated (Table 1)", table1Networks},
+	{"F6", "BitTorrent Internet experiments (Figure 6)", figure6BitTorrentInternet},
+	{"F7", "Swarm-size sweep on Abilene (Figure 7)", func(opt Options, rep *Report) { swarmSizeSweep(opt, rep, topology.Abilene(), false) }},
+	{"F8", "Swarm-size sweep on ISP-A (Figure 8)", func(opt Options, rep *Report) { swarmSizeSweep(opt, rep, topology.ISPA(), true) }},
+	{"F9", "Liveswarms streaming integration (Figure 9)", figure9Liveswarms},
+	{"F10", "Interdomain multihoming cost control (Figure 10)", figure10Interdomain},
+	{"F11", "Field-test swarm size statistics (Figure 11)", figure11SwarmStats},
+	{"T2", "Overall traffic statistics of field tests (Table 2)", table2FieldTestTraffic},
+	{"T3", "Internal traffic statistics of field tests (Table 3)", table3FieldTestInternal},
+	{"F12a", "Average unit bandwidth-distance product (Figure 12a)", figure12aUnitBDP},
+	{"F12b", "Field-test completion time, all ISP-B clients (Figure 12b)", figure12bCompletion},
+	{"F12c", "Field-test completion time, FTTP clients (Figure 12c)", figure12cFTTP},
+	{"X1", "Metro-hop reduction claim (Section 1)", metroHopsClaim},
+	{"X2", "Dual decomposition convergence (Section 5, Proposition 1)", superGradientConvergence},
+	{"X3", "Charging-volume prediction (Section 6.1)", chargingPrediction},
+	{"X4", "Swarm-size tail (Section 8)", swarmTailClaim},
+	{"A1", "Ablation: efficiency factor beta (eq. 6)", ablationBeta},
+	{"A2", "Ablation: concave robustness transform (eq. 7)", ablationConcave},
+	{"A3", "Ablation: PID aggregation granularity (Section 4)", ablationAggregation},
+	{"FED", "Multi-iTracker federation: two providers, live portals", federationPair},
+}
+
+// Lookup returns the experiment whose ID is id, ignoring case.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range Experiments {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
 
 // Options tunes an experiment run.
 type Options struct {
@@ -41,7 +92,7 @@ func (o Options) withDefaults() Options {
 	if o.Scale == 0 {
 		o.Scale = 1
 	}
-	if o.Scale < 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) { // so NaN is refused too
 		panic(fmt.Sprintf("experiments: scale %v out of (0, 1]", o.Scale))
 	}
 	return o
@@ -138,6 +189,22 @@ func (r *Report) addTable(t *metrics.Table) { r.Tables = append(r.Tables, t) }
 
 func (r *Report) note(format string, args ...interface{}) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+}
+
+// completionCDF records one arm's completion times as the paper plots
+// them: the CDF at 20 points under prefix+"completion-cdf/"+arm, and its
+// mean under "mean-"+prefix+"completion/"+arm. It returns the CDF.
+func (r *Report) completionCDF(prefix, arm string, times []float64) *metrics.CDF {
+	cdf := metrics.NewCDF(times)
+	r.Series[prefix+"completion-cdf/"+arm] = cdf.Points(20)
+	r.Values["mean-"+prefix+"completion/"+arm] = cdf.Mean()
+	return cdf
+}
+
+// compare sets Values[key] to f(Values[a], Values[b]), where f is
+// metrics.Ratio or metrics.ImprovementPercent.
+func (r *Report) compare(key string, f func(a, b float64) float64, a, b string) {
+	r.Values[key] = f(r.Values[a], r.Values[b])
 }
 
 // WriteTo renders the report as text.

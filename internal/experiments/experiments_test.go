@@ -13,12 +13,16 @@ import (
 // runs live in bench_test.go and EXPERIMENTS.md.
 
 func TestOptionsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range scale")
-		}
-	}()
-	Options{Scale: 2}.withDefaults()
+	for _, scale := range []float64{2, -0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("scale %v: expected panic for out-of-range scale", scale)
+				}
+			}()
+			Options{Scale: scale}.withDefaults()
+		}()
+	}
 }
 
 func TestOptionsScaled(t *testing.T) {
@@ -49,14 +53,14 @@ func TestReportWriteTo(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rep := Table1Networks(Options{})
+	rep := runID(t, "T1", Options{})
 	if rep.Values["nodes/Abilene"] != 11 || rep.Values["nodes/ISP-B"] != 52 {
 		t.Fatalf("Table 1 values wrong: %v", rep.Values)
 	}
 }
 
 func TestFigure6Shape(t *testing.T) {
-	rep := Figure6BitTorrentInternet(Options{Scale: 0.6, Seed: 42})
+	rep := runID(t, "F6", Options{Scale: 0.6, Seed: 42})
 	// The ISP objective must be achieved: P4P carries the least traffic
 	// on the protected circuit.
 	if rep.Values["bottleneck-ratio/native-vs-p4p"] < 1.3 {
@@ -75,7 +79,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rep := Figure9Liveswarms(Options{Scale: 1, Seed: 7})
+	rep := runID(t, "F9", Options{Scale: 1, Seed: 7})
 	// P4P cuts backbone volume while holding goodput (Figure 9).
 	if rep.Values["backbone-reduction-pct"] < 10 {
 		t.Fatalf("backbone reduction %v%%, want >= 10 (paper ~60)", rep.Values["backbone-reduction-pct"])
@@ -87,7 +91,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rep := Figure10Interdomain(Options{Scale: 0.5, Seed: 42})
+	rep := runID(t, "F10", Options{Scale: 0.5, Seed: 42})
 	if rep.Values["charge-ratio-circuit2/native-vs-p4p"] < 1.3 {
 		t.Fatalf("native/p4p circuit-2 charge ratio %v, want > 1.3 (paper 3)",
 			rep.Values["charge-ratio-circuit2/native-vs-p4p"])
@@ -100,41 +104,41 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFieldTestReports(t *testing.T) {
 	opt := Options{Scale: 0.25, Seed: 42}
-	t2 := Table2FieldTestTraffic(opt)
+	t2 := runID(t, "T2", opt)
 	if r := t2.Values["ratio/ext->ext"]; r < 0.8 || r > 1.25 {
 		t.Fatalf("ext<->ext ratio %v, want ~1", r)
 	}
 	if t2.Values["ratio/ispb->ispb"] > 0.8 {
 		t.Fatalf("ISP-B internal concentration ratio %v, want well below 1", t2.Values["ratio/ispb->ispb"])
 	}
-	t3 := Table3FieldTestInternal(opt)
+	t3 := runID(t, "T3", opt)
 	if t3.Values["localization-pct/P4P"] <= t3.Values["localization-pct/Native"] {
 		t.Fatal("P4P must localize more than native")
 	}
-	f12a := Figure12aUnitBDP(opt)
+	f12a := runID(t, "F12a", opt)
 	if f12a.Values["unit-bdp-reduction"] < 2 {
 		t.Fatalf("unit BDP reduction %v, want >= 2 (paper ~6)", f12a.Values["unit-bdp-reduction"])
 	}
-	f12b := Figure12bCompletion(opt)
+	f12b := runID(t, "F12b", opt)
 	if f12b.Values["improvement-pct"] <= 0 {
 		t.Fatalf("completion improvement %v%%, want positive (paper 23)", f12b.Values["improvement-pct"])
 	}
-	f12c := Figure12cFTTP(opt)
+	f12c := runID(t, "F12c", opt)
 	if f12c.Values["native-over-p4p"] <= 1 {
 		t.Fatalf("FTTP native/p4p %v, want > 1 (paper 1.68)", f12c.Values["native-over-p4p"])
 	}
-	f11 := Figure11SwarmStats(opt)
+	f11 := runID(t, "F11", opt)
 	if f11.Values["peak-day/native"] > 3 {
 		t.Fatalf("native swarm peaked at day %v, want within 3", f11.Values["peak-day/native"])
 	}
-	x1 := MetroHopsClaim(opt)
+	x1 := runID(t, "X1", opt)
 	if x1.Values["metro-hops/p4p"] >= x1.Values["metro-hops/native"] {
 		t.Fatal("metro hops must fall under P4P")
 	}
 }
 
 func TestSuperGradientConvergenceShape(t *testing.T) {
-	rep := SuperGradientConvergence(Options{Scale: 0.6, Seed: 17})
+	rep := runID(t, "X2", Options{Scale: 0.6, Seed: 17})
 	if rep.Values["optimal-mlu"] <= 0 {
 		t.Fatal("no optimal MLU computed")
 	}
@@ -144,7 +148,7 @@ func TestSuperGradientConvergenceShape(t *testing.T) {
 }
 
 func TestChargingPredictionShape(t *testing.T) {
-	rep := ChargingPrediction(Options{Seed: 42})
+	rep := runID(t, "X3", Options{Seed: 42})
 	// The hybrid predictor must beat the pure sliding window on the
 	// large downward level shift (the paper's failure case).
 	if rep.Values["hybrid-err-pct/shift=0.25"] >= rep.Values["sliding-err-pct/shift=0.25"] {
@@ -154,7 +158,7 @@ func TestChargingPredictionShape(t *testing.T) {
 }
 
 func TestSwarmTailShape(t *testing.T) {
-	rep := SwarmTailClaim(Options{Seed: 42})
+	rep := runID(t, "X4", Options{Seed: 42})
 	pct := rep.Values["over-100-leechers-pct"]
 	// Paper: 0.72%.
 	if pct < 0.4 || pct > 1.1 {
@@ -163,7 +167,7 @@ func TestSwarmTailShape(t *testing.T) {
 }
 
 func TestAblationBetaShape(t *testing.T) {
-	rep := AblationBeta(Options{Seed: 42})
+	rep := runID(t, "A1", Options{Seed: 42})
 	// Cost must fall monotonically as beta relaxes.
 	prev := rep.Values["cost-gbps/beta=1.0"]
 	for _, b := range []string{"0.9", "0.8", "0.7", "0.6", "0.5"} {
@@ -179,7 +183,7 @@ func TestAblationBetaShape(t *testing.T) {
 }
 
 func TestAblationAggregationShape(t *testing.T) {
-	rep := AblationAggregation(Options{Scale: 0.5, Seed: 42})
+	rep := runID(t, "A3", Options{Scale: 0.5, Seed: 42})
 	if rep.Values["view-cells-ratio"] < 100 {
 		t.Fatalf("view-cells ratio %v, want orders of magnitude", rep.Values["view-cells-ratio"])
 	}
@@ -189,7 +193,7 @@ func TestAblationAggregationShape(t *testing.T) {
 }
 
 func TestAblationConcaveShape(t *testing.T) {
-	rep := AblationConcave(Options{Scale: 0.4, Seed: 42})
+	rep := runID(t, "A2", Options{Scale: 0.4, Seed: 42})
 	// The concave transform must spread selection across source PIDs.
 	if rep.Values["max-pid-share/gamma=0.5"] > rep.Values["max-pid-share/gamma=1.0"] {
 		t.Fatalf("gamma=0.5 share %v not flatter than gamma=1.0 %v",

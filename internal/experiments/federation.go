@@ -16,7 +16,7 @@ import (
 	"p4p/internal/topology"
 )
 
-// FederationPair exercises the multi-iTracker federation end to end in
+// federationPair exercises the multi-iTracker federation end to end in
 // a two-provider scenario (DESIGN.md §14): Abilene split into two
 // virtual ISPs, each served by its own live shard portal (an
 // itracker.Server restricted to its ASN's PIDs over one shared engine,
@@ -28,9 +28,7 @@ import (
 // selection keeps serving — unchanged — after one provider's portal is
 // killed mid-run (the paper's graceful-degradation story, now across
 // providers).
-func FederationPair(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("FED", "Multi-iTracker federation: two providers, live portals")
+func federationPair(opt Options, rep *Report) {
 	g := topology.AbileneVirtualISPs()
 	r := topology.ComputeRouting(g)
 	eng := core.NewEngine(g, r, core.Config{})
@@ -94,7 +92,7 @@ func FederationPair(opt Options) *Report {
 	fedView := mpv.ViewFor(asns[0])
 	if fedView == nil {
 		rep.note("federation produced no view; aborting")
-		return rep
+		return
 	}
 
 	// View agreement: over every PID pair, does the federation's
@@ -172,5 +170,4 @@ func FederationPair(opt Options) *Report {
 	tbl.AddRow("p4p-federated", fedCross)
 	tbl.AddRow("p4p-degraded (1 portal dead)", degradedCross)
 	rep.addTable(tbl)
-	return rep
 }

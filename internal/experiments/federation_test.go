@@ -7,8 +7,8 @@ import (
 
 func TestFederationPairDeterministicAndDegrades(t *testing.T) {
 	opt := Options{Scale: 0.25, Seed: 42}
-	r1 := FederationPair(opt)
-	r2 := FederationPair(opt)
+	r1 := runID(t, "FED", opt)
+	r2 := runID(t, "FED", opt)
 	if !reflect.DeepEqual(r1.Values, r2.Values) {
 		t.Errorf("FederationPair not deterministic:\n%v\nvs\n%v", r1.Values, r2.Values)
 	}

@@ -18,6 +18,11 @@ type fieldPairResult struct {
 	native, p4p *fieldtest.Result
 }
 
+// arms keys the two deployments by the names the reports use.
+func (p *fieldPairResult) arms() map[string]*fieldtest.Result {
+	return map[string]*fieldtest.Result{"native": p.native, "p4p": p.p4p}
+}
+
 func runFieldPair(opt Options) *fieldPairResult {
 	// The field-test emulation always runs at its deployment scale: the
 	// staged quotas are availability-capped (Section 6.2), so shrinking
@@ -42,13 +47,10 @@ func runFieldPair(opt Options) *fieldPairResult {
 	return res
 }
 
-// Figure11SwarmStats reproduces Figure 11: the sizes of the two parallel
+// figure11SwarmStats reproduces Figure 11: the sizes of the two parallel
 // swarms over the eleven-day window.
-func Figure11SwarmStats(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F11", "Field-test swarm size statistics (Figure 11)")
-	pair := runFieldPair(opt)
-	for name, res := range map[string]*fieldtest.Result{"native": pair.native, "p4p": pair.p4p} {
+func figure11SwarmStats(opt Options, rep *Report) {
+	for name, res := range runFieldPair(opt).arms() {
 		stride := len(res.SwarmSize)/64 + 1
 		for i, pt := range res.SwarmSize {
 			if i%stride == 0 {
@@ -61,14 +63,11 @@ func Figure11SwarmStats(opt Options) *Report {
 		rep.Values["peak-day/"+name] = peakT / 86400
 	}
 	rep.note("paper: swarms peak within the first 3 days, then decay; the two parallel swarms track each other")
-	return rep
 }
 
-// Table2FieldTestTraffic reproduces Table 2: overall traffic volumes
+// table2FieldTestTraffic reproduces Table 2: overall traffic volumes
 // between ISP-B and the rest of the Internet, native vs P4P.
-func Table2FieldTestTraffic(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("T2", "Overall traffic statistics of field tests (Table 2)")
+func table2FieldTestTraffic(opt Options, rep *Report) {
 	pair := runFieldPair(opt)
 	rows := []struct {
 		label string
@@ -94,14 +93,11 @@ func Table2FieldTestTraffic(opt Options) *Report {
 	rep.Values["ratio/total"] = metrics.Ratio(totN, totP)
 	rep.addTable(tbl)
 	rep.note("paper ratios: ext<->ext 0.99, ext->ISP-B 1.53, ISP-B->ext 1.70, ISP-B<->ISP-B 0.15, total 1.01")
-	return rep
 }
 
-// Table3FieldTestInternal reproduces Table 3: ISP-B internal traffic
+// table3FieldTestInternal reproduces Table 3: ISP-B internal traffic
 // split into same-metro and cross-metro volumes.
-func Table3FieldTestInternal(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("T3", "Internal traffic statistics of field tests (Table 3)")
+func table3FieldTestInternal(opt Options, rep *Report) {
 	pair := runFieldPair(opt)
 	tbl := &metrics.Table{Header: []string{"swarm", "Total", "Cross-metro", "Same-metro", "% Localization"}}
 	for _, row := range []struct {
@@ -114,84 +110,60 @@ func Table3FieldTestInternal(opt Options) *Report {
 	}
 	rep.addTable(tbl)
 	rep.note("paper: 6.27%% (Native) -> 57.98%% (P4P)")
-	return rep
 }
 
-// Figure12aUnitBDP reproduces Figure 12a: the average number of backbone
+// figure12aUnitBDP reproduces Figure 12a: the average number of backbone
 // links a unit of ISP-B-internal P2P traffic traverses.
-func Figure12aUnitBDP(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F12a", "Average unit bandwidth-distance product (Figure 12a)")
+func figure12aUnitBDP(opt Options, rep *Report) {
 	pair := runFieldPair(opt)
 	tbl := &metrics.Table{Header: []string{"swarm", "unit BDP", "metro hops"}}
 	tbl.AddRow("Native", pair.native.UnitBDP, pair.native.MetroHops)
 	tbl.AddRow("P4P", pair.p4p.UnitBDP, pair.p4p.MetroHops)
 	rep.addTable(tbl)
-	rep.Values["unit-bdp/native"] = pair.native.UnitBDP
-	rep.Values["unit-bdp/p4p"] = pair.p4p.UnitBDP
-	rep.Values["unit-bdp-reduction"] = metrics.Ratio(pair.native.UnitBDP, pair.p4p.UnitBDP)
-	rep.Values["metro-hops/native"] = pair.native.MetroHops
-	rep.Values["metro-hops/p4p"] = pair.p4p.MetroHops
+	for name, res := range pair.arms() {
+		rep.Values["unit-bdp/"+name] = res.UnitBDP
+		rep.Values["metro-hops/"+name] = res.MetroHops
+	}
+	rep.compare("unit-bdp-reduction", metrics.Ratio, "unit-bdp/native", "unit-bdp/p4p")
 	rep.note("paper: 5.5 -> 0.89 (the average backbone distance between ISP-B PID pairs is 6.2; ours is ~5.0)")
-	return rep
 }
 
-// Figure12bCompletion reproduces Figure 12b: completion-time CDFs of all
+// figure12bCompletion reproduces Figure 12b: completion-time CDFs of all
 // ISP-B clients.
-func Figure12bCompletion(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F12b", "Field-test completion time, all ISP-B clients (Figure 12b)")
-	pair := runFieldPair(opt)
-	for name, res := range map[string]*fieldtest.Result{"native": pair.native, "p4p": pair.p4p} {
-		cdf := metrics.NewCDF(res.CompletionDurations("", true))
-		rep.Series["completion-cdf/"+name] = cdf.Points(20)
-		rep.Values["mean-completion/"+name] = cdf.Mean()
+func figure12bCompletion(opt Options, rep *Report) {
+	for name, res := range runFieldPair(opt).arms() {
+		rep.completionCDF("", name, res.CompletionDurations("", true))
 	}
-	rep.Values["improvement-pct"] = metrics.ImprovementPercent(
-		rep.Values["mean-completion/native"], rep.Values["mean-completion/p4p"])
+	rep.compare("improvement-pct", metrics.ImprovementPercent, "mean-completion/native", "mean-completion/p4p")
 	rep.note("paper: 9460 s (Native) vs 7312 s (P4P), a 23%% improvement")
-	return rep
 }
 
-// Figure12cFTTP reproduces Figure 12c: completion-time CDFs of the FTTP
+// figure12cFTTP reproduces Figure 12c: completion-time CDFs of the FTTP
 // clients in ISP-B.
-func Figure12cFTTP(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F12c", "Field-test completion time, FTTP clients (Figure 12c)")
-	pair := runFieldPair(opt)
-	for name, res := range map[string]*fieldtest.Result{"native": pair.native, "p4p": pair.p4p} {
-		cdf := metrics.NewCDF(res.CompletionDurations("fttp", true))
-		rep.Series["fttp-completion-cdf/"+name] = cdf.Points(20)
-		rep.Values["mean-fttp-completion/"+name] = cdf.Mean()
+func figure12cFTTP(opt Options, rep *Report) {
+	for name, res := range runFieldPair(opt).arms() {
+		rep.completionCDF("fttp-", name, res.CompletionDurations("fttp", true))
 	}
-	rep.Values["native-over-p4p"] = metrics.Ratio(
-		rep.Values["mean-fttp-completion/native"], rep.Values["mean-fttp-completion/p4p"])
+	rep.compare("native-over-p4p", metrics.Ratio, "mean-fttp-completion/native", "mean-fttp-completion/p4p")
 	rep.note("paper: 4164 s (Native) vs 2481 s (P4P); Native 68%% higher")
-	return rep
 }
 
-// MetroHopsClaim covers the Section 1 field observation (X1): each P2P
+// metroHopsClaim covers the Section 1 field observation (X1): each P2P
 // bit traversed 5.5 metro-hops on a major carrier; P4P-style selection
 // reduces it to 0.89 without hurting completion time.
-func MetroHopsClaim(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("X1", "Metro-hop reduction claim (Section 1)")
-	pair := runFieldPair(opt)
-	rep.Values["metro-hops/native"] = pair.native.MetroHops
-	rep.Values["metro-hops/p4p"] = pair.p4p.MetroHops
-	rep.Values["mean-completion/native"] = pair.native.MeanCompletionSec("", true)
-	rep.Values["mean-completion/p4p"] = pair.p4p.MeanCompletionSec("", true)
+func metroHopsClaim(opt Options, rep *Report) {
+	for name, res := range runFieldPair(opt).arms() {
+		rep.Values["metro-hops/"+name] = res.MetroHops
+		rep.Values["mean-completion/"+name] = res.MeanCompletionSec("", true)
+	}
 	rep.note("paper: 5.5 metro-hops -> 0.89 without degrading application performance")
-	return rep
 }
 
-// SwarmTailClaim covers the Section 8 scalability measurement (X4): of
-// 34,721 movie swarms crawled from thepiratebay.org, only 0.72%% had
+// swarmTailClaim covers the Section 8 scalability measurement (X4): of
+// 34,721 movie swarms crawled from thepiratebay.org, only 0.72% had
 // more than one hundred leechers. We sample the same count from the
 // calibrated heavy-tailed swarm-size distribution.
-func SwarmTailClaim(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("X4", "Swarm-size tail (Section 8)")
+func swarmTailClaim(opt Options, rep *Report) {
 	const totalSwarms = 34721
 	rng := rand.New(rand.NewSource(opt.Seed))
 	over100 := 0
@@ -208,5 +180,4 @@ func SwarmTailClaim(opt Options) *Report {
 	rep.Values["over-100-leechers-pct"] = pct
 	rep.Values["mean-size"] = sum / totalSwarms
 	rep.note("paper: 0.72%% of 34,721 swarms exceeded 100 leechers")
-	return rep
 }

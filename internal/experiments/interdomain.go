@@ -12,16 +12,14 @@ import (
 	"p4p/internal/traffic"
 )
 
-// Figure10Interdomain reproduces the interdomain multihoming experiments
+// figure10Interdomain reproduces the interdomain multihoming experiments
 // of Section 7.3 (Figure 10): Abilene is split into two "virtual" ISPs
 // by two interdomain circuits; virtual P2P capacities for those circuits
 // are derived from historical (synthetic diurnal) traffic volumes under
 // the 95th-percentile charging model; the three BitTorrent variants run
 // as in Figure 6. Reported: completion-time CDFs (10a) and the charging
 // volume of each interdomain circuit per policy (10b).
-func Figure10Interdomain(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F10", "Interdomain multihoming cost control (Figure 10)")
+func figure10Interdomain(opt Options, rep *Report) {
 	n := opt.scaled(160)
 	rep.note("two virtual ISPs over Abilene; %d clients; 12 MB file; 95th-percentile charging", n)
 	base := figure10Cell(n, opt.Seed)
@@ -34,8 +32,7 @@ func Figure10Interdomain(opt Options) *Report {
 	policies := []string{policyNative, policyLocalized, policyP4P}
 	for i, res := range opt.runCells(arms(base, policies...)) {
 		policy := policies[i]
-		ct := metrics.NewCDF(res.CompletionTimes())
-		rep.Series["completion-cdf/"+policy] = ct.Points(20)
+		ct := rep.completionCDF("", policy, res.CompletionTimes())
 		var charges []float64
 		for ci, cut := range cuts {
 			worst := 0.0
@@ -57,17 +54,13 @@ func Figure10Interdomain(opt Options) *Report {
 			rep.Values[fmt.Sprintf("charging-mb/%s/circuit%d", policy, ci+1)] = worst / (1 << 20)
 		}
 		tbl.AddRow(policy, ct.Mean(), ct.Quantile(0.99), charges[0], charges[1])
-		rep.Values["mean-completion/"+policy] = ct.Mean()
 		rep.Values["p99-completion/"+policy] = ct.Quantile(0.99)
 	}
 	rep.addTable(tbl)
 	// Headline ratios: the paper reports the second (backup) circuit's
 	// charging volume at 3x (native) and 2x (localized) that of P4P.
-	rep.Values["charge-ratio-circuit2/native-vs-p4p"] = metrics.Ratio(
-		rep.Values["charging-mb/native/circuit2"], rep.Values["charging-mb/p4p/circuit2"])
-	rep.Values["charge-ratio-circuit2/localized-vs-p4p"] = metrics.Ratio(
-		rep.Values["charging-mb/localized/circuit2"], rep.Values["charging-mb/p4p/circuit2"])
-	return rep
+	rep.compare("charge-ratio-circuit2/native-vs-p4p", metrics.Ratio, "charging-mb/native/circuit2", "charging-mb/p4p/circuit2")
+	rep.compare("charge-ratio-circuit2/localized-vs-p4p", metrics.Ratio, "charging-mb/localized/circuit2", "charging-mb/p4p/circuit2")
 }
 
 // figure10Cell is one Figure 10 swarm on Abilene split into two virtual

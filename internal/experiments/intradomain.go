@@ -14,10 +14,8 @@ import (
 	"p4p/internal/topology"
 )
 
-// Table1Networks reproduces Table 1: the networks evaluated.
-func Table1Networks(opt Options) *Report {
-	_ = opt.withDefaults()
-	r := newReport("T1", "Summary of networks evaluated (Table 1)")
+// table1Networks reproduces Table 1: the networks evaluated.
+func table1Networks(_ Options, r *Report) {
 	tbl := &metrics.Table{Header: []string{"Network", "Region", "Aggregation", "#Nodes", "#Links", "Usage"}}
 	rows := []struct {
 		g      *topology.Graph
@@ -35,7 +33,6 @@ func Table1Networks(opt Options) *Report {
 		r.Values["nodes/"+row.g.Name] = float64(row.g.NumNodes())
 	}
 	r.addTable(tbl)
-	return r
 }
 
 // intradomainCell is the Section 7.2 swarm on one AS: 100 Mbps
@@ -76,15 +73,13 @@ func sweepCell(g *topology.Graph, r *topology.Routing, n int, seed int64) Cell {
 	return intradomainCell("", g, r, n, 256<<20, 1e9, seed, 1.0)
 }
 
-// Figure6BitTorrentInternet reproduces the PlanetLab BitTorrent
+// figure6BitTorrentInternet reproduces the PlanetLab BitTorrent
 // experiments of Section 7.2 (Figure 6): three parallel swarms of 160
 // university clients sharing a 12 MB file with a 100 KBps seed, and an
 // iTracker protecting the high-utilization Washington DC -> New York
 // link. Reported: per-client completion-time CDFs (6a) and P2P traffic
 // on the protected bottleneck link (6b).
-func Figure6BitTorrentInternet(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F6", "BitTorrent Internet experiments (Figure 6)")
+func figure6BitTorrentInternet(opt Options, rep *Report) {
 	n := opt.scaled(160)
 	rep.note("swarm %d clients, 12 MB file, 100 KBps seed, protected circuit WashingtonDC<->NewYork", n)
 
@@ -93,8 +88,7 @@ func Figure6BitTorrentInternet(opt Options) *Report {
 	policies := []string{policyP4P, policyLocalized, policyNative}
 	for i, res := range opt.runCells(arms(base, policies...)) {
 		policy := policies[i]
-		cdf := metrics.NewCDF(res.CompletionTimes())
-		rep.Series["completion-cdf/"+policy] = cdf.Points(20)
+		cdf := rep.completionCDF("", policy, res.CompletionTimes())
 		// The protected circuit's volume: the max over its directions,
 		// matching the paper's per-link bottleneck-traffic bars.
 		watchBytes := 0.0
@@ -103,36 +97,21 @@ func Figure6BitTorrentInternet(opt Options) *Report {
 		}
 		mb := watchBytes / (1 << 20)
 		tbl.AddRow(policy, cdf.Mean(), cdf.Quantile(0.95), mb)
-		rep.Values["mean-completion/"+policy] = cdf.Mean()
 		rep.Values["bottleneck-mb/"+policy] = mb
 	}
 	rep.addTable(tbl)
-	rep.Values["bottleneck-ratio/native-vs-p4p"] = metrics.Ratio(
-		rep.Values["bottleneck-mb/"+policyNative], rep.Values["bottleneck-mb/"+policyP4P])
-	rep.Values["bottleneck-ratio/localized-vs-p4p"] = metrics.Ratio(
-		rep.Values["bottleneck-mb/"+policyLocalized], rep.Values["bottleneck-mb/"+policyP4P])
-	rep.Values["completion-improvement-pct/p4p-vs-native"] = metrics.ImprovementPercent(
-		rep.Values["mean-completion/"+policyNative], rep.Values["mean-completion/"+policyP4P])
-	return rep
+	rep.compare("bottleneck-ratio/native-vs-p4p", metrics.Ratio, "bottleneck-mb/native", "bottleneck-mb/p4p")
+	rep.compare("bottleneck-ratio/localized-vs-p4p", metrics.Ratio, "bottleneck-mb/localized", "bottleneck-mb/p4p")
+	rep.compare("completion-improvement-pct/p4p-vs-native", metrics.ImprovementPercent,
+		"mean-completion/native", "mean-completion/p4p")
 }
 
-// Figure7SwarmSize reproduces the swarm-size sweep of Figure 7 on
-// Abilene: average completion time for swarms of 200-800 peers (7a) and
-// the bottleneck link utilization over time at swarm size 700 (7b).
-func Figure7SwarmSize(opt Options) *Report {
-	return swarmSizeSweep(opt, "F7", topology.Abilene(), false)
-}
-
-// Figure8ISPA repeats the sweep on the ISP-A PoP-level topology
-// (Figure 8), reporting values normalized by native's maximum as the
-// paper does.
-func Figure8ISPA(opt Options) *Report {
-	return swarmSizeSweep(opt, "F8", topology.ISPA(), true)
-}
-
-func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *Report {
-	opt = opt.withDefaults()
-	rep := newReport(id, fmt.Sprintf("Swarm-size sweep on %s (Figure %s)", g.Name, id[1:]))
+// swarmSizeSweep reproduces the swarm-size sweep of Figure 7 on Abilene
+// and of Figure 8 on ISP-A: average completion time for swarms of
+// 200-800 peers (a) and the bottleneck link utilization over time at
+// swarm size 700 (b). Figure 8 normalizes completion times by native's
+// maximum, as the paper does.
+func swarmSizeSweep(opt Options, rep *Report, g *topology.Graph, normalize bool) {
 	r := topology.ComputeRouting(g)
 	sizes := []int{200, 300, 400, 500, 600, 700, 800}
 	utilSize := 700
@@ -149,7 +128,6 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 	}
 	results := opt.runCells(cells)
 	var impSum float64
-	peakUtil := map[string]float64{}
 	for si, size := range sizes {
 		n := opt.scaled(size)
 		row := []interface{}{n}
@@ -163,7 +141,7 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 				for _, s := range res.Samples {
 					rep.Series["utilization/"+policy] = append(rep.Series["utilization/"+policy], [2]float64{s.T, s.MaxUtil * 100})
 				}
-				peakUtil[policy] = res.PeakUtilization()
+				rep.Values["peak-utilization/"+policy] = res.PeakUtilization()
 			}
 		}
 		impSum += metrics.ImprovementPercent(means[policyNative], means[policyP4P])
@@ -173,11 +151,8 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 	// Headline numbers: average improvement across sizes, peak
 	// utilization ratio at the 700-peer point.
 	rep.Values["avg-completion-improvement-pct/p4p-vs-native"] = impSum / float64(len(sizes))
-	rep.Values["peak-utilization/native"] = peakUtil[policyNative]
-	rep.Values["peak-utilization/localized"] = peakUtil[policyLocalized]
-	rep.Values["peak-utilization/p4p"] = peakUtil[policyP4P]
-	rep.Values["peak-utilization-ratio/native-vs-p4p"] = metrics.Ratio(peakUtil[policyNative], peakUtil[policyP4P])
-	rep.Values["peak-utilization-ratio/localized-vs-p4p"] = metrics.Ratio(peakUtil[policyLocalized], peakUtil[policyP4P])
+	rep.compare("peak-utilization-ratio/native-vs-p4p", metrics.Ratio, "peak-utilization/native", "peak-utilization/p4p")
+	rep.compare("peak-utilization-ratio/localized-vs-p4p", metrics.Ratio, "peak-utilization/localized", "peak-utilization/p4p")
 	if normalize {
 		// Normalize completion series by native's maximum (Figure 8a).
 		maxNative := 0.0
@@ -195,15 +170,12 @@ func swarmSizeSweep(opt Options, id string, g *topology.Graph, normalize bool) *
 			}
 		}
 	}
-	return rep
 }
 
-// Figure9Liveswarms reproduces the Liveswarms streaming integration
+// figure9Liveswarms reproduces the Liveswarms streaming integration
 // (Figure 9): 53 clients streaming a 90-minute video for 20 minutes;
 // native versus P4P backbone traffic volume, with throughput held.
-func Figure9Liveswarms(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("F9", "Liveswarms streaming integration (Figure 9)")
+func figure9Liveswarms(opt Options, rep *Report) {
 	g := topology.Abilene()
 	n := opt.scaled(53)
 	duration := 1200 * opt.Scale
@@ -247,17 +219,13 @@ func Figure9Liveswarms(opt Options) *Report {
 		rep.Values["goodput-kbps/"+policy] = goodput
 	}
 	rep.addTable(tbl)
-	rep.Values["backbone-reduction-pct"] = metrics.ImprovementPercent(
-		rep.Values["avg-backbone-mb/"+policyNative], rep.Values["avg-backbone-mb/"+policyP4P])
-	return rep
+	rep.compare("backbone-reduction-pct", metrics.ImprovementPercent, "avg-backbone-mb/native", "avg-backbone-mb/p4p")
 }
 
-// AblationConcave is design-choice ablation A2: the concave transform
+// ablationConcave is design-choice ablation A2: the concave transform
 // on selection weights (the paper's lightweight robustness constraint,
 // eq. 7) versus raw inverse-distance weights, in the Figure 6 setting.
-func AblationConcave(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("A2", "Ablation: concave robustness transform (eq. 7)")
+func ablationConcave(opt Options, rep *Report) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	n := opt.scaled(160)
@@ -280,7 +248,6 @@ func AblationConcave(opt Options) *Report {
 		rep.Values[fmt.Sprintf("max-pid-share/gamma=%.1f", gamma)] = maxShare
 	}
 	rep.addTable(tbl)
-	return rep
 }
 
 // maxSourcePIDShare is A2's spread measure: the largest share of

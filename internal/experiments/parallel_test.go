@@ -19,6 +19,16 @@ func renderReport(t *testing.T, rep *Report) string {
 	return b.String()
 }
 
+// runID regenerates the experiment with the given ID.
+func runID(t *testing.T, id string, opt Options) *Report {
+	t.Helper()
+	e, ok := Lookup(id)
+	if !ok {
+		t.Fatalf("no experiment %q", id)
+	}
+	return e.Run(opt)
+}
+
 // TestParallelReportsMatchSerial is the harness's determinism contract:
 // every cell derives its own seed and owns its RNGs, so fanning cells
 // across the worker pool must produce reports byte-identical to
@@ -29,20 +39,19 @@ func TestParallelReportsMatchSerial(t *testing.T) {
 	cases := []struct {
 		name  string
 		scale float64
-		fn    func(Options) *Report
 	}{
-		{"F6", 0.2, Figure6BitTorrentInternet},
-		{"F7", 0.02, Figure7SwarmSize},
-		{"F8", 0.02, Figure8ISPA},
-		{"F9", 0.3, Figure9Liveswarms},
-		{"F10", 0.2, Figure10Interdomain},
-		{"A2", 0.2, AblationConcave},
+		{"F6", 0.2},
+		{"F7", 0.02},
+		{"F8", 0.02},
+		{"F9", 0.3},
+		{"F10", 0.2},
+		{"A2", 0.2},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			serial := tc.fn(Options{Scale: tc.scale, Seed: 42, Parallelism: 1})
-			parallel := tc.fn(Options{Scale: tc.scale, Seed: 42, Parallelism: 4})
+			serial := runID(t, tc.name, Options{Scale: tc.scale, Seed: 42, Parallelism: 1})
+			parallel := runID(t, tc.name, Options{Scale: tc.scale, Seed: 42, Parallelism: 4})
 			got, want := renderReport(t, parallel), renderReport(t, serial)
 			if got != want {
 				t.Fatalf("parallel report differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)

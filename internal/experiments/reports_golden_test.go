@@ -23,18 +23,9 @@ func TestReportsGolden(t *testing.T) {
 	if !ok {
 		t.Fatalf("%s: no blank line after the header", path)
 	}
-	// The order of cmd/p4pexp's experiment table.
-	all := []func(Options) *Report{
-		Table1Networks, Figure6BitTorrentInternet, Figure7SwarmSize, Figure8ISPA,
-		Figure9Liveswarms, Figure10Interdomain, Figure11SwarmStats,
-		Table2FieldTestTraffic, Table3FieldTestInternal, Figure12aUnitBDP,
-		Figure12bCompletion, Figure12cFTTP, MetroHopsClaim,
-		SuperGradientConvergence, ChargingPrediction, SwarmTailClaim,
-		AblationBeta, AblationConcave, AblationAggregation, FederationPair,
-	}
 	var b strings.Builder
-	for _, fn := range all {
-		b.WriteString(renderReport(t, fn(Options{Scale: 0.02, Seed: 42})))
+	for _, e := range Experiments {
+		b.WriteString(renderReport(t, e.Run(Options{Scale: 0.02, Seed: 42})))
 		b.WriteByte('\n')
 	}
 	if got := b.String(); got != want {

@@ -36,10 +36,10 @@ type Cell struct {
 	sim   p2psim.Config
 	place placement
 
-	// The P4P arm. A non-empty protect serves Figure 6's protected-link
-	// views; otherwise an iTracker named by tracker runs an engine with
-	// the given config, virtual capacities and a warm-start price of 1
-	// on each virtual-capacity link.
+	// The P4P arm: an iTracker named by tracker over an engine with the
+	// given config, virtual capacities and a warm-start price of 1 on
+	// each virtual-capacity link. A non-empty protect makes it Figure
+	// 6's iTracker, which prices those links alone.
 	p4p        apptracker.P4PConfig
 	measure    float64 // seconds between link-rate feedbacks
 	protect    []topology.LinkID
@@ -101,12 +101,6 @@ func (c Cell) Run() *p2psim.Result {
 		cfg.Selector = delaySelector(cfg.Routing, cfg.Seed+3)
 	case policyP4P:
 		cfg.MeasureInterval = c.measure
-		if len(c.protect) > 0 {
-			pv := &protectedLinkViews{r: cfg.Routing, pids: cfg.Graph.AggregationPIDs(), protected: c.protect}
-			cfg.Selector = &apptracker.P4P{Views: pv, Config: c.p4p}
-			cfg.OnMeasure = func(now float64, rates []float64) { pv.Observe(rates) }
-			break
-		}
 		engine := core.NewEngine(cfg.Graph, cfg.Routing, c.engine)
 		for e, ve := range c.virtualBps {
 			engine.SetVirtualCapacity(e, ve)
@@ -118,7 +112,26 @@ func (c Cell) Run() *p2psim.Result {
 		}
 		tr := itracker.New(c.tracker, engine, nil)
 		cfg.Selector = &apptracker.P4P{Views: tr, Config: c.p4p}
-		cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
+		if len(c.protect) == 0 {
+			cfg.OnMeasure = func(now float64, rates []float64) { tr.ObserveAndUpdate(rates) }
+			break
+		}
+		// Figure 6: "the iTracker initially assigns 0 to p-distances, and
+		// increases the p-distance of the protected link if clients use
+		// this link" — by 1 per measurement that finds traffic on either
+		// direction of the circuit.
+		for _, l := range cfg.Graph.Links() {
+			engine.SetPrice(l.ID, 0)
+		}
+		price := 0.0
+		cfg.OnMeasure = func(now float64, rates []float64) {
+			if slices.ContainsFunc(c.protect, func(e topology.LinkID) bool { return rates[e] > 0 }) {
+				price++
+				for _, e := range c.protect {
+					engine.SetPrice(e, price)
+				}
+			}
+		}
 	default:
 		panic("experiments: unknown policy " + c.policy)
 	}
@@ -202,61 +215,6 @@ func populationCDF(g *topology.Graph, pids []topology.PID) []float64 {
 		cum[i] = total
 	}
 	return cum
-}
-
-// protectedLinkViews is the Figure 6 iTracker: "the iTracker initially
-// assigns 0 to p-distances, and increases the p-distance of the
-// protected link if clients use this link." Distances are zero
-// everywhere except across the protected link.
-type protectedLinkViews struct {
-	mu        sync.Mutex
-	r         *topology.Routing
-	pids      []topology.PID
-	protected []topology.LinkID // typically the duplex pair of the circuit
-	price     float64           // rises by 1 per measurement the circuit carries traffic
-	cached    *core.View
-	version   int
-}
-
-// Observe raises the protected circuit's price when it carries traffic.
-func (p *protectedLinkViews) Observe(linkRateBps []float64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.protected {
-		if linkRateBps[e] > 0 {
-			p.price++
-			p.version++
-			p.cached = nil
-			return
-		}
-	}
-}
-
-// ViewFor implements apptracker.ViewProvider.
-func (p *protectedLinkViews) ViewFor(asn int) apptracker.DistanceView {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cached != nil {
-		return p.cached
-	}
-	v := &core.View{PIDs: append([]topology.PID(nil), p.pids...), Version: p.version}
-	v.D = make([][]float64, len(p.pids))
-	for a, i := range p.pids {
-		v.D[a] = make([]float64, len(p.pids))
-		for b, j := range p.pids {
-			if a == b {
-				continue
-			}
-			for _, e := range p.protected {
-				if p.r.OnPath(e, i, j) {
-					v.D[a][b] = p.price
-					break
-				}
-			}
-		}
-	}
-	p.cached = v
-	return v
 }
 
 // delaySelector builds the delay-localized baseline: ranking peers by

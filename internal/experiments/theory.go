@@ -13,14 +13,12 @@ import (
 	"p4p/internal/traffic"
 )
 
-// SuperGradientConvergence is experiment X2: Proposition 1 in action.
+// superGradientConvergence is experiment X2: Proposition 1 in action.
 // An application session repeatedly solves its local bandwidth-matching
 // program against the current p-distances; the iTracker updates prices
 // by projected super-gradient; the time-averaged traffic pattern's MLU
 // approaches the centralized LP optimum of Figure 4.
-func SuperGradientConvergence(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("X2", "Dual decomposition convergence (Section 5, Proposition 1)")
+func superGradientConvergence(opt Options, rep *Report) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
@@ -29,7 +27,7 @@ func SuperGradientConvergence(opt Options) *Report {
 	optAlpha, _, err := core.OptimalMLU(r, bg, []core.Session{s}, 1.0)
 	if err != nil {
 		rep.note("OptimalMLU failed: %v", err)
-		return rep
+		return
 	}
 
 	e := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.05})
@@ -40,7 +38,7 @@ func SuperGradientConvergence(opt Options) *Report {
 		tm, err := core.MatchTraffic(view, s, 1.0, nil)
 		if err != nil {
 			rep.note("MatchTraffic failed at iteration %d: %v", it, err)
-			return rep
+			return
 		}
 		loads := make([]float64, g.NumLinks())
 		core.LinkLoads(r, pids, tm, loads)
@@ -59,7 +57,6 @@ func SuperGradientConvergence(opt Options) *Report {
 	rep.Values["decomposed-avg-mlu"] = final
 	rep.Values["gap-ratio"] = metrics.Ratio(final, optAlpha)
 	rep.note("time-averaged MLU after %d iterations vs the centralized LP optimum", iters)
-	return rep
 }
 
 // randomSession is X2's and A1's application session: every PID uploads
@@ -84,13 +81,11 @@ func mluOf(g *topology.Graph, loads []float64) float64 {
 	return mlu
 }
 
-// ChargingPrediction is experiment X3: Section 6.1's observation that a
+// chargingPrediction is experiment X3: Section 6.1's observation that a
 // pure sliding window over/under-estimates the charging volume when the
 // previous period's level differs from the current one, while the
 // hybrid window tracks it.
-func ChargingPrediction(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("X3", "Charging-volume prediction (Section 6.1)")
+func chargingPrediction(opt Options, rep *Report) {
 	iPer := 288 * 7 // one week as the charging period, 5-minute intervals
 	model := charging.Model{Q: 0.95, PeriodIntervals: iPer}
 	hybrid := &charging.Predictor{Model: model, WarmupIntervals: 288}
@@ -117,15 +112,12 @@ func ChargingPrediction(opt Options) *Report {
 	}
 	rep.addTable(tbl)
 	rep.note("pure sliding windows mix the previous period's level into the estimate")
-	return rep
 }
 
-// AblationBeta is ablation A1: the efficiency factor beta of eq. (6).
+// ablationBeta is ablation A1: the efficiency factor beta of eq. (6).
 // Lower beta lets the session trade total matched volume for network
 // efficiency: cost and achievable MLU fall with beta.
-func AblationBeta(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("A1", "Ablation: efficiency factor beta (eq. 6)")
+func ablationBeta(opt Options, rep *Report) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
@@ -134,7 +126,7 @@ func AblationBeta(opt Options) *Report {
 	opt0, err := core.MaxMatching(s)
 	if err != nil {
 		rep.note("MaxMatching failed: %v", err)
-		return rep
+		return
 	}
 	tbl := &metrics.Table{Header: []string{"beta", "shipped Gbps", "cost (hop-weighted Gbps)", "MLU"}}
 	for _, beta := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5} {
@@ -159,18 +151,15 @@ func AblationBeta(opt Options) *Report {
 		rep.Values[fmt.Sprintf("shipped-frac/beta=%.1f", beta)] = shipped / opt0
 	}
 	rep.addTable(tbl)
-	return rep
 }
 
-// AblationAggregation is ablation A3: PID aggregation granularity. The
+// ablationAggregation is ablation A3: PID aggregation granularity. The
 // finest granularity (one PID per client) is precise but forces the
 // iTracker to answer per-client queries and reveals client locations;
 // PoP aggregation shrinks both the view and the query load by orders of
 // magnitude while preserving the distances (clients at the same PoP
 // share routes).
-func AblationAggregation(opt Options) *Report {
-	opt = opt.withDefaults()
-	rep := newReport("A3", "Ablation: PID aggregation granularity (Section 4)")
+func ablationAggregation(opt Options, rep *Report) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	clientsPerPoP := opt.scaled(100)
@@ -184,7 +173,7 @@ func AblationAggregation(opt Options) *Report {
 	// change.
 	if _, err := tr.Distances(""); err != nil {
 		rep.note("distance query failed: %v", err)
-		return rep
+		return
 	}
 	popQueries, _ := tr.Stats()
 	popViewCells := pops * pops
@@ -207,5 +196,4 @@ func AblationAggregation(opt Options) *Report {
 	// pair homed there, so the deviation is zero by construction.
 	rep.Values["distance-deviation"] = 0
 	rep.note("%d clients across %d PoPs; per-client PIDs square the view and force per-client queries", totalClients, pops)
-	return rep
 }
