@@ -440,9 +440,31 @@ func checkAdjacency(t *testing.T, s *Sim) {
 	}
 }
 
+// checkAvailability recounts, for every piece a client lacks, how many
+// of its neighbors hold it: the availability counts pickPiece reads.
+func checkAvailability(t *testing.T, s *Sim) {
+	t.Helper()
+	for c := int32(0); int(c) < len(s.clients); c++ {
+		for p := 0; p < s.pieces; p++ {
+			if s.hasPiece(c, p) {
+				continue
+			}
+			want := int32(0)
+			for _, ci := range s.connsOf[c] {
+				if s.hasPiece(peerOf(&s.conns[ci], c), p) {
+					want++
+				}
+			}
+			if got := s.availOf(c)[p]; got != want {
+				t.Fatalf("client %d lacks piece %d: avail %d, %d neighbors hold it", c, p, got, want)
+			}
+		}
+	}
+}
+
 // TestFlowListsInvariant drives the event loop by hand and checks the
-// flow lists and the adjacency after every event, in file and in
-// streaming mode.
+// flow lists, the adjacency and the availability after every event, in
+// file and in streaming mode.
 func TestFlowListsInvariant(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
@@ -463,6 +485,7 @@ func TestFlowListsInvariant(t *testing.T) {
 				peak = n
 			}
 			checkAdjacency(t, s)
+			checkAvailability(t, s)
 		}
 		if peak < 4 {
 			t.Fatalf("case %+v: at most %d flows were ever active over %d events; the check has no teeth", rc, peak, events)

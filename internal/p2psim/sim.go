@@ -18,10 +18,11 @@
 // The engine is sized for 10^5-10^6-peer swarms (ROADMAP item 4, the
 // paper's 10M-user Pando field test): hot per-client and per-flow state
 // lives in struct-of-arrays index-addressed slices (piece bitfields as
-// flat bitsets, availability as a flat counter array, connections and
-// flows in free-listed arenas addressed by int32 handles), with the
-// pointer-bearing Client struct kept only at the API boundary. Events
-// flow through a calendar queue (see queue.go). See DESIGN.md §13.
+// flat bitsets, availability as a flat counter array exact only for the
+// pieces each client lacks, connections and flows in free-listed arenas
+// addressed by int32 handles), with the pointer-bearing Client struct
+// kept only at the API boundary. Events flow through a calendar queue
+// (see queue.go). See DESIGN.md §13.
 package p2psim
 
 import (
@@ -276,6 +277,7 @@ type Sim struct {
 	avail          []int32   // neighbor availability, pieces per client
 	connsOf        [][]int32 // conn handles, one per neighbor
 	joinedPos      []int32   // position in joinedIDs
+	tieM           []uint64  // tieM[n] = lemireM(n) for every tie count n <= pieces+1
 
 	// Conn and flow arenas with free lists.
 	conns    []connS
@@ -322,6 +324,10 @@ func New(cfg Config) *Sim {
 		panic(fmt.Sprintf("p2psim: BackgroundBps has %d entries, graph %q has %d links",
 			len(cfg.BackgroundBps), cfg.Graph.Name, cfg.Graph.NumLinks()))
 	}
+	if !positiveFinite(cfg.RechokeInterval) || cfg.PieceBytes <= 0 || cfg.FileBytes <= 0 {
+		panic(fmt.Sprintf("p2psim: RechokeInterval %v, PieceBytes %d and FileBytes %d must be positive and finite",
+			cfg.RechokeInterval, cfg.PieceBytes, cfg.FileBytes))
+	}
 	s := &Sim{
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
@@ -335,6 +341,10 @@ func New(cfg Config) *Sim {
 		s.pieces = cfg.Streaming.totalPieces(&cfg)
 	}
 	s.hasW = (s.pieces + 63) / 64
+	s.tieM = make([]uint64, s.pieces+2)
+	for n := 2; n < len(s.tieM); n++ {
+		s.tieM[n] = lemireM(uint32(n))
+	}
 	s.bgBytesPS = make([]float64, cfg.Graph.NumLinks())
 	for i := range s.bgBytesPS {
 		if cfg.BackgroundBps != nil {
@@ -347,8 +357,9 @@ func New(cfg Config) *Sim {
 
 // AddClient registers a client; call before Run.
 func (s *Sim) AddClient(spec ClientSpec) *Client {
-	if spec.UpBps <= 0 || spec.DownBps <= 0 {
-		panic(fmt.Sprintf("p2psim: non-positive access capacity for client %d", len(s.clients)))
+	if !positiveFinite(spec.UpBps) || !positiveFinite(spec.DownBps) || !(spec.JoinAt >= 0) || math.IsInf(spec.JoinAt, 1) {
+		panic(fmt.Sprintf("p2psim: client %d: UpBps %v and DownBps %v must be positive and finite, JoinAt %v non-negative and finite",
+			len(s.clients), spec.UpBps, spec.DownBps, spec.JoinAt))
 	}
 	id := len(s.clients)
 	c := &Client{ID: id, Spec: spec, sim: s}
@@ -399,6 +410,9 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 	return c
 }
 
+// positiveFinite is false for NaN, ±Inf and x <= 0.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // Clients returns the registered clients.
 func (s *Sim) Clients() []*Client { return s.clients }
 
@@ -418,6 +432,8 @@ func (s *Sim) pendWords(c int32) []uint64 {
 	return s.pendBits[int(c)*s.hasW : (int(c)+1)*s.hasW]
 }
 
+// availOf is c's availability row: for each piece c lacks, how many of
+// its neighbors hold it. Held pieces' counts are stale and never read.
 func (s *Sim) availOf(c int32) []int32 {
 	return s.avail[int(c)*s.pieces : (int(c)+1)*s.pieces]
 }
@@ -587,18 +603,18 @@ func (s *Sim) connect(a, b int32) {
 	s.connsOf[b] = append(s.connsOf[b], ci)
 	s.stats.Connects++
 	s.stats.PeakConns = max(s.stats.PeakConns, int64(len(s.conns)-len(s.connFree)))
-	// Availability and interest bookkeeping, word at a time.
+	// Availability (of what each side lacks) and interest, word at a time.
 	ah, bh := s.hasWords(a), s.hasWords(b)
 	availA, availB := s.availOf(a), s.availOf(b)
 	var novel [2]int32
 	for w := range ah {
-		aw, bw := ah[w], bh[w]
-		novel[0] += int32(bits.OnesCount64(aw &^ bw)) // a has, b lacks
-		novel[1] += int32(bits.OnesCount64(bw &^ aw)) // b has, a lacks
-		for m := bw; m != 0; m &= m - 1 {
+		aOnly, bOnly := ah[w]&^bh[w], bh[w]&^ah[w]
+		novel[0] += int32(bits.OnesCount64(aOnly))
+		novel[1] += int32(bits.OnesCount64(bOnly))
+		for m := bOnly; m != 0; m &= m - 1 {
 			availA[w<<6+bits.TrailingZeros64(m)]++
 		}
-		for m := aw; m != 0; m &= m - 1 {
+		for m := aOnly; m != 0; m &= m - 1 {
 			availB[w<<6+bits.TrailingZeros64(m)]++
 		}
 	}
@@ -612,18 +628,18 @@ func (s *Sim) interested(ci, u int32) bool {
 	return !s.done[peerOf(cn, u)] && cn.novel[dirOf(cn, u)] > 0
 }
 
-// gainPiece records that d now has the given piece, updating neighbor
-// availability and the per-conn interest counters.
+// gainPiece records that d now has the given piece, updating the lacking
+// neighbors' availability and the per-conn interest counters.
 func (s *Sim) gainPiece(d int32, piece int) {
 	s.setHas(d, piece)
 	s.numHas[d]++
 	for _, ci := range s.connsOf[d] {
 		cn := &s.conns[ci]
 		p := peerOf(cn, d)
-		s.avail[int(p)*s.pieces+piece]++
 		if s.hasPiece(p, piece) {
 			cn.novel[dirOf(cn, p)]-- // d no longer lacks a piece p has
 		} else {
+			s.avail[int(p)*s.pieces+piece]++
 			cn.novel[dirOf(cn, d)]++ // d gained a piece p still lacks
 		}
 	}
@@ -688,10 +704,10 @@ func (s *Sim) disconnect(ci int32) {
 	ah, bh := s.hasWords(a), s.hasWords(b)
 	availA, availB := s.availOf(a), s.availOf(b)
 	for w := range ah {
-		for m := bh[w]; m != 0; m &= m - 1 {
+		for m := bh[w] &^ ah[w]; m != 0; m &= m - 1 {
 			availA[w<<6+bits.TrailingZeros64(m)]--
 		}
-		for m := ah[w]; m != 0; m &= m - 1 {
+		for m := ah[w] &^ bh[w]; m != 0; m &= m - 1 {
 			availB[w<<6+bits.TrailingZeros64(m)]--
 		}
 	}
@@ -928,13 +944,35 @@ func (s *Sim) pickPiece(u, d int32) int {
 				best, bestAvail, count = p, a, 1
 			case a == bestAvail:
 				count++
-				if s.rng.Intn(count) == 0 {
+				if tieDraw(s.rng, int32(count), s.tieM[count]) {
 					best = p
 				}
 			}
 		}
 	}
 	return best
+}
+
+// lemireM is the multiplier m = ⌊(2⁶⁴−1)/n⌋+1 with which tieDraw takes
+// remainders modulo n > 1 of 32-bit values without dividing (Lemire,
+// Kaser and Kurz, "Faster remainder by direct computation", 2019).
+func lemireM(n uint32) uint64 { return ^uint64(0)/uint64(n) + 1 }
+
+// tieDraw is rng.Intn(n) == 0 for 0 < n < 2³¹, given m = lemireM(n):
+// the same Int31 draws as math/rand's Int31n, whose stream is frozen (a
+// mask for a power of two, otherwise rejection above 2³¹−1 − 2³¹ mod n),
+// but with both remainders taken by multiplication.
+func tieDraw(rng *rand.Rand, n int32, m uint64) bool {
+	if n&(n-1) == 0 {
+		return rng.Int31()&(n-1) == 0
+	}
+	rem, _ := bits.Mul64(m<<31, uint64(n)) // 2³¹ mod n
+	limit := math.MaxInt32 - int32(rem)
+	v := rng.Int31()
+	for v > limit {
+		v = rng.Int31()
+	}
+	return uint64(v)*m < m // n divides v
 }
 
 // progressFlow advances a flow's byte accounting to the current time.

@@ -257,25 +257,102 @@ func TestMaxTimeStops(t *testing.T) {
 	}
 }
 
+// TestConfigValidation pins a panic naming the bad field for a missing
+// part and for each value that would otherwise hang Run (a rechoke
+// period that moves the clock backwards or not at all), crash deep
+// inside it, or poison the metrics.
 func TestConfigValidation(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
-	for _, fn := range []func(){
-		func() { New(Config{Routing: r, Selector: apptracker.Random{}}) },
-		func() { New(Config{Graph: g, Routing: r}) },
-		func() {
-			s := New(Config{Graph: g, Routing: r, Selector: apptracker.Random{}})
-			s.AddClient(ClientSpec{UpBps: 0, DownBps: 1})
-		},
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field  string
+		cfg    func(*Config)
+		client func(*ClientSpec)
+	}{
+		{"Graph", func(c *Config) { c.Graph = nil }, nil},
+		{"Selector", func(c *Config) { c.Selector = nil }, nil},
+		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = 0 }},
+		{"RechokeInterval", func(c *Config) { c.RechokeInterval = -1 }, nil},
+		{"RechokeInterval", func(c *Config) { c.RechokeInterval = nan }, nil},
+		{"RechokeInterval", func(c *Config) { c.RechokeInterval = inf }, nil},
+		{"PieceBytes", func(c *Config) { c.PieceBytes = -1 }, nil},
+		{"FileBytes", func(c *Config) { c.FileBytes = -5 }, nil},
+		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = nan }},
+		{"DownBps", nil, func(c *ClientSpec) { c.DownBps = inf }},
+		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = nan }},
+		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = -1 }},
+		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = inf }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			cfg := Config{Graph: g, Routing: r, Selector: apptracker.Random{}, Seed: 1, MaxTime: 1000}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			s := New(cfg)
+			s.AddClient(ClientSpec{PID: g.AggregationPIDs()[0], ASN: 11537, UpBps: 10e6, DownBps: 10e6, IsSeed: true})
+			spec := ClientSpec{PID: g.AggregationPIDs()[1], ASN: 11537, UpBps: 5e6, DownBps: 20e6}
+			if tc.client != nil {
+				tc.client(&spec)
+			}
+			s.AddClient(spec)
+			return ""
 		}()
+		if !strings.Contains(msg, tc.field) {
+			t.Errorf("%s: panic %q does not name the field", tc.field, msg)
+		}
+	}
+}
+
+// TestTieDrawMatchesIntn holds tieDraw to rng.Intn(n) == 0 on twin
+// RNGs: the same answers and the same number of draws, so the next
+// Int63 agrees. The n cover every tie count a 1 GB file of 256 KiB
+// pieces reaches, the powers of two and their neighbours up to 2³¹−1,
+// and n near 2³⁰+1, where about half the draws are rejected.
+func TestTieDrawMatchesIntn(t *testing.T) {
+	var ns []int32
+	for n := int32(1); n <= 4096; n++ {
+		ns = append(ns, n)
+	}
+	for k := 12; k <= 31; k++ {
+		ns = append(ns, int32(1<<k-1))
+		if k < 31 {
+			ns = append(ns, 1<<k, 1<<k+1)
+		}
+	}
+	for d := int32(-2); d <= 3; d++ {
+		ns = append(ns, 1<<30+d)
+	}
+	for i, n := range ns {
+		checkTieDraw(t, int64(i), n, 64)
+	}
+}
+
+// FuzzTieDrawMatchesIntn is TestTieDrawMatchesIntn over fuzzed seeds and n.
+func FuzzTieDrawMatchesIntn(f *testing.F) {
+	for _, n := range []int32{1, 3, 7, 48, 1024, 1<<30 + 1, math.MaxInt32} {
+		f.Add(int64(n), n)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n int32) {
+		if n <= 0 {
+			t.Skip()
+		}
+		checkTieDraw(t, seed, n, 256)
+	})
+}
+
+func checkTieDraw(t *testing.T, seed int64, n int32, draws int) {
+	t.Helper()
+	ref, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	m := lemireM(uint32(n))
+	for i := 0; i < draws; i++ {
+		if want, have := ref.Intn(int(n)) == 0, tieDraw(got, n, m); want != have {
+			t.Fatalf("seed %d n %d draw %d: tieDraw %v, Intn(n) == 0 %v", seed, n, i, have, want)
+		}
+	}
+	if want, have := ref.Int63(), got.Int63(); want != have {
+		t.Fatalf("seed %d n %d: streams diverged after %d draws (next Int63 %d, want %d)", seed, n, draws, have, want)
 	}
 }
 
@@ -426,21 +503,6 @@ func TestReselectionReplacesConnections(t *testing.T) {
 	res := s.Run()
 	if got := len(res.CompletionTimes()); got != 10 {
 		t.Fatalf("%d of 10 clients completed under reselection churn", got)
-	}
-	// Availability bookkeeping survived connect/disconnect cycles.
-	for _, c := range s.Clients() {
-		id := int32(c.ID)
-		for p := 0; p < s.pieces; p++ {
-			want := int32(0)
-			for _, ci := range s.connsOf[id] {
-				if s.hasPiece(peerOf(&s.conns[ci], id), p) {
-					want++
-				}
-			}
-			if got := s.availOf(id)[p]; got != want {
-				t.Fatalf("client %d avail[%d] = %d, want %d", c.ID, p, got, want)
-			}
-		}
 	}
 }
 
