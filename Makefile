@@ -50,10 +50,11 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Portal request, view-recompute and view-codec (JSON vs binary)
-# benchmarks, the engine's Update and Matrix kernels and the /select
-# request decode, emitted as
+# benchmarks, a portal.Client poll (200 and 304), the engine's Update
+# and Matrix kernels and the /select request decode, emitted as
 # JSON at BENCH_portal.json for cross-commit comparison;
-# scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op.
+# scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op
+# and the BenchmarkClientDistances* rows at +10% B/op.
 bench-json:
 	sh scripts/bench_json.sh portal
 

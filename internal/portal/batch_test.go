@@ -121,6 +121,45 @@ func TestBatchEndpointBadRequests(t *testing.T) {
 	}
 }
 
+// TestBatchBodyCap: a POST body of maxBatchBody bytes is read whole; one
+// byte more is refused with 413 rather than cut to a prefix that may
+// still decode.
+func TestBatchBodyCap(t *testing.T) {
+	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
+	const pair = `{"src":0,"dst":1}`
+	// padded is one valid pair followed by whitespace; list is a pairs
+	// list running to the end of the body.
+	padded := func(size int) string {
+		body := `{"pairs":[` + pair + `]}`
+		return body + strings.Repeat(" ", size-len(body))
+	}
+	list := func(size int) string {
+		head, tail := `{"pairs":[`+pair, `]}`
+		n := (size - len(head) - len(tail)) / (len(pair) + 1)
+		body := head + strings.Repeat(","+pair, n)
+		return body + strings.Repeat(" ", size-len(body)-len(tail)) + tail
+	}
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"padded at the cap", padded(maxBatchBody), http.StatusOK},
+		{"padded over the cap", padded(maxBatchBody + 1), http.StatusRequestEntityTooLarge},
+		{"pairs list over the cap", list(maxBatchBody + 1), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(srv.URL+"/p4p/v1/distances/batch", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorWire
+		decodeBody(resp, &e)
+		if resp.StatusCode != tc.want || (tc.want != http.StatusOK && e.Error == "") {
+			t.Errorf("%s: status %d, error %q; want %d", tc.name, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+}
+
 func TestBatchPairLimit(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	pairs := make([]PIDPair, maxBatchPairs+1)

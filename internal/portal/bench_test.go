@@ -1,6 +1,7 @@
 package portal
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -137,6 +138,31 @@ func BenchmarkPortalBatch(b *testing.B) {
 		if w.status != http.StatusOK {
 			b.Fatalf("status %d", w.status)
 		}
+	}
+}
+
+// BenchmarkClientDistances measures one portal.Client poll of the raw
+// view over loopback, both ends included: a 200 that carries and
+// decodes a fresh ISP-B view in binary, and a 304 that revalidates the
+// cached one (viewPollServer; TestClientViewPollAllocs pins the bytes).
+func BenchmarkClientDistances(b *testing.B) {
+	for _, tc := range []struct {
+		name      string
+		alternate bool
+	}{{"200", true}, {"304", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := NewClient(viewPollServer(b, tc.alternate).URL, "")
+			if _, err := c.DistancesContext(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.DistancesContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

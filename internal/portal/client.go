@@ -270,9 +270,11 @@ func retryable(status int, err error) bool {
 
 // do performs one request with retries, hdr added to the client's own
 // headers. It returns the final status, body and response header; err is
-// non-nil only when no attempt produced an HTTP response. Every endpoint
-// is read-only (the batch POST carries a query), so re-issuing is safe.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, hdr http.Header) (status int, body []byte, resp http.Header, err error) {
+// non-nil only when no attempt produced an HTTP response. The body is
+// pooled: the caller decodes or copies what it needs, then hands it to
+// freeBody. Every endpoint is read-only (the batch POST carries a
+// query), so re-issuing is safe.
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, hdr http.Header) (status int, body *bytes.Buffer, resp http.Header, err error) {
 	u := c.BaseURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -303,7 +305,8 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		if lastErr == nil {
 			// Retryable HTTP status: keep the envelope in case this is
 			// the last attempt.
-			lastErr = httpErrFromBody(path, status, body)
+			lastErr = httpErrFromBody(path, status, body.Bytes())
+			freeBody(body)
 		}
 		if attempt >= pol.MaxAttempts || ctx.Err() != nil {
 			c.Metrics.failure()
@@ -338,12 +341,25 @@ const (
 	maxPresize      = 1 << 20
 )
 
+// bodyPool recycles response buffers, so a poll's only large allocation
+// is the view it decodes. Nothing a Client returns aliases one.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// freeBody returns a body's buffer to bodyPool; one grown past
+// maxPresize is dropped, so a single large response pins no memory.
+func freeBody(b *bytes.Buffer) {
+	if b.Cap() <= maxPresize {
+		b.Reset()
+		bodyPool.Put(b)
+	}
+}
+
 // attempt issues one request under a per-attempt deadline. A non-nil
 // payload is re-read from scratch on every attempt. Each attempt gets
 // its own child span, and the traceparent injected on the wire names
 // that attempt — so the portal's server span parents to the specific
 // try that reached it, and a retried request is visibly two hops.
-func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string, payload []byte, hdr http.Header, perAttempt time.Duration, reqID string, attempt int) (int, []byte, http.Header, error) {
+func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string, payload []byte, hdr http.Header, perAttempt time.Duration, reqID string, attempt int) (int, *bytes.Buffer, http.Header, error) {
 	actx, cancel := context.WithTimeout(ctx, perAttempt)
 	defer cancel()
 	actx, span := trace.StartSpan(actx, "attempt")
@@ -378,24 +394,28 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string,
 	defer resp.Body.Close()
 	// A declared length sizes the buffer once (plus the spare ReadFrom
 	// wants before it sees EOF); io.ReadAll would regrow it eight times
-	// on the way to a 52 KB view.
-	var buf bytes.Buffer
+	// on the way to a 52 KB view. One byte past the cap tells a body
+	// over it from one that fits.
+	buf := bodyPool.Get().(*bytes.Buffer)
 	if n := resp.ContentLength; n > 0 {
 		buf.Grow(int(min(n, maxPresize)) + bytes.MinRead)
 	}
-	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody))
-	body := buf.Bytes()
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody+1))
+	if err == nil && buf.Len() > maxResponseBody {
+		err = fmt.Errorf("over the %d MiB response limit", maxResponseBody>>20)
+	}
 	if err != nil {
+		freeBody(buf) // an over-cap buffer is past maxPresize: dropped
 		err = fmt.Errorf("read body: %w", err)
 		span.RecordError(err)
 		return 0, nil, nil, err
 	}
 	span.SetAttrInt("http.status", resp.StatusCode)
-	span.SetAttrInt("http.response_bytes", len(body))
-	if len(body) > 0 {
+	span.SetAttrInt("http.response_bytes", buf.Len())
+	if buf.Len() > 0 {
 		span.SetAttr("encoding", encodingOf(resp.Header))
 	}
-	return resp.StatusCode, body, resp.Header, nil
+	return resp.StatusCode, buf, resp.Header, nil
 }
 
 // encodingOf names a response body's encoding: "binary" for
@@ -423,10 +443,11 @@ func (c *Client) doJSON(ctx context.Context, method, path string, query url.Valu
 	if err != nil {
 		return err
 	}
+	defer freeBody(body)
 	if status != http.StatusOK {
-		return httpErrFromBody(path, status, body)
+		return httpErrFromBody(path, status, body.Bytes())
 	}
-	if err := json.Unmarshal(body, out); err != nil {
+	if err := json.Unmarshal(body.Bytes(), out); err != nil {
 		return fmt.Errorf("portal: decode %s: %w", path, err)
 	}
 	return nil
@@ -453,6 +474,7 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 	if err != nil {
 		return nil, err
 	}
+	defer freeBody(body)
 	switch status {
 	case http.StatusNotModified:
 		if cached == nil {
@@ -461,7 +483,7 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 		c.Metrics.etagHit()
 		return cached.view, nil
 	case http.StatusOK:
-		v, err := decodeView(body, encodingOf(resp))
+		v, err := decodeView(body.Bytes(), encodingOf(resp))
 		if err != nil {
 			return nil, fmt.Errorf("portal: decode %s: %w", path, err)
 		}
@@ -476,7 +498,7 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 		}
 		return v, nil
 	default:
-		return nil, httpErrFromBody(path, status, body)
+		return nil, httpErrFromBody(path, status, body.Bytes())
 	}
 }
 

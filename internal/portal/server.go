@@ -443,15 +443,21 @@ func ParsePairs(s string) ([]PIDPair, error) {
 }
 
 // readBatchPairs parses either wire form of a batch request and applies
-// the limits; on error it writes the 400 and reports !ok.
+// the limits; on error it writes the 400 (413 for a body over
+// maxBatchBody) and reports !ok.
 //
 //p4p:coldpath request parsing allocates by nature; the batch hot loop is the lookup in handleBatch
 func (h *Handler) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]PIDPair, bool) {
 	var pairs []PIDPair
 	if r.Method == http.MethodPost {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBody))
 		if err != nil {
-			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "read request body: " + err.Error()})
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			WriteJSON(h.Telemetry.Logger, w, r, status, errorWire{Error: "read request body: " + err.Error()})
 			return nil, false
 		}
 		var req BatchRequestWire

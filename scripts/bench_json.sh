@@ -7,7 +7,8 @@
 #
 #   portal (default)  portal request path (JSON and binary), 304
 #                     revalidation, view recompute, the view codec at
-#                     ISP-B size in both encodings, and the engine's
+#                     ISP-B size in both encodings, one portal.Client
+#                     poll over loopback (200 and 304), the engine's
 #                     two kernels (core.Engine Update and Matrix, ISP-B
 #                     and Abilene), and the decode of one select-fed
 #                     /select body, by Node's UnmarshalJSON and by the
@@ -31,7 +32,7 @@ case "$MODE" in
 portal)
 	OUT=BENCH_portal.json
 	RAW=$(
-		go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec' \
+		go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec|BenchmarkClientDistances' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/
 		go test -run '^$' -bench 'BenchmarkEngine' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/
