@@ -15,13 +15,15 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (lockheld, ctxflow, floatsentinel,
-# sleeptest, spanend, allochot, goroleak).
+# sleeptest, spanend, goroleak).
 # Part of the verify gate; also runnable standalone. -timing reports
 # the load/analyze split so CI regressions in wall time are visible.
 p4pvet:
 	$(GO) run ./cmd/p4pvet -timing ./...
 
-# Tier-1 verification gate (see ROADMAP.md).
+# Tier-1 verification gate (see ROADMAP.md): gofmt, vet, build, race
+# tests, the allocation pins (-run Alloc) without -race, the bench/
+# module's vet and race tests, then p4pvet.
 verify:
 	sh scripts/verify.sh
 

@@ -20,7 +20,7 @@
 // suppression. -timing reports the load/analyze/total wall-time split
 // on stderr so CI can track analyzer cost.
 //
-// Analyzers that need the whole module at once (allochot, lockheld's
+// Analyzers that need the whole module at once (lockheld's
 // interprocedural pass) run after the per-package pass over the same
 // loaded units; their findings merge into the same output.
 package main

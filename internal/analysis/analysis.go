@@ -12,9 +12,6 @@
 //     flaky-under-race test class).
 //   - spanend: every *Span assigned from a Start* call is ended on
 //     all paths (a leaked span silently drops its trace subtree).
-//   - allochot: functions annotated //p4p:hotpath — and everything
-//     statically reachable from them in the module call graph, minus
-//     //p4p:coldpath cuts — must be allocation-free.
 //   - goroleak: every go statement carries a termination witness
 //     (context plumbed in, WaitGroup.Done, or a channel signal).
 //
@@ -69,7 +66,7 @@ type Analyzer struct {
 
 // Analyzers returns every registered analyzer, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockHeld, CtxFlow, FloatSentinel, SleepTest, SpanEnd, AllocHot, GoroLeak}
+	return []*Analyzer{LockHeld, CtxFlow, FloatSentinel, SleepTest, SpanEnd, GoroLeak}
 }
 
 // suppressRule names the pseudo-rule under which malformed

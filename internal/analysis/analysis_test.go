@@ -69,7 +69,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "floatsentinel"},
 		{name: "sleeptest"},
 		{name: "spanend"},
-		{name: "allochot"},
 		{name: "goroleak"},
 		{name: "suppress", extra: []string{
 			"suppress.go:21 suppress",

@@ -15,11 +15,11 @@ import (
 func FuzzIgnoreDirective(f *testing.F) {
 	seeds := []string{
 		"//p4pvet:ignore lockheld held across a copy on purpose",
-		"// p4pvet:ignore allochot error formatting off the hot path",
+		"// p4pvet:ignore floatsentinel sentinel compared on purpose",
 		"//p4pvet:ignore goroleak",
 		"//p4pvet:ignore",
 		"//p4pvet:ignore nosuchrule some reason",
-		"//p4pvet:ignoreallochot reason glued to the marker",
+		"//p4pvet:ignorectxflow reason glued to the marker",
 		"// just a comment",
 		"//p4pvet:ignore spanend\ttab separated reason",
 		"/* p4pvet:ignore sleeptest block comment */",

@@ -6,17 +6,6 @@ import (
 	"strings"
 )
 
-// Annotation markers recognized in function doc comments. hotMarker
-// declares an allocation-free root for allochot: the function and
-// everything statically reachable from it must not allocate. coldMarker
-// cuts the traversal: a call to a cold function is exempt — including
-// the allocations its arguments perform — because the callee is a
-// deliberate slow path (cache miss, error path, once-per-version work).
-const (
-	hotMarker  = "p4p:hotpath"
-	coldMarker = "p4p:coldpath"
-)
-
 // CallKind distinguishes how a call site transfers control.
 type CallKind int
 
@@ -51,8 +40,6 @@ type FuncInfo struct {
 	Key  string
 	Pkg  *Pkg
 	Decl *ast.FuncDecl
-	Hot  bool // //p4p:hotpath in the doc comment
-	Cold bool // //p4p:coldpath in the doc comment
 	// Calls lists this function's resolved module-local call sites in
 	// source order.
 	Calls []*CallSite
@@ -100,8 +87,6 @@ func NewModule(pkgs []*Pkg) *Module {
 					Key:  obj.FullName(),
 					Pkg:  p,
 					Decl: fd,
-					Hot:  hasMarker(fd.Doc, hotMarker),
-					Cold: hasMarker(fd.Doc, coldMarker),
 				}
 				// A unit and its compiled sibling can both declare a key
 				// (in-package tests re-check the package); first wins, and
@@ -174,8 +159,8 @@ func (m *Module) addCall(fi *FuncInfo, call *ast.CallExpr, kind CallKind, inLit 
 	}
 	if sel, ok := m.selectionFor(fi.Pkg, call); ok && sel.Kind() == types.MethodVal {
 		if types.IsInterface(sel.Recv().Underlying()) {
-			// Interface dispatch: no static edge. allochot flags these
-			// at the call site in hot code instead of guessing targets.
+			// Interface dispatch: no static edge rather than a guess
+			// at the targets.
 			return
 		}
 	}
@@ -195,21 +180,6 @@ func (m *Module) selectionFor(p *Pkg, call *ast.CallExpr) (*types.Selection, boo
 	}
 	s, ok := p.Info.Selections[sel]
 	return s, ok
-}
-
-// hasMarker reports whether a doc comment contains the given
-// annotation on a line of its own (modulo spaces).
-func hasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == marker || strings.HasPrefix(text, marker+" ") {
-			return true
-		}
-	}
-	return false
 }
 
 // shortFuncKey strips the module path from a FullName-style key for

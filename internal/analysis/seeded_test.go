@@ -40,74 +40,6 @@ func findRule(fs []Finding, rule string) []Finding {
 	return out
 }
 
-// TestSeededAllocInHotPath injects an allocating construct into an
-// otherwise-clean //p4p:hotpath function and requires allochot to
-// fire; the clean baseline next to it must stay silent. This is the
-// canary for the hot-reachability machinery: if annotation parsing,
-// the call graph, or the scanner regress, the injected map literal
-// goes unreported.
-func TestSeededAllocInHotPath(t *testing.T) {
-	const src = `package seeded
-
-//p4p:hotpath seeded
-func serve(n int) int {
-	scratch := map[int]int{}
-	scratch[n] = n
-	return tally(scratch[n])
-}
-
-func tally(n int) int {
-	var total int
-	for i := 0; i < n; i++ {
-		total += i
-	}
-	return total
-}
-`
-	findings := findRule(loadSeeded(t, "allocseed", src), "allochot")
-	if len(findings) != 1 {
-		t.Fatalf("allochot findings = %v, want exactly the injected map literal", findings)
-	}
-	f := findings[0]
-	if f.Pos.Line != 5 {
-		t.Errorf("finding at line %d, want 5 (the map literal)", f.Pos.Line)
-	}
-	if !strings.Contains(f.Msg, "map literal allocates") {
-		t.Errorf("finding message %q does not name the map literal", f.Msg)
-	}
-	if !strings.Contains(f.Msg, "marked //p4p:hotpath") {
-		t.Errorf("finding message %q does not explain why the function is hot", f.Msg)
-	}
-}
-
-// TestSeededAllocViaCallChain moves the injected allocation one call
-// away from the annotated root and requires the finding to carry the
-// discovery chain.
-func TestSeededAllocViaCallChain(t *testing.T) {
-	const src = `package seeded
-
-//p4p:hotpath seeded
-func serve(n int) []int {
-	return grow(n)
-}
-
-func grow(n int) []int {
-	var out []int
-	for i := 0; i < n; i++ {
-		out = append(out, i)
-	}
-	return out
-}
-`
-	findings := findRule(loadSeeded(t, "chainseed", src), "allochot")
-	if len(findings) != 1 {
-		t.Fatalf("allochot findings = %v, want exactly the unsized append", findings)
-	}
-	if want := "hot via chainseed.serve -> chainseed.grow"; !strings.Contains(findings[0].Msg, want) {
-		t.Errorf("finding message %q does not carry the chain %q", findings[0].Msg, want)
-	}
-}
-
 // TestSeededTransitiveLockHeld injects a lock held across a helper
 // that reaches I/O two calls down and requires the interprocedural
 // lockheld pass to report the full chain to the blocking call.
@@ -239,14 +171,6 @@ func traced(fail bool) bool {
 	return true
 }
 `, fix: [2]string{"sp := StartSpan() // defect\n", "sp := StartSpan()\n\tdefer sp.End()\n"}},
-		{rule: "allochot", name: "hotseed", src: `package seeded
-
-//p4p:hotpath seeded
-func serve(n int) int {
-	seen := map[int]bool{n: true} // defect
-	return len(seen)
-}
-`, fix: [2]string{"seen := map[int]bool{n: true}", "seen := [1]int{n}"}},
 		{rule: "goroleak", name: "goroseed", src: `package seeded
 
 import "sync"

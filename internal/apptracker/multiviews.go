@@ -108,8 +108,6 @@ func (m *MultiPortalViews) Invalidate() { m.union.Invalidate() }
 // ViewFor implements ViewProvider over the union view; with no view at
 // all (cold start, every portal down, or portals that will not merge)
 // it returns nil so the selector degrades to native peering.
-//
-//p4p:hotpath the held-view path is the merged cell's atomic load and clock read
 func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 	if u := m.union.Get(viewCtx, m.tm).Value; u != nil {
 		return u.View

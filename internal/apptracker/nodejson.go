@@ -26,21 +26,11 @@ const maxCanonicalDigits = 18
 // results are the stdlib's and so is every error's kind. Unlike the
 // struct decode, which records a type error and goes on, a type error
 // here ends the enclosing decode at its element.
-//
-//p4p:hotpath one call per /select candidate; the canonical element decodes without allocating
 func (n *Node) UnmarshalJSON(b []byte) error {
 	if v, ok := decodeCanonical(b, *n); ok {
 		*n = v
 		return nil
 	}
-	return n.unmarshalPlain(b)
-}
-
-// unmarshalPlain is the fallback: encoding/json's reflective struct
-// decode of b into n's fields.
-//
-//p4p:coldpath non-canonical and malformed elements only; reflection and a decodeState are its cost
-func (n *Node) unmarshalPlain(b []byte) error {
 	return json.Unmarshal(b, (*plain)(n))
 }
 

@@ -143,9 +143,9 @@ func FuzzNodeJSONMatchesStdlib(f *testing.F) {
 	f.Fuzz(checkNodeJSON)
 }
 
-// TestNodeCanonicalDecodeAllocs pins what allochot checks statically: a
-// canonical element decodes without allocating, so the fallback was not
-// taken.
+// TestNodeCanonicalDecodeAllocs pins the decoder's allocation contract:
+// a canonical element decodes without allocating, so the fallback was
+// not taken.
 func TestNodeCanonicalDecodeAllocs(t *testing.T) {
 	elem := []byte(`{"ID":123,"PID":4,"ASN":11537}`)
 	var n Node

@@ -285,21 +285,14 @@ func resized[T any](buf []T, n int) []T {
 	return make([]T, n, n+n/2)
 }
 
-// view asks the provider for the view of the client's AS.
-//
-//p4p:coldpath the provider's cost (a cache hit, a portal refresh, an engine recompute), not the selector's
-func (p *P4P) view(asn int) DistanceView { return p.Views.ViewFor(asn) }
-
 // Select implements Selector. A candidate whose PID the view does not
 // list is treated as unreachable (p-distance +Inf, the floor weight);
 // when the view is missing, or does not list the client's own PID,
 // applications make default decisions (the paper's robustness answer)
 // and the selection is Random's.
-//
-//p4p:hotpath runs once per peer per re-query interval; the returned slice is its one allocation
 func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int {
 	cfg := p.Config.withDefaults()
-	view := p.view(self.ASN)
+	view := p.Views.ViewFor(self.ASN)
 	if view == nil {
 		return Random{}.Select(self, candidates, m, rng)
 	}

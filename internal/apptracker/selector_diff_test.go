@@ -399,8 +399,8 @@ func swarmSelectInput(n int, seed int64) (*core.View, Node, []Node) {
 	return view, place(0), cands
 }
 
-// TestSelectOneAllocation pins the contract allochot checks statically:
-// in steady state a Select allocates its result and nothing else.
+// TestSelectOneAllocation pins the selector's allocation contract: in
+// steady state a Select allocates its result and nothing else.
 func TestSelectOneAllocation(t *testing.T) {
 	view, self, cands := abileneSelectInput(1000)
 	sel := &P4P{Views: testViews{view}}

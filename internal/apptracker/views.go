@@ -180,8 +180,6 @@ var viewCtx = context.Background()
 // no context to wait with, so a cold start with another caller's first
 // fetch in flight answers nil (the selector degrades to native peering)
 // instead of blocking.
-//
-//p4p:hotpath the held-view path is the cell's atomic load and clock read
 func (p *PortalViews) ViewFor(asn int) DistanceView {
 	r := p.cell.Get(viewCtx, p.timing())
 	if r.Counted != (ViewStats{}) {
@@ -202,8 +200,6 @@ func (p *PortalViews) fetch(ctx context.Context) (*core.View, error) {
 // fetchView is one portal round-trip for a view cell, traced as its own
 // root span and logged when it fails; held says whether a
 // last-known-good view would back a failure.
-//
-//p4p:coldpath network fetch, tracing and logging
 func fetchView(ctx context.Context, tr *trace.Tracer, l *slog.Logger, c ViewFetcher, held bool) (*core.View, error) {
 	ctx, span := tr.StartRoot(ctx, "view_refresh")
 	defer span.End()
@@ -237,8 +233,6 @@ var errNoBatchSource = errors.New("apptracker: no cached view covers the pairs a
 // endpoint (many pairs per request, no square matrix on the wire) when
 // no held view covers the requested PIDs. Unreachable pairs come back
 // as +Inf, mirroring core.View.
-//
-//p4p:hotpath held-view branch backs the portal batch endpoint's serving path
 func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair) ([]float64, error) {
 	if len(pairs) == 0 {
 		return nil, nil
@@ -256,7 +250,6 @@ func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair
 		return nil, errNoBatchSource
 	}
 	span.SetAttr("source", "batch_endpoint")
-	//p4pvet:ignore allochot portal fallback is a network round-trip; its allocations are noise next to the HTTP request
 	res, err := bf.BatchDistancesContext(ctx, pairs)
 	if err != nil {
 		span.RecordError(err)

@@ -141,6 +141,23 @@ func TestPortalViewsNilBeforeFirstFetch(t *testing.T) {
 	}
 }
 
+// TestPortalViewForHeldAllocs pins what a selection pays for its view
+// inside the TTL: the cell's atomic load and a clock read, no
+// allocation.
+func TestPortalViewForHeldAllocs(t *testing.T) {
+	want := testView(1)
+	p := NewPortalViews(&scriptedFetcher{fn: func(int64) (*core.View, error) { return want, nil }}, time.Minute)
+	p.ViewFor(0) // prime the cell
+	allocs := testing.AllocsPerRun(500, func() {
+		if p.ViewFor(0) != DistanceView(want) {
+			t.Fatal("held view not served")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("held-view ViewFor: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestPortalViewsFailureBackoff(t *testing.T) {
 	f := &scriptedFetcher{fn: func(int64) (*core.View, error) {
 		return nil, errors.New("injected: portal down")

@@ -268,8 +268,6 @@ func (e *Engine) mluLocked() float64 {
 // observation, following Proposition 1 and its extensions, and returns
 // the step's norm ‖p(τ+1) − p(τ)‖₂ and the maximum link utilization of
 // that observation.
-//
-//p4p:hotpath the provider-side cost of every price update; steady state allocates nothing
 func (e *Engine) Update() (stepNorm, mlu float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

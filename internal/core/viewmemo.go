@@ -65,8 +65,6 @@ func (v *View) Columns() *PIDIndex {
 
 // buildIndex runs once per view. A PID listed twice keeps its first
 // column, as the linear scan it replaces did.
-//
-//p4p:coldpath once per published view
 func (v *View) buildIndex() {
 	x := &v.memo.idx
 	n := len(v.PIDs)
@@ -126,8 +124,6 @@ func (m *viewMemo) weights(v *View, a int, gamma float64) []float64 {
 // addRow computes and stores the weight row for k; m.mu is held. The
 // operations and their order are those of the map-returning Weights this
 // replaces, so every stored value is bit-identical to what it returned.
-//
-//p4p:coldpath once per (view, source PID, gamma)
 func (m *viewMemo) addRow(v *View, k weightKey) []float64 {
 	// The "large value" substituted for 1/0. Anything much larger than
 	// the other weights works; it is normalized away below.

@@ -248,8 +248,6 @@ var errNoShardViews = fmt.Errorf("%w: no merged federation view yet", portal.Err
 
 // current returns the merged state to serve: the union's, behind the
 // router's own auth.
-//
-//p4p:hotpath
 func (s source) current(ctx context.Context, token string) (*Merged[forms], error) {
 	rt := s.rt
 	if !rt.admits(token) {
@@ -273,8 +271,6 @@ func (s source) current(ctx context.Context, token string) (*Merged[forms], erro
 }
 
 // Entry implements portal.ViewSource.
-//
-//p4p:hotpath
 func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, error) {
 	ent, err := s.current(ctx, token)
 	if err != nil {
@@ -284,8 +280,6 @@ func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, e
 }
 
 // View implements portal.ViewSource.
-//
-//p4p:hotpath
 func (s source) View(ctx context.Context, token string) (*core.View, error) {
 	ent, err := s.current(ctx, token)
 	if err != nil {
@@ -335,8 +329,6 @@ func (rt *Router) observe(counted []refresh.Stats, merged *Merged[forms], mergeE
 
 // fetchShard is the union's member fetch: one backend round-trip plus
 // the PID range gate.
-//
-//p4p:coldpath
 func (rt *Router) fetchShard(ctx context.Context, i int) (MemberView, error) {
 	sc, c := rt.cfg.Shards[i], rt.clients[i]
 	v, err := c.DistancesContext(ctx)
@@ -372,8 +364,6 @@ func (sc ShardConfig) checkRange(v *core.View) error {
 // render is the union's render: it encodes every wire form of a newly
 // merged view and composes the federation ETags from the input
 // fingerprint.
-//
-//p4p:coldpath runs once per input change; the fmt work is the point of pre-rendering
 func (rt *Router) render(v *core.View, key string) (forms, error) {
 	h := fnv.New64a()
 	h.Write([]byte(key))

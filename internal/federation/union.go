@@ -87,8 +87,6 @@ func NewUnion[R any](names []string, circuits []Circuit, timing func() refresh.T
 // its TTL (one atomic load and a clock read), else whatever a refresh
 // pass produces, or the previous one while another caller's pass runs.
 // Read.Value is nil until a first pass has merged something.
-//
-//p4p:hotpath
 func (u *Union[R]) Get(ctx context.Context, tm refresh.Timing) refresh.Read[*Merged[R]] {
 	return u.merged.Get(ctx, tm)
 }
@@ -122,8 +120,6 @@ func (u *Union[R]) Invalidate() {
 // concurrently through the member's own cell, then publishes the merge
 // of whatever views exist. Members in failure backoff, and members that
 // fail now, contribute their last-known-good view.
-//
-//p4p:coldpath
 func (u *Union[R]) refresh(ctx context.Context) (ent *Merged[R], err error) {
 	ctx, span := trace.StartSpan(ctx, "federation_refresh")
 	defer span.End()

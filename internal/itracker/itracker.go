@@ -253,8 +253,6 @@ func (t *Server) ViewFor(int) *core.View {
 // propagation: a sampled request records whether it paid for the
 // recompute itself, waited on another goroutine's singleflight, or hit
 // the cache (no span at all). The cache-hit path touches no trace code.
-//
-//p4p:hotpath cache-hit serving path; the recompute slow path is cut at materialize
 func (t *Server) DistancesCtx(ctx context.Context, token string) (*core.View, error) {
 	if !t.authorized(token) {
 		return nil, ErrAccessDenied
@@ -293,8 +291,6 @@ func (t *Server) DistancesCtx(ctx context.Context, token string) (*core.View, er
 // leave t.inflight set and done unclosed, wedging every concurrent and
 // future caller forever. The panic itself still propagates to the
 // materializing caller; released waiters simply retry.
-//
-//p4p:coldpath engine.Matrix recompute, once per version bump; not on the cached serving path
 func (t *Server) materialize(ctx context.Context, done chan struct{}) (view *core.View) {
 	_, span := trace.StartSpan(ctx, "recompute")
 	defer span.End()
@@ -345,8 +341,6 @@ type EncodeFunc func(*core.View) ([]byte, error)
 //
 // The caller context is used only for trace propagation; the cache-hit
 // fast path touches no trace code.
-//
-//p4p:hotpath steady-state byte replay; the encode slow path is cut at encodeView
 func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode EncodeFunc) ([]byte, int, error) {
 	if !t.authorized(token) {
 		return nil, 0, ErrAccessDenied
@@ -377,8 +371,6 @@ func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode 
 // encodeView materializes and encodes the current view for one form.
 // Publication and waiter release run under defer, so a panicking
 // engine or encoder cannot strand the per-form singleflight.
-//
-//p4p:coldpath one encode per (version, form) cache miss; the hot path replays its bytes
 func (t *Server) encodeView(ctx context.Context, token, form string, encode EncodeFunc) (body []byte, version int, err error) {
 	ctx, span := trace.StartSpan(ctx, "encode")
 	defer span.End()
@@ -412,8 +404,6 @@ func (t *Server) encodeView(ctx context.Context, token, form string, encode Enco
 // ViewVersion reports the engine version a Distances call would serve,
 // without materializing or serializing a view. The HTTP portal uses it
 // to answer conditional GETs (If-None-Match) with 304 Not Modified.
-//
-//p4p:hotpath conditional-GET fast path; runs on every If-None-Match request
 func (t *Server) ViewVersion(token string) (int, error) {
 	if !t.authorized(token) {
 		return 0, ErrAccessDenied

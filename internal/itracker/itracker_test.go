@@ -1,6 +1,7 @@
 package itracker
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -72,6 +73,31 @@ func TestDistancesCachedByVersion(t *testing.T) {
 	q, u := tr.Stats()
 	if q != 3 || u != 1 {
 		t.Fatalf("stats = %d queries, %d updates", q, u)
+	}
+}
+
+// TestCacheHitAllocs pins the iTracker's serving cache: at an unchanged
+// engine version, a view and an encoded body are handed back without
+// allocating.
+func TestCacheHitAllocs(t *testing.T) {
+	tr, _ := testTracker(Config{Name: "test", ASN: 1})
+	ctx := context.Background()
+	encode := func(v *core.View) ([]byte, error) { return []byte("body"), nil }
+	v, _ := tr.DistancesCtx(ctx, "")
+	body, _, _ := tr.EncodedViewCtx(ctx, "", "raw", encode)
+	if allocs := testing.AllocsPerRun(500, func() {
+		if got, err := tr.DistancesCtx(ctx, ""); err != nil || got != v {
+			t.Fatal("cached view not served")
+		}
+	}); allocs != 0 {
+		t.Errorf("DistancesCtx cache hit: %.1f allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if got, _, err := tr.EncodedViewCtx(ctx, "", "raw", encode); err != nil || &got[0] != &body[0] {
+			t.Fatal("cached body not served")
+		}
+	}); allocs != 0 {
+		t.Errorf("EncodedViewCtx cache hit: %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -43,6 +43,23 @@ func benchMidSwarm(g *topology.Graph, r *topology.Routing, seed int64) *Sim {
 	return s
 }
 
+// TestSimMidSwarmAllocs pins the event loop's allocation budget: a
+// whole benchMidSwarm run, construction included, measures 3,912–3,915
+// allocations, nearly all of them setup and per-client state. The run
+// has ten rechoke rounds and twenty samples, and far more rate resolves
+// and flow finishes, so two allocations more per event cross the bound.
+func TestSimMidSwarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	g := topology.Abilene()
+	r := topology.ComputeRouting(g)
+	allocs := testing.AllocsPerRun(3, func() { benchMidSwarm(g, r, 42).Run() })
+	if allocs > 3925 {
+		t.Fatalf("mid-size swarm run: %.0f allocs, want <= 3925", allocs)
+	}
+}
+
 // BenchmarkSimMidSwarm runs the mid-size swarm to completion. This is
 // the repo's headline simulator microbenchmark: allocs/op here is the
 // number the hot-path work is judged against.

@@ -305,8 +305,6 @@ func (q *calendarQueue) pop() (event, bool) {
 
 // resize doubles the bucket count and re-derives the bucket width from
 // the span of events currently in the wheel, targeting ~O(1) occupancy.
-//
-//p4p:coldpath fires O(log wheel-population) times per run; the rebuild allocation is amortized across thousands of pushes
 func (q *calendarQueue) resize() {
 	var all []event
 	minT, maxT := 0.0, 0.0

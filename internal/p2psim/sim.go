@@ -735,7 +735,6 @@ func (s *Sim) removeConnRef(c, ci int32) {
 
 // --- rechoke ---
 
-//p4p:hotpath fires every RechokeInterval for every client; the allocation-free contract is what keeps large sweeps tractable
 func (s *Sim) handleRechoke() {
 	for id := int32(0); int(id) < len(s.clients); id++ {
 		if s.joined[id] {
@@ -848,8 +847,6 @@ func (s *Sim) rechokeClient(u int32) {
 // tryStartCn begins a transfer u->d over conn ci if u unchokes d, the
 // connection is idle in that direction, and d wants a piece u has
 // (rarest-first piece choice, flow arena slot alloc, rate resolve).
-//
-//p4p:coldpath allocates or recycles one flow arena slot per started transfer by design; flows are the simulation's unit of work
 func (s *Sim) tryStartCn(ci, u, d int32) {
 	if s.done[d] || !s.joined[d] || !s.joined[u] {
 		return
@@ -1033,12 +1030,10 @@ func (s *Sim) downSlot(d, u int32) *int32 {
 // (uploader, downloader) order — d's downloads from below u, u's
 // uploads, d's downloads from above u — which fixes the float order of
 // the linkRate sums and the qseq order of finish events (DESIGN.md §18).
-//
-//p4p:hotpath runs twice per transferred piece; walks two intrusive lists, no scan, no sort, no allocation
 func (s *Sim) ratesChanged(u, d int32) {
 	s.stats.RateResolves++
 	if s.refRates != nil {
-		s.resolveByReference(u, d)
+		s.refRates(s, u, d)
 		return
 	}
 	fi := s.downHead[d]
@@ -1055,9 +1050,6 @@ func (s *Sim) ratesChanged(u, d int32) {
 		s.rerate(&s.flows[fi])
 	}
 }
-
-//p4p:coldpath the test-installed scan-and-sort reference resolver is the deliberate slow path
-func (s *Sim) resolveByReference(u, d int32) { s.refRates(s, u, d) }
 
 // rerate gives a visited flow its current fair rate and, if that is a
 // new rate, settles its progress and re-arms its finish event.
@@ -1116,7 +1108,6 @@ func (s *Sim) scheduleFinish(f *flowS) {
 	s.push(event{t: t, kind: evFlowFinish, id: f.self, seq: f.seq})
 }
 
-//p4p:hotpath fires once per transferred piece, the highest-frequency event in a run
 func (s *Sim) handleFlowFinish(fi int32) {
 	f := &s.flows[fi]
 	f.eventT = math.Inf(1) // the live event just fired
@@ -1178,7 +1169,6 @@ func (s *Sim) handleFlowFinish(fi int32) {
 
 // --- measurement hooks ---
 
-//p4p:hotpath fires every MeasureInterval; reuses measureBuf so steady-state sampling allocates nothing
 func (s *Sim) handleMeasure() {
 	if s.cfg.OnMeasure != nil {
 		if s.measureBuf == nil {
@@ -1189,7 +1179,6 @@ func (s *Sim) handleMeasure() {
 		}
 		// The buffer is reused every interval; per the Config.OnMeasure
 		// contract, callbacks copy it if they retain it.
-		//p4pvet:ignore allochot measurement callback is caller-supplied; the event loop hands it a reused buffer and cannot vouch for its body
 		s.cfg.OnMeasure(s.now, s.measureBuf)
 	}
 	if s.incomplete > 0 || s.cfg.Streaming != nil {
@@ -1197,7 +1186,6 @@ func (s *Sim) handleMeasure() {
 	}
 }
 
-//p4p:hotpath fires every SampleInterval on the event loop
 func (s *Sim) handleSample() {
 	s.metrics.sample(s)
 	if s.incomplete > 0 || s.cfg.Streaming != nil {

@@ -66,7 +66,7 @@ func (w *benchWriter) reset() { w.status = 0; w.bytes = 0 }
 
 // BenchmarkPortalDistances measures a full p4p-distance request in
 // steady state: routing, middleware, and the encoded-response cache
-// serving the current view as a byte copy, in either encoding (≤5
+// serving the current view as a byte copy, in either encoding (≤4
 // allocs/op is the acceptance bar; TestCachedDistancesAllocs pins it).
 func BenchmarkPortalDistances(b *testing.B) {
 	h, _ := newBenchPortal(b)

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"p4p/internal/core"
 )
@@ -196,6 +197,9 @@ func TestClientRefusesOversizedResponse(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL, "")
 	c.Retry = fastRetry(1)
+	// Reading 64 MiB over loopback can take seconds on a loaded box; the
+	// limit is under test here, not the per-attempt deadline.
+	c.Retry.PerAttempt = time.Minute
 	v, err := c.DistancesContext(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "64 MiB response limit") {
 		t.Fatalf("got view %p, error %v; want the 64 MiB limit named", v, err)

@@ -88,8 +88,6 @@ type Entry struct {
 
 // NewEntry renders the headers for an encoded body once, so serving the
 // entry later formats nothing. tag is the source's unquoted validator.
-//
-//p4p:coldpath runs once per published view and form; its fmt work is the point of pre-rendering
 func NewEntry(version int, tag string, body []byte) *Entry {
 	etag := fmt.Sprintf("%q", tag)
 	ct := jsonCTVals
@@ -259,8 +257,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // transfer encoding. It is the one JSON response writer: the handler's
 // routes, the federation router and the appTracker all answer through
 // it. logger, when non-nil, records encoding failures.
-//
-//p4p:coldpath fresh JSON encode; the zero-alloc contract covers the cached byte-copy path, not per-request marshaling
 func WriteJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, status int, v interface{}) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -279,7 +275,6 @@ func WriteJSON(logger *slog.Logger, w http.ResponseWriter, r *http.Request, stat
 	w.Write(body)
 }
 
-//p4p:coldpath error responses are off the measured serving path
 func (h *Handler) writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
 	switch {
@@ -336,8 +331,6 @@ func EncodeView(v *core.View, form string) ([]byte, error) {
 // Entry serves the rendered response for the engine's current version,
 // re-encoding under the iTracker's singleflight when the version moved.
 // Forms are validated before this is reached.
-//
-//p4p:hotpath a cache hit is a version read, an atomic load and a compare
 func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, error) {
 	ver, err := s.tr.ViewVersion(token)
 	if err != nil {
@@ -362,8 +355,6 @@ func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, 
 }
 
 // View implements ViewSource off the iTracker's materialized view.
-//
-//p4p:hotpath
 func (s *trackerSource) View(ctx context.Context, token string) (*core.View, error) {
 	return s.tr.DistancesCtx(ctx, token)
 }
@@ -378,8 +369,6 @@ func (s *trackerSource) LookupPID(ctx context.Context, token string, ip net.IP) 
 // handleDistances is the steady-state serving path pinned by
 // BenchmarkPortalDistances and TestCachedDistancesAllocs: with the
 // source's view unchanged it must be a byte copy.
-//
-//p4p:hotpath
 func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 	form := "raw"
 	if r.URL.RawQuery != "" { // parsing the query allocates; skip it when absent
@@ -395,7 +384,6 @@ func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
 	if form == "raw" && acceptsBinary(r.Header["Accept"]) {
 		form = FormBinary
 	}
-	//p4pvet:ignore allochot the source is the handler's one seam; both implementations mark Entry //p4p:hotpath and are checked from there
 	ent, err := h.src.Entry(r.Context(), r.Header.Get(tokenHeaderCanon), form)
 	if err != nil {
 		h.writeErr(w, r, err)
@@ -445,8 +433,6 @@ func ParsePairs(s string) ([]PIDPair, error) {
 // readBatchPairs parses either wire form of a batch request and applies
 // the limits; on error it writes the 400 (413 for a body over
 // maxBatchBody) and reports !ok.
-//
-//p4p:coldpath request parsing allocates by nature; the batch hot loop is the lookup in handleBatch
 func (h *Handler) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]PIDPair, bool) {
 	var pairs []PIDPair
 	if r.Method == http.MethodPost {
@@ -492,14 +478,11 @@ func (h *Handler) readBatchPairs(w http.ResponseWriter, r *http.Request) ([]PIDP
 // federation workload) stop re-downloading square matrices, and over a
 // merged source the cross-shard pairs are exactly what no single
 // backend can answer.
-//
-//p4p:hotpath
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	pairs, ok := h.readBatchPairs(w, r)
 	if !ok {
 		return
 	}
-	//p4pvet:ignore allochot the source is the handler's one seam; both implementations mark View //p4p:hotpath and are checked from there
 	v, err := h.src.View(r.Context(), r.Header.Get(tokenHeaderCanon))
 	if err != nil {
 		h.writeErr(w, r, err)

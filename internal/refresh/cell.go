@@ -39,7 +39,6 @@ type Timing struct {
 // caller-supplied code.
 func (t Timing) now() time.Time {
 	if t.Now != nil {
-		//p4pvet:ignore allochot indirect clock call allocates nothing; nil in production, set only by sleep-free fake-clock tests
 		return t.Now()
 	}
 	return time.Now()
@@ -139,8 +138,6 @@ var errFetchPanicked = errors.New("refresh: fetch panicked")
 // backoff runs Fetch and everyone else is answered at once from the
 // previous value, so a slow source never stalls readers once the cell
 // holds anything.
-//
-//p4p:hotpath
 func (c *Cell[T]) Get(ctx context.Context, tm Timing) Read[T] {
 	now := tm.now()
 	if h := c.held.Load(); h != nil && tm.fresh(now, h.at) {
@@ -151,8 +148,6 @@ func (c *Cell[T]) Get(ctx context.Context, tm Timing) Read[T] {
 
 // expired decides what a read past the TTL does: become the refresher,
 // join a refresh in flight, or sit out a failure backoff.
-//
-//p4p:coldpath runs once per reader per expiry, not per read
 func (c *Cell[T]) expired(ctx context.Context, tm Timing, now time.Time) Read[T] {
 	c.mu.Lock()
 	if h := c.held.Load(); h != nil && tm.fresh(now, h.at) {
@@ -196,8 +191,6 @@ func (c *Cell[T]) fallback(counted Stats) Read[T] {
 // later callers on stale data. Freshness is stamped after Fetch
 // returns: a cell refreshed from other cells (the router's merge over
 // its shards) then never expires before its inputs do.
-//
-//p4p:coldpath the fetch is network or recompute work
 func (c *Cell[T]) refresh(ctx context.Context, tm Timing, done chan struct{}) (r Read[T]) {
 	var v T
 	err := errFetchPanicked

@@ -67,8 +67,6 @@ func (s *Span) Context() SpanContext {
 func (s *Span) Recording() bool { return s != nil }
 
 // SetAttr attaches a string attribute.
-//
-//p4p:coldpath span annotation only runs for sampled traces; the nil-span no-op is the hot case
 func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
@@ -79,8 +77,6 @@ func (s *Span) SetAttr(key, value string) {
 }
 
 // SetAttrInt attaches an integer attribute.
-//
-//p4p:coldpath span annotation only runs for sampled traces; the nil-span no-op is the hot case
 func (s *Span) SetAttrInt(key string, v int) {
 	if s == nil {
 		return
@@ -90,8 +86,6 @@ func (s *Span) SetAttrInt(key string, v int) {
 
 // RecordError marks the span errored. The whole trace is then always
 // kept by the collector's tail sampler. A nil err is ignored.
-//
-//p4p:coldpath span annotation only runs for sampled traces; the nil-span no-op is the hot case
 func (s *Span) RecordError(err error) {
 	if s == nil || err == nil {
 		return
@@ -104,8 +98,6 @@ func (s *Span) RecordError(err error) {
 // End stamps the span's duration. Ending the local root span hands the
 // whole trace to the collector for the tail-sampling decision. End is
 // idempotent; ending a nil span is a no-op.
-//
-//p4p:coldpath span bookkeeping only runs for sampled traces; the nil-span no-op is the hot case
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -245,8 +237,6 @@ func (t *Tracer) startLocalRoot(name string, traceID TraceID, parent SpanID) *Sp
 // StartRoot starts a new trace with the given root span name, applying
 // head sampling. When unsampled (or t is nil) the context is returned
 // unchanged with a nil span, costing nothing.
-//
-//p4p:coldpath span construction only happens for head-sampled traces; the unsampled path returns (ctx, nil)
 func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil || !t.headSampled() {
 		return ctx, nil
@@ -261,8 +251,6 @@ func (t *Tracer) StartRoot(ctx context.Context, name string) (context.Context, *
 // span as parent — so cross-process hops stitch. A valid unsampled
 // header is honored: no span, zero cost. An absent or invalid header
 // starts a fresh trace under head sampling.
-//
-//p4p:coldpath span construction only happens for sampled traces; the unsampled path returns (ctx, nil)
 func (t *Tracer) StartServer(ctx context.Context, name, traceparent string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -299,8 +287,6 @@ func FromContext(ctx context.Context) *Span {
 // span it returns the context unchanged and a nil span — libraries call
 // this unconditionally and the unsampled path pays only the context
 // lookup.
-//
-//p4p:coldpath span construction only happens under an active sampled span; the nil-parent path pays one context lookup
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := FromContext(ctx)
 	if parent == nil {

@@ -1,8 +1,11 @@
 #!/bin/sh
-# Tier-1 verification gate: vet, build, and race-test the whole module,
-# then the nested bench/ module (its own go.mod, so ./... above does not
-# reach it, and it compiles against every package the serving stack
-# exports). Run from anywhere; operates on the repo root.
+# Tier-1 verification gate: vet, build, and race-test the whole module;
+# run its allocation pins (every test named *Alloc*) again without
+# -race, which inflates allocation counts and makes half of them skip;
+# then vet and race-test the nested bench/ module (its own go.mod, so
+# ./... above does not reach it, and it compiles against every package
+# the serving stack exports); then p4pvet. Run from anywhere; operates
+# on the repo root.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,6 +22,8 @@ echo '>> go build ./...'
 go build ./...
 echo '>> go test -race ./...'
 go test -race ./...
+echo '>> go test -count=1 -run Alloc ./... (allocation pins, no -race)'
+go test -count=1 -run Alloc ./...
 echo '>> bench: go vet ./... && go test -race ./...'
 (cd bench && go vet ./... && go test -race ./...)
 echo '>> p4pvet ./...'
