@@ -15,7 +15,7 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (lockheld, ctxflow, floatsentinel,
-# sleeptest, spanend, goroleak).
+# sleeptest).
 # Part of the verify gate; also runnable standalone. -timing reports
 # the load/analyze split so CI regressions in wall time are visible.
 p4pvet:

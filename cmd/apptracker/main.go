@@ -218,8 +218,9 @@ func main() {
 	mw.Preregister()
 
 	// Warm the view in the background so /readyz flips as soon as the
-	// portal answers, without blocking startup when it is down.
-	//p4pvet:ignore goroleak one-shot warmup; ViewFor returns once the portal client's per-attempt timeouts and bounded retries run out
+	// portal answers, without blocking startup when it is down. ViewFor
+	// returns once the portal client's per-attempt timeouts and bounded
+	// retries run out.
 	go provider.ViewFor(0)
 
 	d.Serve(context.Background(), *listen, mux, "appTracker listening", slog.String("portal", *itrURL))

@@ -10,10 +10,6 @@
 //     constants (the d == Unreachable wire-sentinel pattern).
 //   - sleeptest: no wall-clock time.Sleep in _test.go files (the
 //     flaky-under-race test class).
-//   - spanend: every *Span assigned from a Start* call is ended on
-//     all paths (a leaked span silently drops its trace subtree).
-//   - goroleak: every go statement carries a termination witness
-//     (context plumbed in, WaitGroup.Done, or a channel signal).
 //
 // ctxflow and sleeptest are one callRule each: a static call of a named
 // function in one class of file. lockheld additionally runs an
@@ -66,7 +62,7 @@ type Analyzer struct {
 
 // Analyzers returns every registered analyzer, in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{LockHeld, CtxFlow, FloatSentinel, SleepTest, SpanEnd, GoroLeak}
+	return []*Analyzer{LockHeld, CtxFlow, FloatSentinel, SleepTest}
 }
 
 // suppressRule names the pseudo-rule under which malformed

@@ -2,11 +2,15 @@ package analysis
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"p4p/internal/leaktest"
 )
 
 // sharedLoader is reused across fixture tests so the source importer
@@ -68,8 +72,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{name: "ctxmain"},
 		{name: "floatsentinel"},
 		{name: "sleeptest"},
-		{name: "spanend"},
-		{name: "goroleak"},
 		{name: "suppress", extra: []string{
 			"suppress.go:21 suppress",
 			"suppress.go:27 suppress",
@@ -185,5 +187,47 @@ func TestLoaderHonorsBuildConstraints(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("loaded %v, want %v", names, want)
 		}
+	}
+}
+
+// TestLoadTreeParallelMatchesSerial loads a small module tree on one
+// worker and on three: the same units come back in the same order
+// (testdata skipped), and no worker outlives the call.
+func TestLoadTreeParallelMatchesSerial(t *testing.T) {
+	leaktest.Check(t)
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":               "module tree\n",
+		"a/a.go":               "package a\n",
+		"b/b.go":               "package b\n",
+		"b/c/c.go":             "package c\n",
+		"d/d.go":               "package d\n",
+		"d/testdata/x/x.go":    "package x\n",
+		"e/e.go":               "package e\n",
+		"e/e_external_test.go": "package e_test\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := func(workers int) []string {
+		pkgs, err := NewLoader().LoadTreeParallel(root, root, workers)
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		var out []string
+		for _, p := range pkgs {
+			out = append(out, p.ImportPath)
+		}
+		return out
+	}
+	serial, parallel := units(1), units(3)
+	want := []string{"tree/a", "tree/b", "tree/b/c", "tree/d", "tree/e", "tree/e_test"}
+	if !slices.Equal(serial, want) || !slices.Equal(parallel, want) {
+		t.Errorf("units: serial %v, parallel %v; want %v", serial, parallel, want)
 	}
 }

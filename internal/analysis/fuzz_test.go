@@ -16,12 +16,12 @@ func FuzzIgnoreDirective(f *testing.F) {
 	seeds := []string{
 		"//p4pvet:ignore lockheld held across a copy on purpose",
 		"// p4pvet:ignore floatsentinel sentinel compared on purpose",
-		"//p4pvet:ignore goroleak",
+		"//p4pvet:ignore sleeptest",
 		"//p4pvet:ignore",
 		"//p4pvet:ignore nosuchrule some reason",
 		"//p4pvet:ignorectxflow reason glued to the marker",
 		"// just a comment",
-		"//p4pvet:ignore spanend\ttab separated reason",
+		"//p4pvet:ignore ctxflow\ttab separated reason",
 		"/* p4pvet:ignore sleeptest block comment */",
 		"//P4PVET:IGNORE lockheld wrong case",
 	}

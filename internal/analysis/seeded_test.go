@@ -154,33 +154,6 @@ func TestPaced(t *testing.T) {
 	time.Sleep(time.Millisecond) // defect
 }
 `, fix: [2]string{"time.Sleep(time.Millisecond)", "_ = time.Millisecond"}},
-		{rule: "spanend", name: "spanseed", src: `package seeded
-
-type Span struct{}
-
-func (s *Span) End() {}
-
-func StartSpan() *Span { return &Span{} }
-
-func traced(fail bool) bool {
-	sp := StartSpan() // defect
-	if fail {
-		return false
-	}
-	sp.End()
-	return true
-}
-`, fix: [2]string{"sp := StartSpan() // defect\n", "sp := StartSpan()\n\tdefer sp.End()\n"}},
-		{rule: "goroleak", name: "goroseed", src: `package seeded
-
-import "sync"
-
-func spawn(wg *sync.WaitGroup, work func()) {
-	go func() { // defect
-		work()
-	}()
-}
-`, fix: [2]string{"\t\twork()\n", "\t\tdefer wg.Done()\n\t\twork()\n"}},
 	}
 
 	seeded := map[string]bool{}

@@ -11,13 +11,13 @@ import "sort"
 // The result maps every node that ended up with a fact to that fact.
 //
 // Nodes are processed in sorted key order (per less) so runs are
-// deterministic regardless of map iteration; analyzers rely on this
-// for stable diagnostic output (e.g. which hot-path chain a shared
-// callee is attributed to).
+// deterministic regardless of map iteration; lockheld relies on this
+// for stable diagnostic output (which blocking chain a shared callee
+// is attributed to).
 //
 // Termination is the caller's contract: transfer must be monotone over
-// a finite fact domain (hot-reachability and transitive-blocking both
-// use "fact present" as their lattice, which trivially converges).
+// a finite fact domain (transitive blocking uses "fact present" as its
+// lattice, which trivially converges).
 func Solve[N comparable, F any](
 	seeds map[N]F,
 	out func(N) []N,
@@ -64,27 +64,4 @@ func sortedNodes[N comparable](nodes []N, less func(a, b N) bool) []N {
 	copy(cp, nodes)
 	sort.Slice(cp, func(i, j int) bool { return less(cp[i], cp[j]) })
 	return cp
-}
-
-// Reachable is the common degenerate Solve instance: the set of nodes
-// reachable from seeds along out edges, with each reached node mapped
-// to its predecessor on some shortest discovery path (seeds map to
-// themselves). The predecessor chain reconstructs a witness path for
-// diagnostics.
-func Reachable[N comparable](
-	seeds []N,
-	out func(N) []N,
-	less func(a, b N) bool,
-) map[N]N {
-	seedFacts := make(map[N]N, len(seeds))
-	for _, n := range seeds {
-		seedFacts[n] = n
-	}
-	return Solve(seedFacts, out,
-		func(_ N, cur N, ok bool, from N, _ N) (N, bool) {
-			if ok {
-				return cur, false
-			}
-			return from, true
-		}, less)
 }

@@ -62,7 +62,7 @@ func (s *store) goodBranch(w io.Writer, fast bool) {
 	}
 	n := len(s.data)
 	s.mu.Unlock()
-	go func() { // want goroleak
+	go func() {
 		io.WriteString(w, "released")
 	}()
 	_ = n

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"p4p/internal/core"
+	"p4p/internal/leaktest"
 	"p4p/internal/portal"
+	"p4p/internal/trace"
 )
 
 // batchingFetcher is a scriptedFetcher that also implements the
@@ -25,6 +27,17 @@ func (f *batchingFetcher) BatchDistancesContext(ctx context.Context, pairs []por
 	return f.batchFn(pairs)
 }
 
+// traced gives p a recording tracer for its view refreshes and returns
+// a context carrying a root span of its own, ended at cleanup; the test
+// then fails unless every span started under either root has ended.
+func traced(t *testing.T, p *PortalViews) context.Context {
+	p.Tracer = trace.NewTracer(trace.NewCollector(8, 0, 1))
+	leaktest.Check(t, p.Tracer)
+	ctx, root := p.Tracer.StartRoot(context.Background(), "test")
+	t.Cleanup(root.End)
+	return ctx
+}
+
 // TestBatchDistancesFromCachedView checks the steady-state path: when
 // the held view covers every requested PID, batch queries are answered
 // locally with zero portal traffic.
@@ -37,8 +50,9 @@ func TestBatchDistancesFromCachedView(t *testing.T) {
 	}
 	p := NewPortalViews(f, time.Minute)
 	p.nowFn = newFakeClock().Now
+	ctx := traced(t, p)
 
-	got, err := p.BatchDistances(context.Background(), []portal.PIDPair{{Src: 0, Dst: 2}, {Src: 1, Dst: 1}})
+	got, err := p.BatchDistances(ctx, []portal.PIDPair{{Src: 0, Dst: 2}, {Src: 1, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +77,10 @@ func TestBatchDistancesFallsBackToEndpoint(t *testing.T) {
 	}
 	p := NewPortalViews(f, time.Minute)
 	p.nowFn = newFakeClock().Now
+	ctx := traced(t, p)
 
 	// PID 9 is not in testView's {0,1,2}.
-	got, err := p.BatchDistances(context.Background(), []portal.PIDPair{{Src: 0, Dst: 9}, {Src: 9, Dst: 1}})
+	got, err := p.BatchDistances(ctx, []portal.PIDPair{{Src: 0, Dst: 9}, {Src: 9, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +98,13 @@ func TestBatchDistancesNoSource(t *testing.T) {
 	f := &scriptedFetcher{fn: func(n int64) (*core.View, error) { return testView(1), nil }}
 	p := NewPortalViews(f, time.Minute)
 	p.nowFn = newFakeClock().Now
+	ctx := traced(t, p)
 
-	if _, err := p.BatchDistances(context.Background(), []portal.PIDPair{{Src: 0, Dst: 9}}); !errors.Is(err, errNoBatchSource) {
+	if _, err := p.BatchDistances(ctx, []portal.PIDPair{{Src: 0, Dst: 9}}); !errors.Is(err, errNoBatchSource) {
 		t.Fatalf("err = %v, want errNoBatchSource", err)
 	}
 	// Empty queries succeed trivially regardless of sources.
-	got, err := p.BatchDistances(context.Background(), nil)
+	got, err := p.BatchDistances(ctx, nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty batch = (%v, %v), want (nil, nil)", got, err)
 	}

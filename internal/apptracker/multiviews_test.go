@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +14,7 @@ import (
 
 	"p4p/internal/core"
 	"p4p/internal/federation"
+	"p4p/internal/leaktest"
 	"p4p/internal/portal"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
@@ -228,7 +228,7 @@ func TestMultiPortalViewForSteadyStateAllocs(t *testing.T) {
 	west := &scriptedFetcher{fn: func(int64) (*core.View, error) { return mviewWest(1), nil }}
 	mpv, _ := newTestMulti(t, east, west)
 	want := mpv.ViewFor(0) // prime the merge
-	before := runtime.NumGoroutine()
+	leaktest.Check(t)
 	allocs := testing.AllocsPerRun(500, func() {
 		if mpv.ViewFor(0) != want {
 			t.Fatal("held view changed inside the merged window")
@@ -236,10 +236,6 @@ func TestMultiPortalViewForSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("held-view ViewFor: %.1f allocs/op, want 0", allocs)
-	}
-	// Only growth counts: stragglers of earlier tests may still be exiting.
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines %d -> %d across held-view ViewFor calls", before, after)
 	}
 }
 

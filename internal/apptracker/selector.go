@@ -10,6 +10,7 @@
 package apptracker
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -130,31 +131,31 @@ func drawn(picks []int, selfAt, t int) bool {
 // caller (the simulator derives it from propagation distances; a real
 // deployment would ping).
 type Localized struct {
-	// Delay returns an RTT estimate between two nodes; lower is closer.
+	// Delay returns an RTT estimate between two nodes, never NaN; lower
+	// is closer.
 	Delay func(a, b Node) float64
 }
 
 // Name implements Selector.
 func (*Localized) Name() string { return "localized" }
 
-// Select implements Selector.
+// Select implements Selector. Candidates rank by (delay, ID, index), a
+// total order, so an unstable sort gives the one answer. Delay is called
+// once per candidate, in candidate order: it may draw.
 func (l *Localized) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int {
 	type cand struct {
-		idx int
-		d   float64
+		d       float64
+		id, idx int
 	}
-	var cands []cand
+	cands := make([]cand, 0, len(candidates))
 	for i, c := range candidates {
 		if c.ID == self.ID {
 			continue
 		}
-		cands = append(cands, cand{i, l.Delay(self, c)})
+		cands = append(cands, cand{l.Delay(self, c), c.ID, i})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return candidates[cands[a].idx].ID < candidates[cands[b].idx].ID
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.d, b.d), cmp.Compare(a.id, b.id), cmp.Compare(a.idx, b.idx))
 	})
 	if len(cands) > m {
 		cands = cands[:max(m, 0)]

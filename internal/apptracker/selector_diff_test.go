@@ -261,6 +261,73 @@ type scriptedSource struct {
 func (s *scriptedSource) Int63() int64 { s.n++; return s.draws[(s.n-1)%len(s.draws)] }
 func (s *scriptedSource) Seed(int64)   {}
 
+// localizedReference is Localized.Select as it was written with a
+// stable sort: candidates other than self in index order, stably sorted
+// by delay, then ID.
+func localizedReference(l *Localized, self Node, candidates []Node, m int) []int {
+	type cand struct {
+		idx int
+		d   float64
+	}
+	var cands []cand
+	for i, c := range candidates {
+		if c.ID == self.ID {
+			continue
+		}
+		cands = append(cands, cand{i, l.Delay(self, c)})
+	}
+	sort.SliceStable(cands, func(a, b int) bool {
+		if cands[a].d != cands[b].d {
+			return cands[a].d < cands[b].d
+		}
+		return candidates[cands[a].idx].ID < candidates[cands[b].idx].ID
+	})
+	if len(cands) > m {
+		cands = cands[:max(m, 0)]
+	}
+	out := make([]int, len(cands))
+	for i, c := range cands {
+		out[i] = c.idx
+	}
+	return out
+}
+
+// TestLocalizedMatchesStableSort holds Localized.Select to the stable
+// sort it replaced on random candidate lists with equal and infinite
+// delays, duplicate IDs, self listed (maybe twice) and m from -1 past
+// n, and requires Delay's calls, which may draw, in the same order.
+func TestLocalizedMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	levels := []float64{0, math.Copysign(0, -1), 0.001, 0.001, 0.5, math.Inf(1)}
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(30)
+		cands := make([]Node, n)
+		delays := make([]float64, n)
+		for i := range cands {
+			cands[i] = Node{ID: rng.Intn(10), PID: topology.PID(rng.Intn(3))}
+			delays[i] = levels[rng.Intn(len(levels))]
+		}
+		self := Node{ID: rng.Intn(10)}
+		m := []int{-1, 0, rng.Intn(n + 1), n, n + 3}[rng.Intn(5)]
+		// The k-th call answers delays[k], so a skipped, repeated or
+		// reordered call changes the answer.
+		run := func(sel func(*Localized) []int) ([]int, []Node) {
+			var calls []Node
+			l := &Localized{Delay: func(_, b Node) float64 {
+				calls = append(calls, b)
+				return delays[len(calls)-1]
+			}}
+			return sel(l), calls
+		}
+		got, gotCalls := run(func(l *Localized) []int { return l.Select(self, cands, m, nil) })
+		want, wantCalls := run(func(l *Localized) []int { return localizedReference(l, self, cands, m) })
+		if !slices.Equal(got, want) || !slices.Equal(gotCalls, wantCalls) {
+			t.Fatalf("self %v, m %d, cands %v, delays %v:\nSelect %v (Delay calls %v)\nstable sort %v (Delay calls %v)",
+				self, m, cands, delays, got, gotCalls, want, wantCalls)
+		}
+	}
+}
+
 // TestShuffleMatchesRandShuffle: the inlined shuffle permutes exactly as
 // rand.Shuffle does and leaves the generator where it does, over many
 // lengths and seeds, and through the int31n rejection loop, which a

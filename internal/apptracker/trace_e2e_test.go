@@ -9,6 +9,7 @@ import (
 
 	"p4p/internal/core"
 	"p4p/internal/itracker"
+	"p4p/internal/leaktest"
 	"p4p/internal/portal"
 	"p4p/internal/topology"
 	"p4p/internal/trace"
@@ -37,6 +38,7 @@ func TestStitchedTraceAcrossProcesses(t *testing.T) {
 	appCol := trace.NewCollector(16, 0, 1)
 	views := NewPortalViews(portal.NewClient(srv.URL, ""), time.Minute)
 	views.Tracer = &trace.Tracer{Collector: appCol, SampleRate: 1}
+	leaktest.Check(t, views.Tracer, h.Telemetry.Tracer)
 
 	if v := views.ViewFor(1); v == nil {
 		t.Fatal("view refresh against live portal failed")

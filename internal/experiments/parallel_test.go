@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"p4p/internal/leaktest"
 )
 
 // renderReport serializes everything a Report carries — notes, table
@@ -62,8 +64,10 @@ func TestParallelReportsMatchSerial(t *testing.T) {
 
 // TestForEachCellRunsEveryCellOnce checks the pool's scheduling
 // contract at several parallelism settings, including more workers
-// than cells and the GOMAXPROCS default.
+// than cells and the GOMAXPROCS default, and that no worker outlives
+// the call.
 func TestForEachCellRunsEveryCellOnce(t *testing.T) {
+	leaktest.Check(t)
 	for _, par := range []int{0, 1, 3, 16} {
 		const n = 23
 		counts := make([]int32, n)
@@ -79,8 +83,10 @@ func TestForEachCellRunsEveryCellOnce(t *testing.T) {
 }
 
 // TestForEachCellPropagatesPanic: a panicking cell must surface on the
-// caller's goroutine, like a serial run would, not crash the process.
+// caller's goroutine, like a serial run would, not crash the process,
+// and only after every worker has exited.
 func TestForEachCellPropagatesPanic(t *testing.T) {
+	leaktest.Check(t)
 	for _, par := range []int{1, 4} {
 		func() {
 			defer func() {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -16,9 +17,11 @@ import (
 	"time"
 
 	"p4p/internal/core"
+	"p4p/internal/leaktest"
 	"p4p/internal/portal"
 	"p4p/internal/telemetry"
 	"p4p/internal/topology"
+	"p4p/internal/trace"
 )
 
 // fakeClock drives the router's TTL and backoff windows without
@@ -222,6 +225,32 @@ func TestRouterServesMergedView(t *testing.T) {
 	}
 	if rec := get(t, rt, "/p4p/v1/distances?form=bogus", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bogus form status = %d, want 400", rec.Code)
+	}
+}
+
+// TestRouterTracedRefresh serves one traced request through a cold
+// router: the server span parents federation_refresh, which parents a
+// client request span and an attempt per shard. Every span ends before
+// its root, and no refresh goroutine outlives the request.
+func TestRouterTracedRefresh(t *testing.T) {
+	rt, _, _, _ := testFederation(t)
+	col := trace.NewCollector(8, 0, 1)
+	rt.Telemetry.Tracer = trace.NewTracer(col)
+	leaktest.Check(t, rt.Telemetry.Tracer)
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.Bytes())
+	}
+	snap := col.Snapshot()
+	if len(snap.Traces) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(snap.Traces))
+	}
+	counts := map[string]int{}
+	for _, s := range snap.Traces[0].Spans {
+		counts[s.Name]++
+	}
+	want := map[string]int{"distances": 1, "federation_refresh": 1, "client GET /p4p/v1/distances": 2, "attempt": 2}
+	if !maps.Equal(counts, want) {
+		t.Errorf("span names %v, want %v", counts, want)
 	}
 }
 

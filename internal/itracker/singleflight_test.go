@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"p4p/internal/core"
+	"p4p/internal/leaktest"
+	"p4p/internal/trace"
 )
 
 // TestDistancesPanicReleasesSingleflight is the regression test for the
@@ -334,5 +337,79 @@ func TestEncodedViewBodyMatchesVersion(t *testing.T) {
 	wg.Wait()
 	if t.Failed() {
 		t.Fatal(fmt.Errorf("torn version/body pairing under concurrent updates"))
+	}
+}
+
+// reachedCtx closes reached on the first Value lookup. A coalescing
+// caller's first lookup is the wait span's StartSpan, made after it has
+// committed to waiting, so reached means "the waiter is parked".
+type reachedCtx struct {
+	context.Context
+	once    sync.Once
+	reached chan struct{}
+}
+
+func (c *reachedCtx) Value(key any) any {
+	c.once.Do(func() { close(c.reached) })
+	return c.Context.Value(key)
+}
+
+// TestTracedCoalescedWaiter parks a traced caller on each singleflight
+// while another traced caller pays for it: the payer records recompute
+// (and encode), the waiter singleflight_wait (or encode_wait), and every
+// span ends before its root.
+func TestTracedCoalescedWaiter(t *testing.T) {
+	tr, g := testTracker(Config{Name: "traced", ASN: 1})
+	tracer := trace.NewTracer(nil)
+	leaktest.Check(t, tracer)
+	for _, tc := range []struct {
+		call        func(context.Context) error
+		payer, wait []string
+	}{
+		{func(ctx context.Context) error { _, err := tr.DistancesCtx(ctx, ""); return err },
+			[]string{"payer", "recompute"}, []string{"waiter", "singleflight_wait"}},
+		{func(ctx context.Context) error {
+			_, _, err := tr.EncodedViewCtx(ctx, "", "raw", encodeJSONView)
+			return err
+		},
+			[]string{"payer", "encode", "recompute"}, []string{"waiter", "encode_wait"}},
+	} {
+		tr.ObserveAndUpdate(make([]float64, g.NumLinks())) // a cold cache for the payer
+		col := trace.NewCollector(8, 0, 1)
+		tracer.Collector = col
+		entered, release := make(chan struct{}), make(chan struct{})
+		tr.testHookPreMatrix = func() { close(entered); <-release }
+		errs := make(chan error, 2)
+		run := func(ctx context.Context, root *trace.Span) {
+			err := tc.call(ctx)
+			root.End()
+			errs <- err
+		}
+		ctx, root := tracer.StartRoot(context.Background(), "payer")
+		go run(ctx, root)
+		<-entered
+		ctx, root = tracer.StartRoot(context.Background(), "waiter")
+		waiter := &reachedCtx{Context: ctx, reached: make(chan struct{})}
+		go run(waiter, root)
+		<-waiter.reached
+		close(release)
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr.testHookPreMatrix = nil
+
+		names := map[string][]string{}
+		for _, kept := range col.Snapshot().Traces {
+			for _, s := range kept.Spans {
+				names[kept.Spans[0].Name] = append(names[kept.Spans[0].Name], s.Name)
+			}
+		}
+		for _, want := range [][]string{tc.payer, tc.wait} {
+			if got := names[want[0]]; !slices.Equal(got, want) {
+				t.Errorf("%s trace spans = %v, want %v", want[0], got, want)
+			}
+		}
 	}
 }

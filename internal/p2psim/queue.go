@@ -174,6 +174,9 @@ const (
 	calInitialBuckets = 64
 	calMaxBuckets     = 1 << 17
 	calMinWidth       = 1e-9
+	// calMaxSlot is where slotOf saturates: far past any horizon, yet
+	// far from overflowing when a horizon is added to it.
+	calMaxSlot = 1 << 62
 )
 
 func newCalendarQueue(width float64) *calendarQueue {
@@ -229,8 +232,15 @@ func (q *calendarQueue) nextOccDelta() int64 {
 	}
 }
 
+// slotOf maps a time to its slot. A time whose slot would not fit an
+// int64, +Inf included, takes calMaxSlot: converting it would be
+// implementation-defined (MinInt64 on amd64, which push would clamp to
+// the head, popping it before earlier events).
 func (q *calendarQueue) slotOf(t float64) int64 {
-	return int64(t * q.invWidth)
+	if s := t * q.invWidth; s < calMaxSlot {
+		return int64(s)
+	}
+	return calMaxSlot
 }
 
 func (q *calendarQueue) len() int { return q.wheelN + q.overflow.len() }

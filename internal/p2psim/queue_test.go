@@ -1,6 +1,7 @@
 package p2psim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -82,8 +83,9 @@ func TestCalendarQueueTieBreak(t *testing.T) {
 // run of up to 64 pops. A pushed event takes two more bytes: one picks
 // its kind and whether its time is a whole number of seconds from now
 // (clusters of identical timestamps), near, mid-range or far beyond the
-// wheel's horizon (overflow), the other its offset. Past the end of
-// data every byte reads as zero.
+// wheel's horizon (overflow), or one of four times whose slot nears or
+// passes int64's range, +Inf included; the other byte is its offset.
+// Past the end of data every byte reads as zero.
 func checkQueueOrder(t *testing.T, data []byte) {
 	t.Helper()
 	at := 0
@@ -101,17 +103,19 @@ func checkQueueOrder(t *testing.T, data []byte) {
 	push := func() {
 		x, y := next(), float64(next())
 		tm := now
-		switch x % 4 {
+		switch x % 5 {
 		case 0:
 			tm += float64(int(y) % 3)
 		case 1:
 			tm += y / 256 * 0.2
 		case 2:
 			tm += 10 + y*4
-		default:
+		case 3:
 			tm += y / 256 * 5
+		default:
+			tm = max(tm, []float64{1e15, 1e18, 1e300, math.Inf(1)}[int(y)%4])
 		}
-		e := event{t: tm, kind: uint8(x / 4 % 7), qseq: qseq, id: int32(qseq)}
+		e := event{t: tm, kind: uint8(x / 5 % 7), qseq: qseq, id: int32(qseq)}
 		qseq++
 		cal.push(e)
 		ref.push(e)

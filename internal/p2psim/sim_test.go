@@ -257,6 +257,45 @@ func TestMaxTimeStops(t *testing.T) {
 	}
 }
 
+// TestFarFutureEventsWaitTheirTurn: a periodic event or a join so far
+// ahead that it falls past MaxTime leaves a run exactly as if it were
+// off. Times like these used to overflow the calendar queue's slot
+// arithmetic and pop first, ending the run at once with nobody done.
+func TestFarFutureEventsWaitTheirTurn(t *testing.T) {
+	// A client that never joins keeps the run going to MaxTime, so keep
+	// that short.
+	run := func(set func(*Config), lateJoin float64) string {
+		s, g := buildSwarm(t, apptracker.Random{}, 30, 3, func(c *Config) {
+			c.MaxTime = 1000
+			if set != nil {
+				set(c)
+			}
+		})
+		if lateJoin > 0 {
+			s.AddClient(ClientSpec{PID: g.AggregationPIDs()[1], ASN: 11537, UpBps: 5e6, DownBps: 20e6, JoinAt: lateJoin})
+		}
+		return s.Run().Fingerprint()
+	}
+	off := run(nil, 0)
+	if !strings.HasPrefix(off, "30/30 ") {
+		t.Fatalf("baseline run: %s, want all 30 done", off)
+	}
+	for _, far := range []float64{math.Inf(1), 1e300} {
+		for name, set := range map[string]func(*Config){
+			"ReselectInterval": func(c *Config) { c.ReselectInterval = far },
+			"MeasureInterval":  func(c *Config) { c.MeasureInterval = far },
+			"SampleInterval":   func(c *Config) { c.SampleInterval = far },
+		} {
+			if got := run(set, 0); got != off {
+				t.Errorf("%s %g: %s, want %s as with it off", name, far, got, off)
+			}
+		}
+	}
+	if got, want := run(nil, 1e300), run(nil, 1e4); got != want || !strings.HasPrefix(got, "30/31 ") {
+		t.Errorf("a client joining at 1e300: %s, want %s as at 1e4, past MaxTime", got, want)
+	}
+}
+
 // TestConfigValidation pins a panic naming the bad field for a missing
 // part and for each value that would otherwise hang Run (a rechoke
 // period that moves the clock backwards or not at all), crash deep

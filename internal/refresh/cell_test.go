@@ -3,10 +3,11 @@ package refresh
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"p4p/internal/leaktest"
 )
 
 type fakeClock struct {
@@ -73,20 +74,6 @@ func get(c *Cell[int], tm Timing) (r Read[int], panicked bool) {
 	return c.Get(context.Background(), tm), false
 }
 
-// waitGoroutines fails the test unless the goroutine count returns to
-// base within 5 s: every goroutine a step started must be gone. It
-// yields rather than sleeps, and the wall-clock bound (not a count of
-// yields) keeps it from failing on a loaded machine.
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
-		if runtime.NumGoroutine() <= base {
-			return
-		}
-	}
-	t.Errorf("%d goroutines at the end, %d at the start", runtime.NumGoroutine(), base)
-}
-
 const (
 	ttl     = 30 * time.Second
 	backoff = 5 * time.Second
@@ -97,7 +84,7 @@ const (
 // counter delta, the cumulative stats and the fetch count after each
 // step. Run with -race.
 func TestCellTransitions(t *testing.T) {
-	base := runtime.NumGoroutine()
+	leaktest.Check(t)
 	clk := &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 	tm := Timing{TTL: ttl, FailureBackoff: backoff, Now: clk.now}
 	src := &source{}
@@ -211,7 +198,6 @@ func TestCellTransitions(t *testing.T) {
 			t.Errorf("%s: %d fetches so far, want %d", st.name, n, wantCalls)
 		}
 	}
-	waitGoroutines(t, base)
 }
 
 // TestCellColdStartWait covers the one answer that differs by caller: a
@@ -219,7 +205,7 @@ func TestCellTransitions(t *testing.T) {
 // channel; a caller with a context waits on it (and sees the value, or
 // gives up when its context ends), a caller without one takes nothing.
 func TestCellColdStartWait(t *testing.T) {
-	base := runtime.NumGoroutine()
+	leaktest.Check(t)
 	clk := &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 	tm := Timing{Now: clk.now} // default windows
 	started, release := make(chan struct{}), make(chan struct{})
@@ -262,7 +248,6 @@ func TestCellColdStartWait(t *testing.T) {
 	if c.Snapshot(tm).Fresh {
 		t.Error("still fresh at the default TTL")
 	}
-	waitGoroutines(t, base)
 }
 
 // TestCellFetchTimeout checks the fetch context carries RefreshTimeout

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"p4p/internal/leaktest"
 	"p4p/internal/trace"
 )
 
@@ -58,6 +59,7 @@ func TestMiddlewareServerSpan(t *testing.T) {
 	c := trace.NewCollector(8, 0, 1)
 	var mw Middleware
 	mw.Tracer = trace.NewTracer(c)
+	leaktest.Check(t, mw.Tracer)
 	var activeInHandler bool
 	var ctxID string
 	h := mw.RouteFunc("distances", func(w http.ResponseWriter, r *http.Request) {
@@ -105,6 +107,7 @@ func TestMiddlewareUnsampledInboundSkipsSpan(t *testing.T) {
 	c := trace.NewCollector(8, 0, 1)
 	var mw Middleware
 	mw.Tracer = trace.NewTracer(c)
+	leaktest.Check(t, mw.Tracer)
 	var active bool
 	h := mw.RouteFunc("r", func(w http.ResponseWriter, r *http.Request) {
 		active = trace.FromContext(r.Context()) != nil
@@ -126,6 +129,7 @@ func TestMiddleware5xxMarksSpanErrored(t *testing.T) {
 	c := trace.NewCollector(8, 1<<62, 0)
 	var mw Middleware
 	mw.Tracer = trace.NewTracer(c)
+	leaktest.Check(t, mw.Tracer)
 	h := mw.RouteFunc("r", func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})

@@ -25,11 +25,15 @@ type WireTrace struct {
 	Spans   []WireSpan `json:"spans"`
 }
 
-// WireSnapshot is the full /debug/traces payload.
+// WireSnapshot is the full /debug/traces payload. UnendedChildren
+// counts the child spans still open when their trace's local root
+// ended, over every trace offered, kept or not: non-zero means some
+// trace lost a subtree.
 type WireSnapshot struct {
 	Capacity        int         `json:"capacity"`
 	Kept            uint64      `json:"kept"`
 	SampledOut      uint64      `json:"sampled_out"`
+	UnendedChildren uint64      `json:"unended_children"`
 	SlowThresholdUS int64       `json:"slow_threshold_us"`
 	KeepRate        float64     `json:"keep_rate"`
 	Traces          []WireTrace `json:"traces"`
@@ -58,6 +62,7 @@ type Collector struct {
 	next       int
 	kept       uint64
 	sampledOut uint64
+	unended    uint64
 }
 
 // NewCollector builds a collector holding up to capacity traces.
@@ -90,11 +95,13 @@ func (c *Collector) keepAnyway() bool {
 	return float64(v%den)/den < c.KeepRate
 }
 
-// offer is called once per trace, when its local root span ends. The
-// tail-sampling decision happens here, with the whole trace in hand.
-func (c *Collector) offer(td *traceData, rootDur time.Duration, hasErr bool) {
+// offer is called once per trace, when its local root span ends, with
+// the number of its child spans still open. The tail-sampling decision
+// happens here, with the whole trace in hand.
+func (c *Collector) offer(td *traceData, rootDur time.Duration, hasErr bool, unended int64) {
 	keep := hasErr || rootDur >= c.SlowThreshold || c.keepAnyway()
 	c.mu.Lock()
+	c.unended += uint64(unended)
 	if !keep {
 		c.sampledOut++
 		c.mu.Unlock()
@@ -121,6 +128,7 @@ func (c *Collector) Snapshot() WireSnapshot {
 		SampledOut:      c.sampledOut,
 		SlowThresholdUS: c.SlowThreshold.Microseconds(),
 		KeepRate:        c.KeepRate,
+		UnendedChildren: c.unended,
 	}
 	tds := make([]*traceData, 0, len(c.ring))
 	if len(c.ring) < cap(c.ring) {

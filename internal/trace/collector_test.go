@@ -11,7 +11,7 @@ import (
 
 func TestRingOverwritesOldest(t *testing.T) {
 	c := NewCollector(3, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	for i := 0; i < 5; i++ {
 		_, s := tr.StartRoot(context.Background(), "r")
 		s.SetAttrInt("i", i)
@@ -35,7 +35,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 
 func TestKeepRateZeroDropsFastCleanTraces(t *testing.T) {
 	c := NewCollector(8, time.Hour, 0)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	for i := 0; i < 4; i++ {
 		_, s := tr.StartRoot(context.Background(), "r")
 		s.End()
@@ -53,7 +53,7 @@ func TestKeepRateDeterministic(t *testing.T) {
 	draws := []uint64{0, 1 << 52, 0, 1 << 52}
 	i := 0
 	c.randFn = func() uint64 { v := draws[i%len(draws)]; i++; return v }
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	for j := 0; j < 4; j++ {
 		_, s := tr.StartRoot(context.Background(), "r")
 		s.End()
@@ -74,7 +74,7 @@ func TestCollectorCapacityClamped(t *testing.T) {
 func TestHandlerServesJSON(t *testing.T) {
 	c := NewCollector(4, 7*time.Millisecond, 0.25)
 	c.randFn = func() uint64 { return 0 } // draw below KeepRate: always keep
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	ctx, root := tr.StartRoot(context.Background(), "GET /p4p/v1/distances")
 	_, child := StartSpan(ctx, "recompute")
 	child.End()
@@ -145,7 +145,7 @@ func TestHandlerServesJSON(t *testing.T) {
 
 func TestSnapshotAttrsAreCopies(t *testing.T) {
 	c := NewCollector(4, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	_, root := tr.StartRoot(context.Background(), "r")
 	root.SetAttr("k", "v")
 	root.End()

@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -96,8 +97,9 @@ func (s *Span) RecordError(err error) {
 }
 
 // End stamps the span's duration. Ending the local root span hands the
-// whole trace to the collector for the tail-sampling decision. End is
-// idempotent; ending a nil span is a no-op.
+// whole trace to the collector for the tail-sampling decision, and
+// counts the children still open at that moment (Tracer.Unended). End
+// is idempotent; ending a nil span is a no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -113,18 +115,26 @@ func (s *Span) End() {
 	isRoot := td.root == s
 	var rootDur time.Duration
 	hasErr := false
+	var unended int64
 	if isRoot {
 		rootDur = s.dur
 		for _, sp := range td.spans {
-			if sp.err != "" {
-				hasErr = true
-				break
+			hasErr = hasErr || sp.err != ""
+			if !sp.ended {
+				unended++
 			}
 		}
 	}
 	td.mu.Unlock()
-	if isRoot && td.tracer.Collector != nil {
-		td.tracer.Collector.offer(td, rootDur, hasErr)
+	if !isRoot {
+		return
+	}
+	// Settle the counts before the collector can show the trace.
+	t := td.tracer
+	t.unendedChildren.Add(unended)
+	t.openRoots.Add(-1)
+	if t.Collector != nil {
+		t.Collector.offer(td, rootDur, hasErr, unended)
 	}
 }
 
@@ -157,6 +167,23 @@ type Tracer struct {
 	// sampling decisions); nil takes the real clock and math/rand/v2.
 	nowFn  func() time.Time
 	randFn func() uint64
+
+	// openRoots and unendedChildren back Unended; only recorded spans
+	// touch them.
+	openRoots, unendedChildren atomic.Int64
+}
+
+// Unended reports the two ways t loses a recorded span: local roots
+// started and not yet ended, whose traces never reach the collector,
+// and child spans still open when their local root ended, whose
+// subtrees the kept trace lacks. Once a program's requests finish, both
+// are zero if it ends every span it starts; traced tests assert that at
+// cleanup. A nil tracer reports zeros.
+func (t *Tracer) Unended() (roots, children int64) {
+	if t == nil {
+		return 0, 0
+	}
+	return t.openRoots.Load(), t.unendedChildren.Load()
 }
 
 // NewTracer builds a tracer that records every new trace (head
@@ -231,6 +258,7 @@ func (t *Tracer) startLocalRoot(name string, traceID TraceID, parent SpanID) *Sp
 	}
 	td.root = s
 	td.spans = []*Span{s}
+	t.openRoots.Add(1)
 	return s
 }
 

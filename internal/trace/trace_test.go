@@ -29,9 +29,15 @@ func (c *fakeClock) Now() time.Time {
 }
 
 // newTestTracer builds a tracer with a deterministic clock and a
-// counting (never-zero) ID source, recording into c.
-func newTestTracer(c *Collector, step time.Duration) *Tracer {
+// counting (never-zero) ID source, recording into c. At cleanup it
+// fails t unless every span the test recorded was ended in time.
+func newTestTracer(t *testing.T, c *Collector, step time.Duration) *Tracer {
 	tr := NewTracer(c)
+	t.Cleanup(func() {
+		if roots, children := tr.Unended(); roots != 0 || children != 0 {
+			t.Errorf("%d recorded roots never ended, %d child spans outlived their root", roots, children)
+		}
+	})
 	clk := newFakeClock(step)
 	tr.nowFn = clk.Now
 	var ctr uint64
@@ -90,7 +96,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 
 func TestRootAndChildSpans(t *testing.T) {
 	c := NewCollector(8, 0, 1) // slow threshold 0: keep everything
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 
 	ctx, root := tr.StartRoot(context.Background(), "root")
 	if root == nil {
@@ -145,7 +151,7 @@ func TestRootAndChildSpans(t *testing.T) {
 
 func TestEndIdempotent(t *testing.T) {
 	c := NewCollector(8, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	_, root := tr.StartRoot(context.Background(), "root")
 	root.End()
 	root.End() // second End must not re-offer the trace
@@ -156,7 +162,7 @@ func TestEndIdempotent(t *testing.T) {
 
 func TestStartServerContinuesSampledTrace(t *testing.T) {
 	c := NewCollector(8, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 
 	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	ctx, s := tr.StartServer(context.Background(), "srv", inbound)
@@ -185,7 +191,7 @@ func TestStartServerContinuesSampledTrace(t *testing.T) {
 
 func TestStartServerHonorsUnsampled(t *testing.T) {
 	c := NewCollector(8, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00"
 	ctx, s := tr.StartServer(context.Background(), "srv", inbound)
 	if s != nil {
@@ -198,7 +204,7 @@ func TestStartServerHonorsUnsampled(t *testing.T) {
 
 func TestStartServerInvalidHeaderStartsFresh(t *testing.T) {
 	c := NewCollector(8, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	_, s := tr.StartServer(context.Background(), "srv", "garbage")
 	if s == nil {
 		t.Fatal("invalid header should start a fresh head-sampled trace")
@@ -214,7 +220,7 @@ func TestStartServerInvalidHeaderStartsFresh(t *testing.T) {
 
 func TestHeadSamplingZeroRate(t *testing.T) {
 	c := NewCollector(8, 0, 1)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 	tr.SampleRate = 0
 	_, s := tr.StartRoot(context.Background(), "root")
 	if s != nil {
@@ -229,13 +235,14 @@ func TestHeadSamplingZeroRate(t *testing.T) {
 	if s == nil {
 		t.Fatal("inbound sampled trace dropped by head sampler")
 	}
+	s.End()
 }
 
 func TestRecordErrorAlwaysKept(t *testing.T) {
 	// Slow threshold far above fake-clock durations, keep rate 0: only
 	// the error rule can keep a trace.
 	c := NewCollector(8, time.Hour, 0)
-	tr := newTestTracer(c, time.Millisecond)
+	tr := newTestTracer(t, c, time.Millisecond)
 
 	_, ok := tr.StartRoot(context.Background(), "fine")
 	ok.End()
@@ -262,7 +269,7 @@ func TestSlowTraceAlwaysKept(t *testing.T) {
 	// Each clock read advances 10ms; the root span spans several reads,
 	// so a 5ms threshold catches it even with keep rate 0.
 	c := NewCollector(8, 5*time.Millisecond, 0)
-	tr := newTestTracer(c, 10*time.Millisecond)
+	tr := newTestTracer(t, c, 10*time.Millisecond)
 	_, root := tr.StartRoot(context.Background(), "slow")
 	root.End()
 	if snap := c.Snapshot(); snap.Kept != 1 {
@@ -272,7 +279,7 @@ func TestSlowTraceAlwaysKept(t *testing.T) {
 
 func TestConcurrentSpans(t *testing.T) {
 	c := NewCollector(64, 0, 1)
-	tr := newTestTracer(c, time.Microsecond)
+	tr := newTestTracer(t, c, time.Microsecond)
 	ctx, root := tr.StartRoot(context.Background(), "root")
 
 	var wg sync.WaitGroup
@@ -306,5 +313,41 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 	if got := len(snap.Traces[0].Spans); got != 1+8*50 {
 		t.Fatalf("trace has %d spans, want %d", got, 1+8*50)
+	}
+}
+
+// TestUnendedCounts pins the two loss counts: a recorded root is open
+// until it ends; a child still open when its root ends is counted by
+// the tracer and by the collector's snapshot, even if it ends later;
+// an unsampled root and a nil tracer count nothing.
+func TestUnendedCounts(t *testing.T) {
+	c := NewCollector(8, 0, 1)
+	tr := NewTracer(c)
+	unended := func(wantRoots, wantChildren int64) {
+		t.Helper()
+		if roots, children := tr.Unended(); roots != wantRoots || children != wantChildren {
+			t.Errorf("Unended() = %d, %d; want %d, %d", roots, children, wantRoots, wantChildren)
+		}
+	}
+	ctx, root := tr.StartRoot(context.Background(), "root")
+	_, ended := StartSpan(ctx, "ended")
+	_, lost := StartSpan(ctx, "lost")
+	unended(1, 0)
+	ended.End()
+	root.End()
+	unended(0, 1)
+	lost.End() // too late: the root already handed the trace on
+	unended(0, 1)
+	if got := c.Snapshot().UnendedChildren; got != 1 {
+		t.Errorf("snapshot UnendedChildren = %d, want 1", got)
+	}
+
+	tr.SampleRate = 0
+	_, s := tr.StartRoot(context.Background(), "unsampled")
+	s.End()
+	unended(0, 1)
+	var none *Tracer
+	if roots, children := none.Unended(); roots != 0 || children != 0 {
+		t.Errorf("nil tracer Unended() = %d, %d", roots, children)
 	}
 }
