@@ -47,14 +47,16 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzTieDrawMatchesIntn$$' -fuzztime 10s ./internal/p2psim
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeMatchesFloydWarshall$$' -fuzztime 10s ./internal/federation
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Portal request, view-recompute and view-codec (JSON vs binary)
 # benchmarks, a portal.Client poll (200 and 304), the engine's Update
-# and Matrix kernels and the /select request decode, emitted as
-# JSON at BENCH_portal.json for cross-commit comparison;
+# and Matrix kernels, the /select request decode and a federation
+# router refresh, emitted as JSON at BENCH_portal.json for
+# cross-commit comparison;
 # scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op
 # and the BenchmarkClientDistances* rows at +10% B/op.
 bench-json:

@@ -46,7 +46,7 @@ type MultiPortalViews struct {
 	names    []string
 	fetchers []ViewFetcher  // per portal; tests swap in scripted ones
 	metrics  []*ViewMetrics // per portal; nil entries until SetMetrics
-	union    *federation.Union[struct{}]
+	union    *federation.Union
 }
 
 // NewMultiPortalViews consumes one portal per ref, each through a
@@ -62,7 +62,7 @@ func NewMultiPortalViews(base *portal.Client, refs []PortalRef, circuits []feder
 		}
 		m.fetchers[i] = base.WithBase(ref.URL)
 	}
-	m.union = federation.NewUnion[struct{}](m.names, circuits, m.timing, m.fetch, nil, m.observe)
+	m.union = federation.NewUnion(m.names, circuits, m.timing, m.fetch, m.observe)
 	return m
 }
 
@@ -89,7 +89,7 @@ func (m *MultiPortalViews) SetMetrics(vm *ViewMetrics) {
 
 // observe books one refresh pass of the union: each portal's counter
 // increments go to its labeled metrics, and a failed merge is logged.
-func (m *MultiPortalViews) observe(counted []refresh.Stats, _ *federation.Merged[struct{}], mergeErr error) {
+func (m *MultiPortalViews) observe(counted []refresh.Stats, _ *federation.Merged, mergeErr error) {
 	for i, d := range counted {
 		m.metrics[i].mirror(d)
 	}

@@ -2,12 +2,15 @@ package apptracker
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -263,5 +266,54 @@ func TestMultiPortalViewsPerPortalMetrics(t *testing.T) {
 	// registered (single-portal trackers keep their dashboards).
 	if !strings.Contains(string(expo), `portal=""`) {
 		t.Error(`exposition missing the default portal="" series`)
+	}
+}
+
+// TestMultiPortalViewsKeyIsInjective is federation's
+// TestUnionKeyIsInjective through this owner: portal ETags that ran
+// together in a raw "name=validator#version;" key must not let a
+// refresh pass republish the previous merge over changed portals.
+func TestMultiPortalViewsKeyIsInjective(t *testing.T) {
+	type state struct {
+		etag string
+		view *core.View
+	}
+	var mu sync.Mutex
+	states := map[string]state{}
+	refs := make([]PortalRef, 2)
+	for i, name := range []string{"a", "b"} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			st := states[name]
+			mu.Unlock()
+			w.Header().Set("ETag", st.etag)
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(portal.ToWire(st.view))
+		}))
+		t.Cleanup(srv.Close)
+		refs[i] = PortalRef{Name: name, URL: srv.URL}
+	}
+	mpv := NewMultiPortalViews(portal.NewClient("", ""), refs, nil, time.Hour)
+	one := func(version int, pid topology.PID) *core.View {
+		return &core.View{Version: version, PIDs: []topology.PID{pid}, D: [][]float64{{0}}}
+	}
+	for _, st := range []struct {
+		a, b state
+		want []topology.PID
+	}{
+		{state{"x", one(1, 1)}, state{"y#2;b=z", one(3, 2)}, []topology.PID{1, 2}},
+		{state{"x#1;b=y", one(2, 5)}, state{"z", one(3, 6)}, []topology.PID{5, 6}},
+	} {
+		mu.Lock()
+		states["a"], states["b"] = st.a, st.b
+		mu.Unlock()
+		mpv.Invalidate()
+		v := mpv.ViewFor(0)
+		if v == nil {
+			t.Fatal("no merged view")
+		}
+		if got := v.PIDs; !slices.Equal(got, st.want) {
+			t.Errorf("ETags %q, %q: merged PIDs %v, want %v", st.a.etag, st.b.etag, got, st.want)
+		}
 	}
 }

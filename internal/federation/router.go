@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"p4p/internal/core"
@@ -82,10 +83,6 @@ type ShardStats struct {
 	StaleServes int64 `json:"stale_serves"`
 }
 
-// forms is what the router publishes beside each merged view: every
-// wire form (portal.Forms), rendered once per input change.
-type forms map[string]*portal.Entry
-
 // RouterMetrics instruments the federation router. Per-shard families
 // carry a "shard" label.
 type RouterMetrics struct {
@@ -156,7 +153,8 @@ type Router struct {
 	bootNonce string
 	clients   []*portal.Client // per shard, in cfg.Shards order
 	trusted   map[string]bool
-	union     *Union[forms]
+	union     *Union
+	entries   *portal.EntryCache[string] // keyed by Merged.Key
 
 	// nowFn, when non-nil, replaces time.Now so tests drive TTL and
 	// backoff windows with a fake clock instead of sleeping.
@@ -212,7 +210,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		rt.clients = append(rt.clients, c)
 		shardNames[i] = sc.Name
 	}
-	rt.union = NewUnion(shardNames, cfg.Circuits, rt.timing, rt.fetchShard, rt.render, rt.observe)
+	rt.union = NewUnion(shardNames, cfg.Circuits, rt.timing, rt.fetchShard, rt.observe)
+	rt.entries = portal.NewEntryCache(rt.etag)
 	rt.portal = portal.NewSourceHandler(source{rt})
 	rt.Telemetry = &rt.portal.Telemetry
 	rt.portal.Handle("GET /stats", rt.Telemetry.RouteFunc("stats", rt.handleStats))
@@ -248,7 +247,7 @@ var errNoShardViews = fmt.Errorf("%w: no merged federation view yet", portal.Err
 
 // current returns the merged state to serve: the union's, behind the
 // router's own auth.
-func (s source) current(ctx context.Context, token string) (*Merged[forms], error) {
+func (s source) current(ctx context.Context, token string) (*Merged, error) {
 	rt := s.rt
 	if !rt.admits(token) {
 		return nil, portal.ErrAccessDenied
@@ -270,13 +269,17 @@ func (s source) current(ctx context.Context, token string) (*Merged[forms], erro
 	return r.Value, nil
 }
 
-// Entry implements portal.ViewSource.
+// Entry implements portal.ViewSource: the form's entry for the published
+// merge, rendered on the first request for it. The key, not the merged
+// Version, identifies the merge: a shard restart can change the key
+// without changing the sum of versions.
 func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, error) {
-	ent, err := s.current(ctx, token)
+	m, err := s.current(ctx, token)
 	if err != nil {
 		return nil, err
 	}
-	return ent.Rendered[form], nil
+	return s.rt.entries.Get(ctx, form, m.Key, s.rt.portal.CacheMetrics,
+		func(context.Context) (string, *core.View, error) { return m.Key, m.View, nil })
 }
 
 // View implements portal.ViewSource.
@@ -307,7 +310,7 @@ func (s source) LookupPID(ctx context.Context, token string, ip net.IP) (portal.
 // increments go to the labeled families, so /metrics tracks the
 // per-shard stats exactly; a new merge moves the merge families; a
 // failed one is an Error line (the merged cell's backoff paces them).
-func (rt *Router) observe(counted []refresh.Stats, merged *Merged[forms], mergeErr error) {
+func (rt *Router) observe(counted []refresh.Stats, merged *Merged, mergeErr error) {
 	if m := rt.Metrics; m != nil {
 		for i, d := range counted {
 			name := rt.cfg.Shards[i].Name
@@ -361,21 +364,12 @@ func (sc ShardConfig) checkRange(v *core.View) error {
 	return nil
 }
 
-// render is the union's render: it encodes every wire form of a newly
-// merged view and composes the federation ETags from the input
-// fingerprint.
-func (rt *Router) render(v *core.View, key string) (forms, error) {
+// etag composes the federation validator of one form of the merge with
+// this key, unquoted: "fed-<boot-nonce>-<fnv64a(key)>-<form>".
+func (rt *Router) etag(key, form string) string {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	f := forms{}
-	for _, form := range portal.Forms {
-		body, err := portal.EncodeView(v, form)
-		if err != nil {
-			return nil, fmt.Errorf("federation: encode %s view: %w", form, err)
-		}
-		f[form] = portal.NewEntry(v.Version, fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form), body)
-	}
-	return f, nil
+	return fmt.Sprintf("fed-%s-%016x-%s", rt.bootNonce, h.Sum64(), form)
 }
 
 // ShardStatus is one shard's row in the /stats body.
@@ -439,7 +433,7 @@ func (rt *Router) Stats() RouterStats {
 			PIDs:          len(ent.View.PIDs),
 			ShardsServing: ent.Serving,
 			ShardsFresh:   ent.Fresh,
-			ETag:          ent.Rendered["raw"].ETag,
+			ETag:          strconv.Quote(rt.etag(ent.Key, "raw")),
 		}
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,13 +57,17 @@ type fakeBackend struct {
 	view     *core.View
 	pid      *portal.PIDLookupWire // nil = 404 on /p4p/v1/pid
 	fail     bool
-	jsonOnly bool // a portal from before the binary form
-	gets     int  // 200 responses served on distances
-	binary   int  // of those, in binary
-	nmods    int  // 304 responses served
+	jsonOnly bool   // a portal from before the binary form
+	etag     string // when set, the ETag served instead of one from the version
+	gets     int    // 200 responses served on distances
+	binary   int    // of those, in binary
+	nmods    int    // 304 responses served
 }
 
 func (f *fakeBackend) etagLocked() string {
+	if f.etag != "" {
+		return f.etag
+	}
 	return fmt.Sprintf("%q", fmt.Sprintf("fake-v%d", f.view.Version))
 }
 
@@ -230,8 +235,9 @@ func TestRouterServesMergedView(t *testing.T) {
 
 // TestRouterTracedRefresh serves one traced request through a cold
 // router: the server span parents federation_refresh, which parents a
-// client request span and an attempt per shard. Every span ends before
-// its root, and no refresh goroutine outlives the request.
+// client request span and an attempt per shard, and the encode of the
+// one form asked for. Every span ends before its root, and no refresh
+// goroutine outlives the request.
 func TestRouterTracedRefresh(t *testing.T) {
 	rt, _, _, _ := testFederation(t)
 	col := trace.NewCollector(8, 0, 1)
@@ -248,9 +254,52 @@ func TestRouterTracedRefresh(t *testing.T) {
 	for _, s := range snap.Traces[0].Spans {
 		counts[s.Name]++
 	}
-	want := map[string]int{"distances": 1, "federation_refresh": 1, "client GET /p4p/v1/distances": 2, "attempt": 2}
+	want := map[string]int{"distances": 1, "federation_refresh": 1, "client GET /p4p/v1/distances": 2, "attempt": 2, "encode": 1}
 	if !maps.Equal(counts, want) {
 		t.Errorf("span names %v, want %v", counts, want)
+	}
+}
+
+// TestRouterRendersOnlyFormAsked is the pin on the lazy render: after a
+// shard changes, the refresh encodes nothing, and a binary request
+// encodes the binary form alone. Rendering every form with the merge
+// would show three encode spans, or none.
+func TestRouterRendersOnlyFormAsked(t *testing.T) {
+	rt, clk, fa, _ := testFederation(t)
+	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	va := viewA()
+	va.Version = 4
+	fa.setView(va)
+	clk.advance(31 * time.Second)
+	col := trace.NewCollector(8, 0, 1)
+	rt.Telemetry.Tracer = trace.NewTracer(col)
+	leaktest.Check(t, rt.Telemetry.Tracer)
+	rec := get(t, rt, "/p4p/v1/distances", map[string]string{"Accept": portal.BinaryViewType})
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != portal.BinaryViewType {
+		t.Fatalf("status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	snap := col.Snapshot()
+	if len(snap.Traces) != 1 {
+		t.Fatalf("kept %d traces, want 1", len(snap.Traces))
+	}
+	var forms []string
+	refreshed := false
+	for _, s := range snap.Traces[0].Spans {
+		switch s.Name {
+		case "federation_refresh":
+			refreshed = true
+		case "encode":
+			for _, a := range s.Attrs {
+				if a.Key == "form" {
+					forms = append(forms, a.Value)
+				}
+			}
+		}
+	}
+	if !refreshed || !slices.Equal(forms, []string{portal.FormBinary}) {
+		t.Errorf("refreshed %v, encoded forms %v; want a refresh and one encode of %s", refreshed, forms, portal.FormBinary)
 	}
 }
 

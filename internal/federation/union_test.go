@@ -8,13 +8,15 @@ import (
 	"testing"
 	"time"
 
+	"p4p/internal/core"
 	"p4p/internal/refresh"
+	"p4p/internal/topology"
 )
 
 // TestUnionOwnersAgree drives one scripted member schedule — healthy, one
 // member fails, it recovers with a new version, it starts serving the
 // other member's PIDs — through a Router (members fetched over HTTP, a in
-// binary and b, a portal that ignores Accept, in JSON; every wire form
+// binary and b, a portal that ignores Accept, in JSON; the raw form
 // rendered) and through a bare Union reading the same
 // backends directly, and requires the same merged view contents, key and
 // serving/fresh counts after every step: what an owner adds (auth, the
@@ -26,7 +28,7 @@ func TestUnionOwnersAgree(t *testing.T) {
 	fb.mu.Unlock()
 	backends := []*fakeBackend{fa, fb}
 	tm := refresh.Timing{TTL: 30 * time.Second, Now: clk.now}
-	bare := NewUnion[struct{}]([]string{"a", "b"}, rt.cfg.Circuits,
+	bare := NewUnion([]string{"a", "b"}, rt.cfg.Circuits,
 		func() refresh.Timing { return tm },
 		func(_ context.Context, i int) (MemberView, error) {
 			f := backends[i]
@@ -36,7 +38,7 @@ func TestUnionOwnersAgree(t *testing.T) {
 				return MemberView{}, errors.New("injected failure")
 			}
 			return MemberView{View: f.view, Validator: f.etagLocked()}, nil
-		}, nil, nil)
+		}, nil)
 
 	overlap := viewA()
 	overlap.Version = 9
@@ -102,6 +104,44 @@ func TestUnionOwnersAgree(t *testing.T) {
 		}
 		if gets == 0 || binary != want {
 			t.Errorf("shard %d served %d views, %d in binary, want %d", i, gets, binary, want)
+		}
+	}
+}
+
+// TestUnionKeyIsInjective is the regression test for a merge key built
+// from raw validators. Backend ETags are outside input, and RFC 9110's
+// etagc allows '#', ';' and '=', so "name=validator#version;" tokens
+// could run together: a = (x, v1), b = (y#2;b=z, v3) and a = (x#1;b=y,
+// v2), b = (z, v3) both gave "a=x#1;b=y#2;b=z#3;", and the router
+// republished the first merge over the second. MultiPortalViews has the
+// same test in package apptracker.
+func TestUnionKeyIsInjective(t *testing.T) {
+	rt, clk, fa, fb := testFederation(t)
+	one := func(version int, pid topology.PID) *core.View {
+		return &core.View{Version: version, PIDs: []topology.PID{pid}, D: [][]float64{{0}}}
+	}
+	set := func(f *fakeBackend, etag string, v *core.View) {
+		f.mu.Lock()
+		f.etag, f.view = etag, v
+		f.mu.Unlock()
+	}
+	for _, st := range []struct {
+		aTag, bTag string
+		a, b       *core.View
+		want       []topology.PID
+	}{
+		{"x", "y#2;b=z", one(1, 1), one(3, 2), []topology.PID{1, 2}},
+		{"x#1;b=y", "z", one(2, 5), one(3, 6), []topology.PID{5, 6}},
+	} {
+		set(fa, st.aTag, st.a)
+		set(fb, st.bTag, st.b)
+		clk.advance(31 * time.Second)
+		rec := get(t, rt, "/p4p/v1/distances", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d", rec.Code)
+		}
+		if got := decodeView(t, rec.Body.Bytes()).PIDs; !reflect.DeepEqual(got, st.want) {
+			t.Errorf("validators %q, %q: merged PIDs %v, want %v", st.aTag, st.bTag, got, st.want)
 		}
 	}
 }

@@ -153,20 +153,10 @@ type Server struct {
 	queryCount  int64
 	updateCount int64
 
-	encoded     map[string]*encodedEntry // fully-encoded bodies by form
-	encInflight map[string]chan struct{} // per-form encode singleflight
-
 	// testHookPreMatrix, when non-nil, runs inside the singleflight
 	// materializer just before engine.Matrix; tests use it to inject
 	// panics and to synchronize on "a recompute is in flight".
 	testHookPreMatrix func()
-}
-
-// encodedEntry is one cached wire-ready response body: the bytes an
-// EncodeFunc produced for the view of one engine version.
-type encodedEntry struct {
-	version int
-	body    []byte
 }
 
 // ErrAccessDenied is returned when a caller lacks a trusted token on a
@@ -176,12 +166,7 @@ var ErrAccessDenied = errors.New("itracker: access denied")
 // New builds an iTracker over a p-distance engine and an IP-to-PID map
 // (which may be nil if PID lookup is not served).
 func New(cfg Config, engine *core.Engine, pidMap *PIDMap) *Server {
-	t := &Server{
-		cfg: cfg, engine: engine, pidMap: pidMap,
-		trusted:     map[string]bool{},
-		encoded:     map[string]*encodedEntry{},
-		encInflight: map[string]chan struct{}{},
-	}
+	t := &Server{cfg: cfg, engine: engine, pidMap: pidMap, trusted: map[string]bool{}}
 	for _, tok := range cfg.TrustedTokens {
 		t.trusted[tok] = true
 	}
@@ -320,90 +305,10 @@ func (t *Server) materialize(ctx context.Context, done chan struct{}) (view *cor
 	return view
 }
 
-// EncodeFunc serializes a materialized view into wire-ready response
-// bytes. It must be deterministic for a given view: EncodedViewCtx caches
-// its output per (engine version, form) and replays the same bytes to
-// every caller until the version bumps.
-type EncodeFunc func(*core.View) ([]byte, error)
-
-// EncodedViewCtx serves the p4p-distance interface as pre-encoded bytes:
-// the fully-rendered response body for the current engine version and
-// the given form, cached so steady-state portal traffic never touches
-// the encoder ("network information should be aggregated and allow
-// caching" — extended all the way to the wire). The returned slice is
-// shared between callers and must not be mutated.
-//
-// Like the view itself, encoding is singleflight per form: when a
-// version bump invalidates the cached bytes, exactly one caller
-// materializes the view (through Distances' own singleflight) and runs
-// encode, while concurrent callers wait without holding the server
-// lock. Encode failures are returned, not cached.
-//
-// The caller context is used only for trace propagation; the cache-hit
-// fast path touches no trace code.
-func (t *Server) EncodedViewCtx(ctx context.Context, token, form string, encode EncodeFunc) ([]byte, int, error) {
-	if !t.authorized(token) {
-		return nil, 0, ErrAccessDenied
-	}
-	t.mu.Lock()
-	for {
-		if e := t.encoded[form]; e != nil && e.version == t.engine.Version() {
-			t.queryCount++
-			t.mu.Unlock()
-			return e.body, e.version, nil
-		}
-		if done := t.encInflight[form]; done != nil {
-			// Another goroutine is encoding this form; wait with the
-			// lock released, then re-check the cache.
-			t.mu.Unlock()
-			_, span := trace.StartSpan(ctx, "encode_wait")
-			<-done
-			span.End()
-			t.mu.Lock()
-			continue
-		}
-		t.encInflight[form] = make(chan struct{})
-		t.mu.Unlock()
-		return t.encodeView(ctx, token, form, encode)
-	}
-}
-
-// encodeView materializes and encodes the current view for one form.
-// Publication and waiter release run under defer, so a panicking
-// engine or encoder cannot strand the per-form singleflight.
-func (t *Server) encodeView(ctx context.Context, token, form string, encode EncodeFunc) (body []byte, version int, err error) {
-	ctx, span := trace.StartSpan(ctx, "encode")
-	defer span.End()
-	span.SetAttr("form", form)
-	var entry *encodedEntry
-	defer func() {
-		t.mu.Lock()
-		if entry != nil {
-			t.encoded[form] = entry
-		}
-		done := t.encInflight[form]
-		delete(t.encInflight, form)
-		t.mu.Unlock()
-		close(done)
-	}()
-	v, err := t.DistancesCtx(ctx, token)
-	if err != nil {
-		span.RecordError(err)
-		return nil, 0, err
-	}
-	body, err = encode(v)
-	if err != nil {
-		span.RecordError(err)
-		return nil, 0, err
-	}
-	span.SetAttrInt("bytes", len(body))
-	entry = &encodedEntry{version: v.Version, body: body}
-	return body, v.Version, nil
-}
-
 // ViewVersion reports the engine version a Distances call would serve,
-// without materializing or serializing a view. The HTTP portal uses it
-// to answer conditional GETs (If-None-Match) with 304 Not Modified.
+// without materializing or serializing a view. The HTTP portal keys its
+// rendered responses by it, so a request at an unchanged version is a
+// cached byte copy or a 304 Not Modified.
 func (t *Server) ViewVersion(token string) (int, error) {
 	if !t.authorized(token) {
 		return 0, ErrAccessDenied

@@ -23,11 +23,11 @@ import (
 const BinaryViewType = "application/x-p4p-view"
 
 // FormBinary names that rendering wherever a form is a key: EncodeView,
-// ViewSource.Entry, the ETag suffix, the iTracker's encode span.
+// ViewSource.Entry, the ETag suffix, EntryCache's encode span.
 const FormBinary = "bin"
 
 // Forms lists every form a ViewSource renders.
-var Forms = []string{"raw", "ranks", FormBinary}
+var Forms = [...]string{"raw", "ranks", FormBinary}
 
 // binaryMagic is three magic bytes and the format byte; no JSON text
 // starts with it, so a body names its own encoding.

@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"p4p/internal/core"
 	"p4p/internal/itracker"
@@ -86,9 +85,9 @@ type Entry struct {
 	clenVals []string // {strconv.Itoa(len(body))}
 }
 
-// NewEntry renders the headers for an encoded body once, so serving the
+// newEntry renders the headers for an encoded body once, so serving the
 // entry later formats nothing. tag is the source's unquoted validator.
-func NewEntry(version int, tag string, body []byte) *Entry {
+func newEntry(version int, tag string, body []byte) *Entry {
 	etag := fmt.Sprintf("%q", tag)
 	ct := jsonCTVals
 	if bytes.HasPrefix(body, []byte(binaryMagic)) {
@@ -126,10 +125,11 @@ func NewEntry(version int, tag string, body []byte) *Entry {
 // get 304 Not Modified with no body, so refreshing appTrackers pay
 // nothing when the view has not changed.
 //
-// The 200 path is cached too: the fully-encoded JSON body and its
-// ETag/Content-Length header values are rendered once per published
-// view and form, so a steady-state response is a byte copy that never
-// touches json.Marshal (see DESIGN.md, "Serving kernel").
+// The 200 path is cached too: the source's EntryCache renders the
+// encoded body and its ETag/Content-Length header values once per view
+// and form, on the first request for that form, so a steady-state
+// response is a byte copy that never touches json.Marshal (see
+// DESIGN.md, "Serving kernel").
 //
 // Every route runs through Telemetry, which mints a request ID (echoed
 // in X-Request-ID and carried on the request context when a Logger is
@@ -145,47 +145,31 @@ type Handler struct {
 	// inert. Set its fields, do not replace the struct (route
 	// registrations live inside it).
 	Telemetry telemetry.Middleware
-	// CacheMetrics, when non-nil, counts encoded-response-cache hits
-	// and misses on the iTracker-backed distances path (see
-	// NewCacheMetrics).
+	// CacheMetrics, when non-nil, counts the source's rendered-entry
+	// cache hits and misses on the distances path (see NewCacheMetrics).
 	CacheMetrics *CacheMetrics
 	mux          *http.ServeMux
 	src          ViewSource
 }
 
 // trackerSource is the iTracker-backed ViewSource. The iTracker's own
-// version-keyed singleflights decide freshness (a reader must never get
+// version-keyed singleflight decides freshness (a reader must never get
 // the previous version while a recompute runs, so there is no
 // stale-while-revalidate here); this layer only keeps the rendered
-// entry per form, invalidated by version.
+// entry per form, keyed by engine version.
 type trackerSource struct {
-	h  *Handler // for CacheMetrics, which is set after construction
-	tr *itracker.Server
-
-	// bootNonce distinguishes this process's ETags from a restarted
-	// portal at the same engine version: version counters restart at
-	// zero, so without the nonce a client's stale If-None-Match could
-	// spuriously revalidate against a fresh process serving different
-	// data.
-	bootNonce string
-
-	// forms holds, per form, the current rendered response and the encoder
-	// installed into the iTracker's cache; the map is fixed at construction.
-	forms map[string]*formCache
+	h       *Handler // for CacheMetrics, which is set after construction
+	tr      *itracker.Server
+	entries *EntryCache[int]
 }
 
-type formCache struct {
-	entry  atomic.Pointer[Entry]
-	encode itracker.EncodeFunc
-}
-
-// CacheMetrics counts how the encoded-response cache behaves. All
-// recording methods are nil-safe.
+// CacheMetrics counts how a source's EntryCache behaves. All recording
+// methods are nil-safe.
 type CacheMetrics struct {
 	// Hits counts distances responses served as a cached byte copy.
 	Hits *telemetry.Counter
-	// Misses counts distances requests that re-encoded the view (first
-	// request of a version/form, or post-invalidation).
+	// Misses counts distances requests that found no entry for the
+	// current view and form, and rendered it or waited for its render.
 	Misses *telemetry.Counter
 }
 
@@ -211,12 +195,17 @@ func (m *CacheMetrics) miss() {
 	}
 }
 
-// NewHandler builds the HTTP handler for an iTracker.
+// NewHandler builds the HTTP handler for an iTracker. Its ETags are
+// "<boot-nonce>-v<engine version>-<form>": the nonce distinguishes this
+// process's ETags from a restarted portal at the same engine version
+// (version counters restart at zero, so without it a client's stale
+// If-None-Match could spuriously revalidate against a fresh process
+// serving different data).
 func NewHandler(tr *itracker.Server) *Handler {
-	src := &trackerSource{tr: tr, bootNonce: fmt.Sprintf("%08x", rand.Uint32()), forms: map[string]*formCache{}}
-	for _, form := range Forms {
-		src.forms[form] = &formCache{encode: func(v *core.View) ([]byte, error) { return EncodeView(v, form) }}
-	}
+	nonce := fmt.Sprintf("%08x", rand.Uint32())
+	src := &trackerSource{tr: tr, entries: NewEntryCache(func(version int, form string) string {
+		return fmt.Sprintf("%s-v%d-%s", nonce, version, form)
+	})}
 	h := NewSourceHandler(src)
 	src.h = h
 	h.Tracker = tr
@@ -329,29 +318,20 @@ func EncodeView(v *core.View, form string) ([]byte, error) {
 }
 
 // Entry serves the rendered response for the engine's current version,
-// re-encoding under the iTracker's singleflight when the version moved.
-// Forms are validated before this is reached.
+// rendering it from the iTracker's view when the version moved. Forms
+// are validated before this is reached.
 func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, error) {
 	ver, err := s.tr.ViewVersion(token)
 	if err != nil {
 		return nil, err
 	}
-	cache := s.forms[form]
-	if ent := cache.entry.Load(); ent != nil && ent.Version == ver {
-		s.h.CacheMetrics.hit()
-		return ent, nil
-	}
-	// Cold cache or version bump: re-encode and publish the rendered
-	// entry. A price update racing the encode can leave the entry one
-	// version behind; the next request simply misses again.
-	s.h.CacheMetrics.miss()
-	body, version, err := s.tr.EncodedViewCtx(ctx, token, form, cache.encode)
-	if err != nil {
-		return nil, err
-	}
-	ent := NewEntry(version, fmt.Sprintf("%s-v%d-%s", s.bootNonce, version, form), body)
-	cache.entry.Store(ent)
-	return ent, nil
+	return s.entries.Get(ctx, form, ver, s.h.CacheMetrics, func(ctx context.Context) (int, *core.View, error) {
+		v, err := s.tr.DistancesCtx(ctx, token)
+		if err != nil {
+			return 0, nil, err
+		}
+		return v.Version, v, nil
+	})
 }
 
 // View implements ViewSource off the iTracker's materialized view.

@@ -3,18 +3,22 @@ package portal_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"p4p/internal/core"
 	"p4p/internal/federation"
 	"p4p/internal/itracker"
 	"p4p/internal/portal"
 	"p4p/internal/topology"
+	"p4p/internal/trace"
 )
 
 // This file runs the serving kernel over both of its sources. It lives
@@ -278,6 +282,190 @@ func TestNegotiationOverBothSources(t *testing.T) {
 					t.Errorf("%s: status %d, Content-Type %q; want a 400 JSON envelope", target, rec.Code, rec.Header().Get("Content-Type"))
 				}
 			}
+		})
+	}
+}
+
+// liveSource is one ViewSource behind its handler, with a tracer on its
+// middleware and a way to move its view: bump runs a price update on the
+// iTracker that answers for it.
+type liveSource struct {
+	name string
+	h    http.Handler
+	col  *trace.Collector
+	bump func()
+}
+
+// liveSources builds both sources over open Abilene iTrackers. The
+// router's TTL is a nanosecond, so every request revalidates its shard
+// and sees a bump at once; the merge key moves only when the shard's
+// ETag does.
+func liveSources(t *testing.T) []liveSource {
+	t.Helper()
+	g := topology.Abilene()
+	tracker := func() (*portal.Handler, func()) {
+		e := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
+		tr := itracker.New(itracker.Config{Name: "t", ASN: 1}, e, itracker.SyntheticPIDMap(g))
+		return portal.NewHandler(tr), func() { tr.ObserveAndUpdate(make([]float64, g.NumLinks())) }
+	}
+	h, bump := tracker()
+	col := trace.NewCollector(4096, 0, 1)
+	h.Telemetry.Tracer = trace.NewTracer(col)
+	sources := []liveSource{{"itracker", h, col, bump}}
+
+	backend, bump := tracker()
+	srv := httptest.NewServer(backend)
+	t.Cleanup(srv.Close)
+	rt, err := federation.NewRouter(federation.Config{
+		Shards: []federation.ShardConfig{{Name: "abilene", BaseURL: srv.URL}},
+		TTL:    time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col = trace.NewCollector(4096, 0, 1)
+	rt.Telemetry.Tracer = trace.NewTracer(col)
+	return append(sources, liveSource{"federation", rt, col, bump})
+}
+
+// encodes counts the renders the source's kept traces record, by form.
+func (s liveSource) encodes() map[string]int {
+	n := map[string]int{}
+	for _, kept := range s.col.Snapshot().Traces {
+		for _, sp := range kept.Spans {
+			if sp.Name != "encode" {
+				continue
+			}
+			for _, a := range sp.Attrs {
+				if a.Key == "form" {
+					n[a.Value]++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestEntryCacheRendersOncePerKey checks the cache contract through both
+// sources: a form is rendered once per view and served as the same
+// bytes after that, forms are rendered independently and only when
+// asked for, and a moved view renders again under a new ETag.
+func TestEntryCacheRendersOncePerKey(t *testing.T) {
+	for _, src := range liveSources(t) {
+		t.Run(src.name, func(t *testing.T) {
+			first := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+			again := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+			if first.Code != http.StatusOK || again.Header().Get("Etag") != first.Header().Get("Etag") ||
+				!bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+				t.Fatalf("repeat request: status %d, ETag %s then %s", first.Code, first.Header().Get("Etag"), again.Header().Get("Etag"))
+			}
+			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 1}) {
+				t.Fatalf("renders %v after two raw requests, want raw once", got)
+			}
+			serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", nil)
+			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 1, "ranks": 1}) {
+				t.Fatalf("renders %v after a ranks request, want raw and ranks once", got)
+			}
+			src.bump()
+			moved := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+			if moved.Code != http.StatusOK || moved.Header().Get("Etag") == first.Header().Get("Etag") {
+				t.Fatalf("after a price update: status %d, ETag %s unchanged", moved.Code, moved.Header().Get("Etag"))
+			}
+			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 2, "ranks": 1}) {
+				t.Fatalf("renders %v after a price update, want raw twice and ranks once", got)
+			}
+		})
+	}
+}
+
+// TestEntryCacheSingleflight races many requests at a moved view through
+// both sources: the form is rendered once per move, and every request
+// gets the same bytes.
+func TestEntryCacheSingleflight(t *testing.T) {
+	const rounds, workers = 5, 32
+	for _, src := range liveSources(t) {
+		t.Run(src.name, func(t *testing.T) {
+			for r := 0; r < rounds; r++ {
+				src.bump()
+				// The router publishes the new merge on this request,
+				// which renders nothing.
+				serve(src.h, "GET", "/p4p/v1/distances/batch?pairs=0-1", "", nil)
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				recs := make([]*httptest.ResponseRecorder, workers)
+				for w := range recs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						recs[w] = serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+					}()
+				}
+				close(start)
+				wg.Wait()
+				for _, rec := range recs {
+					if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), recs[0].Body.Bytes()) {
+						t.Fatalf("round %d: status %d, or concurrent requests got different bodies", r, rec.Code)
+					}
+				}
+			}
+			if got := src.encodes()["raw"]; got != rounds {
+				t.Fatalf("raw rendered %d times, want %d (one per price update)", got, rounds)
+			}
+		})
+	}
+}
+
+// TestEntryCacheBodyMatchesETag serves both sources while prices move:
+// an ETag always names one body. A torn entry (new ETag, old body) would
+// make clients cache a wrong validator and never refetch. On the
+// iTracker, TestCachedDistancesConsistency also checks the ETag's
+// version against the body's.
+func TestEntryCacheBodyMatchesETag(t *testing.T) {
+	for _, src := range liveSources(t) {
+		t.Run(src.name, func(t *testing.T) {
+			var mu sync.Mutex
+			bodies := map[string][]byte{}
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 100 {
+					src.bump()
+				}
+				close(stop)
+			}()
+			for range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						rec := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
+						etag := rec.Header().Get("Etag")
+						if rec.Code != http.StatusOK {
+							t.Errorf("status %d", rec.Code)
+							return
+						}
+						mu.Lock()
+						prev, seen := bodies[etag]
+						if !seen {
+							bodies[etag] = rec.Body.Bytes()
+						}
+						mu.Unlock()
+						if seen && !bytes.Equal(prev, rec.Body.Bytes()) {
+							t.Errorf("ETag %s served two different bodies", etag)
+							return
+						}
+						select {
+						case <-stop:
+							return
+						default:
+						}
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -10,9 +10,12 @@
 #                     ISP-B size in both encodings, one portal.Client
 #                     poll over loopback (200 and 304), the engine's
 #                     two kernels (core.Engine Update and Matrix, ISP-B
-#                     and Abilene), and the decode of one select-fed
+#                     and Abilene), the decode of one select-fed
 #                     /select body, by Node's UnmarshalJSON and by the
-#                     reflective struct decode -> BENCH_portal.json
+#                     reflective struct decode, and one federation
+#                     router refresh over two loopback shards (shards
+#                     unchanged and one changed) followed by a binary
+#                     and a raw request -> BENCH_portal.json
 #   sim               p2psim hot-path benchmarks, P4P.Select at 200 /
 #                     1k / 10k candidates and at a swarm's shape
 #                     (swarm1k), plus the Figure 7 swarm-size sweep,
@@ -38,6 +41,8 @@ portal)
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/
 		go test -run '^$' -bench 'BenchmarkSelectRequestDecode' \
 			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
+		go test -run '^$' -bench 'BenchmarkRouterRefresh' \
+			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/federation/
 	)
 	;;
 sim)
