@@ -26,6 +26,8 @@ package main
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -66,14 +68,9 @@ func main() {
 		os.Exit(2)
 	}
 	r := topology.ComputeRouting(g)
-	cfg := core.Config{StepSize: *step, PerturbFrac: *perturb}
-	switch *objective {
-	case "mlu":
-		cfg.Objective = core.MinimizeMLU
-	case "bdp":
-		cfg.Objective = core.MinimizeBDP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown objective %q\n", *objective)
+	cfg, err := engineConfig(*objective, *step, *perturb)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	engine := core.NewEngine(g, r, cfg)
@@ -149,6 +146,29 @@ func main() {
 		slog.String("network", g.Name),
 		slog.Int("pids", g.NumNodes()),
 		slog.Int("links", g.NumLinks()))
+}
+
+// engineConfig builds the price engine's configuration from the flags.
+// A perturbing engine is seeded from crypto/rand: under a fixed seed an
+// appTracker could replay the factors and divide them out of a view.
+func engineConfig(objective string, step, perturb float64) (core.Config, error) {
+	cfg := core.Config{StepSize: step, PerturbFrac: perturb}
+	switch objective {
+	case "mlu":
+		cfg.Objective = core.MinimizeMLU
+	case "bdp":
+		cfg.Objective = core.MinimizeBDP
+	default:
+		return cfg, fmt.Errorf("unknown objective %q", objective)
+	}
+	if perturb > 0 {
+		var seed [8]byte
+		if _, err := crand.Read(seed[:]); err != nil {
+			return cfg, fmt.Errorf("perturbation seed: %w", err)
+		}
+		cfg.PerturbSeed = int64(binary.LittleEndian.Uint64(seed[:]))
+	}
+	return cfg, nil
 }
 
 func topologyByName(name string) (*topology.Graph, error) {

@@ -115,19 +115,6 @@ func (m *MultiPortalViews) ViewFor(asn int) DistanceView {
 	return nil
 }
 
-// BatchDistances answers src→dst queries from the merged view; pairs
-// not covered (e.g. no portal serving yet) return errNoBatchSource —
-// there is no single backend to fall back to for cross-shard pairs.
-func (m *MultiPortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair) ([]float64, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	if out := heldDistances(m.ViewFor(0), pairs); out != nil {
-		return out, nil
-	}
-	return nil, errNoBatchSource
-}
-
 // Ready reports whether any portal holds a view no older than maxAge
 // (maxAge <= 0 accepts any held view) — degraded-but-useful is the
 // paper's explicit operating mode — and details the split for /readyz.

@@ -2,12 +2,10 @@ package apptracker
 
 import (
 	"context"
-	"errors"
 	"log/slog"
 	"time"
 
 	"p4p/internal/core"
-	"p4p/internal/portal"
 	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
 	"p4p/internal/trace"
@@ -18,13 +16,6 @@ import (
 // failing/slow/flaky implementations.
 type ViewFetcher interface {
 	DistancesContext(ctx context.Context) (*core.View, error)
-}
-
-// BatchFetcher is the optional batch-endpoint slice of the portal
-// client; *portal.Client satisfies it. PortalViews falls back to it
-// when it has no usable full view for a batch query.
-type BatchFetcher interface {
-	BatchDistancesContext(ctx context.Context, pairs []portal.PIDPair) (*portal.BatchResult, error)
 }
 
 // ViewStats counts how the view cache is behaving; appTrackers export
@@ -129,9 +120,6 @@ type PortalViews struct {
 	// TTL is how long a fetched view is served without revalidation
 	// (default 30s).
 	TTL time.Duration
-	// RefreshTimeout bounds one refresh, on top of the client's own
-	// retry policy (default 10s).
-	RefreshTimeout time.Duration
 	// FailureBackoff is how long to serve stale after a failed refresh
 	// before trying the portal again (default 5s); it stops a dead
 	// portal from being hammered on every selection.
@@ -167,12 +155,12 @@ func NewPortalViews(client ViewFetcher, ttl time.Duration) *PortalViews {
 // timing hands the cell the current values of the exported knobs, which
 // callers may set any time before serving.
 func (p *PortalViews) timing() refresh.Timing {
-	return refresh.Timing{TTL: p.TTL, RefreshTimeout: p.RefreshTimeout, FailureBackoff: p.FailureBackoff, Now: p.nowFn}
+	return refresh.Timing{TTL: p.TTL, FailureBackoff: p.FailureBackoff, Now: p.nowFn}
 }
 
 // viewCtx is the context every ViewFor refreshes under.
 //
-//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; RefreshTimeout is the refresh's only ancestor deadline
+//p4pvet:ignore ctxflow ViewFor implements the context-free ViewProvider interface; refresh.DefaultRefreshTimeout is the refresh's only ancestor deadline
 var viewCtx = context.Background()
 
 // ViewFor implements ViewProvider. The ASN argument is unused: one
@@ -220,62 +208,6 @@ func fetchView(ctx context.Context, tr *trace.Tracer, l *slog.Logger, c ViewFetc
 	span.SetAttr("outcome", "refreshed")
 	span.SetAttrInt("view_version", v.Version)
 	return v, nil
-}
-
-// errNoBatchSource reports a batch query with neither a cached view
-// covering the pairs nor a batch-capable client.
-var errNoBatchSource = errors.New("apptracker: no cached view covers the pairs and the portal client has no batch support")
-
-// BatchDistances answers a set of src→dst distance queries. It prefers
-// the cached full view — refreshed through the usual TTL /
-// singleflight / last-known-good machinery of ViewFor, so it costs no
-// network in steady state — and falls back to the portal's batch
-// endpoint (many pairs per request, no square matrix on the wire) when
-// no held view covers the requested PIDs. Unreachable pairs come back
-// as +Inf, mirroring core.View.
-func (p *PortalViews) BatchDistances(ctx context.Context, pairs []portal.PIDPair) ([]float64, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	ctx, span := trace.StartSpan(ctx, "batch_distances")
-	defer span.End()
-	span.SetAttrInt("pairs", len(pairs))
-	if out := heldDistances(p.ViewFor(0), pairs); out != nil {
-		span.SetAttr("source", "held_view")
-		return out, nil
-	}
-	bf, ok := p.Client.(BatchFetcher)
-	if !ok {
-		span.RecordError(errNoBatchSource)
-		return nil, errNoBatchSource
-	}
-	span.SetAttr("source", "batch_endpoint")
-	res, err := bf.BatchDistancesContext(ctx, pairs)
-	if err != nil {
-		span.RecordError(err)
-		return nil, err
-	}
-	return res.Distances, nil
-}
-
-// heldDistances answers pairs (at least one) from a held view, or nil
-// when there is none or it lacks one of their PIDs (View.Distance panics
-// on absent PIDs).
-func heldDistances(v *core.View, pairs []portal.PIDPair) []float64 {
-	if v == nil {
-		return nil
-	}
-	out := make([]float64, len(pairs))
-	for i, pr := range pairs {
-		if _, ok := v.Index(pr.Src); !ok {
-			return nil
-		}
-		if _, ok := v.Index(pr.Dst); !ok {
-			return nil
-		}
-		out[i] = v.Distance(pr.Src, pr.Dst)
-	}
-	return out
 }
 
 // Ready reports whether the appTracker holds portal data fresh enough

@@ -52,18 +52,6 @@ func StandardMonthly() Model {
 	return Model{Q: 0.95, PeriodIntervals: 30 * 24 * 12}
 }
 
-// ChargingVolume bills one complete (or partial) period of interval
-// volumes.
-func (m Model) ChargingVolume(periodVolumes []float64) float64 {
-	return Percentile(periodVolumes, m.Q)
-}
-
-// BillingIndex returns the 1-based sorted interval index that determines
-// the bill (8208 for the standard monthly model).
-func (m Model) BillingIndex() int {
-	return int(math.Ceil(m.Q * float64(m.PeriodIntervals)))
-}
-
 // Predictor implements the paper's Section 6.1 hybrid sliding-window
 // charging-volume prediction: a pure sliding window misestimates when
 // the previous period's charging volume differs from the current one, so
@@ -176,28 +164,33 @@ func (l *Ledger) Add(tSec, bytes float64) {
 	if tSec < 0 {
 		panic("charging: negative time")
 	}
-	idx := int(tSec / l.IntervalSec)
-	for len(l.volumes) <= idx {
-		l.volumes = append(l.volumes, 0)
-	}
-	l.volumes[idx] += bytes
+	l.addAt(int(tSec/l.IntervalSec), bytes)
 }
 
 // AddSpread records `bytes` of traffic spread uniformly over
 // [startSec, endSec), splitting across interval boundaries.
 func (l *Ledger) AddSpread(startSec, endSec, bytes float64) {
-	if endSec <= startSec {
-		l.Add(startSec, bytes)
+	if endSec <= startSec || startSec < 0 {
+		l.Add(startSec, bytes) // a point, or Add's negative-time panic
 		return
 	}
 	rate := bytes / (endSec - startSec)
+	// The walk counts intervals as integers: a boundary recomputed from
+	// t can round back onto t when IntervalSec is not an integer
+	// (4.3/0.1 is 42.999…), and t would never advance.
 	t := startSec
-	for t < endSec {
-		boundary := (math.Floor(t/l.IntervalSec) + 1) * l.IntervalSec
-		segEnd := math.Min(boundary, endSec)
-		l.Add(t, rate*(segEnd-t))
+	for idx := int(startSec / l.IntervalSec); t < endSec; idx++ {
+		segEnd := math.Min(float64(idx+1)*l.IntervalSec, endSec)
+		l.addAt(idx, rate*(segEnd-t))
 		t = segEnd
 	}
+}
+
+func (l *Ledger) addAt(idx int, bytes float64) {
+	for len(l.volumes) <= idx {
+		l.volumes = append(l.volumes, 0)
+	}
+	l.volumes[idx] += bytes
 }
 
 // Volumes returns the recorded per-interval volumes (shared slice; do
@@ -211,17 +204,4 @@ func (l *Ledger) Total() float64 {
 		sum += v
 	}
 	return sum
-}
-
-// ChargingVolume bills the ledger under the given model, padding missing
-// intervals with zeros up to the period length so quiet links are billed
-// correctly.
-func (l *Ledger) ChargingVolume(m Model) float64 {
-	v := l.volumes
-	if len(v) < m.PeriodIntervals {
-		padded := make([]float64, m.PeriodIntervals)
-		copy(padded, v)
-		v = padded
-	}
-	return Percentile(v, m.Q)
 }

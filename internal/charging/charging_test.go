@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"p4p/internal/traffic"
 )
@@ -78,23 +79,27 @@ func TestPercentileProperty(t *testing.T) {
 
 func TestStandardMonthlyBillingIndex(t *testing.T) {
 	m := StandardMonthly()
-	// The paper: 95% x 30 x 24 x 60/5 = 8208.
-	if got := m.BillingIndex(); got != 8208 {
-		t.Fatalf("BillingIndex = %d, want 8208", got)
-	}
 	if m.PeriodIntervals != 8640 {
 		t.Fatalf("PeriodIntervals = %d, want 8640", m.PeriodIntervals)
+	}
+	// The paper: 95% x 30 x 24 x 60/5 = 8208, so a month whose k-th
+	// smallest interval carries k bytes bills at 8208.
+	v := make([]float64, m.PeriodIntervals)
+	for i := range v {
+		v[i] = float64(i + 1)
+	}
+	if got := Percentile(v, m.Q); got != 8208 {
+		t.Fatalf("billed interval = %v, want 8208", got)
 	}
 }
 
 func TestChargingVolumeIsSortedIndex(t *testing.T) {
-	m := Model{Q: 0.95, PeriodIntervals: 100}
 	v := make([]float64, 100)
 	for i := range v {
 		v[i] = float64(i + 1) // 1..100
 	}
 	rand.New(rand.NewSource(1)).Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
-	if got := m.ChargingVolume(v); got != 95 {
+	if got := Percentile(v, 0.95); got != 95 {
 		t.Fatalf("charging volume = %v, want 95", got)
 	}
 }
@@ -212,13 +217,37 @@ func TestLedgerAddSpread(t *testing.T) {
 	}
 }
 
-func TestLedgerChargingVolumePadsZeros(t *testing.T) {
-	l := NewLedger(300)
-	l.Add(0, 100)
-	m := Model{Q: 0.95, PeriodIntervals: 100}
-	// 1 busy interval out of 100: the 95th percentile must be 0.
-	if got := l.ChargingVolume(m); got != 0 {
-		t.Fatalf("charging volume = %v, want 0", got)
+// TestLedgerAddSpreadFractionalInterval spreads spans across boundaries
+// of intervals that are not integers, where a boundary recomputed from a
+// time can round back onto that time (4.3/0.1 is 42.999…). Every row
+// must return and conserve the bytes it was given.
+func TestLedgerAddSpreadFractionalInterval(t *testing.T) {
+	for _, tc := range []struct{ interval, start, end float64 }{
+		{0.1, 4.25, 4.35},
+		{0.1, 0, 10},
+		{0.1, 4.3, 4.3000001},
+		{0.3, 0.2, 7.9},
+		{0.3, 0.9, 1.2},
+		{1.0 / 3, 0, 5},
+		{1.0 / 3, 2.0 / 3, 3},
+	} {
+		done := make(chan *Ledger, 1)
+		go func() {
+			l := NewLedger(tc.interval)
+			l.AddSpread(tc.start, tc.end, 1000)
+			done <- l
+		}()
+		select {
+		case l := <-done:
+			if got := l.Total(); math.Abs(got-1000) > 1e-9 {
+				t.Errorf("I=%v [%v, %v): total = %v, want 1000", tc.interval, tc.start, tc.end, got)
+			}
+			if want := int(tc.end/tc.interval) + 1; len(l.Volumes()) > want {
+				t.Errorf("I=%v [%v, %v): %d intervals, want at most %d", tc.interval, tc.start, tc.end, len(l.Volumes()), want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("I=%v: AddSpread(%v, %v) did not return", tc.interval, tc.start, tc.end)
+		}
 	}
 }
 
@@ -226,6 +255,7 @@ func TestLedgerPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewLedger(0) },
 		func() { NewLedger(300).Add(-1, 5) },
+		func() { NewLedger(300).AddSpread(-1, 5, 1) },
 	} {
 		func() {
 			defer func() {

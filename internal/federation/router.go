@@ -56,9 +56,6 @@ type Config struct {
 	// backend answers 304 off the client's per-URL ETag cache and the
 	// previous merged encoding is republished untouched.
 	TTL time.Duration
-	// RefreshTimeout bounds one shard fetch on top of the client's
-	// retry policy (default 10s).
-	RefreshTimeout time.Duration
 	// FailureBackoff is how long a failed shard serves last-known-good
 	// before being retried (default 5s).
 	FailureBackoff time.Duration
@@ -227,7 +224,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // timing is the one set of windows every cell in the union runs on.
 func (rt *Router) timing() refresh.Timing {
-	return refresh.Timing{TTL: rt.cfg.TTL, RefreshTimeout: rt.cfg.RefreshTimeout, FailureBackoff: rt.cfg.FailureBackoff, Now: rt.nowFn}
+	return refresh.Timing{TTL: rt.cfg.TTL, FailureBackoff: rt.cfg.FailureBackoff, Now: rt.nowFn}
 }
 
 // admits reports whether a trust token may use the distance interfaces,

@@ -55,14 +55,45 @@ type Class struct {
 	Frac float64
 }
 
-// DefaultClasses is a 2008-era US access mix: FTTP (fiber), cable, DSL.
-func DefaultClasses() []Class {
-	return []Class{
-		{Name: "fttp", UpBps: 5e6, DownBps: 20e6, Frac: 0.10},
-		{Name: "cable", UpBps: 1e6, DownBps: 8e6, Frac: 0.35},
-		{Name: "dsl", UpBps: 768e3, DownBps: 3e6, Frac: 0.55},
-	}
+// accessClasses is the ISP-B access mix, a 2008-era US one: FTTP
+// (fiber), cable, DSL.
+var accessClasses = []Class{
+	{Name: "fttp", UpBps: 5e6, DownBps: 20e6, Frac: 0.10},
+	{Name: "cable", UpBps: 1e6, DownBps: 8e6, Frac: 0.35},
+	{Name: "dsl", UpBps: 768e3, DownBps: 3e6, Frac: 0.55},
 }
+
+// The emulator's free constants, calibrated once against the Table 2/3
+// and Figure 12 shapes (DESIGN.md §4).
+const (
+	// stepSec is the fluid time step (15 min).
+	stepSec = 900
+	// fileBytes is the clip size (20 MiB).
+	fileBytes = 20 << 20
+	// ispBFraction is the share of clients inside ISP-B.
+	ispBFraction = 0.06
+	// externalUpBps and externalDownBps describe the average external
+	// client: 0.5 Mbps up, 6 Mbps down.
+	externalUpBps   = 0.5e6
+	externalDownBps = 6e6
+	// originUpBps is the publisher's seed capacity, in the external
+	// cloud: origin seeding is a bootstrap, not the workhorse.
+	originUpBps = 1e6
+	// lingerSec is how long a finished client stays seeding (24 h).
+	lingerSec = 24 * 3600
+	// intraPIDQuota and intraASQuota are the staged-selection bounds,
+	// cumulative, as in Section 6.2.
+	intraPIDQuota = 0.70
+	intraASQuota  = 0.80
+	// seederUploadFactor scales a lingering seeder's upload: finished
+	// clients keep the application open but throttle seeding.
+	seederUploadFactor = 0.15
+	// efficiencyFactor scales nominal access capacities down to the
+	// effective throughput of a background P2P client (overhead, user
+	// caps, competing traffic): it stretches durations to the field
+	// test's multi-hour scale without changing any comparison.
+	efficiencyFactor = 0.02
+)
 
 // Config parameterizes one swarm's emulation.
 type Config struct {
@@ -75,96 +106,24 @@ type Config struct {
 
 	// Days is the test duration (default 11).
 	Days float64
-	// StepSec is the fluid time step (default 3600).
-	StepSec float64
-	// FileBytes is the clip size (default 20 MB).
-	FileBytes float64
 	// TotalClients is the number of clients that join this swarm over
 	// the whole window (default 60000).
 	TotalClients int
-	// ISPBFraction is the share of clients inside ISP-B (default 0.06).
-	ISPBFraction float64
-	// Classes is the ISP-B access mix (default DefaultClasses).
-	Classes []Class
-	// ExternalUpBps/ExternalDownBps describe the average external
-	// client (default 1 Mbps up, 6 Mbps down).
-	ExternalUpBps   float64
-	ExternalDownBps float64
-	// OriginUpBps is the publisher's effective seed capacity, located
-	// in the external cloud (default 1 Mbps — origin seeding is a
-	// bootstrap, not the distribution workhorse).
-	OriginUpBps float64
-	// LingerSec is how long a finished client stays seeding
-	// (default 2 h).
-	LingerSec float64
-
-	// IntraPIDQuota and IntraASQuota are the staged-selection bounds
-	// (defaults 0.70 and 0.80, cumulative, as in Section 6.2).
-	IntraPIDQuota float64
-	IntraASQuota  float64
-
-	// SeederUploadFactor scales a lingering seeder's upload relative to
-	// its class capacity: finished clients keep the application open but
-	// throttle seeding (default 0.15).
-	SeederUploadFactor float64
-
-	// EfficiencyFactor scales nominal access capacities down to the
-	// effective P2P throughput of a background file-transfer client
-	// (protocol overhead, user caps, competing traffic); default 0.02.
-	// It stretches absolute durations to the multi-hour scale the field
-	// test measured without changing any relative comparison.
-	EfficiencyFactor float64
 }
 
 func (c *Config) withDefaults() {
 	if c.Days == 0 {
 		c.Days = 11
 	}
-	if c.StepSec == 0 {
-		c.StepSec = 900
-	}
-	if c.FileBytes == 0 {
-		c.FileBytes = 20 << 20
-	}
 	if c.TotalClients == 0 {
 		c.TotalClients = 60000
-	}
-	if c.ISPBFraction == 0 {
-		c.ISPBFraction = 0.06
-	}
-	if c.Classes == nil {
-		c.Classes = DefaultClasses()
-	}
-	if c.ExternalUpBps == 0 {
-		c.ExternalUpBps = 0.5e6
-	}
-	if c.ExternalDownBps == 0 {
-		c.ExternalDownBps = 6e6
-	}
-	if c.OriginUpBps == 0 {
-		c.OriginUpBps = 1e6
-	}
-	if c.LingerSec == 0 {
-		c.LingerSec = 24 * 3600
-	}
-	if c.IntraPIDQuota == 0 {
-		c.IntraPIDQuota = 0.70
-	}
-	if c.IntraASQuota == 0 {
-		c.IntraASQuota = 0.80
-	}
-	if c.SeederUploadFactor == 0 {
-		c.SeederUploadFactor = 0.15
-	}
-	if c.EfficiencyFactor == 0 {
-		c.EfficiencyFactor = 0.02
 	}
 }
 
 // bucket aggregates clients with identical location and class.
 type bucket struct {
 	pid     topology.PID // -1 for the external cloud
-	class   int          // index into cfg.Classes; -1 for external
+	class   int          // index into accessClasses; -1 for external
 	name    string
 	upBps   float64
 	downBps float64
@@ -249,21 +208,21 @@ func Run(cfg Config) *Result {
 
 	res := &Result{Policy: cfg.Policy, ASMatrix: map[[2]string]float64{}}
 
-	totalSteps := int(cfg.Days * 86400 / cfg.StepSec)
+	totalSteps := int(cfg.Days * 86400 / stepSec)
 	arrCarry := make([]float64, len(buckets))
 	var bdpNum, metroNum, ispbBytes float64
 
 	for step := 0; step < totalSteps; step++ {
-		t := float64(step) * cfg.StepSec
+		t := float64(step) * stepSec
 		// Arrivals for this step, split across buckets.
-		stepArrivals := float64(cfg.TotalClients) * arrivalShare(t, cfg.StepSec, cfg.Days)
+		stepArrivals := float64(cfg.TotalClients) * arrivalShare(t, stepSec, cfg.Days)
 		for bi := range buckets {
 			arrCarry[bi] += stepArrivals * buckets[bi].frac
 			n := int(arrCarry[bi])
 			arrCarry[bi] -= float64(n)
 			for k := 0; k < n; k++ {
 				// Jitter arrivals uniformly within the step.
-				at := t + rng.Float64()*cfg.StepSec
+				at := t + rng.Float64()*stepSec
 				buckets[bi].active = append(buckets[bi].active, clientState{arriveT: at, startInteg: buckets[bi].integral})
 			}
 			sort.Slice(buckets[bi].active, func(x, y int) bool {
@@ -366,7 +325,7 @@ func Run(cfg Config) *Result {
 					continue
 				}
 				rate += g
-				bytes := g * cfg.StepSec
+				bytes := g * stepSec
 				srcKind, dstKind := asKind(&buckets[s]), asKind(&buckets[d])
 				res.ASMatrix[[2]string{srcKind, dstKind}] += bytes
 				if srcKind == "ispb" && dstKind == "ispb" {
@@ -385,7 +344,7 @@ func Run(cfg Config) *Result {
 				}
 			}
 			if nd > 0 {
-				stepProg[d] = rate / nd * cfg.StepSec
+				stepProg[d] = rate / nd * stepSec
 				buckets[d].integral += stepProg[d]
 			}
 		}
@@ -398,32 +357,32 @@ func Run(cfg Config) *Result {
 				if b.active[k].arriveT < t {
 					break
 				}
-				b.active[k].startInteg += (b.active[k].arriveT - t) / cfg.StepSec * stepProg[bi]
+				b.active[k].startInteg += (b.active[k].arriveT - t) / stepSec * stepProg[bi]
 			}
 		}
 
 		// Completions and departures.
-		endT := t + cfg.StepSec
+		endT := t + stepSec
 		for bi := range buckets {
 			b := &buckets[bi]
 			for len(b.active) > 0 {
 				c := b.active[0]
 				got := b.integral - c.startInteg
-				if got < cfg.FileBytes {
+				if got < fileBytes {
 					break
 				}
 				// Estimate the finish instant within the step by linear
 				// interpolation of this step's progress.
 				finish := endT
 				if prog := stepProg[bi]; prog > 0 {
-					frac := 1 - (got-cfg.FileBytes)/prog
+					frac := 1 - (got-fileBytes)/prog
 					if frac < 0 {
 						frac = 0
 					}
 					if frac > 1 {
 						frac = 1
 					}
-					finish = t + frac*cfg.StepSec
+					finish = t + frac*stepSec
 				}
 				if finish < c.arriveT {
 					finish = c.arriveT
@@ -434,7 +393,7 @@ func Run(cfg Config) *Result {
 				})
 				b.active = b.active[1:]
 				b.seeding++
-				b.seedEnds = append(b.seedEnds, finish+cfg.LingerSec)
+				b.seedEnds = append(b.seedEnds, finish+lingerSec)
 			}
 			for b.seeding > 0 && b.seedEnds[0] <= endT {
 				b.seeding--
@@ -488,9 +447,9 @@ func asKind(b *bucket) string {
 // uploading at a throttled rate; the external cloud also hosts the
 // origin server.
 func supplyBps(cfg *Config, b *bucket) float64 {
-	s := (float64(len(b.active)) + cfg.SeederUploadFactor*float64(b.seeding)) * b.upBps
+	s := (float64(len(b.active)) + seederUploadFactor*float64(b.seeding)) * b.upBps
 	if b.pid < 0 {
-		s += cfg.OriginUpBps
+		s += originUpBps
 	}
 	return s
 }
@@ -526,23 +485,23 @@ func arrivalShare(t, stepSec, days float64) float64 {
 // ISP-B plus a single external-cloud bucket.
 func makeBuckets(cfg *Config) []bucket {
 	var out []bucket
-	f := cfg.EfficiencyFactor
+	f := efficiencyFactor
 	pids := cfg.Graph.AggregationPIDs()
 	for _, pid := range pids {
-		for ci, cl := range cfg.Classes {
+		for ci, cl := range accessClasses {
 			out = append(out, bucket{
 				pid: pid, class: ci,
 				name:    cl.Name,
 				upBps:   cl.UpBps * f,
 				downBps: cl.DownBps * f,
-				frac:    cfg.ISPBFraction / float64(len(pids)) * cl.Frac,
+				frac:    ispBFraction / float64(len(pids)) * cl.Frac,
 			})
 		}
 	}
 	out = append(out, bucket{
 		pid: -1, class: -1, name: "ext",
-		upBps: cfg.ExternalUpBps * f, downBps: cfg.ExternalDownBps * f,
-		frac: 1 - cfg.ISPBFraction,
+		upBps: externalUpBps * f, downBps: externalDownBps * f,
+		frac: 1 - ispBFraction,
 	})
 	return out
 }
@@ -597,8 +556,8 @@ func selectionWeights(cfg *Config, buckets []bucket) [][]float64 {
 				sameASMass += mass[s] * affinity(s) / pDist(cfg, buckets[d].pid, buckets[s].pid)
 			}
 		}
-		intra := math.Min(cfg.IntraPIDQuota, nSamePID/neighborTarget)
-		inAS := math.Min(cfg.IntraASQuota-intra, math.Min(cfg.IntraASQuota, nSameAS/neighborTarget))
+		intra := math.Min(intraPIDQuota, nSamePID/neighborTarget)
+		inAS := math.Min(intraASQuota-intra, math.Min(intraASQuota, nSameAS/neighborTarget))
 		if samePIDMass <= 0 {
 			intra = 0
 		}

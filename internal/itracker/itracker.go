@@ -43,15 +43,6 @@ type LinkUsagePolicy struct {
 	AvoidTo   float64         `json:"avoid_to_hour"`   // exclusive
 }
 
-// Avoided reports whether the policy asks to avoid the link at the
-// given hour-of-day, handling windows that wrap midnight.
-func (p LinkUsagePolicy) Avoided(hour float64) bool {
-	if p.AvoidFrom <= p.AvoidTo {
-		return hour >= p.AvoidFrom && hour < p.AvoidTo
-	}
-	return hour >= p.AvoidFrom || hour < p.AvoidTo
-}
-
 // Capability is one entry served by the capability interface: an
 // on-demand server or cache a provider offers to accelerate content
 // distribution.
@@ -333,16 +324,6 @@ func (t *Server) ViewRecomputes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.recomputes
-}
-
-// RankedDistances serves the coarsest form of the interface: per-source
-// rankings instead of raw distances (better privacy, weaker semantics).
-func (t *Server) RankedDistances(token string) (*core.View, error) {
-	v, err := t.Distances(token)
-	if err != nil {
-		return nil, err
-	}
-	return core.RankView(v), nil
 }
 
 // Capabilities serves the capability interface, filtering restricted

@@ -33,17 +33,6 @@ func TestPolicyInterface(t *testing.T) {
 	}
 }
 
-func TestLinkUsagePolicyWindows(t *testing.T) {
-	p := LinkUsagePolicy{AvoidFrom: 18, AvoidTo: 23}
-	if !p.Avoided(20) || p.Avoided(10) || p.Avoided(23) {
-		t.Fatal("simple window wrong")
-	}
-	wrap := LinkUsagePolicy{AvoidFrom: 22, AvoidTo: 2}
-	if !wrap.Avoided(23) || !wrap.Avoided(1) || wrap.Avoided(12) {
-		t.Fatal("wrapping window wrong")
-	}
-}
-
 func TestDistancesServeFullMesh(t *testing.T) {
 	tr, g := testTracker(Config{Name: "test", ASN: 1})
 	v, err := tr.Distances("")
@@ -103,26 +92,6 @@ func TestAccessControl(t *testing.T) {
 	open, _ := testTracker(Config{Name: "open", ASN: 1})
 	if _, err := open.Distances(""); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRankedDistances(t *testing.T) {
-	tr, _ := testTracker(Config{Name: "test", ASN: 1})
-	rv, err := tr.RankedDistances("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ranks are small integers starting at 1.
-	for a := range rv.PIDs {
-		for b := range rv.PIDs {
-			if a == b {
-				continue
-			}
-			d := rv.D[a][b]
-			if d < 1 || d > float64(len(rv.PIDs)) {
-				t.Fatalf("rank out of range: %v", d)
-			}
-		}
 	}
 }
 

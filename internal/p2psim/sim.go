@@ -37,6 +37,15 @@ import (
 	"p4p/internal/topology"
 )
 
+const (
+	// optimisticEvery rotates the optimistic unchoke every this many
+	// rechokes (30 s at the default RechokeInterval).
+	optimisticEvery = 3
+	// baseRTTSec is the fixed RTT floor covering access and processing
+	// delays (4 ms).
+	baseRTTSec = 0.004
+)
+
 // Config parameterizes a simulation.
 type Config struct {
 	Graph   *topology.Graph
@@ -62,9 +71,6 @@ type Config struct {
 	// selection no longer includes — the appTracker re-optimization that
 	// lets evolving p-distances steer an already-running swarm.
 	ReselectInterval float64
-	// OptimisticEvery rotates the optimistic unchoke every this many
-	// rechokes (default 3, i.e. 30 s).
-	OptimisticEvery int
 
 	// BackgroundBps holds per-link background traffic (bits/sec) used
 	// for utilization accounting; nil means zero.
@@ -90,12 +96,9 @@ type Config struct {
 	// window-limited TCP over long paths — the reason "transport layer
 	// connections over low-latency network paths would be more
 	// efficient" (Section 2). RTT is twice the route propagation delay
-	// plus BaseRTTSec. Default 64 KiB (the common 2008-era default
+	// plus baseRTTSec. Default 64 KiB (the common 2008-era default
 	// socket buffer); set negative to disable.
 	TCPWindowBytes float64
-	// BaseRTTSec is the fixed RTT floor covering access and processing
-	// delays (default 4 ms).
-	BaseRTTSec float64
 
 	// MaxTime hard-stops the simulation (default 10^7 s).
 	MaxTime float64
@@ -126,14 +129,8 @@ func (c *Config) withDefaults() {
 	if c.RechokeInterval == 0 {
 		c.RechokeInterval = 10
 	}
-	if c.OptimisticEvery == 0 {
-		c.OptimisticEvery = 3
-	}
 	if c.TCPWindowBytes == 0 {
 		c.TCPWindowBytes = 64 << 10
-	}
-	if c.BaseRTTSec == 0 {
-		c.BaseRTTSec = 0.004
 	}
 	if c.MaxTime == 0 {
 		c.MaxTime = 1e7
@@ -173,14 +170,6 @@ func (c *Client) Done() bool { return c.sim.done[c.ID] }
 
 // DoneAt returns the completion time (absolute simulation seconds).
 func (c *Client) DoneAt() float64 { return c.sim.doneAt[c.ID] }
-
-// CompletionTime returns seconds from join to completion, or NaN.
-func (c *Client) CompletionTime() float64 {
-	if !c.Done() {
-		return math.NaN()
-	}
-	return c.DoneAt() - c.Spec.JoinAt
-}
 
 // connS is one (symmetric) neighbor relationship, stored in the Sim's
 // conn arena and addressed by int32 handle.
@@ -774,7 +763,7 @@ func cmpRechoke(a, b rechokeCand) int {
 
 // rechokeClient re-evaluates u's unchoke set: top (slots-1) interested
 // peers by bytes they sent us during the last interval (random for
-// seeds), plus one optimistic slot rotated every OptimisticEvery
+// seeds), plus one optimistic slot rotated every optimisticEvery
 // rechokes. Membership in the new unchoke set is tracked by stamping
 // peers with the current unchoke epoch instead of building a set.
 func (s *Sim) rechokeClient(u int32) {
@@ -808,7 +797,7 @@ func (s *Sim) rechokeClient(u int32) {
 	// Optimistic slot: a conn handle, which disconnect resets.
 	opt := s.optimistic[u]
 	rotate := opt < 0 || !s.interested(opt, u) ||
-		int(s.rechokeNum[u])%s.cfg.OptimisticEvery == 0
+		int(s.rechokeNum[u])%optimisticEvery == 0
 	if rotate {
 		pool := s.poolScratch[:0]
 		for _, c := range interested {
@@ -879,7 +868,7 @@ func (s *Sim) tryStartCn(ci, u, d int32) {
 		f.links = s.cfg.Routing.Path(s.pid[u], s.pid[d])
 	}
 	if s.cfg.TCPWindowBytes > 0 {
-		rtt := s.cfg.BaseRTTSec + 2*s.cfg.Routing.PropagationDelaySeconds(s.pid[u], s.pid[d])
+		rtt := baseRTTSec + 2*s.cfg.Routing.PropagationDelaySeconds(s.pid[u], s.pid[d])
 		f.rateCap = s.cfg.TCPWindowBytes / rtt
 	}
 	if len(s.metrics.ledgers) > 0 {

@@ -111,8 +111,13 @@ func TestDistancesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rv.D[0][1] < 1 {
-		t.Fatal("rank view malformed")
+	// Off the diagonal, ranks are small integers in [1, len(PIDs)].
+	for a := range rv.PIDs {
+		for b := range rv.PIDs {
+			if d := rv.D[a][b]; a != b && (d < 1 || d > float64(len(rv.PIDs))) {
+				t.Fatalf("rank %d->%d out of range: %v", a, b, d)
+			}
+		}
 	}
 }
 

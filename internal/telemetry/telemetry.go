@@ -242,17 +242,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // it at zero on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.child(values).(*Counter) }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or finds) a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.registerFamily(name, help, gaugeType, labels, nil)}
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.child(values).(*Gauge) }
-
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }
 

@@ -78,19 +78,3 @@ func RateAt(cfg DiurnalConfig, tSec float64) float64 {
 	hour := math.Mod(tSec/3600, 24)
 	return cfg.MeanBps * (1 + a*math.Cos(2*math.Pi*(hour-cfg.PeakHour)/24))
 }
-
-// PeakRate returns the daily maximum of the noiseless rate.
-func PeakRate(cfg DiurnalConfig) float64 {
-	r := cfg.PeakToTrough
-	a := (r - 1) / (r + 1)
-	return cfg.MeanBps * (1 + a)
-}
-
-// Scale returns a copy of the series multiplied by f.
-func Scale(series []float64, f float64) []float64 {
-	out := make([]float64, len(series))
-	for i, v := range series {
-		out[i] = v * f
-	}
-	return out
-}

@@ -48,8 +48,9 @@ func TestPeakAtConfiguredHour(t *testing.T) {
 	cfg := DefaultConfig(1e9)
 	cfg.NoiseFrac = 0
 	atPeak := RateAt(cfg, cfg.PeakHour*3600)
-	if math.Abs(atPeak-PeakRate(cfg)) > 1e-6*atPeak {
-		t.Fatalf("rate at peak hour %v != PeakRate %v", atPeak, PeakRate(cfg))
+	// A 3:1 swing around a 1 Gbps mean peaks at mean*(1+a), a = (3-1)/(3+1).
+	if want := 1.5e9; math.Abs(atPeak-want) > 1e-6*atPeak {
+		t.Fatalf("rate at peak hour %v != daily maximum %v", atPeak, want)
 	}
 	offPeak := RateAt(cfg, math.Mod(cfg.PeakHour+12, 24)*3600)
 	if offPeak >= atPeak {
@@ -84,16 +85,5 @@ func TestGeneratePanics(t *testing.T) {
 			}()
 			Generate(cfg, 10)
 		}()
-	}
-}
-
-func TestScale(t *testing.T) {
-	in := []float64{1, 2, 3}
-	out := Scale(in, 2)
-	if out[0] != 2 || out[1] != 4 || out[2] != 6 {
-		t.Fatalf("Scale = %v", out)
-	}
-	if in[0] != 1 {
-		t.Fatal("Scale mutated input")
 	}
 }

@@ -4,10 +4,20 @@
 # -race, which inflates allocation counts and makes half of them skip;
 # then vet and race-test the nested bench/ module (its own go.mod, so
 # ./... above does not reach it, and it compiles against every package
-# the serving stack exports); then p4pvet. Run from anywhere; operates
-# on the repo root.
+# the serving stack exports); then p4pvet. First it checks that the
+# line table in DESIGN.md §15 is what scripts/loc.sh prints now. Run
+# from anywhere; operates on the repo root.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo '>> DESIGN.md loc block = sh scripts/loc.sh'
+LOC_DOC=$(mktemp)
+trap 'rm -f "$LOC_DOC"' EXIT
+awk '/^<!-- loc:end -->$/ { f = 0 } f && !/^```/ { print } /^<!-- loc:begin -->$/ { f = 1 }' DESIGN.md >"$LOC_DOC"
+if ! sh scripts/loc.sh | diff -u "$LOC_DOC" -; then
+	echo "DESIGN.md: the loc block is stale; paste sh scripts/loc.sh between its markers" >&2
+	exit 1
+fi
 
 echo '>> gofmt -l'
 UNFORMATTED=$(gofmt -l .)
