@@ -187,14 +187,11 @@ func main() {
 		for i, u := range urls {
 			refs[i] = apptracker.PortalRef{URL: u}
 		}
-		var circuits []federation.Circuit
-		for _, s := range circuitFlags {
-			c, err := federation.ParseCircuit(s)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			circuits = append(circuits, c)
+		// The portal URLs are the shard names circuit endpoints use.
+		circuits, err := federation.ParseCircuits(circuitFlags, urls)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 		mpv := apptracker.NewMultiPortalViews(client, refs, circuits, *ttl)
 		// Portal refreshes are off any request path, so they start their

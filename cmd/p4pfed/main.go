@@ -70,6 +70,7 @@ func main() {
 	if *tokens != "" {
 		cfg.TrustedTokens = strings.Split(*tokens, ",")
 	}
+	var names []string
 	for _, s := range shardFlags {
 		name, url, ok := strings.Cut(s, "=")
 		if !ok || name == "" || url == "" {
@@ -77,14 +78,13 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Shards = append(cfg.Shards, federation.ShardConfig{Name: name, BaseURL: url, Token: *token})
+		names = append(names, name)
 	}
-	for _, s := range circuitFlags {
-		c, err := federation.ParseCircuit(s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		cfg.Circuits = append(cfg.Circuits, c)
+	var err error
+	cfg.Circuits, err = federation.ParseCircuits(circuitFlags, names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	rt, err := federation.NewRouter(cfg)
 	if err != nil {

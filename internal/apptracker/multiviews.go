@@ -50,9 +50,9 @@ type MultiPortalViews struct {
 }
 
 // NewMultiPortalViews consumes one portal per ref, each through a
-// WithBase-derived client sharing base's transport, retry policy, and
-// URL-keyed ETag cache, joined by circuits (whose shard names are ref
-// names). TTL applies to the union and every portal (zero = default).
+// WithBase-derived client sharing base's transport and retry policy,
+// joined by circuits (whose shard names are ref names). TTL applies to
+// the union and every portal (zero = default).
 func NewMultiPortalViews(base *portal.Client, refs []PortalRef, circuits []federation.Circuit, ttl time.Duration) *MultiPortalViews {
 	m := &MultiPortalViews{tm: refresh.Timing{TTL: ttl}, names: make([]string, len(refs)),
 		fetchers: make([]ViewFetcher, len(refs)), metrics: make([]*ViewMetrics, len(refs))}
@@ -72,7 +72,7 @@ func (m *MultiPortalViews) fetch(ctx context.Context, i int) (mv federation.Memb
 	c := m.fetchers[i]
 	mv.View, err = fetchView(ctx, m.Tracer, m.Logger, c, m.union.Members(m.tm)[i].Held)
 	if pc, ok := c.(*portal.Client); ok {
-		mv.Validator = pc.ViewETag("raw")
+		mv.Validator = pc.ViewETag()
 	}
 	return mv, err
 }

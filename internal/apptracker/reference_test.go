@@ -83,7 +83,7 @@ func refSelect(view *core.View, config P4PConfig, self Node, candidates []Node, 
 	}
 
 	// Stage 1: intra-PID.
-	intraCap := int(cfg.UpperBoundIntraPID * float64(m))
+	intraCap := int(upperBoundIntraPID * float64(m))
 	var intra []int
 	for i, c := range candidates {
 		if c.ID != self.ID && c.ASN == self.ASN && c.PID == self.PID {
@@ -103,9 +103,9 @@ func refSelect(view *core.View, config P4PConfig, self Node, candidates []Node, 
 	// 6.2: the default is an upper bound, raised toward 1 when external
 	// ASes are far more expensive than in-AS peers (and conversely the
 	// default applies when interdomain distances are comparable).
-	interFrac := cfg.UpperBoundInterPID
+	interFrac := upperBoundInterPID
 	if adj := refInterASAdjustment(view, self, candidates); adj > 0 {
-		interFrac += (1 - cfg.UpperBoundInterPID) * adj
+		interFrac += (1 - upperBoundInterPID) * adj
 	}
 	interCap := int(interFrac * float64(m))
 	weights := refWeights(view, self.PID, cfg.Gamma)

@@ -11,7 +11,6 @@ package apptracker
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -183,42 +182,33 @@ type ViewProvider interface {
 // it.
 type DistanceView = *core.View
 
+// The paper's locality bounds (Section 6.2): the fraction of peers
+// chosen at the client's own PID, and the cumulative fraction chosen
+// inside its AS, including the intra-PID stage.
+const (
+	upperBoundIntraPID = 0.70
+	upperBoundInterPID = 0.80
+)
+
 // P4PConfig tunes the three-stage P4P selection. Zero values take the
 // paper's defaults.
 type P4PConfig struct {
-	// UpperBoundIntraPID caps the fraction of peers chosen at the
-	// client's own PID (default 0.70).
-	UpperBoundIntraPID float64
-	// UpperBoundInterPID caps the cumulative fraction chosen inside the
-	// client's AS, including the intra-PID stage (default 0.80, or
-	// UpperBoundIntraPID if that is higher); it must be at least
-	// UpperBoundIntraPID.
-	UpperBoundInterPID float64
 	// Gamma is the concave transform exponent applied to the inter-PID
 	// weights for robustness (default 0.5; 1 disables).
 	Gamma float64
 }
 
 func (c P4PConfig) withDefaults() P4PConfig {
-	if c.UpperBoundIntraPID == 0 {
-		c.UpperBoundIntraPID = 0.70
-	}
-	if c.UpperBoundInterPID == 0 {
-		c.UpperBoundInterPID = max(0.80, c.UpperBoundIntraPID)
-	}
 	if c.Gamma == 0 {
 		c.Gamma = 0.5
-	}
-	if c.UpperBoundInterPID < c.UpperBoundIntraPID {
-		panic(fmt.Sprintf("apptracker: UpperBoundInterPID %v < UpperBoundIntraPID %v", c.UpperBoundInterPID, c.UpperBoundIntraPID))
 	}
 	return c
 }
 
 // P4P is the paper's three-stage staged peer selection (Section 6.2):
 //
-//  1. intra-PID: up to UpperBoundIntraPID*m peers at the client's PID;
-//  2. inter-PID: up to UpperBoundInterPID*m peers (cumulative) inside
+//  1. intra-PID: up to upperBoundIntraPID*m peers at the client's PID;
+//  2. inter-PID: up to upperBoundInterPID*m peers (cumulative) inside
 //     the client's AS, sampled with probability proportional to the
 //     p-distance weights w_ij = 1/p_ij (concavified);
 //  3. inter-AS: the remainder from other ASes, with per-AS quota
@@ -310,17 +300,17 @@ func (p *P4P) Select(self Node, candidates []Node, m int, rng *rand.Rand) []int 
 	// external ASes are far more expensive than in-AS peers (and
 	// conversely the default applies when interdomain distances are
 	// comparable).
-	intraCap := int(cfg.UpperBoundIntraPID * float64(m))
-	interFrac := cfg.UpperBoundInterPID
+	intraCap := int(upperBoundIntraPID * float64(m))
+	interFrac := upperBoundInterPID
 	if adj > 0 {
-		interFrac += (1 - cfg.UpperBoundInterPID) * adj
+		interFrac += (1 - upperBoundInterPID) * adj
 	}
 	interCap := int(interFrac * float64(m))
 	// Untaken candidates by backfill class: other ASes, other PIDs in
 	// this AS, the client's own PID.
 	left := [3]int{eligible - s.nIn, s.nIn - s.n0, s.n0}
 	var out []int
-	if limit := min(max(m, intraCap, interCap), eligible); limit > 0 {
+	if limit := min(m, eligible); limit > 0 {
 		out = make([]int, 0, limit)
 	}
 

@@ -86,7 +86,7 @@ func selectCaseFromBytes(data []byte) selectCase {
 	case 1:
 		c.cfg.Gamma = 0.5
 	case 2:
-		c.cfg = P4PConfig{UpperBoundIntraPID: 0.3, UpperBoundInterPID: 0.5, Gamma: 1}
+		c.cfg.Gamma = 0.25
 	}
 
 	// 1–4 ASNs, one of them negative (Select has always ended stage 3

@@ -359,49 +359,6 @@ func TestP4PFallsBackWithoutView(t *testing.T) {
 	}
 }
 
-func TestP4PConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for inverted bounds")
-		}
-	}()
-	cfg := P4PConfig{UpperBoundIntraPID: 0.9, UpperBoundInterPID: 0.5}
-	cfg.withDefaults()
-}
-
-// TestP4PIntraBoundAlone: raising only the intra-PID bound above the
-// default in-AS bound raises the in-AS bound with it, where it used to
-// panic in every Select; both caps still hold.
-func TestP4PIntraBoundAlone(t *testing.T) {
-	self := Node{ID: 0, PID: 0, ASN: 1}
-	cands := makeCandidates([]struct {
-		pid topology.PID
-		asn int
-		n   int
-	}{{0, 1, 50}, {1, 1, 50}, {2, 2, 50}})
-	flat := &core.View{
-		PIDs: []topology.PID{0, 1, 2},
-		D:    [][]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}},
-	}
-	p := &P4P{Views: testViews{flat}, Config: P4PConfig{UpperBoundIntraPID: 0.9}}
-	sel := p.Select(self, cands, 20, rand.New(rand.NewSource(7)))
-	checkNoSelfNoDup(t, self, cands, sel)
-	intra, inAS := 0, 0
-	for _, i := range sel {
-		if cands[i].ASN == 1 {
-			inAS++
-			if cands[i].PID == 0 {
-				intra++
-			}
-		}
-	}
-	// Both caps are 90% of 20 = 18, so stage 1 fills the AS's share and
-	// the other AS, as cheap, gets the remaining 2.
-	if len(sel) != 20 || intra != 18 || inAS != 18 {
-		t.Fatalf("selected %d: %d at the client's PID, %d in its AS; want 20, 18, 18", len(sel), intra, inAS)
-	}
-}
-
 func TestOptimizationServiceWeights(t *testing.T) {
 	view := threePIDView()
 	svc := &OptimizationService{Views: testViews{view}}

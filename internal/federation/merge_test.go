@@ -187,26 +187,31 @@ func TestMergeNoCircuitsCrossShardUnreachable(t *testing.T) {
 }
 
 func TestParseCircuit(t *testing.T) {
-	c, err := ParseCircuit("east:3,west:7,2.5")
+	shards := []string{"east", "west", "http://e:8080", "http://w:9090/", "a", "b"}
+	c, err := ParseCircuits([]string{"east:3,west:7,2.5"}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Circuit{A: "east", APID: 3, B: "west", BPID: 7, Cost: 2.5}
-	if c != want {
-		t.Errorf("ParseCircuit = %+v, want %+v", c, want)
+	if c[0] != want {
+		t.Errorf("ParseCircuits = %+v, want %+v", c[0], want)
 	}
 	// Shard names may contain colons (URL-derived): the PID is after
 	// the last one.
-	c, err = ParseCircuit("http://e:8080:4,http://w:9090:7,1")
+	c, err = ParseCircuits([]string{"http://e:8080:4,http://w:9090/:7,1"}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.A != "http://e:8080" || c.APID != 4 || c.B != "http://w:9090" || c.BPID != 7 {
-		t.Errorf("URL-named circuit parsed as %+v", c)
+	if c[0].A != "http://e:8080" || c[0].APID != 4 || c[0].B != "http://w:9090/" || c[0].BPID != 7 {
+		t.Errorf("URL-named circuit parsed as %+v", c[0])
 	}
-	for _, bad := range []string{"", "a:1,b:2", "a:1,b:2,x", "a:1,b:2,-1", "a,b:2,1", "a:x,b:2,1"} {
-		if _, err := ParseCircuit(bad); err == nil {
-			t.Errorf("ParseCircuit(%q): want error", bad)
+	// A NaN cost failed every merge, and a circuit naming no shard was
+	// skipped by every merge, as if its shard were down: both are
+	// refused here, at startup.
+	for _, bad := range []string{"", "a:1,b:2", "a:1,b:2,x", "a:1,b:2,-1", "a:1,b:2,NaN", "a:1,c:2,1",
+		"http://e:8080:4,http://w:9090:7,1", "a,b:2,1", "a:x,b:2,1"} {
+		if _, err := ParseCircuits([]string{"a:1,b:2,1", bad}, shards); err == nil {
+			t.Errorf("ParseCircuits(%q): want error", bad)
 		}
 	}
 }

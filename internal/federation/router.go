@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"math"
 	"math/rand/v2"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -53,7 +53,7 @@ type Config struct {
 	TrustedTokens []string
 	// TTL is how long a merged view serves before shard revalidation
 	// (default 30s). Revalidation is cheap when nothing changed: each
-	// backend answers 304 off the client's per-URL ETag cache and the
+	// backend answers 304 to the ETag of its client's held view and the
 	// previous merged encoding is republished untouched.
 	TTL time.Duration
 	// FailureBackoff is how long a failed shard serves last-known-good
@@ -61,7 +61,7 @@ type Config struct {
 	FailureBackoff time.Duration
 	// Client, when non-nil, is the template the per-shard clients are
 	// derived from via WithBase (sharing its HTTP transport, retry
-	// policy, metrics, and URL-keyed ETag cache); tests inject short
+	// policy and metrics; each holds its own view); tests inject short
 	// retries and fake transports here.
 	Client *portal.Client
 }
@@ -165,26 +165,21 @@ func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("federation: no shards configured")
 	}
-	names := make(map[string]bool, len(cfg.Shards))
-	for _, s := range cfg.Shards {
+	shardNames := make([]string, len(cfg.Shards))
+	for i, s := range cfg.Shards {
 		if s.Name == "" || s.BaseURL == "" {
 			return nil, fmt.Errorf("federation: shard needs both a name and a base URL (got name=%q url=%q)", s.Name, s.BaseURL)
 		}
-		if names[s.Name] {
+		if slices.Contains(shardNames[:i], s.Name) {
 			return nil, fmt.Errorf("federation: duplicate shard name %q", s.Name)
 		}
 		if s.MaxPID < s.MinPID {
 			return nil, fmt.Errorf("federation: shard %q: MaxPID %d < MinPID %d", s.Name, s.MaxPID, s.MinPID)
 		}
-		names[s.Name] = true
+		shardNames[i] = s.Name
 	}
-	for _, c := range cfg.Circuits {
-		if !names[c.A] || !names[c.B] {
-			return nil, fmt.Errorf("federation: circuit %s:%d-%s:%d references an unknown shard", c.A, c.APID, c.B, c.BPID)
-		}
-		if c.Cost < 0 || math.IsNaN(c.Cost) {
-			return nil, fmt.Errorf("federation: circuit %s:%d-%s:%d has invalid cost %v", c.A, c.APID, c.B, c.BPID, c.Cost)
-		}
+	if err := checkCircuits(shardNames, cfg.Circuits); err != nil {
+		return nil, err
 	}
 	base := cfg.Client
 	if base == nil {
@@ -198,14 +193,12 @@ func NewRouter(cfg Config) (*Router, error) {
 	for _, tok := range cfg.TrustedTokens {
 		rt.trusted[tok] = true
 	}
-	shardNames := make([]string, len(cfg.Shards))
-	for i, sc := range cfg.Shards {
+	for _, sc := range cfg.Shards {
 		c := base.WithBase(sc.BaseURL)
 		if sc.Token != "" {
 			c.Token = sc.Token
 		}
 		rt.clients = append(rt.clients, c)
-		shardNames[i] = sc.Name
 	}
 	rt.union = NewUnion(shardNames, cfg.Circuits, rt.timing, rt.fetchShard, rt.observe)
 	rt.entries = portal.NewEntryCache(rt.etag)
@@ -343,7 +336,7 @@ func (rt *Router) fetchShard(ctx context.Context, i int) (MemberView, error) {
 		}
 		return MemberView{}, err
 	}
-	return MemberView{View: v, Validator: c.ViewETag("raw")}, nil
+	return MemberView{View: v, Validator: c.ViewETag()}, nil
 }
 
 // checkRange rejects a view whose PIDs fall outside the shard's

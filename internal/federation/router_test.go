@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -775,6 +776,10 @@ func TestNewRouterValidation(t *testing.T) {
 		{
 			Shards:   []ShardConfig{{Name: "a", BaseURL: "http://x"}, {Name: "b", BaseURL: "http://y"}},
 			Circuits: []Circuit{{A: "a", APID: 0, B: "b", BPID: 1, Cost: -2}},
+		},
+		{
+			Shards:   []ShardConfig{{Name: "a", BaseURL: "http://x"}, {Name: "b", BaseURL: "http://y"}},
+			Circuits: []Circuit{{A: "a", APID: 0, B: "b", BPID: 1, Cost: math.NaN()}},
 		},
 	}
 	for i, cfg := range cases {

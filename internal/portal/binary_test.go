@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -234,7 +235,8 @@ func TestClientEncodings(t *testing.T) {
 		if tc.wantBytes != 0 && sizes[0] != tc.wantBytes {
 			t.Errorf("%s body of %d bytes, want %d", tc.wantCT, sizes[0], tc.wantBytes)
 		}
-		if _, err := c.RankedDistancesContext(context.Background()); err != nil || cts[len(cts)-1] != "application/json" {
+		var ranks ViewWire
+		if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"ranks"}}, nil, &ranks); err != nil || cts[len(cts)-1] != "application/json" {
 			t.Errorf("ranks: %v, Content-Types %q; want JSON", err, cts)
 		}
 	}

@@ -11,12 +11,12 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"p4p/internal/core"
-	"p4p/internal/itracker"
 	"p4p/internal/telemetry"
 	"p4p/internal/trace"
 )
@@ -71,46 +71,12 @@ func (p RetryPolicy) backoff(n int) time.Duration {
 	return time.Duration(rand.Int64N(int64(d)) + 1)
 }
 
-// cachedView pairs a decoded view with the ETag it arrived under, for
-// conditional refresh.
+// cachedView pairs a decoded view with the ETag it arrived under and
+// the portal root it came from, for conditional refresh.
 type cachedView struct {
 	view *core.View
 	etag string
-}
-
-// viewCache holds cached views keyed by base URL and form. It is shared
-// by every Client derived via WithBase, so a federation front end
-// fanning one logical client out across N portals keeps one cache: the
-// key includes the full base URL precisely so portal A's ETag is never
-// presented to portal B (a spurious If-None-Match match across portals
-// would pair A's matrix with B's version).
-type viewCache struct {
-	mu    sync.Mutex
-	views map[string]*cachedView
-}
-
-// viewKey scopes a cache entry to one (portal, form) pair.
-func viewKey(baseURL, form string) string {
-	return baseURL + "\x00" + form
-}
-
-func (vc *viewCache) get(baseURL, form string) *cachedView {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	return vc.views[viewKey(baseURL, form)]
-}
-
-func (vc *viewCache) put(baseURL, form string, cv *cachedView) {
-	vc.mu.Lock()
-	defer vc.mu.Unlock()
-	if vc.views == nil {
-		vc.views = map[string]*cachedView{}
-	}
-	if cv != nil {
-		vc.views[viewKey(baseURL, form)] = cv
-	} else {
-		delete(vc.views, viewKey(baseURL, form))
-	}
+	root string
 }
 
 // ClientMetrics instruments a portal client. All methods are nil-safe,
@@ -169,9 +135,9 @@ func (m *ClientMetrics) failure() {
 // peer in a trackerless system) embeds to consume the P4P interfaces.
 //
 // Every call takes the caller's context. Calls retry transient failures
-// (network errors, HTTP 5xx/429) per Retry, and the distance methods
-// revalidate a cached view with If-None-Match so an unchanged matrix is
-// never re-downloaded.
+// (network errors, HTTP 5xx/429) per Retry, and DistancesContext
+// revalidates the one view the client holds with If-None-Match so an
+// unchanged matrix is never re-downloaded.
 type Client struct {
 	// BaseURL is the portal root, e.g. "http://isp-b.example:8080".
 	BaseURL string
@@ -186,9 +152,10 @@ type Client struct {
 	// hits, and exhausted requests (see NewClientMetrics).
 	Metrics *ClientMetrics
 
-	// cache holds decoded views keyed by (base URL, form); lazily
-	// initialized, shared across WithBase-derived clients.
-	cache atomic.Pointer[viewCache]
+	// view is the last view DistancesContext decoded, tagged with the
+	// root it came from so a changed BaseURL never presents the old
+	// portal's ETag.
+	view atomic.Pointer[cachedView]
 }
 
 // NewClient builds a portal client.
@@ -200,44 +167,39 @@ func NewClient(baseURL, token string) *Client {
 	}
 }
 
-// viewCacheRef returns the client's view cache, initializing it on
-// first use. The CAS keeps exactly one cache live even when concurrent
-// first fetches race.
-func (c *Client) viewCacheRef() *viewCache {
-	if vc := c.cache.Load(); vc != nil {
-		return vc
-	}
-	vc := &viewCache{views: map[string]*cachedView{}}
-	if c.cache.CompareAndSwap(nil, vc) {
-		return vc
-	}
-	return c.cache.Load()
-}
-
 // WithBase returns a client identical to c but pointed at a different
 // portal root. The derived client shares c's HTTP client (connection
-// pool), metrics, retry policy, and ETag/view cache — the cache is
-// keyed by full URL, so entries never bleed between portals — which is
-// how a multi-portal consumer (apptracker.MultiPortalViews, the
-// federation router) fans one configured client out across N backends.
+// pool), metrics and retry policy, and holds no view: views are never
+// shared between clients. It is how a multi-portal consumer
+// (apptracker.MultiPortalViews, the federation router) fans one
+// configured client out across N backends.
 func (c *Client) WithBase(baseURL string) *Client {
-	nc := &Client{
+	return &Client{
 		BaseURL:    baseURL,
 		Token:      c.Token,
 		HTTPClient: c.HTTPClient,
 		Retry:      c.Retry,
 		Metrics:    c.Metrics,
 	}
-	nc.cache.Store(c.viewCacheRef())
-	return nc
 }
 
-// ViewETag reports the ETag under which the client's cached view for a
-// form ("raw" or "ranks") last arrived, or "" when no view is cached.
-// The federation router composes these per-shard validators into its
-// federation ETag.
-func (c *Client) ViewETag(form string) string {
-	if cv := c.viewCacheRef().get(c.BaseURL, form); cv != nil {
+// root is BaseURL without trailing slashes, so a path appended to it
+// starts with exactly one.
+func (c *Client) root() string { return strings.TrimRight(c.BaseURL, "/") }
+
+// held returns the view the client holds for its current root, or nil.
+func (c *Client) held() *cachedView {
+	if cv := c.view.Load(); cv != nil && cv.root == c.root() {
+		return cv
+	}
+	return nil
+}
+
+// ViewETag reports the ETag under which the client's view last arrived,
+// or "" when it holds none. The federation router composes these
+// per-shard validators into its federation ETag.
+func (c *Client) ViewETag() string {
+	if cv := c.held(); cv != nil {
 		return cv.etag
 	}
 	return ""
@@ -275,7 +237,7 @@ func retryable(status int, err error) bool {
 // freeBody. Every endpoint is read-only (the batch POST carries a
 // query), so re-issuing is safe.
 func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, hdr http.Header) (status int, body *bytes.Buffer, resp http.Header, err error) {
-	u := c.BaseURL + path
+	u := c.root() + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
@@ -453,24 +415,19 @@ func (c *Client) doJSON(ctx context.Context, method, path string, query url.Valu
 	return nil
 }
 
-// fetchView fetches /p4p/v1/distances in the given form, revalidating
-// the cached copy with If-None-Match; a 304 returns the cached view
-// without moving matrix bytes over the wire. The raw form is asked for
-// in binary; whatever arrives is decoded by its Content-Type.
-func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error) {
+// DistancesContext fetches the raw p-distance view, revalidating the
+// held view with If-None-Match; a 304 returns it without moving matrix
+// bytes over the wire. The view is asked for in binary; whatever
+// arrives is decoded by its Content-Type.
+func (c *Client) DistancesContext(ctx context.Context) (*core.View, error) {
 	const path = "/p4p/v1/distances"
-	q, hdr := url.Values{}, http.Header{}
-	if form == "raw" {
-		hdr.Set("Accept", BinaryViewType+", application/json") // JSON from a portal that ignores Accept
-	} else {
-		q.Set("form", form)
-	}
-	vc := c.viewCacheRef()
-	cached := vc.get(c.BaseURL, form)
+	hdr := http.Header{}
+	hdr.Set("Accept", BinaryViewType+", application/json") // JSON from a portal that ignores Accept
+	cached := c.held()
 	if cached != nil {
 		hdr.Set("If-None-Match", cached.etag)
 	}
-	status, body, resp, err := c.do(ctx, http.MethodGet, path, q, nil, hdr)
+	status, body, resp, err := c.do(ctx, http.MethodGet, path, nil, nil, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -487,14 +444,14 @@ func (c *Client) fetchView(ctx context.Context, form string) (*core.View, error)
 		if err != nil {
 			return nil, fmt.Errorf("portal: decode %s: %w", path, err)
 		}
-		// Any 200 replaces the cache entry. A 200 without an ETag has
-		// withdrawn the server's validator: keeping the old entry would
+		// Any 200 replaces the held view. A 200 without an ETag has
+		// withdrawn the server's validator: keeping the old view would
 		// revalidate future requests against a dead ETag, and a spurious
 		// match would pair the old matrix with a new version. Drop it.
 		if etag := resp.Get("ETag"); etag != "" {
-			vc.put(c.BaseURL, form, &cachedView{view: v, etag: etag})
+			c.view.Store(&cachedView{view: v, etag: etag, root: c.root()})
 		} else {
-			vc.put(c.BaseURL, form, nil)
+			c.view.Store(nil)
 		}
 		return v, nil
 	default:
@@ -512,18 +469,6 @@ func decodeView(body []byte, encoding string) (*core.View, error) {
 		return nil, err
 	}
 	return FromWire(&w)
-}
-
-// PolicyContext fetches the network usage policy.
-func (c *Client) PolicyContext(ctx context.Context) (itracker.Policy, error) {
-	var pol itracker.Policy
-	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/policy", nil, nil, &pol)
-	return pol, err
-}
-
-// DistancesContext fetches the raw p-distance view.
-func (c *Client) DistancesContext(ctx context.Context) (*core.View, error) {
-	return c.fetchView(ctx, "raw")
 }
 
 // BatchDistancesContext queries /p4p/v1/distances/batch for the given
@@ -546,22 +491,6 @@ func (c *Client) BatchDistancesContext(ctx context.Context, pairs []PIDPair) (*B
 		return nil, err
 	}
 	return batchFromWire(&w, len(pairs))
-}
-
-// RankedDistancesContext fetches the coarsened rank view.
-func (c *Client) RankedDistancesContext(ctx context.Context) (*core.View, error) {
-	return c.fetchView(ctx, "ranks")
-}
-
-// CapabilitiesContext fetches provider capabilities, optionally filtered.
-func (c *Client) CapabilitiesContext(ctx context.Context, kind string) ([]itracker.Capability, error) {
-	var caps []itracker.Capability
-	q := url.Values{}
-	if kind != "" {
-		q.Set("kind", kind)
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/capabilities", q, nil, &caps)
-	return caps, err
 }
 
 // errNilIP rejects LookupPIDContext calls before any request is issued.

@@ -14,12 +14,15 @@ import (
 )
 
 // markedPortal serves a distances view whose Version doubles as a
-// portal marker, with full ETag revalidation, counting 200s and 304s.
+// portal marker, with full ETag revalidation, counting 200s, 304s and
+// requests that present an ETag it never issued.
 type markedPortal struct {
-	mu     sync.Mutex
-	marker int
-	full   int
-	reval  int
+	mu      sync.Mutex
+	marker  int
+	full    int
+	reval   int
+	foreign int
+	issued  map[string]bool
 }
 
 func (p *markedPortal) etagLocked() string {
@@ -36,7 +39,13 @@ func (p *markedPortal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.mu.Lock()
 	marker, etag := p.marker, p.etagLocked()
 	p.mu.Unlock()
-	if inm := r.Header.Get("If-None-Match"); inm == etag {
+	inm := r.Header.Get("If-None-Match")
+	p.mu.Lock()
+	if inm != "" && !p.issued[inm] {
+		p.foreign++
+	}
+	p.mu.Unlock()
+	if inm == etag {
 		p.mu.Lock()
 		p.reval++
 		p.mu.Unlock()
@@ -46,6 +55,10 @@ func (p *markedPortal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	p.mu.Lock()
 	p.full++
+	if p.issued == nil {
+		p.issued = map[string]bool{}
+	}
+	p.issued[etag] = true
 	p.mu.Unlock()
 	v := &core.View{
 		Version: marker,
@@ -57,13 +70,13 @@ func (p *markedPortal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(ToWire(v))
 }
 
-// TestClientSharedCacheAcrossBases hammers two distinct portals through
-// WithBase clones of a single client, concurrently, and asserts the
-// URL-keyed view cache never bleeds one portal's view or ETag into the
-// other's revalidation. Run under -race this also exercises the cache's
-// concurrency safety; before the cache was keyed by URL, one base's 304
-// could resurrect the other base's cached matrix.
-func TestClientSharedCacheAcrossBases(t *testing.T) {
+// TestClientWithBaseKeepsViewsApart hammers two distinct portals
+// through WithBase clones of a single client, concurrently, and asserts
+// neither ever sees the other's view or ETag: a clone holds its own
+// view, and a client whose BaseURL changes drops the old portal's
+// validator. Run under -race this also exercises the held view's
+// concurrency safety.
+func TestClientWithBaseKeepsViewsApart(t *testing.T) {
 	p1 := &markedPortal{marker: 101}
 	p2 := &markedPortal{marker: 202}
 	s1 := httptest.NewServer(p1)
@@ -116,8 +129,8 @@ func TestClientSharedCacheAcrossBases(t *testing.T) {
 		t.Errorf("revalidations = %d/%d, want %d each", reval1, reval2, iters-1)
 	}
 
-	// ViewETag is per base URL too.
-	if e1, e2 := c1.ViewETag("raw"), c2.ViewETag("raw"); e1 == e2 || e1 == "" || e2 == "" {
+	// ViewETag is per client too.
+	if e1, e2 := c1.ViewETag(), c2.ViewETag(); e1 == e2 || e1 == "" || e2 == "" {
 		t.Errorf("ViewETag not scoped per base: %q vs %q", e1, e2)
 	}
 
@@ -144,5 +157,31 @@ func TestClientSharedCacheAcrossBases(t *testing.T) {
 	p1.mu.Unlock()
 	if full1 != 1 {
 		t.Errorf("portal 1 refetched a full body (%d) after portal 2 changed", full1)
+	}
+
+	// A clone at the same base shares no view: its first fetch is a 200.
+	if _, err := c1.WithBase(s1.URL).DistancesContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// Repointing a client sends the new portal no stale validator, and
+	// the client reports no ETag until the new portal has answered.
+	c1.BaseURL = s2.URL
+	if e := c1.ViewETag(); e != "" {
+		t.Errorf("repointed client reports the old portal's ETag %q", e)
+	}
+	if v, err = c1.DistancesContext(context.Background()); err != nil || v.Version != 203 {
+		t.Fatalf("repointed client: %v, %v; want version 203", v, err)
+	}
+	p1.mu.Lock()
+	full1, foreign1 := p1.full, p1.foreign
+	p1.mu.Unlock()
+	p2.mu.Lock()
+	full2, foreign2 := p2.full, p2.foreign
+	p2.mu.Unlock()
+	if full1 != 2 || full2 != 3 {
+		t.Errorf("full fetches = %d/%d, want 2/3 (the clone and the repointed client fetch afresh)", full1, full2)
+	}
+	if foreign1 != 0 || foreign2 != 0 {
+		t.Errorf("requests presenting another portal's ETag = %d/%d, want 0/0", foreign1, foreign2)
 	}
 }

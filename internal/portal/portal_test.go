@@ -2,10 +2,12 @@ package portal
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -88,7 +90,8 @@ func TestPolicyEndpoint(t *testing.T) {
 	pol := itracker.Policy{NearCongestionUtil: 0.7}
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, Policy: pol})
 	c := NewClient(srv.URL, "")
-	got, err := c.PolicyContext(context.Background())
+	var got itracker.Policy
+	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/policy", nil, nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +110,11 @@ func TestDistancesEndpoint(t *testing.T) {
 	if len(v.PIDs) != 11 {
 		t.Fatalf("view has %d PIDs, want 11", len(v.PIDs))
 	}
-	rv, err := c.RankedDistancesContext(context.Background())
+	var w ViewWire
+	if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"ranks"}}, nil, &w); err != nil {
+		t.Fatal(err)
+	}
+	rv, err := FromWire(&w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +125,37 @@ func TestDistancesEndpoint(t *testing.T) {
 				t.Fatalf("rank %d->%d out of range: %v", a, b, d)
 			}
 		}
+	}
+}
+
+// TestClientTrailingSlashBase: a base URL ending in "/" costs one
+// request per call, as one without does. A doubled slash in the path
+// would draw the mux's 301, a second round trip for every view, and a
+// batch POST re-sent as a GET without its body.
+func TestClientTrailingSlashBase(t *testing.T) {
+	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
+	var paths []string
+	c := NewClient(srv.URL+"/", "")
+	c.HTTPClient = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+		paths = append(paths, r.Method+" "+r.URL.Path)
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	v, err := c.DistancesContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := c.DistancesContext(context.Background()); err != nil || again != v {
+		t.Errorf("revalidation returned %p, %v; want the held %p", again, err, v)
+	}
+	if _, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}}); err != nil {
+		t.Errorf("batch: %v", err)
+	}
+	if _, err := c.LookupPIDContext(context.Background(), itracker.SyntheticIP(5, 1)); err != nil {
+		t.Errorf("lookup: %v", err)
+	}
+	want := []string{"GET /p4p/v1/distances", "GET /p4p/v1/distances", "POST /p4p/v1/distances/batch", "GET /p4p/v1/pid"}
+	if fmt.Sprint(paths) != fmt.Sprint(want) {
+		t.Errorf("requests %q, want %q", paths, want)
 	}
 }
 
@@ -140,7 +178,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	}
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"tok"}, Capabilities: caps})
 	pub := NewClient(srv.URL, "")
-	got, err := pub.CapabilitiesContext(context.Background(), "")
+	var got []itracker.Capability
+	err := pub.doJSON(context.Background(), http.MethodGet, "/p4p/v1/capabilities", nil, nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +187,8 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 		t.Fatalf("public caps = %+v", got)
 	}
 	trusted := NewClient(srv.URL, "tok")
-	got, err = trusted.CapabilitiesContext(context.Background(), "on-demand-server")
+	got = nil
+	err = trusted.doJSON(context.Background(), http.MethodGet, "/p4p/v1/capabilities", url.Values{"kind": {"on-demand-server"}}, nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,17 +222,6 @@ func TestBadForm(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "400") {
 		t.Fatalf("unknown form should be HTTP 400, got %v", err)
-	}
-}
-
-func TestRegistryDiscovery(t *testing.T) {
-	r := Registry{"isp-b.example": "http://localhost:9999"}
-	url, err := r.Discover("isp-b.example")
-	if err != nil || url != "http://localhost:9999" {
-		t.Fatalf("discover = %q, %v", url, err)
-	}
-	if _, err := r.Discover("unknown.example"); err == nil {
-		t.Fatal("expected discovery failure")
 	}
 }
 

@@ -251,7 +251,8 @@ func TestClientRetriesServerErrors(t *testing.T) {
 	defer inner.Close()
 	c := NewClient(inner.URL, "")
 	c.Retry = fastRetry(5)
-	pol, err := c.PolicyContext(context.Background())
+	var pol itracker.Policy
+	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/policy", nil, nil, &pol)
 	if err != nil {
 		t.Fatalf("5xx should be retried: %v", err)
 	}

@@ -3,9 +3,8 @@
 // toolkits; this reproduction keeps the interface semantics — policy,
 // p4p-distance (raw or ranked), capability, and PID lookup — but uses
 // the standard library's net/http and encoding/json (see DESIGN.md,
-// "Substitutions"). It also provides the DNS-SRV-style discovery shim
-// that maps a provider domain to its portal ("one possibility is
-// through DNS query (using DNS SRV with symbolic name p4p)").
+// "Substitutions"). Clients are configured with a portal's base URL;
+// the paper's DNS SRV discovery has no counterpart here.
 package portal
 
 import (
@@ -172,17 +171,4 @@ type PIDLookupWire struct {
 // errorWire is the JSON error envelope.
 type errorWire struct {
 	Error string `json:"error"`
-}
-
-// Registry is the discovery shim: it plays the role of the DNS SRV
-// record _p4p._tcp.<domain> by mapping provider domains to portal base
-// URLs.
-type Registry map[string]string
-
-// Discover resolves a provider domain to its iTracker base URL.
-func (r Registry) Discover(domain string) (string, error) {
-	if url, ok := r[domain]; ok {
-		return url, nil
-	}
-	return "", fmt.Errorf("portal: no p4p portal registered for domain %q", domain)
 }

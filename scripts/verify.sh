@@ -5,17 +5,27 @@
 # then vet and race-test the nested bench/ module (its own go.mod, so
 # ./... above does not reach it, and it compiles against every package
 # the serving stack exports); then p4pvet. First it checks that the
-# line table in DESIGN.md §15 is what scripts/loc.sh prints now. Run
-# from anywhere; operates on the repo root.
+# line table in DESIGN.md §15 is what scripts/loc.sh prints now, and
+# that `make fuzz-smoke` runs exactly the module's func Fuzz* targets,
+# each in its own package. Run from anywhere; operates on the repo root.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo '>> DESIGN.md loc block = sh scripts/loc.sh'
 LOC_DOC=$(mktemp)
-trap 'rm -f "$LOC_DOC"' EXIT
+FUZZ_MK=$(mktemp)
+trap 'rm -f "$LOC_DOC" "$FUZZ_MK"' EXIT
 awk '/^<!-- loc:end -->$/ { f = 0 } f && !/^```/ { print } /^<!-- loc:begin -->$/ { f = 1 }' DESIGN.md >"$LOC_DOC"
 if ! sh scripts/loc.sh | diff -u "$LOC_DOC" -; then
 	echo "DESIGN.md: the loc block is stale; paste sh scripts/loc.sh between its markers" >&2
+	exit 1
+fi
+
+echo '>> make fuzz-smoke targets = func Fuzz* in the module'
+sed -nE 's|.*-fuzz .\^(Fuzz[A-Za-z0-9_]+)\$\$. .* (\./[^ ]+)$|\1 \2|p' Makefile | sort >"$FUZZ_MK"
+if ! grep -rE --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]+\(' . |
+	sed -E 's|^(.*)/[^/:]*:func (Fuzz[A-Za-z0-9_]+).*|\2 \1|' | sort | diff -u "$FUZZ_MK" -; then
+	echo "Makefile: fuzz-smoke's targets (-) differ from the module's func Fuzz* (+)" >&2
 	exit 1
 fi
 
