@@ -22,9 +22,9 @@ p4pvet:
 	$(GO) run ./cmd/p4pvet -timing ./...
 
 # Tier-1 verification gate (see ROADMAP.md): the DESIGN.md loc block
-# against scripts/loc.sh, gofmt, vet, build, race tests, the allocation
-# pins (-run Alloc) without -race, the bench/ module's vet and race
-# tests, then p4pvet.
+# against scripts/loc.sh, gofmt, vet, build, a quickstart run, race
+# tests, the allocation pins (-run Alloc) without -race, the bench/
+# module's vet and race tests, then p4pvet.
 verify:
 	sh scripts/verify.sh
 

@@ -90,11 +90,12 @@ func main() {
 	}, engine, itracker.SyntheticPIDMap(g))
 
 	// Telemetry: one registry feeds the portal middleware, the iTracker
-	// engine gauges, and GET /metrics.
+	// engine gauges, the encoded-response cache counters, and GET /metrics.
 	tr.Metrics = itracker.NewMetrics(d.Registry)
 
 	h := portal.NewHandler(tr)
 	h.Telemetry.Metrics = telemetry.NewHTTPMetrics(d.Registry, "p4p_http")
+	h.CacheMetrics = portal.NewCacheMetrics(d.Registry)
 	h.Telemetry.Logger = logger
 	h.Telemetry.Tracer = d.Tracer
 	h.Telemetry.Preregister()
@@ -148,8 +149,8 @@ func main() {
 		slog.Int("links", g.NumLinks()))
 }
 
-// engineConfig builds the price engine's configuration from the flags.
-// A perturbing engine is seeded from crypto/rand: under a fixed seed an
+// engineConfig builds the price engine's configuration from the flags,
+// refusing what core.NewEngine would panic on. A perturbing engine is seeded from crypto/rand: under a fixed seed an
 // appTracker could replay the factors and divide them out of a view.
 func engineConfig(objective string, step, perturb float64) (core.Config, error) {
 	cfg := core.Config{StepSize: step, PerturbFrac: perturb}
@@ -160,6 +161,9 @@ func engineConfig(objective string, step, perturb float64) (core.Config, error) 
 		cfg.Objective = core.MinimizeBDP
 	default:
 		return cfg, fmt.Errorf("unknown objective %q", objective)
+	}
+	if err := cfg.Check(); err != nil {
+		return cfg, err
 	}
 	if perturb > 0 {
 		var seed [8]byte

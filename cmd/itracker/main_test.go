@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"p4p/internal/core"
@@ -35,5 +36,16 @@ func TestPerturbedViewsDiffer(t *testing.T) {
 func TestEngineConfigRejectsUnknownObjective(t *testing.T) {
 	if _, err := engineConfig("fastest", 0.1, 0); err == nil {
 		t.Fatal("engineConfig accepted an unknown objective")
+	}
+	// What core.NewEngine refuses is an error here, not a panic: a
+	// non-finite step wedges the first update, and a perturbation of 1
+	// or more publishes negative distances.
+	for _, bad := range []struct{ step, perturb float64 }{
+		{-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
+		{0.1, 1}, {0.1, 1.5}, {0.1, math.Inf(1)}, {0.1, math.NaN()}, {0.1, -0.5},
+	} {
+		if _, err := engineConfig("mlu", bad.step, bad.perturb); err == nil {
+			t.Errorf("engineConfig accepted -step %v -perturb %v", bad.step, bad.perturb)
+		}
 	}
 }

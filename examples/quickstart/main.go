@@ -41,8 +41,10 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("\np-distances from WashingtonDC (PID %d):\n", dc)
-	for _, pid := range view.Ranks(dc) {
-		fmt.Printf("  -> %-14s %.3g\n", g.Node(pid).Name, view.Distance(dc, pid))
+	for _, pid := range view.PIDs {
+		if pid != dc {
+			fmt.Printf("  -> %-14s %.3g\n", g.Node(pid).Name, view.Distance(dc, pid))
+		}
 	}
 
 	// 5. A P4P appTracker turns the view into peer choices.

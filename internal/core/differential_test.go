@@ -105,10 +105,10 @@ func TestEngineMatchesReference(t *testing.T) {
 		pids []topology.PID // nil: every aggregation PID
 	}{
 		{"abilene-mlu", abilene, Config{Objective: MinimizeMLU, StepSize: 0.3}, nil},
-		{"abilene-bdp-intrapid", abilene, Config{Objective: MinimizeBDP, StepSize: 0.2, IntraPID: 0.25}, nil},
+		{"abilene-bdp", abilene, Config{Objective: MinimizeBDP, StepSize: 0.2}, nil},
 		{"ispb-mlu", ispb, Config{Objective: MinimizeMLU}, nil},
 		{"ispb-bdp-peak-perturbed", ispb, Config{Objective: MinimizeBDP, Background: PeakBackground, PerturbFrac: 0.1, PerturbSeed: 7}, nil},
-		{"ispb-mlu-subset-perturbed", ispb, Config{Objective: MinimizeMLU, StepSize: 0.05, IntraPID: 1e-3, PerturbFrac: 0.1}, []topology.PID{40, 3, 17, 3, 51, 0}},
+		{"ispb-mlu-subset-perturbed", ispb, Config{Objective: MinimizeMLU, StepSize: 0.05, PerturbFrac: 0.1}, []topology.PID{40, 3, 17, 3, 51, 0}},
 		{"virtual-mlu-peak-perturbed", virt, Config{Objective: MinimizeMLU, StepSize: 0.5, Background: PeakBackground, PerturbFrac: 0.25, PerturbSeed: 3}, nil},
 		{"virtual-bdp", virt, Config{Objective: MinimizeBDP, StepSize: 0.5}, nil},
 		{"stub-mlu-perturbed", withStub(virt), Config{Objective: MinimizeMLU, PerturbFrac: 0.05, PerturbSeed: 11}, nil},
@@ -200,10 +200,11 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		if flags&2 != 0 {
 			cfg.PerturbFrac = 0.2
 		}
-		if flags&4 != 0 {
-			cfg.IntraPID = rng.Float64()
+		pids := g.AggregationPIDs()
+		if flags&4 != 0 { // a repeated PID: p_ii off the view's diagonal
+			pids = append(pids, pids[rng.Intn(len(pids))])
 		}
-		p := newEnginePair(g, cfg, g.AggregationPIDs())
+		p := newEnginePair(g, cfg, pids)
 		m := g.NumLinks()
 		bg := randomLoads(rng, g, make([]float64, m))
 		p.both(func(e *Engine) { e.SetBackground(bg); e.SetPeakBackground(bg) })

@@ -82,13 +82,25 @@ type Config struct {
 	StepSize float64
 	// PerturbFrac, if positive, multiplies each exposed distance by a
 	// uniform factor in [1-PerturbFrac, 1+PerturbFrac] to enhance
-	// privacy ("An iTracker may perturb the distances").
+	// privacy ("An iTracker may perturb the distances"). It must lie in
+	// [0, 1): from 1 up, a factor can reach zero or below, and every
+	// client reads a negative distance as unreachable.
 	PerturbFrac float64
 	// PerturbSeed seeds the perturbation generator.
 	PerturbSeed int64
-	// IntraPID is the distance reported for p_ii (traffic staying inside
-	// one PID never crosses a backbone link); default 0.
-	IntraPID float64
+}
+
+// Check reports why NewEngine would refuse c, or nil: a step that is
+// negative or not finite (it makes every stepped price non-finite), or a
+// PerturbFrac outside [0, 1).
+func (c Config) Check() error {
+	if !(c.StepSize >= 0 && c.StepSize <= math.MaxFloat64) {
+		return fmt.Errorf("core: step size %v is not finite and non-negative", c.StepSize)
+	}
+	if !(c.PerturbFrac >= 0 && c.PerturbFrac < 1) {
+		return fmt.Errorf("core: perturbation fraction %v outside [0, 1)", c.PerturbFrac)
+	}
+	return nil
 }
 
 // Engine is the dual-decomposition p-distance engine. It is safe for
@@ -126,13 +138,13 @@ type Engine struct {
 // uniform on the projection set for MLU (p_e = 1/Σc_e) and zero for BDP.
 // Link capacities, distances and interdomain flags are read from g here,
 // once: topologies are finished before an engine is built over them, and
-// a later g.SetLink is not seen.
+// a later g.SetLink is not seen. It panics on a cfg that Check refuses.
 func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
+	if err := cfg.Check(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.StepSize == 0 {
 		cfg.StepSize = 0.1
-	}
-	if cfg.StepSize < 0 {
-		panic("core: negative step size")
 	}
 	n := g.NumLinks()
 	e := &Engine{
@@ -359,12 +371,13 @@ func (e *Engine) linkPrice(i int) float64 {
 // PDistance returns the external-view distance p_ij between two PIDs
 // under the current prices (perturbation not applied; see Matrix): the
 // link prices along the route, added in route order from zero — the sum
-// Matrix accumulates down the routing tree, bit for bit.
+// Matrix accumulates down the routing tree, bit for bit. p_ii is 0:
+// traffic staying inside one PID never crosses a backbone link.
 func (e *Engine) PDistance(i, j topology.PID) float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if i == j {
-		return e.cfg.IntraPID
+		return 0
 	}
 	path := e.r.Path(i, j)
 	if path == nil {
@@ -404,9 +417,6 @@ func (e *Engine) Matrix(pids []topology.PID) *View {
 		row := flat[a*n : (a+1)*n : (a+1)*n]
 		for b, j := range pids {
 			d := e.routeTo[j]
-			if i == j {
-				d = e.cfg.IntraPID
-			}
 			if e.cfg.PerturbFrac > 0 && a != b && !math.IsInf(d, 1) {
 				d *= 1 + e.cfg.PerturbFrac*(2*e.rng.Float64()-1)
 			}

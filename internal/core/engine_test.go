@@ -129,9 +129,12 @@ func TestEngineBDPDistancesIncludeLinkDistance(t *testing.T) {
 
 func TestEngineIntraPIDDistance(t *testing.T) {
 	g, r := fourLine()
-	e := NewEngine(g, r, Config{IntraPID: 0.25})
-	if d := e.PDistance(1, 1); d != 0.25 {
-		t.Fatalf("intra-PID distance = %v, want 0.25", d)
+	e := NewEngine(g, r, Config{})
+	v := e.Matrix(g.AggregationPIDs())
+	for a, pid := range v.PIDs {
+		if d := e.PDistance(pid, pid); d != 0 || v.D[a][a] != 0 {
+			t.Fatalf("intra-PID distance of %d: PDistance %v, view %v; want 0", pid, d, v.D[a][a])
+		}
 	}
 }
 
@@ -226,6 +229,17 @@ func TestEnginePanicsOnBadInput(t *testing.T) {
 		func() { e.ObserveTraffic([]float64{1}) },
 		func() { e.SetVirtualCapacity(0, -1) },
 		func() { NewEngine(g, r, Config{StepSize: -1}) },
+		// A non-finite step spins the projection under the write lock.
+		func() { NewEngine(g, r, Config{StepSize: math.NaN()}) },
+		func() { NewEngine(g, r, Config{StepSize: math.Inf(1)}) },
+		func() { NewEngine(g, r, Config{StepSize: math.Inf(-1)}) },
+		// A factor of 1±PerturbFrac at or below zero publishes negative
+		// distances; NaN would silently turn perturbation off.
+		func() { NewEngine(g, r, Config{PerturbFrac: 1}) },
+		func() { NewEngine(g, r, Config{PerturbFrac: 1.5}) },
+		func() { NewEngine(g, r, Config{PerturbFrac: math.Inf(1)}) },
+		func() { NewEngine(g, r, Config{PerturbFrac: math.NaN()}) },
+		func() { NewEngine(g, r, Config{PerturbFrac: -0.1}) },
 	} {
 		func() {
 			defer func() {

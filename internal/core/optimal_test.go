@@ -355,56 +355,58 @@ func TestOptimalMLUBackgroundCounts(t *testing.T) {
 }
 
 // TestDecompositionConvergesToOptimal is the paper's Proposition 1 in
-// action (experiment X2): iterating (application optimizes against
-// prices) <-> (iTracker updates prices by projected super-gradient)
-// drives the time-averaged traffic pattern's MLU close to the
-// centralized LP optimum.
+// action, run as experiment X2 runs it: iterating (application
+// optimizes against prices) <-> (iTracker updates prices by projected
+// super-gradient) drives the time-averaged traffic pattern's MLU to
+// within 10% of the centralized LP optimum, and never below it, for
+// every seeded session.
 func TestDecompositionConvergesToOptimal(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
-	rng := rand.New(rand.NewSource(17))
-	s := Session{PIDs: pids}
-	for range pids {
-		s.Up = append(s.Up, (0.5+rng.Float64())*2e9)
-		s.Down = append(s.Down, (0.5+rng.Float64())*2e9)
-	}
 	bg := make([]float64, g.NumLinks())
-	optAlpha, _, err := OptimalMLU(r, bg, []Session{s}, 1.0)
-	if err != nil {
-		t.Fatal(err)
+	seeds := int64(20)
+	if raceEnabled {
+		seeds = 2
 	}
-	if optAlpha <= 0 {
-		t.Fatalf("degenerate optimal alpha %v", optAlpha)
-	}
-
-	e := NewEngine(g, r, Config{Objective: MinimizeMLU, StepSize: 0.05})
-	avgLoads := make([]float64, g.NumLinks())
-	iters := 120
-	for it := 1; it <= iters; it++ {
-		view := e.Matrix(pids)
-		tm, err := MatchTraffic(view, s, 1.0, nil)
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := Session{PIDs: pids}
+		for range pids {
+			s.Up = append(s.Up, (0.5+rng.Float64())*2e9)
+			s.Down = append(s.Down, (0.5+rng.Float64())*2e9)
+		}
+		optAlpha, _, err := OptimalMLU(r, bg, []Session{s}, 1.0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if optAlpha <= 0 {
+			t.Fatalf("seed %d: degenerate optimal alpha %v", seed, optAlpha)
+		}
+		e := NewEngine(g, r, Config{Objective: MinimizeMLU, StepSize: 0.05})
+		avgLoads := make([]float64, g.NumLinks())
 		loads := make([]float64, g.NumLinks())
-		LinkLoads(r, pids, tm, loads)
-		// Primal averaging: the time-averaged pattern converges even
-		// though each iterate is an extreme point.
-		for i := range avgLoads {
-			avgLoads[i] += (loads[i] - avgLoads[i]) / float64(it)
+		for it := 1; it <= 200; it++ {
+			tm, err := MatchTraffic(e.Matrix(pids), s, 1.0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(loads)
+			LinkLoads(r, pids, tm, loads)
+			// Primal averaging: the time-averaged pattern converges even
+			// though each iterate is an extreme point.
+			for i := range avgLoads {
+				avgLoads[i] += (loads[i] - avgLoads[i]) / float64(it)
+			}
+			e.ObserveTraffic(loads)
+			e.Update()
 		}
-		e.ObserveTraffic(loads)
-		e.Update()
-	}
-	mlu := 0.0
-	for i, l := range g.Links() {
-		u := avgLoads[i] / l.CapacityBps
-		if u > mlu {
-			mlu = u
+		mlu := 0.0
+		for i, l := range g.Links() {
+			mlu = math.Max(mlu, avgLoads[i]/l.CapacityBps)
 		}
-	}
-	if mlu > 1.35*optAlpha {
-		t.Fatalf("decomposed MLU %v too far above optimal %v", mlu, optAlpha)
+		if ratio := mlu / optAlpha; ratio < 1-1e-9 || ratio > 1.10 {
+			t.Errorf("seed %d: decomposed MLU %v is %v times the optimal %v, want [1, 1.10]", seed, mlu, ratio, optAlpha)
+		}
 	}
 }

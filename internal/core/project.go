@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // projectWeightedSimplex replaces y with its Euclidean projection onto
 // the weighted simplex S = { p >= 0 : Σ_e c_e p_e = 1 } used by the MLU
@@ -20,6 +23,9 @@ func projectWeightedSimplex(y, c []float64) {
 	lo := math.Inf(-1)
 	hi := math.Inf(1)
 	for i := range y {
+		if math.IsNaN(y[i]) || math.IsInf(y[i], 0) {
+			panic(fmt.Sprintf("core: non-finite price %v to project at %d", y[i], i))
+		}
 		r := y[i] / c[i]
 		if math.IsInf(lo, -1) || r < lo {
 			lo = r
@@ -28,12 +34,14 @@ func projectWeightedSimplex(y, c []float64) {
 			hi = r
 		}
 	}
-	// Push lo down until f(lo) >= 1.
+	// Push lo down until f(lo) >= 1. A huge y can overflow the bracket
+	// to -Inf (or NaN); the search stops there, and bisection below is
+	// bounded either way.
 	span := hi - lo
 	if span <= 0 {
 		span = math.Abs(hi) + 1
 	}
-	for simplexMass(y, c, lo) < 1 {
+	for lo > math.Inf(-1) && simplexMass(y, c, lo) < 1 {
 		lo -= span
 		span *= 2
 	}

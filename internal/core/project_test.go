@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // projected returns the projection of y, leaving y itself alone.
@@ -108,4 +109,39 @@ func TestProjectionEmptyAndMismatch(t *testing.T) {
 		}
 	}()
 	projectWeightedSimplex([]float64{1}, []float64{1, 2})
+}
+
+// TestProjectionEndsOnEveryInput runs the projection under a deadline on
+// inputs a huge or non-finite step produces: a non-finite entry panics
+// with a message, and finite ones, however large, return.
+func TestProjectionEndsOnEveryInput(t *testing.T) {
+	const huge = math.MaxFloat64
+	cases := []struct {
+		name   string
+		y, c   []float64
+		panics bool
+	}{
+		{"NaN first", []float64{math.NaN(), 1}, []float64{1, 1}, true},
+		{"NaN", []float64{1, math.NaN()}, []float64{1, 1}, true},
+		{"+Inf", []float64{math.Inf(1), 1}, []float64{1, 1}, true},
+		{"-Inf", []float64{1, math.Inf(-1)}, []float64{2, 1}, true},
+		{"spread overflows", []float64{huge, -huge}, []float64{1, 1}, false},
+		{"ratio overflows", []float64{huge, huge / 2}, []float64{1e-300, 1e-300}, false},
+		{"one huge negative", []float64{-huge}, []float64{1e-300}, false},
+	}
+	for _, tc := range cases {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			projectWeightedSimplex(append([]float64(nil), tc.y...), tc.c)
+		}()
+		select {
+		case r := <-done:
+			if (r != nil) != tc.panics {
+				t.Errorf("%s: recovered %v, want a panic: %v", tc.name, r, tc.panics)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: projection still running after 10s", tc.name)
+		}
+	}
 }

@@ -98,7 +98,7 @@ func (e *Engine) refLinkPrice(i int, l topology.Link) float64 {
 
 func (e *Engine) refPDistanceLocked(i, j topology.PID) float64 {
 	if i == j {
-		return e.cfg.IntraPID
+		return 0
 	}
 	path := e.r.Path(i, j)
 	if path == nil {

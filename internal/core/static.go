@@ -7,9 +7,7 @@ import (
 )
 
 // This file covers the static side of the paper's "ISP Use Cases": an
-// ISP can assign p-distances without running the dual engine at all —
-// from OSPF weights, from hop counts, from per-link financial costs, or
-// coarsened to ranks.
+// ISP can assign p-distances without running the dual engine at all.
 
 // HopCountView builds an external view whose distances are route hop
 // counts — the simplest static assignment (d_e = 1 degenerates BDP to
@@ -21,37 +19,6 @@ func HopCountView(r *topology.Routing, pids []topology.PID) *View {
 			return math.Inf(1)
 		}
 		return float64(hc)
-	})
-}
-
-// OSPFView builds an external view whose distances are the sums of OSPF
-// link weights along routes ("It derives p-distances from OSPF weights
-// and BGP preferences").
-func OSPFView(r *topology.Routing, pids []topology.PID) *View {
-	return staticView(r, pids, r.WeightSum)
-}
-
-// LinkCostView builds an external view from arbitrary per-link financial
-// costs ("assigns higher p-distances to links with higher financial
-// costs"); cost is indexed by LinkID.
-func LinkCostView(r *topology.Routing, pids []topology.PID, cost []float64) *View {
-	g := r.Graph()
-	if len(cost) != g.NumLinks() {
-		panic("core: cost vector length mismatch")
-	}
-	return staticView(r, pids, func(i, j topology.PID) float64 {
-		if i == j {
-			return 0
-		}
-		p := r.Path(i, j)
-		if p == nil {
-			return math.Inf(1)
-		}
-		sum := 0.0
-		for _, e := range p {
-			sum += cost[e]
-		}
-		return sum
 	})
 }
 
@@ -68,34 +35,4 @@ func staticView(r *topology.Routing, pids []topology.PID, dist func(i, j topolog
 		}
 	}
 	return v
-}
-
-// RankView coarsens a view to the "coarsest" granularity of Section 4:
-// for each source PID the most preferred destination gets distance 1,
-// the next 2, and so on (ties share the smaller rank). This trades
-// precision ("it is unclear how to compare two sets") for robustness —
-// the tradeoff the paper discusses — and is also the semantics of the
-// oracle proposal of Aggarwal et al. that the paper subsumes.
-func RankView(v *View) *View {
-	out := &View{PIDs: append([]topology.PID(nil), v.PIDs...), D: make([][]float64, len(v.PIDs)), Version: v.Version}
-	for a := range v.PIDs {
-		out.D[a] = make([]float64, len(v.PIDs))
-		ranked := v.Ranks(v.PIDs[a])
-		rank := 1.0
-		var prevD float64
-		for k, pid := range ranked {
-			b, _ := v.Index(pid)
-			d := v.D[a][b]
-			if k > 0 && d != prevD {
-				rank = float64(k + 1)
-			}
-			if math.IsInf(d, 1) {
-				out.D[a][b] = math.Inf(1)
-			} else {
-				out.D[a][b] = rank
-			}
-			prevD = d
-		}
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"p4p/internal/topology"
 )
@@ -41,39 +40,6 @@ func (v *View) Distance(i, j topology.PID) float64 {
 		panic(fmt.Sprintf("core: PID %d not in view", j))
 	}
 	return v.D[a][b]
-}
-
-// Ranks converts the row for source PID i into the "coarsest" usage of
-// the interface (Section 4, "ISP Use Cases"): PIDs ranked by ascending
-// distance, the most preferred first, excluding i itself. Ties keep PID
-// order for determinism.
-func (v *View) Ranks(i topology.PID) []topology.PID {
-	a, ok := v.Index(i)
-	if !ok {
-		panic(fmt.Sprintf("core: PID %d not in view", i))
-	}
-	type pd struct {
-		pid topology.PID
-		d   float64
-	}
-	var rows []pd
-	for b, j := range v.PIDs {
-		if b == a {
-			continue
-		}
-		rows = append(rows, pd{j, v.D[a][b]})
-	}
-	sort.SliceStable(rows, func(x, y int) bool {
-		if rows[x].d != rows[y].d {
-			return rows[x].d < rows[y].d
-		}
-		return rows[x].pid < rows[y].pid
-	})
-	out := make([]topology.PID, len(rows))
-	for k, r := range rows {
-		out[k] = r.pid
-	}
-	return out
 }
 
 // Weights converts the row for source PID i into the P4P-BitTorrent

@@ -38,18 +38,6 @@ func TestViewIndexAndDistance(t *testing.T) {
 	v.Distance(0, 9)
 }
 
-func TestViewRanks(t *testing.T) {
-	v := sampleView()
-	ranks := v.Ranks(0)
-	if len(ranks) != 2 || ranks[0] != 1 || ranks[1] != 2 {
-		t.Fatalf("Ranks(0) = %v, want [1 2]", ranks)
-	}
-	ranks = v.Ranks(2)
-	if ranks[0] != 1 || ranks[1] != 0 {
-		t.Fatalf("Ranks(2) = %v, want [1 0]", ranks)
-	}
-}
-
 func TestViewWeightsNormalize(t *testing.T) {
 	v := sampleView()
 	w := v.Weights(0, 1.0)
@@ -124,7 +112,6 @@ func TestViewWeightsPanics(t *testing.T) {
 		func() { v.Weights(0, 0) },
 		func() { v.Weights(0, 1.5) },
 		func() { v.Weights(9, 1) },
-		func() { v.Ranks(9) },
 	} {
 		func() {
 			defer func() {
@@ -245,57 +232,5 @@ func TestStaticViews(t *testing.T) {
 	hv := HopCountView(r, pids)
 	if hv.Distance(0, 3) != 3 || hv.Distance(0, 0) != 0 {
 		t.Fatalf("hop view wrong: %v", hv.D)
-	}
-	ov := OSPFView(r, pids)
-	if ov.Distance(0, 3) != 3 { // unit weights on the line
-		t.Fatalf("ospf view wrong: %v", ov.D)
-	}
-	cost := make([]float64, g.NumLinks())
-	for i := range cost {
-		cost[i] = 10
-	}
-	cv := LinkCostView(r, pids, cost)
-	if cv.Distance(0, 2) != 20 {
-		t.Fatalf("cost view wrong: %v", cv.D)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on bad cost vector")
-		}
-	}()
-	LinkCostView(r, pids, []float64{1})
-}
-
-func TestRankView(t *testing.T) {
-	v := sampleView()
-	rv := RankView(v)
-	// From PID 0: PID 1 (d=2) rank 1, PID 2 (d=5) rank 2.
-	if rv.Distance(0, 1) != 1 || rv.Distance(0, 2) != 2 {
-		t.Fatalf("rank view row 0 = %v", rv.D[0])
-	}
-	// Ties share a rank.
-	tied := &View{
-		PIDs: []topology.PID{0, 1, 2},
-		D: [][]float64{
-			{0, 3, 3},
-			{3, 0, 3},
-			{3, 3, 0},
-		},
-	}
-	rt := RankView(tied)
-	if rt.Distance(0, 1) != 1 || rt.Distance(0, 2) != 1 {
-		t.Fatalf("tied ranks = %v", rt.D[0])
-	}
-	// Unreachable stays unreachable.
-	inf := &View{
-		PIDs: []topology.PID{0, 1},
-		D: [][]float64{
-			{0, math.Inf(1)},
-			{1, 0},
-		},
-	}
-	ri := RankView(inf)
-	if !math.IsInf(ri.Distance(0, 1), 1) {
-		t.Fatal("rank view must preserve unreachability")
 	}
 }

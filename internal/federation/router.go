@@ -122,7 +122,7 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 // last-known-good view per backend portal, and is the portal handler
 // over their merge —
 //
-//	GET  /p4p/v1/distances[?form=ranks]
+//	GET  /p4p/v1/distances[?form=raw]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
 //	POST /p4p/v1/distances/batch
 //	GET  /p4p/v1/pid?ip=a.b.c.d   (proxied shard by shard)

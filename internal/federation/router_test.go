@@ -220,17 +220,10 @@ func TestRouterServesMergedView(t *testing.T) {
 	if got := v.Distance(0, 1); got != 2 {
 		t.Errorf("intra-shard d(0,1) = %v, want 2", got)
 	}
-	// The ranks form serves the same PID set, rank-coarsened.
-	rec = get(t, rt, "/p4p/v1/distances?form=ranks", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("ranks status = %d", rec.Code)
-	}
-	rv := decodeView(t, rec.Body.Bytes())
-	if len(rv.PIDs) != 4 {
-		t.Errorf("ranks PIDs = %v", rv.PIDs)
-	}
-	if rec := get(t, rt, "/p4p/v1/distances?form=bogus", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("bogus form status = %d, want 400", rec.Code)
+	for _, form := range []string{"ranks", "bogus"} {
+		if rec := get(t, rt, "/p4p/v1/distances?form="+form, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s form status = %d, want 400", form, rec.Code)
+		}
 	}
 }
 

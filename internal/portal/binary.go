@@ -27,7 +27,7 @@ const BinaryViewType = "application/x-p4p-view"
 const FormBinary = "bin"
 
 // Forms lists every form a ViewSource renders.
-var Forms = [...]string{"raw", "ranks", FormBinary}
+var Forms = [...]string{"raw", FormBinary}
 
 // binaryMagic is three magic bytes and the format byte; no JSON text
 // starts with it, so a body names its own encoding.

@@ -192,9 +192,9 @@ func jsonOnlyPortal(t *testing.T, v *core.View) (srv *httptest.Server, accepts f
 }
 
 // TestClientEncodings: against this tree's portal the client moves the
-// raw view in binary and ranks in JSON; against a portal that ignores
-// Accept it falls back to JSON; revalidation works either way, and the
-// view held is the same one.
+// raw view in binary, and a request without Accept gets JSON; against a
+// portal that ignores Accept it falls back to JSON; revalidation works
+// either way, and the view held is the same one.
 func TestClientEncodings(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	want, err := tr.Distances("")
@@ -235,15 +235,15 @@ func TestClientEncodings(t *testing.T) {
 		if tc.wantBytes != 0 && sizes[0] != tc.wantBytes {
 			t.Errorf("%s body of %d bytes, want %d", tc.wantCT, sizes[0], tc.wantBytes)
 		}
-		var ranks ViewWire
-		if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"ranks"}}, nil, &ranks); err != nil || cts[len(cts)-1] != "application/json" {
-			t.Errorf("ranks: %v, Content-Types %q; want JSON", err, cts)
+		var plain ViewWire
+		if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"raw"}}, nil, &plain); err != nil || cts[len(cts)-1] != "application/json" {
+			t.Errorf("no Accept: %v, Content-Types %q; want JSON", err, cts)
 		}
 	}
 	sameBits(t, got[0], want)
 	sameBits(t, got[1], want)
 	if sent := accepts(); len(sent) != 3 || !acceptsBinary(sent[:1]) || !acceptsBinary(sent[1:2]) || sent[2] != "" {
-		t.Errorf("Accept headers sent %q; want the binary type on both raw fetches, none on ranks", sent)
+		t.Errorf("Accept headers sent %q; want the binary type on both view fetches, none on the plain request", sent)
 	}
 }
 

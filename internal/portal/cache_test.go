@@ -214,18 +214,15 @@ func TestCachedDistancesConsistency(t *testing.T) {
 	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		form := "raw"
+		accept := ""
 		if w%2 == 1 {
-			form = "ranks"
+			accept = BinaryViewType
 		}
-		go func(form string) {
+		go func(accept string) {
 			defer wg.Done()
-			url := "/p4p/v1/distances"
-			if form != "raw" {
-				url += "?form=" + form
-			}
 			for {
-				req := httptest.NewRequest(http.MethodGet, url, nil)
+				req := httptest.NewRequest(http.MethodGet, "/p4p/v1/distances", nil)
+				req.Header.Set("Accept", accept)
 				rec := httptest.NewRecorder()
 				h.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
@@ -237,13 +234,13 @@ func TestCachedDistancesConsistency(t *testing.T) {
 					t.Errorf("Content-Length %d, body %d bytes", cl, len(body))
 					return
 				}
-				var w ViewWire
-				if err := json.Unmarshal(body, &w); err != nil {
-					t.Errorf("body not valid JSON: %v", err)
+				v, err := decodeView(body, encodingOf(rec.Header()))
+				if err != nil {
+					t.Errorf("body does not decode: %v", err)
 					return
 				}
-				if ev := etagVersion(t, rec.Header().Get("ETag")); ev != w.Version {
-					t.Errorf("ETag version %d, body version %d (torn cache entry)", ev, w.Version)
+				if ev := etagVersion(t, rec.Header().Get("ETag")); ev != v.Version {
+					t.Errorf("ETag version %d, body version %d (torn cache entry)", ev, v.Version)
 					return
 				}
 				select {
@@ -252,7 +249,7 @@ func TestCachedDistancesConsistency(t *testing.T) {
 				default:
 				}
 			}
-		}(form)
+		}(accept)
 	}
 	wg.Wait()
 	if t.Failed() {

@@ -110,22 +110,6 @@ func TestDistancesEndpoint(t *testing.T) {
 	if len(v.PIDs) != 11 {
 		t.Fatalf("view has %d PIDs, want 11", len(v.PIDs))
 	}
-	var w ViewWire
-	if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"ranks"}}, nil, &w); err != nil {
-		t.Fatal(err)
-	}
-	rv, err := FromWire(&w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Off the diagonal, ranks are small integers in [1, len(PIDs)].
-	for a := range rv.PIDs {
-		for b := range rv.PIDs {
-			if d := rv.D[a][b]; a != b && (d < 1 || d > float64(len(rv.PIDs))) {
-				t.Fatalf("rank %d->%d out of range: %v", a, b, d)
-			}
-		}
-	}
 }
 
 // TestClientTrailingSlashBase: a base URL ending in "/" costs one

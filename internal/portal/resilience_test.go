@@ -138,19 +138,20 @@ func TestConditionalGETFormsAreDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw.Body.Close()
-	// The raw ETag must not validate the ranks form.
-	req2, _ := http.NewRequest(http.MethodGet, srv.URL+"/p4p/v1/distances?form=ranks", nil)
+	// The raw ETag must not validate the binary form.
+	req2, _ := http.NewRequest(http.MethodGet, srv.URL+"/p4p/v1/distances", nil)
+	req2.Header.Set("Accept", BinaryViewType)
 	req2.Header.Set("If-None-Match", raw.Header.Get("ETag"))
-	ranks, err := http.DefaultClient.Do(req2)
+	bin, err := http.DefaultClient.Do(req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ranks.Body.Close()
-	if ranks.StatusCode != http.StatusOK {
-		t.Fatalf("ranks with raw etag = %d, want 200", ranks.StatusCode)
+	defer bin.Body.Close()
+	if bin.StatusCode != http.StatusOK {
+		t.Fatalf("bin with raw etag = %d, want 200", bin.StatusCode)
 	}
-	if ranks.Header.Get("ETag") == raw.Header.Get("ETag") {
-		t.Fatal("raw and ranks share an ETag")
+	if bin.Header.Get("ETag") == raw.Header.Get("ETag") {
+		t.Fatal("raw and bin share an ETag")
 	}
 }
 

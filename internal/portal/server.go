@@ -61,8 +61,8 @@ var ErrUnavailable = errors.New("no view available")
 // the wire. Entry and View run on every request and must not allocate
 // while the source's current view is unchanged.
 type ViewSource interface {
-	// Entry returns the current rendered response for form "raw",
-	// "ranks" or FormBinary (the handler has validated it).
+	// Entry returns the current rendered response for form "raw" or
+	// FormBinary (the handler has validated it).
 	Entry(ctx context.Context, token, form string) (*Entry, error)
 	// View returns the current view, for the batch endpoint.
 	View(ctx context.Context, token string) (*core.View, error)
@@ -107,7 +107,7 @@ func newEntry(version int, tag string, body []byte) *Entry {
 // that is the full provider portal:
 //
 //	GET  /p4p/v1/policy
-//	GET  /p4p/v1/distances[?form=ranks]
+//	GET  /p4p/v1/distances[?form=raw]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
 //	POST /p4p/v1/distances/batch
 //	GET  /p4p/v1/capabilities[?kind=...]
@@ -304,11 +304,8 @@ func ETagMatches(header, etag string) bool {
 // JSON bodies include the trailing newline WriteJSON appends, so cached
 // and freshly-encoded responses are byte-identical.
 func EncodeView(v *core.View, form string) ([]byte, error) {
-	switch form {
-	case FormBinary:
+	if form == FormBinary {
 		return encodeBinaryView(v)
-	case "ranks":
-		v = core.RankView(v)
 	}
 	b, err := json.Marshal(ToWire(v))
 	if err != nil {
@@ -350,18 +347,14 @@ func (s *trackerSource) LookupPID(ctx context.Context, token string, ip net.IP) 
 // BenchmarkPortalDistances and TestCachedDistancesAllocs: with the
 // source's view unchanged it must be a byte copy.
 func (h *Handler) handleDistances(w http.ResponseWriter, r *http.Request) {
-	form := "raw"
 	if r.URL.RawQuery != "" { // parsing the query allocates; skip it when absent
-		if f := r.URL.Query().Get("form"); f != "" {
-			form = f
-		}
-		if form != "raw" && form != "ranks" {
-			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw or ranks"})
+		if f := r.URL.Query().Get("form"); f != "" && f != "raw" {
+			WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "unknown form; use raw"})
 			return
 		}
 	}
-	// Only raw has a binary rendering. Header.Get would canonicalize the key.
-	if form == "raw" && acceptsBinary(r.Header["Accept"]) {
+	form := "raw"
+	if acceptsBinary(r.Header["Accept"]) { // Header.Get would canonicalize the key
 		form = FormBinary
 	}
 	ent, err := h.src.Entry(r.Context(), r.Header.Get(tokenHeaderCanon), form)

@@ -79,7 +79,7 @@ func TestHandlerOverBothSources(t *testing.T) {
 		wantErr                    string // substring of the error envelope
 	}{
 		{name: "raw", method: "GET", target: "/p4p/v1/distances", hdr: auth, want: 200},
-		{name: "ranks", method: "GET", target: "/p4p/v1/distances?form=ranks", hdr: auth, want: 200},
+		{name: "ranks", method: "GET", target: "/p4p/v1/distances?form=ranks", hdr: auth, want: 400, wantErr: "unknown form"},
 		{name: "bad form", method: "GET", target: "/p4p/v1/distances?form=xml", hdr: auth, want: 400, wantErr: "unknown form"},
 		{name: "no token", method: "GET", target: "/p4p/v1/distances", want: 403, wantErr: "access denied"},
 		{name: "wrong token batch", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-1",
@@ -149,15 +149,16 @@ func TestHandlerOverBothSources(t *testing.T) {
 				}
 			}
 			// Validators are per form and per process.
-			for _, stale := range []string{`"v999-raw"`, strings.Replace(etag, "raw", "ranks", 1)} {
+			binETag := strings.Replace(etag, "raw", "bin", 1)
+			for _, stale := range []string{`"v999-raw"`, binETag} {
 				hdr := map[string]string{"X-P4P-Token": trustToken, "If-None-Match": stale}
 				if rec := serve(src.h, "GET", "/p4p/v1/distances", "", hdr); rec.Code != http.StatusOK {
 					t.Errorf("If-None-Match %s: status %d, want 200", stale, rec.Code)
 				}
 			}
-			ranks := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", auth)
-			if got := ranks.Header().Get("Etag"); got != strings.Replace(etag, "raw", "ranks", 1) {
-				t.Errorf("ranks ETag %s, raw ETag %s: want the same validator with the form swapped", got, etag)
+			bin := serve(src.h, "GET", "/p4p/v1/distances", "", map[string]string{"X-P4P-Token": trustToken, "Accept": portal.BinaryViewType})
+			if got := bin.Header().Get("Etag"); got != binETag {
+				t.Errorf("bin ETag %s, raw ETag %s: want the same validator with the form swapped", got, etag)
 			}
 		})
 	}
@@ -269,14 +270,14 @@ func TestNegotiationOverBothSources(t *testing.T) {
 			}
 		})
 		t.Run(src.name+"/ranks and errors stay JSON", func(t *testing.T) {
-			plain := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", nil)
-			asked := serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", map[string]string{"Accept": bin})
-			if asked.Code != http.StatusOK || asked.Header().Get("Content-Type") != jsonCT ||
-				asked.Header().Get("Etag") != plain.Header().Get("Etag") || !bytes.Equal(asked.Body.Bytes(), plain.Body.Bytes()) {
-				t.Errorf("ranks with Accept: status %d, Content-Type %q, ETag %s (plain %s)",
-					asked.Code, asked.Header().Get("Content-Type"), asked.Header().Get("Etag"), plain.Header().Get("Etag"))
+			// An explicit raw form negotiates like no form at all.
+			asked := serve(src.h, "GET", "/p4p/v1/distances?form=raw", "", map[string]string{"Accept": bin})
+			if asked.Code != http.StatusOK || asked.Header().Get("Etag") != etags[bin] || !bytes.Equal(asked.Body.Bytes(), want[bin].body) {
+				t.Errorf("form=raw with Accept: status %d, Content-Type %q, ETag %s (binary %s)",
+					asked.Code, asked.Header().Get("Content-Type"), asked.Header().Get("Etag"), etags[bin])
 			}
-			for _, target := range []string{"/p4p/v1/distances?form=xml", "/p4p/v1/distances?form=" + portal.FormBinary} {
+			for _, form := range []string{"ranks", "xml", portal.FormBinary} {
+				target := "/p4p/v1/distances?form=" + form
 				rec := serve(src.h, "GET", target, "", map[string]string{"Accept": bin})
 				if rec.Code != http.StatusBadRequest || rec.Header().Get("Content-Type") != jsonCT {
 					t.Errorf("%s: status %d, Content-Type %q; want a 400 JSON envelope", target, rec.Code, rec.Header().Get("Content-Type"))
@@ -362,17 +363,17 @@ func TestEntryCacheRendersOncePerKey(t *testing.T) {
 			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 1}) {
 				t.Fatalf("renders %v after two raw requests, want raw once", got)
 			}
-			serve(src.h, "GET", "/p4p/v1/distances?form=ranks", "", nil)
-			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 1, "ranks": 1}) {
-				t.Fatalf("renders %v after a ranks request, want raw and ranks once", got)
+			serve(src.h, "GET", "/p4p/v1/distances", "", map[string]string{"Accept": portal.BinaryViewType})
+			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 1, "bin": 1}) {
+				t.Fatalf("renders %v after a bin request, want raw and bin once", got)
 			}
 			src.bump()
 			moved := serve(src.h, "GET", "/p4p/v1/distances", "", nil)
 			if moved.Code != http.StatusOK || moved.Header().Get("Etag") == first.Header().Get("Etag") {
 				t.Fatalf("after a price update: status %d, ETag %s unchanged", moved.Code, moved.Header().Get("Etag"))
 			}
-			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 2, "ranks": 1}) {
-				t.Fatalf("renders %v after a price update, want raw twice and ranks once", got)
+			if got := src.encodes(); !maps.Equal(got, map[string]int{"raw": 2, "bin": 1}) {
+				t.Fatalf("renders %v after a price update, want raw twice and bin once", got)
 			}
 		})
 	}
