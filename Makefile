@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSelectMatchesReference$$' -fuzztime 10s ./internal/apptracker
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeJSONMatchesStdlib$$' -fuzztime 10s ./internal/apptracker
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzProjectionMatchesReference$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMatchingMatchesLP$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s ./internal/p2psim

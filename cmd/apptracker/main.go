@@ -163,6 +163,11 @@ func main() {
 	flag.Var(&circuitFlags, "circuit",
 		"interdomain circuit as urlA:pidA,urlB:pidB,cost (repeatable; multi-portal mode only)")
 	flag.Parse()
+	// An -m below 1 gave /select no peers; a -view-ttl <= 0 kept /readyz ready forever.
+	if *mDefault < 1 || *ttl <= 0 {
+		fmt.Fprintf(os.Stderr, "-m %d and -view-ttl %v must both be positive\n", *mDefault, *ttl)
+		os.Exit(2)
+	}
 
 	// Telemetry: one registry feeds the portal client, the view cache,
 	// the request middleware, and GET /metrics.

@@ -2,15 +2,20 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"p4p/internal/apptracker"
 	"p4p/internal/core"
@@ -211,5 +216,30 @@ func TestSelectRouteContentLength(t *testing.T) {
 	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
 		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want a sized, unchunked response",
 			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+}
+
+// TestMisconfiguredFlagsExit2: -m 0 made every /select without m answer
+// {"indices":[]}, and -view-ttl 0 served with the default TTL while
+// /readyz (window 3x the flag, 0 meaning any held view) never aged out.
+// The daemon now refuses both at startup with exit 2; the test runs main
+// in a child process of the test binary.
+func TestMisconfiguredFlagsExit2(t *testing.T) {
+	if args := os.Getenv("APPTRACKER_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"apptracker"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, args := range []string{"-m 0", "-m -3", "-view-ttl 0s", "-view-ttl -1s"} {
+		// A daemon that accepted the flags would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMisconfiguredFlagsExit2$")
+		cmd.Env = append(os.Environ(), "APPTRACKER_TEST_ARGS=-listen 127.0.0.1:0 "+args)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "must both be positive") {
+			t.Errorf("apptracker %s: err %v, output %q; want exit 2 naming the flags", args, err, out)
+		}
 	}
 }

@@ -402,25 +402,29 @@ func (e *Engine) Matrix(pids []topology.PID) *View {
 	defer e.mu.Unlock()
 	n := len(pids)
 	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, n), Version: e.version}
-	for l := range e.linkPrices {
-		e.linkPrices[l] = e.linkPrice(l)
+	prices, routeTo := e.linkPrices, e.routeTo
+	for l := range prices {
+		prices[l] = e.linkPrice(l)
 	}
 	flat := make([]float64, n*n)
 	for a, i := range pids {
-		for k := range e.routeTo {
-			e.routeTo[k] = math.Inf(1)
+		for k := range routeTo {
+			routeTo[k] = math.Inf(1)
 		}
-		e.routeTo[i] = 0
+		routeTo[i] = 0
 		for _, h := range e.r.Tree(i) {
-			e.routeTo[h.Node] = e.routeTo[h.Parent] + e.linkPrices[h.Link]
+			routeTo[h.Node] = routeTo[h.Parent] + prices[h.Link]
 		}
 		row := flat[a*n : (a+1)*n : (a+1)*n]
 		for b, j := range pids {
-			d := e.routeTo[j]
-			if e.cfg.PerturbFrac > 0 && a != b && !math.IsInf(d, 1) {
-				d *= 1 + e.cfg.PerturbFrac*(2*e.rng.Float64()-1)
+			row[b] = routeTo[j]
+		}
+		if frac := e.cfg.PerturbFrac; frac > 0 {
+			for b, d := range row {
+				if b != a && !math.IsInf(d, 1) {
+					row[b] = d * (1 + frac*(2*e.rng.Float64()-1))
+				}
 			}
-			row[b] = d
 		}
 		v.D[a] = row
 	}

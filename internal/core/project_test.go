@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -144,4 +145,79 @@ func TestProjectionEndsOnEveryInput(t *testing.T) {
 			t.Fatalf("%s: projection still running after 10s", tc.name)
 		}
 	}
+}
+
+// TestProjectionRootAtLowerBound: when f(lo) is exactly 1 at the bottom
+// of the bracket, the 200-round loop still ends on lo and the float
+// after it, and (lo+lo⁺)/2 rounds to lo⁺ when lo is odd. A bracket
+// search that collapsed to [lo, lo] would return lo instead.
+func TestProjectionRootAtLowerBound(t *testing.T) {
+	const a = 1<<52 + 1 // odd: (a + a⁺)/2 rounds to a⁺ = a+1
+	y, c := []float64{a, a + 1}, []float64{1, 1}
+	if f := simplexMass(y, c, a); f != 1 {
+		t.Fatalf("f(lo) = %v, want exactly 1", f)
+	}
+	got, want := projected(y, c), refProjectWeightedSimplex(y, c)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("projection %v, reference %v", got, want)
+		}
+	}
+	if want[1] != 0 {
+		t.Fatalf("reference %v: λ should be lo⁺, leaving nothing", want)
+	}
+}
+
+// projectionInput encodes y and c as the fuzz target reads them: one
+// little-endian (y_i, c_i) pair of float64 bits per 16 bytes.
+func projectionInput(y, c []float64) []byte {
+	var b []byte
+	for i := range y {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(y[i]))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c[i]))
+	}
+	return b
+}
+
+// FuzzProjectionMatchesReference checks projectWeightedSimplex against
+// the always-200-round refProjectWeightedSimplex, bit for bit, on raw
+// (y, c) vectors: finite prices, finite positive capacities (as
+// topology guarantees), and ratios y/c that do not overflow, on which
+// the reference ends.
+func FuzzProjectionMatchesReference(f *testing.F) {
+	third := 1.0 / 3
+	seeds := [][2][]float64{
+		{{0.1, 0.1, 0.1}, {2, 3, 5}},               // on the simplex
+		{{0.1 + 1e-9, 0.1 - 1e-9, 0.1}, {2, 3, 5}}, // λ* ≈ 0
+		{{third, third, third + 1e-9}, {1, 1, 1}},  // λ* ≈ 0, inexact
+		{{7}, {3}},                                                 // n = 1
+		{{1, 2, 3, 4}, {1, 2, 3, 4}},                               // equal ratios
+		{{1<<52 + 1, 1<<52 + 2}, {1, 1}},                           // f(lo) == 1
+		{{0, 0.5, 0x1p-151}, {1, 1, 0x1p150}},                      // f(0) == 1: 200 rounds never settle
+		{{1e200, -1e200, 1}, {1, 1, 1}},                            // wide bracket
+		{{3.6e-12, 3.5e-12, 0, 3.4e-12}, {1e10, 1e10, 1e10, 1e13}}, // swarm scale
+	}
+	for _, s := range seeds {
+		f.Add(projectionInput(s[0], s[1]))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := len(data) / 16
+		if n == 0 || n > 64 {
+			return
+		}
+		y, c := make([]float64, n), make([]float64, n)
+		for i := range y {
+			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
+			c[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
+			if r := y[i] / c[i]; !(c[i] > 0 && c[i] <= math.MaxFloat64) || math.IsNaN(r) || math.IsInf(r, 0) {
+				return
+			}
+		}
+		got, want := projected(y, c), refProjectWeightedSimplex(y, c)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("y %v c %v: projection %v, reference %v", y, c, got, want)
+			}
+		}
+	})
 }

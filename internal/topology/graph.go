@@ -12,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -97,9 +98,9 @@ func (g *Graph) AddNode(n Node) PID {
 }
 
 // AddLink appends a directed link and returns its LinkID. It panics if an
-// endpoint is out of range, the capacity is not positive, or the weight is
-// not positive; topologies are constructed by code, so a malformed one is
-// a programming error.
+// endpoint is out of range or checkLink refuses the link's attributes;
+// topologies are constructed by code, so a malformed one is a
+// programming error.
 func (g *Graph) AddLink(l Link) LinkID {
 	if int(l.Src) < 0 || int(l.Src) >= len(g.nodes) || int(l.Dst) < 0 || int(l.Dst) >= len(g.nodes) {
 		panic(fmt.Sprintf("topology: link endpoint out of range: %d->%d (have %d nodes)", l.Src, l.Dst, len(g.nodes)))
@@ -107,12 +108,7 @@ func (g *Graph) AddLink(l Link) LinkID {
 	if l.Src == l.Dst {
 		panic(fmt.Sprintf("topology: self-loop on PID %d", l.Src))
 	}
-	if l.CapacityBps <= 0 {
-		panic(fmt.Sprintf("topology: non-positive capacity on link %d->%d", l.Src, l.Dst))
-	}
-	if l.Weight <= 0 {
-		panic(fmt.Sprintf("topology: non-positive weight on link %d->%d", l.Src, l.Dst))
-	}
+	checkLink(l)
 	l.ID = LinkID(len(g.links))
 	g.links = append(g.links, l)
 	g.out[l.Src] = append(g.out[l.Src], l.ID)
@@ -147,7 +143,16 @@ func (g *Graph) SetLink(l Link) {
 	if old.Src != l.Src || old.Dst != l.Dst {
 		panic("topology: SetLink must not change endpoints")
 	}
+	checkLink(l)
 	g.links[l.ID] = l
+}
+
+// checkLink panics unless capacity and weight are finite and positive and distance finite and non-negative.
+func checkLink(l Link) {
+	if !(l.CapacityBps > 0 && l.CapacityBps <= math.MaxFloat64 && l.Weight > 0 && l.Weight <= math.MaxFloat64 &&
+		l.DistanceKm >= 0 && l.DistanceKm <= math.MaxFloat64) {
+		panic(fmt.Sprintf("topology: link %d->%d needs a finite capacity > 0, weight > 0 and distance >= 0: %+v", l.Src, l.Dst, l))
+	}
 }
 
 // Nodes returns a copy of the node list.
@@ -234,20 +239,11 @@ func (g *Graph) InterdomainLinks() []LinkID {
 	return out
 }
 
-// Validate checks structural invariants: weak connectivity over
-// aggregation nodes and positive capacities/weights (enforced on insert,
-// re-checked here for graphs mutated via SetLink).
+// Validate checks that the graph is non-empty and weakly connected.
+// Link attributes need no check here: AddLink and SetLink refuse bad ones.
 func (g *Graph) Validate() error {
 	if len(g.nodes) == 0 {
 		return fmt.Errorf("topology %q: empty graph", g.Name)
-	}
-	for _, l := range g.links {
-		if l.CapacityBps <= 0 {
-			return fmt.Errorf("topology %q: link %d has non-positive capacity", g.Name, l.ID)
-		}
-		if l.Weight <= 0 {
-			return fmt.Errorf("topology %q: link %d has non-positive weight", g.Name, l.ID)
-		}
 	}
 	// Weak connectivity: union of both directions must connect all nodes.
 	visited := make([]bool, len(g.nodes))

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -43,6 +45,23 @@ func TestAddLinkValidation(t *testing.T) {
 	mustPanic(t, "zero weight", func() {
 		g.AddLink(Link{Src: a, Dst: b, CapacityBps: 1, Weight: 0})
 	})
+	// NaN passed the old <= 0 checks: a NaN or +Inf capacity panicked in
+	// the first price update, and a NaN weight left the pair unreachable.
+	for _, bad := range []Link{
+		{CapacityBps: math.NaN(), Weight: 1},
+		{CapacityBps: math.Inf(1), Weight: 1},
+		{CapacityBps: 1, Weight: math.NaN()},
+		{CapacityBps: 1, Weight: math.Inf(1)},
+		{CapacityBps: 1, Weight: 1, DistanceKm: -1},
+		{CapacityBps: 1, Weight: 1, DistanceKm: math.NaN()},
+		{CapacityBps: 1, Weight: 1, DistanceKm: math.Inf(1)},
+	} {
+		bad.Src, bad.Dst = a, b
+		mustPanic(t, fmt.Sprintf("%+v", bad), func() { g.AddLink(bad) })
+	}
+	if g.NumLinks() != 0 {
+		t.Fatalf("refused links were added: %d links", g.NumLinks())
+	}
 	id := g.AddLink(Link{Src: a, Dst: b, CapacityBps: 1, Weight: 1})
 	if id != 0 {
 		t.Fatalf("first link ID = %d, want 0", id)
@@ -82,6 +101,22 @@ func TestSetLinkPreservesEndpoints(t *testing.T) {
 	}
 	l.Dst = c
 	mustPanic(t, "endpoint change", func() { g.SetLink(l) })
+	// SetLink checks what AddLink checks, and keeps the old link.
+	for _, set := range []func(*Link){
+		func(l *Link) { l.CapacityBps = math.NaN() },
+		func(l *Link) { l.CapacityBps = math.Inf(1) },
+		func(l *Link) { l.CapacityBps = 0 },
+		func(l *Link) { l.Weight = math.NaN() },
+		func(l *Link) { l.Weight = -1 },
+		func(l *Link) { l.DistanceKm = math.Inf(-1) },
+	} {
+		bad := g.Link(id)
+		set(&bad)
+		mustPanic(t, fmt.Sprintf("SetLink(%+v)", bad), func() { g.SetLink(bad) })
+	}
+	if got := g.Link(id); got.CapacityBps != 1 || got.Weight != 1 || got.DistanceKm != 0 || !got.Interdomain {
+		t.Fatalf("refused SetLink changed the link: %+v", got)
+	}
 }
 
 func TestFindNodeAndLink(t *testing.T) {
