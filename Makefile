@@ -15,16 +15,16 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (lockheld, ctxflow, floatsentinel,
-# sleeptest).
-# Part of the verify gate; also runnable standalone. -timing reports
-# the load/analyze split so CI regressions in wall time are visible.
+# sleeptest) over the whole module; -timing, its one flag, reports the
+# load/analyze split so CI regressions in wall time are visible. Part
+# of the verify gate, right after the build; also runnable standalone.
 p4pvet:
 	$(GO) run ./cmd/p4pvet -timing ./...
 
 # Tier-1 verification gate (see ROADMAP.md): the DESIGN.md loc block
-# against scripts/loc.sh, gofmt, vet, build, a quickstart run, race
-# tests, the allocation pins (-run Alloc) without -race, the bench/
-# module's vet and race tests, then p4pvet.
+# against scripts/loc.sh, gofmt, vet, build, a quickstart run, p4pvet,
+# race tests, the allocation pins (-run Alloc) without -race, then the
+# bench/ module's vet and race tests.
 verify:
 	sh scripts/verify.sh
 

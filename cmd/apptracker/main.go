@@ -77,11 +77,23 @@ type errorResponse struct {
 // large candidate list.
 const maxSelectBody = 8 << 20
 
-// selectRoute answers POST /select. Requests share one selector and one
-// RNG, neither of which is for concurrent use, so the selection itself
-// runs under a mutex; decoding and encoding do not.
-func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, mDefault int) http.HandlerFunc {
+// heldView answers every ViewFor with the one view a /select request
+// resolved before taking the selector mutex.
+type heldView struct{ v apptracker.DistanceView }
+
+func (h *heldView) ViewFor(int) apptracker.DistanceView { return h.v }
+
+// selectRoute answers POST /select from views. Requests share one
+// selector and one RNG, neither of which is for concurrent use, so the
+// selection itself runs under a mutex; decoding, encoding and the view
+// read do not. The view is read first because ViewFor may run a portal
+// refresh in the caller's goroutine: under the mutex, every other
+// request would queue behind it instead of being answered from the
+// last-known-good view.
+func selectRoute(logger *slog.Logger, views apptracker.ViewProvider, rng *rand.Rand, mDefault int) http.HandlerFunc {
 	var mu sync.Mutex
+	held := &heldView{}
+	sel := &apptracker.P4P{Views: held}
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req selectRequest
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSelectBody)).Decode(&req); err != nil {
@@ -96,7 +108,9 @@ func selectRoute(logger *slog.Logger, sel apptracker.Selector, rng *rand.Rand, m
 		if req.M <= 0 {
 			req.M = mDefault
 		}
+		view := views.ViewFor(req.Self.ASN)
 		mu.Lock()
+		held.v = view
 		idx := sel.Select(req.Self, req.Candidates, req.M, rng)
 		mu.Unlock()
 		if idx == nil {
@@ -163,9 +177,10 @@ func main() {
 	flag.Var(&circuitFlags, "circuit",
 		"interdomain circuit as urlA:pidA,urlB:pidB,cost (repeatable; multi-portal mode only)")
 	flag.Parse()
-	// An -m below 1 gave /select no peers; a -view-ttl <= 0 kept /readyz ready forever.
-	if *mDefault < 1 || *ttl <= 0 {
-		fmt.Fprintf(os.Stderr, "-m %d and -view-ttl %v must both be positive\n", *mDefault, *ttl)
+	// An -m below 1 gave /select no peers; a -view-ttl <= 0 kept /readyz
+	// ready forever; a -portal-retries below 1 made the default 3 attempts.
+	if *mDefault < 1 || *ttl <= 0 || *retries < 1 {
+		fmt.Fprintf(os.Stderr, "-m %d, -view-ttl %v and -portal-retries %d must all be positive\n", *mDefault, *ttl, *retries)
 		os.Exit(2)
 	}
 
@@ -213,9 +228,8 @@ func main() {
 		views.Logger, views.Metrics, views.Tracer = logger, vm, tracer
 		provider = mountViews(mux, mw, logger, onePortal{views}, *ttl)
 	}
-	sel := &apptracker.P4P{Views: provider}
 	rng := rand.New(rand.NewSource(*seed))
-	mux.Handle("POST /select", mw.RouteFunc("select", selectRoute(logger, sel, rng, *mDefault)))
+	mux.Handle("POST /select", mw.RouteFunc("select", selectRoute(logger, provider, rng, *mDefault)))
 	mux.Handle("GET /healthz", health.Handler())
 	mw.Preregister()
 

@@ -14,11 +14,15 @@ import (
 	"os/exec"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"p4p/internal/apptracker"
 	"p4p/internal/core"
+	"p4p/internal/federation"
+	"p4p/internal/portal"
 	"p4p/internal/topology"
 )
 
@@ -39,7 +43,7 @@ func TestSelectRouteUnknownPIDs(t *testing.T) {
 	}
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	mux := http.NewServeMux()
-	mux.Handle("POST /select", selectRoute(logger, &apptracker.P4P{Views: fixedViews{view}}, rand.New(rand.NewSource(1)), 20))
+	mux.Handle("POST /select", selectRoute(logger, fixedViews{view}, rand.New(rand.NewSource(1)), 20))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -138,7 +142,7 @@ func TestSelectRouteMatchesStdlibDecode(t *testing.T) {
 		{"body over the cap", capBody(maxSelectBody + 1), http.StatusRequestEntityTooLarge},
 	} {
 		rec := httptest.NewRecorder()
-		route := selectRoute(logger, &apptracker.P4P{Views: fixedViews{view}}, rand.New(rand.NewSource(seed)), mDefault)
+		route := selectRoute(logger, fixedViews{view}, rand.New(rand.NewSource(seed)), mDefault)
 		route(rec, httptest.NewRequest(http.MethodPost, "/select", strings.NewReader(tc.body)))
 		var got struct {
 			selectResponse
@@ -187,7 +191,7 @@ func TestSelectRouteContentLength(t *testing.T) {
 	view := &core.View{PIDs: []topology.PID{0, 1}, D: [][]float64{{0, 1}, {1, 0}}}
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	mux := http.NewServeMux()
-	mux.Handle("POST /select", selectRoute(logger, &apptracker.P4P{Views: fixedViews{view}}, rand.New(rand.NewSource(1)), 20))
+	mux.Handle("POST /select", selectRoute(logger, fixedViews{view}, rand.New(rand.NewSource(1)), 20))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
@@ -219,27 +223,162 @@ func TestSelectRouteContentLength(t *testing.T) {
 	}
 }
 
+// gate parks portal requests: each signals parked (without blocking; one
+// pending signal is enough) and is held until open runs or its client
+// gives up; unparked counts the held requests that have let go.
+type gate struct {
+	parked   chan struct{}
+	release  chan struct{}
+	open     func()
+	unparked atomic.Int64
+}
+
+func newGate() *gate {
+	g := &gate{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	g.open = sync.OnceFunc(func() { close(g.release) })
+	return g
+}
+
+// parkingPortal serves view on /p4p/v1/distances as an iTracker does,
+// without an ETag, and parks every request after the first at its gate.
+type parkingPortal struct {
+	view   *core.View
+	gate   *gate
+	served atomic.Int64
+}
+
+func (p *parkingPortal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p.served.Add(1) > 1 {
+		select {
+		case p.gate.parked <- struct{}{}:
+		default:
+		}
+		select {
+		case <-p.gate.release:
+		case <-r.Context().Done():
+		}
+		p.gate.unparked.Add(1)
+	}
+	body, err := portal.EncodeView(p.view, "raw")
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+// TestSelectAnsweredDuringRefresh: the route held its selector mutex
+// across P4P.Select, whose ViewFor runs a due portal refresh in the
+// caller's goroutine, so one slow portal queued every /select behind it
+// for up to the 10 s refresh timeout. The view is read before the mutex
+// now: while one request's refresh is parked at the portal, a second is
+// answered from the last-known-good view, over one portal and over two.
+func TestSelectAnsweredDuringRefresh(t *testing.T) {
+	east := &core.View{PIDs: []topology.PID{0, 1}, D: [][]float64{{0, 1}, {1, 0}}}
+	west := &core.View{PIDs: []topology.PID{10, 11}, D: [][]float64{{0, 4}, {4, 0}}}
+	serve := func(t *testing.T, g *gate, v *core.View) string {
+		srv := httptest.NewServer(&parkingPortal{view: v, gate: g})
+		t.Cleanup(srv.Close)
+		t.Cleanup(g.open) // runs before srv.Close, which waits for parked requests
+		return srv.URL
+	}
+	// A 1 ns TTL makes every read after the first one due for a refresh.
+	// coalesces is nil where the provider does not count them.
+	providers := map[string]func(t *testing.T, g *gate) (views apptracker.ViewProvider, coalesces func() int64){
+		"PortalViews": func(t *testing.T, g *gate) (apptracker.ViewProvider, func() int64) {
+			views := apptracker.NewPortalViews(portal.NewClient(serve(t, g, east), ""), time.Nanosecond)
+			return views, func() int64 { return views.Stats().Coalesces }
+		},
+		"MultiPortalViews": func(t *testing.T, g *gate) (apptracker.ViewProvider, func() int64) {
+			eastURL, westURL := serve(t, g, east), serve(t, g, west)
+			refs := []apptracker.PortalRef{{URL: eastURL}, {URL: westURL}}
+			circuits := []federation.Circuit{{A: eastURL, APID: 1, B: westURL, BPID: 10, Cost: 7}}
+			return apptracker.NewMultiPortalViews(portal.NewClient(eastURL, ""), refs, circuits, time.Nanosecond), nil
+		},
+	}
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	const body = `{"self":{"ID":0,"PID":0,"ASN":1},"m":2,"candidates":[{"ID":1,"PID":0,"ASN":1},{"ID":2,"PID":1,"ASN":1},{"ID":3,"PID":1,"ASN":1}]}`
+	for name, build := range providers {
+		t.Run(name, func(t *testing.T) {
+			g := newGate()
+			views, coalesces := build(t, g)
+			if views.ViewFor(1) == nil { // prime the last-known-good view
+				t.Fatal("no view after the first fetch")
+			}
+			route := selectRoute(logger, views, rand.New(rand.NewSource(1)), 20)
+			post := func(done chan<- *httptest.ResponseRecorder) {
+				rec := httptest.NewRecorder()
+				route(rec, httptest.NewRequest(http.MethodPost, "/select", strings.NewReader(body)))
+				done <- rec
+			}
+			first, second := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+			go post(first)
+			select {
+			case <-g.parked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the first /select never reached the portal")
+			}
+			go post(second)
+			select {
+			case rec := <-second:
+				var out selectResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &out); rec.Code != http.StatusOK || err != nil || len(out.Indices) != 2 {
+					t.Errorf("second /select: status %d, decode error %v, indices %v; want 200 with 2 indices", rec.Code, err, out.Indices)
+				}
+				if n := g.unparked.Load(); n != 0 {
+					t.Errorf("second /select answered only after %d parked fetch(es) gave up", n)
+				}
+				if coalesces != nil && coalesces() != 1 {
+					t.Errorf("coalesces = %d, want 1", coalesces())
+				}
+			case <-time.After(5 * time.Second):
+				t.Error("second /select still blocked 5s into the first one's parked refresh")
+			}
+			g.open()
+			select {
+			case <-first:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the first /select never finished after the portal let go")
+			}
+		})
+	}
+}
+
 // TestMisconfiguredFlagsExit2: -m 0 made every /select without m answer
 // {"indices":[]}, and -view-ttl 0 served with the default TTL while
 // /readyz (window 3x the flag, 0 meaning any held view) never aged out.
-// The daemon now refuses both at startup with exit 2; the test runs main
-// in a child process of the test binary.
+// -portal-retries 0 made 3 attempts, and -trace-sample or -trace-keep
+// NaN never sampled or kept a trace. The daemon now refuses each at
+// startup with exit 2; the test runs main in a child process of the
+// test binary.
 func TestMisconfiguredFlagsExit2(t *testing.T) {
 	if args := os.Getenv("APPTRACKER_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"apptracker"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, args := range []string{"-m 0", "-m -3", "-view-ttl 0s", "-view-ttl -1s"} {
+	for _, tc := range []struct{ args, want string }{
+		{"-m 0", "must all be positive"},
+		{"-m -3", "must all be positive"},
+		{"-view-ttl 0s", "must all be positive"},
+		{"-view-ttl -1s", "must all be positive"},
+		{"-portal-retries 0", "must all be positive"},
+		{"-portal-retries -2", "must all be positive"},
+		{"-trace-sample NaN", "must both be in [0, 1]"},
+		{"-trace-keep NaN", "must both be in [0, 1]"},
+		{"-trace-sample 1.5", "must both be in [0, 1]"},
+		{"-trace-keep -0.1", "must both be in [0, 1]"},
+	} {
 		// A daemon that accepted the flags would serve until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMisconfiguredFlagsExit2$")
-		cmd.Env = append(os.Environ(), "APPTRACKER_TEST_ARGS=-listen 127.0.0.1:0 "+args)
+		cmd.Env = append(os.Environ(), "APPTRACKER_TEST_ARGS=-listen 127.0.0.1:0 -itracker http://127.0.0.1:1 "+tc.args)
 		out, err := cmd.CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "must both be positive") {
-			t.Errorf("apptracker %s: err %v, output %q; want exit 2 naming the flags", args, err, out)
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("apptracker %s: err %v, output %q; want exit 2 and %q", tc.args, err, out, tc.want)
 		}
 	}
 }

@@ -61,6 +61,11 @@ func main() {
 	flag.Var(&shardFlags, "shard", "backend shard as name=url (repeatable, at least one)")
 	flag.Var(&circuitFlags, "circuit", "interdomain circuit as shardA:pidA,shardB:pidB,cost (repeatable)")
 	flag.Parse()
+	// A zero or negative window silently took the default (30 s, 5 s).
+	if *ttl <= 0 || *backoff <= 0 {
+		fmt.Fprintf(os.Stderr, "-ttl %v and -failure-backoff %v must both be positive\n", *ttl, *backoff)
+		os.Exit(2)
+	}
 	d := shared.Start()
 
 	cfg := federation.Config{

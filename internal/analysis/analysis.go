@@ -12,10 +12,8 @@
 //     flaky-under-race test class).
 //
 // ctxflow and sleeptest are one callRule each: a static call of a named
-// function in one class of file. lockheld additionally runs an
-// interprocedural pass over the module call graph: a mutex held across
-// a call whose callee transitively blocks is reported with the full
-// call chain.
+// function in one class of file. Every rule looks at one typechecked
+// unit at a time.
 //
 // Findings can be suppressed, one rule at a time, with a mandatory
 // reason:
@@ -32,7 +30,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"maps"
 	"sort"
 	"strings"
 )
@@ -48,16 +45,11 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Rule, f.Msg)
 }
 
-// Analyzer is one named check. Run (if set) inspects one typechecked
-// unit at a time; RunModule (if set) inspects the whole module at once
-// with the call graph available. An analyzer may implement either or
-// both — lockheld does both: its intraprocedural pass reports direct
-// blocking calls per package, its module pass adds transitive ones.
+// Analyzer is one named check; Run inspects one typechecked unit.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(p *Pkg) []Finding
-	RunModule func(m *Module) []Finding
+	Name string
+	Doc  string
+	Run  func(p *Pkg) []Finding
 }
 
 // Analyzers returns every registered analyzer, in stable order.
@@ -182,51 +174,21 @@ func RunAll(p *Pkg, analyzers []*Analyzer) (kept []Finding, suppressed int) {
 	sup, bad := ParseSuppressions(p)
 	var all []Finding
 	for _, a := range analyzers {
-		if a.Run != nil {
-			all = append(all, a.Run(p)...)
-		}
+		all = append(all, a.Run(p)...)
 	}
-	kept, suppressed = sup.filter(all)
-	kept = append(kept, bad...)
-	SortFindings(kept)
-	return kept, suppressed
-}
-
-// RunModuleAll runs the module-wide passes of the given analyzers over
-// one module, applying the union of every unit's suppressions (a
-// module finding lands in some unit's file, so its ignore comment
-// lives there too). Malformed suppressions are NOT re-reported here —
-// RunAll already owns that per unit.
-func RunModuleAll(m *Module, analyzers []*Analyzer) (kept []Finding, suppressed int) {
-	sup := &Suppressions{byLine: map[string]map[int]map[string]bool{}}
-	for _, p := range m.Pkgs {
-		s, _ := ParseSuppressions(p)
-		maps.Copy(sup.byLine, s.byLine) // a file belongs to one unit
-	}
-	var all []Finding
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			all = append(all, a.RunModule(m)...)
-		}
-	}
-	kept, suppressed = sup.filter(all)
-	SortFindings(kept)
-	return kept, suppressed
-}
-
-// filter drops the suppressed findings, counting them.
-func (s *Suppressions) filter(all []Finding) (kept []Finding, suppressed int) {
 	for _, f := range all {
-		if s.Suppressed(f) {
+		if sup.Suppressed(f) {
 			suppressed++
 		} else {
 			kept = append(kept, f)
 		}
 	}
+	kept = append(kept, bad...)
+	SortFindings(kept)
 	return kept, suppressed
 }
 
-// sortFindings orders findings by file, then line, then rule, the
+// SortFindings orders findings by file, then line, then rule, the
 // order every driver and test relies on.
 func SortFindings(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {

@@ -54,11 +54,10 @@ func wantMarkers(pkgs []*Pkg) map[string]bool {
 	return want
 }
 
-// TestAnalyzersOnFixtures runs every analyzer — both the per-unit
-// passes and the module-wide ones, with each fixture treated as its own
-// mini-module — over each fixture package and requires the surviving
-// findings to match the fixture's // want markers exactly: every bad
-// pattern fires, every good pattern stays silent, in both directions.
+// TestAnalyzersOnFixtures runs every analyzer over each fixture package
+// and requires the surviving findings to match the fixture's // want
+// markers exactly: every bad pattern fires, every good pattern stays
+// silent, in both directions.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		name string
@@ -67,7 +66,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		extra []string
 	}{
 		{name: "lockheld"},
-		{name: "lockheldip"},
 		{name: "ctxflow"},
 		{name: "ctxmain"},
 		{name: "floatsentinel"},
@@ -90,10 +88,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 				for _, f := range kept {
 					got[fmt.Sprintf("%s:%d %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule)] = true
 				}
-			}
-			modKept, _ := RunModuleAll(NewModule(pkgs), Analyzers())
-			for _, f := range modKept {
-				got[fmt.Sprintf("%s:%d %s", filepath.Base(f.Pos.Filename), f.Pos.Line, f.Rule)] = true
 			}
 			for k := range want {
 				if !got[k] {
@@ -215,7 +209,7 @@ func TestLoadTreeParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	units := func(workers int) []string {
-		pkgs, err := NewLoader().LoadTreeParallel(root, root, workers)
+		pkgs, err := NewLoader().LoadTreeParallel(root, workers)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}

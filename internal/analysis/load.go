@@ -230,15 +230,14 @@ func (l *Loader) check(importPath, dir string, files []parsedFile) (*Pkg, error)
 	}, nil
 }
 
-// LoadTreeParallel loads every package directory under start (testdata,
-// hidden and underscore directories skipped), resolving import paths
-// against the module rooted at root. Directories are parsed and
-// typechecked on a bounded pool of `workers` goroutines (the
-// experiments.forEachCell shape), 0 meaning GOMAXPROCS. Results come
-// back in sorted directory order regardless of completion order, so
-// diagnostic output stays deterministic.
-func (l *Loader) LoadTreeParallel(root, start string, workers int) ([]*Pkg, error) {
-	modPath, dirs, err := moduleDirs(root, start)
+// LoadTreeParallel loads every package directory of the module rooted
+// at root (testdata, hidden and underscore directories skipped).
+// Directories are parsed and typechecked on a bounded pool of `workers`
+// goroutines (the experiments.forEachCell shape), 0 meaning GOMAXPROCS.
+// Results come back in sorted directory order regardless of completion
+// order, so diagnostic output stays deterministic.
+func (l *Loader) LoadTreeParallel(root string, workers int) ([]*Pkg, error) {
+	modPath, dirs, err := moduleDirs(root)
 	if err != nil {
 		return nil, err
 	}
@@ -282,16 +281,16 @@ func (l *Loader) LoadTreeParallel(root, start string, workers int) ([]*Pkg, erro
 	return pkgs, nil
 }
 
-// moduleDirs walks the tree under start, returning the module path and
-// the sorted package directory candidates (testdata, hidden, and
+// moduleDirs walks the module rooted at root, returning the module path
+// and the sorted package directory candidates (testdata, hidden, and
 // underscore directories skipped).
-func moduleDirs(root, start string) (string, []string, error) {
+func moduleDirs(root string) (string, []string, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return "", nil, err
 	}
 	var dirs []string
-	err = filepath.WalkDir(start, func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -299,7 +298,7 @@ func moduleDirs(root, start string) (string, []string, error) {
 			return nil
 		}
 		name := d.Name()
-		if path != start && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, path)

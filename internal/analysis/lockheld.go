@@ -5,8 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
 )
 
 // LockHeld flags blocking calls — network, file, and pipe I/O, JSON
@@ -29,17 +27,14 @@ import (
 // held set. Function literals are scanned independently with an empty
 // held set.
 //
-// The module pass extends the same check across function boundaries:
-// a call made under a lock to a module function that *transitively*
-// reaches a blocking call (through any chain of static, synchronous
-// module-local calls) is reported with the full chain. Dynamic calls
-// — interface methods and function values — are not followed; the
-// analysis prefers silence over guessed targets there.
+// A blocking call one or more function calls away from the lock is not
+// seen. The serving paths where that matters — a mutex in front of a
+// view refresh, which runs through interface calls no static pass can
+// follow — are pinned at run time instead (DESIGN.md §12).
 var LockHeld = &Analyzer{
-	Name:      "lockheld",
-	Doc:       "no sync mutex held across I/O, network, JSON encode/decode, or sleeps (directly or transitively)",
-	Run:       runLockHeld,
-	RunModule: runLockHeldModule,
+	Name: "lockheld",
+	Doc:  "no sync mutex held across I/O, network, JSON encode/decode, or sleeps",
+	Run:  runLockHeld,
 }
 
 // blockingFuncs lists package-level functions that block on I/O or the
@@ -114,12 +109,6 @@ func runLockHeld(p *Pkg) []Finding {
 type lockScanner struct {
 	p   *Pkg
 	out []Finding
-	// summaries, when non-nil, switches the scanner to the
-	// interprocedural pass: direct blocking calls are skipped (the
-	// per-package pass already reported them) and calls to module
-	// functions that transitively block are reported with their chain.
-	summaries map[string]blockFact
-	mod       *Module
 }
 
 // stmts walks a statement list, mutating held as Lock/Unlock calls are
@@ -257,49 +246,17 @@ func (s *lockScanner) check(n ast.Node, held map[string]heldLock) {
 			return true
 		}
 		if what := directBlocking(s.p, call); what != "" {
-			if s.summaries == nil {
-				for key, h := range held {
-					s.out = append(s.out, Finding{
-						Pos:  s.p.Fset.Position(call.Pos()),
-						Rule: "lockheld",
-						Msg: fmt.Sprintf("%s called while %s is locked (at line %d); release the mutex before blocking",
-							what, key, s.p.Fset.Position(h.pos).Line),
-					})
-				}
+			for key, h := range held {
+				s.out = append(s.out, Finding{
+					Pos:  s.p.Fset.Position(call.Pos()),
+					Rule: "lockheld",
+					Msg: fmt.Sprintf("%s called while %s is locked (at line %d); release the mutex before blocking",
+						what, key, s.p.Fset.Position(h.pos).Line),
+				})
 			}
-			return true
-		}
-		if s.summaries != nil {
-			s.checkTransitive(call, held)
 		}
 		return true
 	})
-}
-
-// checkTransitive reports a call to a module function whose summary
-// says it transitively blocks.
-func (s *lockScanner) checkTransitive(call *ast.CallExpr, held map[string]heldLock) {
-	f := calleeFunc(s.p, call)
-	if f == nil || !s.mod.IsLocal(f) {
-		return
-	}
-	if sel, ok := s.mod.selectionFor(s.p, call); ok && sel.Kind() == types.MethodVal &&
-		types.IsInterface(sel.Recv().Underlying()) {
-		return // dynamic dispatch: target unknown
-	}
-	key := f.FullName()
-	if _, ok := s.summaries[key]; !ok {
-		return
-	}
-	chain := blockChainString(s.summaries, key)
-	for mutex, h := range held {
-		s.out = append(s.out, Finding{
-			Pos:  s.p.Fset.Position(call.Pos()),
-			Rule: "lockheld",
-			Msg: fmt.Sprintf("call to %s while %s is locked (at line %d) transitively blocks: %s; release the mutex before calling",
-				shortFuncKey(key), mutex, s.p.Fset.Position(h.pos).Line, chain),
-		})
-	}
 }
 
 // mutexOp reports whether call is Lock/RLock/Unlock/RUnlock on a
@@ -342,97 +299,4 @@ func directBlocking(p *Pkg, call *ast.CallExpr) string {
 		return pkg + "." + name
 	}
 	return ""
-}
-
-// blockFact is the transitive-blocking summary for one module
-// function: either what blocks directly inside it, or via which callee
-// the blocking is reached.
-type blockFact struct {
-	what string // non-empty for direct blockers: "(encoding/json).Encode"
-	via  string // key of the callee the blocking flows through
-}
-
-// blockingSummaries computes, for every module function, whether
-// calling it can block: seeded with functions containing a direct
-// blocking call (deferred calls included — they run before the
-// function returns; goroutine bodies and calls inside function
-// literals excluded), then propagated caller-ward over static,
-// synchronous call edges.
-func blockingSummaries(m *Module) map[string]blockFact {
-	seeds := map[string]blockFact{}
-	keys := make([]string, 0, len(m.Funcs))
-	for k := range m.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fi := m.Funcs[k]
-		var what string
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			if what != "" {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				what = directBlocking(fi.Pkg, n)
-			}
-			return true
-		})
-		if what != "" {
-			seeds[k] = blockFact{what: what}
-		}
-	}
-	less := func(a, b string) bool { return a < b }
-	return Solve(seeds, func(k string) []string {
-		var out []string
-		for _, cs := range m.Callers(k) {
-			if cs.Kind == CallGo || cs.InFuncLit {
-				continue
-			}
-			out = append(out, cs.Caller.Key)
-		}
-		return out
-	}, func(_ string, cur blockFact, ok bool, from string, _ blockFact) (blockFact, bool) {
-		if ok {
-			return cur, false
-		}
-		return blockFact{via: from}, true
-	}, less)
-}
-
-// blockChainString renders the chain from a transitively-blocking
-// function down to the call that actually blocks:
-// "helper -> writeOut -> (encoding/json).Encode".
-func blockChainString(summaries map[string]blockFact, key string) string {
-	var parts []string
-	for cur := key; ; {
-		parts = append(parts, shortFuncKey(cur))
-		f := summaries[cur]
-		if f.via == "" {
-			parts = append(parts, f.what)
-			break
-		}
-		cur = f.via
-	}
-	return strings.Join(parts, " -> ")
-}
-
-func runLockHeldModule(m *Module) []Finding {
-	summaries := blockingSummaries(m)
-	if len(summaries) == 0 {
-		return nil
-	}
-	var out []Finding
-	for _, p := range m.Pkgs {
-		forEachFuncBody(p, func(_ *ast.File, body *ast.BlockStmt) {
-			s := &lockScanner{p: p, mod: m, summaries: summaries}
-			s.stmts(body.List, map[string]heldLock{})
-			out = append(out, s.out...)
-		})
-	}
-	return out
 }

@@ -9,7 +9,7 @@ import (
 // invokes: a package-level function, a method (through the selection),
 // or nil for builtins, conversions, and calls of stored function
 // values. A call into an instantiated generic resolves to the generic
-// declaration, which is what the call graph is keyed by.
+// declaration.
 func calleeFunc(p *Pkg, call *ast.CallExpr) *types.Func {
 	var f *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -143,6 +143,44 @@ func TestMultiPortalViewsDegradesPerPortal(t *testing.T) {
 	}
 }
 
+// TestMultiPortalViewsAnsweredDuringRefresh pins the union's read path
+// against a lock held across a portal fetch: while one caller's refresh
+// is parked inside east's fetch, another ViewFor is answered from the
+// previous merged view.
+func TestMultiPortalViewsAnsweredDuringRefresh(t *testing.T) {
+	block := make(chan struct{})
+	started := make(chan int64, 2) // the priming fetch and the parked one
+	east := &scriptedFetcher{started: started, fn: func(n int64) (*core.View, error) {
+		if n > 1 {
+			<-block
+		}
+		return mviewEast(int(n)), nil
+	}}
+	west := &scriptedFetcher{fn: func(n int64) (*core.View, error) { return mviewWest(int(n)), nil }}
+	mpv, clk := newTestMulti(t, east, west)
+	prev := mpv.ViewFor(0)
+	awaitCall(t, started, 1)
+	clk.Advance(31 * time.Second)
+
+	refreshed := make(chan DistanceView, 1)
+	go func() { refreshed <- mpv.ViewFor(0) }()
+	awaitCall(t, started, 2)
+	done := make(chan DistanceView, 1)
+	go func() { done <- mpv.ViewFor(0) }()
+	select {
+	case v := <-done:
+		if v != prev {
+			t.Error("a read during the refresh was not answered from the previous merged view")
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("ViewFor blocked behind an in-flight portal fetch")
+	}
+	close(block)
+	if v := <-refreshed; v == nil || v == prev {
+		t.Errorf("the refreshing caller got %p, want a new merged view (previous %p)", v, prev)
+	}
+}
+
 func TestMultiPortalViewsAllPortalsDownReturnsNil(t *testing.T) {
 	down := func(int64) (*core.View, error) { return nil, errors.New("down") }
 	mpv, _ := newTestMulti(t, &scriptedFetcher{fn: down}, &scriptedFetcher{fn: down})

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -57,7 +58,14 @@ type Daemon struct {
 }
 
 // Start builds the logger, registry and tracer from the parsed flags.
+// A sampling rate that is NaN or outside [0, 1] exits the process with
+// status 2: NaN fails every comparison the tracer makes, so it would
+// never head-sample and never tail-keep a fast, clean trace.
 func (f *Flags) Start() *Daemon {
+	if !(*f.traceSample >= 0 && *f.traceSample <= 1 && *f.traceKeep >= 0 && *f.traceKeep <= 1) {
+		fmt.Fprintf(os.Stderr, "-trace-sample %v and -trace-keep %v must both be in [0, 1]\n", *f.traceSample, *f.traceKeep)
+		os.Exit(2)
+	}
 	var h slog.Handler = slog.NewTextHandler(os.Stderr, nil)
 	if *f.logJSON {
 		h = slog.NewJSONHandler(os.Stderr, nil)

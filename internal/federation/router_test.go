@@ -702,6 +702,77 @@ func TestRouterRevalidatesEveryTTL(t *testing.T) {
 	}
 }
 
+// TestRouterAnsweredDuringRefresh pins GET /p4p/v1/distances against a
+// lock held across a shard fetch: while one request's refresh is parked
+// at shard a, a second request is answered at once from the previous
+// merged view, with its ETag.
+func TestRouterAnsweredDuringRefresh(t *testing.T) {
+	clk := newFakeClock()
+	fa := &fakeBackend{view: viewA()}
+	fb := &fakeBackend{view: viewB()}
+	var served, unparked atomic.Int64
+	parked, release := make(chan struct{}, 1), make(chan struct{}) // parked: one pending signal, sent without blocking
+	sa := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) > 1 {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			unparked.Add(1)
+		}
+		fa.ServeHTTP(w, r)
+	}))
+	sb := httptest.NewServer(fb)
+	t.Cleanup(sa.Close)
+	t.Cleanup(sb.Close)
+	let := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(let) // runs before sa.Close, which waits for parked requests
+	rt, err := NewRouter(Config{
+		Shards:   []ShardConfig{{Name: "a", BaseURL: sa.URL}, {Name: "b", BaseURL: sb.URL}},
+		Circuits: []Circuit{{A: "a", APID: 1, B: "b", BPID: 10, Cost: 7}},
+		TTL:      30 * time.Second,
+		Client:   fastClient(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.nowFn = clk.now
+	prev := get(t, rt, "/p4p/v1/distances", nil)
+	if prev.Code != http.StatusOK {
+		t.Fatalf("priming status = %d", prev.Code)
+	}
+	clk.advance(31 * time.Second)
+
+	first, second := make(chan int, 1), make(chan *httptest.ResponseRecorder, 1)
+	go func() { first <- get(t, rt, "/p4p/v1/distances", nil).Code }()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first request's refresh never reached shard a")
+	}
+	go func() { second <- get(t, rt, "/p4p/v1/distances", nil) }()
+	select {
+	case rec := <-second:
+		if rec.Code != http.StatusOK || rec.Header().Get("ETag") != prev.Header().Get("ETag") || !bytes.Equal(rec.Body.Bytes(), prev.Body.Bytes()) {
+			t.Errorf("second request: status %d, ETag %q; want 200 with the previous view under %q",
+				rec.Code, rec.Header().Get("ETag"), prev.Header().Get("ETag"))
+		}
+		if n := unparked.Load(); n != 0 {
+			t.Errorf("second request answered only after %d parked fetch(es) gave up", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("second request still blocked 5s into the first one's parked refresh")
+	}
+	let()
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("refreshing request status = %d, want 200", code)
+	}
+}
+
 // errorCounter is a slog handler counting Error records.
 type errorCounter struct{ n atomic.Int64 }
 

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMiddlewareRecordsRouteMetrics(t *testing.T) {
@@ -92,6 +93,53 @@ func TestRegistryHandlerContentType(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "c 1") {
 		t.Errorf("body = %q", rec.Body.String())
 	}
+}
+
+// parkedWriter is a ResponseWriter whose Write closes writing and then
+// waits for release: a scraper that stopped reading.
+type parkedWriter struct {
+	header           http.Header
+	writing, release chan struct{}
+}
+
+func (w *parkedWriter) Header() http.Header { return w.header }
+func (w *parkedWriter) WriteHeader(int)     {}
+func (w *parkedWriter) Write(b []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return len(b), nil
+}
+
+// TestRegistryHandlerWritesOutsideLock pins the exposition handler
+// against writing under the registry's lock: while a scrape's write is
+// parked, registering a new counter on another goroutine completes.
+func TestRegistryHandlerWritesOutsideLock(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("c", "h").Inc()
+	w := &parkedWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		reg.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+		close(served)
+	}()
+	select {
+	case <-w.writing:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the handler never wrote")
+	}
+	registered := make(chan struct{})
+	go func() {
+		reg.Counter("late", "registered during a parked scrape").Inc()
+		close(registered)
+	}()
+	select {
+	case <-registered:
+	case <-time.After(2 * time.Second):
+		t.Error("Registry.Counter blocked behind a parked /metrics write")
+	}
+	close(w.release)
+	<-served
+	<-registered
 }
 
 func TestRequestIDsUnique(t *testing.T) {

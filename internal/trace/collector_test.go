@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -140,6 +141,57 @@ func TestHandlerServesJSON(t *testing.T) {
 				t.Fatalf("kept trace under load lacks an ID or spans: %+v", kept)
 			}
 		}
+	}
+}
+
+// parkedWriter is a ResponseWriter whose Write closes writing and then
+// waits for release: a /debug/traces client that stopped reading.
+type parkedWriter struct {
+	header           http.Header
+	writing, release chan struct{}
+}
+
+func (w *parkedWriter) Header() http.Header { return w.header }
+func (w *parkedWriter) WriteHeader(int)     {}
+func (w *parkedWriter) Write(b []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return len(b), nil
+}
+
+// TestHandlerWritesOutsideLock pins the collector's handler against
+// writing under c.mu: while a response write is parked, a root span on
+// another goroutine still ends and is kept.
+func TestHandlerWritesOutsideLock(t *testing.T) {
+	c := NewCollector(4, time.Hour, 1)
+	tr := newTestTracer(t, c, time.Millisecond)
+	w := &parkedWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		c.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+		close(served)
+	}()
+	select {
+	case <-w.writing:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the handler never wrote")
+	}
+	ended := make(chan struct{})
+	go func() {
+		_, root := tr.StartRoot(context.Background(), "GET /p4p/v1/distances")
+		root.End()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(2 * time.Second):
+		t.Error("a root span's End blocked behind a parked /debug/traces write")
+	}
+	close(w.release)
+	<-served
+	<-ended
+	if kept := c.Snapshot().Kept; kept != 1 {
+		t.Errorf("kept = %d, want 1", kept)
 	}
 }
 

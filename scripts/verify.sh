@@ -1,11 +1,12 @@
 #!/bin/sh
-# Tier-1 verification gate: vet, build, run the quickstart example, and
+# Tier-1 verification gate: vet, build, run the quickstart example and
+# p4pvet (a finding fails here, in seconds, before the long suites); then
 # race-test the whole module; run its allocation pins (every test named
 # *Alloc*) again without -race, which inflates allocation counts and
 # makes half of them skip; then vet and race-test the nested bench/
 # module (its own go.mod, so ./... above does not reach it, and it
-# compiles against every package the serving stack exports); then
-# p4pvet. First it checks that the line table in DESIGN.md §15 is what
+# compiles against every package the serving stack exports). First it
+# checks that the line table in DESIGN.md §15 is what
 # scripts/loc.sh prints now, and that `make fuzz-smoke` runs exactly the
 # module's func Fuzz* targets, each in its own package. Run from
 # anywhere; operates on the repo root.
@@ -43,12 +44,12 @@ echo '>> go build ./...'
 go build ./...
 echo '>> go run ./examples/quickstart (output discarded, exit status checked)'
 go run ./examples/quickstart >/dev/null
+echo '>> p4pvet ./...'
+go run ./cmd/p4pvet -timing ./...
 echo '>> go test -race ./...'
 go test -race ./...
 echo '>> go test -count=1 -run Alloc ./... (allocation pins, no -race)'
 go test -count=1 -run Alloc ./...
 echo '>> bench: go vet ./... && go test -race ./...'
 (cd bench && go vet ./... && go test -race ./...)
-echo '>> p4pvet ./...'
-go run ./cmd/p4pvet -timing ./...
 echo 'verify: OK'
