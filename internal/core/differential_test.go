@@ -103,16 +103,17 @@ func TestEngineMatchesReference(t *testing.T) {
 		g    *topology.Graph
 		cfg  Config
 		pids []topology.PID // nil: every aggregation PID
+		peak bool           // background at its peak-hour draw, up to 0.8 c_e
 	}{
-		{"abilene-mlu", abilene, Config{Objective: MinimizeMLU, StepSize: 0.3}, nil},
-		{"abilene-bdp", abilene, Config{Objective: MinimizeBDP, StepSize: 0.2}, nil},
-		{"ispb-mlu", ispb, Config{Objective: MinimizeMLU}, nil},
-		{"ispb-bdp-peak-perturbed", ispb, Config{Objective: MinimizeBDP, Background: PeakBackground, PerturbFrac: 0.1, PerturbSeed: 7}, nil},
-		{"ispb-mlu-subset-perturbed", ispb, Config{Objective: MinimizeMLU, StepSize: 0.05, PerturbFrac: 0.1}, []topology.PID{40, 3, 17, 3, 51, 0}},
-		{"virtual-mlu-peak-perturbed", virt, Config{Objective: MinimizeMLU, StepSize: 0.5, Background: PeakBackground, PerturbFrac: 0.25, PerturbSeed: 3}, nil},
-		{"virtual-bdp", virt, Config{Objective: MinimizeBDP, StepSize: 0.5}, nil},
-		{"stub-mlu-perturbed", withStub(virt), Config{Objective: MinimizeMLU, PerturbFrac: 0.05, PerturbSeed: 11}, nil},
-		{"stub-bdp", withStub(abilene), Config{Objective: MinimizeBDP}, nil},
+		{"abilene-mlu", abilene, Config{Objective: MinimizeMLU, StepSize: 0.3}, nil, false},
+		{"abilene-bdp", abilene, Config{Objective: MinimizeBDP, StepSize: 0.2}, nil, false},
+		{"ispb-mlu", ispb, Config{Objective: MinimizeMLU}, nil, false},
+		{"ispb-bdp-peak-perturbed", ispb, Config{Objective: MinimizeBDP, PerturbFrac: 0.1, PerturbSeed: 7}, nil, true},
+		{"ispb-mlu-subset-perturbed", ispb, Config{Objective: MinimizeMLU, StepSize: 0.05, PerturbFrac: 0.1}, []topology.PID{40, 3, 17, 3, 51, 0}, false},
+		{"virtual-mlu-peak-perturbed", virt, Config{Objective: MinimizeMLU, StepSize: 0.5, PerturbFrac: 0.25, PerturbSeed: 3}, nil, true},
+		{"virtual-bdp", virt, Config{Objective: MinimizeBDP, StepSize: 0.5}, nil, false},
+		{"stub-mlu-perturbed", withStub(virt), Config{Objective: MinimizeMLU, PerturbFrac: 0.05, PerturbSeed: 11}, nil, false},
+		{"stub-bdp", withStub(abilene), Config{Objective: MinimizeBDP}, nil, false},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -128,7 +129,10 @@ func TestEngineMatchesReference(t *testing.T) {
 				c := tc.g.Link(topology.LinkID(i)).CapacityBps
 				bg[i], peak[i] = 0.3*c*rng.Float64(), 0.8*c*rng.Float64()
 			}
-			p.both(func(e *Engine) { e.SetBackground(bg); e.SetPeakBackground(peak) })
+			if tc.peak {
+				bg = peak
+			}
+			p.both(func(e *Engine) { e.SetBackground(bg) })
 			// Interdomain links in turn get a virtual capacity, a zero one
 			// (the step then scales by c_e) and none (they stay in the
 			// simplex or on the BDP rule).
@@ -194,9 +198,6 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		if bdp {
 			cfg.Objective = MinimizeBDP
 		}
-		if flags&1 != 0 {
-			cfg.Background = PeakBackground
-		}
 		if flags&2 != 0 {
 			cfg.PerturbFrac = 0.2
 		}
@@ -207,7 +208,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		p := newEnginePair(g, cfg, pids)
 		m := g.NumLinks()
 		bg := randomLoads(rng, g, make([]float64, m))
-		p.both(func(e *Engine) { e.SetBackground(bg); e.SetPeakBackground(bg) })
+		p.both(func(e *Engine) { e.SetBackground(bg) })
 		for _, id := range g.InterdomainLinks() {
 			if v := rng.Intn(3); v < 2 {
 				bps := float64(v) * rng.Float64() * g.Link(id).CapacityBps // v == 0: a zero virtual capacity

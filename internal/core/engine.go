@@ -57,25 +57,10 @@ func (o Objective) String() string {
 	}
 }
 
-// BackgroundPolicy selects which background volumes enter the gradient
-// (Section 5, "Peak Bandwidth").
-type BackgroundPolicy int
-
-const (
-	// CurrentBackground uses the most recently set background rates.
-	CurrentBackground BackgroundPolicy = iota
-	// PeakBackground uses the per-link peak rates registered with
-	// SetPeakBackground, so the ISP optimizes for peak-time conditions
-	// and P4P traffic yields to background traffic at peak.
-	PeakBackground
-)
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Objective is the ISP objective; default MinimizeMLU.
 	Objective Objective
-	// Background selects current or peak background volumes.
-	Background BackgroundPolicy
 	// StepSize is the constant super-gradient step μ. The paper notes
 	// that, with networks and applications continuously evolving, a
 	// constant step is used in practice. Default 0.1.
@@ -114,7 +99,6 @@ type Engine struct {
 
 	prices  []float64 // p_e per link
 	bg      []float64 // current background rate per link, bits/sec
-	bgPeak  []float64 // peak background rate per link, bits/sec
 	virtual []float64 // v_e per link (bits/sec); NaN when not set
 	lastT   []float64 // last observed P4P traffic per link, bits/sec
 
@@ -153,7 +137,6 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		cfg:     cfg,
 		prices:  make([]float64, n),
 		bg:      make([]float64, n),
-		bgPeak:  make([]float64, n),
 		virtual: make([]float64, n),
 		lastT:   make([]float64, n),
 		rng:     rand.New(rand.NewSource(cfg.PerturbSeed)),
@@ -197,44 +180,33 @@ func (e *Engine) Version() int {
 }
 
 // SetBackground installs current background rates (bits/sec per link).
+// A NaN or infinite rate is refused before anything is stored, as in
+// ObserveTraffic.
 func (e *Engine) SetBackground(bps []float64) {
 	if len(bps) != len(e.bg) {
 		panic(fmt.Sprintf("core: background for %d links, graph has %d", len(bps), len(e.bg)))
+	}
+	for i, v := range bps {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("core: non-finite background %v on link %d", v, i))
+		}
 	}
 	e.mu.Lock()
 	copy(e.bg, bps)
 	e.mu.Unlock()
 }
 
-// SetPeakBackground installs per-link peak background rates used under
-// the PeakBackground policy.
-func (e *Engine) SetPeakBackground(bps []float64) {
-	if len(bps) != len(e.bgPeak) {
-		panic(fmt.Sprintf("core: peak background for %d links, graph has %d", len(bps), len(e.bgPeak)))
-	}
-	e.mu.Lock()
-	copy(e.bgPeak, bps)
-	e.mu.Unlock()
-}
-
 // SetVirtualCapacity installs the virtual capacity v_e (bits/sec) for an
 // interdomain link; its price then tracks the eq. 16 constraint instead
-// of the intradomain objective.
+// of the intradomain objective. A negative, NaN or infinite capacity is
+// refused: an infinite one makes the next step's price NaN.
 func (e *Engine) SetVirtualCapacity(link topology.LinkID, bps float64) {
-	if bps < 0 {
-		panic("core: negative virtual capacity")
+	if !(bps >= 0 && bps <= math.MaxFloat64) {
+		panic(fmt.Sprintf("core: virtual capacity %v on link %d is not finite and non-negative", bps, link))
 	}
 	e.mu.Lock()
 	e.virtual[link] = bps
 	e.mu.Unlock()
-}
-
-// backgroundFor returns the background slice selected by policy.
-func (e *Engine) backgroundFor() []float64 {
-	if e.cfg.Background == PeakBackground {
-		return e.bgPeak
-	}
-	return e.bg
 }
 
 // ObserveTraffic records measured P4P traffic t̄_e (bits/sec per link),
@@ -265,10 +237,9 @@ func (e *Engine) MLU() float64 {
 }
 
 func (e *Engine) mluLocked() float64 {
-	bg := e.backgroundFor()
 	alpha := 0.0
 	for i, c := range e.capacity {
-		u := (bg[i] + e.lastT[i]) / c
+		u := (e.bg[i] + e.lastT[i]) / c
 		if u > alpha {
 			alpha = u
 		}
@@ -283,8 +254,7 @@ func (e *Engine) mluLocked() float64 {
 func (e *Engine) Update() (stepNorm, mlu float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	bg := e.backgroundFor()
-	mu := e.cfg.StepSize
+	bg, mu := e.bg, e.cfg.StepSize
 	mlu = e.mluLocked()
 	copy(e.prev, e.prices)
 	// Intradomain links under MLU take a gradient step and then a
@@ -331,10 +301,12 @@ func (e *Engine) Update() (stepNorm, mlu float64) {
 // SetPrice overrides one link's dual price — a provider-side warm
 // start. Typical use: initializing an interdomain link's price from
 // historical billing data so the very first applications already avoid
-// it; the super-gradient updates then relax or reinforce it.
+// it; the super-gradient updates then relax or reinforce it. A
+// negative, NaN or infinite price is refused: under MLU the next Update
+// would panic projecting it, and elsewhere no step makes it finite.
 func (e *Engine) SetPrice(link topology.LinkID, price float64) {
-	if price < 0 {
-		panic("core: negative price")
+	if !(price >= 0 && price <= math.MaxFloat64) {
+		panic(fmt.Sprintf("core: price %v on link %d is not finite and non-negative", price, link))
 	}
 	e.mu.Lock()
 	e.prices[link] = price

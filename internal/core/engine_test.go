@@ -87,20 +87,6 @@ func TestEngineMLUMetric(t *testing.T) {
 	}
 }
 
-func TestEnginePeakBackgroundPolicy(t *testing.T) {
-	g, r := fourLine()
-	e := NewEngine(g, r, Config{Background: PeakBackground})
-	cur := make([]float64, g.NumLinks())
-	peak := make([]float64, g.NumLinks())
-	cur[0] = 0.1e9
-	peak[0] = 0.8e9
-	e.SetBackground(cur)
-	e.SetPeakBackground(peak)
-	if got := e.MLU(); math.Abs(got-0.8) > 1e-9 {
-		t.Fatalf("peak-policy MLU = %v, want 0.8", got)
-	}
-}
-
 func TestEngineBDPDistancesIncludeLinkDistance(t *testing.T) {
 	g, r := fourLine()
 	e := NewEngine(g, r, Config{Objective: MinimizeBDP})
@@ -223,9 +209,8 @@ func TestEngineMatrixPerturbation(t *testing.T) {
 func TestEnginePanicsOnBadInput(t *testing.T) {
 	g, r := fourLine()
 	e := NewEngine(g, r, Config{})
-	for _, fn := range []func(){
+	bad := []func(){
 		func() { e.SetBackground([]float64{1}) },
-		func() { e.SetPeakBackground([]float64{1}) },
 		func() { e.ObserveTraffic([]float64{1}) },
 		func() { e.SetVirtualCapacity(0, -1) },
 		func() { NewEngine(g, r, Config{StepSize: -1}) },
@@ -240,11 +225,24 @@ func TestEnginePanicsOnBadInput(t *testing.T) {
 		func() { NewEngine(g, r, Config{PerturbFrac: math.Inf(1)}) },
 		func() { NewEngine(g, r, Config{PerturbFrac: math.NaN()}) },
 		func() { NewEngine(g, r, Config{PerturbFrac: -0.1}) },
-	} {
+	}
+	// Accepted, a +Inf virtual capacity made the next step's price NaN
+	// ((t − ∞)/∞), a NaN one silently unset it, and a NaN or infinite
+	// price or background entry panicked inside the next Update's
+	// projection.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bg := make([]float64, g.NumLinks())
+		bg[0] = v
+		bad = append(bad,
+			func() { e.SetPrice(0, v) },
+			func() { e.SetVirtualCapacity(0, v) },
+			func() { e.SetBackground(bg) })
+	}
+	for i, fn := range bad {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("expected panic")
+					t.Fatalf("case %d: expected panic", i)
 				}
 			}()
 			fn()

@@ -6,18 +6,18 @@ import (
 	"p4p/internal/topology"
 )
 
-// The engine's kernels as they stood before PR 22 rebuilt them in place,
-// kept unchanged (only renamed ref*) as the oracles of
+// The engine's kernels as they stood before they were rebuilt in place,
+// kept unchanged (only renamed ref*, and reading the one background the
+// engine now holds) as the oracles of
 // TestEngineMatchesReference and FuzzEngineMatchesReference: Update with
 // its per-call slices and the always-200-round bisection, Matrix with one
 // path walk per PID pair. They read the graph directly, so they also
 // check the per-link snapshot NewEngine takes.
 
 func (e *Engine) refMLULocked() float64 {
-	bg := e.backgroundFor()
 	alpha := 0.0
 	for i, l := range e.g.Links() {
-		u := (bg[i] + e.lastT[i]) / l.CapacityBps
+		u := (e.bg[i] + e.lastT[i]) / l.CapacityBps
 		if u > alpha {
 			alpha = u
 		}
@@ -31,7 +31,7 @@ func (e *Engine) refUpdate() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	links := e.g.Links()
-	bg := e.backgroundFor()
+	bg := e.bg
 	mu := e.cfg.StepSize
 
 	switch e.cfg.Objective {

@@ -135,6 +135,11 @@ type Server struct {
 	// updates (see NewMetrics). Set it before serving traffic.
 	Metrics *Metrics
 
+	// pids is the served PID set, fixed at New: ServePIDs sorted and
+	// deduped, or every aggregation PID of the engine's graph, which is
+	// finished before an engine is built over it.
+	pids []topology.PID
+
 	mu          sync.Mutex
 	cachedView  *core.View
 	cachedVer   int
@@ -161,16 +166,17 @@ func New(cfg Config, engine *core.Engine, pidMap *PIDMap) *Server {
 	for _, tok := range cfg.TrustedTokens {
 		t.trusted[tok] = true
 	}
-	if len(cfg.ServePIDs) > 0 {
-		pids := append([]topology.PID(nil), cfg.ServePIDs...)
-		sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-		uniq := pids[:1]
-		for _, p := range pids[1:] {
-			if p != uniq[len(uniq)-1] {
-				uniq = append(uniq, p)
-			}
+	if len(cfg.ServePIDs) == 0 {
+		t.pids = engine.Graph().AggregationPIDs()
+		return t
+	}
+	pids := append([]topology.PID(nil), cfg.ServePIDs...)
+	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
+	t.pids = pids[:1]
+	for _, p := range pids[1:] {
+		if p != t.pids[len(t.pids)-1] {
+			t.pids = append(t.pids, p)
 		}
-		t.cfg.ServePIDs = uniq
 	}
 	return t
 }
@@ -207,8 +213,8 @@ func (t *Server) PolicyFor(token string) (Policy, error) {
 // cache, exactly one caller runs engine.Matrix while concurrent readers
 // wait on the in-flight computation without holding the server lock, so
 // a price update never serializes the whole query path behind one
-// recompute. The aggregation PID set is re-derived on every recompute,
-// so topology growth is picked up at the next version bump.
+// recompute, which allocates only the view: the served PID set is fixed
+// at New.
 func (t *Server) Distances(token string) (*core.View, error) {
 	//p4pvet:ignore ctxflow documented non-Context convenience wrapper; the Context variant is the library API
 	return t.DistancesCtx(context.Background(), token)
@@ -282,17 +288,13 @@ func (t *Server) materialize(ctx context.Context, done chan struct{}) (view *cor
 		close(done)
 	}()
 	start := time.Now()
-	pids := t.cfg.ServePIDs
-	if len(pids) == 0 {
-		pids = t.engine.Graph().AggregationPIDs()
-	}
 	if t.testHookPreMatrix != nil {
 		t.testHookPreMatrix()
 	}
-	view = t.engine.Matrix(pids)
+	view = t.engine.Matrix(t.pids)
 	t.Metrics.recompute(time.Since(start), view.Version)
 	span.SetAttrInt("view_version", view.Version)
-	span.SetAttrInt("pids", len(pids))
+	span.SetAttrInt("pids", len(t.pids))
 	return view
 }
 

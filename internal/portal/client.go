@@ -471,28 +471,6 @@ func decodeView(body []byte, encoding string) (*core.View, error) {
 	return FromWire(&w)
 }
 
-// BatchDistancesContext queries /p4p/v1/distances/batch for the given
-// src/dst pairs (POST body). The batch endpoint serves from the same
-// cached view as the full matrix but ships only the requested entries,
-// so clients that poll many portals for a handful of pairs each stop
-// re-downloading square matrices. Retries follow the client's
-// RetryPolicy; the endpoint is read-only, so re-issuing is safe.
-func (c *Client) BatchDistancesContext(ctx context.Context, pairs []PIDPair) (*BatchResult, error) {
-	const path = "/p4p/v1/distances/batch"
-	if len(pairs) == 0 {
-		return &BatchResult{}, nil
-	}
-	payload, err := json.Marshal(BatchRequestWire{Pairs: pairs})
-	if err != nil {
-		return nil, fmt.Errorf("portal: encode batch request: %w", err)
-	}
-	var w BatchResponseWire
-	if err := c.doJSON(ctx, http.MethodPost, path, nil, payload, &w); err != nil {
-		return nil, err
-	}
-	return batchFromWire(&w, len(pairs))
-}
-
 // errNilIP rejects LookupPIDContext calls before any request is issued.
 var errNilIP = errors.New("portal: lookup of nil or invalid IP")
 

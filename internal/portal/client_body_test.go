@@ -160,10 +160,10 @@ func TestClientViewsOwnTheirMemory(t *testing.T) {
 	}))
 	defer srv.Close()
 	c = NewClient(srv.URL, "")
-	results := make([]*BatchResult, 101)
+	results := make([]BatchResponseWire, 101)
 	batchErrs := make([]error, 101)
 	for k := 1; k <= 100; k++ {
-		results[k], batchErrs[k] = c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}})
+		results[k], batchErrs[k] = postBatch(c, []PIDPair{{Src: 0, Dst: 1}})
 	}
 	for k := 1; k <= 100; k++ {
 		res, err := results[k], batchErrs[k]

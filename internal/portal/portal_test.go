@@ -131,7 +131,7 @@ func TestClientTrailingSlashBase(t *testing.T) {
 	if again, err := c.DistancesContext(context.Background()); err != nil || again != v {
 		t.Errorf("revalidation returned %p, %v; want the held %p", again, err, v)
 	}
-	if _, err := c.BatchDistancesContext(context.Background(), []PIDPair{{Src: 0, Dst: 1}}); err != nil {
+	if _, err := postBatch(c, []PIDPair{{Src: 0, Dst: 1}}); err != nil {
 		t.Errorf("batch: %v", err)
 	}
 	if _, err := c.LookupPIDContext(context.Background(), itracker.SyntheticIP(5, 1)); err != nil {

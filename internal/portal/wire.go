@@ -94,31 +94,20 @@ func receivedView(pids []topology.PID, version int, flat []float64) (*core.View,
 			return nil, fmt.Errorf("portal: PID %d listed twice", sorted[i])
 		}
 	}
-	if k := fromWireDistances(flat, flat); k >= 0 {
-		return nil, fmt.Errorf("portal: distance %g at (%d,%d) is not finite or exceeds MaxDistance", flat[k], k/n, k%n)
+	for k, d := range flat {
+		switch {
+		case d >= 0 && d <= MaxDistance:
+		case d < 0 && d >= -math.MaxFloat64:
+			flat[k] = math.Inf(1)
+		default:
+			return nil, fmt.Errorf("portal: distance %g at (%d,%d) is not finite or exceeds MaxDistance", d, k/n, k%n)
+		}
 	}
 	v := &core.View{PIDs: pids, Version: version, D: make([][]float64, n)}
 	for i := range v.D {
 		v.D[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
 	return v, nil
-}
-
-// fromWireDistances decodes src into dst (which may be src) under the
-// one range rule for a received distance and returns the index of the
-// first value it refuses — NaN, ±Inf, beyond MaxDistance — or -1.
-func fromWireDistances(dst, src []float64) int {
-	for k, d := range src {
-		switch {
-		case d >= 0 && d <= MaxDistance:
-			dst[k] = d
-		case d < 0 && d >= -math.MaxFloat64:
-			dst[k] = math.Inf(1)
-		default:
-			return k
-		}
-	}
-	return -1
 }
 
 // PIDPair is one src→dst distance query in a batch request.
@@ -139,27 +128,6 @@ type BatchRequestWire struct {
 type BatchResponseWire struct {
 	Version   int       `json:"version"`
 	Distances []float64 `json:"distances"`
-}
-
-// BatchResult is a decoded batch response: sentinels restored to +Inf
-// and every entry range-validated like FromWire.
-type BatchResult struct {
-	Version   int
-	Distances []float64
-}
-
-// batchFromWire validates a batch response against the request size and
-// the same hostile-payload rules as FromWire: finite, bounded by
-// MaxDistance, any negative value decoding as unreachable.
-func batchFromWire(w *BatchResponseWire, pairs int) (*BatchResult, error) {
-	if len(w.Distances) != pairs {
-		return nil, fmt.Errorf("portal: batch returned %d distances for %d pairs", len(w.Distances), pairs)
-	}
-	out := &BatchResult{Version: w.Version, Distances: make([]float64, len(w.Distances))}
-	if i := fromWireDistances(out.Distances, w.Distances); i >= 0 {
-		return nil, fmt.Errorf("portal: batch distance %g at %d is not finite or exceeds MaxDistance", w.Distances[i], i)
-	}
-	return out, nil
 }
 
 // PIDLookupWire is the JSON response of the PID lookup endpoint.

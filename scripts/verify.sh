@@ -5,7 +5,10 @@
 # *Alloc*) again without -race, which inflates allocation counts and
 # makes half of them skip; then vet and race-test the nested bench/
 # module (its own go.mod, so ./... above does not reach it, and it
-# compiles against every package the serving stack exports). First it
+# compiles against every package the serving stack exports), and run
+# its swarm-p4p workload at two trials of full-size swarms, which checks
+# what the one-trial, 200-leecher smoke run cannot: that every trial
+# repeats trial 0, and that 1,000-leecher swarms complete. First it
 # checks that the line table in DESIGN.md §15 is what
 # scripts/loc.sh prints now, and that `make fuzz-smoke` runs exactly the
 # module's func Fuzz* targets, each in its own package. Run from
@@ -52,4 +55,6 @@ echo '>> go test -count=1 -run Alloc ./... (allocation pins, no -race)'
 go test -count=1 -run Alloc ./...
 echo '>> bench: go vet ./... && go test -race ./...'
 (cd bench && go vet ./... && go test -race ./...)
+echo '>> bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8'
+bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8
 echo 'verify: OK'
