@@ -348,10 +348,10 @@ func TestSelectAnsweredDuringRefresh(t *testing.T) {
 // TestMisconfiguredFlagsExit2: -m 0 made every /select without m answer
 // {"indices":[]}, and -view-ttl 0 served with the default TTL while
 // /readyz (window 3x the flag, 0 meaning any held view) never aged out.
-// -portal-retries 0 made 3 attempts, and -trace-sample or -trace-keep
-// NaN never sampled or kept a trace. The daemon now refuses each at
-// startup with exit 2; the test runs main in a child process of the
-// test binary.
+// -portal-retries 0 made 3 attempts, -trace-sample or -trace-keep NaN
+// never sampled or kept a trace, and -trace-cap 0 was raised to 1. The
+// daemon now refuses each at startup with exit 2; the test runs main in
+// a child process of the test binary.
 func TestMisconfiguredFlagsExit2(t *testing.T) {
 	if args := os.Getenv("APPTRACKER_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"apptracker"}, strings.Fields(args)...)
@@ -369,6 +369,8 @@ func TestMisconfiguredFlagsExit2(t *testing.T) {
 		{"-trace-keep NaN", "must both be in [0, 1]"},
 		{"-trace-sample 1.5", "must both be in [0, 1]"},
 		{"-trace-keep -0.1", "must both be in [0, 1]"},
+		{"-trace-cap 0", "must be at least 1"},
+		{"-trace-cap -1", "must be at least 1"},
 	} {
 		// A daemon that accepted the flags would serve until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

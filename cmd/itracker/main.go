@@ -59,6 +59,11 @@ func main() {
 		shared    = daemon.RegisterFlags()
 	)
 	flag.Parse()
+	// A negative interval would read as 0, "no updates", without a word.
+	if *update < 0 {
+		fmt.Fprintf(os.Stderr, "-update %v must not be negative\n", *update)
+		os.Exit(2)
+	}
 	d := shared.Start()
 	logger := d.Logger
 

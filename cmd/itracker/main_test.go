@@ -1,8 +1,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
+	"time"
 
 	"p4p/internal/core"
 	"p4p/internal/topology"
@@ -46,6 +52,40 @@ func TestEngineConfigRejectsUnknownObjective(t *testing.T) {
 	} {
 		if _, err := engineConfig("mlu", bad.step, bad.perturb); err == nil {
 			t.Errorf("engineConfig accepted -step %v -perturb %v", bad.step, bad.perturb)
+		}
+	}
+}
+
+// TestMisconfiguredFlagsExit2: -update -1s served with no price updates,
+// as -update 0 does, and -trace-cap 0 was raised to 1. The iTracker now
+// refuses each at startup with exit 2, as it does a bad -step, -perturb,
+// -objective or -topology; the test runs main in a child process of the
+// test binary.
+func TestMisconfiguredFlagsExit2(t *testing.T) {
+	if args := os.Getenv("ITRACKER_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"itracker"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	for _, tc := range []struct{ args, want string }{
+		{"-update -1s", "must not be negative"},
+		{"-trace-cap 0", "must be at least 1"},
+		{"-trace-cap -3", "must be at least 1"},
+		{"-trace-sample NaN", "must both be in [0, 1]"},
+		{"-step NaN", "step size NaN"},
+		{"-perturb 1", "outside [0, 1)"},
+		{"-objective fastest", "unknown objective"},
+		{"-topology mars", "unknown topology"},
+	} {
+		// An iTracker that accepted the flags would serve until killed.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMisconfiguredFlagsExit2$")
+		cmd.Env = append(os.Environ(), "ITRACKER_TEST_ARGS=-listen 127.0.0.1:0 "+tc.args)
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), tc.want) {
+			t.Errorf("itracker %s: err %v, output %q; want exit 2 and %q", tc.args, err, out, tc.want)
 		}
 	}
 }

@@ -24,16 +24,15 @@ type PortalRef struct {
 // MultiPortalViews is the paper's real deployment shape on the
 // application side: an appTracker consuming N per-provider portals at
 // once and peer-matching from their union. It is a ViewProvider over a
-// federation.Union — the value the p4pfed router serves from — so the
-// portals are revalidated together when the merged window expires,
-// degrade independently (a stale or dead ISP keeps contributing its
-// last-known-good matrix, or is left out if it never had one), and
-// compose through federation.Merge with the interdomain circuits:
-// src-PID-in-ISP-A → dst-PID-in-ISP-B resolves via intradomain +
-// interdomain composition and the selector's inter-AS stage sees real
-// cross-provider distances. A merge that fails (two portals claiming
-// one PID) keeps the previous union view, or none: the selector then
-// falls back to native peering.
+// federation.Union, so the portals are revalidated together when the
+// merged window expires, degrade independently (a stale or dead ISP
+// keeps contributing its last-known-good matrix, or is left out if it
+// never had one), and compose through federation.Merge with the
+// interdomain circuits: src-PID-in-ISP-A → dst-PID-in-ISP-B resolves via
+// intradomain + interdomain composition and the selector's inter-AS
+// stage sees real cross-provider distances. A merge that fails (two
+// portals claiming one PID) keeps the previous union view, or none: the
+// selector then falls back to native peering.
 type MultiPortalViews struct {
 	// Logger, if non-nil, receives one line per portal refresh failure
 	// and per merge failure.

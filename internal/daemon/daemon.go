@@ -1,8 +1,7 @@
-// Package daemon is the wiring the three serving binaries (itracker,
-// p4pfed, apptracker) share: the observability flags, the process
-// logger, the metrics registry and optional tracer, the /metrics,
-// /debug/traces and pprof routes, and an http.Server that drains on
-// SIGINT/SIGTERM.
+// Package daemon is the wiring the two serving binaries (itracker,
+// apptracker) share: the observability flags, the process logger, the
+// metrics registry and optional tracer, the /metrics, /debug/traces and
+// pprof routes, and an http.Server that drains on SIGINT/SIGTERM.
 package daemon
 
 import (
@@ -58,12 +57,17 @@ type Daemon struct {
 }
 
 // Start builds the logger, registry and tracer from the parsed flags.
-// A sampling rate that is NaN or outside [0, 1] exits the process with
-// status 2: NaN fails every comparison the tracer makes, so it would
-// never head-sample and never tail-keep a fast, clean trace.
+// A sampling rate that is NaN or outside [0, 1], or a trace capacity
+// below 1, exits the process with status 2: NaN fails every comparison
+// the tracer makes, so it would never head-sample and never tail-keep a
+// fast, clean trace, and a ring with no room keeps nothing.
 func (f *Flags) Start() *Daemon {
 	if !(*f.traceSample >= 0 && *f.traceSample <= 1 && *f.traceKeep >= 0 && *f.traceKeep <= 1) {
 		fmt.Fprintf(os.Stderr, "-trace-sample %v and -trace-keep %v must both be in [0, 1]\n", *f.traceSample, *f.traceKeep)
+		os.Exit(2)
+	}
+	if *f.traceCap < 1 {
+		fmt.Fprintf(os.Stderr, "-trace-cap %d must be at least 1\n", *f.traceCap)
 		os.Exit(2)
 	}
 	var h slog.Handler = slog.NewTextHandler(os.Stderr, nil)

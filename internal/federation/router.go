@@ -2,12 +2,10 @@ package federation
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"math/rand/v2"
-	"net"
 	"net/http"
 	"slices"
 	"strconv"
@@ -18,25 +16,15 @@ import (
 	"p4p/internal/portal"
 	"p4p/internal/refresh"
 	"p4p/internal/telemetry"
-	"p4p/internal/topology"
 )
 
-// ShardConfig names one backend portal and the PID shard it speaks for.
+// ShardConfig names one backend portal. A shard that serves another
+// shard's PID fails the merge, which keeps the previous merged view.
 type ShardConfig struct {
 	// Name is the shard's identity in circuits, stats, and metrics.
 	Name string
 	// BaseURL is the backend portal root.
 	BaseURL string
-	// Token, when non-empty, is presented to the backend (the router
-	// holds the trust relationship with each provider).
-	Token string
-	// MinPID/MaxPID, when not both zero, declare the inclusive PID
-	// range this shard may serve; a fetched view containing a PID
-	// outside the range is rejected as misconfigured (or hostile) and
-	// the last-known-good view kept instead. Merge additionally rejects
-	// any PID served by two shards, so the range gate is defense ahead
-	// of that collision, attributable to the offending backend.
-	MinPID, MaxPID topology.PID
 }
 
 // Config parameterizes a Router.
@@ -47,10 +35,6 @@ type Config struct {
 	// Circuits joins the shards' PID spaces (see Circuit). Each circuit
 	// must reference configured shard names.
 	Circuits []Circuit
-	// TrustedTokens, when non-empty, restricts the distance interfaces
-	// to callers presenting one of these tokens, mirroring the backend
-	// portals' own access model.
-	TrustedTokens []string
 	// TTL is how long a merged view serves before shard revalidation
 	// (default 30s). Revalidation is cheap when nothing changed: each
 	// backend answers 304 to the ETag of its client's held view and the
@@ -73,7 +57,7 @@ type ShardStats struct {
 	// revalidations inside the client).
 	Refreshes int64 `json:"refreshes"`
 	// Failures counts fetch attempts that exhausted the client's
-	// retries or returned an out-of-range view.
+	// retries.
 	Failures int64 `json:"failures"`
 	// StaleServes counts merge passes that served this shard's
 	// last-known-good view past its TTL (backend slow or down).
@@ -85,8 +69,7 @@ type ShardStats struct {
 type RouterMetrics struct {
 	// ShardRefreshes counts successful per-shard view fetches.
 	ShardRefreshes *telemetry.CounterVec
-	// ShardFailures counts per-shard fetches that exhausted retries or
-	// returned an invalid view.
+	// ShardFailures counts per-shard fetches that exhausted retries.
 	ShardFailures *telemetry.CounterVec
 	// ShardStaleServes counts merge passes serving a shard's
 	// last-known-good view past its TTL.
@@ -106,7 +89,7 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 		ShardRefreshes: r.CounterVec("p4p_federation_shard_refreshes_total",
 			"Successful backend view fetches (including 304 revalidations).", "shard"),
 		ShardFailures: r.CounterVec("p4p_federation_shard_failures_total",
-			"Backend fetches that exhausted retries or returned an invalid view.", "shard"),
+			"Backend fetches that exhausted retries.", "shard"),
 		ShardStaleServes: r.CounterVec("p4p_federation_shard_stale_serves_total",
 			"Merge passes serving a shard's last-known-good view past its TTL.", "shard"),
 		Merges: r.Counter("p4p_federation_merges_total",
@@ -125,7 +108,6 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 //	GET  /p4p/v1/distances[?form=raw]
 //	GET  /p4p/v1/distances/batch?pairs=src-dst,...
 //	POST /p4p/v1/distances/batch
-//	GET  /p4p/v1/pid?ip=a.b.c.d   (proxied shard by shard)
 //	GET  /healthz, /readyz, /stats
 //
 // so an appTracker cannot tell it from a single very wide iTracker.
@@ -134,9 +116,13 @@ func NewRouterMetrics(r *telemetry.Registry) *RouterMetrics {
 // revalidation pass where every backend answers 304 republishes the
 // previous encoding byte-for-byte. Shards degrade independently: a
 // dead backend keeps serving its last-known-good view, and /readyz
-// fails only when no shard has ever produced one. Policy and
-// capability interfaces stay per-provider and are deliberately not
-// proxied — they are meaningless merged.
+// fails only when no shard has ever produced one. Policy, capability
+// and PID lookup stay per-provider and are not proxied: they are
+// meaningless merged.
+//
+// No binary serves a Router: an appTracker federates portals itself
+// through apptracker.MultiPortalViews over the same Union. The Router
+// stays for the benchmark's select-fed workload, which builds one.
 type Router struct {
 	// Telemetry instruments and logs every route (it is the portal
 	// handler's middleware); inert until its fields are set.
@@ -149,7 +135,6 @@ type Router struct {
 	portal    *portal.Handler
 	bootNonce string
 	clients   []*portal.Client // per shard, in cfg.Shards order
-	trusted   map[string]bool
 	union     *Union
 	entries   *portal.EntryCache[string] // keyed by Merged.Key
 
@@ -173,9 +158,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		if slices.Contains(shardNames[:i], s.Name) {
 			return nil, fmt.Errorf("federation: duplicate shard name %q", s.Name)
 		}
-		if s.MaxPID < s.MinPID {
-			return nil, fmt.Errorf("federation: shard %q: MaxPID %d < MinPID %d", s.Name, s.MaxPID, s.MinPID)
-		}
 		shardNames[i] = s.Name
 	}
 	if err := checkCircuits(shardNames, cfg.Circuits); err != nil {
@@ -188,17 +170,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:       cfg,
 		bootNonce: fmt.Sprintf("%08x", rand.Uint32()),
-		trusted:   map[string]bool{},
-	}
-	for _, tok := range cfg.TrustedTokens {
-		rt.trusted[tok] = true
 	}
 	for _, sc := range cfg.Shards {
-		c := base.WithBase(sc.BaseURL)
-		if sc.Token != "" {
-			c.Token = sc.Token
-		}
-		rt.clients = append(rt.clients, c)
+		rt.clients = append(rt.clients, base.WithBase(sc.BaseURL))
 	}
 	rt.union = NewUnion(shardNames, cfg.Circuits, rt.timing, rt.fetchShard, rt.observe)
 	rt.entries = portal.NewEntryCache(rt.etag)
@@ -220,28 +194,17 @@ func (rt *Router) timing() refresh.Timing {
 	return refresh.Timing{TTL: rt.cfg.TTL, FailureBackoff: rt.cfg.FailureBackoff, Now: rt.nowFn}
 }
 
-// admits reports whether a trust token may use the distance interfaces,
-// mirroring the backend portals' own access model.
-func (rt *Router) admits(token string) bool {
-	return len(rt.trusted) == 0 || rt.trusted[token] // no tokens configured = open deployment
-}
-
-// source is the Router as the portal handler's ViewSource: auth against
-// the router's own trusted tokens, the merged entry as the view, and PID
-// lookup proxied to the backends.
+// source is the Router as the portal handler's ViewSource: the merged
+// entry as the view. The router is open; the token is not consulted.
 type source struct{ rt *Router }
 
 // errNoShardViews is the 503 before the first successful merge: every
 // shard down since boot, or shards that cannot be merged.
 var errNoShardViews = fmt.Errorf("%w: no merged federation view yet", portal.ErrUnavailable)
 
-// current returns the merged state to serve: the union's, behind the
-// router's own auth.
-func (s source) current(ctx context.Context, token string) (*Merged, error) {
+// current returns the merged state to serve: the union's.
+func (s source) current(ctx context.Context) (*Merged, error) {
 	rt := s.rt
-	if !rt.admits(token) {
-		return nil, portal.ErrAccessDenied
-	}
 	tm := rt.timing()
 	r := rt.union.Get(ctx, tm)
 	if r.Wait != nil {
@@ -263,8 +226,8 @@ func (s source) current(ctx context.Context, token string) (*Merged, error) {
 // merge, rendered on the first request for it. The key, not the merged
 // Version, identifies the merge: a shard restart can change the key
 // without changing the sum of versions.
-func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, error) {
-	m, err := s.current(ctx, token)
+func (s source) Entry(ctx context.Context, _, form string) (*portal.Entry, error) {
+	m, err := s.current(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -273,27 +236,12 @@ func (s source) Entry(ctx context.Context, token, form string) (*portal.Entry, e
 }
 
 // View implements portal.ViewSource.
-func (s source) View(ctx context.Context, token string) (*core.View, error) {
-	ent, err := s.current(ctx, token)
+func (s source) View(ctx context.Context, _ string) (*core.View, error) {
+	ent, err := s.current(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return ent.View, nil
-}
-
-// LookupPID implements portal.ViewSource by proxying shard by shard: PID
-// assignment is per-provider state the router does not replicate, so it
-// asks each backend in configuration order and returns the first answer.
-func (s source) LookupPID(ctx context.Context, token string, ip net.IP) (portal.PIDLookupWire, error) {
-	if !s.rt.admits(token) {
-		return portal.PIDLookupWire{}, portal.ErrAccessDenied
-	}
-	for _, c := range s.rt.clients {
-		if out, err := c.LookupPIDContext(ctx, ip); err == nil {
-			return out, nil
-		}
-	}
-	return portal.PIDLookupWire{}, errors.New("no shard maps this IP")
 }
 
 // observe is the union's per-pass callback: each shard read's counter
@@ -320,14 +268,10 @@ func (rt *Router) observe(counted []refresh.Stats, merged *Merged, mergeErr erro
 	}
 }
 
-// fetchShard is the union's member fetch: one backend round-trip plus
-// the PID range gate.
+// fetchShard is the union's member fetch: one backend round-trip.
 func (rt *Router) fetchShard(ctx context.Context, i int) (MemberView, error) {
 	sc, c := rt.cfg.Shards[i], rt.clients[i]
 	v, err := c.DistancesContext(ctx)
-	if err == nil {
-		err = sc.checkRange(v)
-	}
 	if err != nil {
 		if l := rt.Telemetry.Logger; l != nil {
 			l.Warn("shard refresh failed, serving last-known-good",
@@ -337,21 +281,6 @@ func (rt *Router) fetchShard(ctx context.Context, i int) (MemberView, error) {
 		return MemberView{}, err
 	}
 	return MemberView{View: v, Validator: c.ViewETag()}, nil
-}
-
-// checkRange rejects a view whose PIDs fall outside the shard's
-// declared range.
-func (sc ShardConfig) checkRange(v *core.View) error {
-	if sc.MinPID == 0 && sc.MaxPID == 0 {
-		return nil
-	}
-	for _, pid := range v.PIDs {
-		if pid < sc.MinPID || pid > sc.MaxPID {
-			return fmt.Errorf("federation: shard %q served PID %d outside its declared range [%d,%d]",
-				sc.Name, pid, sc.MinPID, sc.MaxPID)
-		}
-	}
-	return nil
 }
 
 // etag composes the federation validator of one form of the merge with

@@ -51,12 +51,10 @@ func (c *fakeClock) advance(d time.Duration) {
 
 // fakeBackend is a scriptable stand-in for one shard portal: it serves
 // /p4p/v1/distances with ETag revalidation (in binary to a request that
-// asks for it, unless jsonOnly) and /p4p/v1/pid, and can be flipped into
-// a failure mode.
+// asks for it, unless jsonOnly), and can be flipped into a failure mode.
 type fakeBackend struct {
 	mu       sync.Mutex
 	view     *core.View
-	pid      *portal.PIDLookupWire // nil = 404 on /p4p/v1/pid
 	fail     bool
 	jsonOnly bool   // a portal from before the binary form
 	etag     string // when set, the ETag served instead of one from the version
@@ -95,7 +93,7 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// mutex across ResponseWriter calls).
 	asked := strings.Contains(r.Header.Get("Accept"), portal.BinaryViewType)
 	f.mu.Lock()
-	fail, view, pid, etag := f.fail, f.view, f.pid, f.etagLocked()
+	fail, view, etag := f.fail, f.view, f.etagLocked()
 	asked = asked && !f.jsonOnly
 	f.mu.Unlock()
 	if fail {
@@ -131,13 +129,6 @@ func (f *fakeBackend) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(portal.ToWire(view))
-	case "/p4p/v1/pid":
-		if pid == nil {
-			http.Error(w, `{"error":"no mapping"}`, http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(pid)
 	default:
 		http.NotFound(w, r)
 	}
@@ -474,89 +465,6 @@ func TestRouterColdStartAllShardsDown(t *testing.T) {
 	}
 }
 
-func TestRouterTrustedTokens(t *testing.T) {
-	fa := &fakeBackend{view: viewA()}
-	sa := httptest.NewServer(fa)
-	t.Cleanup(sa.Close)
-	rt, err := NewRouter(Config{
-		Shards:        []ShardConfig{{Name: "a", BaseURL: sa.URL}},
-		TrustedTokens: []string{"sekrit"},
-		Client:        fastClient(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.nowFn = newFakeClock().now
-	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusForbidden {
-		t.Errorf("no-token status = %d, want 403", rec.Code)
-	}
-	if rec := get(t, rt, "/p4p/v1/distances/batch?pairs=0-1", nil); rec.Code != http.StatusForbidden {
-		t.Errorf("no-token batch status = %d, want 403", rec.Code)
-	}
-	hdr := map[string]string{"X-P4P-Token": "sekrit"}
-	if rec := get(t, rt, "/p4p/v1/distances", hdr); rec.Code != http.StatusOK {
-		t.Errorf("token status = %d, want 200", rec.Code)
-	}
-}
-
-func TestRouterPIDRangeGate(t *testing.T) {
-	// Shard a claims PIDs [0,1] but serves {0,1} fine; shard b claims
-	// [5,6] and serves {10,11} — rejected, so the merge only ever holds
-	// shard a and the collision never reaches appTrackers.
-	fa := &fakeBackend{view: viewA()}
-	fb := &fakeBackend{view: viewB()}
-	sa := httptest.NewServer(fa)
-	sb := httptest.NewServer(fb)
-	t.Cleanup(sa.Close)
-	t.Cleanup(sb.Close)
-	rt, err := NewRouter(Config{
-		Shards: []ShardConfig{
-			{Name: "a", BaseURL: sa.URL, MinPID: 0, MaxPID: 1},
-			{Name: "b", BaseURL: sb.URL, MinPID: 5, MaxPID: 6},
-		},
-		Client: fastClient(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.nowFn = newFakeClock().now
-	rec := get(t, rt, "/p4p/v1/distances", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	v := decodeView(t, rec.Body.Bytes())
-	if _, ok := v.Index(10); ok {
-		t.Error("out-of-range shard view made it into the merge")
-	}
-	st := rt.Stats()
-	for _, s := range st.Shards {
-		if s.Name == "b" && (s.Failures == 0 || s.LastError == "") {
-			t.Errorf("range-violating shard not counted as failed: %+v", s)
-		}
-	}
-}
-
-func TestRouterPIDLookupProxy(t *testing.T) {
-	rt, _, _, fb := testFederation(t)
-	fb.mu.Lock()
-	fb.pid = &portal.PIDLookupWire{PID: 11, ASN: 2}
-	fb.mu.Unlock()
-	rec := get(t, rt, "/p4p/v1/pid?ip=10.0.0.7", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.Bytes())
-	}
-	var out portal.PIDLookupWire
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.PID != 11 || out.ASN != 2 {
-		t.Errorf("lookup = %+v", out)
-	}
-	if rec := get(t, rt, "/p4p/v1/pid?ip=not-an-ip", nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("malformed ip status = %d, want 400", rec.Code)
-	}
-}
-
 func TestRouterStatsEndpointAndMetrics(t *testing.T) {
 	rt, clk, _, fb := testFederation(t)
 	reg := telemetry.NewRegistry()
@@ -773,13 +681,23 @@ func TestRouterAnsweredDuringRefresh(t *testing.T) {
 	}
 }
 
-// errorCounter is a slog handler counting Error records.
-type errorCounter struct{ n atomic.Int64 }
+// errorCounter is a slog handler counting Error records and keeping
+// the "error" attribute of the last one.
+type errorCounter struct {
+	n    atomic.Int64
+	last atomic.Value // string
+}
 
 func (h *errorCounter) Enabled(context.Context, slog.Level) bool { return true }
 func (h *errorCounter) Handle(_ context.Context, r slog.Record) error {
 	if r.Level >= slog.LevelError {
 		h.n.Add(1)
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "error" {
+				h.last.Store(a.Value.String())
+			}
+			return true
+		})
 	}
 	return nil
 }
@@ -791,7 +709,9 @@ func (h *errorCounter) WithGroup(string) slog.Handler      { return h }
 // shard's PIDs makes Merge fail, and that used to re-run Merge (and log
 // an Error line) on every request. A failed merge is a failed refresh
 // like any other: last-known-good keeps serving and the merge is
-// retried once per failure backoff.
+// retried once per failure backoff. It is also what stands between a
+// misconfigured shard and appTrackers: the logged error names the PID
+// and both shards, and the previous merge keeps its body and its ETag.
 func TestRouterMergeFailureBacksOff(t *testing.T) {
 	rt, clk, _, fb := testFederation(t)
 	errs := &errorCounter{}
@@ -800,7 +720,7 @@ func TestRouterMergeFailureBacksOff(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	etag := rec.Header().Get("Etag")
+	etag, body := rec.Header().Get("Etag"), rec.Body.String()
 
 	// Shard b is repointed at shard a's PID space.
 	overlap := viewA()
@@ -809,13 +729,22 @@ func TestRouterMergeFailureBacksOff(t *testing.T) {
 	clk.advance(31 * time.Second)
 	for i := 0; i < 5; i++ {
 		rec := get(t, rt, "/p4p/v1/distances", nil)
-		if rec.Code != http.StatusOK || rec.Header().Get("Etag") != etag {
-			t.Fatalf("request %d: status %d etag %s, want the previous merge (200, %s)",
+		if rec.Code != http.StatusOK || rec.Header().Get("Etag") != etag || rec.Body.String() != body {
+			t.Fatalf("request %d: status %d etag %s, want the previous merge (200, %s, same body)",
 				i, rec.Code, rec.Header().Get("Etag"), etag)
 		}
 	}
+	if rec := get(t, rt, "/p4p/v1/distances", map[string]string{"If-None-Match": etag}); rec.Code != http.StatusNotModified {
+		t.Errorf("revalidating the previous merge's ETag: status %d, want 304", rec.Code)
+	}
+	if m := rt.Stats().Merged; m == nil || m.ETag != etag {
+		t.Errorf("/stats merged = %+v, want the previous merge's ETag %s", m, etag)
+	}
 	if n := errs.n.Load(); n != 1 {
 		t.Errorf("%d merge failures logged across 5 requests inside one backoff window, want 1", n)
+	}
+	if msg, _ := errs.last.Load().(string); !strings.Contains(msg, `PID 0 served by both shard "a" and shard "b"`) {
+		t.Errorf("logged merge error %q, want it to name PID 0 and shards a and b", msg)
 	}
 	clk.advance(6 * time.Second) // past the 5 s default failure backoff
 	if rec := get(t, rt, "/p4p/v1/distances", nil); rec.Code != http.StatusOK {
@@ -832,7 +761,6 @@ func TestNewRouterValidation(t *testing.T) {
 		{Shards: []ShardConfig{{Name: "", BaseURL: "http://x"}}},
 		{Shards: []ShardConfig{{Name: "a", BaseURL: ""}}},
 		{Shards: []ShardConfig{{Name: "a", BaseURL: "http://x"}, {Name: "a", BaseURL: "http://y"}}},
-		{Shards: []ShardConfig{{Name: "a", BaseURL: "http://x", MinPID: 5, MaxPID: 2}}},
 		{
 			Shards:   []ShardConfig{{Name: "a", BaseURL: "http://x"}},
 			Circuits: []Circuit{{A: "a", APID: 0, B: "ghost", BPID: 1, Cost: 1}},

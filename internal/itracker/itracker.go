@@ -67,11 +67,22 @@ type Config struct {
 	// ServePIDs, when non-empty, restricts the external view to this
 	// PID subset instead of every aggregation PID in the topology. A
 	// PID-sharded deployment runs several iTrackers over one shared
-	// engine, each speaking for its shard behind a federation front end
-	// (internal/federation); the slice is copied, sorted, and deduped at
-	// New so the served view's PID order stays canonical (ascending)
-	// regardless of configuration order.
+	// engine, each speaking for its shard; the slice is copied, sorted,
+	// and deduped at New so the served view's PID order stays canonical
+	// (ascending) regardless of configuration order.
 	ServePIDs []topology.PID
+}
+
+// Check reports why New would refuse c over an engine on g, or nil: a
+// ServePIDs entry that is not a PID of g, whose row every Distances
+// would look up past the engine's routing trees.
+func (c Config) Check(g *topology.Graph) error {
+	for _, p := range c.ServePIDs {
+		if p < 0 || int(p) >= g.NumNodes() {
+			return fmt.Errorf("itracker: served PID %d is not in %s (PIDs 0 to %d)", p, g.Name, g.NumNodes()-1)
+		}
+	}
+	return nil
 }
 
 // Metrics instruments one iTracker: how long external-view recomputes
@@ -160,8 +171,12 @@ type Server struct {
 var ErrAccessDenied = errors.New("itracker: access denied")
 
 // New builds an iTracker over a p-distance engine and an IP-to-PID map
-// (which may be nil if PID lookup is not served).
+// (which may be nil if PID lookup is not served). It panics on a cfg
+// that Check refuses.
 func New(cfg Config, engine *core.Engine, pidMap *PIDMap) *Server {
+	if err := cfg.Check(engine.Graph()); err != nil {
+		panic(err.Error())
+	}
 	t := &Server{cfg: cfg, engine: engine, pidMap: pidMap, trusted: map[string]bool{}}
 	for _, tok := range cfg.TrustedTokens {
 		t.trusted[tok] = true

@@ -3,7 +3,9 @@ package itracker
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 
 	"p4p/internal/core"
@@ -44,6 +46,34 @@ func TestDistancesServeFullMesh(t *testing.T) {
 	}
 	if v.D[0][0] != 0 {
 		t.Fatal("diagonal should be zero")
+	}
+}
+
+// TestNewRefusesServedPIDOutsideGraph: a ServePIDs entry past the
+// graph's PIDs used to be accepted, and every Distances then panicked
+// inside Engine.Matrix ("index out of range [999] with length 11" on
+// Abilene). New now refuses it, naming the PID.
+func TestNewRefusesServedPIDOutsideGraph(t *testing.T) {
+	g := topology.Abilene()
+	e := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
+	for _, bad := range [][]topology.PID{{0, 999}, {-1, 3}, {topology.PID(g.NumNodes())}} {
+		cfg := Config{ServePIDs: bad}
+		if err := cfg.Check(g); err == nil {
+			t.Errorf("Check(%v) = nil, want an error", bad)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "is not in Abilene") {
+					t.Errorf("New(ServePIDs %v): recovered %v, want a panic naming the PID", bad, r)
+				}
+			}()
+			New(cfg, e, nil)
+		}()
+	}
+	last := topology.PID(g.NumNodes() - 1)
+	tr := New(Config{ServePIDs: []topology.PID{last, 0, last}}, e, nil)
+	if v, err := tr.Distances(""); err != nil || len(v.PIDs) != 2 || v.PIDs[0] != 0 || v.PIDs[1] != last {
+		t.Errorf("ServePIDs {%d, 0, %d}: view %v, %v; want PIDs [0 %d]", last, last, v, err, last)
 	}
 }
 

@@ -1,8 +1,9 @@
 package portal
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -185,15 +186,40 @@ func TestBatchMatchesCachedMatrix(t *testing.T) {
 	}
 }
 
-// postBatch sends pairs to the batch route through the client's request
-// path (retries, token, error envelope).
+// postBatch sends pairs to the batch route of c's portal with c's token.
 func postBatch(c *Client, pairs []PIDPair) (BatchResponseWire, error) {
 	var w BatchResponseWire
 	payload, err := json.Marshal(BatchRequestWire{Pairs: pairs})
 	if err == nil {
-		err = c.doJSON(context.Background(), http.MethodPost, "/p4p/v1/distances/batch", nil, payload, &w)
+		err = callJSON(c, http.MethodPost, "/p4p/v1/distances/batch", payload, &w)
 	}
 	return w, err
+}
+
+// callJSON sends one request to the root of c's portal, with c's token
+// and HTTP client and no retry, and decodes a 200 response into out.
+// Any other status is an error that carries the response's envelope.
+func callJSON(c *Client, method, pathQuery string, payload []byte, out any) error {
+	req, err := http.NewRequest(method, c.root()+pathQuery, bytes.NewReader(payload))
+	if err != nil {
+		return err
+	}
+	if c.Token != "" {
+		req.Header.Set(tokenHeader, c.Token)
+	}
+	resp, err := c.HTTPClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return httpErrFromBody(pathQuery, resp.StatusCode, body)
+	}
+	return json.Unmarshal(body, out)
 }
 
 func decodeBody(resp *http.Response, out interface{}) error {

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -236,7 +235,7 @@ func TestClientEncodings(t *testing.T) {
 			t.Errorf("%s body of %d bytes, want %d", tc.wantCT, sizes[0], tc.wantBytes)
 		}
 		var plain ViewWire
-		if err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", url.Values{"form": {"raw"}}, nil, &plain); err != nil || cts[len(cts)-1] != "application/json" {
+		if err := callJSON(c, http.MethodGet, "/p4p/v1/distances?form=raw", nil, &plain); err != nil || cts[len(cts)-1] != "application/json" {
 			t.Errorf("no Accept: %v, Content-Types %q; want JSON", err, cts)
 		}
 	}

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"net"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -230,17 +227,13 @@ func retryable(status int, err error) bool {
 	return status >= 500 || status == http.StatusTooManyRequests
 }
 
-// do performs one request with retries, hdr added to the client's own
+// get performs one GET with retries, hdr added to the client's own
 // headers. It returns the final status, body and response header; err is
 // non-nil only when no attempt produced an HTTP response. The body is
 // pooled: the caller decodes or copies what it needs, then hands it to
-// freeBody. Every endpoint is read-only (the batch POST carries a
-// query), so re-issuing is safe.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, payload []byte, hdr http.Header) (status int, body *bytes.Buffer, resp http.Header, err error) {
+// freeBody. A GET is read-only, so re-issuing it is safe.
+func (c *Client) get(ctx context.Context, path string, hdr http.Header) (status int, body *bytes.Buffer, resp http.Header, err error) {
 	u := c.root() + path
-	if len(query) > 0 {
-		u += "?" + query.Encode()
-	}
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = &http.Client{Timeout: 10 * time.Second}
@@ -253,13 +246,13 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if !telemetry.ValidRequestID(reqID) {
 		reqID = telemetry.NewRequestID()
 	}
-	ctx, span := trace.StartSpan(ctx, "client "+method+" "+path)
+	ctx, span := trace.StartSpan(ctx, "client GET "+path)
 	defer span.End()
 	span.SetAttr("request_id", reqID)
 	pol := c.Retry.withDefaults()
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		status, body, resp, lastErr = c.attempt(ctx, hc, method, u, payload, hdr, pol.PerAttempt, reqID, attempt)
+		status, body, resp, lastErr = c.attempt(ctx, hc, u, hdr, pol.PerAttempt, reqID, attempt)
 		if lastErr == nil && !retryable(status, nil) {
 			span.SetAttrInt("attempts", attempt)
 			return status, body, resp, nil
@@ -316,22 +309,17 @@ func freeBody(b *bytes.Buffer) {
 	}
 }
 
-// attempt issues one request under a per-attempt deadline. A non-nil
-// payload is re-read from scratch on every attempt. Each attempt gets
+// attempt issues one GET under a per-attempt deadline. Each attempt gets
 // its own child span, and the traceparent injected on the wire names
 // that attempt — so the portal's server span parents to the specific
 // try that reached it, and a retried request is visibly two hops.
-func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string, payload []byte, hdr http.Header, perAttempt time.Duration, reqID string, attempt int) (int, *bytes.Buffer, http.Header, error) {
+func (c *Client) attempt(ctx context.Context, hc *http.Client, u string, hdr http.Header, perAttempt time.Duration, reqID string, attempt int) (int, *bytes.Buffer, http.Header, error) {
 	actx, cancel := context.WithTimeout(ctx, perAttempt)
 	defer cancel()
 	actx, span := trace.StartSpan(actx, "attempt")
 	defer span.End()
 	span.SetAttrInt("attempt", attempt)
-	var reqBody io.Reader
-	if payload != nil {
-		reqBody = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(actx, method, u, reqBody)
+	req, err := http.NewRequestWithContext(actx, http.MethodGet, u, nil)
 	if err != nil {
 		err = fmt.Errorf("build request: %w", err)
 		span.RecordError(err)
@@ -339,9 +327,6 @@ func (c *Client) attempt(ctx context.Context, hc *http.Client, method, u string,
 	}
 	for k, vs := range hdr {
 		req.Header[k] = vs
-	}
-	if payload != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.Token != "" {
 		req.Header.Set(tokenHeader, c.Token)
@@ -399,22 +384,6 @@ func httpErrFromBody(path string, status int, body []byte) error {
 	return &errHTTP{status: status, path: path}
 }
 
-// doJSON issues one request and decodes a 200 response into out.
-func (c *Client) doJSON(ctx context.Context, method, path string, query url.Values, payload []byte, out interface{}) error {
-	status, body, _, err := c.do(ctx, method, path, query, payload, nil)
-	if err != nil {
-		return err
-	}
-	defer freeBody(body)
-	if status != http.StatusOK {
-		return httpErrFromBody(path, status, body.Bytes())
-	}
-	if err := json.Unmarshal(body.Bytes(), out); err != nil {
-		return fmt.Errorf("portal: decode %s: %w", path, err)
-	}
-	return nil
-}
-
 // DistancesContext fetches the raw p-distance view, revalidating the
 // held view with If-None-Match; a 304 returns it without moving matrix
 // bytes over the wire. The view is asked for in binary; whatever
@@ -427,7 +396,7 @@ func (c *Client) DistancesContext(ctx context.Context) (*core.View, error) {
 	if cached != nil {
 		hdr.Set("If-None-Match", cached.etag)
 	}
-	status, body, resp, err := c.do(ctx, http.MethodGet, path, nil, nil, hdr)
+	status, body, resp, err := c.get(ctx, path, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -469,17 +438,4 @@ func decodeView(body []byte, encoding string) (*core.View, error) {
 		return nil, err
 	}
 	return FromWire(&w)
-}
-
-// errNilIP rejects LookupPIDContext calls before any request is issued.
-var errNilIP = errors.New("portal: lookup of nil or invalid IP")
-
-// LookupPIDContext resolves an IP to PID and ASN.
-func (c *Client) LookupPIDContext(ctx context.Context, ip net.IP) (PIDLookupWire, error) {
-	var out PIDLookupWire
-	if ip == nil || ip.To16() == nil {
-		return out, errNilIP
-	}
-	err := c.doJSON(ctx, http.MethodGet, "/p4p/v1/pid", url.Values{"ip": {ip.String()}}, nil, &out)
-	return out, err
 }

@@ -117,9 +117,9 @@ func TestClientViewPollAllocs(t *testing.T) {
 	}
 }
 
-// TestClientViewsOwnTheirMemory: every view, batch result and error a
-// client returns survives the requests after it, so none aliases a
-// pooled buffer. Four goroutines share one client for the views.
+// TestClientViewsOwnTheirMemory: every view and error a client returns
+// survives the requests after it, so none aliases a pooled buffer. Four
+// goroutines share one client for the views.
 func TestClientViewsOwnTheirMemory(t *testing.T) {
 	want := pollViews()
 	c := NewClient(viewPollServer(t, true).URL, "")
@@ -147,12 +147,12 @@ func TestClientViewsOwnTheirMemory(t *testing.T) {
 		}
 	}
 
-	// The batch endpoint answers request k with version k, as a 200 for
-	// even k and a 400 naming k for odd k.
+	// The portal answers request k with a view at version k for even k
+	// and a 400 naming k for odd k.
 	var calls atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if k := calls.Add(1); k%2 == 0 {
-			fmt.Fprintf(w, `{"version":%d,"distances":[%d]}`, k, k)
+			fmt.Fprintf(w, `{"version":%d,"pids":[0,1],"matrix":[[0,%d],[%d,0]]}`, k, k, k)
 		} else {
 			w.WriteHeader(http.StatusBadRequest)
 			fmt.Fprintf(w, `{"error":"request %d refused"}`, k)
@@ -160,16 +160,16 @@ func TestClientViewsOwnTheirMemory(t *testing.T) {
 	}))
 	defer srv.Close()
 	c = NewClient(srv.URL, "")
-	results := make([]BatchResponseWire, 101)
-	batchErrs := make([]error, 101)
+	views := make([]*core.View, 101)
+	viewErrs := make([]error, 101)
 	for k := 1; k <= 100; k++ {
-		results[k], batchErrs[k] = postBatch(c, []PIDPair{{Src: 0, Dst: 1}})
+		views[k], viewErrs[k] = c.DistancesContext(context.Background())
 	}
 	for k := 1; k <= 100; k++ {
-		res, err := results[k], batchErrs[k]
+		v, err := views[k], viewErrs[k]
 		if k%2 == 0 {
-			if err != nil || res.Version != k || res.Distances[0] != float64(k) {
-				t.Fatalf("request %d: %+v, %v", k, res, err)
+			if err != nil || v.Version != k || v.D[0][1] != float64(k) {
+				t.Fatalf("request %d: %+v, %v", k, v, err)
 			}
 		} else if want := fmt.Sprintf("request %d refused", k); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("request %d: error %v, want %q", k, err, want)

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 
@@ -91,7 +89,7 @@ func TestPolicyEndpoint(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, Policy: pol})
 	c := NewClient(srv.URL, "")
 	var got itracker.Policy
-	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/policy", nil, nil, &got)
+	err := callJSON(c, http.MethodGet, "/p4p/v1/policy", nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +112,7 @@ func TestDistancesEndpoint(t *testing.T) {
 
 // TestClientTrailingSlashBase: a base URL ending in "/" costs one
 // request per call, as one without does. A doubled slash in the path
-// would draw the mux's 301, a second round trip for every view, and a
-// batch POST re-sent as a GET without its body.
+// would draw the mux's 301, a second round trip for every view.
 func TestClientTrailingSlashBase(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	var paths []string
@@ -131,13 +128,7 @@ func TestClientTrailingSlashBase(t *testing.T) {
 	if again, err := c.DistancesContext(context.Background()); err != nil || again != v {
 		t.Errorf("revalidation returned %p, %v; want the held %p", again, err, v)
 	}
-	if _, err := postBatch(c, []PIDPair{{Src: 0, Dst: 1}}); err != nil {
-		t.Errorf("batch: %v", err)
-	}
-	if _, err := c.LookupPIDContext(context.Background(), itracker.SyntheticIP(5, 1)); err != nil {
-		t.Errorf("lookup: %v", err)
-	}
-	want := []string{"GET /p4p/v1/distances", "GET /p4p/v1/distances", "POST /p4p/v1/distances/batch", "GET /p4p/v1/pid"}
+	want := []string{"GET /p4p/v1/distances", "GET /p4p/v1/distances"}
 	if fmt.Sprint(paths) != fmt.Sprint(want) {
 		t.Errorf("requests %q, want %q", paths, want)
 	}
@@ -163,7 +154,7 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1, TrustedTokens: []string{"tok"}, Capabilities: caps})
 	pub := NewClient(srv.URL, "")
 	var got []itracker.Capability
-	err := pub.doJSON(context.Background(), http.MethodGet, "/p4p/v1/capabilities", nil, nil, &got)
+	err := callJSON(pub, http.MethodGet, "/p4p/v1/capabilities", nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +163,7 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 	}
 	trusted := NewClient(srv.URL, "tok")
 	got = nil
-	err = trusted.doJSON(context.Background(), http.MethodGet, "/p4p/v1/capabilities", url.Values{"kind": {"on-demand-server"}}, nil, &got)
+	err = callJSON(trusted, http.MethodGet, "/p4p/v1/capabilities?kind=on-demand-server", nil, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +175,15 @@ func TestCapabilitiesEndpoint(t *testing.T) {
 func TestPIDEndpoint(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 9})
 	c := NewClient(srv.URL, "")
-	got, err := c.LookupPIDContext(context.Background(), itracker.SyntheticIP(5, 1))
-	if err != nil {
+	var got PIDLookupWire
+	if err := callJSON(c, http.MethodGet, "/p4p/v1/pid?ip="+itracker.SyntheticIP(5, 1).String(), nil, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.PID != 5 || got.ASN != 9 {
 		t.Fatalf("lookup = %+v", got)
 	}
-	if _, err := c.LookupPIDContext(context.Background(), net.ParseIP("8.8.8.8")); err == nil {
-		t.Fatal("foreign IP should 404")
+	if err := callJSON(c, http.MethodGet, "/p4p/v1/pid?ip=8.8.8.8", nil, &got); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("foreign IP: %v, want a 404", err)
 	}
 }
 
@@ -200,7 +191,7 @@ func TestBadForm(t *testing.T) {
 	srv, _ := newTestPortal(t, itracker.Config{Name: "t", ASN: 1})
 	c := NewClient(srv.URL, "")
 	var w ViewWire
-	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/distances", map[string][]string{"form": {"bogus"}}, nil, &w)
+	err := callJSON(c, http.MethodGet, "/p4p/v1/distances?form=bogus", nil, &w)
 	if err == nil {
 		t.Fatal("expected error for unknown form")
 	}

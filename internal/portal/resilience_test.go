@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"p4p/internal/core"
 	"p4p/internal/itracker"
 	"p4p/internal/topology"
 )
@@ -247,18 +247,17 @@ func TestClientRetriesServerErrors(t *testing.T) {
 			fmt.Fprintln(w, `{"error":"warming up"}`)
 			return
 		}
-		fmt.Fprintln(w, `{"near_congestion_util":0.7}`)
+		fmt.Fprintln(w, `{"version":7,"pids":[0],"matrix":[[0]]}`)
 	}))
 	defer inner.Close()
 	c := NewClient(inner.URL, "")
 	c.Retry = fastRetry(5)
-	var pol itracker.Policy
-	err := c.doJSON(context.Background(), http.MethodGet, "/p4p/v1/policy", nil, nil, &pol)
+	v, err := c.DistancesContext(context.Background())
 	if err != nil {
 		t.Fatalf("5xx should be retried: %v", err)
 	}
-	if pol.NearCongestionUtil != 0.7 {
-		t.Fatalf("policy = %+v", pol)
+	if v.Version != 7 {
+		t.Fatalf("view version = %d, want 7", v.Version)
 	}
 	if hits.Load() != 3 {
 		t.Fatalf("requests = %d, want 3", hits.Load())
@@ -339,21 +338,31 @@ func TestClientHonorsCallerContext(t *testing.T) {
 	}
 }
 
+// TestLookupPIDRejectsInvalidIP checks that an invalid IP is refused
+// before the PID map is consulted: the tracker here has no map, so any
+// lookup would answer 404, yet a malformed address still gets 400.
 func TestLookupPIDRejectsInvalidIP(t *testing.T) {
-	var calls atomic.Int64
-	c := NewClient("http://portal.invalid", "")
-	c.HTTPClient = &http.Client{Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
-		calls.Add(1)
-		return nil, errors.New("should not be reached")
-	})}
-	if _, err := c.LookupPIDContext(context.Background(), nil); err == nil {
-		t.Fatal("nil IP should fail before any request")
-	}
-	if _, err := c.LookupPIDContext(context.Background(), net.IP{1, 2}); err == nil {
-		t.Fatal("malformed IP should fail before any request")
-	}
-	if calls.Load() != 0 {
-		t.Fatalf("invalid IP still issued %d request(s)", calls.Load())
+	g := topology.Abilene()
+	tr := itracker.New(itracker.Config{Name: "t", ASN: 1}, core.NewEngine(g, topology.ComputeRouting(g), core.Config{}), nil)
+	srv := httptest.NewServer(NewHandler(tr))
+	defer srv.Close()
+	for _, tc := range []struct {
+		q, wantErr string
+		want       int
+	}{
+		{"", "malformed ip", http.StatusBadRequest},
+		{"?ip=1.2", "malformed ip", http.StatusBadRequest},
+		{"?ip=10.3.0.7", "no PID map", http.StatusNotFound},
+	} {
+		resp, err := http.Get(srv.URL + "/p4p/v1/pid" + tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || !strings.Contains(string(body), tc.wantErr) {
+			t.Fatalf("pid%s = %d %q, want %d %q", tc.q, resp.StatusCode, body, tc.want, tc.wantErr)
+		}
 	}
 }
 

@@ -66,8 +66,6 @@ type ViewSource interface {
 	Entry(ctx context.Context, token, form string) (*Entry, error)
 	// View returns the current view, for the batch endpoint.
 	View(ctx context.Context, token string) (*core.View, error)
-	// LookupPID maps a client IP to its PID and AS number.
-	LookupPID(ctx context.Context, token string, ip net.IP) (PIDLookupWire, error)
 }
 
 // Entry is one fully-rendered distances response: the encoded body plus
@@ -113,9 +111,9 @@ func newEntry(version int, tag string, body []byte) *Entry {
 //	GET  /p4p/v1/capabilities[?kind=...]
 //	GET  /p4p/v1/pid?ip=a.b.c.d
 //
-// Over any other source (NewSourceHandler) it is the distances, batch
-// and pid routes only: policy and capabilities are per-provider and
-// meaningless merged.
+// Over any other source (NewSourceHandler) it is the distances and
+// batch routes only: policy, capabilities and PID lookup are
+// per-provider and meaningless merged.
 //
 // All responses are JSON, except that a raw distances request whose
 // Accept lists BinaryViewType gets that rendering; errors use
@@ -138,8 +136,8 @@ func newEntry(version int, tag string, body []byte) *Entry {
 // log line per request. Set Telemetry.Metrics and Telemetry.Logger
 // after NewHandler, before serving.
 type Handler struct {
-	// Tracker is the iTracker behind NewHandler's policy and capability
-	// routes; nil over any other source.
+	// Tracker is the iTracker behind NewHandler's policy, capability
+	// and PID routes; nil over any other source.
 	Tracker *itracker.Server
 	// Telemetry instruments and logs every route; its zero value is
 	// inert. Set its fields, do not replace the struct (route
@@ -211,16 +209,16 @@ func NewHandler(tr *itracker.Server) *Handler {
 	h.Tracker = tr
 	h.route("GET /p4p/v1/policy", "policy", h.handlePolicy)
 	h.route("GET /p4p/v1/capabilities", "capabilities", h.handleCapabilities)
+	h.route("GET /p4p/v1/pid", "pid", h.handlePID)
 	return h
 }
 
-// NewSourceHandler builds the distances, batch and pid routes over src.
+// NewSourceHandler builds the distances and batch routes over src.
 func NewSourceHandler(src ViewSource) *Handler {
 	h := &Handler{mux: http.NewServeMux(), src: src}
 	h.route("GET /p4p/v1/distances", "distances", h.handleDistances)
 	h.route("GET /p4p/v1/distances/batch", "distances_batch", h.handleBatch)
 	h.route("POST /p4p/v1/distances/batch", "distances_batch", h.handleBatch)
-	h.route("GET /p4p/v1/pid", "pid", h.handlePID)
 	return h
 }
 
@@ -334,13 +332,6 @@ func (s *trackerSource) Entry(ctx context.Context, token, form string) (*Entry, 
 // View implements ViewSource off the iTracker's materialized view.
 func (s *trackerSource) View(ctx context.Context, token string) (*core.View, error) {
 	return s.tr.DistancesCtx(ctx, token)
-}
-
-// LookupPID answers from the iTracker's PID map; the lookup interface is
-// public, so the token is not consulted.
-func (s *trackerSource) LookupPID(ctx context.Context, token string, ip net.IP) (PIDLookupWire, error) {
-	pid, asn, err := s.tr.LookupPID(ip)
-	return PIDLookupWire{PID: pid, ASN: asn}, err
 }
 
 // handleDistances is the steady-state serving path pinned by
@@ -495,19 +486,18 @@ func (h *Handler) handleCapabilities(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, caps)
 }
 
+// handlePID answers from the iTracker's PID map; the lookup interface
+// is public, so the token is not consulted.
 func (h *Handler) handlePID(w http.ResponseWriter, r *http.Request) {
 	ip := net.ParseIP(r.URL.Query().Get("ip"))
 	if ip == nil {
 		WriteJSON(h.Telemetry.Logger, w, r, http.StatusBadRequest, errorWire{Error: "missing or malformed ip parameter"})
 		return
 	}
-	out, err := h.src.LookupPID(r.Context(), r.Header.Get(tokenHeaderCanon), ip)
-	switch {
-	case errors.Is(err, ErrAccessDenied):
-		h.writeErr(w, r, err)
-	case err != nil:
+	pid, asn, err := h.Tracker.LookupPID(ip)
+	if err != nil {
 		WriteJSON(h.Telemetry.Logger, w, r, http.StatusNotFound, errorWire{Error: err.Error()})
-	default:
-		WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, out)
+		return
 	}
+	WriteJSON(h.Telemetry.Logger, w, r, http.StatusOK, PIDLookupWire{PID: pid, ASN: asn})
 }

@@ -36,15 +36,15 @@ func newTrackerHandler(t testing.TB, tokens ...string) *portal.Handler {
 	return portal.NewHandler(tr)
 }
 
-// newFederationHandler is the same handler over a merged source: a
-// router whose one shard is an open Abilene portal behind a real socket.
-func newFederationHandler(t testing.TB, tokens ...string) http.Handler {
+// newFederationHandler is the same handler over a merged source: an
+// open router whose one shard is an open Abilene portal behind a real
+// socket.
+func newFederationHandler(t testing.TB) http.Handler {
 	t.Helper()
 	backend := httptest.NewServer(newTrackerHandler(t))
 	t.Cleanup(backend.Close)
 	rt, err := federation.NewRouter(federation.Config{
-		Shards:        []federation.ShardConfig{{Name: "abilene", BaseURL: backend.URL}},
-		TrustedTokens: tokens,
+		Shards: []federation.ShardConfig{{Name: "abilene", BaseURL: backend.URL}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,10 @@ func serve(h http.Handler, method, target, body string, hdr map[string]string) *
 // TestHandlerOverBothSources drives every behaviour the handler owns —
 // forms, conditional GET, the 403 the source reports, both batch wire
 // forms, the batch limits, Content-Length — through the iTracker-backed
-// and the federation-backed source, and requires the same answers.
+// and the federation-backed source, and requires the same answers where
+// the sources agree. They differ in two ways: the router is open, so it
+// answers the token cases 200, and PID lookup is an iTracker route, so
+// the router answers it 404.
 func TestHandlerOverBothSources(t *testing.T) {
 	overLimit, err := json.Marshal(portal.BatchRequestWire{Pairs: make([]portal.PIDPair, 65536+1)})
 	if err != nil {
@@ -77,13 +80,14 @@ func TestHandlerOverBothSources(t *testing.T) {
 		hdr                        map[string]string
 		want                       int
 		wantErr                    string // substring of the error envelope
+		fed                        int    // the federation source's status, where it differs
 	}{
 		{name: "raw", method: "GET", target: "/p4p/v1/distances", hdr: auth, want: 200},
 		{name: "ranks", method: "GET", target: "/p4p/v1/distances?form=ranks", hdr: auth, want: 400, wantErr: "unknown form"},
 		{name: "bad form", method: "GET", target: "/p4p/v1/distances?form=xml", hdr: auth, want: 400, wantErr: "unknown form"},
-		{name: "no token", method: "GET", target: "/p4p/v1/distances", want: 403, wantErr: "access denied"},
+		{name: "no token", method: "GET", target: "/p4p/v1/distances", want: 403, wantErr: "access denied", fed: 200},
 		{name: "wrong token batch", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-1",
-			hdr: map[string]string{"X-P4P-Token": "nope"}, want: 403, wantErr: "access denied"},
+			hdr: map[string]string{"X-P4P-Token": "nope"}, want: 403, wantErr: "access denied", fed: 200},
 		{name: "batch GET", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-1,1-2,2-0", hdr: auth, want: 200},
 		{name: "batch POST", method: "POST", target: "/p4p/v1/distances/batch",
 			body: `{"pairs":[{"src":0,"dst":1},{"src":3,"dst":7}]}`, hdr: auth, want: 200},
@@ -93,23 +97,30 @@ func TestHandlerOverBothSources(t *testing.T) {
 		{name: "bad JSON body", method: "POST", target: "/p4p/v1/distances/batch", body: `{"pairs":`, hdr: auth, want: 400, wantErr: "decode request body"},
 		{name: "over-limit pairs", method: "POST", target: "/p4p/v1/distances/batch", body: string(overLimit), hdr: auth, want: 400, wantErr: "batch limit"},
 		{name: "unknown PID", method: "GET", target: "/p4p/v1/distances/batch?pairs=0-9999", hdr: auth, want: 400, wantErr: "PID 9999 not in the external view"},
-		{name: "malformed ip", method: "GET", target: "/p4p/v1/pid?ip=banana", hdr: auth, want: 400, wantErr: "malformed ip"},
-		{name: "pid lookup", method: "GET", target: "/p4p/v1/pid?ip=10.3.0.7", hdr: auth, want: 200},
+		{name: "malformed ip", method: "GET", target: "/p4p/v1/pid?ip=banana", hdr: auth, want: 400, wantErr: "malformed ip", fed: 404},
+		{name: "pid lookup", method: "GET", target: "/p4p/v1/pid?ip=10.3.0.7", hdr: auth, want: 200, fed: 404},
 	}
 	sources := []struct {
 		name string
 		h    http.Handler
 	}{
 		{"itracker", newTrackerHandler(t, trustToken)},
-		{"federation", newFederationHandler(t, trustToken)},
+		{"federation", newFederationHandler(t)},
 	}
 	bodies := map[string][]byte{} // case name → the iTracker-backed 200 body
 	for _, src := range sources {
 		for _, tc := range cases {
 			t.Run(src.name+"/"+tc.name, func(t *testing.T) {
+				want := tc.want
+				if src.name == "federation" && tc.fed != 0 {
+					want = tc.fed
+				}
 				rec := serve(src.h, tc.method, tc.target, tc.body, tc.hdr)
-				if rec.Code != tc.want {
-					t.Fatalf("status %d, want %d; body %s", rec.Code, tc.want, rec.Body.Bytes())
+				if rec.Code != want {
+					t.Fatalf("status %d, want %d; body %s", rec.Code, want, rec.Body.Bytes())
+				}
+				if want == http.StatusNotFound {
+					return // no such route: the mux's plain 404
 				}
 				if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 					t.Errorf("Content-Type %q", ct)
@@ -117,7 +128,7 @@ func TestHandlerOverBothSources(t *testing.T) {
 				if n, err := strconv.Atoi(rec.Header().Get("Content-Length")); err != nil || n != rec.Body.Len() {
 					t.Errorf("Content-Length %q, body %d bytes", rec.Header().Get("Content-Length"), rec.Body.Len())
 				}
-				if tc.want != http.StatusOK {
+				if want != http.StatusOK {
 					var env struct{ Error string }
 					if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !strings.Contains(env.Error, tc.wantErr) {
 						t.Errorf("error envelope %s, want one containing %q", rec.Body.Bytes(), tc.wantErr)
@@ -162,9 +173,9 @@ func TestHandlerOverBothSources(t *testing.T) {
 			}
 		})
 	}
-	// Policy and capabilities are per-provider: only the iTracker-backed
-	// handler registers them.
-	for _, path := range []string{"/p4p/v1/policy", "/p4p/v1/capabilities"} {
+	// Policy, capabilities and PID lookup are per-provider: only the
+	// iTracker-backed handler registers them.
+	for _, path := range []string{"/p4p/v1/policy", "/p4p/v1/capabilities", "/p4p/v1/pid?ip=10.3.0.7"} {
 		if rec := serve(sources[0].h, "GET", path, "", auth); rec.Code != http.StatusOK {
 			t.Errorf("itracker %s: status %d, want 200", path, rec.Code)
 		}

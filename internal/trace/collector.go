@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -65,11 +66,11 @@ type Collector struct {
 	unended    uint64
 }
 
-// NewCollector builds a collector holding up to capacity traces.
-// Capacity is clamped to at least 1.
+// NewCollector builds a collector holding up to capacity traces. It
+// panics on a capacity below 1, a ring that could keep nothing.
 func NewCollector(capacity int, slow time.Duration, keepRate float64) *Collector {
 	if capacity < 1 {
-		capacity = 1
+		panic(fmt.Sprintf("trace: collector capacity %d, want at least 1", capacity))
 	}
 	return &Collector{
 		SlowThreshold: slow,

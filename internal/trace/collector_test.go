@@ -3,8 +3,10 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -65,10 +67,21 @@ func TestKeepRateDeterministic(t *testing.T) {
 	}
 }
 
-func TestCollectorCapacityClamped(t *testing.T) {
-	c := NewCollector(0, 0, 1)
-	if got := c.Snapshot().Capacity; got != 1 {
-		t.Fatalf("capacity %d, want clamp to 1", got)
+// TestCollectorRefusesCapacityBelowOne: a capacity below 1 used to be
+// raised to 1 without a word; a ring that can keep nothing is refused.
+func TestCollectorRefusesCapacityBelowOne(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "at least 1") {
+					t.Errorf("NewCollector(%d): recovered %v, want a panic naming the floor", capacity, r)
+				}
+			}()
+			NewCollector(capacity, 0, 1)
+		}()
+	}
+	if got := NewCollector(1, 0, 1).Snapshot().Capacity; got != 1 {
+		t.Errorf("capacity %d, want 1", got)
 	}
 }
 

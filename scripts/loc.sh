@@ -1,8 +1,9 @@
 #!/bin/sh
 # Prints the numbers ROADMAP.md and DESIGN.md §15 quote: non-test Go
 # lines per package (wc -l of every .go file that is not a _test.go
-# file, testdata/ and the nested bench/ module left out) and the
-# //p4pvet:ignore suppressions by rule. Run from anywhere.
+# file, testdata/ left out), with the nested bench/ module on its own
+# row below the product total, and the //p4pvet:ignore suppressions by
+# rule. Run from anywhere.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -14,6 +15,8 @@ for f in $FILES; do
 done | awk '{ n[$1] += $2; total += $2 }
 	END { for (p in n) printf "%7d  %s\n", n[p], p; printf "%7d  total\n", total }' |
 	sort -k2
+BENCH=$(find ./bench -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
+printf '%7d  bench (benchmark module, not in the total)\n' "$BENCH"
 
 echo
 echo '//p4pvet:ignore suppressions by rule'

@@ -11,12 +11,33 @@
 # repeats trial 0, and that 1,000-leecher swarms complete. First it
 # checks that the line table in DESIGN.md §15 is what
 # scripts/loc.sh prints now, and that `make fuzz-smoke` runs exactly the
-# module's func Fuzz* targets, each in its own package. Run from
-# anywhere; operates on the repo root.
+# module's func Fuzz* targets, each in its own package. Each phase's
+# wall time is printed when it ends, and all of them again at the end.
+# Run from anywhere; operates on the repo root.
 set -eu
 cd "$(dirname "$0")/.."
 
-echo '>> DESIGN.md loc block = sh scripts/loc.sh'
+PHASE=
+TIMES=
+START=$(date +%s)
+# phase NAME ends the running phase, printing and recording its wall
+# time in whole seconds, and starts NAME; phase with no NAME only ends.
+phase() {
+	now=$(date +%s)
+	if [ -n "$PHASE" ]; then
+		line=$(printf '%5d s  %s' $((now - PHASE_START)) "$PHASE")
+		echo "<< $line"
+		TIMES="$TIMES$line
+"
+	fi
+	PHASE=${1:-}
+	PHASE_START=$now
+	if [ -n "$PHASE" ]; then
+		echo ">> $PHASE"
+	fi
+}
+
+phase 'DESIGN.md loc block = sh scripts/loc.sh'
 LOC_DOC=$(mktemp)
 FUZZ_MK=$(mktemp)
 trap 'rm -f "$LOC_DOC" "$FUZZ_MK"' EXIT
@@ -26,7 +47,7 @@ if ! sh scripts/loc.sh | diff -u "$LOC_DOC" -; then
 	exit 1
 fi
 
-echo '>> make fuzz-smoke targets = func Fuzz* in the module'
+phase 'make fuzz-smoke targets = func Fuzz* in the module'
 sed -nE 's|.*-fuzz .\^(Fuzz[A-Za-z0-9_]+)\$\$. .* (\./[^ ]+)$|\1 \2|p' Makefile | sort >"$FUZZ_MK"
 if ! grep -rE --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]+\(' . |
 	sed -E 's|^(.*)/[^/:]*:func (Fuzz[A-Za-z0-9_]+).*|\2 \1|' | sort | diff -u "$FUZZ_MK" -; then
@@ -34,27 +55,28 @@ if ! grep -rE --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9
 	exit 1
 fi
 
-echo '>> gofmt -l'
+phase 'gofmt -l'
 UNFORMATTED=$(gofmt -l .)
 if [ -n "$UNFORMATTED" ]; then
 	echo "gofmt: files need formatting:" >&2
 	echo "$UNFORMATTED" >&2
 	exit 1
 fi
-echo '>> go vet ./...'
+phase 'go vet ./...'
 go vet ./...
-echo '>> go build ./...'
+phase 'go build ./...'
 go build ./...
-echo '>> go run ./examples/quickstart (output discarded, exit status checked)'
+phase 'go run ./examples/quickstart (output discarded, exit status checked)'
 go run ./examples/quickstart >/dev/null
-echo '>> p4pvet ./...'
+phase 'p4pvet ./...'
 go run ./cmd/p4pvet -timing ./...
-echo '>> go test -race ./...'
+phase 'go test -race ./...'
 go test -race ./...
-echo '>> go test -count=1 -run Alloc ./... (allocation pins, no -race)'
+phase 'go test -count=1 -run Alloc ./... (allocation pins, no -race)'
 go test -count=1 -run Alloc ./...
-echo '>> bench: go vet ./... && go test -race ./...'
+phase 'bench: go vet ./... && go test -race ./...'
 (cd bench && go vet ./... && go test -race ./...)
-echo '>> bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8'
+phase 'bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8'
 bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8
-echo 'verify: OK'
+phase
+printf 'verify: OK\nwall time by phase:\n%s%5d s  total\n' "$TIMES" $(($(date +%s) - START))
