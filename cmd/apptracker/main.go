@@ -44,6 +44,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -183,13 +184,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-m %d, -view-ttl %v and -portal-retries %d must all be positive\n", *mDefault, *ttl, *retries)
 		os.Exit(2)
 	}
+	// An empty URL started a portal whose every refresh failed with
+	// "unsupported protocol scheme".
+	urls := strings.Split(*itrURL, ",")
+	if slices.Contains(urls, "") {
+		fmt.Fprintf(os.Stderr, "-itracker %q has an empty portal URL\n", *itrURL)
+		os.Exit(2)
+	}
 
 	// Telemetry: one registry feeds the portal client, the view cache,
 	// the request middleware, and GET /metrics.
 	d := shared.Start()
 	logger, reg, tracer := d.Logger, d.Registry, d.Tracer
 
-	urls := strings.Split(*itrURL, ",")
 	client := portal.NewClient(urls[0], *token)
 	client.Retry.MaxAttempts = *retries
 	client.Metrics = portal.NewClientMetrics(reg)

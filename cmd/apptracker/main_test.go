@@ -349,7 +349,8 @@ func TestSelectAnsweredDuringRefresh(t *testing.T) {
 // {"indices":[]}, and -view-ttl 0 served with the default TTL while
 // /readyz (window 3x the flag, 0 meaning any held view) never aged out.
 // -portal-retries 0 made 3 attempts, -trace-sample or -trace-keep NaN
-// never sampled or kept a trace, and -trace-cap 0 was raised to 1. The
+// never sampled or kept a trace, -trace-cap 0 was raised to 1, and an
+// empty -itracker entry started a portal whose every refresh failed. The
 // daemon now refuses each at startup with exit 2; the test runs main in
 // a child process of the test binary.
 func TestMisconfiguredFlagsExit2(t *testing.T) {
@@ -371,6 +372,9 @@ func TestMisconfiguredFlagsExit2(t *testing.T) {
 		{"-trace-keep -0.1", "must both be in [0, 1]"},
 		{"-trace-cap 0", "must be at least 1"},
 		{"-trace-cap -1", "must be at least 1"},
+		{"-itracker=", "empty portal URL"},
+		{"-itracker http://127.0.0.1:1,", "empty portal URL"},
+		{"-itracker ,http://127.0.0.1:1", "empty portal URL"},
 	} {
 		// A daemon that accepted the flags would serve until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -84,7 +84,7 @@ func main() {
 	if *tokens != "" {
 		trusted = strings.Split(*tokens, ",")
 	}
-	tr := itracker.New(itracker.Config{
+	trCfg := itracker.Config{
 		Name:          g.Name,
 		ASN:           g.Node(0).ASN,
 		TrustedTokens: trusted,
@@ -92,7 +92,13 @@ func main() {
 			NearCongestionUtil: 0.7,
 			HeavyUsageUtil:     0.9,
 		},
-	}, engine, itracker.SyntheticPIDMap(g))
+	}
+	// An empty entry ("secret,") would trust every caller with no token.
+	if err := trCfg.Check(g); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	tr := itracker.New(trCfg, engine, itracker.SyntheticPIDMap(g))
 
 	// Telemetry: one registry feeds the portal middleware, the iTracker
 	// engine gauges, the encoded-response cache counters, and GET /metrics.

@@ -57,7 +57,8 @@ func TestEngineConfigRejectsUnknownObjective(t *testing.T) {
 }
 
 // TestMisconfiguredFlagsExit2: -update -1s served with no price updates,
-// as -update 0 does, and -trace-cap 0 was raised to 1. The iTracker now
+// as -update 0 does, -trace-cap 0 was raised to 1, and -tokens "secret,"
+// trusted the empty token, so every caller that sent none. The iTracker now
 // refuses each at startup with exit 2, as it does a bad -step, -perturb,
 // -objective or -topology; the test runs main in a child process of the
 // test binary.
@@ -76,6 +77,7 @@ func TestMisconfiguredFlagsExit2(t *testing.T) {
 		{"-perturb 1", "outside [0, 1)"},
 		{"-objective fastest", "unknown objective"},
 		{"-topology mars", "unknown topology"},
+		{"-tokens secret,", "trusted token is empty"},
 	} {
 		// An iTracker that accepted the flags would serve until killed.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

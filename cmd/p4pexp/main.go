@@ -11,7 +11,8 @@
 // independent simulation cells (0 = GOMAXPROCS, 1 = serial); output is
 // byte-identical at any setting. Stdout carries the reports alone, each
 // followed by a blank line; the "(ID in 12ms)" timing lines go to
-// stderr. A -scale outside (0, 1] or an unknown ID is an error (exit 2).
+// stderr. A -scale outside (0, 1], a negative -parallel or an unknown ID
+// is an error (exit 2).
 package main
 
 import (
@@ -52,6 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !(*scale > 0 && *scale <= 1) {
 		fmt.Fprintf(stderr, "p4pexp: -scale %v is outside (0, 1]\n", *scale)
+		return 2
+	}
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "p4pexp: -parallel %d is negative\n", *parallel)
 		return 2
 	}
 	if *list {

@@ -24,6 +24,24 @@ func TestScaleOutOfRange(t *testing.T) {
 	}
 }
 
+// TestNegativeParallel: a -parallel below 0 is refused with a one-line
+// message and exit 2, before any experiment runs. -3 used to run with
+// GOMAXPROCS workers and exit 0.
+func TestNegativeParallel(t *testing.T) {
+	for _, p := range []string{"-1", "-3"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-run", "T1", "-scale", "0.02", "-parallel", p}, &stdout, &stderr); code != 2 {
+			t.Errorf("-parallel %s: exit %d, want 2", p, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-parallel %s: stdout %q, want empty", p, stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, "is negative") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("-parallel %s: stderr %q, want one line saying it is negative", p, msg)
+		}
+	}
+}
+
 // TestUnknownExperiment: an ID the table lacks is refused with exit 2,
 // nothing on stdout and one stderr line naming it, before any listed
 // experiment runs. T1,NOPE used to run T1 and exit 0.

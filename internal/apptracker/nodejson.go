@@ -16,79 +16,53 @@ type plain Node
 const maxCanonicalDigits = 18
 
 // UnmarshalJSON decodes n as encoding/json decodes a Node without this
-// method. The element a /select body carries thousands of —
-// {"ID":n,"PID":n,"ASN":n} with exactly those keys, in any order and
-// any subset, a repeated key's last value winning, integer values of
-// at most 18 digits, JSON whitespace anywhere — is parsed in one pass
-// with no reflection. Anything else (case-folded or escaped keys,
-// unknown fields, null, fractions and exponents, strings, longer
-// numbers, malformed input) goes to encoding/json's struct decode, so
-// results are the stdlib's and so is every error's kind. Unlike the
-// struct decode, which records a type error and goes on, a type error
-// here ends the enclosing decode at its element.
+// method. The element a /select body carries thousands of is matched
+// byte for byte against the form json.Marshal writes for a Node —
+// {"ID":n,"PID":n,"ASN":n}, those keys in that order, no whitespace,
+// integers of at most 18 digits — with no reflection. Every other body
+// (keys reordered, repeated, missing or case-folded, whitespace, null,
+// fractions and exponents, strings, longer numbers, malformed input)
+// goes whole to encoding/json's struct decode, so results are the
+// stdlib's and so is every error's kind. Unlike the struct decode,
+// which records a type error and goes on, a type error here ends the
+// enclosing decode at its element.
 func (n *Node) UnmarshalJSON(b []byte) error {
-	if v, ok := decodeCanonical(b, *n); ok {
+	if v, ok := decodeCanonical(b); ok {
 		*n = v
 		return nil
 	}
 	return json.Unmarshal(b, (*plain)(n))
 }
 
-// decodeCanonical parses b as a canonical Node object over the prior
-// value v, which keeps every field b does not name, as the struct
-// decode does. It reports false, with v's fields possibly half set, for
-// anything outside the canonical shape.
-func decodeCanonical(b []byte, v Node) (Node, bool) {
-	i := skipSpace(b, 0)
-	if i == len(b) || b[i] != '{' {
-		return v, false
+// decodeCanonical matches b against json.Marshal's form of a Node. It
+// names every field, so no prior value shows through; it reports false
+// for anything else, with nothing written. The keys are constants so
+// that each comparison compiles to a few loads.
+func decodeCanonical(b []byte) (Node, bool) {
+	const kID, kPID, kASN = `{"ID":`, `,"PID":`, `,"ASN":`
+	if len(b) <= len(kID) || string(b[:len(kID)]) != kID {
+		return Node{}, false
 	}
-	if i = skipSpace(b, i+1); i < len(b) && b[i] == '}' {
-		return v, skipSpace(b, i+1) == len(b)
+	id, i, ok := canonicalInt(b, len(kID))
+	if !ok || len(b)-i <= len(kPID) || string(b[i:i+len(kPID)]) != kPID {
+		return Node{}, false
 	}
-	for {
-		var x int
-		var ok bool
-		switch {
-		case hasKey(b, i, `"ID"`):
-			x, i, ok = canonicalValue(b, i+len(`"ID"`))
-			v.ID = x
-		case hasKey(b, i, `"PID"`):
-			x, i, ok = canonicalValue(b, i+len(`"PID"`))
-			v.PID = topology.PID(x)
-		case hasKey(b, i, `"ASN"`):
-			x, i, ok = canonicalValue(b, i+len(`"ASN"`))
-			v.ASN = x
-		}
-		if !ok || i == len(b) {
-			return v, false
-		}
-		switch b[i] {
-		case ',':
-			i = skipSpace(b, i+1)
-		case '}':
-			return v, skipSpace(b, i+1) == len(b)
-		default:
-			return v, false
-		}
+	pid, i, ok := canonicalInt(b, i+len(kPID))
+	if !ok || len(b)-i <= len(kASN) || string(b[i:i+len(kASN)]) != kASN {
+		return Node{}, false
 	}
+	asn, i, ok := canonicalInt(b, i+len(kASN))
+	if !ok || i != len(b)-1 || b[i] != '}' {
+		return Node{}, false
+	}
+	return Node{ID: id, PID: topology.PID(pid), ASN: asn}, true
 }
 
-// hasKey reports whether the quoted key k starts at b[i].
-func hasKey(b []byte, i int, k string) bool {
-	return len(b)-i >= len(k) && string(b[i:i+len(k)]) == k
-}
-
-// canonicalValue parses `: integer` after a key: the colon, then a JSON
-// integer with no fraction or exponent and at most maxCanonicalDigits
-// digits, whitespace around both. It returns the integer and the index
-// of the next non-space byte.
-func canonicalValue(b []byte, i int) (int, int, bool) {
-	if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
-		return 0, i, false
-	}
-	i = skipSpace(b, i+1)
-	neg := i < len(b) && b[i] == '-'
+// canonicalInt parses the integer at b[i], which must exist: an optional
+// minus, then 1 to maxCanonicalDigits digits with no leading zero. It
+// returns the integer and the index past it.
+func canonicalInt(b []byte, i int) (int, int, bool) {
+	neg := b[i] == '-'
 	if neg {
 		i++
 	}
@@ -107,14 +81,5 @@ func canonicalValue(b []byte, i int) (int, int, bool) {
 	if int64(int(x)) != x { // int is 32 bits on some platforms
 		return 0, i, false
 	}
-	return int(x), skipSpace(b, i), true
-}
-
-// skipSpace returns the index of the first byte at or after i that is
-// not JSON whitespace.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
+	return int(x), i, true
 }

@@ -98,10 +98,22 @@ func checkNodeJSON(t *testing.T, data []byte) {
 		selectBody{Self: Node(wantB.Self), Candidates: nodesOf(wantB.Candidates), M: wantB.M})
 }
 
-// nodeJSONSeeds are elements in and out of the canonical shape. The
-// fuzz corpus holds each alone, in an array and in a request.
+// nodeJSONSeeds are elements in and out of the canonical shape, which
+// is json.Marshal's form of a Node. The fuzz corpus holds each alone, in
+// an array and in a request. The first nine are the matcher's edges:
+// each of them fails under one of its mutants (no leading-zero check, no
+// 18-digit cap, bytes after the closing brace accepted, PID and ASN
+// written to each other's fields) or must fall back to the stdlib.
 var nodeJSONSeeds = []string{
 	`{"ID":1,"PID":2,"ASN":3}`,
+	`{"ID":1,"PID":2,"ASN":3} `,
+	`{"ID":-0,"PID":-0,"ASN":0}`,
+	`{"ID":01,"PID":2,"ASN":3}`,
+	`{"ID":-999999999999999999,"PID":2,"ASN":999999999999999999}`,
+	`{"ID":9999999999999999999,"PID":2,"ASN":3}`,
+	`{"ID":1,"PID":2}`,
+	`{"ID":1,"ASN":3,"PID":2}`,
+	`{"ID":1,"PID":2,"ASN":3}}`,
 	`{"ASN":11537,"ID":-42}`,
 	`{"PID":0}`,
 	`{}`,

@@ -27,7 +27,8 @@ type Experiment struct {
 	fill      func(Options, *Report)
 }
 
-// Run regenerates the artifact. It panics if opt.Scale is outside (0, 1].
+// Run regenerates the artifact. It panics if opt.Scale is outside (0, 1]
+// or opt.Parallelism is negative.
 func (e Experiment) Run(opt Options) *Report {
 	opt = opt.withDefaults()
 	rep := newReport(e.ID, e.Title)
@@ -80,11 +81,11 @@ type Options struct {
 	// Parallelism bounds the worker pool that fans an experiment's
 	// independent simulation cells (one (policy, size) pair of a sweep,
 	// one policy of a comparison) across goroutines. 0 means
-	// GOMAXPROCS; 1 runs strictly serially. Every cell derives its own
-	// seed and owns its RNG, selector, engine, and iTracker, and
-	// reports are assembled in deterministic cell order afterward, so
-	// the output is byte-identical at any parallelism (see
-	// TestParallelReportsMatchSerial).
+	// GOMAXPROCS; 1 runs strictly serially; a negative value is refused.
+	// Every cell derives its own seed and owns its RNG, selector,
+	// engine, and iTracker, and reports are assembled in deterministic
+	// cell order afterward, so the output is byte-identical at any
+	// parallelism (see TestParallelReportsMatchSerial).
 	Parallelism int
 }
 
@@ -94,6 +95,9 @@ func (o Options) withDefaults() Options {
 	}
 	if !(o.Scale > 0 && o.Scale <= 1) { // so NaN is refused too
 		panic(fmt.Sprintf("experiments: scale %v out of (0, 1]", o.Scale))
+	}
+	if o.Parallelism < 0 {
+		panic(fmt.Sprintf("experiments: parallelism %d is negative", o.Parallelism))
 	}
 	return o
 }

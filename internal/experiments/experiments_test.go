@@ -23,6 +23,14 @@ func TestOptionsValidation(t *testing.T) {
 			Options{Scale: scale}.withDefaults()
 		}()
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("parallelism -1: expected panic for a negative worker count")
+			}
+		}()
+		Options{Scale: 0.5, Parallelism: -1}.withDefaults()
+	}()
 }
 
 func TestOptionsScaled(t *testing.T) {

@@ -73,10 +73,16 @@ type Config struct {
 	ServePIDs []topology.PID
 }
 
-// Check reports why New would refuse c over an engine on g, or nil: a
-// ServePIDs entry that is not a PID of g, whose row every Distances
-// would look up past the engine's routing trees.
+// Check reports why New would refuse c over an engine on g, or nil: an
+// empty TrustedTokens entry, which would trust every caller that sends
+// no token, or a ServePIDs entry that is not a PID of g, whose row every
+// Distances would look up past the engine's routing trees.
 func (c Config) Check(g *topology.Graph) error {
+	for _, tok := range c.TrustedTokens {
+		if tok == "" {
+			return errors.New("itracker: a trusted token is empty")
+		}
+	}
 	for _, p := range c.ServePIDs {
 		if p < 0 || int(p) >= g.NumNodes() {
 			return fmt.Errorf("itracker: served PID %d is not in %s (PIDs 0 to %d)", p, g.Name, g.NumNodes()-1)

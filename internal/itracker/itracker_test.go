@@ -145,6 +145,25 @@ func TestAccessControl(t *testing.T) {
 	}
 }
 
+// TestNewRefusesEmptyTrustedToken: an empty TrustedTokens entry (the
+// flag "secret," splits into one) used to trust the empty token, so
+// Distances("") got a view while Distances("wrong") was denied. New now
+// refuses it.
+func TestNewRefusesEmptyTrustedToken(t *testing.T) {
+	g := topology.Abilene()
+	e := core.NewEngine(g, topology.ComputeRouting(g), core.Config{})
+	cfg := Config{TrustedTokens: []string{"secret", ""}}
+	if err := cfg.Check(g); err == nil {
+		t.Error("Check with an empty trusted token = nil, want an error")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "trusted token is empty") {
+			t.Errorf("New with an empty trusted token: recovered %v, want a panic naming it", r)
+		}
+	}()
+	New(cfg, e, nil)
+}
+
 func TestCapabilities(t *testing.T) {
 	caps := []Capability{
 		{Kind: "cache", PID: 2, CapacityBps: 1e9},
