@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesReference$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzProjectionMatchesReference$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMatchingMatchesLP$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineSetters$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzTieDrawMatchesIntn$$' -fuzztime 10s ./internal/p2psim
@@ -57,18 +58,20 @@ bench:
 # Portal request, view-recompute and view-codec (JSON vs binary)
 # benchmarks, a portal.Client poll (200 and 304), the engine's Update
 # and Matrix kernels, the /select request decode and a federation
-# router refresh, emitted as JSON at BENCH_portal.json for
-# cross-commit comparison;
-# scripts/bench_diff.sh gates the BenchmarkEngine* rows at +10% ns/op
-# and the BenchmarkClientDistances* rows at +10% B/op.
+# router refresh, emitted as JSON at BENCH_portal.json. Diff it with
+# scripts/bench_diff.sh against the parent's file made in the same
+# session, back to back, from a git worktree (see the script's usage);
+# it gates the BenchmarkEngine* rows at +10% ns/op and the
+# BenchmarkClientDistances* rows at +10% B/op.
 bench-json:
 	sh scripts/bench_json.sh portal
 
 # p2psim hot-path benchmarks, P4P.Select at three candidate counts and
 # the swarm's shape, and the Figure 7 sweep (parallel and serial),
-# emitted as JSON at BENCH_sim.json. Diff across commits with
-# scripts/bench_diff.sh, which gates the BenchmarkSim* rows at +10%
-# ns/op and +2% allocs/op, and the BenchmarkP4PSelect* rows at +10%
-# ns/op and more than 1 alloc/op.
+# emitted as JSON at BENCH_sim.json. Diff it with scripts/bench_diff.sh
+# against the parent's file made in the same session, back to back,
+# from a git worktree; it gates the BenchmarkSim* rows at +10% ns/op
+# and +2% allocs/op, and the BenchmarkP4PSelect* rows at +10% ns/op and
+# more than 1 alloc/op.
 bench-sim-json:
 	sh scripts/bench_json.sh sim

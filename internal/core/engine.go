@@ -106,6 +106,10 @@ type Engine struct {
 	// reads flat vectors instead of copying the link table.
 	capacity, distKm []float64
 	interdomain      []bool
+	// maxCap is the largest c_e. maxPrice, √(MaxFloat64 / 2·len(links)),
+	// caps a price so that the step norm's sum of squares and every route
+	// sum stay finite however long a link stays overloaded.
+	maxCap, maxPrice float64
 	// Scratch owned by Update (simplex member indices, their stepped
 	// prices and capacities, the pre-step prices) and by Matrix (the
 	// per-link exposed price, route sums from one source). Both run under
@@ -144,6 +148,7 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		capacity:    make([]float64, n),
 		distKm:      make([]float64, n),
 		interdomain: make([]bool, n),
+		maxPrice:    math.Sqrt(math.MaxFloat64 / float64(2*n)),
 		intra:       make([]int, n),
 		y:           make([]float64, n),
 		yCap:        make([]float64, n),
@@ -156,6 +161,7 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		e.virtual[i] = math.NaN()
 		e.capacity[i], e.distKm[i], e.interdomain[i] = l.CapacityBps, l.DistanceKm, l.Interdomain
 		capSum += l.CapacityBps
+		e.maxCap = math.Max(e.maxCap, l.CapacityBps)
 	}
 	if cfg.Objective == MinimizeMLU {
 		for i := range e.prices {
@@ -180,21 +186,8 @@ func (e *Engine) Version() int {
 }
 
 // SetBackground installs current background rates (bits/sec per link).
-// A NaN or infinite rate is refused before anything is stored, as in
-// ObserveTraffic.
-func (e *Engine) SetBackground(bps []float64) {
-	if len(bps) != len(e.bg) {
-		panic(fmt.Sprintf("core: background for %d links, graph has %d", len(bps), len(e.bg)))
-	}
-	for i, v := range bps {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("core: non-finite background %v on link %d", v, i))
-		}
-	}
-	e.mu.Lock()
-	copy(e.bg, bps)
-	e.mu.Unlock()
-}
+// A rate is refused as in ObserveTraffic.
+func (e *Engine) SetBackground(bps []float64) { e.setRates("background", e.bg, e.lastT, bps) }
 
 // SetVirtualCapacity installs the virtual capacity v_e (bits/sec) for an
 // interdomain link; its price then tracks the eq. 16 constraint instead
@@ -210,22 +203,28 @@ func (e *Engine) SetVirtualCapacity(link topology.LinkID, bps float64) {
 }
 
 // ObserveTraffic records measured P4P traffic t̄_e (bits/sec per link),
-// as estimated from traffic measurements at each edge (Section 5). A
-// NaN or infinite rate is refused before anything is stored: p + μξ
-// never leaves NaN, so one would poison that link's price, every route
-// over it, and every view served from then on.
-func (e *Engine) ObserveTraffic(bps []float64) {
-	if len(bps) != len(e.lastT) {
-		panic(fmt.Sprintf("core: observation for %d links, graph has %d", len(bps), len(e.lastT)))
-	}
-	for i, v := range bps {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("core: non-finite observation %v on link %d", v, i))
-		}
+// as estimated from traffic measurements at each edge (Section 5).
+// Before anything is stored, it refuses a negative or NaN rate, and one
+// whose utilization (b_e + t̄_e)/c_e, times the largest capacity, is not
+// finite: α c_e enters every MLU step, and p + μξ never leaves NaN, so
+// one such rate would poison that link's price, every route over it,
+// and every view served from then on.
+func (e *Engine) ObserveTraffic(bps []float64) { e.setRates("observation", e.lastT, e.bg, bps) }
+
+// setRates checks bps against the other rate vector under the lock,
+// then copies it into dst.
+func (e *Engine) setRates(what string, dst, other, bps []float64) {
+	if len(bps) != len(dst) {
+		panic(fmt.Sprintf("core: %s for %d links, graph has %d", what, len(bps), len(dst)))
 	}
 	e.mu.Lock()
-	copy(e.lastT, bps)
-	e.mu.Unlock()
+	defer e.mu.Unlock()
+	for i, v := range bps {
+		if u := (v + other[i]) / e.capacity[i]; !(v >= 0 && u*e.maxCap <= math.MaxFloat64) {
+			panic(fmt.Sprintf("core: %s %v on link %d is negative or overflows its utilization", what, v, i))
+		}
+	}
+	copy(dst, bps)
 }
 
 // MLU returns the maximum link utilization implied by the current
@@ -272,11 +271,11 @@ func (e *Engine) Update() (stepNorm, mlu float64) {
 				scale = c
 			}
 			g := (e.lastT[i] - e.virtual[i]) / scale
-			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
+			e.prices[i] = min(math.Max(0, e.prices[i]+mu*g), e.maxPrice)
 		case e.cfg.Objective == MinimizeBDP:
 			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e.
 			g := (bg[i] + e.lastT[i] - c) / c
-			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
+			e.prices[i] = min(math.Max(0, e.prices[i]+mu*g), e.maxPrice)
 		case e.cfg.Objective == MinimizeMLU:
 			// ξ_e = b_e + t̄_e − α c_e, normalized by Σc to keep the
 			// simplex step well-scaled.
@@ -302,11 +301,12 @@ func (e *Engine) Update() (stepNorm, mlu float64) {
 // start. Typical use: initializing an interdomain link's price from
 // historical billing data so the very first applications already avoid
 // it; the super-gradient updates then relax or reinforce it. A
-// negative, NaN or infinite price is refused: under MLU the next Update
-// would panic projecting it, and elsewhere no step makes it finite.
+// negative or NaN price, or one above the cap Update keeps prices
+// under (~1e153 on Abilene), is refused: no step makes a NaN price a
+// number again, and a larger one overflows the next step norm.
 func (e *Engine) SetPrice(link topology.LinkID, price float64) {
-	if !(price >= 0 && price <= math.MaxFloat64) {
-		panic(fmt.Sprintf("core: price %v on link %d is not finite and non-negative", price, link))
+	if !(price >= 0 && price <= e.maxPrice) {
+		panic(fmt.Sprintf("core: price %v on link %d is negative or above %v", price, link, e.maxPrice))
 	}
 	e.mu.Lock()
 	e.prices[link] = price

@@ -1,6 +1,7 @@
 package p2psim
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,52 +11,11 @@ import (
 	"p4p/internal/topology"
 )
 
-// drain pops every event from q, failing if the queue disagrees with
-// its own length accounting.
-func drainCalendar(t *testing.T, q *calendarQueue) []event {
-	t.Helper()
-	var out []event
-	n := q.len()
-	for {
-		e, ok := q.pop()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	if len(out) != n {
-		t.Fatalf("drained %d events, len() reported %d", len(out), n)
-	}
-	return out
-}
-
-// TestCalendarQueueOverflow pushes events far beyond the wheel horizon
-// and checks they migrate back and pop in order.
-func TestCalendarQueueOverflow(t *testing.T) {
-	q := newCalendarQueue(0.01) // horizon = 64 buckets x 0.01s = 0.64s
-	var want []float64
-	for i := 0; i < 200; i++ {
-		// Times spanning 0..1000s: almost everything lands in overflow.
-		tm := float64(i*i) / 40
-		q.push(event{t: tm, kind: evFlowFinish, qseq: uint64(i)})
-		want = append(want, tm)
-	}
-	got := drainCalendar(t, q)
-	if len(got) != len(want) {
-		t.Fatalf("popped %d events, pushed %d", len(got), len(want))
-	}
-	for i := 1; i < len(got); i++ {
-		if eventBefore(got[i], got[i-1]) {
-			t.Fatalf("pop %d out of order: %+v after %+v", i, got[i], got[i-1])
-		}
-	}
-}
-
-// TestCalendarQueueTieBreak checks that events with identical timestamps
+// TestEventHeapTieBreak checks that events with identical timestamps
 // pop ordered by kind, then FIFO by push sequence — the total order the
 // simulation's determinism contract relies on.
-func TestCalendarQueueTieBreak(t *testing.T) {
-	q := newCalendarQueue(0.5)
+func TestEventHeapTieBreak(t *testing.T) {
+	var q eventHeap
 	const tm = 3.25
 	// Push in an order that disagrees with both kind and seq order.
 	q.push(event{t: tm, kind: evSample, qseq: 0})
@@ -63,8 +23,14 @@ func TestCalendarQueueTieBreak(t *testing.T) {
 	q.push(event{t: tm, kind: evFlowFinish, qseq: 2, id: 8})
 	q.push(event{t: tm, kind: evJoin, qseq: 3})
 	q.push(event{t: tm, kind: evRechoke, qseq: 4})
-	got := drainCalendar(t, q)
+	var got []event
+	for e, ok := q.pop(); ok; e, ok = q.pop() {
+		got = append(got, e)
+	}
 	wantKinds := []uint8{evJoin, evRechoke, evFlowFinish, evFlowFinish, evSample}
+	if len(got) != len(wantKinds) {
+		t.Fatalf("popped %d events, pushed %d", len(got), len(wantKinds))
+	}
 	for i, e := range got {
 		if e.kind != wantKinds[i] {
 			t.Fatalf("pop %d kind = %d, want %d", i, e.kind, wantKinds[i])
@@ -75,17 +41,23 @@ func TestCalendarQueueTieBreak(t *testing.T) {
 	}
 }
 
+// refBefore is the queue's total order (t, kind, qseq), spelled out
+// here rather than read from eventBefore, so that a wrong eventBefore
+// disagrees with the reference instead of steering it.
+func refBefore(a, b event) bool {
+	return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind), cmp.Compare(a.qseq, b.qseq)) < 0
+}
+
 // checkQueueOrder runs one push/pop schedule, read from data, through
-// the calendar queue and the reference heap, and requires the same pops
-// in the same order, then the same drain. The first byte picks the
-// starting bucket width. Each later byte is one act: a push of one
-// event, a run of up to 64 pushes (enough to force wheel resizes), or a
-// run of up to 64 pops. A pushed event takes two more bytes: one picks
-// its kind and whether its time is a whole number of seconds from now
-// (clusters of identical timestamps), near, mid-range or far beyond the
-// wheel's horizon (overflow), or one of four times whose slot nears or
-// passes int64's range, +Inf included; the other byte is its offset.
-// Past the end of data every byte reads as zero.
+// eventHeap and a slow reference (an unordered slice whose pop scans
+// for the minimum by refBefore), and requires the same pops in the
+// same order, then the same drain. Each byte is one act: a push of one
+// event, a run of up to 64 pushes, or a run of up to 64 pops. A pushed
+// event takes two more bytes: one picks its kind and whether its time
+// is a whole number of seconds from now (clusters of identical
+// timestamps), near, mid-range or far ahead, or one of 1e15, 1e18,
+// 1e300 and +Inf; the other byte is its offset. Past the end of data
+// every byte reads as zero.
 func checkQueueOrder(t *testing.T, data []byte) {
 	t.Helper()
 	at := 0
@@ -96,8 +68,8 @@ func checkQueueOrder(t *testing.T, data []byte) {
 		at++
 		return int(data[at-1])
 	}
-	cal := newCalendarQueue(0.001 * float64(1+next()%100))
-	ref := &eventHeap{}
+	var heap eventHeap
+	var ref []event
 	now := 0.0
 	var qseq uint64
 	push := func() {
@@ -117,24 +89,38 @@ func checkQueueOrder(t *testing.T, data []byte) {
 		}
 		e := event{t: tm, kind: uint8(x / 5 % 7), qseq: qseq, id: int32(qseq)}
 		qseq++
-		cal.push(e)
-		ref.push(e)
+		heap.push(e)
+		ref = append(ref, e)
 	}
 	pop := func() bool {
-		ce, cok := cal.pop()
-		re, rok := ref.pop()
+		he, hok := heap.pop()
+		rok := len(ref) > 0
+		var re event
+		if rok {
+			m := 0
+			for i := range ref {
+				if refBefore(ref[i], ref[m]) {
+					m = i
+				}
+			}
+			re = ref[m]
+			ref[m] = ref[len(ref)-1]
+			ref = ref[:len(ref)-1]
+		}
 		switch {
-		case cok != rok:
-			t.Fatalf("byte %d: calendar ok=%v heap ok=%v", at, cok, rok)
-		case ce != re:
-			t.Fatalf("byte %d: calendar popped %+v, heap popped %+v", at, ce, re)
-		case cok && ce.t < now:
-			t.Fatalf("byte %d: time went backwards (%g < %g)", at, ce.t, now)
+		case hok != rok:
+			t.Fatalf("byte %d: heap ok=%v reference ok=%v", at, hok, rok)
+		case he != re:
+			t.Fatalf("byte %d: heap popped %+v, reference popped %+v", at, he, re)
+		case hok && he.t < now:
+			t.Fatalf("byte %d: time went backwards (%g < %g)", at, he.t, now)
+		case len(heap.ev) != len(ref):
+			t.Fatalf("byte %d: heap holds %d events, reference %d", at, len(heap.ev), len(ref))
 		}
-		if cok {
-			now = ce.t
+		if hok {
+			now = he.t
 		}
-		return cok
+		return hok
 	}
 	for at < len(data) {
 		act := next()
@@ -157,7 +143,7 @@ func checkQueueOrder(t *testing.T, data []byte) {
 
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{49, 0xfd, 0, 0, 0, 0x01, 0x02, 0x03, 0x05, 0x06, 0x07, 0x0a, 0xff})
+	f.Add([]byte{0xfd, 0, 0, 0, 0x01, 0x02, 0x03, 0x05, 0x06, 0x07, 0x0a, 0xff})
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 4; i++ {
 		data := make([]byte, 1024)
@@ -167,74 +153,8 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(checkQueueOrder)
 }
 
-// TestCalendarQueueMatchesHeap cross-checks the calendar queue against
-// the reference heap, pop for pop: on random schedules through
-// checkQueueOrder (FuzzQueueOrder's check), and on the trace of a real
-// swarm run — pop order being all a run takes from its queue, equal pops
-// there are what make a simulation's results independent of the queue
-// under it.
-func TestCalendarQueueMatchesHeap(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		data := make([]byte, 20000)
-		rand.New(rand.NewSource(seed)).Read(data)
-		checkQueueOrder(t, data)
-	}
-
-	// One swarm run, driven as Run drives it, recording every pop and
-	// the sim's push counter before it. Every pushed event is later
-	// popped or left in the queue, so the events themselves are recovered
-	// by push number and the exact interleaving can be replayed.
-	s := queueEquivSim()
-	s.start()
-	var pops []event
-	var pushedBefore []uint64
-	for {
-		pushedBefore = append(pushedBefore, s.qseq)
-		ev, ok := s.calQ.pop()
-		if !ok {
-			break
-		}
-		pops = append(pops, ev)
-		if !s.handle(ev) {
-			break
-		}
-	}
-	if len(pops) < 1000 {
-		t.Fatalf("swarm trace has only %d pops", len(pops))
-	}
-	events := make([]event, s.qseq+1) // by push number, from 1
-	for _, e := range append(pops, drainCalendar(t, s.calQ)...) {
-		events[e.qseq] = e
-	}
-	cal, ref := newCalendarQueue(s.cfg.RechokeInterval/256), &eventHeap{}
-	next := uint64(1)
-	pushThrough := func(last uint64) {
-		for ; next <= last; next++ {
-			cal.push(events[next])
-			ref.push(events[next])
-		}
-	}
-	for k, want := range pops {
-		pushThrough(pushedBefore[k])
-		ce, _ := cal.pop()
-		re, _ := ref.pop()
-		if ce != want || re != want {
-			t.Fatalf("swarm trace pop %d: run popped %+v, replayed calendar %+v, heap %+v", k, want, ce, re)
-		}
-	}
-	pushThrough(s.qseq)
-	for _, ce := range drainCalendar(t, cal) {
-		if re, _ := ref.pop(); ce != re {
-			t.Fatalf("swarm trace drain: calendar popped %+v, heap popped %+v", ce, re)
-		}
-	}
-	if ref.len() != 0 {
-		t.Fatalf("swarm trace drain: heap holds %d more events than the calendar", ref.len())
-	}
-}
-
 // queueEquivSim builds a small but feature-dense swarm for the
-// queue-trace and reproducibility tests.
+// reproducibility tests.
 func queueEquivSim() *Sim {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)

@@ -153,8 +153,8 @@ func runLockStep(t testing.TB, build func() *Sim) visitStats {
 	lists.start()
 	oracle.start()
 	for step := 0; ; step++ {
-		ev, ok := lists.calQ.pop()
-		evRef, okRef := oracle.calQ.pop()
+		ev, ok := lists.events.pop()
+		evRef, okRef := oracle.events.pop()
 		if ok != okRef || ev != evRef {
 			t.Fatalf("step %d: lists popped %+v (%v), reference %+v (%v)", step, ev, ok, evRef, okRef)
 		}
@@ -476,7 +476,7 @@ func TestFlowListsInvariant(t *testing.T) {
 		s.start()
 		events, peak := 0, 0
 		for {
-			ev, ok := s.calQ.pop()
+			ev, ok := s.events.pop()
 			if !ok || !s.handle(ev) {
 				break
 			}

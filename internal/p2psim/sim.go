@@ -15,14 +15,14 @@
 // with optimistic unchoke, and seeding after completion. A streaming
 // mode (Liveswarms) layers a sliding playback window on the same engine.
 //
-// The engine is sized for 10^5-10^6-peer swarms (ROADMAP item 4, the
-// paper's 10M-user Pando field test): hot per-client and per-flow state
-// lives in struct-of-arrays index-addressed slices (piece bitfields as
-// flat bitsets, availability as a flat counter array exact only for the
-// pieces each client lacks, connections and flows in free-listed arenas
-// addressed by int32 handles), with the pointer-bearing Client struct
-// kept only at the API boundary. Events flow through a calendar queue
-// (see queue.go). See DESIGN.md §13.
+// The engine is sized for 10^5-peer swarms (BenchmarkSimHundredK): hot
+// per-client and per-flow state lives in struct-of-arrays
+// index-addressed slices (piece bitfields as flat bitsets, availability
+// as a flat counter array exact only for the pieces each client lacks,
+// connections and flows in free-listed arenas addressed by int32
+// handles), with the pointer-bearing Client struct kept only at the API
+// boundary. Events flow through one binary min-heap (see queue.go). See
+// DESIGN.md §13.
 package p2psim
 
 import (
@@ -240,8 +240,8 @@ type Sim struct {
 	hasW    int // bitset words per client
 
 	// Event queue, and the push counter that is its FIFO tie-break.
-	qseq uint64
-	calQ *calendarQueue
+	qseq   uint64
+	events eventHeap
 
 	incomplete int // clients still downloading
 
@@ -321,9 +321,6 @@ func New(cfg Config) *Sim {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		linkRate: make([]float64, cfg.Graph.NumLinks()),
-		// Initial bucket width ~ the spacing of control events; the
-		// queue re-derives it from the observed span as it grows.
-		calQ: newCalendarQueue(cfg.RechokeInterval / 256),
 	}
 	s.pieces = int((cfg.FileBytes + cfg.PieceBytes - 1) / cfg.PieceBytes)
 	if cfg.Streaming != nil {
@@ -450,7 +447,7 @@ func (s *Sim) clearPending(c int32, p int) {
 func (s *Sim) push(ev event) {
 	s.qseq++
 	ev.qseq = s.qseq
-	s.calQ.push(ev)
+	s.events.push(ev)
 }
 
 // Run executes the simulation to completion (all non-seed clients done)
@@ -458,7 +455,7 @@ func (s *Sim) push(ev event) {
 func (s *Sim) Run() *Result {
 	s.start()
 	for {
-		ev, ok := s.calQ.pop()
+		ev, ok := s.events.pop()
 		if !ok || !s.handle(ev) {
 			break
 		}
@@ -1164,7 +1161,9 @@ func (s *Sim) handleMeasure() {
 			s.measureBuf = make([]float64, len(s.linkRate))
 		}
 		for i, r := range s.linkRate {
-			s.measureBuf[i] = r * 8 // bytes/sec -> bits/sec
+			// bytes/sec -> bits/sec; the running sum can drift a few
+			// ulps below zero on an idle link, and a rate is never negative.
+			s.measureBuf[i] = max(r*8, 0)
 		}
 		// The buffer is reused every interval; per the Config.OnMeasure
 		// contract, callbacks copy it if they retain it.

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Compare two benchmark JSON files written by scripts/bench_json.sh,
 # matching benchmarks by name and printing the old/new values with
-# percentage deltas. Stdlib tooling only (awk).
+# percentage deltas, below each file's commit, cpu, gomaxprocs and
+# go_version. Stdlib tooling only (awk).
 #
 # Reads the micro-benchmark files (BENCH_portal.json, BENCH_sim.json;
 # one object per line, ns/op + B/op + allocs/op — negative deltas are
@@ -24,9 +25,17 @@
 # the other portal rows cross net/http test plumbing and the experiment
 # macro-benchmarks are one-shot runs with real variance.
 #
+# Raw ns/op are compared with no box-speed normalisation, so both files
+# must come from one session on one box, run back to back; a checked-in
+# file from another session is not a baseline (an untouched kernel can
+# read +20-40 % against one). Build the parent from a git worktree:
+#
 # Usage: bench_diff.sh OLD.json NEW.json
-#   e.g. git show HEAD~1:BENCH_sim.json >/tmp/old.json &&
-#        scripts/bench_diff.sh /tmp/old.json BENCH_sim.json
+#   e.g. git worktree add /tmp/parent PARENT &&
+#        (cd /tmp/parent && sh scripts/bench_json.sh sim) &&
+#        sh scripts/bench_json.sh sim &&
+#        scripts/bench_diff.sh /tmp/parent/BENCH_sim.json BENCH_sim.json;
+#        git worktree remove --force /tmp/parent
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -49,7 +58,12 @@ function pct(old, new) {
 function remember(name) {
     if (!(name in seen)) { order[n++] = name; seen[name] = 1 }
 }
-FNR == 1 { fileno++ }
+FNR == 1 { fileno++; file[fileno] = FILENAME }
+/^  "(commit|cpu|gomaxprocs|go_version)":/ {
+    key = $1
+    gsub(/[":]/, "", key)
+    stamp[fileno, key] = field($0, key)
+}
 /"name":/ {
     name = field($0, "name")
     if (name == "") next
@@ -68,6 +82,9 @@ FNR == 1 { fileno++ }
     }
 }
 END {
+    for (f = 1; f <= 2; f++)
+        printf "%s: commit %s  cpu %s  gomaxprocs %s  go_version %s  (%s)\n", f == 1 ? "old" : "new", \
+            stamp[f, "commit"], stamp[f, "cpu"], stamp[f, "gomaxprocs"], stamp[f, "go_version"], file[f]
     header = 0
     for (i = 0; i < n; i++) {
         name = order[i]
