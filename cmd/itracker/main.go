@@ -26,8 +26,7 @@ package main
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -53,7 +52,6 @@ func main() {
 		topoName  = flag.String("topology", "abilene", "topology: abilene, isp-a, isp-b, isp-c")
 		objective = flag.String("objective", "mlu", "ISP objective: mlu or bdp")
 		step      = flag.Float64("step", 0.1, "super-gradient step size")
-		perturb   = flag.Float64("perturb", 0, "privacy perturbation fraction (e.g. 0.05)")
 		tokens    = flag.String("tokens", "", "comma-separated trusted appTracker tokens (empty = open)")
 		update    = flag.Duration("update", 0, "if set, run an idle price update every interval")
 		shared    = daemon.RegisterFlags()
@@ -73,7 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 	r := topology.ComputeRouting(g)
-	cfg, err := engineConfig(*objective, *step, *perturb)
+	cfg, err := engineConfig(*objective, *step)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -161,10 +159,10 @@ func main() {
 }
 
 // engineConfig builds the price engine's configuration from the flags,
-// refusing what core.NewEngine would panic on. A perturbing engine is seeded from crypto/rand: under a fixed seed an
-// appTracker could replay the factors and divide them out of a view.
-func engineConfig(objective string, step, perturb float64) (core.Config, error) {
-	cfg := core.Config{StepSize: step, PerturbFrac: perturb}
+// refusing what core.NewEngine would panic on, and a step of 0, which
+// core.Config reads as its default.
+func engineConfig(objective string, step float64) (core.Config, error) {
+	cfg := core.Config{StepSize: step}
 	switch objective {
 	case "mlu":
 		cfg.Objective = core.MinimizeMLU
@@ -173,17 +171,10 @@ func engineConfig(objective string, step, perturb float64) (core.Config, error) 
 	default:
 		return cfg, fmt.Errorf("unknown objective %q", objective)
 	}
-	if err := cfg.Check(); err != nil {
-		return cfg, err
+	if step == 0 {
+		return cfg, errors.New("step size 0 is not positive")
 	}
-	if perturb > 0 {
-		var seed [8]byte
-		if _, err := crand.Read(seed[:]); err != nil {
-			return cfg, fmt.Errorf("perturbation seed: %w", err)
-		}
-		cfg.PerturbSeed = int64(binary.LittleEndian.Uint64(seed[:]))
-	}
-	return cfg, nil
+	return cfg, cfg.Check()
 }
 
 func topologyByName(name string) (*topology.Graph, error) {

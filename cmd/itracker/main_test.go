@@ -9,59 +9,29 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"p4p/internal/core"
-	"p4p/internal/topology"
 )
 
-// TestPerturbedViewsDiffer checks that two iTrackers started with the
-// same -perturb publish different first views on Abilene: the factor
-// sequence is seeded per process, so a consumer cannot replay it.
-func TestPerturbedViewsDiffer(t *testing.T) {
-	g := topology.Abilene()
-	r := topology.ComputeRouting(g)
-	pids := g.AggregationPIDs()
-	var views [2]*core.View
-	for k := range views {
-		cfg, err := engineConfig("mlu", 0.1, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[k] = core.NewEngine(g, r, cfg).Matrix(pids)
-	}
-	for a := range views[0].D {
-		for b := range views[0].D[a] {
-			if views[0].D[a][b] != views[1].D[a][b] {
-				return
-			}
-		}
-	}
-	t.Fatal("two perturbing engines published bit-identical first views")
-}
-
 func TestEngineConfigRejectsUnknownObjective(t *testing.T) {
-	if _, err := engineConfig("fastest", 0.1, 0); err == nil {
+	if _, err := engineConfig("fastest", 0.1); err == nil {
 		t.Fatal("engineConfig accepted an unknown objective")
 	}
 	// What core.NewEngine refuses is an error here, not a panic: a
-	// non-finite step wedges the first update, and a perturbation of 1
-	// or more publishes negative distances.
-	for _, bad := range []struct{ step, perturb float64 }{
-		{-1, 0}, {math.NaN(), 0}, {math.Inf(1), 0},
-		{0.1, 1}, {0.1, 1.5}, {0.1, math.Inf(1)}, {0.1, math.NaN()}, {0.1, -0.5},
-	} {
-		if _, err := engineConfig("mlu", bad.step, bad.perturb); err == nil {
-			t.Errorf("engineConfig accepted -step %v -perturb %v", bad.step, bad.perturb)
+	// non-finite step wedges the first update. A step of 0 is refused
+	// too: core.Config reads it as its default of 0.1.
+	for _, step := range []float64{-1, math.NaN(), math.Inf(1), 0} {
+		if _, err := engineConfig("mlu", step); err == nil {
+			t.Errorf("engineConfig accepted -step %v", step)
 		}
 	}
 }
 
 // TestMisconfiguredFlagsExit2: -update -1s served with no price updates,
-// as -update 0 does, -trace-cap 0 was raised to 1, and -tokens "secret,"
-// trusted the empty token, so every caller that sent none. The iTracker now
-// refuses each at startup with exit 2, as it does a bad -step, -perturb,
-// -objective or -topology; the test runs main in a child process of the
-// test binary.
+// as -update 0 does, -trace-cap 0 was raised to 1, -step 0 ran at the
+// default step of 0.1, and -tokens "secret," trusted the empty token, so
+// every caller that sent none. The iTracker now refuses each at startup
+// with exit 2, as it does a bad -objective or -topology and the deleted
+// -perturb flag; the test runs main in a child process of the test
+// binary.
 func TestMisconfiguredFlagsExit2(t *testing.T) {
 	if args := os.Getenv("ITRACKER_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"itracker"}, strings.Fields(args)...)
@@ -74,7 +44,8 @@ func TestMisconfiguredFlagsExit2(t *testing.T) {
 		{"-trace-cap -3", "must be at least 1"},
 		{"-trace-sample NaN", "must both be in [0, 1]"},
 		{"-step NaN", "step size NaN"},
-		{"-perturb 1", "outside [0, 1)"},
+		{"-step 0", "step size 0"},
+		{"-perturb 1", "flag provided but not defined: -perturb"},
 		{"-objective fastest", "unknown objective"},
 		{"-topology mars", "unknown topology"},
 		{"-tokens secret,", "trusted token is empty"},

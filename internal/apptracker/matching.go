@@ -48,7 +48,7 @@ func (o *OptimizationService) Optimize(asn int, s core.Session) (*Matching, erro
 		// Without a view the matching degenerates to uniform weights.
 		return uniformMatching(s), nil
 	}
-	t, err := core.MatchTraffic(view, s, beta, nil)
+	t, err := core.MatchTraffic(view, s, beta)
 	if err != nil {
 		return nil, err
 	}

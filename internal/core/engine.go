@@ -28,7 +28,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"p4p/internal/topology"
@@ -65,25 +64,13 @@ type Config struct {
 	// that, with networks and applications continuously evolving, a
 	// constant step is used in practice. Default 0.1.
 	StepSize float64
-	// PerturbFrac, if positive, multiplies each exposed distance by a
-	// uniform factor in [1-PerturbFrac, 1+PerturbFrac] to enhance
-	// privacy ("An iTracker may perturb the distances"). It must lie in
-	// [0, 1): from 1 up, a factor can reach zero or below, and every
-	// client reads a negative distance as unreachable.
-	PerturbFrac float64
-	// PerturbSeed seeds the perturbation generator.
-	PerturbSeed int64
 }
 
 // Check reports why NewEngine would refuse c, or nil: a step that is
-// negative or not finite (it makes every stepped price non-finite), or a
-// PerturbFrac outside [0, 1).
+// negative or not finite (it makes every stepped price non-finite).
 func (c Config) Check() error {
 	if !(c.StepSize >= 0 && c.StepSize <= math.MaxFloat64) {
 		return fmt.Errorf("core: step size %v is not finite and non-negative", c.StepSize)
-	}
-	if !(c.PerturbFrac >= 0 && c.PerturbFrac < 1) {
-		return fmt.Errorf("core: perturbation fraction %v outside [0, 1)", c.PerturbFrac)
 	}
 	return nil
 }
@@ -118,7 +105,6 @@ type Engine struct {
 	y, yCap, prev       []float64
 	linkPrices, routeTo []float64
 
-	rng     *rand.Rand
 	version int // incremented on every price update
 }
 
@@ -143,7 +129,6 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		bg:      make([]float64, n),
 		virtual: make([]float64, n),
 		lastT:   make([]float64, n),
-		rng:     rand.New(rand.NewSource(cfg.PerturbSeed)),
 
 		capacity:    make([]float64, n),
 		distKm:      make([]float64, n),
@@ -341,10 +326,10 @@ func (e *Engine) linkPrice(i int) float64 {
 }
 
 // PDistance returns the external-view distance p_ij between two PIDs
-// under the current prices (perturbation not applied; see Matrix): the
-// link prices along the route, added in route order from zero — the sum
-// Matrix accumulates down the routing tree, bit for bit. p_ii is 0:
-// traffic staying inside one PID never crosses a backbone link.
+// under the current prices: the link prices along the route, added in
+// route order from zero — the sum Matrix accumulates down the routing
+// tree, bit for bit. p_ii is 0: traffic staying inside one PID never
+// crosses a backbone link.
 func (e *Engine) PDistance(i, j topology.PID) float64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -362,15 +347,14 @@ func (e *Engine) PDistance(i, j topology.PID) float64 {
 	return sum
 }
 
-// Matrix materializes the external view over the given PIDs, applying
-// the configured privacy perturbation. This is what the p4p-distance
-// interface serves to applications.
+// Matrix materializes the external view over the given PIDs. This is
+// what the p4p-distance interface serves to applications.
 //
 // Each link is priced once, and each row's route sums are accumulated
 // down the source's routing tree (topology.Routing.Tree): one addition
 // per node, in the order a walk of each route would make them.
 func (e *Engine) Matrix(pids []topology.PID) *View {
-	e.mu.Lock() // full lock: the perturbation RNG and the scratch mutate
+	e.mu.Lock() // full lock: the scratch mutates
 	defer e.mu.Unlock()
 	n := len(pids)
 	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, n), Version: e.version}
@@ -390,13 +374,6 @@ func (e *Engine) Matrix(pids []topology.PID) *View {
 		row := flat[a*n : (a+1)*n : (a+1)*n]
 		for b, j := range pids {
 			row[b] = routeTo[j]
-		}
-		if frac := e.cfg.PerturbFrac; frac > 0 {
-			for b, d := range row {
-				if b != a && !math.IsInf(d, 1) {
-					row[b] = d * (1 + frac*(2*e.rng.Float64()-1))
-				}
-			}
 		}
 		v.D[a] = row
 	}

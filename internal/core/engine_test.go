@@ -176,36 +176,6 @@ func TestEngineVersionIncrements(t *testing.T) {
 	}
 }
 
-func TestEngineMatrixPerturbation(t *testing.T) {
-	g, r := fourLine()
-	plain := NewEngine(g, r, Config{})
-	noisy := NewEngine(g, r, Config{PerturbFrac: 0.1, PerturbSeed: 3})
-	pids := g.AggregationPIDs()
-	vp := plain.Matrix(pids)
-	vn := noisy.Matrix(pids)
-	sawDifference := false
-	for a := range pids {
-		for b := range pids {
-			if a == b {
-				if vn.D[a][b] != vp.D[a][b] {
-					t.Fatal("diagonal must not be perturbed")
-				}
-				continue
-			}
-			ratio := vn.D[a][b] / vp.D[a][b]
-			if ratio < 0.9-1e-9 || ratio > 1.1+1e-9 {
-				t.Fatalf("perturbation out of bounds: ratio %v", ratio)
-			}
-			if ratio != 1 {
-				sawDifference = true
-			}
-		}
-	}
-	if !sawDifference {
-		t.Fatal("perturbation had no effect")
-	}
-}
-
 func TestEnginePanicsOnBadInput(t *testing.T) {
 	g, r := fourLine()
 	e := NewEngine(g, r, Config{})
@@ -218,13 +188,6 @@ func TestEnginePanicsOnBadInput(t *testing.T) {
 		func() { NewEngine(g, r, Config{StepSize: math.NaN()}) },
 		func() { NewEngine(g, r, Config{StepSize: math.Inf(1)}) },
 		func() { NewEngine(g, r, Config{StepSize: math.Inf(-1)}) },
-		// A factor of 1±PerturbFrac at or below zero publishes negative
-		// distances; NaN would silently turn perturbation off.
-		func() { NewEngine(g, r, Config{PerturbFrac: 1}) },
-		func() { NewEngine(g, r, Config{PerturbFrac: 1.5}) },
-		func() { NewEngine(g, r, Config{PerturbFrac: math.Inf(1)}) },
-		func() { NewEngine(g, r, Config{PerturbFrac: math.NaN()}) },
-		func() { NewEngine(g, r, Config{PerturbFrac: -0.1}) },
 	}
 	// Accepted, a +Inf virtual capacity made the next step's price NaN
 	// ((t − ∞)/∞), a NaN one silently unset it, and a NaN or infinite

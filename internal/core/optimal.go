@@ -62,13 +62,12 @@ func MaxMatching(s Session) (float64, error) {
 	return opt, nil
 }
 
-// MatchTraffic solves the application program of eqs. (5)–(7): minimize
+// MatchTraffic solves the application program of eqs. (5)–(6): minimize
 // Σ p_ij t_ij subject to the capacity constraints (2)–(3), shipping at
-// least beta*OPT total (6), with optional per-lane robustness floors
-// rho[i][j] (7) interpreted as minimum fractions of PID-i's outbound
-// traffic. view supplies p_ij; rho may be nil. Returns the traffic
-// matrix indexed like session PIDs.
-func MatchTraffic(view *View, s Session, beta float64, rho [][]float64) ([][]float64, error) {
+// least beta*OPT total (6). view supplies p_ij. Returns the traffic
+// matrix indexed like session PIDs. The robustness constraint (7) is
+// View.Weights' concave transform, which selection applies.
+func MatchTraffic(view *View, s Session, beta float64) ([][]float64, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
@@ -114,25 +113,6 @@ func MatchTraffic(view *View, s Session, beta float64, rho [][]float64) ([][]flo
 		}
 	}
 	p.Constraints = sessionRows(s, n*n, 0, beta*opt)
-	// (7) robustness floors: t_ij >= rho_ij * Σ_j' t_ij'.
-	if rho != nil {
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if a == b || rho[a][b] <= 0 {
-					continue
-				}
-				row := make([]float64, n*n)
-				for bp := 0; bp < n; bp++ {
-					if bp == a {
-						continue
-					}
-					row[idx(a, bp)] = -rho[a][b]
-				}
-				row[idx(a, b)] += 1
-				p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.GE, RHS: 0})
-			}
-		}
-	}
 	sol, err := lp.Solve(p)
 	if err != nil {
 		return nil, err

@@ -130,7 +130,7 @@ func TestMatchTrafficShipsBetaOPT(t *testing.T) {
 	}
 	opt, _ := MaxMatching(s)
 	for _, beta := range []float64{1.0, 0.8, 0.5} {
-		tm, err := MatchTraffic(view, s, beta, nil)
+		tm, err := MatchTraffic(view, s, beta)
 		if err != nil {
 			t.Fatalf("beta=%v: %v", beta, err)
 		}
@@ -174,12 +174,12 @@ func TestMatchTrafficPrefersCheapLanes(t *testing.T) {
 		Up:   []float64{10, 10, 10, 10},
 		Down: []float64{10, 10, 10, 10},
 	}
-	tm, err := MatchTraffic(view, s, 0.5, nil)
+	tm, err := MatchTraffic(view, s, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	costHalf := view.Total(tm)
-	tmFull, err := MatchTraffic(view, s, 1.0, nil)
+	tmFull, err := MatchTraffic(view, s, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,64 +193,27 @@ func TestMatchTrafficPrefersCheapLanes(t *testing.T) {
 	}
 }
 
-func TestMatchTrafficRobustnessFloor(t *testing.T) {
-	g, r := fourLine()
-	pids := g.AggregationPIDs()
-	view := HopCountView(r, pids)
-	s := Session{
-		PIDs: pids,
-		Up:   []float64{10, 0, 0, 0},
-		Down: []float64{0, 10, 10, 10},
-	}
-	// Demand that at least 30% of PID-0 outbound goes to PID 3 (eq. 7)
-	// even though it is the most expensive lane.
-	rho := make([][]float64, 4)
-	for i := range rho {
-		rho[i] = make([]float64, 4)
-	}
-	rho[0][3] = 0.3
-	tm, err := MatchTraffic(view, s, 1.0, rho)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tm[0][1] + tm[0][2] + tm[0][3]
-	if out <= 0 {
-		t.Fatal("no traffic shipped")
-	}
-	if tm[0][3] < 0.3*out-1e-6 {
-		t.Fatalf("robustness floor violated: %v of %v", tm[0][3], out)
-	}
-	// Without the floor, lane 0->3 is unused.
-	tmFree, err := MatchTraffic(view, s, 1.0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tmFree[0][3] > 1e-6 {
-		t.Fatalf("unexpected traffic on 0->3 without floor: %v", tmFree[0][3])
-	}
-}
-
 func TestMatchTrafficErrors(t *testing.T) {
 	g, r := fourLine()
 	pids := g.AggregationPIDs()
 	view := HopCountView(r, pids)
 	s := Session{PIDs: pids, Up: []float64{1, 1, 1, 1}, Down: []float64{1, 1, 1, 1}}
-	if _, err := MatchTraffic(view, s, -0.1, nil); err == nil {
+	if _, err := MatchTraffic(view, s, -0.1); err == nil {
 		t.Fatal("expected beta range error")
 	}
-	if _, err := MatchTraffic(view, s, 1.1, nil); err == nil {
+	if _, err := MatchTraffic(view, s, 1.1); err == nil {
 		t.Fatal("expected beta range error")
 	}
 	alien := Session{PIDs: []topology.PID{99}, Up: []float64{1}, Down: []float64{1}}
-	if _, err := MatchTraffic(view, alien, 1, nil); err == nil {
+	if _, err := MatchTraffic(view, alien, 1); err == nil {
 		t.Fatal("expected unknown-PID error")
 	}
 	// An unknown PID after a known one must be refused too, not indexed.
 	late := Session{PIDs: []topology.PID{pids[0], 99}, Up: []float64{1, 1}, Down: []float64{1, 1}}
-	if _, err := MatchTraffic(view, late, 1, nil); err == nil {
+	if _, err := MatchTraffic(view, late, 1); err == nil {
 		t.Fatal("expected unknown-PID error for a later PID")
 	}
-	if tm, err := MatchTraffic(view, Session{}, 1, nil); err != nil || tm != nil {
+	if tm, err := MatchTraffic(view, Session{}, 1); err != nil || tm != nil {
 		t.Fatalf("empty session: %v, %v", tm, err)
 	}
 }
@@ -387,7 +350,7 @@ func TestDecompositionConvergesToOptimal(t *testing.T) {
 		avgLoads := make([]float64, g.NumLinks())
 		loads := make([]float64, g.NumLinks())
 		for it := 1; it <= 200; it++ {
-			tm, err := MatchTraffic(e.Matrix(pids), s, 1.0, nil)
+			tm, err := MatchTraffic(e.Matrix(pids), s, 1.0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -111,21 +111,16 @@ func (e *Engine) refPDistanceLocked(i, j topology.PID) float64 {
 	return sum
 }
 
-// refMatrix materializes the external view over the given PIDs, applying
-// the configured privacy perturbation. This is what the p4p-distance
-// interface serves to applications.
+// refMatrix materializes the external view over the given PIDs. This is
+// what the p4p-distance interface serves to applications.
 func (e *Engine) refMatrix(pids []topology.PID) *View {
-	e.mu.Lock() // full lock: the perturbation RNG mutates
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, len(pids))}
 	for a, i := range pids {
 		v.D[a] = make([]float64, len(pids))
 		for b, j := range pids {
-			d := e.refPDistanceLocked(i, j)
-			if e.cfg.PerturbFrac > 0 && a != b && !math.IsInf(d, 1) {
-				d *= 1 + e.cfg.PerturbFrac*(2*e.rng.Float64()-1)
-			}
-			v.D[a][b] = d
+			v.D[a][b] = e.refPDistanceLocked(i, j)
 		}
 	}
 	v.Version = e.version

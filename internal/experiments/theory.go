@@ -35,7 +35,7 @@ func superGradientConvergence(opt Options, rep *Report) {
 	avgLoads := make([]float64, g.NumLinks())
 	for it := 1; it <= iters; it++ {
 		view := e.Matrix(pids)
-		tm, err := core.MatchTraffic(view, s, 1.0, nil)
+		tm, err := core.MatchTraffic(view, s, 1.0)
 		if err != nil {
 			rep.note("MatchTraffic failed at iteration %d: %v", it, err)
 			return
@@ -130,7 +130,7 @@ func ablationBeta(opt Options, rep *Report) {
 	}
 	tbl := &metrics.Table{Header: []string{"beta", "shipped Gbps", "cost (hop-weighted Gbps)", "MLU"}}
 	for _, beta := range []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5} {
-		tm, err := core.MatchTraffic(view, s, beta, nil)
+		tm, err := core.MatchTraffic(view, s, beta)
 		if err != nil {
 			rep.note("beta=%v failed: %v", beta, err)
 			continue

@@ -3,8 +3,11 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -143,5 +146,169 @@ func TestUnionKeyIsInjective(t *testing.T) {
 		if got := decodeView(t, rec.Body.Bytes()).PIDs; !reflect.DeepEqual(got, st.want) {
 			t.Errorf("validators %q, %q: merged PIDs %v, want %v", st.aTag, st.bTag, got, st.want)
 		}
+	}
+}
+
+// TestUnionScheduleInvariants drives a bare Union over three scripted
+// members through seeded schedules of new versions, unchanged
+// revalidations (the same view and validator, as after a 304),
+// failures, PID conflicts, fetches that take clock time, clock jumps and
+// Invalidate, on a fake clock. After every step:
+//   - the merged view is Merge of the members' last-known-good views,
+//     or, when those conflict, the last merge that succeeded;
+//   - after a successful pass the merged value never expires before an
+//     input it holds, and it was stamped fresh while every input whose
+//     last fetch succeeded was still fresh, up to the pass's fetch time;
+//   - every merge conflict is one failed refresh of the merged cell;
+//   - Invalidate leaves nothing fresh, and the next Get refetches every
+//     member, failing ones included.
+func TestUnionScheduleInvariants(t *testing.T) {
+	const ttl = 30 * time.Second
+	const maxLatency = time.Second
+	names := []string{"a", "b", "c"}
+	circuits := []Circuit{{A: "a", APID: 1, B: "b", BPID: 10, Cost: 7}, {A: "b", APID: 11, B: "c", BPID: 20, Cost: 3}}
+	// member is one scripted source: version is what it serves next,
+	// conflict makes it serve the next member's PIDs instead of its own.
+	type member struct {
+		version, fetches int
+		fail, conflict   bool
+		latency          time.Duration
+		last             MemberView
+	}
+	var allConflicts, invalidates int64
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := newFakeClock()
+		tm := refresh.Timing{TTL: ttl, Now: clk.now}
+		var mu sync.Mutex
+		members := make([]member, len(names))
+		for i := range members {
+			members[i].version = 1
+		}
+		fetch := func(_ context.Context, i int) (MemberView, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			m := &members[i]
+			m.fetches++
+			clk.advance(m.latency)
+			if m.fail {
+				return MemberView{}, errors.New("injected failure")
+			}
+			owner := i
+			if m.conflict {
+				owner = (i + 1) % len(names)
+			}
+			tag := fmt.Sprintf("v%d-%d", m.version, owner)
+			if m.last.Validator != tag { // else: unchanged, as after a 304
+				base := topology.PID(10 * owner)
+				d := float64(m.version)
+				m.last = MemberView{View: mkview(m.version, []topology.PID{base, base + 1}, [][]float64{{0, d}, {d, 0}}), Validator: tag}
+			}
+			return m.last, nil
+		}
+		var conflicts int64
+		u := NewUnion(names, circuits, func() refresh.Timing { return tm }, fetch,
+			func(_ []refresh.Stats, _ *Merged, mergeErr error) {
+				if mergeErr != nil {
+					conflicts++
+				}
+			})
+		var lastGood *core.View
+		check := func(step string) {
+			t.Helper()
+			ms := u.merged.Snapshot(tm)
+			var views []ShardView
+			for i, s := range u.Members(tm) {
+				if s.Held {
+					views = append(views, ShardView{Name: names[i], View: s.Value.View})
+				}
+				if ms.LastErr != nil || !ms.Held {
+					continue
+				}
+				if s.At.After(ms.At) {
+					t.Fatalf("seed %d %s: member %s stamped at %v, after the merged value (%v)", seed, step, names[i], s.At, ms.At)
+				}
+				if s.LastErr == nil && ms.At.Sub(s.At) >= ttl+time.Duration(len(names))*maxLatency {
+					t.Fatalf("seed %d %s: merged stamped %v after member %s, past its TTL", seed, step, ms.At.Sub(s.At), names[i])
+				}
+			}
+			want, err := Merge(views, circuits)
+			if (err != nil) != (ms.LastErr != nil) {
+				t.Fatalf("seed %d %s: members merge with error %v, merged cell's last refresh %v", seed, step, err, ms.LastErr)
+			}
+			if err != nil {
+				want = lastGood
+			}
+			var got *core.View
+			if ms.Held {
+				got = ms.Value.View
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s: merged view %+v, want %+v", seed, step, got, want)
+			}
+			lastGood = want
+			if ms.Stats.Failures != conflicts {
+				t.Fatalf("seed %d %s: merged cell counts %d failures for %d conflicts", seed, step, ms.Stats.Failures, conflicts)
+			}
+		}
+		u.Get(context.Background(), tm)
+		check("first pass")
+		for k := 0; k < 80; k++ {
+			mu.Lock()
+			i := rng.Intn(len(names))
+			var step string
+			switch a := rng.Intn(6); a {
+			case 0, 1:
+				members[i].version++
+				step = "new version"
+			case 2:
+				members[i].fail = !members[i].fail
+				step = "fail toggled"
+			case 3:
+				members[i].conflict = !members[i].conflict
+				step = "conflict toggled"
+			default:
+				step = "unchanged"
+			}
+			for j := range members {
+				members[j].latency = time.Duration(rng.Intn(3)) * maxLatency / 2
+			}
+			invalidate := rng.Intn(8) == 0
+			before := make([]int, len(members))
+			for j := range members {
+				before[j] = members[j].fetches
+			}
+			mu.Unlock()
+			step = fmt.Sprintf("step %d (%s %s)", k, names[i], step)
+			if invalidate {
+				invalidates++
+				u.Invalidate()
+				for j, s := range u.Members(tm) {
+					if s.Fresh {
+						t.Fatalf("seed %d %s: member %s fresh after Invalidate", seed, step, names[j])
+					}
+				}
+				if u.merged.Snapshot(tm).Fresh {
+					t.Fatalf("seed %d %s: merged value fresh after Invalidate", seed, step)
+				}
+			} else {
+				clk.advance([]time.Duration{0, 2 * time.Second, 10 * time.Second, ttl + time.Second}[rng.Intn(4)])
+			}
+			u.Get(context.Background(), tm)
+			if invalidate {
+				mu.Lock()
+				for j := range members {
+					if members[j].fetches != before[j]+1 {
+						t.Fatalf("seed %d %s: member %s fetched %d times after Invalidate, want 1", seed, step, names[j], members[j].fetches-before[j])
+					}
+				}
+				mu.Unlock()
+			}
+			check(step)
+		}
+		allConflicts += conflicts
+	}
+	if allConflicts == 0 || invalidates == 0 {
+		t.Fatalf("the schedules ran %d merge conflicts and %d invalidations; both should occur", allConflicts, invalidates)
 	}
 }

@@ -38,8 +38,10 @@ import (
 )
 
 const (
+	// rechokeInterval is the tit-for-tat period in seconds.
+	rechokeInterval = 10.0
 	// optimisticEvery rotates the optimistic unchoke every this many
-	// rechokes (30 s at the default RechokeInterval).
+	// rechokes (30 s).
 	optimisticEvery = 3
 	// baseRTTSec is the fixed RTT floor covering access and processing
 	// delays (4 ms).
@@ -64,8 +66,6 @@ type Config struct {
 	// UploadSlots is the number of concurrent unchoked peers per client,
 	// including the optimistic slot (default 4).
 	UploadSlots int
-	// RechokeInterval is the tit-for-tat period in seconds (default 10).
-	RechokeInterval float64
 	// ReselectInterval, if positive, makes every client re-query the
 	// tracker periodically and replace idle connections that the fresh
 	// selection no longer includes — the appTracker re-optimization that
@@ -125,9 +125,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.UploadSlots == 0 {
 		c.UploadSlots = 4
-	}
-	if c.RechokeInterval == 0 {
-		c.RechokeInterval = 10
 	}
 	if c.TCPWindowBytes == 0 {
 		c.TCPWindowBytes = 64 << 10
@@ -313,9 +310,8 @@ func New(cfg Config) *Sim {
 		panic(fmt.Sprintf("p2psim: BackgroundBps has %d entries, graph %q has %d links",
 			len(cfg.BackgroundBps), cfg.Graph.Name, cfg.Graph.NumLinks()))
 	}
-	if !positiveFinite(cfg.RechokeInterval) || cfg.PieceBytes <= 0 || cfg.FileBytes <= 0 {
-		panic(fmt.Sprintf("p2psim: RechokeInterval %v, PieceBytes %d and FileBytes %d must be positive and finite",
-			cfg.RechokeInterval, cfg.PieceBytes, cfg.FileBytes))
+	if cfg.PieceBytes <= 0 || cfg.FileBytes <= 0 {
+		panic(fmt.Sprintf("p2psim: PieceBytes %d and FileBytes %d must be positive", cfg.PieceBytes, cfg.FileBytes))
 	}
 	s := &Sim{
 		cfg:      cfg,
@@ -483,7 +479,7 @@ func (s *Sim) start() {
 		}
 		s.push(event{t: c.Spec.JoinAt, kind: evJoin, id: int32(c.ID)})
 	}
-	s.push(event{t: s.cfg.RechokeInterval, kind: evRechoke})
+	s.push(event{t: rechokeInterval, kind: evRechoke})
 	if s.cfg.ReselectInterval > 0 {
 		s.push(event{t: s.cfg.ReselectInterval, kind: evReselect})
 	}
@@ -733,7 +729,7 @@ func (s *Sim) handleRechoke() {
 		s.conns[i].recv[0], s.conns[i].recv[1] = 0, 0
 	}
 	if s.incomplete > 0 || s.cfg.Streaming != nil {
-		s.push(event{t: s.now + s.cfg.RechokeInterval, kind: evRechoke})
+		s.push(event{t: s.now + rechokeInterval, kind: evRechoke})
 	}
 }
 

@@ -301,8 +301,7 @@ func TestFarFutureEventsWaitTheirTurn(t *testing.T) {
 }
 
 // TestConfigValidation pins a panic naming the bad field for a missing
-// part and for each value that would otherwise hang Run (a rechoke
-// period that moves the clock backwards or not at all), crash deep
+// part and for each value that would otherwise hang Run, crash deep
 // inside it, or poison the metrics.
 func TestConfigValidation(t *testing.T) {
 	g := topology.Abilene()
@@ -316,9 +315,6 @@ func TestConfigValidation(t *testing.T) {
 		{"Graph", func(c *Config) { c.Graph = nil }, nil},
 		{"Selector", func(c *Config) { c.Selector = nil }, nil},
 		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = 0 }},
-		{"RechokeInterval", func(c *Config) { c.RechokeInterval = -1 }, nil},
-		{"RechokeInterval", func(c *Config) { c.RechokeInterval = nan }, nil},
-		{"RechokeInterval", func(c *Config) { c.RechokeInterval = inf }, nil},
 		{"PieceBytes", func(c *Config) { c.PieceBytes = -1 }, nil},
 		{"FileBytes", func(c *Config) { c.FileBytes = -5 }, nil},
 		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = nan }},

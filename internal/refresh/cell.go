@@ -15,20 +15,19 @@ import (
 	"time"
 )
 
-// The timings every cell runs on unless its owner configures others.
+// The timings every cell runs on; a Timing may override the TTL and backoff.
 const (
 	DefaultTTL            = 30 * time.Second
 	DefaultRefreshTimeout = 10 * time.Second
 	DefaultFailureBackoff = 5 * time.Second
 )
 
-// Timing is a cell's three windows and its clock; zero fields take the
+// Timing is a cell's two windows and its clock; zero fields take the
 // defaults. Owners keep these as exported fields that may be set after
 // construction, so a cell stores none of them: every call is handed the
 // owner's current values.
 type Timing struct {
 	TTL            time.Duration // how long a fetched value serves without revalidation
-	RefreshTimeout time.Duration // bounds one fetch
 	FailureBackoff time.Duration // how long last-known-good serves before a failed source is retried
 	// Now, when non-nil, replaces time.Now so tests drive the windows
 	// with a fake clock instead of sleeping.
@@ -117,8 +116,8 @@ type held[T any] struct {
 // the first Get; a Cell must not be copied after that.
 type Cell[T any] struct {
 	// Fetch produces a new value. It runs on the goroutine of the one
-	// caller that found the value expired, under RefreshTimeout, with no
-	// lock held.
+	// caller that found the value expired, under DefaultRefreshTimeout,
+	// with no lock held.
 	Fetch func(ctx context.Context) (T, error)
 
 	held atomic.Pointer[held[T]]
@@ -211,7 +210,7 @@ func (c *Cell[T]) refresh(ctx context.Context, tm Timing, done chan struct{}) (r
 		c.mu.Unlock()
 		close(done)
 	}()
-	ctx, cancel := context.WithTimeout(ctx, orDefault(tm.RefreshTimeout, DefaultRefreshTimeout))
+	ctx, cancel := context.WithTimeout(ctx, DefaultRefreshTimeout)
 	defer cancel()
 	v, err = c.Fetch(ctx)
 	return r

@@ -250,8 +250,8 @@ func TestCellColdStartWait(t *testing.T) {
 	}
 }
 
-// TestCellFetchTimeout checks the fetch context carries RefreshTimeout
-// and descends from the caller's context.
+// TestCellFetchTimeout checks the fetch context carries
+// DefaultRefreshTimeout and descends from the caller's context.
 func TestCellFetchTimeout(t *testing.T) {
 	type key struct{}
 	var deadlineIn time.Duration
@@ -262,9 +262,9 @@ func TestCellFetchTimeout(t *testing.T) {
 		inherited = ctx.Value(key{}) == "caller"
 		return 1, nil
 	}}
-	c.Get(context.WithValue(context.Background(), key{}, "caller"), Timing{RefreshTimeout: time.Hour})
-	if deadlineIn <= 59*time.Minute || deadlineIn > time.Hour {
-		t.Errorf("fetch deadline in %v, want about RefreshTimeout (1h)", deadlineIn)
+	c.Get(context.WithValue(context.Background(), key{}, "caller"), Timing{})
+	if deadlineIn <= DefaultRefreshTimeout-time.Second || deadlineIn > DefaultRefreshTimeout {
+		t.Errorf("fetch deadline in %v, want about DefaultRefreshTimeout (%v)", deadlineIn, DefaultRefreshTimeout)
 	}
 	if !inherited {
 		t.Error("fetch context does not descend from the caller's")

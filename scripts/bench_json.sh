@@ -22,11 +22,13 @@
 #                     parallel and serial
 #                     -> BENCH_sim.json
 #
-# BENCHTIME overrides the micro-benchmark -benchtime (default 1s);
-# P4P_SCALE the sweep workload scale (default 0.25). The header stamps
-# the machine: goos/goarch/cpu from go test, go_version, gomaxprocs (the
-# -N suffix go test prints) and the commit (with -dirty when the tree
-# has uncommitted changes).
+# Each micro-benchmark runs five times (-count 5) and its row holds the
+# median of each field, so one noisy run does not move bench_diff.sh's
+# gates; the Figure 7 sweep runs once. BENCHTIME overrides the
+# micro-benchmark -benchtime (default 1s); P4P_SCALE the sweep workload
+# scale (default 0.25). The header stamps the machine: goos/goarch/cpu
+# from go test, go_version, gomaxprocs (the -N suffix go test prints)
+# and the commit (with -dirty when the tree has uncommitted changes).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,13 +38,13 @@ portal)
 	OUT=BENCH_portal.json
 	RAW=$(
 		go test -run '^$' -bench 'BenchmarkPortal|BenchmarkViewRecompute|BenchmarkViewCodec|BenchmarkClientDistances' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/portal/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/portal/
 		go test -run '^$' -bench 'BenchmarkEngine' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/core/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/core/
 		go test -run '^$' -bench 'BenchmarkSelectRequestDecode' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
 		go test -run '^$' -bench 'BenchmarkRouterRefresh' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/federation/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/federation/
 	)
 	;;
 sim)
@@ -52,9 +54,9 @@ sim)
 	# parallel ns/op is the harness's speedup on this host.
 	RAW=$(
 		go test -run '^$' -bench 'BenchmarkSim' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/p2psim/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/p2psim/
 		go test -run '^$' -bench 'BenchmarkP4PSelect' \
-			-benchmem -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
+			-benchmem -count 5 -benchtime "${BENCHTIME:-1s}" ./internal/apptracker/
 		go test -run '^$' -bench 'BenchmarkFigure7SwarmSize(Serial)?$' \
 			-benchmem -benchtime 1x -p4p.scale "${P4P_SCALE:-0.25}" .
 	)
@@ -69,6 +71,16 @@ printf '%s\n' "$RAW"
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 [ -z "$(git status --porcelain 2>/dev/null)" ] || COMMIT="$COMMIT-dirty"
 printf '%s\n' "$RAW" | awk -v go_version="$(go env GOVERSION)" -v commit="$COMMIT" '
+# median sorts the k values of vals[name, 0..k-1] and returns the middle
+# one (the mean of the two middle ones when k is even).
+function median(vals, name, k,    i, j, v, s) {
+    for (i = 0; i < k; i++) {
+        v = vals[name, i] + 0
+        for (j = i; j > 0 && s[j-1] > v; j--) s[j] = s[j-1]
+        s[j] = v
+    }
+    return k % 2 ? s[int(k/2)] : (s[k/2-1] + s[k/2]) / 2
+}
 BEGIN { n = 0; procs = 1 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
@@ -87,12 +99,9 @@ BEGIN { n = 0; procs = 1 }
         else if (u == "allocs/op") a  = $i
     }
     if (ns == "") next
-    bench[n]  = name
-    iters[n]  = $2
-    nsop[n]   = ns
-    bop[n]    = b
-    allocs[n] = a
-    n++
+    if (!(name in runs)) bench[n++] = name
+    k = runs[name]++
+    iters[name, k] = $2; nsop[name, k] = ns; bop[name, k] = b; allocs[name, k] = a
 }
 END {
     printf "{\n"
@@ -104,8 +113,9 @@ END {
     printf "  \"commit\": \"%s\",\n", commit
     printf "  \"benchmarks\": [\n"
     for (i = 0; i < n; i++) {
-        printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-            bench[i], iters[i], nsop[i], bop[i], allocs[i], (i < n-1 ? "," : "")
+        name = bench[i]; k = runs[name]
+        printf "    {\"name\": \"%s\", \"iterations\": %.0f, \"ns_per_op\": %.12g, \"bytes_per_op\": %.0f, \"allocs_per_op\": %.0f}%s\n", \
+            name, median(iters, name, k), median(nsop, name, k), median(bop, name, k), median(allocs, name, k), (i < n-1 ? "," : "")
     }
     printf "  ]\n"
     printf "}\n"
