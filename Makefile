@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMaxMatchingMatchesLP$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSetters$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzITrackerNew$$' -fuzztime 10s ./internal/itracker
+	$(GO) test -run '^$$' -fuzz '^FuzzTopologyLinks$$' -fuzztime 10s ./internal/topology
 	$(GO) test -run '^$$' -fuzz '^FuzzRatesMatchReference$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzQueueOrder$$' -fuzztime 10s ./internal/p2psim
 	$(GO) test -run '^$$' -fuzz '^FuzzTieDrawMatchesIntn$$' -fuzztime 10s ./internal/p2psim

@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, " %s=%d", p2psim.EventKinds[k], n)
 	}
 	fmt.Fprintln(stdout)
-	fmt.Fprintf(stdout, "finish events     %d stale, %d early\n", res.StalePops, res.EarlyFires)
+	fmt.Fprintf(stdout, "finish events     %d early\n", res.EarlyFires)
 	fmt.Fprintf(stdout, "conns             %d made, %d dropped, peak %d live; peak %d live flows\n",
 		res.Connects, res.Disconnects, res.PeakConns, res.PeakFlows)
 	fmt.Fprintf(stdout, "fingerprint       %s\n", res.Fingerprint())

@@ -146,13 +146,12 @@ type Result struct {
 // RunStats counts what the engine did. RateResolves is one per flow
 // start and one per finish, FlowsVisited the flows they recomputed a
 // fair rate for, FlowsRerated those whose rate changed. Events counts
-// pops by kind (EventKinds names them); StalePops are finish events
-// whose flow had finished or been re-armed since, EarlyFires those that
-// found bytes left. The peaks are of live conn and flow arena slots.
+// pops by kind (EventKinds names them); EarlyFires are finish events
+// that found bytes left. The peaks are of live conn and flow arena slots.
 type RunStats struct {
 	RateResolves, FlowsVisited, FlowsRerated int64
 	Events                                   [numEventKinds]int64
-	StalePops, EarlyFires                    int64
+	EarlyFires                               int64
 	Connects, Disconnects                    int64
 	PeakConns, PeakFlows                     int64
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"p4p/internal/apptracker"
@@ -15,7 +16,7 @@ import (
 // pop ordered by kind, then FIFO by push sequence — the total order the
 // simulation's determinism contract relies on.
 func TestEventHeapTieBreak(t *testing.T) {
-	var q eventHeap
+	q := eventHeap{pos: noneQueued(9)}
 	const tm = 3.25
 	// Push in an order that disagrees with both kind and seq order.
 	q.push(event{t: tm, kind: evSample, qseq: 0})
@@ -41,6 +42,15 @@ func TestEventHeapTieBreak(t *testing.T) {
 	}
 }
 
+// noneQueued is a position table for n flows with no event queued.
+func noneQueued(n int) []int32 {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return pos
+}
+
 // refBefore is the queue's total order (t, kind, qseq), spelled out
 // here rather than read from eventBefore, so that a wrong eventBefore
 // disagrees with the reference instead of steering it.
@@ -48,16 +58,28 @@ func refBefore(a, b event) bool {
 	return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.kind, b.kind), cmp.Compare(a.qseq, b.qseq)) < 0
 }
 
-// checkQueueOrder runs one push/pop schedule, read from data, through
-// eventHeap and a slow reference (an unordered slice whose pop scans
-// for the minimum by refBefore), and requires the same pops in the
-// same order, then the same drain. Each byte is one act: a push of one
-// event, a run of up to 64 pushes, or a run of up to 64 pops. A pushed
-// event takes two more bytes: one picks its kind and whether its time
-// is a whole number of seconds from now (clusters of identical
+// queueFlows is how many flow handles checkQueueOrder's finish events
+// draw from, few enough that re-keys and removes often find one queued.
+const queueFlows = 16
+
+// checkQueueOrder runs one schedule, read from data, through eventHeap
+// and a slow reference (an unordered slice whose pop scans for the
+// minimum by refBefore), and requires the same pops in the same order,
+// then the same drain. Each byte is one act: a push of one event, a run
+// of up to 43 pushes, a re-key, a remove, one pop or a run of up to 32. A
+// pushed event takes two more bytes: one picks its kind and whether its
+// time is a whole number of seconds from now (clusters of identical
 // timestamps), near, mid-range or far ahead, or one of 1e15, 1e18,
-// 1e300 and +Inf; the other byte is its offset. Past the end of data
-// every byte reads as zero.
+// 1e300 and +Inf; the other byte is its offset, and for a finish event
+// also the first of queueFlows handles tried for one with nothing
+// queued (none free: it is pushed as a sample). A re-key moves the
+// finish event of a queued handle, found from the next byte, earlier
+// (to now, or a fraction of the way there picked by one more byte),
+// with a fresh qseq, as scheduleFinish does; a remove dequeues the
+// handle the next byte names, if it has an event queued. After every
+// act the position table must name each queued finish event's index,
+// and -1 for every handle with none. Past the end of data every byte
+// reads as zero.
 func checkQueueOrder(t *testing.T, data []byte) {
 	t.Helper()
 	at := 0
@@ -68,10 +90,35 @@ func checkQueueOrder(t *testing.T, data []byte) {
 		at++
 		return int(data[at-1])
 	}
-	var heap eventHeap
+	heap := eventHeap{pos: noneQueued(queueFlows)}
 	var ref []event
 	now := 0.0
 	var qseq uint64
+	// refFlows is, by flow handle, the index in ref of its finish event,
+	// -1 if none.
+	refFlows := func() (where [queueFlows]int) {
+		for h := range where {
+			where[h] = -1
+		}
+		for i, e := range ref {
+			if e.kind == evFlowFinish {
+				where[e.id] = i
+			}
+		}
+		return where
+	}
+	// queuedFrom is the first handle from b on with an event queued
+	// (want true) or none (want false), and its index in ref; -1 if
+	// there is none.
+	queuedFrom := func(b int, want bool) (int, int) {
+		where := refFlows()
+		for k := range queueFlows {
+			if h := (b + k) % queueFlows; (where[h] >= 0) == want {
+				return h, where[h]
+			}
+		}
+		return -1, -1
+	}
 	push := func() {
 		x, y := next(), float64(next())
 		tm := now
@@ -88,9 +135,56 @@ func checkQueueOrder(t *testing.T, data []byte) {
 			tm = max(tm, []float64{1e15, 1e18, 1e300, math.Inf(1)}[int(y)%4])
 		}
 		e := event{t: tm, kind: uint8(x / 5 % 7), qseq: qseq, id: int32(qseq)}
+		if e.kind == evFlowFinish {
+			if h, _ := queuedFrom(int(y), false); h >= 0 {
+				e.id = int32(h)
+			} else {
+				e.kind = evSample
+			}
+		}
 		qseq++
 		heap.push(e)
 		ref = append(ref, e)
+	}
+	rekey := func() {
+		h, i := queuedFrom(next(), true)
+		if h < 0 {
+			return
+		}
+		tm, b := now, next()
+		if b != 0 && !math.IsInf(ref[i].t, 1) {
+			tm += (ref[i].t - now) * float64(b) / 256
+		} else if b != 0 {
+			tm += float64(b)
+		}
+		if !(tm < ref[i].t) {
+			return // not earlier: scheduleFinish would keep the queued event
+		}
+		e := event{t: tm, kind: evFlowFinish, qseq: qseq, id: int32(h)}
+		qseq++
+		heap.push(e)
+		ref[i] = e
+	}
+	remove := func() {
+		h := next() % queueFlows
+		heap.remove(int32(h))
+		if i := refFlows()[h]; i >= 0 {
+			ref = slices.Delete(ref, i, i+1)
+		}
+	}
+	checkPositions := func() {
+		where := refFlows()
+		for h, i := range heap.pos {
+			switch ri := where[h]; {
+			case (i >= 0) != (ri >= 0):
+				t.Fatalf("byte %d: flow %d position %d, reference has its event at %d", at, h, i, ri)
+			case i >= 0 && (int(i) >= len(heap.ev) || heap.ev[i] != ref[ri]):
+				t.Fatalf("byte %d: flow %d position %d does not hold its event %+v", at, h, i, ref[ri])
+			}
+		}
+		if len(heap.ev) != len(ref) {
+			t.Fatalf("byte %d: heap holds %d events, reference %d", at, len(heap.ev), len(ref))
+		}
 	}
 	pop := func() bool {
 		he, hok := heap.pop()
@@ -114,9 +208,8 @@ func checkQueueOrder(t *testing.T, data []byte) {
 			t.Fatalf("byte %d: heap popped %+v, reference popped %+v", at, he, re)
 		case hok && he.t < now:
 			t.Fatalf("byte %d: time went backwards (%g < %g)", at, he.t, now)
-		case len(heap.ev) != len(ref):
-			t.Fatalf("byte %d: heap holds %d events, reference %d", at, len(heap.ev), len(ref))
 		}
+		checkPositions()
 		if hok {
 			now = he.t
 		}
@@ -124,18 +217,25 @@ func checkQueueOrder(t *testing.T, data []byte) {
 	}
 	for at < len(data) {
 		act := next()
-		switch act % 4 {
+		switch act % 6 {
 		case 0:
 			push()
 		case 1:
-			for k := 0; k <= act/4; k++ {
+			for k := 0; k <= act/6; k++ {
 				push()
 			}
+		case 2:
+			rekey()
+		case 3:
+			remove()
+		case 4:
+			pop()
 		default:
-			for k := 0; k <= act/4; k++ {
+			for k := 0; k <= act/8; k++ {
 				pop()
 			}
 		}
+		checkPositions()
 	}
 	for pop() {
 	}
@@ -145,7 +245,7 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xfd, 0, 0, 0, 0x01, 0x02, 0x03, 0x05, 0x06, 0x07, 0x0a, 0xff})
 	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 16; i++ {
 		data := make([]byte, 1024)
 		r.Read(data)
 		f.Add(data)

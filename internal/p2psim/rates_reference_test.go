@@ -98,14 +98,15 @@ type ratedFlow struct {
 
 // rateLogger derives, after each event, the ordered log of the flows
 // the event re-rated or re-armed, by diffing the flow arena against its
-// state after the previous event (seq counts every re-arm, so a flow
-// re-armed to the same finish time still shows). No production seam is
-// needed for it. The order of the re-rates within an event is pinned
-// separately, by the two things it can change: the float sums in
-// linkRate and the push order (qseq) of the finish events.
+// state after the previous event (the queued finish event's qseq moves
+// on every re-arm, so a flow re-armed to the same finish time still
+// shows). No production seam is needed for it. The order of the
+// re-rates within an event is pinned separately, by the two things it
+// can change: the float sums in linkRate and the push order (qseq) of
+// the finish events.
 type rateLogger struct {
 	prev []ratedFlow
-	seq  []int32
+	qseq []uint64
 	log  []ratedFlow
 }
 
@@ -115,11 +116,15 @@ func (l *rateLogger) after(s *Sim) []ratedFlow {
 		f := &s.flows[i]
 		if i == len(l.prev) {
 			l.prev = append(l.prev, ratedFlow{flow: int32(i)})
-			l.seq = append(l.seq, 0)
+			l.qseq = append(l.qseq, 0)
 		}
 		cur := ratedFlow{int32(i), math.Float64bits(f.rate), math.Float64bits(f.eventT)}
-		if cur != l.prev[i] || f.seq != l.seq[i] {
-			l.prev[i], l.seq[i] = cur, f.seq
+		var qseq uint64 // 0: no finish event queued
+		if at := s.events.pos[i]; at >= 0 {
+			qseq = s.events.ev[at].qseq
+		}
+		if cur != l.prev[i] || qseq != l.qseq[i] {
+			l.prev[i], l.qseq[i] = cur, qseq
 			l.log = append(l.log, cur)
 		}
 	}
@@ -139,8 +144,8 @@ type visitStats struct {
 
 // runLockStep builds the same simulation twice, resolves one by the
 // flow lists and one by the reference, and advances both one event at a
-// time. Every popped event (time bits, kind, handle, seq and push
-// order) must be equal, and after every event the ordered logs of
+// time. Every popped event (time bits, kind, handle and push order)
+// must be equal, and after every event the ordered logs of
 // re-rated flows (handle, new rate bits, scheduled finish-time bits),
 // the push counters and the per-link rate bits; at the end the Results
 // must be deep-equal but for FlowsVisited.
@@ -335,10 +340,11 @@ func TestRatesMatchReference(t *testing.T) {
 // checkFlowLists verifies the per-client flow lists against the flow
 // arena: every active flow sits exactly once in its uploader's upload
 // list and once in its downloader's download list, both lists are
-// strictly ordered and as long as nUp/nDown say, freed slots are
-// unlinked, and every active flow carries its current fair rate — the
-// property that lets ratesChanged visit only u's uploads and d's
-// downloads.
+// strictly ordered and as long as up[c].n/down[c].n say, freed slots
+// are unlinked, and every active flow carries its current fair rate,
+// recomputed here from the access capacities and counts rather than
+// read from the cached shares flowRate reads — the property that lets
+// ratesChanged visit only u's uploads and d's downloads.
 func checkFlowLists(t *testing.T, s *Sim) (active int) {
 	t.Helper()
 	inUp := make([]int, len(s.flows))
@@ -356,8 +362,8 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 				t.Fatalf("client %d upload list cycles", c)
 			}
 		}
-		if n != s.nUp[c] {
-			t.Fatalf("client %d: %d uploads listed, nUp = %d", c, n, s.nUp[c])
+		if n != s.up[c].n {
+			t.Fatalf("client %d: %d uploads listed, up.n = %d", c, n, s.up[c].n)
 		}
 		n, last = 0, -1
 		for fi := s.downHead[c]; fi >= 0; fi = s.flows[fi].nextDown {
@@ -371,8 +377,8 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 				t.Fatalf("client %d download list cycles", c)
 			}
 		}
-		if n != s.nDown[c] {
-			t.Fatalf("client %d: %d downloads listed, nDown = %d", c, n, s.nDown[c])
+		if n != s.down[c].n {
+			t.Fatalf("client %d: %d downloads listed, down.n = %d", c, n, s.down[c].n)
 		}
 	}
 	for fi := range s.flows {
@@ -387,8 +393,9 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 		if inUp[fi] != 1 || inDown[fi] != 1 {
 			t.Fatalf("active flow %d (%d->%d) listed %d times as upload, %d as download", fi, f.u, f.d, inUp[fi], inDown[fi])
 		}
-		if want := s.flowRate(f); f.rate != want {
-			t.Fatalf("active flow %d (%d->%d) has rate %v, flowRate says %v", fi, f.u, f.d, f.rate, want)
+		up, down := &s.up[f.u], &s.down[f.d]
+		if want := min(f.rateCap, up.bps/float64(up.n), down.bps/float64(down.n)); f.rate != want {
+			t.Fatalf("active flow %d (%d->%d) has rate %v, its fair share is %v", fi, f.u, f.d, f.rate, want)
 		}
 		cn := &s.conns[f.cn]
 		if cn.flow[dirOf(cn, f.u)] != int32(fi) {
@@ -401,6 +408,39 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 		}
 	}
 	return active
+}
+
+// checkFinishEvents verifies the event heap's flow index against the
+// flow arena: each active flow with a finite eventT has exactly one
+// finish event queued, at the position the heap records, at time
+// eventT; no other finish event is queued, and every other flow's
+// position is -1.
+func checkFinishEvents(t *testing.T, s *Sim) {
+	t.Helper()
+	if len(s.events.pos) != len(s.flows) {
+		t.Fatalf("position table has %d entries, flow arena %d", len(s.events.pos), len(s.flows))
+	}
+	queued := make([]int, len(s.flows))
+	for i, e := range s.events.ev {
+		if e.kind != evFlowFinish {
+			continue
+		}
+		queued[e.id]++
+		f := &s.flows[e.id]
+		if !f.active || e.t != f.eventT || s.events.pos[e.id] != int32(i) {
+			t.Fatalf("finish event %+v at %d: flow active=%v eventT %v, recorded at %d", e, i, f.active, f.eventT, s.events.pos[e.id])
+		}
+	}
+	for fi := range s.flows {
+		f := &s.flows[fi]
+		want := 0
+		if f.active && !math.IsInf(f.eventT, 1) {
+			want = 1
+		}
+		if queued[fi] != want || (want == 0 && s.events.pos[fi] != -1) {
+			t.Fatalf("flow %d (active=%v, eventT %v): %d finish events queued, position %d", fi, f.active, f.eventT, queued[fi], s.events.pos[fi])
+		}
+	}
 }
 
 // checkAdjacency verifies the conn arena against the per-client conn
@@ -463,8 +503,8 @@ func checkAvailability(t *testing.T, s *Sim) {
 }
 
 // TestFlowListsInvariant drives the event loop by hand and checks the
-// flow lists, the adjacency and the availability after every event, in
-// file and in streaming mode.
+// flow lists, the queued finish events, the adjacency and the
+// availability after every event, in file and in streaming mode.
 func TestFlowListsInvariant(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
@@ -484,6 +524,7 @@ func TestFlowListsInvariant(t *testing.T) {
 			if n := checkFlowLists(t, s); n > peak {
 				peak = n
 			}
+			checkFinishEvents(t, s)
 			checkAdjacency(t, s)
 			checkAvailability(t, s)
 		}
@@ -493,5 +534,43 @@ func TestFlowListsInvariant(t *testing.T) {
 		if rc.flags&2 != 0 && s.stats.Disconnects == 0 {
 			t.Fatalf("case %+v: reselection dropped no conn; the adjacency check has no teeth", rc)
 		}
+	}
+}
+
+// TestRateZeroDequeuesFinish stops a flow with a finish event queued,
+// every few events of a swarm: at rate 0 scheduleFinish must leave
+// nothing queued for it, and the re-rate that follows must queue one
+// again. Access shares never round to 0 in a run, so the branch is
+// driven by hand.
+func TestRateZeroDequeuesFinish(t *testing.T) {
+	g := topology.Abilene()
+	r := topology.ComputeRouting(g)
+	s := ratesCase{seed: 13, clients: 30, slots: 3, neighbors: 11}.build(g, r)()
+	s.start()
+	stopped := 0
+	for n := 0; ; n++ {
+		ev, ok := s.events.pop()
+		if !ok || !s.handle(ev) {
+			break
+		}
+		if n%7 != 0 {
+			continue
+		}
+		for fi := range s.flows {
+			if f := &s.flows[fi]; f.active && !math.IsInf(f.eventT, 1) {
+				s.progressFlow(f)
+				s.applyRate(f, 0)
+				s.scheduleFinish(f)
+				checkFinishEvents(t, s)
+				s.rerate(f)
+				stopped++
+				break
+			}
+		}
+		checkFlowLists(t, s)
+		checkFinishEvents(t, s)
+	}
+	if stopped < 20 {
+		t.Fatalf("only %d flows were stopped; the check has no teeth", stopped)
 	}
 }

@@ -21,8 +21,8 @@
 // as a flat counter array exact only for the pieces each client lacks,
 // connections and flows in free-listed arenas addressed by int32
 // handles), with the pointer-bearing Client struct kept only at the API
-// boundary. Events flow through one binary min-heap (see queue.go). See
-// DESIGN.md §13.
+// boundary. Events flow through one indexed binary min-heap (see
+// queue.go). See DESIGN.md §13.
 package p2psim
 
 import (
@@ -203,14 +203,11 @@ func peerOf(cn *connS, c int32) int32 {
 }
 
 // flowS is one active piece transfer, stored in the Sim's flow arena.
-// seq survives slot reuse (it is never reset by alloc), so a stale
-// finish event addressed to a recycled slot can never match.
 type flowS struct {
 	u, d   int32
 	cn     int32 // conn arena handle
 	piece  int32
 	self   int32 // own arena handle (finish events carry it)
-	seq    int32
 	active bool
 
 	remaining float64 // bytes
@@ -218,13 +215,27 @@ type flowS struct {
 	rateCap   float64 // TCP window cap, bytes/sec (+Inf when disabled)
 	lastT     float64
 	moved     float64 // bytes transferred so far (flushed at teardown)
-	eventT    float64 // time of the live scheduled finish event (+Inf when none)
+	eventT    float64 // time of the queued finish event (+Inf when none)
 	// The next of u's uploads by downloader ID and of d's downloads by
 	// uploader ID: the lists ratesChanged walks (-1 ends, and unlinked).
 	nextUp, nextDown int32
 
 	links    []topology.LinkID
 	ledgered []topology.LinkID // links on the path with volume ledgers
+}
+
+// access is one direction of a client's access link: its capacity, the
+// transfers splitting it and the fair share each gets.
+type access struct {
+	bps   float64 // bytes/sec
+	share float64 // bps/n, recomputed by add wherever n changes
+	n     int32   // active transfers (the list length)
+}
+
+// add changes the transfer count by dn and recomputes the fair share.
+func (a *access) add(dn int32) {
+	a.n += dn
+	a.share = a.bps / float64(a.n)
 }
 
 // Sim is a single swarm simulation. Build with New, add clients, Run.
@@ -243,27 +254,26 @@ type Sim struct {
 	incomplete int // clients still downloading
 
 	// Per-client struct-of-arrays hot state, indexed by client ID.
-	upBps, downBps []float64 // bytes/sec internally
-	pid            []topology.PID
-	asn            []int
-	isSeed         []bool
-	joined         []bool
-	done           []bool
-	doneAt         []float64
-	numHas         []int32
-	nUp, nDown     []int32 // active transfer counts (the list lengths)
-	upHead         []int32 // first active upload, by downloader ID; -1 none
-	downHead       []int32 // first active download, by uploader ID; -1 none
-	rechokeNum     []int32
-	optimistic     []int32 // optimistic-unchoke conn handle, -1 none
-	unchokeMark    []int64 // epoch stamps replacing per-call sets
-	wantMark       []int64
-	hasBits        []uint64  // piece bitfields, hasW words per client
-	pendBits       []uint64  // in-flight pieces, same layout
-	avail          []int32   // neighbor availability, pieces per client
-	connsOf        [][]int32 // conn handles, one per neighbor
-	joinedPos      []int32   // position in joinedIDs
-	tieM           []uint64  // tieM[n] = lemireM(n) for every tie count n <= pieces+1
+	up, down    []access // upload and download side of the access link
+	pid         []topology.PID
+	asn         []int
+	isSeed      []bool
+	joined      []bool
+	done        []bool
+	doneAt      []float64
+	numHas      []int32
+	upHead      []int32 // first active upload, by downloader ID; -1 none
+	downHead    []int32 // first active download, by uploader ID; -1 none
+	rechokeNum  []int32
+	optimistic  []int32 // optimistic-unchoke conn handle, -1 none
+	unchokeMark []int64 // epoch stamps replacing per-call sets
+	wantMark    []int64
+	hasBits     []uint64  // piece bitfields, hasW words per client
+	pendBits    []uint64  // in-flight pieces, same layout
+	avail       []int32   // neighbor availability, pieces per client
+	connsOf     [][]int32 // conn handles, one per neighbor
+	joinedPos   []int32   // position in joinedIDs
+	tieM        []uint64  // tieM[n] = lemireM(n) for every tie count n <= pieces+1
 
 	// Conn and flow arenas with free lists.
 	conns    []connS
@@ -350,8 +360,8 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 	}
 	s.clients = append(s.clients, c)
 
-	s.upBps = append(s.upBps, spec.UpBps/8)
-	s.downBps = append(s.downBps, spec.DownBps/8)
+	s.up = append(s.up, access{bps: spec.UpBps / 8})
+	s.down = append(s.down, access{bps: spec.DownBps / 8})
 	s.pid = append(s.pid, spec.PID)
 	s.asn = append(s.asn, spec.ASN)
 	s.isSeed = append(s.isSeed, spec.IsSeed)
@@ -359,8 +369,6 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 	s.done = append(s.done, false)
 	s.doneAt = append(s.doneAt, 0)
 	s.numHas = append(s.numHas, 0)
-	s.nUp = append(s.nUp, 0)
-	s.nDown = append(s.nDown, 0)
 	s.upHead = append(s.upHead, -1)
 	s.downHead = append(s.downHead, -1)
 	s.rechokeNum = append(s.rechokeNum, 0)
@@ -509,12 +517,7 @@ func (s *Sim) handle(ev event) bool {
 	case evRechoke:
 		s.handleRechoke()
 	case evFlowFinish:
-		f := &s.flows[ev.id]
-		if f.active && f.seq == ev.seq {
-			s.handleFlowFinish(ev.id)
-		} else {
-			s.stats.StalePops++
-		}
+		s.handleFlowFinish(ev.id)
 	case evMeasure:
 		s.handleMeasure()
 	case evSample:
@@ -874,17 +877,16 @@ func (s *Sim) tryStartCn(ci, u, d int32) {
 	cn := &s.conns[ci]
 	cn.flow[dirOf(cn, u)] = fi
 	s.setPending(d, piece)
-	s.nUp[u]++
-	s.nDown[d]++
+	s.up[u].add(1)
+	s.down[d].add(1)
 	up, down := s.upSlot(u, d), s.downSlot(d, u)
 	f.nextUp, f.nextDown, *up, *down = *up, *down, fi, fi // splice fi in at both
 	s.ratesChanged(u, d)
 }
 
 // allocFlow returns a flow arena slot: recycled from the free list when
-// possible, freshly appended otherwise. The slot's seq stamp is
-// deliberately NOT reset — it outlives reuse so stale finish events
-// addressed to the slot keep failing their seq check.
+// possible, freshly appended otherwise, with the event heap's position
+// table grown alongside.
 func (s *Sim) allocFlow() int32 {
 	if n := len(s.flowFree); n > 0 {
 		fi := s.flowFree[n-1]
@@ -892,6 +894,7 @@ func (s *Sim) allocFlow() int32 {
 		return fi
 	}
 	s.flows = append(s.flows, flowS{})
+	s.events.pos = append(s.events.pos, -1)
 	return int32(len(s.flows) - 1)
 }
 
@@ -1007,7 +1010,7 @@ func (s *Sim) downSlot(d, u int32) *int32 {
 }
 
 // ratesChanged re-resolves rates after a flow u->d started or finished.
-// Of what flowRate reads only nUp[u] and nDown[d] changed, so only u's
+// Of what flowRate reads only up[u] and down[d] changed, so only u's
 // uploads and d's downloads can have a new rate. They are visited in
 // (uploader, downloader) order — d's downloads from below u, u's
 // uploads, d's downloads from above u — which fixes the float order of
@@ -1051,9 +1054,7 @@ func (s *Sim) rerate(f *flowS) {
 // the minimum of the uploader's and downloader's per-connection fair
 // shares, additionally capped by the window/RTT limit of the path.
 func (s *Sim) flowRate(f *flowS) float64 {
-	up := s.upBps[f.u] / float64(s.nUp[f.u])
-	down := s.downBps[f.d] / float64(s.nDown[f.d])
-	return min(f.rateCap, up, down)
+	return min(f.rateCap, s.up[f.u].share, s.down[f.d].share)
 }
 
 // applyRate updates the flow's rate and the per-link rate accounting.
@@ -1065,34 +1066,33 @@ func (s *Sim) applyRate(f *flowS, rate float64) {
 	f.rate = rate
 }
 
-// scheduleFinish (re)arms the flow's finish event. A reschedule is only
-// pushed when the projected finish moved EARLIER than the currently
-// scheduled event: a later finish keeps the old event live, which then
-// fires early, integrates exactly, and re-arms (handleFlowFinish's
-// remaining > 0 branch). Rate decreases — the common case, every new
-// flow joining a bottleneck slows its neighbours — therefore push
-// nothing, collapsing what used to be a stale-event reschedule storm
-// into at most one early fire per scheduled event. Byte accounting is
+// scheduleFinish (re)arms the flow's finish event. The event only moves
+// when the projected finish moved EARLIER than the queued one: push
+// re-keys it in place, with a fresh qseq as if pushed anew. A later
+// finish keeps the queued event, which then fires early, integrates
+// exactly, and re-arms (handleFlowFinish's remaining > 0 branch). Rate
+// decreases — the common case, every new flow joining a bottleneck
+// slows its neighbours — therefore touch the queue not at all, and
+// cost at most one early fire per scheduled event. Byte accounting is
 // unaffected: progressFlow integrates the actually-applied rates
 // regardless of when events fire.
 func (s *Sim) scheduleFinish(f *flowS) {
 	if f.rate <= 0 {
-		f.seq++ // kill the live event, if any
+		s.events.remove(f.self)
 		f.eventT = math.Inf(1)
 		return // re-armed when a rate change occurs
 	}
 	t := s.now + f.remaining/f.rate
 	if t >= f.eventT {
-		return // finish moved later: the live event fires early and re-arms
+		return // finish moved later: the queued event fires early and re-arms
 	}
-	f.seq++
 	f.eventT = t
-	s.push(event{t: t, kind: evFlowFinish, id: f.self, seq: f.seq})
+	s.push(event{t: t, kind: evFlowFinish, id: f.self})
 }
 
 func (s *Sim) handleFlowFinish(fi int32) {
 	f := &s.flows[fi]
-	f.eventT = math.Inf(1) // the live event just fired
+	f.eventT = math.Inf(1) // its event just popped
 	s.progressFlow(f)
 	if f.remaining > 1e-6 {
 		// Rate dropped since scheduling; progress and re-arm.
@@ -1105,7 +1105,6 @@ func (s *Sim) handleFlowFinish(fi int32) {
 	f.active = false
 	s.flushFlow(f)
 	s.applyRate(f, 0)
-	f.seq++ // stale events addressed to this slot can never match again
 	*s.upSlot(u, d), *s.downSlot(d, u) = f.nextUp, f.nextDown
 	f.nextUp, f.nextDown = -1, -1
 	s.freeFlow(fi)
@@ -1113,8 +1112,8 @@ func (s *Sim) handleFlowFinish(fi int32) {
 	// the slot or grow the arena (moving its backing array).
 	cn := &s.conns[ci]
 	cn.flow[dirOf(cn, u)] = -1
-	s.nUp[u]--
-	s.nDown[d]--
+	s.up[u].add(-1)
+	s.down[d].add(-1)
 	s.clearPending(d, piece)
 	// The downloader gains the piece.
 	if !s.hasPiece(d, piece) {

@@ -98,7 +98,8 @@ func (g *Graph) AddNode(n Node) PID {
 }
 
 // AddLink appends a directed link and returns its LinkID. It panics if an
-// endpoint is out of range or checkLink refuses the link's attributes;
+// endpoint is out of range or checkLink refuses the link's attributes or
+// the graph's totals with it;
 // topologies are constructed by code, so a malformed one is a
 // programming error.
 func (g *Graph) AddLink(l Link) LinkID {
@@ -108,7 +109,7 @@ func (g *Graph) AddLink(l Link) LinkID {
 	if l.Src == l.Dst {
 		panic(fmt.Sprintf("topology: self-loop on PID %d", l.Src))
 	}
-	checkLink(l)
+	g.checkLink(l, -1)
 	l.ID = LinkID(len(g.links))
 	g.links = append(g.links, l)
 	g.out[l.Src] = append(g.out[l.Src], l.ID)
@@ -143,15 +144,35 @@ func (g *Graph) SetLink(l Link) {
 	if old.Src != l.Src || old.Dst != l.Dst {
 		panic("topology: SetLink must not change endpoints")
 	}
-	checkLink(l)
+	g.checkLink(l, l.ID)
 	g.links[l.ID] = l
 }
 
-// checkLink panics unless capacity and weight are finite and positive and distance finite and non-negative.
-func checkLink(l Link) {
-	if !(l.CapacityBps > 0 && l.CapacityBps <= math.MaxFloat64 && l.Weight > 0 && l.Weight <= math.MaxFloat64 &&
-		l.DistanceKm >= 0 && l.DistanceKm <= math.MaxFloat64) {
-		panic(fmt.Sprintf("topology: link %d->%d needs a finite capacity > 0, weight > 0 and distance >= 0: %+v", l.Src, l.Dst, l))
+// maxTotalCapacityBps bounds a graph's total link capacity, in bit/s.
+// The MLU engine starts every price at 1/Σc and projects price/capacity
+// ratios; with each capacity at least 1 bit/s and Σc at most this, those
+// stay normal floats, and neither underflows to 0 nor overflows.
+const maxTotalCapacityBps = 1e150
+
+// checkLink panics unless l's capacity is at least 1 bit/s, its weight
+// finite and positive, its distance finite and non-negative, and, with
+// l in place of link skip (-1: appended), the graph's total capacity at
+// most maxTotalCapacityBps and its total weight and distance finite: the
+// totals bound every route's weight and distance sum.
+func (g *Graph) checkLink(l Link, skip LinkID) {
+	if !(l.CapacityBps >= 1 && l.CapacityBps <= math.MaxFloat64 &&
+		l.Weight > 0 && l.Weight <= math.MaxFloat64 && l.DistanceKm >= 0 && l.DistanceKm <= math.MaxFloat64) {
+		panic(fmt.Sprintf("topology: link %d->%d needs a finite capacity >= 1, weight > 0 and distance >= 0: %+v", l.Src, l.Dst, l))
+	}
+	capSum, weightSum, distSum := l.CapacityBps, l.Weight, l.DistanceKm
+	for _, o := range g.links {
+		if o.ID != skip {
+			capSum, weightSum, distSum = capSum+o.CapacityBps, weightSum+o.Weight, distSum+o.DistanceKm
+		}
+	}
+	if !(capSum <= maxTotalCapacityBps && weightSum <= math.MaxFloat64 && distSum <= math.MaxFloat64) {
+		panic(fmt.Sprintf("topology: link %d->%d takes the graph's total capacity to %v (at most %g), weight to %v or distance to %v: %+v",
+			l.Src, l.Dst, capSum, maxTotalCapacityBps, weightSum, distSum, l))
 	}
 }
 

@@ -55,6 +55,10 @@ func TestAddLinkValidation(t *testing.T) {
 		{CapacityBps: 1, Weight: 1, DistanceKm: -1},
 		{CapacityBps: 1, Weight: 1, DistanceKm: math.NaN()},
 		{CapacityBps: 1, Weight: 1, DistanceKm: math.Inf(1)},
+		// Below 1 bit/s the MLU start price 1/Σc or its ratio to c overflows.
+		{CapacityBps: 5e-324, Weight: 1},
+		{CapacityBps: 0.5, Weight: 1},
+		{CapacityBps: 2 * maxTotalCapacityBps, Weight: 1},
 	} {
 		bad.Src, bad.Dst = a, b
 		mustPanic(t, fmt.Sprintf("%+v", bad), func() { g.AddLink(bad) })
@@ -65,6 +69,31 @@ func TestAddLinkValidation(t *testing.T) {
 	id := g.AddLink(Link{Src: a, Dst: b, CapacityBps: 1, Weight: 1})
 	if id != 0 {
 		t.Fatalf("first link ID = %d, want 0", id)
+	}
+}
+
+// TestLinkTotalsRefused pins the graph-wide sums: each value below is
+// accepted on one link, and the second link that takes the graph's total
+// capacity past maxTotalCapacityBps, or its total weight or distance past
+// MaxFloat64, is refused, by AddLink and by SetLink alike.
+func TestLinkTotalsRefused(t *testing.T) {
+	for _, big := range []Link{
+		{CapacityBps: maxTotalCapacityBps, Weight: 1},
+		{CapacityBps: 1, Weight: 1e308},
+		{CapacityBps: 1, Weight: 1, DistanceKm: 1e308},
+	} {
+		g := NewGraph("t")
+		a, b, c := g.AddNode(Node{}), g.AddNode(Node{}), g.AddNode(Node{})
+		big.Src, big.Dst = a, b
+		g.AddLink(big)
+		id := g.AddLink(Link{Src: b, Dst: c, CapacityBps: 1, Weight: 1})
+		second := big
+		second.Src, second.Dst = b, c
+		mustPanic(t, fmt.Sprintf("AddLink(%+v) after %+v", second, big), func() { g.AddLink(second) })
+		second.ID = id
+		mustPanic(t, fmt.Sprintf("SetLink(%+v) after %+v", second, big), func() { g.SetLink(second) })
+		big.ID = 0
+		g.SetLink(big) // replacing a link does not count it twice
 	}
 }
 

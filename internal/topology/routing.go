@@ -161,11 +161,14 @@ func (r *Routing) PropagationDelaySeconds(i, j PID) float64 {
 
 // dijkstra computes single-source shortest paths by link weight,
 // returning per-node distance and the predecessor link on the shortest
-// path tree (valid where distance is finite and node != src).
+// path tree (valid where distance is finite and node != src). A settled
+// node's predecessor is final: a weight too small to change a sum (1e-300
+// after 1) would otherwise tie it back to a later node and close a cycle.
 func dijkstra(g *Graph, src PID) (dist []float64, prev []LinkID) {
 	n := g.NumNodes()
 	dist = make([]float64, n)
 	prev = make([]LinkID, n)
+	settled := make([]bool, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
@@ -177,6 +180,7 @@ func dijkstra(g *Graph, src PID) (dist []float64, prev []LinkID) {
 		if item.dist > dist[item.node] {
 			continue // stale entry
 		}
+		settled[item.node] = true
 		for _, id := range g.OutLinks(item.node) {
 			l := g.Link(id)
 			nd := item.dist + l.Weight
@@ -185,7 +189,7 @@ func dijkstra(g *Graph, src PID) (dist []float64, prev []LinkID) {
 				dist[l.Dst] = nd
 				prev[l.Dst] = id
 				heap.Push(pq, nodeItem{node: l.Dst, dist: nd})
-			case nd == dist[l.Dst] && prev[l.Dst] >= 0 && id < prev[l.Dst]:
+			case nd == dist[l.Dst] && !settled[l.Dst] && id < prev[l.Dst]:
 				// Deterministic tie-break: prefer the lower link ID.
 				prev[l.Dst] = id
 			}
