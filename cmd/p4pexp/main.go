@@ -34,32 +34,52 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options are p4pexp's settings.
+type options struct {
+	list             bool
+	runIDs           string
+	scale            float64
+	seed             int64
+	parallel         int
+	cpuProf, memProf string
+}
+
+// newFlags is p4pexp's flag set, writing into o. A bad flag is one line
+// on stderr; -h prints the defaults.
+func newFlags(o *options, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("p4pexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {}
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	fs.StringVar(&o.runIDs, "run", "all", "comma-separated experiment IDs, or 'all'")
+	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale in (0, 1]")
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for independent simulation cells (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file at exit")
+	return fs
+}
+
 // run parses args and writes the reports to stdout; everything else
 // (timings, errors) goes to stderr, so stdout can be compared with cmp.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("p4pexp", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		list     = fs.Bool("list", false, "list experiments and exit")
-		runIDs   = fs.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		scale    = fs.Float64("scale", 1.0, "workload scale in (0, 1]")
-		seed     = fs.Int64("seed", 42, "random seed")
-		parallel = fs.Int("parallel", 0, "worker pool size for independent simulation cells (0 = GOMAXPROCS, 1 = serial)")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-	)
+	var o options
+	fs := newFlags(&o, stderr)
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fs.PrintDefaults()
+		}
 		return 2
 	}
-	if !(*scale > 0 && *scale <= 1) {
-		fmt.Fprintf(stderr, "p4pexp: -scale %v is outside (0, 1]\n", *scale)
+	if !(o.scale > 0 && o.scale <= 1) {
+		fmt.Fprintf(stderr, "p4pexp: -scale %v is outside (0, 1]\n", o.scale)
 		return 2
 	}
-	if *parallel < 0 {
-		fmt.Fprintf(stderr, "p4pexp: -parallel %d is negative\n", *parallel)
+	if o.parallel < 0 {
+		fmt.Fprintf(stderr, "p4pexp: -parallel %d is negative\n", o.parallel)
 		return 2
 	}
-	if *list {
+	if o.list {
 		for _, e := range experiments.Experiments {
 			fmt.Fprintf(stdout, "%-5s %s\n", e.ID, e.Title)
 		}
@@ -68,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Every requested ID is checked before anything runs; the reports
 	// come out in the table's order, each once. An empty want is "all".
 	want := map[string]bool{}
-	if *runIDs != "all" {
-		for _, id := range strings.Split(*runIDs, ",") {
+	if o.runIDs != "all" {
+		for _, id := range strings.Split(o.runIDs, ",") {
 			e, ok := experiments.Lookup(strings.TrimSpace(id))
 			if !ok {
 				fmt.Fprintf(stderr, "p4pexp: unknown experiment %q; use -list\n", id)
@@ -79,8 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -92,13 +112,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if o.memProf != "" {
+		// Created now: a path that cannot be written is refused before
+		// the runs, not reported after them.
+		f, err := os.Create(o.memProf)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
@@ -112,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		start := time.Now()
-		rep := e.Run(experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel})
+		rep := e.Run(experiments.Options{Scale: o.scale, Seed: o.seed, Parallelism: o.parallel})
 		if _, err := rep.WriteTo(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

@@ -1,44 +1,108 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
 
-// TestScaleOutOfRange: a -scale outside (0, 1] is refused with a
-// one-line message and exit 2, before any experiment runs. 0 used to
-// run at paper scale and 1.5 or -0.5 used to panic.
-func TestScaleOutOfRange(t *testing.T) {
-	for _, scale := range []string{"0", "1.5", "-0.5", "NaN"} {
-		var stdout, stderr strings.Builder
-		if code := run([]string{"-run", "T1", "-scale", scale}, &stdout, &stderr); code != 2 {
-			t.Errorf("-scale %s: exit %d, want 2", scale, code)
+// flagRows names, for every flag newFlags defines, its hostile values
+// and what each does: exit 2 with one stderr line holding note, or exit
+// 0, note saying why the value is accepted. Each value is set on top of
+// "-run T1 -scale 0.02", so an accepted one runs T1 at that size.
+var flagRows = map[string][]struct {
+	value string
+	exit  int
+	note  string
+}{
+	"list": {
+		{"0", 0, "ParseBool's false: the reports run"},
+		{"", 2, "invalid boolean value"},
+		{"-1", 2, "invalid boolean value"},
+		{"NaN", 2, "invalid boolean value"},
+	},
+	"run": {
+		{"", 2, `unknown experiment ""`},
+		{"0", 2, `unknown experiment "0"`},
+		{"-1", 2, `unknown experiment "-1"`},
+		{"T1,NaN", 2, `unknown experiment "NaN"`},
+	},
+	// 0 once ran at paper scale; 1.5 and -0.5 panicked.
+	"scale": {
+		{"0", 2, "outside (0, 1]"},
+		{"-1", 2, "outside (0, 1]"},
+		{"-0.5", 2, "outside (0, 1]"},
+		{"1.5", 2, "outside (0, 1]"},
+		{"NaN", 2, "outside (0, 1]"},
+		{"", 2, "parse error"},
+	},
+	"seed": {
+		{"0", 0, "every int64 is a seed"},
+		{"-1", 0, "every int64 is a seed"},
+		{"", 2, "parse error"},
+	},
+	// -3 once ran with GOMAXPROCS workers.
+	"parallel": {
+		{"0", 0, "the documented GOMAXPROCS default"},
+		{"-1", 2, "is negative"},
+		{"-3", 2, "is negative"},
+		{"", 2, "parse error"},
+	},
+	"cpuprofile": {
+		{"", 0, "the default: no profile"},
+		{"no-such-dir/cpu.pprof", 2, "no such file or directory"},
+	},
+	"memprofile": {
+		{"", 0, "the default: no profile"},
+		{"no-such-dir/mem.pprof", 2, "no such file or directory"},
+	},
+}
+
+// TestEveryFlagHasARow runs every row of flagRows, and fails on a flag
+// without a row: a new flag states its hostile values here. A refused
+// value leaves stdout empty, and an undefined flag is refused too.
+func TestEveryFlagHasARow(t *testing.T) {
+	newFlags(&options{}, io.Discard).VisitAll(func(f *flag.Flag) {
+		if len(flagRows[f.Name]) == 0 {
+			t.Errorf("-%s has no row in flagRows", f.Name)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("-scale %s: stdout %q, want empty", scale, stdout.String())
+	})
+	for name := range flagRows {
+		if newFlags(&options{}, io.Discard).Lookup(name) == nil {
+			t.Errorf("flagRows names -%s, which newFlags does not define", name)
 		}
-		if msg := stderr.String(); !strings.Contains(msg, "outside (0, 1]") || strings.Count(msg, "\n") != 1 {
-			t.Errorf("-scale %s: stderr %q, want one line naming the range", scale, msg)
-		}
+		checkRows(t, name)
+	}
+	checkFlag(t, []string{"-bogus"}, 2, "flag provided but not defined")
+}
+
+// TestScaleOutOfRange: a -scale outside (0, 1] is refused before any
+// experiment runs.
+func TestScaleOutOfRange(t *testing.T) { checkRows(t, "scale") }
+
+// TestNegativeParallel: a -parallel below 0 is refused before any
+// experiment runs.
+func TestNegativeParallel(t *testing.T) { checkRows(t, "parallel") }
+
+// checkRows runs the flagRows rows of one flag.
+func checkRows(t *testing.T, name string) {
+	t.Helper()
+	for _, row := range flagRows[name] {
+		checkFlag(t, []string{"-run", "T1", "-scale", "0.02", "-" + name + "=" + row.value}, row.exit, row.note)
 	}
 }
 
-// TestNegativeParallel: a -parallel below 0 is refused with a one-line
-// message and exit 2, before any experiment runs. -3 used to run with
-// GOMAXPROCS workers and exit 0.
-func TestNegativeParallel(t *testing.T) {
-	for _, p := range []string{"-1", "-3"} {
-		var stdout, stderr strings.Builder
-		if code := run([]string{"-run", "T1", "-scale", "0.02", "-parallel", p}, &stdout, &stderr); code != 2 {
-			t.Errorf("-parallel %s: exit %d, want 2", p, code)
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("-parallel %s: stdout %q, want empty", p, stdout.String())
-		}
-		if msg := stderr.String(); !strings.Contains(msg, "is negative") || strings.Count(msg, "\n") != 1 {
-			t.Errorf("-parallel %s: stderr %q, want one line saying it is negative", p, msg)
-		}
+func checkFlag(t *testing.T, args []string, exit int, note string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	code := run(args, &stdout, &stderr)
+	switch {
+	case code != exit:
+		t.Errorf("%q: exit %d, want %d (%s); stderr %q", args, code, exit, note, stderr.String())
+	case exit == 2 && (stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), note)):
+		t.Errorf("%q: stdout %q, stderr %q; want no report and one line holding %q", args, stdout.String(), stderr.String(), note)
 	}
 }
 

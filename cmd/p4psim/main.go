@@ -22,29 +22,45 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+// options are p4psim's settings.
+type options struct {
+	figure, policy   string
+	clients          int
+	seed             int64
+	cpuProf, memProf string
+}
+
+// newFlags is p4psim's flag set, writing into o. A bad flag is one line
+// on stderr; -h prints the defaults.
+func newFlags(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("p4psim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.Usage = func() {} // a bad flag is one line on stderr; -h prints the defaults below
-	figure := fs.String("figure", "F7", "the figure whose swarm cell to run: F6, F7, F8 or F10")
-	policy := fs.String("policy", "p4p", "native, localized, or p4p")
-	clients := fs.Int("clients", 200, "number of leecher clients; F7 and F8 seed size n with Options.Seed+n")
-	seed := fs.Int64("seed", 42, "the cell's random seed")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	fs.Usage = func() {}
+	fs.StringVar(&o.figure, "figure", "F7", "the figure whose swarm cell to run: F6, F7, F8 or F10")
+	fs.StringVar(&o.policy, "policy", "p4p", "native, localized, or p4p")
+	fs.IntVar(&o.clients, "clients", 200, "number of leecher clients; F7 and F8 seed size n with Options.Seed+n")
+	fs.Int64Var(&o.seed, "seed", 42, "the cell's random seed")
+	fs.StringVar(&o.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProf, "memprofile", "", "write a heap profile to this file at exit")
+	return fs
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	var o options
+	fs := newFlags(&o, stderr)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			fs.PrintDefaults()
 		}
 		return 2
 	}
-	cell, err := experiments.FigureCell(*figure, *policy, *clients, *seed)
+	cell, err := experiments.FigureCell(o.figure, o.policy, o.clients, o.seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "p4psim: %v\n", err)
 		return 2
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if o.cpuProf != "" {
+		f, err := os.Create(o.cpuProf)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
@@ -56,13 +72,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if o.memProf != "" {
+		// Created now: a path that cannot be written is refused before
+		// the run, not reported after it.
+		f, err := os.Create(o.memProf)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
@@ -74,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	res := cell.Run()
 	g := cell.Graph()
 	fmt.Fprintf(stdout, "cell              %s %s, %d clients, seed %d, %s (%d PIDs, %d links)\n",
-		*figure, *policy, *clients, *seed, g.Name, g.NumNodes(), g.NumLinks())
+		o.figure, o.policy, o.clients, o.seed, g.Name, g.NumNodes(), g.NumLinks())
 	fmt.Fprintf(stdout, "completed         %d\n", len(res.CompletionTimes()))
 	fmt.Fprintf(stdout, "mean completion   %.1f s\n", res.MeanCompletionTime())
 	fmt.Fprintf(stdout, "swarm completion  %.1f s\n", res.SwarmCompletionTime())

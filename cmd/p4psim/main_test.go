@@ -1,6 +1,8 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
 	"regexp"
 	"strconv"
@@ -37,26 +39,77 @@ func TestCellMatchesReport(t *testing.T) {
 	}
 }
 
-// TestRefusals: a figure with no swarm cell, an unknown figure or
-// policy, no clients and a bad flag each exit 2 with one line on stderr
-// and nothing on stdout.
-func TestRefusals(t *testing.T) {
-	for _, args := range [][]string{
-		{"-figure", "F9"},
-		{"-figure", "X"},
-		{"-policy", "bogus"},
-		{"-clients", "0"},
-		{"-bogus"},
-	} {
-		var stdout, stderr strings.Builder
-		if code := run(args, &stdout, &stderr); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
+// flagRows names, for every flag newFlags defines, its hostile values
+// and what each does: exit 2 with one stderr line holding note, or exit
+// 0, note saying why the value is accepted. Each value is set on top of
+// "-clients 2", so an accepted one runs a two-leecher F7 cell.
+var flagRows = map[string][]struct {
+	value string
+	exit  int
+	note  string
+}{
+	"figure": {
+		{"", 2, `figure "" has no swarm cell`},
+		{"F9", 2, `figure "F9" has no swarm cell`},
+		{"X", 2, `figure "X" has no swarm cell`},
+		{"0", 2, `figure "0" has no swarm cell`},
+		{"-1", 2, `figure "-1" has no swarm cell`},
+	},
+	"policy": {
+		{"", 2, `unknown policy ""`},
+		{"0", 2, `unknown policy "0"`},
+		{"-1", 2, `unknown policy "-1"`},
+		{"NaN", 2, `unknown policy "NaN"`},
+		{"bogus", 2, `unknown policy "bogus"`},
+	},
+	"clients": {
+		{"0", 2, "0 clients: want at least 1"},
+		{"-1", 2, "-1 clients: want at least 1"},
+		{"", 2, "parse error"},
+	},
+	"seed": {
+		{"0", 0, "every int64 is a seed"},
+		{"-1", 0, "every int64 is a seed"},
+		{"", 2, "parse error"},
+	},
+	"cpuprofile": {
+		{"", 0, "the default: no profile"},
+		{"no-such-dir/cpu.pprof", 2, "no such file or directory"},
+	},
+	"memprofile": {
+		{"", 0, "the default: no profile"},
+		{"no-such-dir/mem.pprof", 2, "no such file or directory"},
+	},
+}
+
+// TestEveryFlagHasARow runs every row of flagRows, and fails on a flag
+// without a row: a new flag states its hostile values here. A refused
+// value leaves stdout empty, and an undefined flag is refused too.
+func TestEveryFlagHasARow(t *testing.T) {
+	newFlags(&options{}, io.Discard).VisitAll(func(f *flag.Flag) {
+		if len(flagRows[f.Name]) == 0 {
+			t.Errorf("-%s has no row in flagRows", f.Name)
 		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: stdout %q, want empty", args, stdout.String())
+	})
+	for name, rows := range flagRows {
+		if newFlags(&options{}, io.Discard).Lookup(name) == nil {
+			t.Errorf("flagRows names -%s, which newFlags does not define", name)
 		}
-		if msg := stderr.String(); strings.Count(msg, "\n") != 1 {
-			t.Errorf("%v: stderr %q, want one line", args, msg)
+		for _, row := range rows {
+			checkFlag(t, []string{"-clients", "2", "-" + name + "=" + row.value}, row.exit, row.note)
 		}
+	}
+	checkFlag(t, []string{"-bogus"}, 2, "flag provided but not defined")
+}
+
+func checkFlag(t *testing.T, args []string, exit int, note string) {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	code := run(args, &stdout, &stderr)
+	switch {
+	case code != exit:
+		t.Errorf("%q: exit %d, want %d (%s); stderr %q", args, code, exit, note, stderr.String())
+	case exit == 2 && (stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 || !strings.Contains(stderr.String(), note)):
+		t.Errorf("%q: stdout %q, stderr %q; want no report and one line holding %q", args, stdout.String(), stderr.String(), note)
 	}
 }

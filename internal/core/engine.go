@@ -21,8 +21,9 @@
 // the observed P4P traffic on link e and α the current maximum link
 // utilization, projected onto S = {p ≥ 0, Σ_e c_e p_e = 1}; and
 // ξ_e = b_e + t̄_e − c_e for BDP, projected onto the non-negative
-// orthant. Interdomain links instead price the virtual-capacity
-// constraint (eq. 16): ξ_e = t̄_e − v_e, p_e ≥ 0.
+// orthant, with μ in units of the mean link length (a BDP price is added
+// to link lengths, in km). Interdomain links instead price the
+// virtual-capacity constraint (eq. 16): ξ_e = t̄_e − v_e, p_e ≥ 0.
 package core
 
 import (
@@ -93,6 +94,9 @@ type Engine struct {
 	// reads flat vectors instead of copying the link table.
 	capacity, distKm []float64
 	interdomain      []bool
+	// meanKm is the mean link length (1 when every link has length 0),
+	// by which a BDP step is scaled: the price is added to lengths in km.
+	meanKm float64
 	// maxCap is the largest c_e. maxPrice, √(MaxFloat64 / 2·len(links)),
 	// caps a price so that the step norm's sum of squares and every route
 	// sum stay finite however long a link stays overloaded.
@@ -146,7 +150,11 @@ func NewEngine(g *topology.Graph, r *topology.Routing, cfg Config) *Engine {
 		e.virtual[i] = math.NaN()
 		e.capacity[i], e.distKm[i], e.interdomain[i] = l.CapacityBps, l.DistanceKm, l.Interdomain
 		capSum += l.CapacityBps
+		e.meanKm += l.DistanceKm / float64(n)
 		e.maxCap = math.Max(e.maxCap, l.CapacityBps)
+	}
+	if e.meanKm == 0 {
+		e.meanKm = 1
 	}
 	if cfg.Objective == MinimizeMLU {
 		for i := range e.prices {
@@ -258,8 +266,8 @@ func (e *Engine) Update() (stepNorm, mlu float64) {
 			g := (e.lastT[i] - e.virtual[i]) / scale
 			e.prices[i] = min(math.Max(0, e.prices[i]+mu*g), e.maxPrice)
 		case e.cfg.Objective == MinimizeBDP:
-			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e.
-			g := (bg[i] + e.lastT[i] - c) / c
+			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e, in km.
+			g := (bg[i] + e.lastT[i] - c) / c * e.meanKm
 			e.prices[i] = min(math.Max(0, e.prices[i]+mu*g), e.maxPrice)
 		case e.cfg.Objective == MinimizeMLU:
 			// ξ_e = b_e + t̄_e − α c_e, normalized by Σc to keep the

@@ -373,3 +373,100 @@ func TestDecompositionConvergesToOptimal(t *testing.T) {
 		}
 	}
 }
+
+// TestBDPConvergesToOptimal is TestDecompositionConvergesToOptimal's
+// loop under MinimizeBDP (eq. 15), at F9's step, with per-PID demand of
+// 9–12 Gbps on Abilene's 10 Gbps links, so capacity binds. The averaged
+// pattern must cost at most 5 % more bandwidth-distance than the LP
+// optimum under the capacity rows, and load no link above 1.05 of its
+// capacity. A capacity price too small for the link lengths it is added
+// to leaves the loop at the uncapacitated optimum, overloaded.
+func TestBDPConvergesToOptimal(t *testing.T) {
+	g := topology.Abilene()
+	r := topology.ComputeRouting(g)
+	pids := g.AggregationPIDs()
+	seeds := int64(20)
+	if raceEnabled {
+		seeds = 2
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := Session{PIDs: pids}
+		for range pids {
+			s.Up = append(s.Up, (9+3*rng.Float64())*1e9)
+			s.Down = append(s.Down, (9+3*rng.Float64())*1e9)
+		}
+		optCost := optimalBDP(t, r, s)
+		e := NewEngine(g, r, Config{Objective: MinimizeBDP, StepSize: 0.2})
+		avgLoads := make([]float64, g.NumLinks())
+		loads := make([]float64, g.NumLinks())
+		for it := 1; it <= 200; it++ {
+			tm, err := MatchTraffic(e.Matrix(pids), s, 1.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(loads)
+			LinkLoads(r, pids, tm, loads)
+			for i := range avgLoads {
+				avgLoads[i] += (loads[i] - avgLoads[i]) / float64(it)
+			}
+			e.ObserveTraffic(loads)
+			e.Update()
+		}
+		cost, util := 0.0, 0.0
+		for i, l := range g.Links() {
+			cost += avgLoads[i] * l.DistanceKm
+			util = math.Max(util, avgLoads[i]/l.CapacityBps)
+		}
+		if ratio := cost / optCost; ratio > 1.05 || util > 1.05 {
+			t.Errorf("seed %d: decomposed cost %.4g is %.4f times the LP's %.4g at averaged utilization %.4f, want <= 1.05 and <= 1.05",
+				seed, cost, ratio, optCost, util)
+		}
+	}
+}
+
+// optimalBDP is the centralized eq. 15 program: minimize Σ t_ij D_ij,
+// D_ij the route length, over the session's feasibility set at β = 1,
+// with every link's load at most its capacity. Bandwidth is in units of
+// the largest capacity and length in units of the longest route, to
+// keep the coefficients O(1).
+func optimalBDP(t *testing.T, r *topology.Routing, s Session) float64 {
+	g := r.Graph()
+	n := len(s.PIDs)
+	bw := 0.0
+	for _, l := range g.Links() {
+		bw = math.Max(bw, l.CapacityBps)
+	}
+	route := make([]float64, n*n)
+	km := 0.0
+	for a, i := range s.PIDs {
+		for b, j := range s.PIDs {
+			for _, e := range r.Path(i, j) {
+				route[a*n+b] += g.Link(e).DistanceKm
+			}
+			km = math.Max(km, route[a*n+b])
+		}
+	}
+	norm := Session{PIDs: s.PIDs, Up: scaled(s.Up, 1/bw), Down: scaled(s.Down, 1/bw)}
+	opt, err := MaxMatching(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &lp.Problem{NumVars: n * n, Objective: scaled(route, 1/km), Constraints: sessionRows(norm, n*n, 0, opt)}
+	for e := range g.NumLinks() {
+		row := make([]float64, n*n)
+		for a, i := range s.PIDs {
+			for b, j := range s.PIDs {
+				if a != b && r.OnPath(topology.LinkID(e), i, j) {
+					row[a*n+b] = 1
+				}
+			}
+		}
+		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: g.Link(topology.LinkID(e)).CapacityBps / bw})
+	}
+	sol, err := lp.Solve(p)
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("BDP LP: %v, %v", sol, err)
+	}
+	return sol.Objective * bw * km
+}

@@ -7,8 +7,9 @@ import (
 )
 
 // The engine's kernels as they stood before they were rebuilt in place,
-// kept unchanged (only renamed ref*, and reading the one background the
-// engine now holds) as the oracles of
+// kept unchanged (only renamed ref*, reading the one background the
+// engine now holds, and with the BDP step in units of the mean link
+// length) as the oracles of
 // TestEngineMatchesReference and FuzzEngineMatchesReference: Update with
 // its per-call slices and the always-200-round bisection, Matrix with one
 // path walk per PID pair. They read the graph directly, so they also
@@ -68,6 +69,15 @@ func (e *Engine) refUpdate() {
 			e.prices[i] = proj[k]
 		}
 	case MinimizeBDP:
+		// The step is in units of the mean link length, the lengths the
+		// prices are added to (1 km when they are all 0).
+		meanKm := 0.0
+		for _, l := range links {
+			meanKm += l.DistanceKm / float64(len(links))
+		}
+		if meanKm == 0 {
+			meanKm = 1
+		}
 		for i, l := range links {
 			if l.Interdomain && !math.IsNaN(e.virtual[i]) {
 				scale := e.virtual[i]
@@ -78,8 +88,8 @@ func (e *Engine) refUpdate() {
 				e.prices[i] = math.Max(0, e.prices[i]+mu*g)
 				continue
 			}
-			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e.
-			g := (bg[i] + e.lastT[i] - l.CapacityBps) / l.CapacityBps
+			// ξ_e = b_e + t̄_e − c_e (eq. 15), normalized by c_e, in km.
+			g := (bg[i] + e.lastT[i] - l.CapacityBps) / l.CapacityBps * meanKm
 			e.prices[i] = math.Max(0, e.prices[i]+mu*g)
 		}
 	}

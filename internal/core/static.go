@@ -11,27 +11,17 @@ import (
 
 // HopCountView builds an external view whose distances are route hop
 // counts — the simplest static assignment (d_e = 1 degenerates BDP to
-// hop count, per Section 5).
+// hop count, per Section 5) — and +Inf where there is no route.
 func HopCountView(r *topology.Routing, pids []topology.PID) *View {
-	return staticView(r, pids, func(i, j topology.PID) float64 {
-		hc := r.HopCount(i, j)
-		if hc < 0 {
-			return math.Inf(1)
-		}
-		return float64(hc)
-	})
-}
-
-func staticView(r *topology.Routing, pids []topology.PID, dist func(i, j topology.PID) float64) *View {
 	v := &View{PIDs: append([]topology.PID(nil), pids...), D: make([][]float64, len(pids))}
 	for a, i := range pids {
 		v.D[a] = make([]float64, len(pids))
 		for b, j := range pids {
-			if a == b {
-				v.D[a][b] = 0
-				continue
+			if hc := r.HopCount(i, j); hc < 0 {
+				v.D[a][b] = math.Inf(1)
+			} else {
+				v.D[a][b] = float64(hc)
 			}
-			v.D[a][b] = dist(i, j)
 		}
 	}
 	return v

@@ -61,7 +61,6 @@ func figure6Cell(n int, seed int64) Cell {
 	g := topology.Abilene()
 	protect := protectedCircuit(g)
 	c := intradomainCell("", g, topology.ComputeRouting(g), n, 12<<20, 100e3*8, seed, 0.5)
-	c.sim.WatchLinks = protect
 	c.protect, c.measure = protect, 10
 	return c
 }

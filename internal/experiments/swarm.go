@@ -174,7 +174,7 @@ func (p placement) addClients(s *p2psim.Sim) {
 	seeded := map[int]bool{}
 	for _, pid := range pids {
 		if asn := g.Node(pid).ASN; !seeded[asn] {
-			s.AddClient(p2psim.ClientSpec{PID: pid, ASN: asn, UpBps: p.seedBps, DownBps: p.seedBps, IsSeed: true, Class: "seed"})
+			s.AddClient(p2psim.ClientSpec{PID: pid, ASN: asn, UpBps: p.seedBps, DownBps: p.seedBps, IsSeed: true})
 			seeded[asn] = true
 		}
 	}

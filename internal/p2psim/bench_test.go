@@ -44,7 +44,7 @@ func benchMidSwarm(g *topology.Graph, r *topology.Routing, seed int64) *Sim {
 }
 
 // TestSimMidSwarmAllocs pins the event loop's allocation budget: a
-// whole benchMidSwarm run, construction included, measures 1,371
+// whole benchMidSwarm run, construction included, measures 1,267
 // allocations, nearly all of them setup and per-client state. The run
 // has ten rechoke rounds and twenty samples, and far more rate resolves
 // and flow finishes, so two allocations more per event cross the bound.
@@ -55,8 +55,8 @@ func TestSimMidSwarmAllocs(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	allocs := testing.AllocsPerRun(3, func() { benchMidSwarm(g, r, 42).Run() })
-	if allocs > 1381 {
-		t.Fatalf("mid-size swarm run: %.0f allocs, want <= 1381", allocs)
+	if allocs > 1277 {
+		t.Fatalf("mid-size swarm run: %.0f allocs, want <= 1277", allocs)
 	}
 }
 

@@ -11,17 +11,15 @@ import (
 	"p4p/internal/topology"
 )
 
-// Metrics accumulates the measurements the paper's evaluation reports:
+// metrics accumulates the measurements the paper's evaluation reports:
 // per-client completion times, per-link cumulative P4P traffic (for
 // bottleneck traffic and charging volumes), utilization samples over
-// time, unit bandwidth-distance product, and PID-pair / class-pair
-// traffic matrices for the locality tables.
-type Metrics struct {
-	cfg        *Config
+// time, unit bandwidth-distance product, and the PID-pair traffic
+// matrix for the locality tables.
+type metrics struct {
 	linkBytes  []float64
 	samples    []Sample
 	pidBytes   map[[2]topology.PID]float64
-	classBytes map[[2]string]float64
 	bdpSum     float64 // Σ bytes x backbone hops
 	totalBytes float64
 	intraPID   float64
@@ -42,18 +40,11 @@ type Sample struct {
 	// MaxUtil is the highest (background + P4P) utilization across
 	// links at time T.
 	MaxUtil float64
-	// MaxLink is the link achieving MaxUtil.
-	MaxLink topology.LinkID
-	// Watch holds the P4P rate (bits/sec) of each Config.WatchLinks
-	// entry at time T.
-	Watch []float64
 }
 
-func (m *Metrics) init(cfg *Config) {
-	m.cfg = cfg
+func (m *metrics) init(cfg *Config) {
 	m.linkBytes = make([]float64, cfg.Graph.NumLinks())
 	m.pidBytes = map[[2]topology.PID]float64{}
-	m.classBytes = map[[2]string]float64{}
 	m.ledgers = map[topology.LinkID]*charging.Ledger{}
 	if cfg.WatchLedgers != nil {
 		interval := cfg.WatchLedgers.IntervalSec
@@ -69,53 +60,38 @@ func (m *Metrics) init(cfg *Config) {
 // flush commits a finished (or settled) flow's accumulated bytes to the
 // aggregates. Ledgers are maintained incrementally in progressFlow
 // because they need the time profile, not just the total.
-func (m *Metrics) flush(s *Sim, f *flowS) {
+func (m *metrics) flush(s *Sim, f *flowS) {
 	bytes := f.moved
 	m.totalBytes += bytes
 	m.bdpSum += bytes * float64(len(f.links))
 	for _, e := range f.links {
 		m.linkBytes[e] += bytes
 	}
-	uc, dc := s.clients[f.u], s.clients[f.d]
-	m.pidBytes[[2]topology.PID{uc.Spec.PID, dc.Spec.PID}] += bytes
-	if uc.Spec.PID == dc.Spec.PID {
+	up, down := s.pid[f.u], s.pid[f.d]
+	m.pidBytes[[2]topology.PID{up, down}] += bytes
+	if up == down {
 		m.intraPID += bytes
-	}
-	if m.cfg.TrackClassBytes {
-		m.classBytes[[2]string{uc.Spec.Class, dc.Spec.Class}] += bytes
-		if dc.DownBytesByClass != nil {
-			dc.DownBytesByClass[uc.Spec.Class] += bytes
-		}
 	}
 }
 
 // sample snapshots link utilizations.
-func (m *Metrics) sample(s *Sim) {
+func (m *metrics) sample(s *Sim) {
 	smp := Sample{T: s.now}
 	for i, l := range s.cfg.Graph.Links() {
 		u := (s.bgBytesPS[i] + s.linkRate[i]) * 8 / l.CapacityBps
 		if u > smp.MaxUtil {
 			smp.MaxUtil = u
-			smp.MaxLink = topology.LinkID(i)
 		}
-	}
-	for _, e := range s.cfg.WatchLinks {
-		smp.Watch = append(smp.Watch, s.linkRate[e]*8)
 	}
 	m.samples = append(m.samples, smp)
 }
 
 // ClientStat is the per-client summary exposed in results.
 type ClientStat struct {
-	ID          int
-	PID         topology.PID
-	ASN         int
-	Class       string
-	JoinAt      float64
-	Done        bool
-	DoneAt      float64
-	IsSeed      bool
-	DownByClass map[string]float64
+	JoinAt float64
+	Done   bool
+	DoneAt float64
+	IsSeed bool
 }
 
 // Result is the outcome of a simulation run.
@@ -134,9 +110,6 @@ type Result struct {
 	// IntraPIDBytes is the traffic that never left its PID, summed in
 	// flow-teardown order.
 	IntraPIDBytes float64
-	// ClassBytes is the access-class-pair traffic matrix (uploader,
-	// downloader), populated when TrackClassBytes is set.
-	ClassBytes map[[2]string]float64
 	// Ledgers holds per-link interval volume ledgers for links listed
 	// in Config.WatchLedgers.
 	Ledgers map[topology.LinkID]*charging.Ledger
@@ -156,7 +129,7 @@ type RunStats struct {
 	PeakConns, PeakFlows                     int64
 }
 
-func (m *Metrics) result(s *Sim) *Result {
+func (m *metrics) result(s *Sim) *Result {
 	r := &Result{
 		Duration:      s.now,
 		LinkBytes:     m.linkBytes,
@@ -164,18 +137,15 @@ func (m *Metrics) result(s *Sim) *Result {
 		TotalBytes:    m.totalBytes,
 		PIDBytes:      m.pidBytes,
 		IntraPIDBytes: m.intraPID,
-		ClassBytes:    m.classBytes,
 		Ledgers:       m.ledgers,
 		RunStats:      s.stats,
 	}
 	if m.totalBytes > 0 {
 		r.UnitBDP = m.bdpSum / m.totalBytes
 	}
-	for _, c := range s.clients {
+	for id, joinAt := range s.joinAt {
 		r.Clients = append(r.Clients, ClientStat{
-			ID: c.ID, PID: c.Spec.PID, ASN: c.Spec.ASN, Class: c.Spec.Class,
-			JoinAt: c.Spec.JoinAt, Done: s.done[c.ID], DoneAt: s.doneAt[c.ID],
-			IsSeed: c.Spec.IsSeed, DownByClass: c.DownBytesByClass,
+			JoinAt: joinAt, Done: s.done[id], DoneAt: s.doneAt[id], IsSeed: s.isSeed[id],
 		})
 	}
 	return r

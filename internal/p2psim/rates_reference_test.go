@@ -201,7 +201,6 @@ func runLockStep(t testing.TB, build func() *Sim) visitStats {
 type ratesCase struct {
 	seed      int64
 	clients   uint8 // 2..60
-	slots     uint8 // UploadSlots 1..6
 	neighbors uint8 // NeighborTarget 1..24
 	flags     uint8 // bit 0 TCP window off, 1 reselection, 2 streaming, 3 homogeneous access, 4 staggered joins
 }
@@ -214,7 +213,6 @@ func (rc ratesCase) build(g *topology.Graph, r *topology.Routing) func() *Sim {
 			Graph: g, Routing: r, Selector: apptracker.Random{}, Seed: rc.seed,
 			PieceBytes:      64 << 10,
 			FileBytes:       1 << 20,
-			UploadSlots:     1 + int(rc.slots%6),
 			NeighborTarget:  1 + int(rc.neighbors%24),
 			MeasureInterval: 7,
 			OnMeasure:       func(float64, []float64) {},
@@ -253,26 +251,26 @@ func (rc ratesCase) build(g *topology.Graph, r *topology.Routing) func() *Sim {
 // in lock-step over fuzzed swarms.
 func FuzzRatesMatchReference(f *testing.F) {
 	for _, rc := range ratesCorpus {
-		f.Add(rc.seed, rc.clients, rc.slots, rc.neighbors, rc.flags)
+		f.Add(rc.seed, rc.clients, rc.neighbors, rc.flags)
 	}
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
-	f.Fuzz(func(t *testing.T, seed int64, clients, slots, neighbors, flags uint8) {
-		runLockStep(t, ratesCase{seed, clients, slots, neighbors, flags}.build(g, r))
+	f.Fuzz(func(t *testing.T, seed int64, clients, neighbors, flags uint8) {
+		runLockStep(t, ratesCase{seed, clients, neighbors, flags}.build(g, r))
 	})
 }
 
 var ratesCorpus = []ratesCase{
-	{seed: 1, clients: 0, slots: 0, neighbors: 0},                // 2 clients, 1 slot, 1 neighbor
-	{seed: 2, clients: 10, slots: 3, neighbors: 19},              // defaults, window on
-	{seed: 3, clients: 28, slots: 3, neighbors: 7, flags: 1},     // window off: rates tie exactly
-	{seed: 4, clients: 40, slots: 5, neighbors: 23, flags: 2},    // reselection churn
-	{seed: 5, clients: 30, slots: 2, neighbors: 11, flags: 4},    // streaming
-	{seed: 6, clients: 58, slots: 3, neighbors: 19, flags: 8},    // homogeneous access, everyone at t=0
-	{seed: 7, clients: 58, slots: 0, neighbors: 23, flags: 16},   // optimistic slot only, staggered
-	{seed: 8, clients: 45, slots: 4, neighbors: 15, flags: 31},   // everything at once
-	{seed: 9, clients: 20, slots: 1, neighbors: 3, flags: 1 | 2}, // sparse graph, reselection, no window
-	{seed: 10, clients: 50, slots: 3, neighbors: 19, flags: 2 | 4 | 16},
+	{seed: 1, clients: 0, neighbors: 0},                // 2 clients, 1 neighbor
+	{seed: 2, clients: 10, neighbors: 19},              // defaults, window on
+	{seed: 3, clients: 28, neighbors: 7, flags: 1},     // window off: rates tie exactly
+	{seed: 4, clients: 40, neighbors: 23, flags: 2},    // reselection churn
+	{seed: 5, clients: 30, neighbors: 11, flags: 4},    // streaming
+	{seed: 6, clients: 58, neighbors: 19, flags: 8},    // homogeneous access, everyone at t=0
+	{seed: 7, clients: 58, neighbors: 23, flags: 16},   // staggered joins
+	{seed: 8, clients: 45, neighbors: 15, flags: 31},   // everything at once
+	{seed: 9, clients: 20, neighbors: 3, flags: 1 | 2}, // sparse graph, reselection, no window
+	{seed: 10, clients: 50, neighbors: 19, flags: 2 | 4 | 16},
 }
 
 // p4pSwarm has the control loop of experiments' intradomainCell (the
@@ -349,7 +347,7 @@ func checkFlowLists(t *testing.T, s *Sim) (active int) {
 	t.Helper()
 	inUp := make([]int, len(s.flows))
 	inDown := make([]int, len(s.flows))
-	for c := int32(0); int(c) < len(s.clients); c++ {
+	for c := int32(0); int(c) < len(s.pid); c++ {
 		n, last := int32(0), int32(-1)
 		for fi := s.upHead[c]; fi >= 0; fi = s.flows[fi].nextUp {
 			f := &s.flows[fi]
@@ -455,8 +453,8 @@ func checkAdjacency(t *testing.T, s *Sim) {
 		free[ci] = true
 	}
 	listed := make([]int, len(s.conns))
-	seenBy := make([]int32, len(s.clients)) // c+1 once c has listed the peer
-	for c := int32(0); int(c) < len(s.clients); c++ {
+	seenBy := make([]int32, len(s.pid)) // c+1 once c has listed the peer
+	for c := int32(0); int(c) < len(s.pid); c++ {
 		for _, ci := range s.connsOf[c] {
 			cn := &s.conns[ci]
 			if free[ci] || (cn.a != c && cn.b != c) {
@@ -484,7 +482,7 @@ func checkAdjacency(t *testing.T, s *Sim) {
 // of its neighbors hold it: the availability counts pickPiece reads.
 func checkAvailability(t *testing.T, s *Sim) {
 	t.Helper()
-	for c := int32(0); int(c) < len(s.clients); c++ {
+	for c := int32(0); int(c) < len(s.pid); c++ {
 		for p := 0; p < s.pieces; p++ {
 			if s.hasPiece(c, p) {
 				continue
@@ -509,8 +507,8 @@ func TestFlowListsInvariant(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	for _, rc := range []ratesCase{
-		{seed: 11, clients: 38, slots: 3, neighbors: 19, flags: 2 | 16},
-		{seed: 12, clients: 25, slots: 2, neighbors: 9, flags: 1 | 4},
+		{seed: 11, clients: 38, neighbors: 19, flags: 2 | 16},
+		{seed: 12, clients: 25, neighbors: 9, flags: 1 | 4},
 	} {
 		s := rc.build(g, r)()
 		s.start()
@@ -545,7 +543,7 @@ func TestFlowListsInvariant(t *testing.T) {
 func TestRateZeroDequeuesFinish(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
-	s := ratesCase{seed: 13, clients: 30, slots: 3, neighbors: 11}.build(g, r)()
+	s := ratesCase{seed: 13, clients: 30, neighbors: 11}.build(g, r)()
 	s.start()
 	stopped := 0
 	for n := 0; ; n++ {

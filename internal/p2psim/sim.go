@@ -20,9 +20,9 @@
 // index-addressed slices (piece bitfields as flat bitsets, availability
 // as a flat counter array exact only for the pieces each client lacks,
 // connections and flows in free-listed arenas addressed by int32
-// handles), with the pointer-bearing Client struct kept only at the API
-// boundary. Events flow through one indexed binary min-heap (see
-// queue.go). See DESIGN.md §13.
+// handles); a client is its index in AddClient order. Events flow
+// through one indexed binary min-heap (see queue.go). See DESIGN.md
+// §13.
 package p2psim
 
 import (
@@ -46,6 +46,9 @@ const (
 	// baseRTTSec is the fixed RTT floor covering access and processing
 	// delays (4 ms).
 	baseRTTSec = 0.004
+	// uploadSlots is the number of concurrent unchoked peers per client,
+	// including the optimistic slot.
+	uploadSlots = 4
 )
 
 // Config parameterizes a simulation.
@@ -63,9 +66,6 @@ type Config struct {
 	FileBytes int64
 	// NeighborTarget m is how many peers the tracker returns (default 20).
 	NeighborTarget int
-	// UploadSlots is the number of concurrent unchoked peers per client,
-	// including the optimistic slot (default 4).
-	UploadSlots int
 	// ReselectInterval, if positive, makes every client re-query the
 	// tracker periodically and replace idle connections that the fresh
 	// selection no longer includes — the appTracker re-optimization that
@@ -73,7 +73,8 @@ type Config struct {
 	ReselectInterval float64
 
 	// BackgroundBps holds per-link background traffic (bits/sec) used
-	// for utilization accounting; nil means zero.
+	// for utilization accounting; nil means zero. No program sets it
+	// yet; it stays for a rate model in which backbone links bind.
 	BackgroundBps []float64
 
 	// MeasureInterval, if positive, invokes OnMeasure with the current
@@ -86,8 +87,6 @@ type Config struct {
 
 	// SampleInterval, if positive, records utilization samples.
 	SampleInterval float64
-	// WatchLinks lists links whose rates are recorded in each sample.
-	WatchLinks []topology.LinkID
 	// WatchLedgers attaches interval volume ledgers to selected links
 	// for percentile-charging analysis.
 	WatchLedgers *LedgerConfig
@@ -107,10 +106,6 @@ type Config struct {
 	// download: pieces are produced continuously by the source and
 	// clients fetch within a sliding window until MaxTime.
 	Streaming *StreamingConfig
-
-	// TrackClassBytes enables the per-client map of bytes downloaded by
-	// uploader class (used by the FTTP analysis).
-	TrackClassBytes bool
 }
 
 func (c *Config) withDefaults() {
@@ -122,9 +117,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.NeighborTarget == 0 {
 		c.NeighborTarget = 20
-	}
-	if c.UploadSlots == 0 {
-		c.UploadSlots = 4
 	}
 	if c.TCPWindowBytes == 0 {
 		c.TCPWindowBytes = 64 << 10
@@ -142,31 +134,10 @@ type ClientSpec struct {
 	DownBps float64
 	JoinAt  float64
 	IsSeed  bool
-	// Class is a free-form access-class label ("fttp", "dsl", ...)
-	// used in per-class traffic breakdowns.
+	// Class is an access-class label that nothing reads; it stays, write
+	// only, because the benchmark module sets it.
 	Class string
 }
-
-// Client is the per-peer API handle. The simulator's hot per-client
-// state (bitfields, rates, choke state) lives in index-addressed
-// struct-of-arrays slices on Sim, keyed by Client.ID; this struct holds
-// only the identity and the accessors tests and experiments use.
-type Client struct {
-	ID   int
-	Spec ClientSpec
-
-	sim *Sim
-
-	// DownBytesByClass accumulates bytes received per uploader class
-	// when Config.TrackClassBytes is set.
-	DownBytesByClass map[string]float64
-}
-
-// Done reports whether the client has completed the file.
-func (c *Client) Done() bool { return c.sim.done[c.ID] }
-
-// DoneAt returns the completion time (absolute simulation seconds).
-func (c *Client) DoneAt() float64 { return c.sim.doneAt[c.ID] }
 
 // connS is one (symmetric) neighbor relationship, stored in the Sim's
 // conn arena and addressed by int32 handle.
@@ -240,12 +211,11 @@ func (a *access) add(dn int32) {
 
 // Sim is a single swarm simulation. Build with New, add clients, Run.
 type Sim struct {
-	cfg     Config
-	rng     *rand.Rand
-	now     float64
-	clients []*Client
-	pieces  int
-	hasW    int // bitset words per client
+	cfg    Config
+	rng    *rand.Rand
+	now    float64
+	pieces int
+	hasW   int // bitset words per client
 
 	// Event queue, and the push counter that is its FIFO tie-break.
 	qseq   uint64
@@ -253,8 +223,10 @@ type Sim struct {
 
 	incomplete int // clients still downloading
 
-	// Per-client struct-of-arrays hot state, indexed by client ID.
+	// Per-client struct-of-arrays state, indexed by client ID; len(pid)
+	// is the client count.
 	up, down    []access // upload and download side of the access link
+	joinAt      []float64
 	pid         []topology.PID
 	asn         []int
 	isSeed      []bool
@@ -304,7 +276,7 @@ type Sim struct {
 	// Test seam: rates_reference_test.go's resolver, used instead of the lists.
 	refRates func(s *Sim, u, d int32)
 
-	metrics Metrics
+	metrics metrics
 }
 
 // New builds a simulation.
@@ -347,21 +319,17 @@ func New(cfg Config) *Sim {
 	return s
 }
 
-// AddClient registers a client; call before Run.
-func (s *Sim) AddClient(spec ClientSpec) *Client {
-	if !positiveFinite(spec.UpBps) || !positiveFinite(spec.DownBps) || !(spec.JoinAt >= 0) || math.IsInf(spec.JoinAt, 1) {
-		panic(fmt.Sprintf("p2psim: client %d: UpBps %v and DownBps %v must be positive and finite, JoinAt %v non-negative and finite",
-			len(s.clients), spec.UpBps, spec.DownBps, spec.JoinAt))
+// AddClient registers a client, whose ID is the count of clients added
+// before it; call before Run.
+func (s *Sim) AddClient(spec ClientSpec) {
+	id := len(s.pid)
+	if !atLeastOneBit(spec.UpBps) || !atLeastOneBit(spec.DownBps) || !(spec.JoinAt >= 0) || math.IsInf(spec.JoinAt, 1) {
+		panic(fmt.Sprintf("p2psim: client %d: UpBps %v and DownBps %v must be finite and at least 1 bit/s, JoinAt %v non-negative and finite",
+			id, spec.UpBps, spec.DownBps, spec.JoinAt))
 	}
-	id := len(s.clients)
-	c := &Client{ID: id, Spec: spec, sim: s}
-	if s.cfg.TrackClassBytes {
-		c.DownBytesByClass = map[string]float64{}
-	}
-	s.clients = append(s.clients, c)
-
 	s.up = append(s.up, access{bps: spec.UpBps / 8})
 	s.down = append(s.down, access{bps: spec.DownBps / 8})
+	s.joinAt = append(s.joinAt, spec.JoinAt)
 	s.pid = append(s.pid, spec.PID)
 	s.asn = append(s.asn, spec.ASN)
 	s.isSeed = append(s.isSeed, spec.IsSeed)
@@ -397,20 +365,14 @@ func (s *Sim) AddClient(spec ClientSpec) *Client {
 		// A streaming source starts with nothing published; pieces
 		// appear over time (see streaming.go).
 	}
-	return c
 }
 
-// positiveFinite is false for NaN, ±Inf and x <= 0.
-func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
-
-// Clients returns the registered clients.
-func (s *Sim) Clients() []*Client { return s.clients }
+// atLeastOneBit is false for NaN, +Inf and x < 1. Below 1 bit/s the
+// bytes/s can be subnormal, and then every finish time +Inf.
+func atLeastOneBit(x float64) bool { return x >= 1 && !math.IsInf(x, 1) }
 
 // Graph returns the simulation's topology.
 func (s *Sim) Graph() *topology.Graph { return s.cfg.Graph }
-
-// Now returns the current simulation time.
-func (s *Sim) Now() float64 { return s.now }
 
 // --- bitset accessors ---
 
@@ -481,11 +443,11 @@ func (s *Sim) finish() *Result {
 
 // start schedules every client's join and the periodic control events.
 func (s *Sim) start() {
-	for _, c := range s.clients {
-		if !c.Spec.IsSeed {
+	for id, seed := range s.isSeed {
+		if !seed {
 			s.incomplete++
 		}
-		s.push(event{t: c.Spec.JoinAt, kind: evJoin, id: int32(c.ID)})
+		s.push(event{t: s.joinAt[id], kind: evJoin, id: int32(id)})
 	}
 	s.push(event{t: rechokeInterval, kind: evRechoke})
 	if s.cfg.ReselectInterval > 0 {
@@ -633,7 +595,7 @@ func (s *Sim) gainPiece(d int32, piece int) {
 // handleReselect re-runs tracker selection for every joined client and
 // swaps out idle connections that the fresh selection dropped.
 func (s *Sim) handleReselect() {
-	for id := int32(0); int(id) < len(s.clients); id++ {
+	for id := int32(0); int(id) < len(s.pid); id++ {
 		if !s.joined[id] || s.isSeed[id] {
 			continue
 		}
@@ -721,7 +683,7 @@ func (s *Sim) removeConnRef(c, ci int32) {
 // --- rechoke ---
 
 func (s *Sim) handleRechoke() {
-	for id := int32(0); int(id) < len(s.clients); id++ {
+	for id := int32(0); int(id) < len(s.pid); id++ {
 		if s.joined[id] {
 			s.rechokeClient(id)
 		}
@@ -757,7 +719,7 @@ func cmpRechoke(a, b rechokeCand) int {
 	return cmp.Compare(a.peer, b.peer)
 }
 
-// rechokeClient re-evaluates u's unchoke set: top (slots-1) interested
+// rechokeClient re-evaluates u's unchoke set: top (uploadSlots-1) interested
 // peers by bytes they sent us during the last interval (random for
 // seeds), plus one optimistic slot rotated every optimisticEvery
 // rechokes. Membership in the new unchoke set is tracked by stamping
@@ -781,13 +743,9 @@ func (s *Sim) rechokeClient(u int32) {
 	}
 	slices.SortStableFunc(interested, cmpRechoke)
 	s.candScratch = interested
-	regular := s.cfg.UploadSlots - 1
-	if regular < 0 {
-		regular = 0
-	}
 	s.unchokeEpoch++
 	mark := s.unchokeEpoch
-	for i := 0; i < len(interested) && i < regular; i++ {
+	for i := 0; i < len(interested) && i < uploadSlots-1; i++ {
 		s.unchokeMark[interested[i].peer] = mark
 	}
 	// Optimistic slot: a conn handle, which disconnect resets.
@@ -958,8 +916,8 @@ func tieDraw(rng *rand.Rand, n int32, m uint64) bool {
 }
 
 // progressFlow advances a flow's byte accounting to the current time.
-// Cheap counters update here; per-PID and per-class aggregates flush
-// once at flow teardown (flushFlow) to keep the hot path map-free.
+// Cheap counters update here; per-PID aggregates flush once at flow
+// teardown (flushFlow) to keep the hot path map-free.
 func (s *Sim) progressFlow(f *flowS) {
 	dt := s.now - f.lastT
 	if dt > 0 && f.rate > 0 {
@@ -990,7 +948,7 @@ func (s *Sim) flushFlow(f *flowS) {
 
 // upSlot returns the link (list head or nextUp field) at which u's
 // upload to d sits or belongs: the first to a downloader not below d,
-// u's uploads being kept in downloader-ID order (at most UploadSlots).
+// u's uploads being kept in downloader-ID order (at most uploadSlots).
 func (s *Sim) upSlot(u, d int32) *int32 {
 	p := &s.upHead[u]
 	for *p >= 0 && s.flows[*p].d < d {

@@ -149,19 +149,14 @@ func TestIntraPIDTrafficSkipsBackbone(t *testing.T) {
 }
 
 func TestSamplesRecorded(t *testing.T) {
-	s, g := buildSwarm(t, apptracker.Random{}, 10, 5, func(c *Config) {
+	s, _ := buildSwarm(t, apptracker.Random{}, 10, 5, func(c *Config) {
 		c.SampleInterval = 5
-		c.WatchLinks = []topology.LinkID{0, 1}
 	})
-	_ = g
 	res := s.Run()
 	if len(res.Samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
 	for _, smp := range res.Samples {
-		if len(smp.Watch) != 2 {
-			t.Fatalf("sample watch size %d", len(smp.Watch))
-		}
 		if smp.MaxUtil < 0 || smp.MaxUtil > 1.5 {
 			t.Fatalf("implausible utilization %v", smp.MaxUtil)
 		}
@@ -211,40 +206,6 @@ func TestLedgerAccounting(t *testing.T) {
 	}
 	if math.Abs(led.Total()-float64(1<<20)) > 1 {
 		t.Fatalf("ledger total = %v, want %v", led.Total(), 1<<20)
-	}
-}
-
-func TestClassBytesTracking(t *testing.T) {
-	g := topology.Abilene()
-	r := topology.ComputeRouting(g)
-	pids := g.AggregationPIDs()
-	s := New(Config{
-		Graph: g, Routing: r, Selector: apptracker.Random{}, Seed: 10,
-		FileBytes: 1 << 20, TrackClassBytes: true,
-	})
-	s.AddClient(ClientSpec{PID: pids[0], ASN: 1, UpBps: 10e6, DownBps: 10e6, IsSeed: true, Class: "seed"})
-	s.AddClient(ClientSpec{PID: pids[1], ASN: 1, UpBps: 50e6, DownBps: 50e6, Class: "fttp"})
-	s.AddClient(ClientSpec{PID: pids[2], ASN: 1, UpBps: 1e6, DownBps: 3e6, Class: "dsl"})
-	res := s.Run()
-	sum := 0.0
-	for _, v := range res.ClassBytes {
-		sum += v
-	}
-	if math.Abs(sum-res.TotalBytes) > 1 {
-		t.Fatalf("class bytes sum %v != total %v", sum, res.TotalBytes)
-	}
-	// Per-client breakdown must add up per client.
-	for _, c := range res.Clients {
-		if c.IsSeed || c.DownByClass == nil {
-			continue
-		}
-		perClient := 0.0
-		for _, v := range c.DownByClass {
-			perClient += v
-		}
-		if c.Done && math.Abs(perClient-float64(1<<20)) > 1 {
-			t.Fatalf("client %d class bytes %v != file size", c.ID, perClient)
-		}
 	}
 }
 
@@ -319,6 +280,9 @@ func TestConfigValidation(t *testing.T) {
 		{"FileBytes", func(c *Config) { c.FileBytes = -5 }, nil},
 		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = nan }},
 		{"DownBps", nil, func(c *ClientSpec) { c.DownBps = inf }},
+		// 5e-324 bytes/s: every finish time would be +Inf.
+		{"UpBps", nil, func(c *ClientSpec) { c.UpBps = 4e-323 }},
+		{"DownBps", nil, func(c *ClientSpec) { c.DownBps = 4e-323 }},
 		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = nan }},
 		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = -1 }},
 		{"JoinAt", nil, func(c *ClientSpec) { c.JoinAt = inf }},
@@ -583,10 +547,10 @@ func TestDisconnectPanicsWithActiveFlow(t *testing.T) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	s := New(Config{Graph: g, Routing: r, Selector: apptracker.Random{}, Seed: 4})
-	a := s.AddClient(ClientSpec{PID: 0, ASN: 1, UpBps: 1e6, DownBps: 1e6})
-	b := s.AddClient(ClientSpec{PID: 1, ASN: 1, UpBps: 1e6, DownBps: 1e6})
-	s.connect(int32(a.ID), int32(b.ID))
-	ci := s.connsOf[a.ID][0]
+	s.AddClient(ClientSpec{PID: 0, ASN: 1, UpBps: 1e6, DownBps: 1e6})
+	s.AddClient(ClientSpec{PID: 1, ASN: 1, UpBps: 1e6, DownBps: 1e6})
+	s.connect(0, 1)
+	ci := s.connsOf[0][0]
 	s.conns[ci].flow[0] = 0 // simulate an in-flight transfer
 	defer func() {
 		if recover() == nil {
@@ -722,8 +686,7 @@ func TestNovelCountersMatchRecount(t *testing.T) {
 	})
 	s.Run()
 	checked, nonzero := 0, 0
-	for _, c := range s.Clients() {
-		id := int32(c.ID)
+	for id := int32(0); int(id) < len(s.pid); id++ {
 		for _, ci := range s.connsOf[id] {
 			cn := &s.conns[ci]
 			if cn.a != id {

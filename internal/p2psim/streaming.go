@@ -58,9 +58,9 @@ func (sc *StreamingConfig) windowPieces(cfg *Config) int {
 
 // schedule arms the first publish event on every source (IsSeed) client.
 func (sc *StreamingConfig) schedule(s *Sim) {
-	for _, c := range s.clients {
-		if c.Spec.IsSeed {
-			s.push(event{t: c.Spec.JoinAt, kind: evStreamPiece, id: int32(c.ID)})
+	for id, seed := range s.isSeed {
+		if seed {
+			s.push(event{t: s.joinAt[id], kind: evStreamPiece, id: int32(id)})
 		}
 	}
 }
