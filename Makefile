@@ -23,8 +23,9 @@ p4pvet:
 
 # Tier-1 verification gate (see ROADMAP.md): the DESIGN.md loc block
 # against scripts/loc.sh, gofmt, vet, build, a quickstart run, p4pvet,
-# race tests, the allocation pins (-run Alloc) without -race, then the
-# bench/ module's vet and race tests and a two-trial swarm-p4p run.
+# race tests, the allocation pins and K-seed LP oracles
+# (-run 'Alloc|ConvergesToOptimal') without -race, then the bench/
+# module's vet and race tests and a two-trial swarm-p4p run.
 verify:
 	sh scripts/verify.sh
 

@@ -76,6 +76,12 @@ func TestEveryFlagHasARow(t *testing.T) {
 		checkRows(t, name)
 	}
 	checkFlag(t, []string{"-bogus"}, 2, "flag provided but not defined")
+	// -h is a request, not a refused setting: the defaults, exit 0.
+	var defaults, stdout, stderr strings.Builder
+	newFlags(&options{}, &defaults).PrintDefaults()
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 || stderr.String() != defaults.String() {
+		t.Errorf("-h: exit %d, stdout %q, stderr %q; want exit 0 and the defaults on stderr", code, stdout.String(), stderr.String())
+	}
 }
 
 // TestScaleOutOfRange: a -scale outside (0, 1] is refused before any

@@ -31,7 +31,7 @@ type options struct {
 }
 
 // newFlags is p4psim's flag set, writing into o. A bad flag is one line
-// on stderr; -h prints the defaults.
+// on stderr; -h prints the defaults and is not refused.
 func newFlags(o *options, stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("p4psim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -51,6 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			fs.PrintDefaults()
+			return 0
 		}
 		return 2
 	}

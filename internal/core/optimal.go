@@ -195,96 +195,3 @@ func LinkLoads(r *topology.Routing, pids []topology.PID, t [][]float64, loads []
 		}
 	}
 }
-
-// OptimalMLU solves the centralized program of Figure 4 / eqs. (8)–(9)
-// jointly over all sessions with the LP solver: minimize α subject to
-// every session's feasibility set T^k (capacity constraints plus a
-// beta*OPT_k total-traffic floor) and b_e + Σ_k t^k_e <= α c_e on every
-// link. It is the infeasible-in-practice benchmark that validates the
-// decomposed engine (Proposition 1). Returns α and per-session traffic
-// matrices.
-func OptimalMLU(r *topology.Routing, background []float64, sessions []Session, beta float64) (float64, [][][]float64, error) {
-	g := r.Graph()
-	if len(background) != g.NumLinks() {
-		return 0, nil, fmt.Errorf("core: background for %d links, graph has %d", len(background), g.NumLinks())
-	}
-	// Normalize bandwidth units to keep LP coefficients O(1); α is
-	// scale-invariant, flows are rescaled on the way out.
-	scale := 1.0
-	for _, l := range g.Links() {
-		scale = math.Max(scale, l.CapacityBps)
-	}
-	background = scaled(background, 1/scale)
-	normalized := make([]Session, len(sessions))
-	for k, s := range sessions {
-		if err := s.validate(); err != nil {
-			return 0, nil, err
-		}
-		normalized[k] = Session{PIDs: s.PIDs, Up: scaled(s.Up, 1/scale), Down: scaled(s.Down, 1/scale)}
-	}
-	sessions = normalized
-	// Variable layout: per-session lane variables, then α last.
-	offsets := make([]int, len(sessions))
-	nvar := 0
-	for k, s := range sessions {
-		offsets[k] = nvar
-		nvar += len(s.PIDs) * len(s.PIDs)
-	}
-	alphaVar := nvar
-	nvar++
-
-	p := &lp.Problem{NumVars: nvar, Maximize: false}
-	p.Objective = make([]float64, nvar)
-	p.Objective[alphaVar] = 1
-
-	for k, s := range sessions {
-		opt, err := MaxMatching(s)
-		if err != nil {
-			return 0, nil, err
-		}
-		p.Constraints = append(p.Constraints, sessionRows(s, nvar, offsets[k], beta*opt)...)
-	}
-	// Link utilization rows: b_e + Σ t^k_ij I_e(i,j) − α c_e <= 0.
-	for e := 0; e < g.NumLinks(); e++ {
-		row := make([]float64, nvar)
-		touched := false
-		for k, s := range sessions {
-			n := len(s.PIDs)
-			for a := 0; a < n; a++ {
-				for b := 0; b < n; b++ {
-					if a == b {
-						continue
-					}
-					if r.OnPath(topology.LinkID(e), s.PIDs[a], s.PIDs[b]) {
-						row[offsets[k]+a*n+b] = 1
-						touched = true
-					}
-				}
-			}
-		}
-		if !touched && background[e] == 0 {
-			continue
-		}
-		row[alphaVar] = -g.Link(topology.LinkID(e)).CapacityBps / scale
-		p.Constraints = append(p.Constraints, lp.Constraint{Coeffs: row, Rel: lp.LE, RHS: -background[e]})
-	}
-	sol, err := lp.Solve(p)
-	if err != nil {
-		return 0, nil, err
-	}
-	if sol.Status != lp.Optimal {
-		return 0, nil, fmt.Errorf("core: MLU program %v", sol.Status)
-	}
-	flows := make([][][]float64, len(sessions))
-	for k, s := range sessions {
-		n := len(s.PIDs)
-		flows[k] = make([][]float64, n)
-		for a := 0; a < n; a++ {
-			flows[k][a] = make([]float64, n)
-			for b := 0; b < n; b++ {
-				flows[k][a][b] = sol.X[offsets[k]+a*n+b] * scale
-			}
-		}
-	}
-	return sol.X[alphaVar], flows, nil
-}

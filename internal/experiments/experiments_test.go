@@ -147,11 +147,12 @@ func TestFieldTestReports(t *testing.T) {
 
 func TestSuperGradientConvergenceShape(t *testing.T) {
 	rep := runID(t, "X2", Options{Scale: 0.6, Seed: 17})
-	if rep.Values["optimal-mlu"] <= 0 {
-		t.Fatal("no optimal MLU computed")
+	bound, mlu := rep.Values["certified-lower-bound"], rep.Values["decomposed-avg-mlu"]
+	if !(bound > 0 && bound <= mlu) {
+		t.Fatalf("certified lower bound %v, want in (0, %v], the decomposed MLU", bound, mlu)
 	}
-	if rep.Values["gap-ratio"] > 1.35 {
-		t.Fatalf("decomposition gap %v, want <= 1.35x optimal", rep.Values["gap-ratio"])
+	if rep.Values["certified-gap-ratio"] > 1.35 {
+		t.Fatalf("certified decomposition gap %v, want <= 1.35", rep.Values["certified-gap-ratio"])
 	}
 }
 

@@ -17,22 +17,20 @@ import (
 // An application session repeatedly solves its local bandwidth-matching
 // program against the current p-distances; the iTracker updates prices
 // by projected super-gradient; the time-averaged traffic pattern's MLU
-// approaches the centralized LP optimum of Figure 4.
+// approaches the optimum of Figure 4's program. The loop certifies its
+// own gap: MLU prices lie on the simplex Σ_e c_e p_e = 1, so by weak
+// duality the session's best response costs at most that optimum at
+// every iteration, and the averaged MLU is at least it.
 func superGradientConvergence(opt Options, rep *Report) {
 	g := topology.Abilene()
 	r := topology.ComputeRouting(g)
 	pids := g.AggregationPIDs()
 	s := randomSession(pids, opt.Seed)
-	bg := make([]float64, g.NumLinks())
-	optAlpha, _, err := core.OptimalMLU(r, bg, []core.Session{s}, 1.0)
-	if err != nil {
-		rep.note("OptimalMLU failed: %v", err)
-		return
-	}
 
 	e := core.NewEngine(g, r, core.Config{Objective: core.MinimizeMLU, StepSize: 0.05})
 	iters := opt.scaled(200)
 	avgLoads := make([]float64, g.NumLinks())
+	bound := 0.0
 	for it := 1; it <= iters; it++ {
 		view := e.Matrix(pids)
 		tm, err := core.MatchTraffic(view, s, 1.0)
@@ -40,6 +38,8 @@ func superGradientConvergence(opt Options, rep *Report) {
 			rep.note("MatchTraffic failed at iteration %d: %v", it, err)
 			return
 		}
+		// g(p) = Σ_e p_e (b_e + load_e(tm)); the background is 0 here.
+		bound = math.Max(bound, view.Total(tm))
 		loads := make([]float64, g.NumLinks())
 		core.LinkLoads(r, pids, tm, loads)
 		for i := range avgLoads {
@@ -53,10 +53,10 @@ func superGradientConvergence(opt Options, rep *Report) {
 		}
 	}
 	final := mluOf(g, avgLoads)
-	rep.Values["optimal-mlu"] = optAlpha
+	rep.Values["certified-lower-bound"] = bound
 	rep.Values["decomposed-avg-mlu"] = final
-	rep.Values["gap-ratio"] = metrics.Ratio(final, optAlpha)
-	rep.note("time-averaged MLU after %d iterations vs the centralized LP optimum", iters)
+	rep.Values["certified-gap-ratio"] = metrics.Ratio(final, bound)
+	rep.note("time-averaged MLU after %d iterations vs the best weak-duality lower bound on the optimum", iters)
 }
 
 // randomSession is X2's and A1's application session: every PID uploads

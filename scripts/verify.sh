@@ -3,7 +3,8 @@
 # p4pvet (a finding fails here, in seconds, before the long suites); then
 # race-test the whole module; run its allocation pins (every test named
 # *Alloc*) again without -race, which inflates allocation counts and
-# makes half of them skip; then vet and race-test the nested bench/
+# makes half of them skip, and the K-seed LP oracles (*ConvergesToOptimal),
+# which run 2 seeds under -race and all of theirs without it; then vet and race-test the nested bench/
 # module (its own go.mod, so ./... above does not reach it, and it
 # compiles against every package the serving stack exports), and run
 # its swarm-p4p workload at two trials of full-size swarms, which checks
@@ -72,8 +73,8 @@ phase 'p4pvet ./...'
 go run ./cmd/p4pvet -timing ./...
 phase 'go test -race ./...'
 go test -race ./...
-phase 'go test -count=1 -run Alloc ./... (allocation pins, no -race)'
-go test -count=1 -run Alloc ./...
+phase "go test -count=1 -run 'Alloc|ConvergesToOptimal' ./... (allocation pins and K-seed LP oracles, no -race)"
+go test -count=1 -run 'Alloc|ConvergesToOptimal' ./...
 phase 'bench: go vet ./... && go test -race ./...'
 (cd bench && go vet ./... && go test -race ./...)
 phase 'bash bench/run.sh --workload swarm-p4p --trials 2 --seconds 8'
